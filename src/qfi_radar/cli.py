@@ -352,6 +352,12 @@ def cmd_oracle_check(cfg: dict) -> int:
     sigma = float(cfg["sigma"])
     t_minus = float(cfg["t_minus"])
     omega_minus = float(cfg["omega_minus"])
+    mixed = any(s is not Strategy.ENTANGLED_BIPHOTON for s in selected_strategies(cfg))
+    if mixed and t_minus == 0.0 and omega_minus == 0.0:
+        raise UsageError(
+            "--t-minus and --omega-minus are both 0: the two branches coincide, "
+            "so the mixed-state entries are undefined"
+        )
     for pair in selected_pairs(cfg):
         for kappa in kappa_grid(cfg):
             for strategy in selected_strategies(cfg):

@@ -18,10 +18,11 @@ import numpy as np
 
 from .kinematics import ParameterPair, Strategy
 from .states import (
+    AffineState,
     GaussianBiphoton,
     GaussianSinglePhoton,
-    PolyState,
-    _d_biphoton_own,
+    _PAIR_CHAIN,
+    _d_biphoton,
     derivative,
     derivative_single,
     overlap,
@@ -95,7 +96,7 @@ class MixedModel:
     strategy: Strategy
     weights: tuple[float, ...]
     states: tuple
-    deriv: Callable[[int, str], PolyState]
+    deriv: Callable[[int, str], AffineState]
     shifted: Callable[[str, float], "MixedModel"]
     trace: float = 1.0
 
@@ -132,8 +133,8 @@ def build_subspace(generators: list, drop_tol: float = DEFAULT_DROP_TOL) -> Subs
     gram = np.empty((n, n), dtype=complex)
     for i in range(n):
         for j in range(i, n):
-            gram[i, j] = overlap(generators[i], generators[j])
-            gram[j, i] = np.conj(gram[i, j])
+            g = overlap(generators[i], generators[j])
+            gram[i, j], gram[j, i] = g, g.conjugate()
 
     evals, evecs = np.linalg.eigh(gram)
     order = np.argsort(evals)[::-1]
@@ -145,19 +146,23 @@ def build_subspace(generators: list, drop_tol: float = DEFAULT_DROP_TOL) -> Subs
     keep = evals > drop_tol * evals[0]
     evals, evecs = evals[keep], evecs[:, keep]
 
-    for k in range(evecs.shape[1]):
-        col = evecs[:, k]
-        idx = np.argmax(np.abs(col) > 1e-8)
-        phase = col[idx] / abs(col[idx])
-        evecs[:, k] = col / phase
+    first = evecs[np.argmax(np.abs(evecs) > 1e-8, axis=0), np.arange(evecs.shape[1])]
+    evecs = evecs / (first / np.abs(first))
 
     transform = evecs / np.sqrt(evals)
     return SubspaceBasis(list(generators), gram, transform, transform.shape[1], drop_tol)
 
 
 def coords(basis: SubspaceBasis, state) -> np.ndarray:
-    """Coefficient vector <e_k|state> for a state expressible in the subspace."""
-    g = np.array([overlap(gen, state) for gen in basis.generators])
+    """Coefficient vector <e_k|state> for a state expressible in the subspace.
+
+    A generator's overlaps with the basis are a column of the Gram matrix;
+    only a state outside the generator list needs fresh overlaps.
+    """
+    try:
+        g = basis.gram[:, basis.generators.index(state)]
+    except ValueError:
+        g = np.array([overlap(gen, state) for gen in basis.generators])
     return basis.transform.conj().T @ g
 
 
@@ -239,31 +244,30 @@ def sld_solve(projected: ProjectedState) -> tuple[np.ndarray, np.ndarray, np.nda
     lam, U = np.linalg.eigh(projected.rho)
     order = np.argsort(lam)[::-1]
     lam, U = lam[order], U[:, order]
-    trace = float(np.sum(lam))
+    denom = lam[:, None] + lam[None, :]
+    support = denom > SUPPORT_TOL * float(np.sum(lam))
+    denom = np.where(support, denom, 1.0)
     slds = []
     for dR in (projected.drho_a, projected.drho_b):
         M = U.conj().T @ dR @ U
-        L = np.zeros_like(M)
-        for i in range(len(lam)):
-            for j in range(len(lam)):
-                denom = lam[i] + lam[j]
-                if denom > SUPPORT_TOL * trace:
-                    L[i, j] = 2.0 * M[i, j] / denom
+        L = np.where(support, 2.0 * M / denom, 0.0)
         slds.append(U @ L @ U.conj().T)
     return slds[0], slds[1], lam, U
 
 
-def _pure_fast_path(model: MixedModel, param_a: str, param_b: str) -> np.ndarray:
-    """H_ab = 4 Re(<da|db> - <da|psi><psi|db>) for a single pure branch."""
-    psi = model.states[0]
-    H = np.empty((2, 2))
-    ds = [model.deriv(0, param_a), model.deriv(0, param_b)]
-    for i in range(2):
-        for j in range(2):
-            H[i, j] = 4.0 * np.real(
-                overlap(ds[i], ds[j]) - overlap(ds[i], psi) * overlap(psi, ds[j])
-            )
-    return model.trace * H
+def _pure_fast_path(
+    model: MixedModel, basis: SubspaceBasis, param_a: str, param_b: str
+) -> np.ndarray:
+    """H_ab = 4 Re(<da|db> - <da|psi><psi|db>) for a single pure branch.
+
+    Every overlap is an entry of the Gram matrix.
+    """
+    index = basis.generators.index
+    psi = index(model.states[0])
+    ds = [index(model.deriv(0, param_a)), index(model.deriv(0, param_b))]
+    G = basis.gram
+    v = G[ds, psi]
+    return model.trace * 4.0 * np.real(G[np.ix_(ds, ds)] - np.outer(v, v.conj()))
 
 
 def qfi_numeric(
@@ -295,16 +299,14 @@ def qfi_numeric(
     L_a, L_b, lam, _U = sld_solve(projected)
 
     rho = projected.rho
-    H = np.empty((2, 2))
-    Ls = (L_a, L_b)
-    for i in range(2):
-        for j in range(2):
-            H[i, j] = float(np.real(np.trace(rho @ (Ls[i] @ Ls[j] + Ls[j] @ Ls[i])))) / 2.0
-    compat = float(abs(np.trace(rho @ (L_a @ L_b - L_b @ L_a))))
+    Ls = np.stack((L_a, L_b))
+    LL = Ls[:, None] @ Ls[None, :]  # LL[i, j] = L_i L_j
+    H = np.real(np.trace(rho @ (LL + LL.swapaxes(0, 1)), axis1=-2, axis2=-1)) / 2.0
+    compat = float(abs(np.trace(rho @ (LL[0, 1] - LL[1, 0]))))
 
     pure_H = None
     if len(model.states) == 1 and derivative_mode == "analytic":
-        pure_H = _pure_fast_path(model, param_a, param_b)
+        pure_H = _pure_fast_path(model, basis, param_a, param_b)
 
     return OracleResult(
         H=H,
@@ -441,20 +443,11 @@ def quantum_illumination_model(
             branch((tp - tm) / 2.0, (wp - wm) / 2.0),
             branch((tp + tm) / 2.0, (wp + wm) / 2.0),
         )
-        # chain-rule factors: the pair parameters act on the signal center
-        # and carrier of each branch only
-        chain = {
-            "t_plus": (0.5, 0.5),
-            "t_minus": (-0.5, 0.5),
-            "omega_plus": (0.5, 0.5),
-            "omega_minus": (-0.5, 0.5),
-        }
-
         def deriv(i, param):
-            fac = chain[param][i]
-            var = "t1_bar" if param.startswith("t") else "omega1_bar"
-            coeffs = _d_biphoton_own(states[i], var)
-            return PolyState(states[i], tuple((k, fac * c) for k, c in coeffs.items()))
+            # branch i is photon i + 1 of the pair parameters' chain rule;
+            # they act on its signal center and carrier only
+            kind, *factors = _PAIR_CHAIN[param]
+            return _d_biphoton(states[i], kind, factors[i], 0.0)
 
         def shifted(param, eps):
             args = {"t_plus": tp, "t_minus": tm, "omega_plus": wp, "omega_minus": wm}

@@ -1,9 +1,9 @@
 """Parametric Gaussian photon states: amplitudes, overlaps, derivatives, moments.
 
 States are stored as a handful of real numbers; every integral used by the
-Fisher-information machinery is a (polynomial x Gaussian) integral with a
-closed form, evaluated here via complex Gaussian moment recursions.  Grids
-appear only in quadrature cross-checks elsewhere.
+Fisher-information machinery is an (affine x Gaussian) integral with a
+closed form, evaluated here from the mean and covariance of the product
+Gaussian.  Grids appear only in quadrature cross-checks elsewhere.
 
 Amplitude conventions (x_i = t_i - t_bar_i):
 
@@ -19,17 +19,16 @@ specified by its center/carrier/bandwidth parameters.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "GaussianSinglePhoton",
     "GaussianBiphoton",
-    "GaussianEnsemble",
-    "PolyState",
+    "AffineState",
     "single_amplitude",
     "biphoton_amplitude",
     "overlap",
@@ -42,7 +41,15 @@ __all__ = [
     "frequency_covariance",
 ]
 
-PAIR_PARAMS = ("t_plus", "t_minus", "omega_plus", "omega_minus")
+# sum/difference parameter -> (kind, factor on photon 1, factor on photon 2),
+# from t1 = (t_plus - t_minus)/2, t2 = (t_plus + t_minus)/2 and likewise for
+# the carriers
+_PAIR_CHAIN = {
+    "t_plus": ("t", 0.5, 0.5),
+    "t_minus": ("t", -0.5, 0.5),
+    "omega_plus": ("omega", 0.5, 0.5),
+    "omega_minus": ("omega", -0.5, 0.5),
+}
 
 
 @dataclass(frozen=True)
@@ -99,53 +106,27 @@ class GaussianBiphoton:
 
 
 @dataclass(frozen=True)
-class GaussianEnsemble:
-    """Weighted incoherent mixture of Gaussian states.
+class AffineState:
+    """Affine prefactor times a Gaussian base state: (c0 + c . x) |base>.
 
-    ``photon_counted`` keeps the raw branch weights (trace = photon budget);
-    ``normalized`` requires the weights to sum to one.
-    """
-
-    branches: tuple[tuple[float, object], ...]
-    trace_convention: str = "normalized"
-
-    def __post_init__(self) -> None:
-        if not self.branches:
-            raise ValueError("ensemble needs at least one branch")
-        if any(w <= 0 for w, _ in self.branches):
-            raise ValueError("branch weights must be positive")
-        if self.trace_convention not in ("normalized", "photon_counted"):
-            raise ValueError(f"unknown trace convention {self.trace_convention!r}")
-        if self.trace_convention == "normalized":
-            total = sum(w for w, _ in self.branches)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError("normalized ensemble weights must sum to 1")
-
-
-@dataclass(frozen=True)
-class PolyState:
-    """Polynomial prefactor times a Gaussian base state.
-
-    For a single-photon base the coefficients map power k -> c_k over
-    (t - t_bar); for a biphoton base they map (k1, k2) -> c over
-    (t1 - t1_bar, t2 - t2_bar).  Derivative states of the parametric
-    families are degree-1 instances of this type.
+    x is t - t_bar for a single-photon base (``c`` has one entry) and
+    (t1 - t1_bar, t2 - t2_bar) for a biphoton base (two entries).
+    Derivative states of the parametric families are instances of this type.
     """
 
     base: GaussianSinglePhoton | GaussianBiphoton
-    coeffs: tuple[tuple[object, complex], ...]
-
-    def coeff_dict(self) -> dict:
-        return dict(self.coeffs)
+    c0: complex
+    c: tuple[complex, ...]
 
 
-def _as_poly(state) -> PolyState:
-    if isinstance(state, PolyState):
-        return state
+def _split(state) -> tuple:
+    """(base, c0, c) of a state; a plain Gaussian has prefactor 1."""
+    if isinstance(state, AffineState):
+        return state.base, state.c0, state.c
     if isinstance(state, GaussianSinglePhoton):
-        return PolyState(state, ((0, 1.0 + 0.0j),))
+        return state, 1.0, (0.0,)
     if isinstance(state, GaussianBiphoton):
-        return PolyState(state, (((0, 0), 1.0 + 0.0j),))
+        return state, 1.0, (0.0, 0.0)
     raise TypeError(f"not a Gaussian state: {state!r}")
 
 
@@ -166,150 +147,79 @@ def biphoton_amplitude(state: GaussianBiphoton, t1, t2) -> complex | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian moment helpers
-
-
-@lru_cache(maxsize=None)
-def _central_moment_1d(n: int) -> float:
-    """(n-1)!! for even n, 0 for odd: E[u^n] in units of the variance^(n/2)."""
-    if n % 2:
-        return 0.0
-    out = 1.0
-    for m in range(n - 1, 0, -2):
-        out *= m
-    return out
-
-
-def _poly_shift_1d(coeffs: dict, d: complex) -> dict:
-    """Rewrite sum c_k x^k with x = u + d as a polynomial in u."""
-    out: dict[int, complex] = {}
-    for k, c in coeffs.items():
-        for j in range(k + 1):
-            out[j] = out.get(j, 0.0) + c * math.comb(k, j) * d ** (k - j)
-    return out
-
-
-def _poly_shift_2d(coeffs: dict, d1: complex, d2: complex) -> dict:
-    out: dict[tuple[int, int], complex] = {}
-    for (k1, k2), c in coeffs.items():
-        for j1 in range(k1 + 1):
-            for j2 in range(k2 + 1):
-                key = (j1, j2)
-                out[key] = out.get(key, 0.0) + (
-                    c
-                    * math.comb(k1, j1)
-                    * math.comb(k2, j2)
-                    * d1 ** (k1 - j1)
-                    * d2 ** (k2 - j2)
-                )
-    return out
-
-
-def _poly_mul(a: dict, b: dict, is_2d: bool) -> dict:
-    out: dict = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = (ka[0] + kb[0], ka[1] + kb[1]) if is_2d else ka + kb
-            out[key] = out.get(key, 0.0) + ca * cb
-    return out
-
-
-def _gaussian_moment_2d(p: int, q: int, cov: np.ndarray, memo: dict) -> complex:
-    """E[u1^p u2^q] for a centered Gaussian with (complex-valued) covariance."""
-    if p < 0 or q < 0:
-        return 0.0
-    if p + q == 0:
-        return 1.0
-    key = (p, q)
-    if key in memo:
-        return memo[key]
-    if p >= 1:
-        val = (p - 1) * cov[0, 0] * _gaussian_moment_2d(p - 2, q, cov, memo) + q * cov[
-            0, 1
-        ] * _gaussian_moment_2d(p - 1, q - 1, cov, memo)
-    else:
-        val = (q - 1) * cov[1, 1] * _gaussian_moment_2d(p, q - 2, cov, memo) + p * cov[
-            0, 1
-        ] * _gaussian_moment_2d(p - 1, q - 1, cov, memo)
-    memo[key] = val
-    return val
-
-
-# ---------------------------------------------------------------------------
 # Overlaps
 
 
-def _overlap_1d(pa: PolyState, pb: PolyState) -> complex:
-    a: GaussianSinglePhoton = pa.base
-    b: GaussianSinglePhoton = pb.base
-    # conj(amp_a) * amp_b = n_a n_b exp(-A t^2 + B t + C)
-    A = a.sigma**2 + b.sigma**2
-    B = (
-        2.0 * a.sigma**2 * a.t_bar
-        + 2.0 * b.sigma**2 * b.t_bar
-        + 1j * (a.omega_bar - b.omega_bar)
-    )
-    C = (
-        -(a.sigma**2) * a.t_bar**2
-        - b.sigma**2 * b.t_bar**2
-        - 1j * (a.omega_bar * a.t_bar - b.omega_bar * b.t_bar)
-    )
-    mu = B / (2.0 * A)
-    var = 1.0 / (2.0 * A)
-    prefactor = a.norm * b.norm * np.exp(C + B**2 / (4.0 * A)) * math.sqrt(math.pi / A)
-
-    ca = {k: np.conj(c) for k, c in pa.coeff_dict().items()}
-    cb = pb.coeff_dict()
-    poly = _poly_mul(
-        _poly_shift_1d(ca, mu - a.t_bar), _poly_shift_1d(cb, mu - b.t_bar), is_2d=False
-    )
-    total = sum(c * _central_moment_1d(n) * var ** (n // 2) for n, c in poly.items() if n % 2 == 0)
-    return complex(prefactor * total)
-
-
-def _overlap_2d(pa: PolyState, pb: PolyState) -> complex:
-    a: GaussianBiphoton = pa.base
-    b: GaussianBiphoton = pb.base
-    Ba, Bb = a.quad_form(), b.quad_form()
-    ta, tb = a.centers(), b.centers()
-    wa, wb = a.carriers(), b.carriers()
-
-    A = Ba + Bb
-    bvec = 2.0 * Ba @ ta + 2.0 * Bb @ tb + 1j * (wa - wb)
-    c0 = -ta @ Ba @ ta - tb @ Bb @ tb - 1j * (wa @ ta - wb @ tb)
-
-    Ainv = np.linalg.inv(A)
-    detA = np.linalg.det(A)
-    if detA <= 0:
-        raise ArithmeticError("combined Gaussian quadratic form is not positive definite")
-    mu = 0.5 * Ainv @ bvec
-    cov = 0.5 * Ainv.astype(complex)
-    prefactor = (
-        a.norm * b.norm * np.exp(c0 + 0.25 * bvec @ Ainv @ bvec) * math.pi / math.sqrt(detA)
-    )
-
-    ca = {k: np.conj(c) for k, c in pa.coeff_dict().items()}
-    cb = pb.coeff_dict()
-    poly = _poly_mul(
-        _poly_shift_2d(ca, mu[0] - ta[0], mu[1] - ta[1]),
-        _poly_shift_2d(cb, mu[0] - tb[0], mu[1] - tb[1]),
-        is_2d=True,
-    )
-    memo: dict = {}
-    total = sum(c * _gaussian_moment_2d(p, q, cov, memo) for (p, q), c in poly.items())
-    return complex(prefactor * total)
-
-
 def overlap(a, b) -> complex:
-    """Closed-form inner product <a|b> of (polynomial x Gaussian) states."""
-    pa, pb = _as_poly(a), _as_poly(b)
-    if isinstance(pa.base, GaussianSinglePhoton) and isinstance(
-        pb.base, GaussianSinglePhoton
-    ):
-        return _overlap_1d(pa, pb)
-    if isinstance(pa.base, GaussianBiphoton) and isinstance(pb.base, GaussianBiphoton):
-        return _overlap_2d(pa, pb)
-    raise TypeError("cannot overlap single-photon with biphoton states")
+    """Closed-form inner product <a|b> of (affine x Gaussian) states.
+
+    For plain states conj(a) b = n_a n_b exp(-x^T A x + beta . x + gamma),
+    which integrates to pref = n_a n_b exp(gamma + beta^T A^-1 beta / 4)
+    sqrt(pi^d / det A) and, divided by pref, is a complex Gaussian with mean
+    mu = A^-1 beta / 2 and covariance Sigma = A^-1 / 2.  With prefactors
+    a0 + a . (x - t_a) and b0 + b . (x - t_b) the overlap is then
+
+        pref * [(conj(a0) + conj(a) . (mu - t_a)) (b0 + b . (mu - t_b))
+                + conj(a)^T Sigma b].
+    """
+    ga, a0, ac = _split(a)
+    gb, b0, bc = _split(b)
+    if type(ga) is not type(gb):
+        raise TypeError("cannot overlap single-photon with biphoton states")
+    if isinstance(ga, GaussianSinglePhoton):
+        return _affine_overlap_1d(ga, gb, a0.conjugate(), ac[0].conjugate(), b0, bc[0])
+    return _affine_overlap_2d(
+        ga, gb, a0.conjugate(), ac[0].conjugate(), ac[1].conjugate(), b0, *bc
+    )
+
+
+def _affine_overlap_1d(a, b, a0, a1, b0, b1) -> complex:
+    """``overlap`` for single photons; a0 and a1 come conjugated."""
+    qa, qb = a.sigma**2, b.sigma**2
+    ta, tb = a.t_bar, b.t_bar
+    A = qa + qb
+    beta = 2.0 * qa * ta + 2.0 * qb * tb + 1j * (a.omega_bar - b.omega_bar)
+    gamma = -qa * ta**2 - qb * tb**2 - 1j * (a.omega_bar * ta - b.omega_bar * tb)
+    mu = beta / (2.0 * A)
+    pref = a.norm * b.norm * cmath.exp(gamma + beta**2 / (4.0 * A)) * math.sqrt(math.pi / A)
+    return complex(pref * ((a0 + a1 * (mu - ta)) * (b0 + b1 * (mu - tb)) + a1 * b1 * 0.5 / A))
+
+
+def _affine_overlap_2d(a, b, a0, a1, a2, b0, b1, b2) -> complex:
+    """``overlap`` for biphotons; a0, a1 and a2 come conjugated."""
+    # each amplitude exponent is -(x - t)^T [[p, r], [r, q]] (x - t)
+    pa, qa, ra = a.sigma1**2, a.sigma2**2, -a.kappa * a.sigma1 * a.sigma2
+    pb, qb, rb = b.sigma1**2, b.sigma2**2, -b.kappa * b.sigma1 * b.sigma2
+    ta1, ta2, tb1, tb2 = a.t1_bar, a.t2_bar, b.t1_bar, b.t2_bar
+    A11, A22, A12 = pa + pb, qa + qb, ra + rb
+    det = A11 * A22 - A12**2
+    if det <= 0:
+        raise ArithmeticError("combined Gaussian quadratic form is not positive definite")
+    beta1 = (
+        2.0 * (pa * ta1 + ra * ta2) + 2.0 * (pb * tb1 + rb * tb2)
+        + 1j * (a.omega1_bar - b.omega1_bar)
+    )
+    beta2 = (
+        2.0 * (ra * ta1 + qa * ta2) + 2.0 * (rb * tb1 + qb * tb2)
+        + 1j * (a.omega2_bar - b.omega2_bar)
+    )
+    gamma = (
+        -(pa * ta1**2 + 2.0 * ra * ta1 * ta2 + qa * ta2**2)
+        - (pb * tb1**2 + 2.0 * rb * tb1 * tb2 + qb * tb2**2)
+        - 1j * (a.omega1_bar * ta1 + a.omega2_bar * ta2
+                - b.omega1_bar * tb1 - b.omega2_bar * tb2)
+    )
+    s11, s22, s12 = 0.5 * A22 / det, 0.5 * A11 / det, -0.5 * A12 / det
+    mu1 = s11 * beta1 + s12 * beta2
+    mu2 = s12 * beta1 + s22 * beta2
+    pref = (
+        a.norm * b.norm * cmath.exp(gamma + 0.5 * (beta1 * mu1 + beta2 * mu2))
+        * math.pi / math.sqrt(det)
+    )
+    ea = a0 + a1 * (mu1 - ta1) + a2 * (mu2 - ta2)
+    eb = b0 + b1 * (mu1 - tb1) + b2 * (mu2 - tb2)
+    cross = a1 * (s11 * b1 + s12 * b2) + a2 * (s12 * b1 + s22 * b2)
+    return complex(pref * (ea * eb + cross))
 
 
 def overlap_single(a: GaussianSinglePhoton, b: GaussianSinglePhoton) -> complex:
@@ -323,81 +233,42 @@ def overlap_biphoton(a: GaussianBiphoton, b: GaussianBiphoton) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Parameter derivatives (analytic, polynomial-times-Gaussian)
+# Parameter derivatives (analytic, affine x Gaussian)
 
 
-def _combine(base, parts: list[tuple[float, dict]], is_2d: bool) -> PolyState:
-    out: dict = {}
-    for fac, coeffs in parts:
-        for k, c in coeffs.items():
-            out[k] = out.get(k, 0.0) + fac * c
-    items = tuple(sorted(out.items(), key=lambda kv: str(kv[0])))
-    return PolyState(base, items)
+def _d_biphoton(state: GaussianBiphoton, kind: str, f1: float, f2: float) -> AffineState:
+    """d|phi> along f1 d/d(x1_bar) + f2 d/d(x2_bar), for x = t (kind "t") or omega."""
+    if kind == "t":
+        s1, s2, k = state.sigma1, state.sigma2, state.kappa
+        cross = -2.0 * k * s1 * s2
+        c0 = f1 * (1j * state.omega1_bar) + f2 * (1j * state.omega2_bar)
+        return AffineState(
+            state, c0, (f1 * 2.0 * s1**2 + f2 * cross, f1 * cross + f2 * 2.0 * s2**2)
+        )
+    return AffineState(state, 0.0, (f1 * -1j, f2 * -1j))
 
 
-def _d_biphoton_own(state: GaussianBiphoton, var: str) -> dict:
-    """Prefactor of the derivative wrt one of the biphoton's own parameters."""
-    s1, s2, k = state.sigma1, state.sigma2, state.kappa
-    if var == "t1_bar":
-        return {
-            (1, 0): 2.0 * s1**2,
-            (0, 1): -2.0 * k * s1 * s2,
-            (0, 0): 1j * state.omega1_bar,
-        }
-    if var == "t2_bar":
-        return {
-            (0, 1): 2.0 * s2**2,
-            (1, 0): -2.0 * k * s1 * s2,
-            (0, 0): 1j * state.omega2_bar,
-        }
-    if var == "omega1_bar":
-        return {(1, 0): -1j}
-    if var == "omega2_bar":
-        return {(0, 1): -1j}
-    raise ValueError(f"unknown biphoton parameter {var!r}")
-
-
-def derivative(state: GaussianBiphoton, param: str) -> PolyState:
+def derivative(state: GaussianBiphoton, param: str) -> AffineState:
     """d|phi>/d(param) for param in t_plus/t_minus/omega_plus/omega_minus.
 
     The sum/difference parameters are chained through both photon centers
     and carriers: t1 = (t_plus - t_minus)/2, t2 = (t_plus + t_minus)/2, etc.
     """
-    if param == "t_plus":
-        parts = [(0.5, _d_biphoton_own(state, "t1_bar")), (0.5, _d_biphoton_own(state, "t2_bar"))]
-    elif param == "t_minus":
-        parts = [(-0.5, _d_biphoton_own(state, "t1_bar")), (0.5, _d_biphoton_own(state, "t2_bar"))]
-    elif param == "omega_plus":
-        parts = [
-            (0.5, _d_biphoton_own(state, "omega1_bar")),
-            (0.5, _d_biphoton_own(state, "omega2_bar")),
-        ]
-    elif param == "omega_minus":
-        parts = [
-            (-0.5, _d_biphoton_own(state, "omega1_bar")),
-            (0.5, _d_biphoton_own(state, "omega2_bar")),
-        ]
-    else:
+    if param not in _PAIR_CHAIN:
         raise ValueError(f"unsupported parameter {param!r}")
-    return _combine(state, parts, is_2d=True)
+    return _d_biphoton(state, *_PAIR_CHAIN[param])
 
 
-def derivative_own(state: GaussianSinglePhoton, var: str) -> PolyState:
-    """d|psi>/d(var) for the single photon's own t_bar, omega_bar, or sigma."""
-    s = state.sigma
+def derivative_own(state: GaussianSinglePhoton, var: str) -> AffineState:
+    """d|psi>/d(var) for the single photon's own t_bar or omega_bar."""
     if var == "t_bar":
-        coeffs = {1: 2.0 * s**2 + 0j, 0: 1j * state.omega_bar}
-    elif var == "omega_bar":
-        coeffs = {1: -1j}
-    elif var == "sigma":
-        # norm factor contributes 1/(2 sigma), exponent contributes -2 sigma x^2
-        coeffs = {0: 1.0 / (2.0 * s) + 0j, 2: -2.0 * s + 0j}
-    else:
-        raise ValueError(f"unknown single-photon parameter {var!r}")
-    return PolyState(state, tuple(sorted(coeffs.items())))
+        return AffineState(state, 1j * state.omega_bar, (2.0 * state.sigma**2,))
+    if var == "omega_bar":
+        return AffineState(state, 0.0, (-1j,))
+    raise ValueError(f"unknown single-photon parameter {var!r}")
 
 
-def derivative_single(state: GaussianSinglePhoton, param: str, photon_index: int) -> PolyState:
+def derivative_single(state: GaussianSinglePhoton, param: str, photon_index: int) -> AffineState:
     """Derivative of a returned single photon wrt a sum/difference parameter.
 
     ``photon_index`` (1 or 2) fixes the chain-rule signs: photon 1 carries
@@ -406,19 +277,12 @@ def derivative_single(state: GaussianSinglePhoton, param: str, photon_index: int
     """
     if photon_index not in (1, 2):
         raise ValueError("photon_index must be 1 or 2")
-    sign = -1.0 if photon_index == 1 else 1.0
-    if param == "t_plus":
-        fac, var = 0.5, "t_bar"
-    elif param == "t_minus":
-        fac, var = 0.5 * sign, "t_bar"
-    elif param == "omega_plus":
-        fac, var = 0.5, "omega_bar"
-    elif param == "omega_minus":
-        fac, var = 0.5 * sign, "omega_bar"
-    else:
+    if param not in _PAIR_CHAIN:
         raise ValueError(f"unsupported parameter {param!r}")
-    d = derivative_own(state, var)
-    return PolyState(state, tuple((k, fac * c) for k, c in d.coeffs))
+    kind, *factors = _PAIR_CHAIN[param]
+    fac = factors[photon_index - 1]
+    d = derivative_own(state, "t_bar" if kind == "t" else "omega_bar")
+    return AffineState(state, fac * d.c0, (fac * d.c[0],))
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,15 @@ class TestOracleCheck:
             assert rec["rel_diff"] <= 1e-8
             assert rec["params"]["pure_path_diff"] <= 1e-9
 
+    def test_coincident_branches_usage_error(self, tmp_path, capsys):
+        code = main([
+            "oracle-check", "--t-minus", "0", "--omega-minus", "0", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "coincide" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestSimulate:
     def test_saturation_pass(self, tmp_path):

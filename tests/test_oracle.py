@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from qfi_radar import oracle
 from qfi_radar.analytic import qfi_entangled
 from qfi_radar.kinematics import ParameterPair, Strategy
 from qfi_radar.oracle import (
@@ -23,6 +24,14 @@ from qfi_radar.states import GaussianBiphoton, GaussianSinglePhoton, derivative
 
 PAIR_A = ParameterPair.TIME_SUM_FREQ_DIFF
 PAIR_B = ParameterPair.TIME_DIFF_FREQ_SUM
+
+# one configuration per strategy with distinct, partly overlapping branches
+STRATEGY_CASES = (
+    (Strategy.ENTANGLED_BIPHOTON, {"sigma1": 1.0, "kappa": 0.5}),
+    (Strategy.TWO_SINGLE_PHOTONS, {"sigma1": 1.0, "t_minus": 1.0, "omega_minus": 0.8}),
+    (Strategy.QUANTUM_ILLUMINATION,
+     {"sigma1": 1.0, "kappa": 0.6, "t_minus": 1.0, "omega_minus": 0.8}),
+)
 
 
 class TestSubspace:
@@ -55,6 +64,26 @@ class TestSubspace:
     def test_empty_generators_rejected(self):
         with pytest.raises(ValueError):
             build_subspace([])
+
+    @pytest.mark.parametrize("strategy, kwargs", STRATEGY_CASES,
+                             ids=[s.value for s, _ in STRATEGY_CASES])
+    def test_each_distinct_overlap_evaluated_once(self, monkeypatch, strategy, kwargs):
+        # n generators have n(n+1)/2 distinct overlaps; projection, the SLD
+        # solve and the pure-state path all read them from the Gram matrix
+        calls = []
+        real_overlap = oracle.overlap
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real_overlap(a, b)
+
+        monkeypatch.setattr(oracle, "overlap", counted)
+        model = model_for(strategy, **kwargs)
+        n = 3 * len(model.states)
+        for pair in (PAIR_A, PAIR_B):
+            calls.clear()
+            qfi_numeric(model, pair)
+            assert len(calls) == n * (n + 1) // 2
 
 
 class TestPureStates:
@@ -216,26 +245,24 @@ class TestSldProperties:
 
 class TestRobustness:
     def test_generator_order_invariance(self):
-        model = model_for(Strategy.QUANTUM_ILLUMINATION, sigma1=1.0, kappa=0.6,
-                          t_minus=1.0, omega_minus=0.8)
-        fwd = qfi_numeric(model, PAIR_A)
-        rev = qfi_numeric(model, PAIR_A, reverse_generators=True)
-        assert np.max(np.abs(fwd.H - rev.H)) <= 1e-9
+        for strategy, kwargs in STRATEGY_CASES:
+            model = model_for(strategy, **kwargs)
+            for pair in (PAIR_A, PAIR_B):
+                fwd = qfi_numeric(model, pair)
+                rev = qfi_numeric(model, pair, reverse_generators=True)
+                assert np.max(np.abs(fwd.H - rev.H)) <= 1e-9, (strategy, pair)
 
     def test_finite_difference_mode(self):
-        for strategy, kwargs in (
-            (Strategy.ENTANGLED_BIPHOTON, {"sigma1": 1.0, "kappa": 0.5}),
-            (Strategy.TWO_SINGLE_PHOTONS,
-             {"sigma1": 1.0, "t_minus": 1.0, "omega_minus": 0.8}),
-        ):
+        for strategy, kwargs in STRATEGY_CASES:
             model = model_for(strategy, **kwargs)
-            an = qfi_numeric(model, PAIR_A)
-            fd = qfi_numeric(model, PAIR_A, derivative_mode="fd", fd_step=1e-5)
-            rel = np.max(np.abs(np.diag(fd.H - an.H)) / np.abs(np.diag(an.H)))
-            assert rel <= 1e-6
-            # the residual estimate subtracts two O(1/h^2) Hilbert-Schmidt
-            # norms, so its numerical floor is ~sqrt(eps)/h, not zero
-            assert max(fd.projection_residuals) <= 1e-2
+            for pair in (PAIR_A, PAIR_B):
+                an = qfi_numeric(model, pair)
+                fd = qfi_numeric(model, pair, derivative_mode="fd", fd_step=1e-5)
+                rel = np.max(np.abs(np.diag(fd.H - an.H)) / np.abs(np.diag(an.H)))
+                assert rel <= 1e-6, (strategy, pair)
+                # the residual estimate subtracts two O(1/h^2) Hilbert-Schmidt
+                # norms, so its numerical floor is ~sqrt(eps)/h, not zero
+                assert max(fd.projection_residuals) <= 1e-2
 
     def test_high_correlation_conditioning(self):
         model = model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=1.0, kappa=0.99)
