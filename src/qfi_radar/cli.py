@@ -427,9 +427,9 @@ def cmd_simulate(cfg: dict) -> int:
                     )
                     if not ok:
                         failures.append(
-                            f"{strategy.value}/{pair.value}/{domain} kappa={kappa}: "
-                            f"QCRB {rep.qcrb_variance!r} outside 99% interval "
-                            f"[{lo!r}, {hi!r}]"
+                            f"{strategy.value}/{pair.value}/{domain} kappa={fmt(kappa)}: "
+                            f"QCRB {fmt(rep.qcrb_variance)} outside 99% interval "
+                            f"[{fmt(lo)}, {fmt(hi)}]"
                         )
     out = _outdir(cfg)
     if cfg["format"] == "json":

@@ -3,19 +3,18 @@
 Arrival-time pairs and frequency pairs are drawn from the exact returned
 state densities, combined into the sum/difference estimators, and compared
 against the quantum Cramer-Rao floor 1/(N H).  Sampling is chunked with a
-counter-based generator keyed by (seed, chunk index), so results are
-bit-identical for a fixed seed regardless of thread count.
+counter-based generator keyed by (seed, chunk index): chunk k of a draw is
+the same for a fixed seed whatever the draw's length, so results are
+bit-identical for a fixed seed and a longer draw extends a shorter one.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .analytic import qfi_entangled
 from .kinematics import (
@@ -40,18 +39,6 @@ __all__ = [
 
 CHUNK_SIZE = 8192
 MC_STRATEGIES = (Strategy.ENTANGLED_BIPHOTON, Strategy.TWO_SINGLE_PHOTONS)
-
-
-def thread_count(n_jobs: int) -> int:
-    """Worker count capped by the QFI_RADAR_THREADS env var (0 or unset = auto)."""
-    raw = os.environ.get("QFI_RADAR_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
 
 
 @dataclass(frozen=True)
@@ -94,25 +81,22 @@ def _sample_bivariate(
 ) -> np.ndarray:
     """Draw n correlated Gaussian pairs, chunked and reproducibly keyed.
 
-    Chunk k is generated from Philox(key=[seed, k]), so the output is
-    independent of how chunks are scheduled across threads.
+    Rows [k * CHUNK_SIZE, (k + 1) * CHUNK_SIZE) are standard normals from
+    Philox(key=[seed, k]); the lower-triangular Cholesky factor and the mean
+    are then applied in place, column by column.
     """
-    chol = np.linalg.cholesky(cov)
-    n_chunks = (n + CHUNK_SIZE - 1) // CHUNK_SIZE
-
-    def draw(k: int) -> np.ndarray:
-        size = min(CHUNK_SIZE, n - k * CHUNK_SIZE)
+    (l00, _), (l10, l11) = np.linalg.cholesky(cov)
+    out = np.empty((n, 2))
+    for k, start in enumerate(range(0, n, CHUNK_SIZE)):
         rng = np.random.Generator(np.random.Philox(key=[seed, k]))
-        z = rng.standard_normal((size, 2))
-        return z @ chol.T + mean
-
-    workers = thread_count(n_chunks)
-    if workers == 1 or n_chunks == 1:
-        chunks = [draw(k) for k in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(draw, range(n_chunks)))
-    return np.concatenate(chunks, axis=0)
+        rng.standard_normal(out=out[start : start + CHUNK_SIZE])
+    x, y = out[:, 0], out[:, 1]
+    y *= l11
+    y += l10 * x
+    y += mean[1]
+    x *= l00
+    x += mean[0]
+    return out
 
 
 def _sampling_moments(
@@ -120,17 +104,15 @@ def _sampling_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector and covariance of the measured pair for a returned state.
 
-    For two independent single photons the cross-correlation is zero but the
-    marginals match the biphoton's, so the diagonal of the entangled
-    covariance is reused.
+    Two independent single photons carry no correlation, so they are sampled
+    from the kappa = 0 state: variance 1/(4 sigma_i^2) in time and sigma_i^2
+    in frequency, with zero cross-covariance.
     """
-    if domain == "time":
-        mean, cov = state.centers(), time_covariance(state)
-    else:
-        mean, cov = state.carriers(), frequency_covariance(state)
     if strategy is Strategy.TWO_SINGLE_PHOTONS:
-        cov = np.diag(np.diag(cov))
-    return mean, cov
+        state = replace(state, kappa=0.0)
+    if domain == "time":
+        return state.centers(), time_covariance(state)
+    return state.carriers(), frequency_covariance(state)
 
 
 def sample_times(state: GaussianBiphoton, config: McConfig) -> np.ndarray:
@@ -177,15 +159,21 @@ def estimate_pair(
         raise ValueError("QFI entry must be positive")
     values = _combine(samples, pair, domain)
     n = len(values)
-    var = float(np.var(values, ddof=1))
+    # np.mean and np.var(ddof=1), step for step, on the fresh combination
+    mean = float(np.mean(values))
+    values -= mean
+    np.square(values, out=values)
+    var = float(np.sum(values)) / (n - 1)
     qcrb = 1.0 / qfi_entry
-    lo = (n - 1) * var / stats.chi2.ppf(0.995, n - 1)
-    hi = (n - 1) * var / stats.chi2.ppf(0.005, n - 1)
+    # chi-square quantiles with n - 1 degrees of freedom, as scipy.stats.chi2.ppf
+    df = n - 1
+    lo = df * var / (2.0 * float(special.gammaincinv(df / 2.0, 0.995)))
+    hi = df * var / (2.0 * float(special.gammaincinv(df / 2.0, 0.005)))
     return McReport(
         pair=pair,
         domain=domain,
         n_samples=n,
-        estimate=float(np.mean(values)),
+        estimate=mean,
         variance=var,
         qcrb_variance=qcrb,
         ratio=var / qcrb,
@@ -264,13 +252,14 @@ def run_scenario(
 
         w1_hat = float(np.mean(freqs[:, 0]))
         w2_hat = float(np.mean(freqs[:, 1]))
-        se_w = np.std(freqs, axis=0, ddof=1) / math.sqrt(n_freq)
         v1_hat = c * (probe.omega0 - w1_hat) / (probe.omega0 + w1_hat)
         v2_hat = c * (probe.omega0 - w2_hat) / (probe.omega0 + w2_hat)
         dv_dw1 = -2.0 * c * probe.omega0 / (probe.omega0 + w1_hat) ** 2
         dv_dw2 = -2.0 * c * probe.omega0 / (probe.omega0 + w2_hat) ** 2
         delta_v_hat = v2_hat - v1_hat
-        se_delta_v = math.hypot(dv_dw1 * se_w[0], dv_dw2 * se_w[1])
+        # delta method with the sample covariance: w1 and w2 are correlated
+        grad = np.array([-dv_dw1, dv_dw2])
+        se_delta_v = math.sqrt(grad @ np.cov(freqs, rowvar=False) @ grad / n_freq)
 
         pred_se_midpoint = (c / 4.0) * math.sqrt(1.0 / (n_time * H[0, 0]))
         # linearized map delta_v = -c * omega_minus / (2 omega0)

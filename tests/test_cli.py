@@ -204,6 +204,18 @@ class TestSimulate:
         assert main(args + ["--out", str(d2)]) == 0
         assert read(d1 / "simulate.csv") == read(d2 / "simulate.csv")
 
+    def test_failure_lines_print_plain_floats(self, tmp_path, capsys):
+        # seed 40 puts the frequency row's QCRB outside its 99% interval
+        code = main([
+            "simulate", "--strategy", "entangled_biphoton", "--pair", "time_sum_freq_diff",
+            "--kappa-min", "0", "--kappa-max", "0", "--kappa-step", "1",
+            "--n", "100", "--seed", "40", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines and all(line.startswith("saturation check failed") for line in lines)
+        assert not any("np.float64" in line for line in lines)
+
     def test_qi_rejected(self, tmp_path):
         code = main([
             "simulate", "--strategy", "quantum_illumination", "--out", str(tmp_path),

@@ -2,10 +2,14 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import qfi_radar
 from qfi_radar.analytic import qfi_entangled
 from qfi_radar.kinematics import NATURAL_UNITS, ParameterPair, ProbeConfig, Strategy, Target
 from qfi_radar.montecarlo import (
@@ -15,7 +19,7 @@ from qfi_radar.montecarlo import (
     sample_frequencies,
     sample_times,
 )
-from qfi_radar.states import GaussianBiphoton
+from qfi_radar.states import GaussianBiphoton, time_covariance
 
 PAIR_A = ParameterPair.TIME_SUM_FREQ_DIFF
 PAIR_B = ParameterPair.TIME_DIFF_FREQ_SUM
@@ -50,21 +54,20 @@ class TestSampling:
         b = sample_times(state, cfg)
         assert np.array_equal(a, b)
 
-    def test_thread_count_invariance(self):
+    def test_longer_draw_extends_shorter(self):
+        # chunk k is keyed by (seed, k) alone, whatever the draw's length
         state = biphoton(-0.5)
-        cfg = McConfig(50_000, 7, "time")
-        saved = os.environ.get("QFI_RADAR_THREADS")
-        try:
-            os.environ["QFI_RADAR_THREADS"] = "1"
-            single = sample_times(state, cfg)
-            os.environ["QFI_RADAR_THREADS"] = "4"
-            multi = sample_times(state, cfg)
-        finally:
-            if saved is None:
-                os.environ.pop("QFI_RADAR_THREADS", None)
-            else:
-                os.environ["QFI_RADAR_THREADS"] = saved
-        assert np.array_equal(single, multi)
+        short = sample_times(state, McConfig(20_000, 7, "time"))
+        long = sample_times(state, McConfig(50_000, 7, "time"))
+        assert np.array_equal(short, long[:20_000])
+
+    def test_first_column_is_scaled_chunk_stream(self):
+        state = GaussianBiphoton(0.3, -0.2, 1.0, 1.5, 1.3, 0.7, -0.6)
+        n, seed = 5000, 21
+        samples = sample_times(state, McConfig(n, seed, "time"))
+        l00 = np.linalg.cholesky(time_covariance(state))[0, 0]
+        z = np.random.Generator(np.random.Philox(key=[seed, 0])).standard_normal((n, 2))
+        assert np.array_equal(samples[:, 0], 0.3 + l00 * z[:, 0])
 
     def test_uncorrelated_time_samples(self):
         n = 100_000
@@ -106,6 +109,16 @@ class TestSampling:
         corr = np.corrcoef(samples[:, 0], samples[:, 1])[0, 1]
         assert abs(corr) <= 3.0 / math.sqrt(n)
 
+    @pytest.mark.parametrize("kappa", [-0.9, 0.9])
+    def test_single_photon_time_marginals(self, kappa):
+        # independent photons have Var(t_i) = 1/(4 sigma^2) whatever the
+        # probe correlation, so Var(t1 + t2) = 1/(2 sigma^2)
+        sigma = 1.5
+        cfg = McConfig(100_000, 37, "time", Strategy.TWO_SINGLE_PHOTONS)
+        samples = sample_times(biphoton(kappa, sigma), cfg)
+        var = np.var(samples.sum(axis=1), ddof=1)
+        assert var == pytest.approx(1.0 / (2.0 * sigma**2), rel=0.02)
+
 
 class TestEstimatePair:
     def test_saturation_ratio(self):
@@ -135,6 +148,24 @@ class TestEstimatePair:
         lo, hi = rep.variance_interval_99
         assert lo < rep.variance < hi
         assert hi / max(lo, 1e-300) > 10.0  # interval is wide at n = 2
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 1001, 8193, 100_000, 2_000_000])
+    def test_interval_matches_scipy_chi2(self, n):
+        samples = np.random.default_rng(n).standard_normal((n, 2))
+        rep = estimate_pair(samples, PAIR_A, "time", 1.0)
+        df = n - 1
+        lo = df * rep.variance / stats.chi2.ppf(0.995, df)
+        hi = df * rep.variance / stats.chi2.ppf(0.005, df)
+        assert rep.variance_interval_99 == (lo, hi)
+        assert all(type(x) is float for x in rep.variance_interval_99)
+
+    @pytest.mark.parametrize("n", [2, 7, 8192, 300_001])
+    def test_moments_match_numpy(self, n):
+        samples = np.random.default_rng(n).normal(3.0, 2.0, (n, 2))
+        values = samples[:, 1] - samples[:, 0]
+        rep = estimate_pair(samples, PAIR_B, "time", 1.0)
+        assert rep.estimate == float(np.mean(values))
+        assert rep.variance == float(np.var(values, ddof=1))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -176,6 +207,17 @@ class TestScenarios:
         assert report["truth"]["size"] == 0.0
         assert abs(est["size"]) <= 3.0 * pred["size"]
 
+    def test_delta_v_std_error_matches_qcrb(self):
+        # at kappa = -0.9 the returned frequencies are strongly correlated;
+        # the delta_v error bar must carry the w1-w2 covariance
+        probe = ProbeConfig(omega0=10.0, sigma0=1.0, kappa=-0.9)
+        report = run_scenario(
+            "multibody", (Target(300.0, 0.0), Target(500.0, 0.0)), probe, 100_000, seed=4
+        )
+        se = report["std_errors"]["delta_v"]
+        pred = report["predicted_qcrb_std_errors"]["delta_v"]
+        assert se == pytest.approx(pred, rel=0.05)
+
     def test_deterministic_reports(self):
         probe = ProbeConfig(omega0=10.0, sigma0=1.0, kappa=-0.5)
         args = ("multibody", (Target(10.0, 0.0), Target(20.0, 0.0)), probe, 1000, 9)
@@ -204,3 +246,13 @@ class TestScenarios:
         )
         with pytest.raises(ValueError):
             run_scenario("multibody", targets, qi_probe, 100, 0)
+
+
+def test_cli_import_skips_scipy_stats():
+    src = os.path.dirname(os.path.dirname(qfi_radar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import qfi_radar.cli, sys; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"
