@@ -10,19 +10,15 @@ saturation checks, and end-to-end radar scenarios.
 
 from .analytic import (
     QfiResult,
-    SldPair,
     adjudicate,
+    asymptotic_H,
     asymptotic_bound,
-    bound_curve,
-    compatibility_residual,
     published_mixed_qfi,
     qfi_entangled,
-    qfi_quantum_illumination,
-    qfi_single_photon,
-    sld_matrices,
 )
 from .kinematics import (
     NATURAL_UNITS,
+    SCENARIOS,
     SI_UNITS,
     ParameterPair,
     PhysicalConstants,
@@ -31,19 +27,12 @@ from .kinematics import (
     Strategy,
     SumDiffParams,
     Target,
-    central_position,
     doppler_bandwidth,
     doppler_factor,
     doppler_frequency,
-    jacobian_params,
-    object_size,
-    object_velocity,
-    relative_velocity,
-    reparametrize,
     return_params,
-    round_trip_time,
-    split_sum_diff,
     sum_diff,
+    target_estimates,
 )
 from .montecarlo import (
     McConfig,
@@ -67,8 +56,6 @@ from .states import (
     biphoton_amplitude,
     frequency_covariance,
     overlap,
-    overlap_biphoton,
-    overlap_single,
     single_amplitude,
     time_covariance,
 )

@@ -3,10 +3,9 @@
 The entangled-biphoton expressions are exact and verified against the
 numerical engine.  The mixed-state (two-single-photon and quantum
 illumination) closed forms reproduced here from the published derivation
-contain suspected typos, so every mixed-state result is computed twice:
-once from the published expression and once from the subspace oracle.
-The oracle value is authoritative; the published value and a verdict ride
-along for inspection.
+contain suspected typos, so ``adjudicate`` sets each published entry
+against the subspace oracle and returns a verdict.  The oracle value is
+authoritative.
 """
 
 from __future__ import annotations
@@ -17,24 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import ParameterPair, Strategy
-from .oracle import (
-    OracleResult,
-    model_for,
-    pair_param_names,
-    qfi_numeric,
-)
+from .oracle import model_for, pair_param_names, qfi_numeric
 
 __all__ = [
     "QfiResult",
-    "SldPair",
     "qfi_entangled",
-    "qfi_single_photon",
-    "qfi_quantum_illumination",
     "published_mixed_qfi",
+    "asymptotic_H",
+    "scenario_qcrb_covariance",
     "asymptotic_bound",
-    "bound_curve",
-    "sld_matrices",
-    "compatibility_residual",
     "adjudicate",
 ]
 
@@ -50,19 +40,6 @@ class QfiResult:
     H: np.ndarray
     bound_product: float
     compat_residual: float
-    published_H: np.ndarray | None = None
-    oracle_H: np.ndarray | None = None
-    oracle_verified: bool | None = None
-
-
-@dataclass
-class SldPair:
-    """Symmetric logarithmic derivatives in the strategy's orthonormal basis."""
-
-    L_a: np.ndarray
-    L_b: np.ndarray
-    params: tuple[str, str]
-    rho_eigenvalues: np.ndarray
 
 
 def _bound(H: np.ndarray) -> float:
@@ -148,90 +125,50 @@ def published_mixed_qfi(
     raise ValueError(f"no published mixed-state form for {strategy!r}")
 
 
-def _dual_result(
-    strategy: Strategy,
-    pair: ParameterPair,
-    oracle: OracleResult,
-    published: np.ndarray,
-) -> QfiResult:
-    diag_o = np.diag(oracle.H)
-    diag_p = np.diag(published)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(diag_p - diag_o) / np.abs(diag_o)
-    verified = bool(np.all(rel <= VERDICT_RTOL))
-    return QfiResult(
-        strategy=strategy,
-        pair=pair,
-        H=oracle.H,
-        bound_product=oracle.bound_product,
-        compat_residual=oracle.compat_residual,
-        published_H=published,
-        oracle_H=oracle.H,
-        oracle_verified=verified,
-    )
+def asymptotic_H(
+    strategy: Strategy, pair: ParameterPair, kappa: float, sigma: float
+) -> tuple[float, float]:
+    """Diagonal (H11, H22) in the orthogonal-branch limit at bandwidth sigma.
 
-
-def qfi_single_photon(
-    sigma: float,
-    t_minus: float,
-    omega_minus: float,
-    pair: ParameterPair,
-    *,
-    trace_convention: str = "photon_counted",
-) -> QfiResult:
-    """Mixed-state information matrix for two independent single photons.
-
-    Evaluated at the true (t_minus, omega_minus) point; the information is
-    local, so the separation of the two returns matters.  ``H`` is the
-    oracle value; the published closed form is attached with a verdict.
+    The entangled value is exact at any separation; the mixed strategies
+    use the orthogonal-branch limit, which is where the strategy-level
+    floors (1 and 2 sqrt(1 - kappa^2)) hold.
     """
-    model = model_for(
-        Strategy.TWO_SINGLE_PHOTONS,
-        sigma1=sigma,
-        t_minus=t_minus,
-        omega_minus=omega_minus,
-        trace_convention=trace_convention,
-    )
-    oracle = qfi_numeric(model, pair)
-    published = published_mixed_qfi(
-        Strategy.TWO_SINGLE_PHOTONS, pair, sigma, t_minus, omega_minus
-    )
-    if trace_convention == "normalized":
-        published = published / 2.0
-    return _dual_result(Strategy.TWO_SINGLE_PHOTONS, pair, oracle, published)
+    if strategy is Strategy.ENTANGLED_BIPHOTON:
+        H = qfi_entangled(sigma, sigma, kappa, pair).H
+        return float(H[0, 0]), float(H[1, 1])
+    if strategy is Strategy.TWO_SINGLE_PHOTONS:
+        return 2.0 * sigma**2, 1.0 / (2.0 * sigma**2)
+    return sigma**2, 1.0 / (4.0 * (1.0 - kappa**2) * sigma**2)
 
 
-def qfi_quantum_illumination(
-    sigma: float,
-    kappa: float,
-    t_minus: float,
-    omega_minus: float,
-    pair: ParameterPair,
-    *,
-    trace_convention: str = "normalized",
-) -> QfiResult:
-    """Mixed-state information matrix for the two signal-idler pairs.
+def scenario_qcrb_covariance(
+    strategy: Strategy, pair: ParameterPair, kappa: float, sigma1: float, sigma2: float
+) -> np.ndarray:
+    """Per-shot QCRB covariance of (t_plus, t_minus, omega_plus, omega_minus).
 
-    The default normalized convention is the one whose uncertainty product
-    has the 2 sqrt(1 - kappa^2) asymptote; the published closed forms are
-    written in the photon-counted convention and are rescaled accordingly
-    before comparison.
+    Two single photons are independent, so the bound with every other
+    parameter unknown is the sum/difference image of the per-photon bounds
+    Var(t_i) = 1/(4 sigma_i^2) and Var(omega_i) = sigma_i^2.  The entangled
+    entries are the reciprocals of the pair's diagonal QFI at the pair's
+    time and frequency columns, all other entries zero; they hold the
+    partner parameters known, which is the full bound only when
+    sigma1 == sigma2.
     """
-    model = model_for(
-        Strategy.QUANTUM_ILLUMINATION,
-        sigma1=sigma,
-        kappa=kappa,
-        t_minus=t_minus,
-        omega_minus=omega_minus,
-        trace_convention=trace_convention,
-    )
-    oracle = qfi_numeric(model, pair)
-    published = published_mixed_qfi(
-        Strategy.QUANTUM_ILLUMINATION, pair, sigma, t_minus, omega_minus, kappa
-    )
-    if trace_convention == "normalized":
-        published = published / 2.0
-    return _dual_result(Strategy.QUANTUM_ILLUMINATION, pair, oracle, published)
+    cov = np.zeros((4, 4))
+    if strategy is Strategy.TWO_SINGLE_PHOTONS:
+        for block, (a, b) in (
+            (slice(0, 2), (1.0 / (4.0 * sigma1**2), 1.0 / (4.0 * sigma2**2))),
+            (slice(2, 4), (sigma1**2, sigma2**2)),
+        ):
+            cov[block, block] = [[a + b, b - a], [b - a, a + b]]
+    elif strategy is Strategy.ENTANGLED_BIPHOTON:
+        H = qfi_entangled(sigma1, sigma2, kappa, pair).H
+        i, j = (0, 3) if pair is ParameterPair.TIME_SUM_FREQ_DIFF else (1, 2)
+        cov[i, i], cov[j, j] = 1.0 / H[0, 0], 1.0 / H[1, 1]
+    else:
+        raise ValueError(f"no scenario QCRB for {strategy!r}")
+    return cov
 
 
 def asymptotic_bound(strategy: Strategy, pair: ParameterPair, kappa: float) -> float:
@@ -246,65 +183,6 @@ def asymptotic_bound(strategy: Strategy, pair: ParameterPair, kappa: float) -> f
     if strategy is Strategy.QUANTUM_ILLUMINATION:
         return 2.0 * math.sqrt(1.0 - kappa**2)
     raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def bound_curve(strategy: Strategy, pair: ParameterPair, kappas) -> np.ndarray:
-    """Table of (kappa, Min[da db]) for a strategy over a correlation grid."""
-    kappas = np.asarray(kappas, dtype=float)
-    values = np.array([asymptotic_bound(strategy, pair, float(k)) for k in kappas])
-    return np.column_stack([kappas, values])
-
-
-def sld_matrices(
-    strategy: Strategy,
-    pair: ParameterPair,
-    *,
-    sigma1: float,
-    sigma2: float | None = None,
-    kappa: float = 0.0,
-    t_minus: float = 0.0,
-    omega_minus: float = 0.0,
-    trace_convention: str | None = None,
-) -> SldPair:
-    """SLD matrices for both pair parameters in the orthonormal subspace basis."""
-    model = model_for(
-        strategy,
-        sigma1=sigma1,
-        sigma2=sigma2,
-        kappa=kappa,
-        t_minus=t_minus,
-        omega_minus=omega_minus,
-        trace_convention=trace_convention,
-    )
-    result = qfi_numeric(model, pair)
-    return SldPair(
-        L_a=result.sld_a,
-        L_b=result.sld_b,
-        params=pair_param_names(pair),
-        rho_eigenvalues=result.rho_eigenvalues,
-    )
-
-
-def compatibility_residual(
-    strategy: Strategy,
-    pair: ParameterPair,
-    *,
-    sigma1: float,
-    sigma2: float | None = None,
-    kappa: float = 0.0,
-    t_minus: float = 0.0,
-    omega_minus: float = 0.0,
-) -> float:
-    """|Tr rho [L_a, L_b]|; zero means joint optimal estimation is attainable."""
-    model = model_for(
-        strategy,
-        sigma1=sigma1,
-        sigma2=sigma2,
-        kappa=kappa,
-        t_minus=t_minus,
-        omega_minus=omega_minus,
-    )
-    return qfi_numeric(model, pair).compat_residual
 
 
 def adjudicate(

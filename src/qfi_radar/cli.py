@@ -20,8 +20,15 @@ import sys
 
 import numpy as np
 
-from .analytic import adjudicate, asymptotic_bound, qfi_entangled
-from .kinematics import NATURAL_UNITS, ParameterPair, ProbeConfig, Strategy, Target
+from .analytic import adjudicate, asymptotic_H, asymptotic_bound
+from .kinematics import (
+    NATURAL_UNITS,
+    SCENARIOS,
+    ParameterPair,
+    ProbeConfig,
+    Strategy,
+    Target,
+)
 from .montecarlo import (
     McConfig,
     estimate_pair,
@@ -240,21 +247,6 @@ def render_svg(title: str, xlabel: str, ylabel: str, series: list[tuple]) -> str
 # strategy-level asymptotic information tables
 
 
-def _asymptotic_H(strategy: Strategy, pair: ParameterPair, kappa: float, sigma: float):
-    """Diagonal H entries in the well-separated-branch regime.
-
-    The entangled value is exact at any separation; mixed strategies use
-    the orthogonal-branch limit, which is where the strategy-level floors
-    (1 and 2 sqrt(1 - kappa^2)) hold.
-    """
-    if strategy is Strategy.ENTANGLED_BIPHOTON:
-        H = qfi_entangled(sigma, sigma, kappa, pair).H
-        return float(H[0, 0]), float(H[1, 1])
-    if strategy is Strategy.TWO_SINGLE_PHOTONS:
-        return 2.0 * sigma**2, 1.0 / (2.0 * sigma**2)
-    return sigma**2, 1.0 / (4.0 * (1.0 - kappa**2) * sigma**2)
-
-
 def _compat_residual(strategy: Strategy, pair: ParameterPair, kappa: float, sigma: float) -> float:
     kwargs = {"sigma1": sigma, "kappa": kappa}
     if strategy is not Strategy.ENTANGLED_BIPHOTON:
@@ -275,7 +267,7 @@ def cmd_qfi(cfg: dict) -> int:
         for pair in selected_pairs(cfg):
             for kappa in kappa_grid(cfg):
                 sigma = float(cfg["sigma"])
-                h11, h22 = _asymptotic_H(strategy, pair, kappa, sigma)
+                h11, h22 = asymptotic_H(strategy, pair, kappa, sigma)
                 bound = 1.0 / math.sqrt(h11 * h22)
                 residual = _compat_residual(strategy, pair, kappa, sigma)
                 rows.append(
@@ -406,7 +398,7 @@ def cmd_simulate(cfg: dict) -> int:
         for pair in selected_pairs(cfg):
             for kappa in kappa_grid(cfg):
                 state = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, sigma, sigma, kappa)
-                h11, h22 = _asymptotic_H(strategy, pair, kappa, sigma)
+                h11, h22 = asymptotic_H(strategy, pair, kappa, sigma)
                 for domain, entry in (("time", h11), ("frequency", h22)):
                     config = McConfig(n, row_seed, domain, strategy)
                     row_seed += 1
@@ -448,7 +440,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_scenario(cfg: dict) -> int:
     scenario = cfg["scenario"]
-    if scenario not in ("multibody", "moving_object"):
+    if scenario not in SCENARIOS:
         raise UsageError(f"unknown scenario {scenario!r}")
     strategy_name = cfg["strategy"]
     strategy = (
@@ -534,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scenario", help="end-to-end radar estimation")
     _add_common(sp)
-    sp.add_argument("--scenario", choices=["multibody", "moving_object"])
+    sp.add_argument("--scenario", choices=list(SCENARIOS))
     sp.add_argument("--r1", type=float)
     sp.add_argument("--r2", type=float)
     sp.add_argument("--v1", type=float)
@@ -572,6 +564,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ArithmeticError as exc:
+        # an input so extreme that a formula under- or overflows, e.g. --sigma 1e-200
+        print(f"error: input out of numerical range ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -26,16 +26,10 @@ __all__ = [
     "doppler_factor",
     "doppler_frequency",
     "doppler_bandwidth",
-    "round_trip_time",
+    "SCENARIOS",
     "return_params",
     "sum_diff",
-    "split_sum_diff",
-    "central_position",
-    "relative_velocity",
-    "object_size",
-    "object_velocity",
-    "jacobian_params",
-    "reparametrize",
+    "target_estimates",
 ]
 
 
@@ -52,6 +46,13 @@ class PhysicalConstants:
 
 SI_UNITS = PhysicalConstants()
 NATURAL_UNITS = PhysicalConstants(c=1.0)
+
+
+# the two physical quantities each end-to-end scenario estimates
+SCENARIOS = {
+    "multibody": ("midpoint", "delta_v"),
+    "moving_object": ("size", "velocity"),
+}
 
 
 class Strategy(enum.Enum):
@@ -157,21 +158,6 @@ def doppler_bandwidth(
     return sigma0 * doppler_factor(v, consts)
 
 
-def round_trip_time(
-    t_emit: float, r: float, v: float, consts: PhysicalConstants = NATURAL_UNITS
-) -> float:
-    """Return time of a photon emitted at ``t_emit`` towards (r, v).
-
-    tau = t_emit + 2 r/(c - v) + 2 v t_emit/(c - v), with r the range at the
-    reference time t = 0.
-    """
-    if v >= consts.c:
-        raise ValueError(f"v must be below c, got v={v}")
-    if r + v * t_emit <= 0:
-        raise ValueError("emission geometry invalid: target behind the radar")
-    return t_emit + (2.0 * r + 2.0 * v * t_emit) / (consts.c - v)
-
-
 def return_params(
     target_a: Target,
     target_b: Target,
@@ -201,138 +187,38 @@ def sum_diff(rp: ReturnParams) -> SumDiffParams:
     )
 
 
-def split_sum_diff(sd: SumDiffParams) -> tuple[float, float, float, float]:
-    """Invert ``sum_diff``: returns (t1, t2, omega1, omega2)."""
-    return (
-        (sd.t_plus - sd.t_minus) / 2.0,
-        (sd.t_plus + sd.t_minus) / 2.0,
-        (sd.omega_plus - sd.omega_minus) / 2.0,
-        (sd.omega_plus + sd.omega_minus) / 2.0,
-    )
+def _doppler_inverse(omega: float, omega0: float, c: float) -> tuple[float, float]:
+    """Exact receding velocity c (omega0 - omega)/(omega0 + omega) of a return, and dv/domega."""
+    return c * (omega0 - omega) / (omega0 + omega), -2.0 * c * omega0 / (omega0 + omega) ** 2
 
 
-def central_position(
-    t_plus: float,
-    consts: PhysicalConstants = NATURAL_UNITS,
-    convention: str = "midpoint",
-) -> float:
-    """Central position of a two-body system from the time sum.
-
-    ``convention="midpoint"`` returns c * t_plus / 4, the midpoint
-    (r1 + r2)/2 in the collinear, v << c limit.  ``convention="sum"``
-    returns c * t_plus / 2, which is the literal range sum r1 + r2
-    (twice the midpoint); it is kept available because some treatments
-    label that quantity the central position.
-    """
-    if t_plus <= 0:
-        raise ValueError("time sum must be positive")
-    if convention == "midpoint":
-        return consts.c * t_plus / 4.0
-    if convention == "sum":
-        return consts.c * t_plus / 2.0
-    raise ValueError(f"unknown convention {convention!r}")
-
-
-def relative_velocity(
+def target_estimates(
+    scenario: str,
+    sd: SumDiffParams,
     omega0: float,
     consts: PhysicalConstants = NATURAL_UNITS,
-    *,
-    mode: str = "exact_pairwise",
-    omega_minus: float | None = None,
-    omega1: float | None = None,
-    omega2: float | None = None,
-) -> float:
-    """Relative velocity v2 - v1 from returned-frequency statistics.
+) -> tuple[np.ndarray, np.ndarray]:
+    """A scenario's two physical quantities and their 2x4 gradient.
 
-    ``exact_pairwise`` inverts the Doppler factor per photon,
-    v_i = c (omega0 - w_i)/(omega0 + w_i), and needs both returned
-    carriers.  ``first_order`` uses the linearized map
-    dv = -c * omega_minus / (2 omega0); note a receding pair difference
-    (v2 > v1) shows up as a *negative* omega_minus because receding
-    targets redshift.
+    The gradient columns follow (t_plus, t_minus, omega_plus, omega_minus).
+    ``multibody`` gives the midpoint c t_plus/4, which is the range midpoint
+    (r1 + r2)/2 of a pair at rest (a receding pair reads its midpoint at
+    reflection: 444.4 against a truth of 400 at v = 0.1c), and the relative
+    velocity v2 - v1 from the exact per-photon Doppler inversions.
+    ``moving_object`` gives the radial size t_minus (c - v)/2 of a rigid
+    object and its common velocity v, inverted at the mean returned carrier
+    omega_plus/2.
     """
-    if omega0 <= 0:
-        raise ValueError("carrier frequency must be positive")
-    if mode == "first_order":
-        if omega_minus is None:
-            raise ValueError("first_order mode requires omega_minus")
-        return -consts.c * omega_minus / (2.0 * omega0)
-    if mode == "exact_pairwise":
-        if omega1 is None or omega2 is None:
-            raise ValueError("exact_pairwise mode requires omega1 and omega2")
-        if omega1 <= 0 or omega2 <= 0:
-            raise ValueError("returned frequencies must be positive")
-        v1 = consts.c * (omega0 - omega1) / (omega0 + omega1)
-        v2 = consts.c * (omega0 - omega2) / (omega0 + omega2)
-        return v2 - v1
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def object_size(t_minus: float, consts: PhysicalConstants = NATURAL_UNITS) -> float:
-    """Radial extent x = c * t_minus / 2 between two scattering points (v << c)."""
-    return consts.c * t_minus / 2.0
-
-
-def object_velocity(
-    omega_plus: float,
-    omega0: float,
-    consts: PhysicalConstants = NATURAL_UNITS,
-    *,
-    mode: str = "exact_pairwise",
-) -> float:
-    """Common radial velocity from the frequency sum of the two returns.
-
-    Exact mode inverts the Doppler factor at the mean returned carrier
-    omega_plus/2: v = c (2 omega0 - omega_plus)/(2 omega0 + omega_plus).
-    First-order mode drops the denominator shift.
-    """
-    if omega0 <= 0:
-        raise ValueError("carrier frequency must be positive")
-    if omega_plus <= 0:
-        raise ValueError("frequency sum must be positive")
-    if mode == "exact_pairwise":
-        return consts.c * (2.0 * omega0 - omega_plus) / (2.0 * omega0 + omega_plus)
-    if mode == "first_order":
-        # v = c (1 - Gamma)/(1 + Gamma) ~ c (1 - Gamma)/2 with Gamma = omega_plus/(2 omega0)
-        return consts.c * (2.0 * omega0 - omega_plus) / (4.0 * omega0)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def jacobian_params(
-    r: float,
-    Gamma: float,
-    omega0: float,
-    sigma0: float,
-    consts: PhysicalConstants = NATURAL_UNITS,
-) -> np.ndarray:
-    """Exact 3x2 Jacobian d(t_bar, omega_bar, sigma)/d(r, Gamma), Gamma = v/c.
-
-    Differentiates t_bar = 2r/(c(1 - Gamma)) and the Doppler factor
-    (1 - Gamma)/(1 + Gamma) exactly; in particular the frequency and
-    bandwidth rows carry a (1 + Gamma)^2 denominator.
-    """
-    if abs(Gamma) >= 1.0:
-        raise ValueError(f"|Gamma| must be below 1, got {Gamma}")
     c = consts.c
-    return np.array(
-        [
-            [2.0 / (c * (1.0 - Gamma)), 2.0 * r / (c * (1.0 - Gamma) ** 2)],
-            [0.0, -2.0 * omega0 / (1.0 + Gamma) ** 2],
-            [0.0, -2.0 * sigma0 / (1.0 + Gamma) ** 2],
-        ]
-    )
-
-
-def reparametrize(H: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Congruence transform J^T H J of an information matrix under a change of variables.
-
-    ``J`` maps new-parameter perturbations to old-parameter perturbations,
-    so H rows/cols must match J rows.
-    """
-    H = np.asarray(H, dtype=float)
-    J = np.asarray(J, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"H must be square, got shape {H.shape}")
-    if J.ndim != 2 or J.shape[0] != H.shape[0]:
-        raise ValueError(f"Jacobian rows must match H dimension, got {J.shape}")
-    return J.T @ H @ J
+    if scenario == "multibody":
+        v1, s1 = _doppler_inverse((sd.omega_plus - sd.omega_minus) / 2.0, omega0, c)
+        v2, s2 = _doppler_inverse((sd.omega_plus + sd.omega_minus) / 2.0, omega0, c)
+        values = [c * sd.t_plus / 4.0, v2 - v1]
+        grad = [[c / 4.0, 0.0, 0.0, 0.0], [0.0, 0.0, (s2 - s1) / 2.0, (s2 + s1) / 2.0]]
+    elif scenario == "moving_object":
+        v, s = _doppler_inverse(sd.omega_plus / 2.0, omega0, c)
+        values = [sd.t_minus * (c - v) / 2.0, v]
+        grad = [[0.0, (c - v) / 2.0, -sd.t_minus * s / 4.0, 0.0], [0.0, 0.0, s / 2.0, 0.0]]
+    else:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    return np.array(values), np.array(grad)

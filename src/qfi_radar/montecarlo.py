@@ -10,21 +10,24 @@ bit-identical for a fixed seed and a longer draw extends a shorter one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
 
-from .analytic import qfi_entangled
+from .analytic import scenario_qcrb_covariance
 from .kinematics import (
     NATURAL_UNITS,
+    SCENARIOS,
     ParameterPair,
     PhysicalConstants,
     ProbeConfig,
     Strategy,
+    SumDiffParams,
     Target,
     return_params,
+    sum_diff,
+    target_estimates,
 )
 from .states import GaussianBiphoton, frequency_covariance, time_covariance
 
@@ -188,27 +191,26 @@ def run_scenario(
     n_shots: int,
     seed: int,
     consts: PhysicalConstants = NATURAL_UNITS,
-    time_fraction: float = 0.5,
 ) -> dict:
     """End-to-end radar estimation of physical target properties.
 
-    ``multibody`` estimates the central position c*t_plus/4 of two
-    scatterers and their relative velocity from the per-photon Doppler
-    inversions.  ``moving_object`` estimates the radial size and the common
-    velocity of a rigid two-point object via the exact Doppler-factor
-    inversion of the frequency sum.  Half the shot budget (by default) goes
-    to time-domain detection and the rest to frequency-domain detection,
-    since one photon cannot yield both precisely.  Reported alongside are
-    the standard errors the per-shot QCRB predicts for the same shot split.
+    ``multibody`` estimates the midpoint c t_plus/4 of two scatterers and
+    their relative velocity; ``moving_object`` estimates the radial size
+    and common velocity of a rigid two-point object (see
+    ``kinematics.target_estimates``).  Half the shots go to time-domain
+    detection and the rest to frequency-domain detection, since one photon
+    cannot yield both precisely.  The draws become sum/difference columns;
+    the estimates and their standard errors come from the sample means and
+    the block sample covariance, and the predicted standard errors from the
+    per-shot QCRB covariance (``analytic.scenario_qcrb_covariance``) at the
+    true returned parameters, split the same way.
     """
-    if scenario not in ("multibody", "moving_object"):
+    if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     if probe.strategy not in MC_STRATEGIES:
         raise ValueError(f"scenario simulation supports {[s.value for s in MC_STRATEGIES]}")
     if n_shots < 4:
         raise ValueError("need at least 4 shots to split across domains")
-    if not 0.0 < time_fraction < 1.0:
-        raise ValueError("time_fraction must be in (0, 1)")
 
     rp = return_params(targets[0], targets[1], probe, consts)
     state = GaussianBiphoton(
@@ -220,83 +222,32 @@ def run_scenario(
         sigma2=rp.sigma2,
         kappa=probe.kappa,
     )
-    n_time = int(round(n_shots * time_fraction))
+    n_time = int(round(n_shots / 2))
     n_freq = n_shots - n_time
-    t_cfg = McConfig(n_time, seed, "time", probe.strategy)
-    f_cfg = McConfig(n_freq, seed + 1, "frequency", probe.strategy)
-    times = sample_times(state, t_cfg)
-    freqs = sample_frequencies(state, f_cfg)
-    c = consts.c
-
-    # per-shot QCRB variances at the returned-state parameters
-    pair = (
-        ParameterPair.TIME_SUM_FREQ_DIFF
-        if scenario == "multibody"
-        else ParameterPair.TIME_DIFF_FREQ_SUM
-    )
-    if probe.strategy is Strategy.ENTANGLED_BIPHOTON:
-        H = qfi_entangled(rp.sigma1, rp.sigma2, probe.kappa, pair).H
-    else:
-        # known-assignment single photons: classical Fisher information of
-        # independent Gaussian marginals
-        var_t = 1.0 / (4.0 * rp.sigma1**2) + 1.0 / (4.0 * rp.sigma2**2)
-        var_w = rp.sigma1**2 + rp.sigma2**2
-        H = np.diag([1.0 / var_t, 1.0 / var_w])
+    times = sample_times(state, McConfig(n_time, seed, "time", probe.strategy))
+    freqs = sample_frequencies(state, McConfig(n_freq, seed + 1, "frequency", probe.strategy))
+    # rows t_plus, t_minus and omega_plus, omega_minus, in SumDiffParams order
+    t_cols = np.array([times[:, 0] + times[:, 1], times[:, 1] - times[:, 0]])
+    w_cols = np.array([freqs[:, 0] + freqs[:, 1], freqs[:, 1] - freqs[:, 0]])
+    means = SumDiffParams(*(float(np.mean(col)) for col in (*t_cols, *w_cols)))
+    cov = np.zeros((4, 4))
+    cov[:2, :2] = np.cov(t_cols) / n_time
+    cov[2:, 2:] = np.cov(w_cols) / n_freq
+    values, grad = target_estimates(scenario, means, probe.omega0, consts)
 
     if scenario == "multibody":
-        t_plus = _combine(times, pair, "time")
-        t_plus_hat = float(np.mean(t_plus))
-        se_t_plus = float(np.std(t_plus, ddof=1)) / math.sqrt(n_time)
-        midpoint_hat = c * t_plus_hat / 4.0
-        se_midpoint = c * se_t_plus / 4.0
-
-        w1_hat = float(np.mean(freqs[:, 0]))
-        w2_hat = float(np.mean(freqs[:, 1]))
-        v1_hat = c * (probe.omega0 - w1_hat) / (probe.omega0 + w1_hat)
-        v2_hat = c * (probe.omega0 - w2_hat) / (probe.omega0 + w2_hat)
-        dv_dw1 = -2.0 * c * probe.omega0 / (probe.omega0 + w1_hat) ** 2
-        dv_dw2 = -2.0 * c * probe.omega0 / (probe.omega0 + w2_hat) ** 2
-        delta_v_hat = v2_hat - v1_hat
-        # delta method with the sample covariance: w1 and w2 are correlated
-        grad = np.array([-dv_dw1, dv_dw2])
-        se_delta_v = math.sqrt(grad @ np.cov(freqs, rowvar=False) @ grad / n_freq)
-
-        pred_se_midpoint = (c / 4.0) * math.sqrt(1.0 / (n_time * H[0, 0]))
-        # linearized map delta_v = -c * omega_minus / (2 omega0)
-        pred_se_delta_v = (c / (2.0 * probe.omega0)) * math.sqrt(1.0 / (n_freq * H[1, 1]))
-        truth_mid = (targets[0].r + targets[1].r) / 2.0
-        truth_dv = targets[1].v - targets[0].v
-        estimates = {"midpoint": midpoint_hat, "delta_v": delta_v_hat}
-        std_errors = {"midpoint": se_midpoint, "delta_v": se_delta_v}
-        predicted = {"midpoint": pred_se_midpoint, "delta_v": pred_se_delta_v}
-        truth = {"midpoint": truth_mid, "delta_v": truth_dv}
+        pair = ParameterPair.TIME_SUM_FREQ_DIFF
+        truth = ((targets[0].r + targets[1].r) / 2.0, targets[1].v - targets[0].v)
     else:
-        t_minus = _combine(times, pair, "time")
-        w_plus = _combine(freqs, pair, "frequency")
-        t_minus_hat = float(np.mean(t_minus))
-        w_plus_hat = float(np.mean(w_plus))
-        se_t_minus = float(np.std(t_minus, ddof=1)) / math.sqrt(n_time)
-        se_w_plus = float(np.std(w_plus, ddof=1)) / math.sqrt(n_freq)
+        pair = ParameterPair.TIME_DIFF_FREQ_SUM
+        truth = (targets[1].r - targets[0].r, targets[0].v)
+    qcrb = scenario_qcrb_covariance(probe.strategy, pair, probe.kappa, rp.sigma1, rp.sigma2)
+    qcrb[:2, :2] /= n_time
+    qcrb[2:, 2:] /= n_freq
+    _, grad_true = target_estimates(scenario, sum_diff(rp), probe.omega0, consts)
 
-        v_hat = c * (2.0 * probe.omega0 - w_plus_hat) / (2.0 * probe.omega0 + w_plus_hat)
-        dv_dwp = -4.0 * c * probe.omega0 / (2.0 * probe.omega0 + w_plus_hat) ** 2
-        se_v = abs(dv_dwp) * se_w_plus
-        size_hat = t_minus_hat * (c - v_hat) / 2.0
-        se_size = math.hypot((c - v_hat) / 2.0 * se_t_minus, t_minus_hat / 2.0 * se_v)
-
-        v_true = targets[0].v
-        w_plus_true = rp.omega1 + rp.omega2
-        dv_dwp_true = -4.0 * c * probe.omega0 / (2.0 * probe.omega0 + w_plus_true) ** 2
-        pred_se_t_minus = math.sqrt(1.0 / (n_time * H[0, 0]))
-        pred_se_v = abs(dv_dwp_true) * math.sqrt(1.0 / (n_freq * H[1, 1]))
-        t_minus_true = rp.t2 - rp.t1
-        pred_se_size = math.hypot(
-            (c - v_true) / 2.0 * pred_se_t_minus, t_minus_true / 2.0 * pred_se_v
-        )
-        estimates = {"size": size_hat, "velocity": v_hat}
-        std_errors = {"size": se_size, "velocity": se_v}
-        predicted = {"size": pred_se_size, "velocity": pred_se_v}
-        truth = {"size": targets[1].r - targets[0].r, "velocity": v_true}
+    def named(xs) -> dict:
+        return dict(zip(SCENARIOS[scenario], map(float, xs)))
 
     return {
         "scenario": scenario,
@@ -305,8 +256,8 @@ def run_scenario(
         "n_time_shots": n_time,
         "n_frequency_shots": n_freq,
         "seed": seed,
-        "estimates": estimates,
-        "std_errors": std_errors,
-        "predicted_qcrb_std_errors": predicted,
-        "truth": truth,
+        "estimates": named(values),
+        "std_errors": named(np.sqrt(np.diag(grad @ cov @ grad.T))),
+        "predicted_qcrb_std_errors": named(np.sqrt(np.diag(grad_true @ qcrb @ grad_true.T))),
+        "truth": named(truth),
     }

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from dataclasses import astuple
 
 import numpy as np
 
@@ -21,11 +22,11 @@ from .kinematics import (
     ParameterPair,
     ProbeConfig,
     Strategy,
+    SumDiffParams,
     Target,
-    doppler_bandwidth,
-    doppler_factor,
-    doppler_frequency,
-    jacobian_params,
+    return_params,
+    sum_diff,
+    target_estimates,
 )
 from .montecarlo import McConfig, estimate_pair, run_scenario, sample_frequencies, sample_times
 from .oracle import model_for, qfi_numeric
@@ -246,35 +247,34 @@ def criterion_8() -> tuple[bool, str]:
 
 
 def criterion_9() -> tuple[bool, str]:
-    """Kinematics: exact Jacobian vs finite differences; Doppler inversion round-trip."""
+    """Kinematics: target_estimates gradient vs central differences; inversion round trip."""
     c = NATURAL_UNITS.c
-    r, Gamma, omega0, sigma0 = 5.0, 0.3, 10.0, 1.0
-    J = jacobian_params(r, Gamma, omega0, sigma0)
-
-    def forward(rr, gg):
-        v = gg * c
-        return np.array(
-            [2.0 * rr / (c * (1.0 - gg)),
-             doppler_frequency(omega0, v),
-             doppler_bandwidth(sigma0, v)]
-        )
-
-    h = 1e-6
-    fd = np.column_stack(
-        [
-            (forward(r + h, Gamma) - forward(r - h, Gamma)) / (2.0 * h),
-            (forward(r, Gamma + h) - forward(r, Gamma - h)) / (2.0 * h),
-        ]
-    )
-    scale = np.maximum(np.abs(J), 1e-30)
-    jac_rel = float(np.max(np.abs(J - fd) / scale))
+    probe = ProbeConfig(omega0=10.0, sigma0=1.0, kappa=0.0)
+    worst_grad = 0.0
+    for scenario, v1, v2 in (
+        ("multibody", 0.0, 0.0),
+        ("multibody", 0.1 * c, 0.3 * c),
+        ("moving_object", 0.0, 0.0),
+        ("moving_object", c / 3.0, c / 3.0),
+    ):
+        sd = sum_diff(return_params(Target(300.0, v1), Target(500.0, v2), probe))
+        x = np.array(astuple(sd))
+        _, grad = target_estimates(scenario, sd, probe.omega0)
+        scale = np.max(np.abs(grad), axis=1)
+        for k, h in enumerate(1e-6 * np.maximum(1.0, np.abs(x))):
+            step = np.eye(4)[k] * h
+            up, _ = target_estimates(scenario, SumDiffParams(*(x + step)), probe.omega0)
+            down, _ = target_estimates(scenario, SumDiffParams(*(x - step)), probe.omega0)
+            fd = (up - down) / (2.0 * h)
+            worst_grad = max(worst_grad, float(np.max(np.abs(grad[:, k] - fd) / scale)))
     worst_rt = 0.0
     for v in np.linspace(-0.5 * c, 0.5 * c, 21):
-        w = omega0 * doppler_factor(float(v))
-        v_back = c * (omega0 - w) / (omega0 + w)
-        worst_rt = max(worst_rt, abs(v_back - v))
-    ok = jac_rel <= 1e-6 and worst_rt <= 1e-12 * c
-    return ok, f"Jacobian FD rel diff {jac_rel:.2e}; inversion round-trip {worst_rt:.2e}"
+        targets = (Target(100.0, float(v)), Target(101.0, float(v)))
+        sd = sum_diff(return_params(*targets, probe))
+        values, _ = target_estimates("moving_object", sd, probe.omega0)
+        worst_rt = max(worst_rt, float(abs(values[0] - 1.0)), float(abs(values[1] - v) / c))
+    ok = worst_grad <= 1e-6 and worst_rt <= 1e-12
+    return ok, f"gradient FD rel diff {worst_grad:.2e}; inversion round-trip {worst_rt:.2e}"
 
 
 CRITERIA = [

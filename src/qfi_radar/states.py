@@ -32,8 +32,6 @@ __all__ = [
     "single_amplitude",
     "biphoton_amplitude",
     "overlap",
-    "overlap_single",
-    "overlap_biphoton",
     "derivative",
     "derivative_single",
     "derivative_own",
@@ -220,16 +218,6 @@ def _affine_overlap_2d(a, b, a0, a1, a2, b0, b1, b2) -> complex:
     eb = b0 + b1 * (mu1 - tb1) + b2 * (mu2 - tb2)
     cross = a1 * (s11 * b1 + s12 * b2) + a2 * (s12 * b1 + s22 * b2)
     return complex(pref * (ea * eb + cross))
-
-
-def overlap_single(a: GaussianSinglePhoton, b: GaussianSinglePhoton) -> complex:
-    """<a|b> for plain single-photon Gaussians."""
-    return overlap(a, b)
-
-
-def overlap_biphoton(a: GaussianBiphoton, b: GaussianBiphoton) -> complex:
-    """<a|b> for plain biphoton Gaussians."""
-    return overlap(a, b)
 
 
 # ---------------------------------------------------------------------------

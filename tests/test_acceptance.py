@@ -9,7 +9,7 @@ The criteria and their runtime budgets:
   6. SLD compatibility residual <= 1e-8 everywhere tested
   7. Monte Carlo QCRB saturation at n = 1e5, kappa = -0.8 (< 10 s)
   8. end-to-end scenarios within 3 predicted standard errors (< 10 s)
-  9. kinematics Jacobian and Doppler-inversion identities
+  9. kinematics: target_estimates gradient and Doppler-inversion round trip
  10. the packaged selftest runs all of the above, exit 0, in < 60 s
 """
 

@@ -12,16 +12,14 @@ import pytest
 
 from qfi_radar.analytic import (
     adjudicate,
+    asymptotic_H,
+    scenario_qcrb_covariance,
     asymptotic_bound,
-    bound_curve,
-    compatibility_residual,
     published_mixed_qfi,
     qfi_entangled,
-    qfi_quantum_illumination,
-    qfi_single_photon,
-    sld_matrices,
 )
 from qfi_radar.kinematics import ParameterPair, Strategy
+from qfi_radar.oracle import model_for, qfi_numeric
 
 PAIR_A = ParameterPair.TIME_SUM_FREQ_DIFF
 PAIR_B = ParameterPair.TIME_DIFF_FREQ_SUM
@@ -90,16 +88,34 @@ class TestBounds:
             pytest.approx(asymptotic_bound(Strategy.QUANTUM_ILLUMINATION, PAIR_B, kappa))
         )
 
-    def test_bound_curve_table(self):
-        kappas = [-0.5, 0.0, 0.5]
-        table = bound_curve(Strategy.ENTANGLED_BIPHOTON, PAIR_A, kappas)
-        assert table.shape == (3, 2)
-        assert table[1, 1] == pytest.approx(1.0)
-        assert table[0, 1] == pytest.approx(math.sqrt(0.5 / 1.5))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             asymptotic_bound(Strategy.ENTANGLED_BIPHOTON, PAIR_A, 1.0)
+
+    def test_asymptotic_H_is_engine_far_limit(self):
+        model_sigma = 1.3
+        for strategy in Strategy:
+            model = model_for(strategy, sigma1=model_sigma, kappa=0.6, t_minus=50.0)
+            for pair in (PAIR_A, PAIR_B):
+                want = np.diag(qfi_numeric(model, pair).H)
+                got = asymptotic_H(strategy, pair, 0.6, model_sigma)
+                assert got == pytest.approx(want, rel=1e-9), (strategy, pair)
+
+    def test_scenario_qcrb_covariance(self):
+        # single photons: sum/difference image of the per-photon bounds
+        cov = scenario_qcrb_covariance(Strategy.TWO_SINGLE_PHOTONS, PAIR_A, 0.0, 1.0, 2.0)
+        a, b = 0.25, 1.0 / 16.0
+        assert cov[:2, :2] == pytest.approx(np.array([[a + b, b - a], [b - a, a + b]]))
+        assert cov[2:, 2:] == pytest.approx(np.array([[5.0, 3.0], [3.0, 5.0]]))
+        assert not cov[:2, 2:].any() and not cov[2:, :2].any()
+        # entangled: reciprocal pair entries at the pair's columns, as asymptotic_H
+        for pair, cols in ((PAIR_A, [0, 3]), (PAIR_B, [1, 2])):
+            cov = scenario_qcrb_covariance(Strategy.ENTANGLED_BIPHOTON, pair, -0.9, 1.3, 1.3)
+            h = asymptotic_H(Strategy.ENTANGLED_BIPHOTON, pair, -0.9, 1.3)
+            assert np.diag(cov)[cols] == pytest.approx(1.0 / np.array(h), rel=1e-15)
+            assert np.count_nonzero(cov) == 2
+        with pytest.raises(ValueError):
+            scenario_qcrb_covariance(Strategy.QUANTUM_ILLUMINATION, PAIR_A, 0.0, 1.0, 1.0)
 
 
 class TestPublishedForms:
@@ -124,38 +140,15 @@ class TestPublishedForms:
 
 class TestDualEvaluation:
     def test_single_photon_pair_a_confirmed(self):
-        # engine-frozen values at sigma=1, t-=1, w-=0.8
-        res = qfi_single_photon(1.0, 1.0, 0.8, PAIR_A)
-        assert res.H[0, 0] == pytest.approx(1.373027638235, abs=1e-9)
-        assert res.H[1, 1] == pytest.approx(0.271682541449, abs=1e-9)
-        assert res.oracle_verified is True
-
-    def test_single_photon_pair_b_refuted(self):
-        # the transcribed frequency-sum entry disagrees (engine 0.474921...,
-        # transcription 0.399684...): the sigma-power typo in the exponent
-        res = qfi_single_photon(1.0, 1.0, 0.8, PAIR_B)
-        assert res.H[0, 0] == pytest.approx(1.853876826527, abs=1e-9)
-        assert res.H[1, 1] == pytest.approx(0.474921105529, abs=1e-9)
-        assert res.published_H[1, 1] == pytest.approx(0.399684422118, abs=1e-9)
-        assert res.oracle_verified is False
-
-    def test_quantum_illumination_finite_separation_refuted(self):
-        res = qfi_quantum_illumination(1.0, 0.6, 1.0, 0.8, PAIR_A)
-        assert res.H[0, 0] == pytest.approx(0.713495203140, abs=1e-9)
-        assert res.H[1, 1] == pytest.approx(0.290237220377, abs=1e-9)
-        assert res.oracle_verified is False
-
-    def test_dual_fields_present(self):
-        res = qfi_single_photon(1.0, 2.0, 0.0, PAIR_A)
-        assert res.published_H is not None
-        assert res.oracle_H is not None
-        assert res.oracle_H is res.H
-
-    def test_far_limit_confirms_published(self):
-        # with separated branches both routes agree and the verdict flips
-        res = qfi_single_photon(1.0, 50.0, 0.0, PAIR_A)
-        assert res.oracle_verified is True
-        assert res.H[0, 0] == pytest.approx(2.0, rel=1e-9)
+        # engine-frozen values at sigma=1, t-=1, w-=0.8; the published forms agree
+        recs = adjudicate(
+            Strategy.TWO_SINGLE_PHOTONS, PAIR_A, sigma=1.0, t_minus=1.0, omega_minus=0.8
+        )
+        assert recs[0]["oracle_value"] == pytest.approx(1.373027638235, abs=1e-9)
+        assert recs[1]["oracle_value"] == pytest.approx(0.271682541449, abs=1e-9)
+        for rec in recs:
+            assert rec["paper_value"] == pytest.approx(rec["oracle_value"], rel=1e-8)
+            assert rec["verdict"] == "confirmed"
 
 
 class TestAdjudication:
@@ -194,19 +187,31 @@ class TestAdjudication:
         )
         assert [r["verdict"] for r in recs] == ["confirmed", "confirmed"]
 
-
-class TestSldInterface:
-    def test_sld_matrices_shapes(self):
-        pair = sld_matrices(
-            Strategy.ENTANGLED_BIPHOTON, PAIR_A, sigma1=1.0, kappa=0.5
+    def test_single_photon_pair_b_refuted(self):
+        # the transcribed frequency-sum entry disagrees (engine 0.474921...,
+        # transcription 0.399684...): the sigma-power typo in the exponent
+        recs = adjudicate(
+            Strategy.TWO_SINGLE_PHOTONS, PAIR_B, sigma=1.0, t_minus=1.0, omega_minus=0.8
         )
-        assert pair.params == ("t_plus", "omega_minus")
-        assert pair.L_a.shape == pair.L_b.shape
-        assert np.max(np.abs(pair.L_a - pair.L_a.conj().T)) <= 1e-9
+        assert recs[0]["oracle_value"] == pytest.approx(1.853876826527, abs=1e-9)
+        assert recs[0]["verdict"] == "confirmed"
+        assert recs[1]["oracle_value"] == pytest.approx(0.474921105529, abs=1e-9)
+        assert recs[1]["paper_value"] == pytest.approx(0.399684422118, abs=1e-9)
+        assert recs[1]["verdict"] == "refuted"
 
-    def test_compatibility_residual_small(self):
-        r = compatibility_residual(
+    def test_quantum_illumination_finite_separation_refuted(self):
+        recs = adjudicate(
             Strategy.QUANTUM_ILLUMINATION, PAIR_A,
-            sigma1=1.0, kappa=0.6, t_minus=1.0, omega_minus=0.8,
+            sigma=1.0, kappa=0.6, t_minus=1.0, omega_minus=0.8,
         )
-        assert r <= 1e-10
+        assert recs[0]["oracle_value"] == pytest.approx(0.713495203140, abs=1e-9)
+        assert recs[1]["oracle_value"] == pytest.approx(0.290237220377, abs=1e-9)
+        assert [r["verdict"] for r in recs] == ["refuted", "refuted"]
+
+    def test_far_limit_confirms_published(self):
+        # with separated branches both routes agree and the verdict flips
+        recs = adjudicate(
+            Strategy.TWO_SINGLE_PHOTONS, PAIR_A, sigma=1.0, t_minus=50.0, omega_minus=0.0
+        )
+        assert [r["verdict"] for r in recs] == ["confirmed", "confirmed"]
+        assert recs[0]["oracle_value"] == pytest.approx(2.0, rel=1e-9)

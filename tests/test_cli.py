@@ -244,6 +244,21 @@ class TestScenario:
         assert code == 2
 
 
+class TestArithmeticErrors:
+    @pytest.mark.parametrize("argv", [
+        ["qfi", "--sigma", "1e-200"],  # ZeroDivisionError
+        ["oracle-check", "--sigma", "1e-200"],  # ArithmeticError from the engine
+        ["scenario", "--sigma", "1e300"],  # OverflowError
+    ])
+    def test_usage_error_without_traceback(self, argv, tmp_path, capsys):
+        code = main([*argv, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
 class TestConfigFile:
     def test_precedence(self, tmp_path):
         cfg = tmp_path / "run.json"

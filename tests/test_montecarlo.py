@@ -209,14 +209,45 @@ class TestScenarios:
 
     def test_delta_v_std_error_matches_qcrb(self):
         # at kappa = -0.9 the returned frequencies are strongly correlated;
-        # the delta_v error bar must carry the w1-w2 covariance
+        # the delta_v error bar must carry the w1-w2 covariance, and for a
+        # moving pair the prediction must take the Doppler slope at the
+        # returned carriers, not the at-rest -c/(2 omega0)
         probe = ProbeConfig(omega0=10.0, sigma0=1.0, kappa=-0.9)
-        report = run_scenario(
-            "multibody", (Target(300.0, 0.0), Target(500.0, 0.0)), probe, 100_000, seed=4
+        for v, n_shots in ((0.0, 100_000), (0.1, 200_000), (0.3, 200_000)):
+            report = run_scenario(
+                "multibody", (Target(300.0, v), Target(500.0, v)), probe, n_shots, seed=4
+            )
+            se = report["std_errors"]["delta_v"]
+            pred = report["predicted_qcrb_std_errors"]["delta_v"]
+            assert pred == pytest.approx(se, rel=0.05), f"v={v}"
+
+    def test_single_photon_predictions_unequal_bandwidths(self):
+        # v2 = 0.3c returns photon 2 at a narrower bandwidth; the prediction
+        # holds t_minus and omega_plus unknown, which the plain sums reach
+        probe = ProbeConfig(
+            omega0=10.0, sigma0=1.0, kappa=0.0, strategy=Strategy.TWO_SINGLE_PHOTONS
         )
-        se = report["std_errors"]["delta_v"]
-        pred = report["predicted_qcrb_std_errors"]["delta_v"]
-        assert se == pytest.approx(pred, rel=0.05)
+        report = run_scenario(
+            "multibody", (Target(300.0, 0.0), Target(500.0, 0.3)), probe, 200_000, seed=4
+        )
+        for name, se in report["std_errors"].items():
+            pred = report["predicted_qcrb_std_errors"][name]
+            assert pred == pytest.approx(se, rel=0.05), name
+
+    def test_default_predictions_closed_form(self):
+        omega0, kappa = 10.0, -0.9
+        probe = ProbeConfig(omega0=omega0, sigma0=1.0, kappa=kappa)
+        report = run_scenario(
+            "multibody", (Target(300.0, 0.0), Target(500.0, 0.0)), probe, 100_000, seed=0
+        )
+        H = qfi_entangled(1.0, 1.0, kappa, PAIR_A).H
+        n_t, n_f = report["n_time_shots"], report["n_frequency_shots"]
+        pred = report["predicted_qcrb_std_errors"]
+        c = NATURAL_UNITS.c
+        assert pred["midpoint"] == pytest.approx(c / 4.0 / math.sqrt(n_t * H[0, 0]), rel=1e-12)
+        assert pred["delta_v"] == pytest.approx(
+            c / (2.0 * omega0) / math.sqrt(n_f * H[1, 1]), rel=1e-12
+        )
 
     def test_deterministic_reports(self):
         probe = ProbeConfig(omega0=10.0, sigma0=1.0, kappa=-0.5)

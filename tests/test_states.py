@@ -25,8 +25,6 @@ from qfi_radar.states import (
     derivative_single,
     frequency_covariance,
     overlap,
-    overlap_biphoton,
-    overlap_single,
     single_amplitude,
     time_covariance,
 )
@@ -125,42 +123,42 @@ class TestNormalization:
 class TestOverlapSingle:
     def test_self_overlap(self):
         psi = GaussianSinglePhoton(0.7, 2.0, 1.3)
-        assert overlap_single(psi, psi) == pytest.approx(1.0, abs=1e-12)
+        assert overlap(psi, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_carrier_shift(self):
         # equal sigma = 1, carrier separation 2: modulus e^{-0.5}
         a = GaussianSinglePhoton(0.0, 1.0, 1.0)
         b = GaussianSinglePhoton(0.0, 3.0, 1.0)
-        assert abs(overlap_single(a, b)) == pytest.approx(math.exp(-0.5), abs=1e-12)
+        assert abs(overlap(a, b)) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_bandwidth_mismatch_prefactor(self):
         a = GaussianSinglePhoton(0.0, 1.0, 1.0)
         b = GaussianSinglePhoton(0.0, 1.0, 3.0)
-        assert abs(overlap_single(a, b)) == pytest.approx(math.sqrt(0.6), abs=1e-12)
+        assert abs(overlap(a, b)) == pytest.approx(math.sqrt(0.6), abs=1e-12)
 
     def test_time_shift(self):
         a = GaussianSinglePhoton(0.0, 1.0, 1.0)
         b = GaussianSinglePhoton(1.0, 1.0, 1.0)
-        assert abs(overlap_single(a, b)) == pytest.approx(math.exp(-0.5), abs=1e-12)
+        assert abs(overlap(a, b)) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_general_vs_quadrature(self):
         a = GaussianSinglePhoton(0.2, 1.5, 0.8)
         b = GaussianSinglePhoton(-0.4, 2.5, 1.4)
-        assert overlap_single(a, b) == pytest.approx(quad_overlap_1d(a, b), abs=1e-9)
+        assert overlap(a, b) == pytest.approx(quad_overlap_1d(a, b), abs=1e-9)
 
 
 class TestOverlapBiphoton:
     def test_self_overlap(self):
         phi = GaussianBiphoton(0.1, 0.2, 1.0, 2.0, 1.0, 2.0, 0.4)
-        assert overlap_biphoton(phi, phi) == pytest.approx(1.0, abs=1e-12)
+        assert overlap(phi, phi) == pytest.approx(1.0, abs=1e-12)
 
     def test_separable_factorizes(self):
         a = GaussianBiphoton(0.0, 0.0, 1.0, 2.0, 1.0, 1.5, 0.0)
         b = GaussianBiphoton(0.5, -0.3, 1.5, 2.5, 1.0, 1.5, 0.0)
-        lhs = overlap_biphoton(a, b)
-        rhs = overlap_single(
+        lhs = overlap(a, b)
+        rhs = overlap(
             GaussianSinglePhoton(0.0, 1.0, 1.0), GaussianSinglePhoton(0.5, 1.5, 1.0)
-        ) * overlap_single(
+        ) * overlap(
             GaussianSinglePhoton(0.0, 2.0, 1.5), GaussianSinglePhoton(-0.3, 2.5, 1.5)
         )
         assert lhs == pytest.approx(rhs, abs=1e-14)
@@ -172,14 +170,14 @@ class TestOverlapBiphoton:
         for kappa in (0.0, 0.5, -0.7):
             a = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, kappa)
             b = GaussianBiphoton(1.0, 0.0, 1.0, 1.0, 1.0, 1.0, kappa)
-            got = abs(overlap_biphoton(a, b))
+            got = abs(overlap(a, b))
             assert got == pytest.approx(math.exp(-0.5), abs=1e-12), f"kappa={kappa}"
             assert got == pytest.approx(abs(quad_overlap_2d(a, b)), abs=1e-8)
 
     def test_general_vs_quadrature(self):
         a = GaussianBiphoton(0.0, 0.3, 1.0, 2.0, 1.0, 1.5, 0.5)
         b = GaussianBiphoton(0.4, -0.2, 1.5, 2.2, 1.2, 1.3, 0.3)
-        assert overlap_biphoton(a, b) == pytest.approx(quad_overlap_2d(a, b), abs=1e-8)
+        assert overlap(a, b) == pytest.approx(quad_overlap_2d(a, b), abs=1e-8)
 
 
 class TestDerivatives:
