@@ -45,7 +45,6 @@ from .montecarlo import (
 from .oracle import (
     MixedModel,
     OracleResult,
-    grid_crosscheck,
     model_for,
     qfi_numeric,
 )

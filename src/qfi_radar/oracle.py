@@ -11,7 +11,8 @@ referee for the analytic formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,6 +27,7 @@ from .states import (
     derivative,
     derivative_single,
     overlap,
+    stack_by_base,
 )
 
 __all__ = [
@@ -43,7 +45,6 @@ __all__ = [
     "quantum_illumination_model",
     "model_for",
     "pair_param_names",
-    "grid_crosscheck",
 ]
 
 DEFAULT_DROP_TOL = 1e-12
@@ -123,28 +124,45 @@ class OracleResult:
 def build_subspace(generators: list, drop_tol: float = DEFAULT_DROP_TOL) -> SubspaceBasis:
     """Orthonormalize a generator list via the eigenbasis of its Gram matrix.
 
+    The Gram matrix takes one ``overlap`` call per pair of distinct base
+    Gaussians: the generators are stacked by base, each block and its
+    conjugate transpose land in contiguous slices, and one permutation
+    restores the caller's order.
+
     Deterministic for a fixed generator order: eigenpairs are sorted by
     descending eigenvalue and each eigenvector's phase is fixed so that its
     first significantly nonzero component is real and positive.
     """
     if not generators:
         raise ValueError("need at least one generator")
-    n = len(generators)
-    gram = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            g = overlap(generators[i], generators[j])
-            gram[i, j], gram[j, i] = g, g.conjugate()
+    stacks = stack_by_base(generators)
+    spans, start = [], 0
+    for _, idx in stacks:
+        spans.append(slice(start, start + len(idx)))
+        start += len(idx)
+    blocks = np.empty((start, start), dtype=complex)
+    for p, (stack_p, _) in enumerate(stacks):
+        for q in range(p, len(stacks)):
+            block = overlap(stack_p, stacks[q][0])
+            blocks[spans[p], spans[q]] = block
+            blocks[spans[q], spans[p]] = block.conj().T
+    # a diagonal block is Hermitian only to round-off; averaging it with its
+    # conjugate transpose makes the whole matrix exactly Hermitian
+    blocks = (blocks + blocks.conj().T) / 2.0
+    grouped = [i for _, idx in stacks for i in idx]  # caller's index of each row
+    position = sorted(range(start), key=grouped.__getitem__)
+    gram = blocks.take(position, 0).take(position, 1)
 
+    # eigh returns ascending eigenvalues; reversed, they descend
     evals, evecs = np.linalg.eigh(gram)
-    order = np.argsort(evals)[::-1]
-    evals, evecs = evals[order], evecs[:, order]
+    evals, evecs = evals[::-1], evecs[:, ::-1]
     if evals[0] <= 0:
         raise ArithmeticError("Gram matrix is numerically non-positive")
     if evals[-1] < -10.0 * drop_tol * evals[0]:
         raise ArithmeticError("Gram matrix conditioning failure: negative eigenvalue")
-    keep = evals > drop_tol * evals[0]
-    evals, evecs = evals[keep], evecs[:, keep]
+    # descending, so the retained eigenpairs are a leading slice
+    keep = int(np.count_nonzero(evals > drop_tol * evals[0]))
+    evals, evecs = evals[:keep], evecs[:, :keep]
 
     first = evecs[np.argmax(np.abs(evecs) > 1e-8, axis=0), np.arange(evecs.shape[1])]
     evecs = evecs / (first / np.abs(first))
@@ -157,21 +175,21 @@ def coords(basis: SubspaceBasis, state) -> np.ndarray:
     """Coefficient vector <e_k|state> for a state expressible in the subspace.
 
     A generator's overlaps with the basis are a column of the Gram matrix;
-    only a state outside the generator list needs fresh overlaps.
+    a state outside the generator list takes one stacked ``overlap`` call
+    per generator base.
     """
     try:
         g = basis.gram[:, basis.generators.index(state)]
     except ValueError:
-        g = np.array([overlap(gen, state) for gen in basis.generators])
+        g = np.empty(len(basis.generators), dtype=complex)
+        for stack, idx in stack_by_base(basis.generators):
+            g[idx] = overlap(stack, state)
     return basis.transform.conj().T @ g
 
 
 def _rho_matrix(basis: SubspaceBasis, weights, states) -> np.ndarray:
-    R = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for w, st in zip(weights, states):
-        v = coords(basis, st)
-        R += w * np.outer(v, v.conj())
-    return R
+    V = np.stack([coords(basis, st) for st in states], axis=1)
+    return (V * np.asarray(weights)) @ V.conj().T
 
 
 def project(
@@ -183,53 +201,57 @@ def project(
 ) -> ProjectedState:
     """Project rho and its two parameter derivatives onto the subspace.
 
-    With ``fd_step`` set, derivatives come from central differences of the
-    branch parameters instead of the analytic derivative states; the
+    Analytic derivatives: the coordinates of every branch ket and derivative
+    state are Gram columns, taken at once as T^H G[:, idx], and rho and both
+    d(rho) come from one batched product.  With ``fd_step`` set, derivatives
+    come from central differences of the branch parameters instead; the
     projection residual ||(1-P) d(rho)||_HS is then reported exactly from
     pairwise Gaussian overlaps.
     """
+    if fd_step is None:
+        index = basis.generators.index
+        K = len(model.states)
+        idx = [index(st) for st in model.states]
+        idx += [index(model.deriv(i, p)) for p in (param_a, param_b) for i in range(K)]
+        # C[0] holds the branch coordinates, C[1] and C[2] their derivatives
+        C = basis.transform.conj().T @ basis.gram.take(idx, 1)
+        C = C.reshape(basis.dim, 3, K).transpose(1, 0, 2)
+        M = (C * model.weights) @ C[0].conj().T
+        # rho = V W V^H and d(rho) = dV W V^H + h.c., each exactly Hermitian
+        S = M + M.conj().swapaxes(1, 2)
+        return ProjectedState(S[0] / 2.0, S[1], S[2], 0.0, 0.0)
+
     rho = _rho_matrix(basis, model.weights, model.states)
     drhos = []
     residuals = []
     for param in (param_a, param_b):
-        if fd_step is None:
-            dR = np.zeros_like(rho)
-            for i, (w, st) in enumerate(zip(model.weights, model.states)):
-                v = coords(basis, st)
-                dv = coords(basis, model.deriv(i, param))
-                dR += w * (np.outer(dv, v.conj()) + np.outer(v, dv.conj()))
-            drhos.append(dR)
-            residuals.append(0.0)
-        else:
-            h = fd_step
-            plus = model.shifted(param, +h)
-            minus = model.shifted(param, -h)
-            Rp = _rho_matrix(basis, plus.weights, plus.states)
-            Rm = _rho_matrix(basis, minus.weights, minus.states)
-            dR = (Rp - Rm) / (2.0 * h)
-            drhos.append(dR)
-            residuals.append(_fd_projection_residual(model, plus, minus, h, dR))
+        plus = model.shifted(param, +fd_step)
+        minus = model.shifted(param, -fd_step)
+        Rp = _rho_matrix(basis, plus.weights, plus.states)
+        Rm = _rho_matrix(basis, minus.weights, minus.states)
+        dR = (Rp - Rm) / (2.0 * fd_step)
+        drhos.append(dR)
+        residuals.append(_fd_projection_residual(plus, minus, fd_step, dR))
     return ProjectedState(rho, drhos[0], drhos[1], residuals[0], residuals[1])
 
 
-def _fd_projection_residual(model, plus, minus, h, dR_projected) -> float:
+def _fd_projection_residual(plus, minus, h, dR_projected) -> float:
     """||(1-P) d(rho)_fd||_HS via exact overlaps of the shifted branch kets.
 
     The estimate subtracts two nearly equal norms assembled from O(1/h)
     coefficients, so it carries a cancellation noise floor of roughly
     sqrt(machine epsilon)/h even when the true leakage is zero.
     """
-    # Tr(X^2) for X = sum_k c_k |a_k><b_k| expands into <b_k|a_l><b_l|a_k>.
-    kets, bras, cs = [], [], []
-    for w, st in zip(plus.weights, plus.states):
-        kets.append(st), bras.append(st), cs.append(w / (2.0 * h))
-    for w, st in zip(minus.weights, minus.states):
-        kets.append(st), bras.append(st), cs.append(-w / (2.0 * h))
-    total = 0.0 + 0.0j
-    for k in range(len(cs)):
-        for l in range(len(cs)):
-            total += cs[k] * cs[l] * overlap(bras[k], kets[l]) * overlap(bras[l], kets[k])
-    full_norm2 = float(np.real(total))
+    # X = sum_k c_k |k><k| over the shifted kets has Tr(X^2) =
+    # sum_kl c_k c_l |<k|l>|^2, so only the K(K+1)/2 overlaps k <= l are needed
+    kets = plus.states + minus.states
+    cs = np.array(plus.weights + tuple(-w for w in minus.weights)) / (2.0 * h)
+    K = len(kets)
+    O2 = np.empty((K, K))
+    for k in range(K):
+        for l in range(k, K):
+            O2[k, l] = O2[l, k] = abs(overlap(kets[k], kets[l])) ** 2
+    full_norm2 = float(cs @ O2 @ cs)
     proj_norm2 = float(np.real(np.trace(dR_projected @ dR_projected)))
     return float(np.sqrt(max(full_norm2 - proj_norm2, 0.0)))
 
@@ -241,18 +263,16 @@ def sld_solve(projected: ProjectedState) -> tuple[np.ndarray, np.ndarray, np.nda
     the subspace basis.  Eigenvalue pairs below the support threshold are
     excluded, consistent with the finite-support form of the SLD.
     """
+    # eigh returns ascending eigenvalues; reversed, they descend
     lam, U = np.linalg.eigh(projected.rho)
-    order = np.argsort(lam)[::-1]
-    lam, U = lam[order], U[:, order]
-    denom = lam[:, None] + lam[None, :]
-    support = denom > SUPPORT_TOL * float(np.sum(lam))
-    denom = np.where(support, denom, 1.0)
-    slds = []
-    for dR in (projected.drho_a, projected.drho_b):
-        M = U.conj().T @ dR @ U
-        L = np.where(support, 2.0 * M / denom, 0.0)
-        slds.append(U @ L @ U.conj().T)
-    return slds[0], slds[1], lam, U
+    lam, U = lam[::-1], U[:, ::-1]
+    denom = lam[:, None] + lam
+    support = denom > SUPPORT_TOL * lam.sum()
+    factor = np.divide(2.0, denom, out=np.zeros_like(denom), where=support)
+    Uh = U.conj().T
+    M = Uh @ np.stack((projected.drho_a, projected.drho_b)) @ U
+    L_a, L_b = U @ (M * factor) @ Uh
+    return L_a, L_b, lam, U
 
 
 def _pure_fast_path(
@@ -298,11 +318,12 @@ def qfi_numeric(
     projected = project(model, basis, param_a, param_b, fd_step=step)
     L_a, L_b, lam, _U = sld_solve(projected)
 
-    rho = projected.rho
+    # X_ab = Tr(rho L_a L_b): H is its symmetric real part and the
+    # compatibility residual |Tr(rho [L_a, L_b])| its antisymmetric part
     Ls = np.stack((L_a, L_b))
-    LL = Ls[:, None] @ Ls[None, :]  # LL[i, j] = L_i L_j
-    H = np.real(np.trace(rho @ (LL + LL.swapaxes(0, 1)), axis1=-2, axis2=-1)) / 2.0
-    compat = float(abs(np.trace(rho @ (LL[0, 1] - LL[1, 0]))))
+    X = np.einsum("ij,ajk,bki->ab", projected.rho, Ls, Ls)
+    H = np.real(X + X.T) / 2.0
+    compat = float(abs(X[0, 1] - X[1, 0]))
 
     pure_H = None
     if len(model.states) == 1 and derivative_mode == "analytic":
@@ -325,6 +346,39 @@ def qfi_numeric(
 # Strategy model factories
 
 
+def _pair_model(
+    strategy: Strategy,
+    trace: float,
+    branches: Callable,
+    t_plus: float,
+    t_minus: float,
+    omega_plus: float,
+    omega_minus: float,
+) -> MixedModel:
+    """Equal-weight model over ``branches(t1, t2, omega1, omega2)``.
+
+    ``branches`` maps the two photons' centers and carriers, from
+    t1 = (t_plus - t_minus)/2, t2 = (t_plus + t_minus)/2 and likewise for
+    the carriers, to (states, deriv).  ``shifted`` rebuilds the model with
+    one sum/difference parameter displaced.  Each derivative state is built
+    once per model, so the engine finds it in its generator list by
+    identity.
+    """
+    params = {"t_plus": t_plus, "t_minus": t_minus,
+              "omega_plus": omega_plus, "omega_minus": omega_minus}
+    states, deriv = branches(
+        (t_plus - t_minus) / 2.0, (t_plus + t_minus) / 2.0,
+        (omega_plus - omega_minus) / 2.0, (omega_plus + omega_minus) / 2.0,
+    )
+
+    def shifted(param, eps):
+        return _pair_model(strategy, trace, branches, **{**params, param: params[param] + eps})
+
+    w = trace / len(states)
+    return MixedModel(strategy, (w,) * len(states), states, functools.cache(deriv),
+                      shifted, trace)
+
+
 def entangled_model(
     sigma1: float,
     sigma2: float,
@@ -337,32 +391,12 @@ def entangled_model(
 ) -> MixedModel:
     """Pure returned biphoton probe."""
 
-    def make(tp, tm, wp, wm):
-        state = GaussianBiphoton(
-            t1_bar=(tp - tm) / 2.0,
-            t2_bar=(tp + tm) / 2.0,
-            omega1_bar=(wp - wm) / 2.0,
-            omega2_bar=(wp + wm) / 2.0,
-            sigma1=sigma1,
-            sigma2=sigma2,
-            kappa=kappa,
-        )
+    def branches(t1, t2, w1, w2):
+        state = GaussianBiphoton(t1, t2, w1, w2, sigma1, sigma2, kappa)
+        return (state,), lambda i, param: derivative(state, param)
 
-        def shifted(param, eps):
-            args = {"t_plus": tp, "t_minus": tm, "omega_plus": wp, "omega_minus": wm}
-            args[param] += eps
-            return make(args["t_plus"], args["t_minus"], args["omega_plus"], args["omega_minus"])
-
-        return MixedModel(
-            strategy=Strategy.ENTANGLED_BIPHOTON,
-            weights=(1.0,),
-            states=(state,),
-            deriv=lambda i, param: derivative(state, param),
-            shifted=shifted,
-            trace=1.0,
-        )
-
-    return make(t_plus, t_minus, omega_plus, omega_minus)
+    return _pair_model(Strategy.ENTANGLED_BIPHOTON, 1.0, branches,
+                       t_plus, t_minus, omega_plus, omega_minus)
 
 
 def single_photon_model(
@@ -383,26 +417,12 @@ def single_photon_model(
     """
     trace = 2.0 if trace_convention == "photon_counted" else 1.0
 
-    def make(tp, tm, wp, wm):
-        psi1 = GaussianSinglePhoton((tp - tm) / 2.0, (wp - wm) / 2.0, sigma1)
-        psi2 = GaussianSinglePhoton((tp + tm) / 2.0, (wp + wm) / 2.0, sigma2)
-        w = trace / 2.0
+    def branches(t1, t2, w1, w2):
+        psis = (GaussianSinglePhoton(t1, w1, sigma1), GaussianSinglePhoton(t2, w2, sigma2))
+        return psis, lambda i, param: derivative_single(psis[i], param, i + 1)
 
-        def shifted(param, eps):
-            args = {"t_plus": tp, "t_minus": tm, "omega_plus": wp, "omega_minus": wm}
-            args[param] += eps
-            return make(args["t_plus"], args["t_minus"], args["omega_plus"], args["omega_minus"])
-
-        return MixedModel(
-            strategy=Strategy.TWO_SINGLE_PHOTONS,
-            weights=(w, w),
-            states=(psi1, psi2),
-            deriv=lambda i, param: derivative_single((psi1, psi2)[i], param, i + 1),
-            shifted=shifted,
-            trace=trace,
-        )
-
-    return make(t_plus, t_minus, omega_plus, omega_minus)
+    return _pair_model(Strategy.TWO_SINGLE_PHOTONS, trace, branches,
+                       t_plus, t_minus, omega_plus, omega_minus)
 
 
 def quantum_illumination_model(
@@ -427,44 +447,22 @@ def quantum_illumination_model(
     s_idler = sigma if idler_sigma is None else idler_sigma
     trace = 1.0 if trace_convention == "normalized" else 2.0
 
-    def make(tp, tm, wp, wm):
-        def branch(tbar, wbar):
-            return GaussianBiphoton(
-                t1_bar=tbar,
-                t2_bar=idler_t,
-                omega1_bar=wbar,
-                omega2_bar=idler_omega,
-                sigma1=sigma,
-                sigma2=s_idler,
-                kappa=kappa,
-            )
-
-        states = (
-            branch((tp - tm) / 2.0, (wp - wm) / 2.0),
-            branch((tp + tm) / 2.0, (wp + wm) / 2.0),
+    def branches(t1, t2, w1, w2):
+        states = tuple(
+            GaussianBiphoton(t, idler_t, w, idler_omega, sigma, s_idler, kappa)
+            for t, w in ((t1, w1), (t2, w2))
         )
+
         def deriv(i, param):
             # branch i is photon i + 1 of the pair parameters' chain rule;
             # they act on its signal center and carrier only
             kind, *factors = _PAIR_CHAIN[param]
             return _d_biphoton(states[i], kind, factors[i], 0.0)
 
-        def shifted(param, eps):
-            args = {"t_plus": tp, "t_minus": tm, "omega_plus": wp, "omega_minus": wm}
-            args[param] += eps
-            return make(args["t_plus"], args["t_minus"], args["omega_plus"], args["omega_minus"])
+        return states, deriv
 
-        w = trace / 2.0
-        return MixedModel(
-            strategy=Strategy.QUANTUM_ILLUMINATION,
-            weights=(w, w),
-            states=states,
-            deriv=deriv,
-            shifted=shifted,
-            trace=trace,
-        )
-
-    return make(t_plus, t_minus, omega_plus, omega_minus)
+    return _pair_model(Strategy.QUANTUM_ILLUMINATION, trace, branches,
+                       t_plus, t_minus, omega_plus, omega_minus)
 
 
 def model_for(
@@ -499,34 +497,3 @@ def model_for(
             trace_convention=trace_convention or "normalized",
         )
     raise ValueError(f"unknown strategy {strategy!r}")
-
-
-# ---------------------------------------------------------------------------
-# Quadrature cross-check
-
-
-def grid_crosscheck(state, points: int = 512, half_width_sigmas: float = 8.0) -> dict:
-    """Compare analytic normalization/overlap values against grid quadrature."""
-    from .states import biphoton_amplitude, single_amplitude
-
-    report: dict = {"points": points, "half_width_sigmas": half_width_sigmas}
-    if isinstance(state, GaussianSinglePhoton):
-        hw = half_width_sigmas / state.sigma
-        t = np.linspace(state.t_bar - hw, state.t_bar + hw, points)
-        amp = single_amplitude(state, t)
-        norm = float(np.trapezoid(np.abs(amp) ** 2, t))
-        report["norm_error"] = abs(norm - 1.0)
-    elif isinstance(state, GaussianBiphoton):
-        # widen the grid as the correlated Gaussian spreads along t1 +/- t2
-        spread = 1.0 / np.sqrt(1.0 - abs(state.kappa))
-        hw1 = half_width_sigmas * spread / state.sigma1
-        hw2 = half_width_sigmas * spread / state.sigma2
-        t1 = np.linspace(state.t1_bar - hw1, state.t1_bar + hw1, points)
-        t2 = np.linspace(state.t2_bar - hw2, state.t2_bar + hw2, points)
-        T1, T2 = np.meshgrid(t1, t2, indexing="ij")
-        amp = biphoton_amplitude(state, T1, T2)
-        norm = float(np.trapezoid(np.trapezoid(np.abs(amp) ** 2, t2, axis=1), t1))
-        report["norm_error"] = abs(norm - 1.0)
-    else:
-        raise TypeError(f"not a Gaussian state: {state!r}")
-    return report

@@ -32,6 +32,7 @@ __all__ = [
     "single_amplitude",
     "biphoton_amplitude",
     "overlap",
+    "stack_by_base",
     "derivative",
     "derivative_single",
     "derivative_own",
@@ -110,21 +111,30 @@ class AffineState:
     x is t - t_bar for a single-photon base (``c`` has one entry) and
     (t1 - t1_bar, t2 - t2_bar) for a biphoton base (two entries).
     Derivative states of the parametric families are instances of this type.
+    A stack (see ``stack_by_base``) holds k prefactors on one base instead:
+    ``c0`` of shape (k,) and ``c`` of shape (k, d).
     """
 
     base: GaussianSinglePhoton | GaussianBiphoton
-    c0: complex
-    c: tuple[complex, ...]
+    c0: complex | np.ndarray
+    c: tuple[complex, ...] | np.ndarray
 
 
 def _split(state) -> tuple:
-    """(base, c0, c) of a state; a plain Gaussian has prefactor 1."""
+    """(base, p) of a state, p = (c0, c) its prefactor coefficients.
+
+    A plain Gaussian has p = (1, 0, ...); a stack has one row of p per
+    prefactor.
+    """
     if isinstance(state, AffineState):
-        return state.base, state.c0, state.c
+        c0, c = state.c0, state.c
+        if isinstance(c0, np.ndarray):
+            return state.base, np.concatenate((c0[:, None], c), axis=1)
+        return state.base, (c0, *c)
     if isinstance(state, GaussianSinglePhoton):
-        return state, 1.0, (0.0,)
+        return state, (1.0, 0.0)
     if isinstance(state, GaussianBiphoton):
-        return state, 1.0, (0.0, 0.0)
+        return state, (1.0, 0.0, 0.0)
     raise TypeError(f"not a Gaussian state: {state!r}")
 
 
@@ -148,7 +158,7 @@ def biphoton_amplitude(state: GaussianBiphoton, t1, t2) -> complex | np.ndarray:
 # Overlaps
 
 
-def overlap(a, b) -> complex:
+def overlap(a, b) -> complex | np.ndarray:
     """Closed-form inner product <a|b> of (affine x Gaussian) states.
 
     For plain states conj(a) b = n_a n_b exp(-x^T A x + beta . x + gamma),
@@ -158,21 +168,29 @@ def overlap(a, b) -> complex:
     a0 + a . (x - t_a) and b0 + b . (x - t_b) the overlap is then
 
         pref * [(conj(a0) + conj(a) . (mu - t_a)) (b0 + b . (mu - t_b))
-                + conj(a)^T Sigma b].
+                + conj(a)^T Sigma b]
+        = conj(p_a)^T Q p_b,   p = (c0, c),
+        Q = pref * [[1, (mu - t_b)^T], [mu - t_a, (mu - t_a)(mu - t_b)^T + Sigma]].
+
+    Q depends on the two base Gaussians only.  Either side may be a stack
+    from ``stack_by_base`` (k prefactors on one base): Q is then evaluated
+    once and the call returns the whole block of overlaps, shape (k_a, k_b),
+    (k_a,) or (k_b,).  Two single states give a complex number.
     """
-    ga, a0, ac = _split(a)
-    gb, b0, bc = _split(b)
+    ga, pa = _split(a)
+    gb, pb = _split(b)
     if type(ga) is not type(gb):
         raise TypeError("cannot overlap single-photon with biphoton states")
     if isinstance(ga, GaussianSinglePhoton):
-        return _affine_overlap_1d(ga, gb, a0.conjugate(), ac[0].conjugate(), b0, bc[0])
-    return _affine_overlap_2d(
-        ga, gb, a0.conjugate(), ac[0].conjugate(), ac[1].conjugate(), b0, *bc
-    )
+        Q = _moments_1d(ga, gb)
+    else:
+        Q = _moments_2d(ga, gb)
+    block = np.conj(pa).dot(Q).dot(np.transpose(pb))
+    return complex(block) if block.ndim == 0 else block
 
 
-def _affine_overlap_1d(a, b, a0, a1, b0, b1) -> complex:
-    """``overlap`` for single photons; a0 and a1 come conjugated."""
+def _moments_1d(a, b) -> np.ndarray:
+    """``overlap``'s Q for single photons."""
     qa, qb = a.sigma**2, b.sigma**2
     ta, tb = a.t_bar, b.t_bar
     A = qa + qb
@@ -180,11 +198,12 @@ def _affine_overlap_1d(a, b, a0, a1, b0, b1) -> complex:
     gamma = -qa * ta**2 - qb * tb**2 - 1j * (a.omega_bar * ta - b.omega_bar * tb)
     mu = beta / (2.0 * A)
     pref = a.norm * b.norm * cmath.exp(gamma + beta**2 / (4.0 * A)) * math.sqrt(math.pi / A)
-    return complex(pref * ((a0 + a1 * (mu - ta)) * (b0 + b1 * (mu - tb)) + a1 * b1 * 0.5 / A))
+    ma, mb = mu - ta, mu - tb
+    return np.array([[pref, pref * mb], [pref * ma, pref * (ma * mb + 0.5 / A)]])
 
 
-def _affine_overlap_2d(a, b, a0, a1, a2, b0, b1, b2) -> complex:
-    """``overlap`` for biphotons; a0, a1 and a2 come conjugated."""
+def _moments_2d(a, b) -> np.ndarray:
+    """``overlap``'s Q for biphotons."""
     # each amplitude exponent is -(x - t)^T [[p, r], [r, q]] (x - t)
     pa, qa, ra = a.sigma1**2, a.sigma2**2, -a.kappa * a.sigma1 * a.sigma2
     pb, qb, rb = b.sigma1**2, b.sigma2**2, -b.kappa * b.sigma1 * b.sigma2
@@ -214,10 +233,32 @@ def _affine_overlap_2d(a, b, a0, a1, a2, b0, b1, b2) -> complex:
         a.norm * b.norm * cmath.exp(gamma + 0.5 * (beta1 * mu1 + beta2 * mu2))
         * math.pi / math.sqrt(det)
     )
-    ea = a0 + a1 * (mu1 - ta1) + a2 * (mu2 - ta2)
-    eb = b0 + b1 * (mu1 - tb1) + b2 * (mu2 - tb2)
-    cross = a1 * (s11 * b1 + s12 * b2) + a2 * (s12 * b1 + s22 * b2)
-    return complex(pref * (ea * eb + cross))
+    ma1, ma2, mb1, mb2 = mu1 - ta1, mu2 - ta2, mu1 - tb1, mu2 - tb2
+    return np.array([
+        [pref, pref * mb1, pref * mb2],
+        [pref * ma1, pref * (ma1 * mb1 + s11), pref * (ma1 * mb2 + s12)],
+        [pref * ma2, pref * (ma2 * mb1 + s12), pref * (ma2 * mb2 + s22)],
+    ])
+
+
+def stack_by_base(states) -> list[tuple[AffineState, list[int]]]:
+    """Group single states by base Gaussian: one stacked AffineState per base.
+
+    Each stack holds the prefactors of its states in list order (``c0`` of
+    shape (k,), ``c`` of shape (k, d); a plain state has prefactor 1),
+    paired with their positions in ``states``.  Bases are listed in order
+    of first appearance.
+    """
+    groups: dict = {}
+    for i, state in enumerate(states):
+        base, p = _split(state)
+        rows, idx = groups.setdefault(base, ([], []))
+        rows.append(p), idx.append(i)
+    stacks = []
+    for base, (rows, idx) in groups.items():
+        p = np.array(rows, dtype=complex)
+        stacks.append((AffineState(base, p[:, 0], p[:, 1:]), idx))
+    return stacks
 
 
 # ---------------------------------------------------------------------------

@@ -68,22 +68,25 @@ class TestSubspace:
     @pytest.mark.parametrize("strategy, kwargs", STRATEGY_CASES,
                              ids=[s.value for s, _ in STRATEGY_CASES])
     def test_each_distinct_overlap_evaluated_once(self, monkeypatch, strategy, kwargs):
-        # n generators have n(n+1)/2 distinct overlaps; projection, the SLD
-        # solve and the pure-state path all read them from the Gram matrix
+        # every generator is a branch's base Gaussian times an affine
+        # prefactor, so K branches need one stacked overlap per base pair,
+        # K(K+1)/2 in all; projection, the SLD solve and the pure-state path
+        # read theirs from the Gram matrix
         calls = []
         real_overlap = oracle.overlap
 
         def counted(a, b):
-            calls.append((a, b))
+            calls.append((a.base, b.base))
             return real_overlap(a, b)
 
         monkeypatch.setattr(oracle, "overlap", counted)
         model = model_for(strategy, **kwargs)
-        n = 3 * len(model.states)
+        K = len(model.states)
         for pair in (PAIR_A, PAIR_B):
             calls.clear()
             qfi_numeric(model, pair)
-            assert len(calls) == n * (n + 1) // 2
+            assert len(calls) == K * (K + 1) // 2
+            assert len({frozenset(bases) for bases in calls}) == len(calls)
 
 
 class TestPureStates:

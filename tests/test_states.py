@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from qfi_radar.analytic import qfi_entangled
 from qfi_radar.kinematics import ParameterPair
-from qfi_radar.oracle import grid_crosscheck
+from qfi_radar.oracle import build_subspace
 from qfi_radar.states import (
+    AffineState,
     GaussianBiphoton,
     GaussianSinglePhoton,
     biphoton_amplitude,
@@ -26,6 +27,7 @@ from qfi_radar.states import (
     frequency_covariance,
     overlap,
     single_amplitude,
+    stack_by_base,
     time_covariance,
 )
 
@@ -50,6 +52,28 @@ any_singles = st.one_of(
 any_biphotons = st.one_of(biphotons, st.builds(derivative, biphotons, params))
 state_pairs = st.one_of(st.tuples(any_singles, any_singles),
                         st.tuples(any_biphotons, any_biphotons))
+# nonzero prefactor coefficients: magnitude 0.5 to 2, any phase
+coefficients = st.builds(lambda r, phase: r * complex(math.cos(phase), math.sin(phase)),
+                         st.floats(0.5, 2.0), st.floats(-math.pi, math.pi))
+
+
+@st.composite
+def generator_sets(draw):
+    """Two 1-D or two 2-D bases, each carrying 1-3 plain or affine rows."""
+    dim = draw(st.sampled_from((1, 2)))
+    bases = draw(st.lists(single_photons if dim == 1 else biphotons,
+                          min_size=2, max_size=2))
+    sets = []
+    for base in bases:
+        rows = []
+        for _ in range(draw(st.integers(1, 3))):
+            if draw(st.booleans()):
+                rows.append(base)
+            else:
+                c = tuple(draw(coefficients) for _ in range(dim))
+                rows.append(AffineState(base, draw(coefficients), c))
+        sets.append(rows)
+    return sets
 
 
 def shift_single(psi, param, photon_index, eps):
@@ -68,6 +92,25 @@ def shift_biphoton(phi, param, eps):
                                    t2_bar=phi.t2_bar + f2 * eps)
     return dataclasses.replace(phi, omega1_bar=phi.omega1_bar + f1 * eps,
                                omega2_bar=phi.omega2_bar + f2 * eps)
+
+
+def quad_norm_error(state, points=512, half_width_sigmas=8.0):
+    """|1 - <state|state>| by grid quadrature of the amplitude."""
+    if isinstance(state, GaussianSinglePhoton):
+        hw = half_width_sigmas / state.sigma
+        t = np.linspace(state.t_bar - hw, state.t_bar + hw, points)
+        norm = np.trapezoid(np.abs(single_amplitude(state, t)) ** 2, t)
+    else:
+        # widen the grid as the correlated Gaussian spreads along t1 +/- t2
+        spread = 1.0 / np.sqrt(1.0 - abs(state.kappa))
+        hw1 = half_width_sigmas * spread / state.sigma1
+        hw2 = half_width_sigmas * spread / state.sigma2
+        t1 = np.linspace(state.t1_bar - hw1, state.t1_bar + hw1, points)
+        t2 = np.linspace(state.t2_bar - hw2, state.t2_bar + hw2, points)
+        T1, T2 = np.meshgrid(t1, t2, indexing="ij")
+        amp = biphoton_amplitude(state, T1, T2)
+        norm = np.trapezoid(np.trapezoid(np.abs(amp) ** 2, t2, axis=1), t1)
+    return abs(float(norm) - 1.0)
 
 
 def quad_overlap_1d(a, b, points=4001, half_width=12.0):
@@ -102,16 +145,15 @@ class TestNormalization:
         assert np.angle(single_amplitude(psi, 0.5)) == pytest.approx(0.0, abs=1e-15)
 
     def test_single_quadrature_norm(self):
-        report = grid_crosscheck(GaussianSinglePhoton(0.3, 2.0, 1.5))
-        assert report["norm_error"] <= 1e-8
+        assert quad_norm_error(GaussianSinglePhoton(0.3, 2.0, 1.5)) <= 1e-8
 
     def test_biphoton_quadrature_norm(self):
-        report = grid_crosscheck(GaussianBiphoton(0.0, 1.0, 2.0, 3.0, 1.0, 2.0, -0.5))
-        assert report["norm_error"] <= 1e-8
+        state = GaussianBiphoton(0.0, 1.0, 2.0, 3.0, 1.0, 2.0, -0.5)
+        assert quad_norm_error(state) <= 1e-8
 
     def test_biphoton_high_correlation_norm(self):
-        report = grid_crosscheck(GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.9))
-        assert report["norm_error"] <= 1e-6
+        state = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.9)
+        assert quad_norm_error(state) <= 1e-6
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -263,6 +305,37 @@ class TestOverlapKernelProperties:
         fd = (overlap(phi, shift_biphoton(other, param, h))
               - overlap(phi, shift_biphoton(other, param, -h))) / (2.0 * h)
         assert abs(got - fd) <= 1e-7
+
+
+class TestStackedOverlap:
+    @PROPERTY
+    @given(generator_sets())
+    def test_block_matches_scalar_overlaps(self, sets):
+        rows_a, rows_b = sets
+        (stack_a, _), = stack_by_base(rows_a)
+        (stack_b, _), = stack_by_base(rows_b)
+        block = overlap(stack_a, stack_b)
+        assert block.shape == (len(rows_a), len(rows_b))
+        for i, a in enumerate(rows_a):
+            row = overlap(a, stack_b)  # a single state against a stack
+            norm_a = math.sqrt(overlap(a, a).real)
+            for j, b in enumerate(rows_b):
+                scale = norm_a * math.sqrt(overlap(b, b).real)
+                want = overlap(a, b)
+                assert abs(block[i, j] - want) <= 1e-14 * scale
+                assert abs(row[j] - want) <= 1e-14 * scale
+
+    @PROPERTY
+    @given(generator_sets(), st.randoms(use_true_random=False))
+    def test_gram_exactly_hermitian_under_permutation(self, sets, rng):
+        generators = sets[0] + sets[1]
+        perm = list(range(len(generators)))
+        rng.shuffle(perm)
+        gram = build_subspace(generators).gram
+        permuted = build_subspace([generators[k] for k in perm]).gram
+        assert np.array_equal(permuted, permuted.conj().T)
+        scale = np.max(np.abs(gram))
+        assert np.max(np.abs(permuted - gram[np.ix_(perm, perm)])) <= 1e-14 * scale
 
 
 class TestCovariances:
