@@ -19,7 +19,6 @@ from .analytic import (
 from .kinematics import (
     NATURAL_UNITS,
     SCENARIOS,
-    SI_UNITS,
     ParameterPair,
     PhysicalConstants,
     ProbeConfig,

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -109,20 +110,16 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def kappa_grid(cfg: dict) -> list[float]:
     lo, hi, step = cfg["kappa_min"], cfg["kappa_max"], cfg["kappa_step"]
-    if step <= 0:
-        raise UsageError(f"--kappa-step must be positive, got {step}")
+    if not 0.0 < step < math.inf:
+        raise UsageError(f"--kappa-step must be positive and finite, got {step}")
     if not (-1.0 < lo < 1.0 and -1.0 < hi < 1.0):
         raise UsageError("kappa grid must lie inside (-1, 1)")
-    values = []
-    k = lo
-    i = 0
-    while k <= hi + 1e-12:
-        values.append(float(k))
-        i += 1
-        k = lo + i * step
-    if not values:
+    count = math.floor((hi - lo + 1e-12) / step) + 1
+    if count < 1:
         raise UsageError(f"empty kappa grid: min {lo} > max {hi}")
-    return values
+    # each value is the decimal it names (-0.9, not -0.95 + 0.05 = -0.8999999999999999)
+    lo_exact, step_exact = Fraction(repr(lo)), Fraction(repr(step))
+    return [float(lo_exact + i * step_exact) for i in range(count)]
 
 
 def selected_strategies(cfg: dict) -> list[Strategy]:
@@ -350,10 +347,11 @@ def cmd_oracle_check(cfg: dict) -> int:
             "--t-minus and --omega-minus are both 0: the two branches coincide, "
             "so the mixed-state entries are undefined"
         )
+    kappas = kappa_grid(cfg)
     for pair in selected_pairs(cfg):
-        for kappa in kappa_grid(cfg):
+        for kappa in kappas:
             for strategy in selected_strategies(cfg):
-                if strategy is Strategy.TWO_SINGLE_PHOTONS and kappa != kappa_grid(cfg)[0]:
+                if strategy is Strategy.TWO_SINGLE_PHOTONS and kappa != kappas[0]:
                     continue  # no correlation parameter; one row per pair suffices
                 records.extend(
                     adjudicate(

@@ -1,9 +1,9 @@
 """Emission -> reflection -> return transformations for radar photon probes.
 
-All functions are pure and unit-agnostic: pass SI constants for SI inputs,
-or ``NATURAL_UNITS`` (c = 1) for dimensionless work.  Velocities are
-positive for receding targets, so a receding target redshifts the carrier
-by the exact two-way Doppler factor (c - v)/(c + v).
+All functions are pure and unit-agnostic: pass ``PhysicalConstants()`` (SI)
+for SI inputs, or ``NATURAL_UNITS`` (c = 1) for dimensionless work.
+Velocities are positive for receding targets, so a receding target
+redshifts the carrier by the exact two-way Doppler factor (c - v)/(c + v).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "PhysicalConstants",
-    "SI_UNITS",
     "NATURAL_UNITS",
     "Strategy",
     "ParameterPair",
@@ -44,7 +43,6 @@ class PhysicalConstants:
             raise ValueError("speed of light must be positive")
 
 
-SI_UNITS = PhysicalConstants()
 NATURAL_UNITS = PhysicalConstants(c=1.0)
 
 

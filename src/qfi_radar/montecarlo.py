@@ -6,6 +6,11 @@ against the quantum Cramer-Rao floor 1/(N H).  Sampling is chunked with a
 counter-based generator keyed by (seed, chunk index): chunk k of a draw is
 the same for a fixed seed whatever the draw's length, so results are
 bit-identical for a fixed seed and a longer draw extends a shorter one.
+
+The 99% variance interval takes its chi-square quantiles from
+``scipy.special``, which ``estimate_pair`` imports at its first call: scipy is
+needed only for Monte Carlo intervals (``simulate`` and the selftest), and
+importing the package loads nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .analytic import scenario_qcrb_covariance
 from .kinematics import (
@@ -168,10 +172,12 @@ def estimate_pair(
     np.square(values, out=values)
     var = float(np.sum(values)) / (n - 1)
     qcrb = 1.0 / qfi_entry
-    # chi-square quantiles with n - 1 degrees of freedom, as scipy.stats.chi2.ppf
+    # chi-square quantiles with n - 1 degrees of freedom, as scipy.stats.chi2.ppf;
+    # imported here so that scipy loads only where an interval is computed
+    from scipy.special import gammaincinv
+
     df = n - 1
-    lo = df * var / (2.0 * float(special.gammaincinv(df / 2.0, 0.995)))
-    hi = df * var / (2.0 * float(special.gammaincinv(df / 2.0, 0.005)))
+    lo, hi = (df * var / (2.0 * gammaincinv(df / 2.0, (0.995, 0.005)))).tolist()
     return McReport(
         pair=pair,
         domain=domain,

@@ -3,10 +3,16 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from qfi_radar.cli import main
+import qfi_radar
+from qfi_radar import cli
+from qfi_radar.cli import DEFAULTS, kappa_grid, main
 
 ROOT3_2 = math.sqrt(3.0) / 2.0
 
@@ -63,6 +69,19 @@ class TestQfi:
             "--out", str(tmp_path),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("step", ["inf", "nan"])
+    def test_non_finite_step_usage_error(self, step, tmp_path):
+        code = main([
+            "qfi", "--kappa-min", "0", "--kappa-max", "0.5", "--kappa-step", step,
+            "--out", str(tmp_path),
+        ])
+        assert code == 2
+
+    def test_default_kappa_grid_holds_the_decimals_it_names(self):
+        grid = kappa_grid(DEFAULTS)
+        assert grid == [float(Fraction(i - 19, 20)) for i in range(39)]
+        assert repr(grid[1]) == "-0.9"
 
     def test_svg_rejected_for_tables(self, tmp_path):
         code = main(["qfi", "--format", "svg", "--out", str(tmp_path)])
@@ -257,6 +276,60 @@ class TestArithmeticErrors:
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+
+class TestEngineExceptions:
+    """Every exception the engine can raise maps to exit 2 and one error line."""
+
+    @pytest.mark.parametrize("exc", [
+        np.linalg.LinAlgError("Eigenvalues did not converge"),
+        OverflowError("math range error"),
+        ZeroDivisionError("float division by zero"),
+        FloatingPointError("overflow encountered in multiply"),
+        ValueError("negative eigenvalue"),
+    ])
+    def test_exit_2_without_traceback(self, exc, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "qfi_numeric", fail)
+        code = main([
+            "qfi", "--kappa-min", "0", "--kappa-max", "0", "--kappa-step", "1",
+            "--out", str(tmp_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
+# Runs the four subcommands that need no Monte Carlo interval in a fresh
+# interpreter and prints the top-level modules they loaded beyond those
+# already loaded at interpreter start, leaving out the Cython runtime
+# modules that numpy.random's compiled extensions register.
+IMPORT_GUARD = """
+import sys
+before = set(sys.modules)
+from qfi_radar.cli import main
+for command in ("qfi", "curves", "oracle-check", "scenario"):
+    if main([command, "--out", sys.argv[1]]) != 0:
+        sys.exit(f"{command} failed")
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+allowed = set(sys.stdlib_module_names) | {"numpy", "qfi_radar", "cython_runtime"}
+print(sorted(name for name in loaded - allowed if not name.startswith("_cython_")))
+"""
+
+
+def test_cli_loads_only_stdlib_numpy_and_package(tmp_path):
+    src = os.path.dirname(os.path.dirname(qfi_radar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 class TestConfigFile:

@@ -7,7 +7,6 @@ import pytest
 
 from qfi_radar.kinematics import (
     NATURAL_UNITS,
-    SI_UNITS,
     ParameterPair,
     PhysicalConstants,
     ProbeConfig,
@@ -38,8 +37,8 @@ class TestDoppler:
         assert doppler_factor(-0.5) == pytest.approx(3.0, abs=1e-14)
 
     def test_si_units(self):
-        v = 0.5 * SI_UNITS.c
-        assert doppler_factor(v, SI_UNITS) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        si = PhysicalConstants()
+        assert doppler_factor(0.5 * si.c, si) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_superluminal_rejected(self):
         with pytest.raises(ValueError):

@@ -279,11 +279,27 @@ class TestScenarios:
             run_scenario("multibody", targets, qi_probe, 100, 0)
 
 
-def test_cli_import_skips_scipy_stats():
+# The first interval in a fresh interpreter loads scipy.special and equals
+# scipy.stats.chi2.ppf bit for bit; importing the package loads no scipy.
+FIRST_INTERVAL = """
+import sys
+import numpy as np
+from qfi_radar import ParameterPair, estimate_pair
+assert "scipy" not in sys.modules, "importing qfi_radar loaded scipy"
+samples = np.random.default_rng(5).standard_normal((1001, 2))
+rep = estimate_pair(samples, ParameterPair.TIME_SUM_FREQ_DIFF, "time", 1.0)
+assert "scipy.special" in sys.modules
+from scipy import stats
+want = (1000 * rep.variance / stats.chi2.ppf(0.995, 1000),
+        1000 * rep.variance / stats.chi2.ppf(0.005, 1000))
+assert rep.variance_interval_99 == want, (rep.variance_interval_99, want)
+"""
+
+
+def test_first_interval_loads_scipy():
     src = os.path.dirname(os.path.dirname(qfi_radar.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", "import qfi_radar.cli, sys; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+        [sys.executable, "-c", FIRST_INTERVAL], capture_output=True, text=True, env=env,
     )
-    assert out.stdout.strip() == "False"
+    assert out.returncode == 0, out.stderr
