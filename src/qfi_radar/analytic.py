@@ -11,12 +11,12 @@ authoritative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .kinematics import ParameterPair, Strategy
-from .oracle import model_for, pair_param_names, qfi_numeric
+from .kinematics import ParameterPair, Strategy, SumDiffParams
+from .oracle import model_for, qfi_numeric
 
 __all__ = [
     "QfiResult",
@@ -164,7 +164,8 @@ def scenario_qcrb_covariance(
             cov[block, block] = [[a + b, b - a], [b - a, a + b]]
     elif strategy is Strategy.ENTANGLED_BIPHOTON:
         H = qfi_entangled(sigma1, sigma2, kappa, pair).H
-        i, j = (0, 3) if pair is ParameterPair.TIME_SUM_FREQ_DIFF else (1, 2)
+        names = [f.name for f in fields(SumDiffParams)]
+        i, j = (names.index(name) for name in pair.param_names)
         cov[i, i], cov[j, j] = 1.0 / H[0, 0], 1.0 / H[1, 1]
     else:
         raise ValueError(f"no scenario QCRB for {strategy!r}")
@@ -201,7 +202,6 @@ def adjudicate(
     For the entangled strategy the exact closed form plays the published role
     and additionally carries the pure-path/SLD-path internal-consistency gap.
     """
-    param_names = pair_param_names(pair)
     base_params = {
         "sigma": sigma,
         "kappa": kappa,
@@ -223,12 +223,13 @@ def adjudicate(
         )
         oracle = qfi_numeric(model, pair)
         published = published_mixed_qfi(strategy, pair, sigma, t_minus, omega_minus, kappa)
-        if model.trace == 1.0 and strategy is Strategy.QUANTUM_ILLUMINATION:
+        if strategy is Strategy.QUANTUM_ILLUMINATION:
+            # the engine's QI trace is 1; the published forms are photon-counted
             published = published / 2.0
         pure_diff = None
 
     records = []
-    for idx, name in enumerate(param_names):
+    for idx, name in enumerate(pair.param_names):
         paper_value = float(published[idx, idx])
         oracle_value = float(oracle.H[idx, idx])
         rel = abs(paper_value - oracle_value) / abs(oracle_value)

@@ -46,9 +46,6 @@ EXIT_CHECK = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-ALL_STRATEGIES = [s.value for s in Strategy]
-ALL_PAIRS = [p.value for p in ParameterPair]
-
 DEFAULTS = {
     "kappa_min": -0.95,
     "kappa_max": 0.95,
@@ -82,12 +79,17 @@ def fmt(x) -> str:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge flag values over config-file values over defaults."""
-    merged = dict(DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
+    """Merge flag values over config-file values over defaults.
+
+    Only the settings the subcommand reads are merged.  Each value must have
+    its default's type (an int counts as a float; a bool counts as neither),
+    a float must be finite, and a value with choices must be one of them.
+    """
+    settings = COMMANDS[args.command][2]
+    merged = {key: DEFAULTS[key] for key in settings}
+    if args.config:
         try:
-            with open(config_path, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 raw = fh.read()
         except OSError as exc:
             raise OSError(f"cannot read config file: {exc}") from exc
@@ -98,20 +100,32 @@ def _resolve(args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a flat JSON object")
         for key, value in loaded.items():
-            if key not in DEFAULTS:
-                raise UsageError(f"unknown config key {key!r}")
+            if key not in merged:
+                raise UsageError(f"unknown config key {key!r} for {args.command}")
             merged[key] = value
-    for key in DEFAULTS:
-        flag_value = getattr(args, key, None)
+    for key in settings:
+        flag_value = getattr(args, key)
         if flag_value is not None:
             merged[key] = flag_value
+    for key, value in merged.items():
+        kind = type(DEFAULTS[key])
+        allowed = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise UsageError(f"{key} must be {kind.__name__}, got {value!r}")
+        if kind is float:
+            value = merged[key] = float(value)
+            if not math.isfinite(value):
+                raise UsageError(f"{key} must be finite, got {value!r}")
+        choices = _choices(args.command, key)
+        if choices is not None and value not in choices:
+            raise UsageError(f"{key} must be one of {choices}, got {value!r}")
     return merged
 
 
 def kappa_grid(cfg: dict) -> list[float]:
     lo, hi, step = cfg["kappa_min"], cfg["kappa_max"], cfg["kappa_step"]
-    if not 0.0 < step < math.inf:
-        raise UsageError(f"--kappa-step must be positive and finite, got {step}")
+    if step <= 0:
+        raise UsageError(f"--kappa-step must be positive, got {step}")
     if not (-1.0 < lo < 1.0 and -1.0 < hi < 1.0):
         raise UsageError("kappa grid must lie inside (-1, 1)")
     count = math.floor((hi - lo + 1e-12) / step) + 1
@@ -124,22 +138,12 @@ def kappa_grid(cfg: dict) -> list[float]:
 
 def selected_strategies(cfg: dict) -> list[Strategy]:
     name = cfg["strategy"]
-    if name == "all":
-        return list(Strategy)
-    try:
-        return [Strategy(name)]
-    except ValueError:
-        raise UsageError(f"unknown strategy {name!r}; choose from {ALL_STRATEGIES + ['all']}")
+    return list(Strategy) if name == "all" else [Strategy(name)]
 
 
 def selected_pairs(cfg: dict) -> list[ParameterPair]:
     name = cfg["pair"]
-    if name == "both":
-        return list(ParameterPair)
-    try:
-        return [ParameterPair(name)]
-    except ValueError:
-        raise UsageError(f"unknown pair {name!r}; choose from {ALL_PAIRS + ['both']}")
+    return list(ParameterPair) if name == "both" else [ParameterPair(name)]
 
 
 def _outdir(cfg: dict) -> str:
@@ -256,14 +260,12 @@ def _compat_residual(strategy: Strategy, pair: ParameterPair, kappa: float, sigm
 
 
 def cmd_qfi(cfg: dict) -> int:
-    if cfg["format"] == "svg":
-        raise UsageError("qfi emits tables; use --format csv or json (svg is for curves)")
     rows = []
     records = []
     for strategy in selected_strategies(cfg):
         for pair in selected_pairs(cfg):
             for kappa in kappa_grid(cfg):
-                sigma = float(cfg["sigma"])
+                sigma = cfg["sigma"]
                 h11, h22 = asymptotic_H(strategy, pair, kappa, sigma)
                 bound = 1.0 / math.sqrt(h11 * h22)
                 residual = _compat_residual(strategy, pair, kappa, sigma)
@@ -338,9 +340,7 @@ def cmd_curves(cfg: dict) -> int:
 
 def cmd_oracle_check(cfg: dict) -> int:
     records = []
-    sigma = float(cfg["sigma"])
-    t_minus = float(cfg["t_minus"])
-    omega_minus = float(cfg["omega_minus"])
+    sigma, t_minus, omega_minus = cfg["sigma"], cfg["t_minus"], cfg["omega_minus"]
     mixed = any(s is not Strategy.ENTANGLED_BIPHOTON for s in selected_strategies(cfg))
     if mixed and t_minus == 0.0 and omega_minus == 0.0:
         raise UsageError(
@@ -373,9 +373,7 @@ def cmd_oracle_check(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    sigma = float(cfg["sigma"])
-    n = int(cfg["n"])
-    seed = int(cfg["seed"])
+    sigma, n, seed = cfg["sigma"], cfg["n"], cfg["seed"]
     if n < 2:
         raise UsageError("--n must be at least 2")
     strategies = [
@@ -438,27 +436,22 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_scenario(cfg: dict) -> int:
     scenario = cfg["scenario"]
-    if scenario not in SCENARIOS:
-        raise UsageError(f"unknown scenario {scenario!r}")
     strategy_name = cfg["strategy"]
     strategy = (
         Strategy.ENTANGLED_BIPHOTON if strategy_name == "all" else Strategy(strategy_name)
     )
-    v1, v2 = float(cfg["v1"]), float(cfg["v2"])
+    v1, v2 = cfg["v1"], cfg["v2"]
     if scenario == "moving_object" and v1 != v2:
         raise UsageError("moving_object assumes a rigid body: --v1 must equal --v2")
     probe = ProbeConfig(
-        omega0=float(cfg["omega0"]),
-        sigma0=float(cfg["sigma"]),
-        kappa=float(cfg["kappa"]),
-        strategy=strategy,
+        omega0=cfg["omega0"], sigma0=cfg["sigma"], kappa=cfg["kappa"], strategy=strategy,
     )
     report = run_scenario(
         scenario,
-        (Target(float(cfg["r1"]), v1), Target(float(cfg["r2"]), v2)),
+        (Target(cfg["r1"], v1), Target(cfg["r2"], v2)),
         probe,
-        int(cfg["n"]),
-        int(cfg["seed"]),
+        cfg["n"],
+        cfg["seed"],
         NATURAL_UNITS,
     )
     out = _outdir(cfg)
@@ -476,7 +469,7 @@ def cmd_scenario(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(cfg: dict, as_json: bool) -> int:
+def cmd_selftest(as_json: bool) -> int:
     if as_json:
         code, records = run_selftest(emit=None)
         print(json.dumps(records, indent=2))
@@ -489,18 +482,43 @@ def cmd_selftest(cfg: dict, as_json: bool) -> int:
 # argument parsing
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="flat JSON config file; flags take precedence")
-    sp.add_argument("--out", help="output directory (default: current directory)")
-    sp.add_argument("--format", choices=["csv", "json", "svg"], dest="format")
-    sp.add_argument("--kappa-min", type=float, dest="kappa_min")
-    sp.add_argument("--kappa-max", type=float, dest="kappa_max")
-    sp.add_argument("--kappa-step", type=float, dest="kappa_step")
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--strategy", choices=ALL_STRATEGIES + ["all"])
-    sp.add_argument("--pair", choices=ALL_PAIRS + ["both"])
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--seed", type=int)
+_GRID = ("kappa_min", "kappa_max", "kappa_step")
+
+# subcommand -> (runner, help, the settings it reads): it registers a flag
+# and accepts a config key for these settings only
+COMMANDS = {
+    "qfi": (cmd_qfi, "information-matrix table over a kappa grid",
+            (*_GRID, "sigma", "strategy", "pair", "out", "format")),
+    "curves": (cmd_curves, "uncertainty-product floors vs kappa",
+               (*_GRID, "pair", "out", "format")),
+    "oracle-check": (cmd_oracle_check, "adjudicate closed forms against the engine",
+                     (*_GRID, "sigma", "strategy", "pair", "t_minus", "omega_minus", "out")),
+    "simulate": (cmd_simulate, "Monte Carlo QCRB saturation campaign",
+                 (*_GRID, "sigma", "strategy", "pair", "n", "seed", "out", "format")),
+    "scenario": (cmd_scenario, "end-to-end radar estimation",
+                 ("scenario", "r1", "r2", "v1", "v2", "omega0", "sigma", "kappa", "strategy",
+                  "n", "seed", "out")),
+}
+
+# the formats each subcommand writes
+FORMATS = {"qfi": ["csv", "json"], "curves": ["csv", "json", "svg"], "simulate": ["csv", "json"]}
+
+CHOICES = {
+    "strategy": [s.value for s in Strategy] + ["all"],
+    "pair": [p.value for p in ParameterPair] + ["both"],
+    "scenario": list(SCENARIOS),
+}
+
+HELP = {
+    "out": "output directory (default: current directory)",
+    "t_minus": "branch time separation for mixed-state verdicts",
+    "omega_minus": "branch frequency separation for mixed-state verdicts",
+    "kappa": "probe time correlation",
+}
+
+
+def _choices(command: str, key: str) -> list | None:
+    return FORMATS[command] if key == "format" else CHOICES.get(key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,33 +527,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum Fisher information toolkit for two-photon Doppler radar.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(sub.add_parser("qfi", help="information-matrix table over a kappa grid"))
-    _add_common(sub.add_parser("curves", help="uncertainty-product floors vs kappa"))
-
-    sp = sub.add_parser("oracle-check", help="adjudicate closed forms against the engine")
-    _add_common(sp)
-    sp.add_argument("--t-minus", type=float, dest="t_minus",
-                    help="branch time separation for mixed-state verdicts")
-    sp.add_argument("--omega-minus", type=float, dest="omega_minus",
-                    help="branch frequency separation for mixed-state verdicts")
-
-    _add_common(sub.add_parser("simulate", help="Monte Carlo QCRB saturation campaign"))
-
-    sp = sub.add_parser("scenario", help="end-to-end radar estimation")
-    _add_common(sp)
-    sp.add_argument("--scenario", choices=list(SCENARIOS))
-    sp.add_argument("--r1", type=float)
-    sp.add_argument("--r2", type=float)
-    sp.add_argument("--v1", type=float)
-    sp.add_argument("--v2", type=float)
-    sp.add_argument("--omega0", type=float)
-    sp.add_argument("--kappa", type=float, help="probe time correlation")
+    for command, (_run, help_text, settings) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.add_argument("--config", help="flat JSON config file; flags take precedence")
+        for key in settings:
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=type(DEFAULTS[key]),
+                            choices=_choices(command, key), help=HELP.get(key))
 
     sp = sub.add_parser("selftest", help="run the built-in acceptance suite")
     sp.add_argument("--json", action="store_true", help="emit machine-readable results")
-    sp.add_argument("--config", help=argparse.SUPPRESS)
-
     return parser
 
 
@@ -543,20 +543,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve(args)
-        if args.command == "qfi":
-            return cmd_qfi(cfg)
-        if args.command == "curves":
-            return cmd_curves(cfg)
-        if args.command == "oracle-check":
-            return cmd_oracle_check(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "scenario":
-            return cmd_scenario(cfg)
         if args.command == "selftest":
-            return cmd_selftest(cfg, getattr(args, "json", False))
-        parser.error(f"unknown command {args.command!r}")
+            return cmd_selftest(args.json)
+        return COMMANDS[args.command][0](_resolve(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -571,7 +560,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK
 
 
 if __name__ == "__main__":

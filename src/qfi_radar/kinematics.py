@@ -72,6 +72,13 @@ class ParameterPair(enum.Enum):
     TIME_SUM_FREQ_DIFF = "time_sum_freq_diff"
     TIME_DIFF_FREQ_SUM = "time_diff_freq_sum"
 
+    @property
+    def param_names(self) -> tuple[str, str]:
+        """The pair's (time, frequency) parameters, as ``SumDiffParams`` fields."""
+        if self is ParameterPair.TIME_SUM_FREQ_DIFF:
+            return ("t_plus", "omega_minus")
+        return ("t_minus", "omega_plus")
+
 
 @dataclass(frozen=True)
 class Target:

@@ -11,9 +11,7 @@ referee for the analytic formulas.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,25 +34,15 @@ __all__ = [
     "MixedModel",
     "OracleResult",
     "build_subspace",
-    "coords",
     "project",
     "sld_solve",
     "qfi_numeric",
-    "entangled_model",
-    "single_photon_model",
-    "quantum_illumination_model",
     "model_for",
-    "pair_param_names",
 ]
 
+# relative to the largest Gram eigenvalue: smaller eigenpairs leave the basis
 DEFAULT_DROP_TOL = 1e-12
 SUPPORT_TOL = 1e-12
-
-
-def pair_param_names(pair: ParameterPair) -> tuple[str, str]:
-    if pair is ParameterPair.TIME_SUM_FREQ_DIFF:
-        return ("t_plus", "omega_minus")
-    return ("t_minus", "omega_plus")
 
 
 @dataclass
@@ -70,7 +58,6 @@ class SubspaceBasis:
     gram: np.ndarray
     transform: np.ndarray
     dim: int
-    drop_tol: float
 
 
 @dataclass
@@ -88,18 +75,17 @@ class ProjectedState:
 class MixedModel:
     """A strategy instance: weighted branches plus their parameter dependence.
 
-    ``deriv(i, param)`` returns the analytic derivative of branch ``i``'s
-    ket with respect to a sum/difference parameter; ``shifted(param, eps)``
-    returns the same model with that parameter displaced, for
-    finite-difference cross-checks.
+    ``derivs[param][i]`` is the analytic derivative of branch ``i``'s ket
+    with respect to the sum/difference parameter ``param``.  ``args`` holds
+    the keyword arguments ``model_for`` built the model from, so the
+    finite-difference reference can rebuild it with one parameter displaced.
     """
 
     strategy: Strategy
     weights: tuple[float, ...]
     states: tuple
-    deriv: Callable[[int, str], AffineState]
-    shifted: Callable[[str, float], "MixedModel"]
-    trace: float = 1.0
+    derivs: dict[str, tuple[AffineState, ...]]
+    args: dict[str, float]
 
 
 @dataclass
@@ -121,7 +107,7 @@ class OracleResult:
         return 1.0 / np.sqrt(self.H[0, 0] * self.H[1, 1])
 
 
-def build_subspace(generators: list, drop_tol: float = DEFAULT_DROP_TOL) -> SubspaceBasis:
+def build_subspace(generators: list) -> SubspaceBasis:
     """Orthonormalize a generator list via the eigenbasis of its Gram matrix.
 
     The Gram matrix takes one ``overlap`` call per pair of distinct base
@@ -158,37 +144,27 @@ def build_subspace(generators: list, drop_tol: float = DEFAULT_DROP_TOL) -> Subs
     evals, evecs = evals[::-1], evecs[:, ::-1]
     if evals[0] <= 0:
         raise ArithmeticError("Gram matrix is numerically non-positive")
-    if evals[-1] < -10.0 * drop_tol * evals[0]:
+    if evals[-1] < -10.0 * DEFAULT_DROP_TOL * evals[0]:
         raise ArithmeticError("Gram matrix conditioning failure: negative eigenvalue")
     # descending, so the retained eigenpairs are a leading slice
-    keep = int(np.count_nonzero(evals > drop_tol * evals[0]))
+    keep = int(np.count_nonzero(evals > DEFAULT_DROP_TOL * evals[0]))
     evals, evecs = evals[:keep], evecs[:, :keep]
 
     first = evecs[np.argmax(np.abs(evecs) > 1e-8, axis=0), np.arange(evecs.shape[1])]
     evecs = evecs / (first / np.abs(first))
 
     transform = evecs / np.sqrt(evals)
-    return SubspaceBasis(list(generators), gram, transform, transform.shape[1], drop_tol)
-
-
-def coords(basis: SubspaceBasis, state) -> np.ndarray:
-    """Coefficient vector <e_k|state> for a state expressible in the subspace.
-
-    A generator's overlaps with the basis are a column of the Gram matrix;
-    a state outside the generator list takes one stacked ``overlap`` call
-    per generator base.
-    """
-    try:
-        g = basis.gram[:, basis.generators.index(state)]
-    except ValueError:
-        g = np.empty(len(basis.generators), dtype=complex)
-        for stack, idx in stack_by_base(basis.generators):
-            g[idx] = overlap(stack, state)
-    return basis.transform.conj().T @ g
+    return SubspaceBasis(list(generators), gram, transform, transform.shape[1])
 
 
 def _rho_matrix(basis: SubspaceBasis, weights, states) -> np.ndarray:
-    V = np.stack([coords(basis, st) for st in states], axis=1)
+    """sum_k w_k |k><k| in the subspace basis, from one stacked ``overlap``
+    call per generator base and branch ket."""
+    G = np.empty((len(basis.generators), len(states)), dtype=complex)
+    for stack, idx in stack_by_base(basis.generators):
+        for k, state in enumerate(states):
+            G[idx, k] = overlap(stack, state)
+    V = basis.transform.conj().T @ G
     return (V * np.asarray(weights)) @ V.conj().T
 
 
@@ -204,15 +180,15 @@ def project(
     Analytic derivatives: the coordinates of every branch ket and derivative
     state are Gram columns, taken at once as T^H G[:, idx], and rho and both
     d(rho) come from one batched product.  With ``fd_step`` set, derivatives
-    come from central differences of the branch parameters instead; the
-    projection residual ||(1-P) d(rho)||_HS is then reported exactly from
-    pairwise Gaussian overlaps.
+    come from central differences of the model rebuilt by ``model_for`` at
+    each displaced parameter instead; the projection residual
+    ||(1-P) d(rho)||_HS is then reported exactly from pairwise Gaussian
+    overlaps.
     """
     if fd_step is None:
         index = basis.generators.index
         K = len(model.states)
-        idx = [index(st) for st in model.states]
-        idx += [index(model.deriv(i, p)) for p in (param_a, param_b) for i in range(K)]
+        idx = [index(st) for st in (*model.states, *model.derivs[param_a], *model.derivs[param_b])]
         # C[0] holds the branch coordinates, C[1] and C[2] their derivatives
         C = basis.transform.conj().T @ basis.gram.take(idx, 1)
         C = C.reshape(basis.dim, 3, K).transpose(1, 0, 2)
@@ -225,8 +201,8 @@ def project(
     drhos = []
     residuals = []
     for param in (param_a, param_b):
-        plus = model.shifted(param, +fd_step)
-        minus = model.shifted(param, -fd_step)
+        plus = _displaced(model, param, +fd_step)
+        minus = _displaced(model, param, -fd_step)
         Rp = _rho_matrix(basis, plus.weights, plus.states)
         Rm = _rho_matrix(basis, minus.weights, minus.states)
         dR = (Rp - Rm) / (2.0 * fd_step)
@@ -284,38 +260,34 @@ def _pure_fast_path(
     """
     index = basis.generators.index
     psi = index(model.states[0])
-    ds = [index(model.deriv(0, param_a)), index(model.deriv(0, param_b))]
+    ds = [index(model.derivs[param_a][0]), index(model.derivs[param_b][0])]
     G = basis.gram
     v = G[ds, psi]
-    return model.trace * 4.0 * np.real(G[np.ix_(ds, ds)] - np.outer(v, v.conj()))
+    return model.weights[0] * 4.0 * np.real(G[np.ix_(ds, ds)] - np.outer(v, v.conj()))
 
 
 def qfi_numeric(
     model: MixedModel,
     pair: ParameterPair,
     *,
-    derivative_mode: str = "analytic",
-    fd_step: float = 1e-5,
-    drop_tol: float = DEFAULT_DROP_TOL,
+    fd_step: float | None = None,
     reverse_generators: bool = False,
 ) -> OracleResult:
     """Full numerical QFI for a strategy instance and estimator pair.
 
+    ``fd_step`` set takes d(rho) from central differences of the rebuilt
+    model instead of the analytic derivative states (see ``project``).
     ``reverse_generators`` feeds the subspace builder the generator list in
     reverse; the result must be invariant, which makes it a cheap
     orthonormalization self-check.
     """
-    param_a, param_b = pair_param_names(pair)
-    generators = list(model.states)
-    for param in (param_a, param_b):
-        for i in range(len(model.states)):
-            generators.append(model.deriv(i, param))
+    param_a, param_b = pair.param_names
+    generators = [*model.states, *model.derivs[param_a], *model.derivs[param_b]]
     if reverse_generators:
         generators.reverse()
-    basis = build_subspace(generators, drop_tol)
+    basis = build_subspace(generators)
 
-    step = fd_step if derivative_mode == "fd" else None
-    projected = project(model, basis, param_a, param_b, fd_step=step)
+    projected = project(model, basis, param_a, param_b, fd_step)
     L_a, L_b, lam, _U = sld_solve(projected)
 
     # X_ab = Tr(rho L_a L_b): H is its symmetric real part and the
@@ -326,7 +298,7 @@ def qfi_numeric(
     compat = float(abs(X[0, 1] - X[1, 0]))
 
     pure_H = None
-    if len(model.states) == 1 and derivative_mode == "analytic":
+    if len(model.states) == 1 and fd_step is None:
         pure_H = _pure_fast_path(model, basis, param_a, param_b)
 
     return OracleResult(
@@ -342,127 +314,11 @@ def qfi_numeric(
     )
 
 
-# ---------------------------------------------------------------------------
-# Strategy model factories
 
 
-def _pair_model(
-    strategy: Strategy,
-    trace: float,
-    branches: Callable,
-    t_plus: float,
-    t_minus: float,
-    omega_plus: float,
-    omega_minus: float,
-) -> MixedModel:
-    """Equal-weight model over ``branches(t1, t2, omega1, omega2)``.
-
-    ``branches`` maps the two photons' centers and carriers, from
-    t1 = (t_plus - t_minus)/2, t2 = (t_plus + t_minus)/2 and likewise for
-    the carriers, to (states, deriv).  ``shifted`` rebuilds the model with
-    one sum/difference parameter displaced.  Each derivative state is built
-    once per model, so the engine finds it in its generator list by
-    identity.
-    """
-    params = {"t_plus": t_plus, "t_minus": t_minus,
-              "omega_plus": omega_plus, "omega_minus": omega_minus}
-    states, deriv = branches(
-        (t_plus - t_minus) / 2.0, (t_plus + t_minus) / 2.0,
-        (omega_plus - omega_minus) / 2.0, (omega_plus + omega_minus) / 2.0,
-    )
-
-    def shifted(param, eps):
-        return _pair_model(strategy, trace, branches, **{**params, param: params[param] + eps})
-
-    w = trace / len(states)
-    return MixedModel(strategy, (w,) * len(states), states, functools.cache(deriv),
-                      shifted, trace)
-
-
-def entangled_model(
-    sigma1: float,
-    sigma2: float,
-    kappa: float,
-    *,
-    t_plus: float = 0.0,
-    t_minus: float = 0.0,
-    omega_plus: float = 2.0,
-    omega_minus: float = 0.0,
-) -> MixedModel:
-    """Pure returned biphoton probe."""
-
-    def branches(t1, t2, w1, w2):
-        state = GaussianBiphoton(t1, t2, w1, w2, sigma1, sigma2, kappa)
-        return (state,), lambda i, param: derivative(state, param)
-
-    return _pair_model(Strategy.ENTANGLED_BIPHOTON, 1.0, branches,
-                       t_plus, t_minus, omega_plus, omega_minus)
-
-
-def single_photon_model(
-    sigma1: float,
-    sigma2: float,
-    *,
-    t_minus: float,
-    omega_minus: float,
-    t_plus: float = 0.0,
-    omega_plus: float = 2.0,
-    trace_convention: str = "photon_counted",
-) -> MixedModel:
-    """Incoherent mixture of two returned single photons.
-
-    The photon-counted convention (trace 2, one unit per photon) is the one
-    whose information matrix has the 2 sigma^2 asymptote; the normalized
-    convention halves everything.
-    """
-    trace = 2.0 if trace_convention == "photon_counted" else 1.0
-
-    def branches(t1, t2, w1, w2):
-        psis = (GaussianSinglePhoton(t1, w1, sigma1), GaussianSinglePhoton(t2, w2, sigma2))
-        return psis, lambda i, param: derivative_single(psis[i], param, i + 1)
-
-    return _pair_model(Strategy.TWO_SINGLE_PHOTONS, trace, branches,
-                       t_plus, t_minus, omega_plus, omega_minus)
-
-
-def quantum_illumination_model(
-    sigma: float,
-    kappa: float,
-    *,
-    t_minus: float,
-    omega_minus: float,
-    t_plus: float = 0.0,
-    omega_plus: float = 2.0,
-    idler_t: float = 0.0,
-    idler_omega: float = 1.0,
-    idler_sigma: float | None = None,
-    trace_convention: str = "normalized",
-) -> MixedModel:
-    """Two signal-idler pairs; each branch keeps its idler untouched.
-
-    Branch i is a biphoton whose signal coordinate carries the returned
-    (t_bar_i, omega_bar_i) while the idler coordinate stays at the emission
-    parameters, so only the signal half responds to the estimated pair.
-    """
-    s_idler = sigma if idler_sigma is None else idler_sigma
-    trace = 1.0 if trace_convention == "normalized" else 2.0
-
-    def branches(t1, t2, w1, w2):
-        states = tuple(
-            GaussianBiphoton(t, idler_t, w, idler_omega, sigma, s_idler, kappa)
-            for t, w in ((t1, w1), (t2, w2))
-        )
-
-        def deriv(i, param):
-            # branch i is photon i + 1 of the pair parameters' chain rule;
-            # they act on its signal center and carrier only
-            kind, *factors = _PAIR_CHAIN[param]
-            return _d_biphoton(states[i], kind, factors[i], 0.0)
-
-        return states, deriv
-
-    return _pair_model(Strategy.QUANTUM_ILLUMINATION, trace, branches,
-                       t_plus, t_minus, omega_plus, omega_minus)
+def _displaced(model: MixedModel, param: str, eps: float) -> MixedModel:
+    """The same model rebuilt with one sum/difference parameter moved by eps."""
+    return model_for(model.strategy, **{**model.args, param: model.args[param] + eps})
 
 
 def model_for(
@@ -475,25 +331,44 @@ def model_for(
     omega_minus: float = 0.0,
     t_plus: float = 0.0,
     omega_plus: float = 2.0,
-    trace_convention: str | None = None,
 ) -> MixedModel:
-    """Build the strategy's MixedModel with its default trace convention."""
+    """The returned state of a strategy's probe, as equally weighted branches.
+
+    The photons return at t1 = (t_plus - t_minus)/2, t2 = (t_plus + t_minus)/2
+    with carriers likewise.  The entangled biphoton is one pure branch
+    (trace 1).  Two single photons are an incoherent mixture, photon-counted
+    (trace 2, one unit per photon): the convention whose information matrix
+    has the 2 sigma^2 asymptote.  Quantum illumination is two signal-idler
+    pairs, normalized (trace 1): branch i's signal carries photon i's
+    return while its idler stays at center 0, carrier 1 and bandwidth
+    sigma1, so only the signal half responds to the estimated pair.
+    ``sigma2`` defaults to ``sigma1``; quantum illumination does not read it.
+
+    Every derivative state is built here, once per model, so the engine
+    finds it in its generator list by identity.
+    """
     s2 = sigma1 if sigma2 is None else sigma2
+    args = {"sigma1": sigma1, "sigma2": s2, "kappa": kappa, "t_plus": t_plus,
+            "t_minus": t_minus, "omega_plus": omega_plus, "omega_minus": omega_minus}
+    t1, t2 = (t_plus - t_minus) / 2.0, (t_plus + t_minus) / 2.0
+    w1, w2 = (omega_plus - omega_minus) / 2.0, (omega_plus + omega_minus) / 2.0
     if strategy is Strategy.ENTANGLED_BIPHOTON:
-        return entangled_model(
-            sigma1, s2, kappa, t_plus=t_plus, t_minus=t_minus,
-            omega_plus=omega_plus, omega_minus=omega_minus,
-        )
-    if strategy is Strategy.TWO_SINGLE_PHOTONS:
-        return single_photon_model(
-            sigma1, s2, t_minus=t_minus, omega_minus=omega_minus,
-            t_plus=t_plus, omega_plus=omega_plus,
-            trace_convention=trace_convention or "photon_counted",
-        )
-    if strategy is Strategy.QUANTUM_ILLUMINATION:
-        return quantum_illumination_model(
-            sigma1, kappa, t_minus=t_minus, omega_minus=omega_minus,
-            t_plus=t_plus, omega_plus=omega_plus,
-            trace_convention=trace_convention or "normalized",
-        )
-    raise ValueError(f"unknown strategy {strategy!r}")
+        trace = 1.0
+        states = (GaussianBiphoton(t1, t2, w1, w2, sigma1, s2, kappa),)
+        derivs = {p: (derivative(states[0], p),) for p in _PAIR_CHAIN}
+    elif strategy is Strategy.TWO_SINGLE_PHOTONS:
+        trace = 2.0
+        states = (GaussianSinglePhoton(t1, w1, sigma1), GaussianSinglePhoton(t2, w2, s2))
+        derivs = {p: tuple(derivative_single(psi, p, i + 1) for i, psi in enumerate(states))
+                  for p in _PAIR_CHAIN}
+    elif strategy is Strategy.QUANTUM_ILLUMINATION:
+        trace = 1.0
+        states = tuple(GaussianBiphoton(t, 0.0, w, 1.0, sigma1, sigma1, kappa)
+                       for t, w in ((t1, w1), (t2, w2)))
+        # branch i is photon i + 1 of the chain rule, on its signal only
+        derivs = {p: tuple(_d_biphoton(st, kind, f, 0.0) for st, f in zip(states, factors))
+                  for p, (kind, *factors) in _PAIR_CHAIN.items()}
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    w = trace / len(states)
+    return MixedModel(strategy, (w,) * len(states), states, derivs, args)

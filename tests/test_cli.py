@@ -84,8 +84,9 @@ class TestQfi:
         assert repr(grid[1]) == "-0.9"
 
     def test_svg_rejected_for_tables(self, tmp_path):
-        code = main(["qfi", "--format", "svg", "--out", str(tmp_path)])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["qfi", "--format", "svg", "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
 
 class TestCurves:
@@ -378,6 +379,56 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"sigmah": 2.0}))
         code = main(["qfi", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
+
+
+class TestSettingChecks:
+    @pytest.mark.parametrize("config", [
+        {"kappa_min": "0"},
+        {"sigma": True},
+        {"format": "svg"},  # qfi writes no svg
+        {"n": 5},  # qfi reads no sample count
+    ])
+    def test_bad_config_value_usage_error(self, config, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["qfi", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and next(iter(config)) in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "--sigma", "nan"],
+        ["scenario", "--omega0", "nan"],
+        ["qfi", "--sigma", "inf"],
+        ["oracle-check", "--t-minus", "nan"],
+    ])
+    def test_non_finite_float_usage_error(self, argv, tmp_path, capsys):
+        code = main([*argv, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert argv[1][2:].replace("-", "_") in err and "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["qfi", "--n", "5"],
+        ["qfi", "--seed", "1"],
+        ["curves", "--sigma", "-5"],
+        ["curves", "--strategy", "quantum_illumination"],
+        ["curves", "--n", "5"],
+        ["oracle-check", "--format", "csv"],
+        ["oracle-check", "--n", "5"],
+        ["scenario", "--kappa-min", "0"],
+        ["scenario", "--pair", "both"],
+        ["scenario", "--format", "json"],
+        ["simulate", "--format", "svg"],
+        ["selftest", "--config", "run.json"],
+    ])
+    def test_flag_without_reader_rejected(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestSelftestCommand:

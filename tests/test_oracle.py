@@ -17,7 +17,6 @@ from qfi_radar.kinematics import ParameterPair, Strategy
 from qfi_radar.oracle import (
     build_subspace,
     model_for,
-    pair_param_names,
     qfi_numeric,
 )
 from qfi_radar.states import GaussianBiphoton, GaussianSinglePhoton, derivative
@@ -126,14 +125,12 @@ class TestPureStates:
 
 class TestMixedStates:
     def test_two_orthogonal_branches_eigenvalues(self):
-        model = model_for(
-            Strategy.TWO_SINGLE_PHOTONS, sigma1=1.0, t_minus=50.0,
-            trace_convention="normalized",
-        )
+        # photon-counted: each orthogonal branch carries one photon
+        model = model_for(Strategy.TWO_SINGLE_PHOTONS, sigma1=1.0, t_minus=50.0)
         res = qfi_numeric(model, PAIR_A)
         lam = np.sort(res.rho_eigenvalues)[::-1]
-        assert lam[0] == pytest.approx(0.5, abs=1e-10)
-        assert lam[1] == pytest.approx(0.5, abs=1e-10)
+        assert lam[0] == pytest.approx(1.0, abs=1e-10)
+        assert lam[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_branch_weights_from_overlap(self):
         # photon-counted single-photon mixture: rho eigenvalues are
@@ -207,12 +204,8 @@ class TestSldProperties:
         from qfi_radar.oracle import project, sld_solve, build_subspace
 
         for model, pair in self._models():
-            pa, pb = pair_param_names(pair)
-            gens = list(model.states)
-            for param in (pa, pb):
-                for i in range(len(model.states)):
-                    gens.append(model.deriv(i, param))
-            basis = build_subspace(gens)
+            pa, pb = pair.param_names
+            basis = build_subspace([*model.states, *model.derivs[pa], *model.derivs[pb]])
             projected = project(model, basis, pa, pb)
             L_a, L_b, _, _ = sld_solve(projected)
             for L in (L_a, L_b):
@@ -222,12 +215,8 @@ class TestSldProperties:
         from qfi_radar.oracle import project, sld_solve, build_subspace
 
         for model, pair in self._models():
-            pa, pb = pair_param_names(pair)
-            gens = list(model.states)
-            for param in (pa, pb):
-                for i in range(len(model.states)):
-                    gens.append(model.deriv(i, param))
-            basis = build_subspace(gens)
+            pa, pb = pair.param_names
+            basis = build_subspace([*model.states, *model.derivs[pa], *model.derivs[pb]])
             projected = project(model, basis, pa, pb)
             L_a, L_b, _, _ = sld_solve(projected)
             for L, dR in ((L_a, projected.drho_a), (L_b, projected.drho_b)):
@@ -260,7 +249,7 @@ class TestRobustness:
             model = model_for(strategy, **kwargs)
             for pair in (PAIR_A, PAIR_B):
                 an = qfi_numeric(model, pair)
-                fd = qfi_numeric(model, pair, derivative_mode="fd", fd_step=1e-5)
+                fd = qfi_numeric(model, pair, fd_step=1e-5)
                 rel = np.max(np.abs(np.diag(fd.H - an.H)) / np.abs(np.diag(an.H)))
                 assert rel <= 1e-6, (strategy, pair)
                 # the residual estimate subtracts two O(1/h^2) Hilbert-Schmidt
