@@ -31,6 +31,7 @@ from .kinematics import (
     Target,
 )
 from .montecarlo import (
+    MC_STRATEGIES,
     McConfig,
     estimate_pair,
     run_scenario,
@@ -87,6 +88,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     """
     settings = COMMANDS[args.command][2]
     merged = {key: DEFAULTS[key] for key in settings}
+    if args.command == "scenario":
+        merged["strategy"] = SCENARIO_STRATEGIES[0]
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -376,11 +379,7 @@ def cmd_simulate(cfg: dict) -> int:
     sigma, n, seed = cfg["sigma"], cfg["n"], cfg["seed"]
     if n < 2:
         raise UsageError("--n must be at least 2")
-    strategies = [
-        s
-        for s in selected_strategies(cfg)
-        if s in (Strategy.ENTANGLED_BIPHOTON, Strategy.TWO_SINGLE_PHOTONS)
-    ]
+    strategies = [s for s in selected_strategies(cfg) if s in MC_STRATEGIES]
     if not strategies:
         raise UsageError("simulate supports entangled_biphoton and two_single_photons only")
     header = [
@@ -436,10 +435,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_scenario(cfg: dict) -> int:
     scenario = cfg["scenario"]
-    strategy_name = cfg["strategy"]
-    strategy = (
-        Strategy.ENTANGLED_BIPHOTON if strategy_name == "all" else Strategy(strategy_name)
-    )
+    strategy = Strategy(cfg["strategy"])
     v1, v2 = cfg["v1"], cfg["v2"]
     if scenario == "moving_object" and v1 != v2:
         raise UsageError("moving_object assumes a rigid body: --v1 must equal --v2")
@@ -509,6 +505,9 @@ CHOICES = {
     "scenario": list(SCENARIOS),
 }
 
+# scenario samples one probe: a strategy run_scenario runs, the first by default
+SCENARIO_STRATEGIES = [s.value for s in MC_STRATEGIES]
+
 HELP = {
     "out": "output directory (default: current directory)",
     "t_minus": "branch time separation for mixed-state verdicts",
@@ -518,7 +517,11 @@ HELP = {
 
 
 def _choices(command: str, key: str) -> list | None:
-    return FORMATS[command] if key == "format" else CHOICES.get(key)
+    if key == "format":
+        return FORMATS[command]
+    if (command, key) == ("scenario", "strategy"):
+        return SCENARIO_STRATEGIES
+    return CHOICES.get(key)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,10 +2,11 @@
 
 Arrival-time pairs and frequency pairs are drawn from the exact returned
 state densities, combined into the sum/difference estimators, and compared
-against the quantum Cramer-Rao floor 1/(N H).  Sampling is chunked with a
-counter-based generator keyed by (seed, chunk index): chunk k of a draw is
-the same for a fixed seed whatever the draw's length, so results are
-bit-identical for a fixed seed and a longer draw extends a shorter one.
+against the quantum Cramer-Rao floor 1/(N H).  Sampling is chunked: chunk k
+of a draw comes from an SFC64 generator seeded by
+SeedSequence(seed, spawn_key=(k,)), so it is the same for a fixed seed
+whatever the draw's length, results are bit-identical for a fixed seed, and
+a longer draw extends a shorter one.
 
 The 99% variance interval takes its chi-square quantiles from
 ``scipy.special``, which ``estimate_pair`` imports at its first call: scipy is
@@ -60,6 +61,8 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 2:
             raise ValueError("n_samples must be at least 2")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.domain not in ("time", "frequency"):
             raise ValueError(f"domain must be 'time' or 'frequency', got {self.domain!r}")
         if self.strategy not in MC_STRATEGIES:
@@ -88,21 +91,25 @@ def _sample_bivariate(
 ) -> np.ndarray:
     """Draw n correlated Gaussian pairs, chunked and reproducibly keyed.
 
-    Rows [k * CHUNK_SIZE, (k + 1) * CHUNK_SIZE) are standard normals from
-    Philox(key=[seed, k]); the lower-triangular Cholesky factor and the mean
-    are then applied in place, column by column.
+    Rows [k * CHUNK_SIZE, (k + 1) * CHUNK_SIZE) are filled row-major with
+    standard normals from SFC64(SeedSequence(seed, spawn_key=(k,))), so chunk
+    k depends on (seed, k) alone.  The lower-triangular Cholesky factor and
+    the mean are applied to each chunk in place right after it is drawn,
+    while it is still in cache.
     """
     (l00, _), (l10, l11) = np.linalg.cholesky(cov)
+    m0, m1 = mean
     out = np.empty((n, 2))
     for k, start in enumerate(range(0, n, CHUNK_SIZE)):
-        rng = np.random.Generator(np.random.Philox(key=[seed, k]))
-        rng.standard_normal(out=out[start : start + CHUNK_SIZE])
-    x, y = out[:, 0], out[:, 1]
-    y *= l11
-    y += l10 * x
-    y += mean[1]
-    x *= l00
-    x += mean[0]
+        block = out[start : start + CHUNK_SIZE]
+        bitgen = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k,)))
+        np.random.Generator(bitgen).standard_normal(out=block)
+        x, y = block[:, 0], block[:, 1]
+        y *= l11
+        y += l10 * x
+        y += m1
+        x *= l00
+        x += m0
     return out
 
 

@@ -225,11 +225,11 @@ class TestSimulate:
         assert read(d1 / "simulate.csv") == read(d2 / "simulate.csv")
 
     def test_failure_lines_print_plain_floats(self, tmp_path, capsys):
-        # seed 40 puts the frequency row's QCRB outside its 99% interval
+        # seed 123 puts the frequency row's QCRB outside its 99% interval
         code = main([
             "simulate", "--strategy", "entangled_biphoton", "--pair", "time_sum_freq_diff",
             "--kappa-min", "0", "--kappa-max", "0", "--kappa-step", "1",
-            "--n", "100", "--seed", "40", "--out", str(tmp_path),
+            "--n", "100", "--seed", "123", "--out", str(tmp_path),
         ])
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
@@ -262,6 +262,20 @@ class TestScenario:
             "--out", str(tmp_path),
         ])
         assert code == 2
+
+    def test_strategy_choice(self, tmp_path):
+        # the default is the entangled probe; single photons write their own report
+        runs = {
+            name: ["scenario", "--n", "1000", "--seed", "7", "--out", str(tmp_path / name)]
+            for name in ("default", "entangled_biphoton", "two_single_photons")
+        }
+        runs["entangled_biphoton"] += ["--strategy", "entangled_biphoton"]
+        runs["two_single_photons"] += ["--strategy", "two_single_photons"]
+        for argv in runs.values():
+            assert main(argv) == 0
+        text = {name: read(tmp_path / name / "scenario.json") for name in runs}
+        assert text["default"] == text["entangled_biphoton"]
+        assert json.loads(text["two_single_photons"])["strategy"] == "two_single_photons"
 
 
 class TestArithmeticErrors:
@@ -398,6 +412,17 @@ class TestSettingChecks:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
+        ["simulate", "--kappa-min", "0", "--kappa-max", "0", "--kappa-step", "1", "--n", "100"],
+        ["scenario", "--n", "100"],
+    ])
+    def test_negative_seed_usage_error(self, argv, tmp_path, capsys):
+        code = main([*argv, "--seed", "-1", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
         ["scenario", "--sigma", "nan"],
         ["scenario", "--omega0", "nan"],
         ["qfi", "--sigma", "inf"],
@@ -421,6 +446,8 @@ class TestSettingChecks:
         ["scenario", "--kappa-min", "0"],
         ["scenario", "--pair", "both"],
         ["scenario", "--format", "json"],
+        ["scenario", "--strategy", "all"],  # scenario samples one probe
+        ["scenario", "--strategy", "quantum_illumination"],
         ["simulate", "--format", "svg"],
         ["selftest", "--config", "run.json"],
     ])

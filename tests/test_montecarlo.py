@@ -13,6 +13,7 @@ import qfi_radar
 from qfi_radar.analytic import qfi_entangled
 from qfi_radar.kinematics import NATURAL_UNITS, ParameterPair, ProbeConfig, Strategy, Target
 from qfi_radar.montecarlo import (
+    CHUNK_SIZE,
     McConfig,
     estimate_pair,
     run_scenario,
@@ -37,6 +38,10 @@ class TestConfig:
             McConfig(10, 0, "energy")
         with pytest.raises(ValueError):
             McConfig(10, 0, "time", Strategy.QUANTUM_ILLUMINATION)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            McConfig(10, -1, "time")
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            McConfig(10, 1.5, "time")
 
     def test_domain_dispatch(self):
         state = biphoton(0.0)
@@ -61,13 +66,29 @@ class TestSampling:
         long = sample_times(state, McConfig(50_000, 7, "time"))
         assert np.array_equal(short, long[:20_000])
 
-    def test_first_column_is_scaled_chunk_stream(self):
+    def test_chunks_are_keyed_sfc64_streams_under_cholesky_map(self):
+        # chunk k holds SFC64(SeedSequence(seed, spawn_key=(k,))) normals,
+        # row-major, under y = l11 z1 + l10 z0 + m1, x = l00 z0 + m0
         state = GaussianBiphoton(0.3, -0.2, 1.0, 1.5, 1.3, 0.7, -0.6)
-        n, seed = 5000, 21
+        n, seed = CHUNK_SIZE + 100, 21
         samples = sample_times(state, McConfig(n, seed, "time"))
-        l00 = np.linalg.cholesky(time_covariance(state))[0, 0]
-        z = np.random.Generator(np.random.Philox(key=[seed, 0])).standard_normal((n, 2))
-        assert np.array_equal(samples[:, 0], 0.3 + l00 * z[:, 0])
+        (l00, _), (l10, l11) = np.linalg.cholesky(time_covariance(state))
+        for k, rows in ((0, CHUNK_SIZE), (1, 100)):
+            bitgen = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k,)))
+            z = np.random.Generator(bitgen).standard_normal((rows, 2))
+            block = samples[k * CHUNK_SIZE : k * CHUNK_SIZE + rows]
+            assert np.array_equal(block[:, 0], l00 * z[:, 0] + 0.3)
+            assert np.array_equal(block[:, 1], l11 * z[:, 1] + l10 * z[:, 0] + -0.2)
+
+    def test_golden_values(self):
+        # exact draws at a fixed seed: a numpy release that changes SFC64,
+        # SeedSequence or the ziggurat changes these, and every output byte
+        state = GaussianBiphoton(0.3, -0.2, 1.0, 1.5, 1.3, 0.7, -0.6)
+        samples = sample_times(state, McConfig(CHUNK_SIZE + 1, 2024, "time"))
+        got = samples[[0, CHUNK_SIZE]].ravel().tolist()
+        assert got == [
+            0.6450337515537706, -1.7508645887634786, 0.17622208191709343, 0.777800456154629,
+        ]
 
     def test_uncorrelated_time_samples(self):
         n = 100_000
