@@ -35,11 +35,8 @@ VERDICT_RTOL = 1e-6
 class QfiResult:
     """2x2 information matrix for one strategy and estimator pair."""
 
-    strategy: Strategy
-    pair: ParameterPair
     H: np.ndarray
     bound_product: float
-    compat_residual: float
 
 
 def _bound(H: np.ndarray) -> float:
@@ -64,13 +61,7 @@ def qfi_entangled(
     h11 = sigma1**2 - 2.0 * k * sigma1 * sigma2 + sigma2**2
     h22 = h11 / (4.0 * (1.0 - kappa**2) * sigma1**2 * sigma2**2)
     H = np.diag([h11, h22])
-    return QfiResult(
-        strategy=Strategy.ENTANGLED_BIPHOTON,
-        pair=pair,
-        H=H,
-        bound_product=_bound(H),
-        compat_residual=0.0,
-    )
+    return QfiResult(H=H, bound_product=_bound(H))
 
 
 def published_mixed_qfi(

@@ -8,10 +8,10 @@ SeedSequence(seed, spawn_key=(k,)), so it is the same for a fixed seed
 whatever the draw's length, results are bit-identical for a fixed seed, and
 a longer draw extends a shorter one.
 
-The 99% variance interval takes its chi-square quantiles from
-``scipy.special``, which ``estimate_pair`` imports at its first call: scipy is
-needed only for Monte Carlo intervals (``simulate`` and the selftest), and
-importing the package loads nothing beyond numpy.
+Variance intervals take their chi-square quantiles from ``scipy.special``,
+which ``variance_interval`` imports at its first call: scipy is needed only
+for Monte Carlo intervals (``simulate`` and the selftest), and importing the
+package loads nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
     "sample_times",
     "sample_frequencies",
     "estimate_pair",
+    "variance_interval",
     "run_scenario",
 ]
 
@@ -179,12 +180,6 @@ def estimate_pair(
     np.square(values, out=values)
     var = float(np.sum(values)) / (n - 1)
     qcrb = 1.0 / qfi_entry
-    # chi-square quantiles with n - 1 degrees of freedom, as scipy.stats.chi2.ppf;
-    # imported here so that scipy loads only where an interval is computed
-    from scipy.special import gammaincinv
-
-    df = n - 1
-    lo, hi = (df * var / (2.0 * gammaincinv(df / 2.0, (0.995, 0.005)))).tolist()
     return McReport(
         pair=pair,
         domain=domain,
@@ -193,8 +188,23 @@ def estimate_pair(
         variance=var,
         qcrb_variance=qcrb,
         ratio=var / qcrb,
-        variance_interval_99=(lo, hi),
+        variance_interval_99=variance_interval(var, n, 0.01),
     )
+
+
+def variance_interval(variance: float, n: int, alpha: float) -> tuple[float, float]:
+    """Two-sided 1 - alpha interval for the variance of n Gaussian draws.
+
+    The bounds divide (n - 1) times the sample variance by the chi-square
+    quantiles at 1 - alpha/2 and alpha/2 with n - 1 degrees of freedom,
+    computed as scipy.stats.chi2.ppf does; scipy loads at the first call.
+    """
+    from scipy.special import gammaincinv
+
+    df = n - 1
+    q = gammaincinv(df / 2.0, (1.0 - alpha / 2.0, alpha / 2.0))
+    lo, hi = (df * variance / (2.0 * q)).tolist()
+    return lo, hi
 
 
 def run_scenario(

@@ -21,9 +21,7 @@ from .states import (
     GaussianBiphoton,
     GaussianSinglePhoton,
     _PAIR_CHAIN,
-    _d_biphoton,
-    derivative,
-    derivative_single,
+    _derivative,
     overlap,
     stack_by_base,
 )
@@ -62,13 +60,14 @@ class SubspaceBasis:
 
 @dataclass
 class ProjectedState:
-    """Density matrix and its parameter derivatives in the subspace basis."""
+    """Density matrix and its parameter derivatives in the subspace basis.
+
+    ``drho[i]`` and ``residuals[i]`` belong to the i-th projected parameter.
+    """
 
     rho: np.ndarray
-    drho_a: np.ndarray
-    drho_b: np.ndarray
-    residual_a: float
-    residual_b: float
+    drho: np.ndarray
+    residuals: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -97,9 +96,7 @@ class OracleResult:
     dim: int
     rho_eigenvalues: np.ndarray
     basis: SubspaceBasis
-    sld_a: np.ndarray
-    sld_b: np.ndarray
-    projection_residuals: tuple[float, float]
+    projection_residuals: tuple[float, ...]
     pure_H: np.ndarray | None = None
 
     @property
@@ -171,14 +168,13 @@ def _rho_matrix(basis: SubspaceBasis, weights, states) -> np.ndarray:
 def project(
     model: MixedModel,
     basis: SubspaceBasis,
-    param_a: str,
-    param_b: str,
+    params: tuple[str, ...],
     fd_step: float | None = None,
 ) -> ProjectedState:
-    """Project rho and its two parameter derivatives onto the subspace.
+    """Project rho and its derivative along each of ``params`` onto the subspace.
 
     Analytic derivatives: the coordinates of every branch ket and derivative
-    state are Gram columns, taken at once as T^H G[:, idx], and rho and both
+    state are Gram columns, taken at once as T^H G[:, idx], and rho and every
     d(rho) come from one batched product.  With ``fd_step`` set, derivatives
     come from central differences of the model rebuilt by ``model_for`` at
     each displaced parameter instead; the projection residual
@@ -188,19 +184,19 @@ def project(
     if fd_step is None:
         index = basis.generators.index
         K = len(model.states)
-        idx = [index(st) for st in (*model.states, *model.derivs[param_a], *model.derivs[param_b])]
-        # C[0] holds the branch coordinates, C[1] and C[2] their derivatives
+        idx = [index(st) for st in (*model.states, *_derivs(model, params))]
+        # C[0] holds the branch coordinates, C[1 + i] their derivatives along params[i]
         C = basis.transform.conj().T @ basis.gram.take(idx, 1)
-        C = C.reshape(basis.dim, 3, K).transpose(1, 0, 2)
+        C = C.reshape(basis.dim, 1 + len(params), K).transpose(1, 0, 2)
         M = (C * model.weights) @ C[0].conj().T
         # rho = V W V^H and d(rho) = dV W V^H + h.c., each exactly Hermitian
         S = M + M.conj().swapaxes(1, 2)
-        return ProjectedState(S[0] / 2.0, S[1], S[2], 0.0, 0.0)
+        return ProjectedState(S[0] / 2.0, S[1:], (0.0,) * len(params))
 
     rho = _rho_matrix(basis, model.weights, model.states)
     drhos = []
     residuals = []
-    for param in (param_a, param_b):
+    for param in params:
         plus = _displaced(model, param, +fd_step)
         minus = _displaced(model, param, -fd_step)
         Rp = _rho_matrix(basis, plus.weights, plus.states)
@@ -208,7 +204,7 @@ def project(
         dR = (Rp - Rm) / (2.0 * fd_step)
         drhos.append(dR)
         residuals.append(_fd_projection_residual(plus, minus, fd_step, dR))
-    return ProjectedState(rho, drhos[0], drhos[1], residuals[0], residuals[1])
+    return ProjectedState(rho, np.array(drhos), tuple(residuals))
 
 
 def _fd_projection_residual(plus, minus, h, dR_projected) -> float:
@@ -232,12 +228,13 @@ def _fd_projection_residual(plus, minus, h, dR_projected) -> float:
     return float(np.sqrt(max(full_norm2 - proj_norm2, 0.0)))
 
 
-def sld_solve(projected: ProjectedState) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Solve d(rho) = (rho L + L rho)/2 for both parameters.
+def sld_solve(projected: ProjectedState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve d(rho) = (rho L + L rho)/2 for every projected parameter.
 
-    Returns (L_a, L_b, eigenvalues, eigenvectors) with the SLDs expressed in
-    the subspace basis.  Eigenvalue pairs below the support threshold are
-    excluded, consistent with the finite-support form of the SLD.
+    Returns (L, eigenvalues, eigenvectors) with ``L[i]``, the SLD of the i-th
+    parameter, expressed in the subspace basis.  Eigenvalue pairs below the
+    support threshold are excluded, consistent with the finite-support form
+    of the SLD.
     """
     # eigh returns ascending eigenvalues; reversed, they descend
     lam, U = np.linalg.eigh(projected.rho)
@@ -246,21 +243,18 @@ def sld_solve(projected: ProjectedState) -> tuple[np.ndarray, np.ndarray, np.nda
     support = denom > SUPPORT_TOL * lam.sum()
     factor = np.divide(2.0, denom, out=np.zeros_like(denom), where=support)
     Uh = U.conj().T
-    M = Uh @ np.stack((projected.drho_a, projected.drho_b)) @ U
-    L_a, L_b = U @ (M * factor) @ Uh
-    return L_a, L_b, lam, U
+    M = Uh @ projected.drho @ U
+    return U @ (M * factor) @ Uh, lam, U
 
 
-def _pure_fast_path(
-    model: MixedModel, basis: SubspaceBasis, param_a: str, param_b: str
-) -> np.ndarray:
+def _pure_fast_path(model: MixedModel, basis: SubspaceBasis, params: tuple[str, ...]) -> np.ndarray:
     """H_ab = 4 Re(<da|db> - <da|psi><psi|db>) for a single pure branch.
 
     Every overlap is an entry of the Gram matrix.
     """
     index = basis.generators.index
     psi = index(model.states[0])
-    ds = [index(model.derivs[param_a][0]), index(model.derivs[param_b][0])]
+    ds = [index(model.derivs[p][0]) for p in params]
     G = basis.gram
     v = G[ds, psi]
     return model.weights[0] * 4.0 * np.real(G[np.ix_(ds, ds)] - np.outer(v, v.conj()))
@@ -281,25 +275,24 @@ def qfi_numeric(
     reverse; the result must be invariant, which makes it a cheap
     orthonormalization self-check.
     """
-    param_a, param_b = pair.param_names
-    generators = [*model.states, *model.derivs[param_a], *model.derivs[param_b]]
+    params = pair.param_names
+    generators = [*model.states, *_derivs(model, params)]
     if reverse_generators:
         generators.reverse()
     basis = build_subspace(generators)
 
-    projected = project(model, basis, param_a, param_b, fd_step)
-    L_a, L_b, lam, _U = sld_solve(projected)
+    projected = project(model, basis, params, fd_step)
+    L, lam, _U = sld_solve(projected)
 
     # X_ab = Tr(rho L_a L_b): H is its symmetric real part and the
     # compatibility residual |Tr(rho [L_a, L_b])| its antisymmetric part
-    Ls = np.stack((L_a, L_b))
-    X = np.einsum("ij,ajk,bki->ab", projected.rho, Ls, Ls)
+    X = np.einsum("ij,ajk,bki->ab", projected.rho, L, L)
     H = np.real(X + X.T) / 2.0
     compat = float(abs(X[0, 1] - X[1, 0]))
 
     pure_H = None
     if len(model.states) == 1 and fd_step is None:
-        pure_H = _pure_fast_path(model, basis, param_a, param_b)
+        pure_H = _pure_fast_path(model, basis, params)
 
     return OracleResult(
         H=H,
@@ -307,13 +300,14 @@ def qfi_numeric(
         dim=basis.dim,
         rho_eigenvalues=lam,
         basis=basis,
-        sld_a=L_a,
-        sld_b=L_b,
-        projection_residuals=(projected.residual_a, projected.residual_b),
+        projection_residuals=projected.residuals,
         pure_H=pure_H,
     )
 
 
+def _derivs(model: MixedModel, params: tuple[str, ...]) -> list:
+    """Every branch's derivative state along each of ``params``, parameter-major."""
+    return [d for p in params for d in model.derivs[p]]
 
 
 def _displaced(model: MixedModel, param: str, eps: float) -> MixedModel:
@@ -352,23 +346,25 @@ def model_for(
             "t_minus": t_minus, "omega_plus": omega_plus, "omega_minus": omega_minus}
     t1, t2 = (t_plus - t_minus) / 2.0, (t_plus + t_minus) / 2.0
     w1, w2 = (omega_plus - omega_minus) / 2.0, (omega_plus + omega_minus) / 2.0
+    # each branch's chain factors, one per photon of its ket, from the
+    # parameter's factors f1 on photon 1 and f2 on photon 2
     if strategy is Strategy.ENTANGLED_BIPHOTON:
         trace = 1.0
         states = (GaussianBiphoton(t1, t2, w1, w2, sigma1, s2, kappa),)
-        derivs = {p: (derivative(states[0], p),) for p in _PAIR_CHAIN}
+        branch_factors = lambda f1, f2: ((f1, f2),)
     elif strategy is Strategy.TWO_SINGLE_PHOTONS:
         trace = 2.0
         states = (GaussianSinglePhoton(t1, w1, sigma1), GaussianSinglePhoton(t2, w2, s2))
-        derivs = {p: tuple(derivative_single(psi, p, i + 1) for i, psi in enumerate(states))
-                  for p in _PAIR_CHAIN}
+        branch_factors = lambda f1, f2: ((f1,), (f2,))
     elif strategy is Strategy.QUANTUM_ILLUMINATION:
         trace = 1.0
         states = tuple(GaussianBiphoton(t, 0.0, w, 1.0, sigma1, sigma1, kappa)
                        for t, w in ((t1, w1), (t2, w2)))
         # branch i is photon i + 1 of the chain rule, on its signal only
-        derivs = {p: tuple(_d_biphoton(st, kind, f, 0.0) for st, f in zip(states, factors))
-                  for p, (kind, *factors) in _PAIR_CHAIN.items()}
+        branch_factors = lambda f1, f2: ((f1, 0.0), (f2, 0.0))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
+    derivs = {p: tuple(_derivative(st, kind, fs) for st, fs in zip(states, branch_factors(f1, f2)))
+              for p, (kind, f1, f2) in _PAIR_CHAIN.items()}
     w = trace / len(states)
     return MixedModel(strategy, (w,) * len(states), states, derivs, args)

@@ -34,8 +34,6 @@ __all__ = [
     "overlap",
     "stack_by_base",
     "derivative",
-    "derivative_single",
-    "derivative_own",
     "time_covariance",
     "frequency_covariance",
 ]
@@ -265,53 +263,46 @@ def stack_by_base(states) -> list[tuple[AffineState, list[int]]]:
 # Parameter derivatives (analytic, affine x Gaussian)
 
 
-def _d_biphoton(state: GaussianBiphoton, kind: str, f1: float, f2: float) -> AffineState:
-    """d|phi> along f1 d/d(x1_bar) + f2 d/d(x2_bar), for x = t (kind "t") or omega."""
-    if kind == "t":
-        s1, s2, k = state.sigma1, state.sigma2, state.kappa
-        cross = -2.0 * k * s1 * s2
-        c0 = f1 * (1j * state.omega1_bar) + f2 * (1j * state.omega2_bar)
-        return AffineState(
-            state, c0, (f1 * 2.0 * s1**2 + f2 * cross, f1 * cross + f2 * 2.0 * s2**2)
-        )
-    return AffineState(state, 0.0, (f1 * -1j, f2 * -1j))
+def _derivative(state, kind: str, factors: tuple[float, ...]) -> AffineState:
+    """d|state> along sum_i f_i d/d(x_i bar), x = t (kind "t") or omega.
+
+    ``factors`` holds one chain factor f_i per photon of ``state``: one for
+    a single photon, two for a biphoton.
+    """
+    if kind == "omega":
+        return AffineState(state, 0.0, tuple(f * -1j for f in factors))
+    if isinstance(state, GaussianSinglePhoton):
+        (f,) = factors
+        return AffineState(state, f * (1j * state.omega_bar), (f * (2.0 * state.sigma**2),))
+    f1, f2 = factors
+    s1, s2, k = state.sigma1, state.sigma2, state.kappa
+    cross = -2.0 * k * s1 * s2
+    c0 = f1 * (1j * state.omega1_bar) + f2 * (1j * state.omega2_bar)
+    return AffineState(
+        state, c0, (f1 * 2.0 * s1**2 + f2 * cross, f1 * cross + f2 * 2.0 * s2**2)
+    )
 
 
-def derivative(state: GaussianBiphoton, param: str) -> AffineState:
-    """d|phi>/d(param) for param in t_plus/t_minus/omega_plus/omega_minus.
+def derivative(
+    state: GaussianSinglePhoton | GaussianBiphoton, param: str, photon: int | None = None
+) -> AffineState:
+    """d|state>/d(param) for param in t_plus/t_minus/omega_plus/omega_minus.
 
-    The sum/difference parameters are chained through both photon centers
+    The sum/difference parameters are chained through the photon centers
     and carriers: t1 = (t_plus - t_minus)/2, t2 = (t_plus + t_minus)/2, etc.
+    A biphoton carries both photons; a single photon names which photon of
+    the pair it is with ``photon`` (1 or 2), which fixes its chain factor.
     """
-    if param not in _PAIR_CHAIN:
-        raise ValueError(f"unsupported parameter {param!r}")
-    return _d_biphoton(state, *_PAIR_CHAIN[param])
-
-
-def derivative_own(state: GaussianSinglePhoton, var: str) -> AffineState:
-    """d|psi>/d(var) for the single photon's own t_bar or omega_bar."""
-    if var == "t_bar":
-        return AffineState(state, 1j * state.omega_bar, (2.0 * state.sigma**2,))
-    if var == "omega_bar":
-        return AffineState(state, 0.0, (-1j,))
-    raise ValueError(f"unknown single-photon parameter {var!r}")
-
-
-def derivative_single(state: GaussianSinglePhoton, param: str, photon_index: int) -> AffineState:
-    """Derivative of a returned single photon wrt a sum/difference parameter.
-
-    ``photon_index`` (1 or 2) fixes the chain-rule signs: photon 1 carries
-    (t_plus - t_minus)/2 and (omega_plus - omega_minus)/2, photon 2 the
-    plus-sign combinations.
-    """
-    if photon_index not in (1, 2):
-        raise ValueError("photon_index must be 1 or 2")
     if param not in _PAIR_CHAIN:
         raise ValueError(f"unsupported parameter {param!r}")
     kind, *factors = _PAIR_CHAIN[param]
-    fac = factors[photon_index - 1]
-    d = derivative_own(state, "t_bar" if kind == "t" else "omega_bar")
-    return AffineState(state, fac * d.c0, (fac * d.c[0],))
+    if isinstance(state, GaussianSinglePhoton):
+        if photon not in (1, 2):
+            raise ValueError("a single photon needs photon=1 or photon=2")
+        factors = [factors[photon - 1]]
+    elif photon is not None:
+        raise ValueError("a biphoton carries both photons: leave photon unset")
+    return _derivative(state, kind, tuple(factors))
 
 
 # ---------------------------------------------------------------------------

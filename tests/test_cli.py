@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import qfi_radar
-from qfi_radar import cli
+from qfi_radar import cli, montecarlo
 from qfi_radar.cli import DEFAULTS, kappa_grid, main
+from qfi_radar.kinematics import Strategy
 
 ROOT3_2 = math.sqrt(3.0) / 2.0
 
@@ -26,6 +27,20 @@ def csv_rows(path):
     lines = read(path).splitlines()
     header = lines[0].split(",")
     return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def broaden_single_photon_marginals(monkeypatch):
+    """Put back a sampler fault simulate must catch: two single photons drawn
+    from the biphoton's kappa-broadened marginals, not the kappa = 0 state."""
+    real = montecarlo._sampling_moments
+
+    def broadened(state, domain, strategy):
+        mean, cov = real(state, domain, Strategy.ENTANGLED_BIPHOTON)
+        if strategy is Strategy.TWO_SINGLE_PHOTONS:
+            cov = np.diag(np.diag(cov))
+        return mean, cov
+
+    monkeypatch.setattr(montecarlo, "_sampling_moments", broadened)
 
 
 class TestQfi:
@@ -224,11 +239,27 @@ class TestSimulate:
         assert main(args + ["--out", str(d2)]) == 0
         assert read(d1 / "simulate.csv") == read(d2 / "simulate.csv")
 
-    def test_failure_lines_print_plain_floats(self, tmp_path, capsys):
-        # seed 123 puts the frequency row's QCRB outside its 99% interval
+    def test_default_run_exits_zero(self, tmp_path):
+        # 312 rows at the Sidak per-row level keep a correct sampler's
+        # chance of failing the run at 1%
+        assert main(["simulate", "--out", str(tmp_path)]) == 0
+        header, rows = csv_rows(tmp_path / "simulate.csv")
+        assert len(rows) == 312 and all(row["ok"] == "true" for row in rows)
+
+    def test_default_run_flags_broadened_marginals(self, tmp_path, monkeypatch):
+        broaden_single_photon_marginals(monkeypatch)
+        assert main(["simulate", "--out", str(tmp_path)]) == 1
+        header, rows = csv_rows(tmp_path / "simulate.csv")
+        failed = {(r["strategy"], r["domain"]) for r in rows if r["ok"] == "false"}
+        assert failed == {("two_single_photons", "time")}
+
+    def test_failure_lines_print_plain_floats(self, tmp_path, capsys, monkeypatch):
+        # broadened single-photon time marginals put the time row's QCRB
+        # outside its interval
+        broaden_single_photon_marginals(monkeypatch)
         code = main([
-            "simulate", "--strategy", "entangled_biphoton", "--pair", "time_sum_freq_diff",
-            "--kappa-min", "0", "--kappa-max", "0", "--kappa-step", "1",
+            "simulate", "--strategy", "two_single_photons", "--pair", "time_sum_freq_diff",
+            "--kappa-min", "-0.9", "--kappa-max", "-0.9", "--kappa-step", "1",
             "--n", "100", "--seed", "123", "--out", str(tmp_path),
         ])
         assert code == 1

@@ -19,6 +19,7 @@ from qfi_radar.montecarlo import (
     run_scenario,
     sample_frequencies,
     sample_times,
+    variance_interval,
 )
 from qfi_radar.states import GaussianBiphoton, time_covariance
 
@@ -179,6 +180,21 @@ class TestEstimatePair:
         hi = df * rep.variance / stats.chi2.ppf(0.005, df)
         assert rep.variance_interval_99 == (lo, hi)
         assert all(type(x) is float for x in rep.variance_interval_99)
+
+    def test_interval_false_alarm_rate(self):
+        # entangled time sums have exactly the QCRB variance, so over 2000
+        # independent rows a 10% interval misses it Binomial(2000, 0.1) times
+        rows, n, alpha = 2000, 8, 0.1
+        state = biphoton(-0.5)
+        qcrb = 1.0 / float(qfi_entangled(1.0, 1.0, -0.5, PAIR_A).H[0, 0])
+        misses = 0
+        for seed in range(rows):
+            rep = estimate_pair(sample_times(state, McConfig(n, seed, "time")),
+                                PAIR_A, "time", 1.0 / qcrb)
+            lo, hi = variance_interval(rep.variance, n, alpha)
+            misses += not lo <= qcrb <= hi
+        mean, sd = rows * alpha, math.sqrt(rows * alpha * (1.0 - alpha))
+        assert abs(misses - mean) <= 3.0 * sd, misses
 
     @pytest.mark.parametrize("n", [2, 7, 8192, 300_001])
     def test_moments_match_numpy(self, n):

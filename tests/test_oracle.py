@@ -6,10 +6,14 @@ values below are frozen from branch-overlap algebra or from limits where
 the mixture becomes an orthogonal ensemble.
 """
 
+import collections
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_states import PROPERTY
 
 from qfi_radar import oracle
 from qfi_radar.analytic import qfi_entangled
@@ -17,12 +21,15 @@ from qfi_radar.kinematics import ParameterPair, Strategy
 from qfi_radar.oracle import (
     build_subspace,
     model_for,
+    project,
     qfi_numeric,
+    sld_solve,
 )
 from qfi_radar.states import GaussianBiphoton, GaussianSinglePhoton, derivative
 
 PAIR_A = ParameterPair.TIME_SUM_FREQ_DIFF
 PAIR_B = ParameterPair.TIME_DIFF_FREQ_SUM
+STAGES = ("build_subspace", "project", "sld_solve")
 
 # one configuration per strategy with distinct, partly overlapping branches
 STRATEGY_CASES = (
@@ -31,6 +38,34 @@ STRATEGY_CASES = (
     (Strategy.QUANTUM_ILLUMINATION,
      {"sigma1": 1.0, "kappa": 0.6, "t_minus": 1.0, "omega_minus": 0.8}),
 )
+
+
+# benign engine points: clear of generator drops and near-coincident branches
+# (t_minus in units of 1/sigma, omega_minus in units of sigma)
+engine_points = st.fixed_dictionaries({
+    "sigma": st.floats(0.5, 2.0), "kappa": st.floats(-0.9, 0.9),
+    "t_sigma": st.floats(0.05, 5.0), "w_over_sigma": st.floats(0.0, 2.0),
+})
+strategies = st.sampled_from(list(Strategy))
+pairs = st.sampled_from(list(ParameterPair))
+# round-off of the float engine over these points: it peaks near 2e-9 at
+# t_minus sigma = 0.05 with omega_minus = 0, where the branches overlap most
+PROPERTY_RTOL = 2e-8
+
+
+def point_model(strategy, point, scale=1.0):
+    """The model at ``point`` with every bandwidth and carrier times ``scale``
+    and every time divided by it."""
+    s = point["sigma"] * scale
+    return model_for(strategy, sigma1=s, kappa=point["kappa"],
+                     t_minus=point["t_sigma"] / s, omega_minus=point["w_over_sigma"] * s,
+                     omega_plus=2.0 * scale)
+
+
+def rel_error(H, want):
+    """Largest entry error in units of sqrt(want_ii want_jj)."""
+    d = np.sqrt(np.diag(want))
+    return np.max(np.abs(H - want) / np.outer(d, d))
 
 
 class TestSubspace:
@@ -78,14 +113,32 @@ class TestSubspace:
             calls.append((a.base, b.base))
             return real_overlap(a, b)
 
+        # each stage runs once per call, looked up through the module, also
+        # on a repeated call with the same model: the traced benchmark times
+        # the stages by replacing these globals
+        stages = collections.Counter()
+
+        def counting(name):
+            real = getattr(oracle, name)
+
+            def wrapped(*args, **kw):
+                stages[name] += 1
+                return real(*args, **kw)
+
+            return wrapped
+
+        for name in STAGES:
+            monkeypatch.setattr(oracle, name, counting(name))
         monkeypatch.setattr(oracle, "overlap", counted)
         model = model_for(strategy, **kwargs)
         K = len(model.states)
-        for pair in (PAIR_A, PAIR_B):
+        for pair in (PAIR_A, PAIR_A, PAIR_B, PAIR_B):
             calls.clear()
+            stages.clear()
             qfi_numeric(model, pair)
             assert len(calls) == K * (K + 1) // 2
             assert len({frozenset(bases) for bases in calls}) == len(calls)
+            assert stages == dict.fromkeys(STAGES, 1)
 
 
 class TestPureStates:
@@ -193,34 +246,32 @@ class TestSldProperties:
                        t_minus=1.0, omega_minus=0.8), PAIR_A),
         ]
 
-    def test_sld_hermitian(self):
+    def _solved(self):
+        """(rho, d(rho), SLDs) of each model, stacked over the pair's parameters."""
         for model, pair in self._models():
-            res = qfi_numeric(model, pair)
-            for L in (res.sld_a, res.sld_b):
+            params = pair.param_names
+            basis = build_subspace(
+                [*model.states, *(d for p in params for d in model.derivs[p])])
+            projected = project(model, basis, params)
+            L, _, _ = sld_solve(projected)
+            assert L.shape == projected.drho.shape == (len(params), basis.dim, basis.dim)
+            yield projected.rho, projected.drho, L
+
+    def test_sld_hermitian(self):
+        for _, _, Ls in self._solved():
+            for L in Ls:
                 assert np.max(np.abs(L - L.conj().T)) <= 1e-9
 
     def test_trace_rho_L_vanishes(self):
         # Tr rho L = Tr d(rho) = 0 for every solved SLD
-        from qfi_radar.oracle import project, sld_solve, build_subspace
-
-        for model, pair in self._models():
-            pa, pb = pair.param_names
-            basis = build_subspace([*model.states, *model.derivs[pa], *model.derivs[pb]])
-            projected = project(model, basis, pa, pb)
-            L_a, L_b, _, _ = sld_solve(projected)
-            for L in (L_a, L_b):
-                assert abs(np.trace(projected.rho @ L)) <= 1e-10
+        for rho, _, Ls in self._solved():
+            for L in Ls:
+                assert abs(np.trace(rho @ L)) <= 1e-10
 
     def test_sld_equation_residual(self):
-        from qfi_radar.oracle import project, sld_solve, build_subspace
-
-        for model, pair in self._models():
-            pa, pb = pair.param_names
-            basis = build_subspace([*model.states, *model.derivs[pa], *model.derivs[pb]])
-            projected = project(model, basis, pa, pb)
-            L_a, L_b, _, _ = sld_solve(projected)
-            for L, dR in ((L_a, projected.drho_a), (L_b, projected.drho_b)):
-                recon = (projected.rho @ L + L @ projected.rho) / 2.0
+        for rho, drho, Ls in self._solved():
+            for L, dR in zip(Ls, drho):
+                recon = (rho @ L + L @ rho) / 2.0
                 assert np.max(np.abs(recon - dR)) <= 1e-9
 
     def test_compatibility_residual(self):
@@ -233,6 +284,41 @@ class TestSldProperties:
             res = qfi_numeric(model, pair)
             assert np.max(np.abs(res.H - res.H.T)) <= 1e-10
             assert np.min(np.linalg.eigvalsh(res.H)) >= -1e-10
+
+
+class TestEngineProperties:
+    @PROPERTY
+    @given(strategies, pairs, engine_points)
+    def test_h_symmetric_psd(self, strategy, pair, point):
+        H = qfi_numeric(point_model(strategy, point), pair).H
+        assert np.array_equal(H, H.T)
+        assert np.min(np.linalg.eigvalsh(H)) >= -1e-12 * np.max(np.abs(H))
+
+    @PROPERTY
+    @given(strategies, pairs, engine_points)
+    def test_generator_order_invariance(self, strategy, pair, point):
+        model = point_model(strategy, point)
+        fwd = qfi_numeric(model, pair).H
+        rev = qfi_numeric(model, pair, reverse_generators=True).H
+        assert rel_error(rev, fwd) <= PROPERTY_RTOL
+
+    @PROPERTY
+    @given(strategies, pairs, engine_points, st.floats(0.5, 2.0))
+    def test_bandwidth_scaling(self, strategy, pair, point, lam):
+        # sigma, omega -> lam sigma, lam omega and t -> t/lam scale the time
+        # entry of H by lam^2 and the frequency entry by 1/lam^2
+        H = qfi_numeric(point_model(strategy, point), pair).H
+        scaled = qfi_numeric(point_model(strategy, point, lam), pair).H
+        S = np.diag([lam, 1.0 / lam])
+        assert rel_error(scaled, S @ H @ S) <= PROPERTY_RTOL
+
+    @PROPERTY
+    @given(pairs, engine_points)
+    def test_uncorrelated_qi_is_half_single_photons(self, pair, point):
+        point = {**point, "kappa": 0.0}
+        qi = qfi_numeric(point_model(Strategy.QUANTUM_ILLUMINATION, point), pair).H
+        sp = qfi_numeric(point_model(Strategy.TWO_SINGLE_PHOTONS, point), pair).H
+        assert rel_error(2.0 * qi, sp) <= PROPERTY_RTOL
 
 
 class TestRobustness:

@@ -22,8 +22,6 @@ from qfi_radar.states import (
     GaussianSinglePhoton,
     biphoton_amplitude,
     derivative,
-    derivative_own,
-    derivative_single,
     frequency_covariance,
     overlap,
     single_amplitude,
@@ -48,7 +46,7 @@ params = st.sampled_from(PARAMS)
 photon_indices = st.sampled_from((1, 2))
 # plain states and their derivative states
 any_singles = st.one_of(
-    single_photons, st.builds(derivative_single, single_photons, params, photon_indices))
+    single_photons, st.builds(derivative, single_photons, params, photon_indices))
 any_biphotons = st.one_of(biphotons, st.builds(derivative, biphotons, params))
 state_pairs = st.one_of(st.tuples(any_singles, any_singles),
                         st.tuples(any_biphotons, any_biphotons))
@@ -254,8 +252,10 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("var", ["t_bar", "omega_bar"])
     def test_single_own_derivative_vs_finite_difference(self, var):
+        # photon 2 moves by half of t_plus (omega_plus), so twice its
+        # derivative is the derivative along its own center (carrier)
         psi = GaussianSinglePhoton(0.2, 1.5, 1.1)
-        d = derivative_own(psi, var)
+        d = derivative(psi, {"t_bar": "t_plus", "omega_bar": "omega_plus"}[var], photon=2)
         h = 1e-6
 
         def shifted(eps):
@@ -263,21 +263,26 @@ class TestDerivatives:
             kw[var] += eps
             return GaussianSinglePhoton(**kw)
 
-        got = overlap(psi, d)
+        got = 2.0 * overlap(psi, d)
         fd = (overlap(psi, shifted(h)) - overlap(psi, shifted(-h))) / (2.0 * h)
         assert got == pytest.approx(fd, abs=1e-8)
 
     def test_chain_rule_signs(self):
         # photon 1 responds to t_minus with -1/2, photon 2 with +1/2
         psi = GaussianSinglePhoton(0.0, 1.0, 1.0)
-        d1 = derivative_single(psi, "t_minus", 1)
-        d2 = derivative_single(psi, "t_minus", 2)
+        d1 = derivative(psi, "t_minus", photon=1)
+        d2 = derivative(psi, "t_minus", photon=2)
         assert overlap(psi, d1) == pytest.approx(-overlap(psi, d2), abs=1e-12)
 
     def test_unsupported_param(self):
         phi = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0)
         with pytest.raises((KeyError, ValueError)):
             derivative(phi, "not_a_param")
+        # a single photon must name its photon of the pair; a biphoton has both
+        psi = GaussianSinglePhoton(0.0, 1.0, 1.0)
+        for state, photon in ((psi, None), (psi, 3), (phi, 1)):
+            with pytest.raises(ValueError):
+                derivative(state, "t_plus", photon)
 
 
 class TestOverlapKernelProperties:
@@ -292,7 +297,7 @@ class TestOverlapKernelProperties:
     @given(any_singles, single_photons, params, photon_indices)
     def test_single_derivative_vs_finite_difference(self, psi, other, param, photon_index):
         h = 1e-5
-        got = overlap(psi, derivative_single(other, param, photon_index))
+        got = overlap(psi, derivative(other, param, photon_index))
         fd = (overlap(psi, shift_single(other, param, photon_index, h))
               - overlap(psi, shift_single(other, param, photon_index, -h))) / (2.0 * h)
         assert abs(got - fd) <= 1e-7
