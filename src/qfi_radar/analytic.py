@@ -83,11 +83,12 @@ def published_mixed_qfi(
     wm2 = omega_minus**2
     tm2 = t_minus**2
 
-    def exp(x: float) -> float:
+    def exp(x: float, fn=math.exp) -> float:
         # saturate to inf instead of raising, so the separated-branch limit
-        # evaluates (1/(e^x - 1) -> 0 and e^{-x} -> 0 for large x)
+        # evaluates (1/(e^x - 1) -> 0 and e^{-x} -> 0 for large x); e^x - 1
+        # is exp(x, math.expm1), which does not cancel as x -> 0
         try:
-            return math.exp(x)
+            return fn(x)
         except OverflowError:
             return math.inf
 
@@ -95,11 +96,11 @@ def published_mixed_qfi(
         if pair is ParameterPair.TIME_SUM_FREQ_DIFF:
             e = (wm2 + 4.0 * tm2 * s2**2) / (4.0 * s2)
             h11 = 2.0 * s2 - 2.0 * exp(-e) * tm2 * s2**2
-            h22 = 1.0 / (2.0 * s2) - (tm2 / 2.0) / (-1.0 + exp(e))
+            h22 = 1.0 / (2.0 * s2) - (tm2 / 2.0) / exp(e, math.expm1)
         else:
             # note sigma^2, not sigma^4, multiplying t_minus^2 as printed
             e = (wm2 + 4.0 * tm2 * s2) / (4.0 * s2)
-            h11 = 2.0 * s2 - (wm2 / 2.0) / (-1.0 + exp(e))
+            h11 = 2.0 * s2 - (wm2 / 2.0) / exp(e, math.expm1)
             h22 = 1.0 / (2.0 * s2) - exp(-e) * wm2 / (2.0 * s2**2)
         return np.diag([h11, h22])
     if strategy is Strategy.QUANTUM_ILLUMINATION:
@@ -107,7 +108,7 @@ def published_mixed_qfi(
         ek = (wm2 + 4.0 * tm2 * s2**2) / (4.0 * (1.0 - kappa**2) * s2)
         if pair is ParameterPair.TIME_SUM_FREQ_DIFF:
             h11 = 2.0 * s2 - 2.0 * exp(-e4) * tm2 * s2**2
-            h22 = 1.0 / (2.0 * (1.0 - kappa**2) * s2) - (tm2 / 2.0) / (-1.0 + exp(ek))
+            h22 = 1.0 / (2.0 * (1.0 - kappa**2) * s2) - (tm2 / 2.0) / exp(ek, math.expm1)
         else:
             h11 = 2.0 * s2 - 2.0 * exp(-e4) * wm2 / 2.0
             # growing exponential as printed; diverges with separation

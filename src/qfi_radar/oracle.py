@@ -232,9 +232,11 @@ def sld_solve(projected: ProjectedState) -> tuple[np.ndarray, np.ndarray, np.nda
     """Solve d(rho) = (rho L + L rho)/2 for every projected parameter.
 
     Returns (L, eigenvalues, eigenvectors) with ``L[i]``, the SLD of the i-th
-    parameter, expressed in the subspace basis.  Eigenvalue pairs below the
-    support threshold are excluded, consistent with the finite-support form
-    of the SLD.
+    parameter, expressed in the eigenbasis of rho: L_jk = 2 M_jk /
+    (lam_j + lam_k) with M = U^H d(rho) U, eigenvalues descending, so
+    ``U @ L[i] @ U^H`` is the SLD in the subspace basis.  Eigenvalue pairs
+    below the support threshold are excluded, consistent with the
+    finite-support form of the SLD.
     """
     # eigh returns ascending eigenvalues; reversed, they descend
     lam, U = np.linalg.eigh(projected.rho)
@@ -242,9 +244,8 @@ def sld_solve(projected: ProjectedState) -> tuple[np.ndarray, np.ndarray, np.nda
     denom = lam[:, None] + lam
     support = denom > SUPPORT_TOL * lam.sum()
     factor = np.divide(2.0, denom, out=np.zeros_like(denom), where=support)
-    Uh = U.conj().T
-    M = Uh @ projected.drho @ U
-    return U @ (M * factor) @ Uh, lam, U
+    M = U.conj().T @ projected.drho @ U
+    return M * factor, lam, U
 
 
 def _pure_fast_path(model: MixedModel, basis: SubspaceBasis, params: tuple[str, ...]) -> np.ndarray:
@@ -284,9 +285,9 @@ def qfi_numeric(
     projected = project(model, basis, params, fd_step)
     L, lam, _U = sld_solve(projected)
 
-    # X_ab = Tr(rho L_a L_b): H is its symmetric real part and the
-    # compatibility residual |Tr(rho [L_a, L_b])| its antisymmetric part
-    X = np.einsum("ij,ajk,bki->ab", projected.rho, L, L)
+    # X_ab = Tr(rho L_a L_b), rho = diag(lam) in the SLDs' basis: H is its
+    # symmetric real part, |Tr(rho [L_a, L_b])| its antisymmetric part
+    X = np.einsum("i,aij,bji->ab", lam, L, L)
     H = np.real(X + X.T) / 2.0
     compat = float(abs(X[0, 1] - X[1, 0]))
 

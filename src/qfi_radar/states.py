@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +93,8 @@ class GaussianBiphoton:
 
     def quad_form(self) -> np.ndarray:
         """Real SPD matrix B with amplitude exponent -x^T B x."""
-        s1, s2, k = self.sigma1, self.sigma2, self.kappa
-        return np.array([[s1**2, -k * s1 * s2], [-k * s1 * s2, s2**2]])
+        p, q, r = _exponent(self)[:3]
+        return np.array([[p, r], [r, q]])
 
     def centers(self) -> np.ndarray:
         return np.array([self.t1_bar, self.t2_bar])
@@ -109,13 +110,18 @@ class AffineState:
     x is t - t_bar for a single-photon base (``c`` has one entry) and
     (t1 - t1_bar, t2 - t2_bar) for a biphoton base (two entries).
     Derivative states of the parametric families are instances of this type.
-    A stack (see ``stack_by_base``) holds k prefactors on one base instead:
-    ``c0`` of shape (k,) and ``c`` of shape (k, d).
     """
 
     base: GaussianSinglePhoton | GaussianBiphoton
-    c0: complex | np.ndarray
-    c: tuple[complex, ...] | np.ndarray
+    c0: complex
+    c: tuple[complex, ...]
+
+
+class Stack(NamedTuple):
+    """k prefactors on one base Gaussian: row i of ``p`` is (c0, c) of one state."""
+
+    base: GaussianSinglePhoton | GaussianBiphoton
+    p: np.ndarray
 
 
 def _split(state) -> tuple:
@@ -124,11 +130,10 @@ def _split(state) -> tuple:
     A plain Gaussian has p = (1, 0, ...); a stack has one row of p per
     prefactor.
     """
+    if isinstance(state, Stack):
+        return state
     if isinstance(state, AffineState):
-        c0, c = state.c0, state.c
-        if isinstance(c0, np.ndarray):
-            return state.base, np.concatenate((c0[:, None], c), axis=1)
-        return state.base, (c0, *c)
+        return state.base, (state.c0, *state.c)
     if isinstance(state, GaussianSinglePhoton):
         return state, (1.0, 0.0)
     if isinstance(state, GaussianBiphoton):
@@ -170,65 +175,64 @@ def overlap(a, b) -> complex | np.ndarray:
         = conj(p_a)^T Q p_b,   p = (c0, c),
         Q = pref * [[1, (mu - t_b)^T], [mu - t_a, (mu - t_a)(mu - t_b)^T + Sigma]].
 
-    Q depends on the two base Gaussians only.  Either side may be a stack
-    from ``stack_by_base`` (k prefactors on one base): Q is then evaluated
-    once and the call returns the whole block of overlaps, shape (k_a, k_b),
-    (k_a,) or (k_b,).  Two single states give a complex number.
+    Q depends on the two base Gaussians only; it is evaluated in two
+    dimensions (``_exponent``), and single photons read its leading 2x2
+    block.  Either side may be a ``Stack`` from ``stack_by_base``: Q is then
+    evaluated once and the call returns the whole block of overlaps, shape
+    (k_a, k_b), (k_a,) or (k_b,).  Two single states give a complex number.
     """
     ga, pa = _split(a)
     gb, pb = _split(b)
     if type(ga) is not type(gb):
         raise TypeError("cannot overlap single-photon with biphoton states")
+    Q = _moments(_exponent(ga), _exponent(gb))
     if isinstance(ga, GaussianSinglePhoton):
-        Q = _moments_1d(ga, gb)
-    else:
-        Q = _moments_2d(ga, gb)
+        Q = Q[:2, :2]
     block = np.conj(pa).dot(Q).dot(np.transpose(pb))
     return complex(block) if block.ndim == 0 else block
 
 
-def _moments_1d(a, b) -> np.ndarray:
-    """``overlap``'s Q for single photons."""
-    qa, qb = a.sigma**2, b.sigma**2
-    ta, tb = a.t_bar, b.t_bar
-    A = qa + qb
-    beta = 2.0 * qa * ta + 2.0 * qb * tb + 1j * (a.omega_bar - b.omega_bar)
-    gamma = -qa * ta**2 - qb * tb**2 - 1j * (a.omega_bar * ta - b.omega_bar * tb)
-    mu = beta / (2.0 * A)
-    pref = a.norm * b.norm * cmath.exp(gamma + beta**2 / (4.0 * A)) * math.sqrt(math.pi / A)
-    ma, mb = mu - ta, mu - tb
-    return np.array([[pref, pref * mb], [pref * ma, pref * (ma * mb + 0.5 / A)]])
+def _exponent(g) -> tuple[float, ...]:
+    """(p, q, r, t1, t2, w1, w2, norm) of g's amplitude in two dimensions.
+
+    The amplitude is norm exp(-(x - t)^T [[p, r], [r, q]] (x - t)
+    - i w . (x - t)).  A single photon is photon 1 of a product with the
+    unit-bandwidth Gaussian (2/pi)^(1/4) exp(-x^2) at rest; that factor is
+    the same on both sides of an overlap, so it integrates to one.
+    """
+    if isinstance(g, GaussianSinglePhoton):
+        norm = g.norm * (2.0 / math.pi) ** 0.25
+        return g.sigma**2, 1.0, 0.0, g.t_bar, 0.0, g.omega_bar, 0.0, norm
+    return (g.sigma1**2, g.sigma2**2, -g.kappa * g.sigma1 * g.sigma2,
+            g.t1_bar, g.t2_bar, g.omega1_bar, g.omega2_bar, g.norm)
 
 
-def _moments_2d(a, b) -> np.ndarray:
-    """``overlap``'s Q for biphotons."""
-    # each amplitude exponent is -(x - t)^T [[p, r], [r, q]] (x - t)
-    pa, qa, ra = a.sigma1**2, a.sigma2**2, -a.kappa * a.sigma1 * a.sigma2
-    pb, qb, rb = b.sigma1**2, b.sigma2**2, -b.kappa * b.sigma1 * b.sigma2
-    ta1, ta2, tb1, tb2 = a.t1_bar, a.t2_bar, b.t1_bar, b.t2_bar
+def _moments(ea, eb) -> np.ndarray:
+    """``overlap``'s Q from the ``_exponent`` tuples of its two bases."""
+    pa, qa, ra, ta1, ta2, wa1, wa2, na = ea
+    pb, qb, rb, tb1, tb2, wb1, wb2, nb = eb
     A11, A22, A12 = pa + pb, qa + qb, ra + rb
     det = A11 * A22 - A12**2
     if det <= 0:
         raise ArithmeticError("combined Gaussian quadratic form is not positive definite")
     beta1 = (
         2.0 * (pa * ta1 + ra * ta2) + 2.0 * (pb * tb1 + rb * tb2)
-        + 1j * (a.omega1_bar - b.omega1_bar)
+        + 1j * (wa1 - wb1)
     )
     beta2 = (
         2.0 * (ra * ta1 + qa * ta2) + 2.0 * (rb * tb1 + qb * tb2)
-        + 1j * (a.omega2_bar - b.omega2_bar)
+        + 1j * (wa2 - wb2)
     )
     gamma = (
         -(pa * ta1**2 + 2.0 * ra * ta1 * ta2 + qa * ta2**2)
         - (pb * tb1**2 + 2.0 * rb * tb1 * tb2 + qb * tb2**2)
-        - 1j * (a.omega1_bar * ta1 + a.omega2_bar * ta2
-                - b.omega1_bar * tb1 - b.omega2_bar * tb2)
+        - 1j * (wa1 * ta1 + wa2 * ta2 - wb1 * tb1 - wb2 * tb2)
     )
     s11, s22, s12 = 0.5 * A22 / det, 0.5 * A11 / det, -0.5 * A12 / det
     mu1 = s11 * beta1 + s12 * beta2
     mu2 = s12 * beta1 + s22 * beta2
     pref = (
-        a.norm * b.norm * cmath.exp(gamma + 0.5 * (beta1 * mu1 + beta2 * mu2))
+        na * nb * cmath.exp(gamma + 0.5 * (beta1 * mu1 + beta2 * mu2))
         * math.pi / math.sqrt(det)
     )
     ma1, ma2, mb1, mb2 = mu1 - ta1, mu2 - ta2, mu1 - tb1, mu2 - tb2
@@ -239,24 +243,20 @@ def _moments_2d(a, b) -> np.ndarray:
     ])
 
 
-def stack_by_base(states) -> list[tuple[AffineState, list[int]]]:
-    """Group single states by base Gaussian: one stacked AffineState per base.
+def stack_by_base(states) -> list[tuple[Stack, list[int]]]:
+    """Group single states by base Gaussian: one ``Stack`` per base.
 
-    Each stack holds the prefactors of its states in list order (``c0`` of
-    shape (k,), ``c`` of shape (k, d); a plain state has prefactor 1),
-    paired with their positions in ``states``.  Bases are listed in order
-    of first appearance.
+    Each stack holds the prefactor rows of its states in list order (a
+    plain state has prefactor 1), paired with their positions in
+    ``states``.  Bases are listed in order of first appearance.
     """
     groups: dict = {}
     for i, state in enumerate(states):
         base, p = _split(state)
         rows, idx = groups.setdefault(base, ([], []))
         rows.append(p), idx.append(i)
-    stacks = []
-    for base, (rows, idx) in groups.items():
-        p = np.array(rows, dtype=complex)
-        stacks.append((AffineState(base, p[:, 0], p[:, 1:]), idx))
-    return stacks
+    return [(Stack(base, np.array(rows, dtype=complex)), idx)
+            for base, (rows, idx) in groups.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +267,16 @@ def _derivative(state, kind: str, factors: tuple[float, ...]) -> AffineState:
     """d|state> along sum_i f_i d/d(x_i bar), x = t (kind "t") or omega.
 
     ``factors`` holds one chain factor f_i per photon of ``state``: one for
-    a single photon, two for a biphoton.
+    a single photon (f2 = 0 in the exponent), two for a biphoton.
     """
-    if kind == "omega":
-        return AffineState(state, 0.0, tuple(f * -1j for f in factors))
-    if isinstance(state, GaussianSinglePhoton):
-        (f,) = factors
-        return AffineState(state, f * (1j * state.omega_bar), (f * (2.0 * state.sigma**2),))
-    f1, f2 = factors
-    s1, s2, k = state.sigma1, state.sigma2, state.kappa
-    cross = -2.0 * k * s1 * s2
-    c0 = f1 * (1j * state.omega1_bar) + f2 * (1j * state.omega2_bar)
-    return AffineState(
-        state, c0, (f1 * 2.0 * s1**2 + f2 * cross, f1 * cross + f2 * 2.0 * s2**2)
-    )
+    p, q, r, _, _, w1, w2, _ = _exponent(state)
+    f1, f2 = (*factors, 0.0)[:2]
+    if kind == "t":
+        c0 = 1j * (f1 * w1 + f2 * w2)
+        c = (2.0 * (f1 * p + f2 * r), 2.0 * (f1 * r + f2 * q))
+    else:
+        c0, c = 0.0, (-1j * f1, -1j * f2)
+    return AffineState(state, c0, c[:len(factors)])
 
 
 def derivative(

@@ -133,6 +133,14 @@ class TestPublishedForms:
         )
         assert H[1, 1] < 0.0
 
+    def test_near_coincident_limit_without_cancellation(self):
+        # the printed 1/(2 sigma^2) - (t^2/2)/(e^x - 1), x = t^2 sigma^2, tends
+        # to t^2/4 at sigma = 1; with e^x - 1 free of cancellation only the
+        # final subtraction's round-off, an ulp of 1/2, remains
+        t_minus = 1e-7
+        recs = adjudicate(Strategy.TWO_SINGLE_PHOTONS, PAIR_A, sigma=1.0, t_minus=t_minus)
+        assert recs[1]["paper_value"] == pytest.approx(t_minus**2 / 4.0, abs=2e-16)
+
     def test_unsupported_strategy(self):
         with pytest.raises(ValueError):
             published_mixed_qfi(Strategy.ENTANGLED_BIPHOTON, PAIR_A, 1.0, 1.0, 0.0)

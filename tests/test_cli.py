@@ -196,6 +196,16 @@ class TestOracleCheck:
             assert rec["rel_diff"] <= 1e-8
             assert rec["params"]["pure_path_diff"] <= 1e-9
 
+    def test_near_coincident_branches_adjudicated(self, tmp_path):
+        # the published forms divide by e^x - 1 with x ~ t_minus^2 sigma^2
+        code = main([
+            "oracle-check", "--t-minus", "1e-9", "--omega-minus", "0", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        records = [json.loads(l) for l in read(tmp_path / "verdicts.jsonl").splitlines()]
+        assert records
+        assert all(math.isfinite(rec["paper_value"]) for rec in records)
+
     def test_coincident_branches_usage_error(self, tmp_path, capsys):
         code = main([
             "oracle-check", "--t-minus", "0", "--omega-minus", "0", "--out", str(tmp_path),

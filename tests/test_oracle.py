@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from test_states import PROPERTY
 
 from qfi_radar import oracle
-from qfi_radar.analytic import qfi_entangled
+from qfi_radar.analytic import asymptotic_bound, qfi_entangled
 from qfi_radar.kinematics import ParameterPair, Strategy
 from qfi_radar.oracle import (
     build_subspace,
@@ -247,15 +247,17 @@ class TestSldProperties:
         ]
 
     def _solved(self):
-        """(rho, d(rho), SLDs) of each model, stacked over the pair's parameters."""
+        """(rho, d(rho), SLDs) of each model, stacked over the pair's
+        parameters, in rho's eigenbasis: the basis ``sld_solve`` returns."""
         for model, pair in self._models():
             params = pair.param_names
             basis = build_subspace(
                 [*model.states, *(d for p in params for d in model.derivs[p])])
             projected = project(model, basis, params)
-            L, _, _ = sld_solve(projected)
+            L, lam, U = sld_solve(projected)
             assert L.shape == projected.drho.shape == (len(params), basis.dim, basis.dim)
-            yield projected.rho, projected.drho, L
+            assert np.max(np.abs(U @ np.diag(lam) @ U.conj().T - projected.rho)) <= 1e-12
+            yield np.diag(lam), U.conj().T @ projected.drho @ U, L
 
     def test_sld_hermitian(self):
         for _, _, Ls in self._solved():
@@ -319,6 +321,28 @@ class TestEngineProperties:
         qi = qfi_numeric(point_model(Strategy.QUANTUM_ILLUMINATION, point), pair).H
         sp = qfi_numeric(point_model(Strategy.TWO_SINGLE_PHOTONS, point), pair).H
         assert rel_error(2.0 * qi, sp) <= PROPERTY_RTOL
+
+    @PROPERTY
+    @given(strategies, pairs, engine_points)
+    def test_analytic_matches_finite_difference(self, strategy, pair, point):
+        # the error is the central difference's own: its eps/h round-off in
+        # d(rho) is divided by rho's small eigenvalue, about (t_minus sigma)^2/4,
+        # and peaks near 1.3e-7 on the omega_minus entry at t_minus sigma =
+        # 0.05, omega_minus = 0; it grows as h shrinks below 1e-4
+        model = point_model(strategy, point)
+        an = qfi_numeric(model, pair).H
+        fd = qfi_numeric(model, pair, fd_step=1e-5).H
+        assert np.max(np.abs(np.diag(fd - an)) / np.abs(np.diag(an))) <= 1e-6
+
+    @PROPERTY
+    @given(strategies, pairs, engine_points)
+    def test_bound_product_above_floor(self, strategy, pair, point):
+        # overlapping branches only lose information, so the product sits at
+        # or above the orthogonal-branch floor; the entangled probe meets it
+        # at every separation, hence the round-off margin
+        res = qfi_numeric(point_model(strategy, point), pair)
+        floor = asymptotic_bound(strategy, pair, point["kappa"])
+        assert res.bound_product >= floor * (1.0 - 1e-12)
 
 
 class TestRobustness:
