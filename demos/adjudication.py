@@ -38,8 +38,8 @@ def main() -> None:
                 else:
                     refuted += 1
     print(f"\n{confirmed} confirmed, {refuted} refuted")
-    print("refutations are stable under the engine's internal cross-checks "
-          "(finite differences, generator reordering, pure-state fast path)")
+    print("refutations are stable under the engine's cross-checks (generator "
+          "reordering, pure-state fast path, the test suite's finite differences)")
 
 
 if __name__ == "__main__":

@@ -11,11 +11,11 @@ authoritative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import ParameterPair, Strategy, SumDiffParams
+from .kinematics import ParameterPair, Strategy
 from .oracle import model_for, qfi_numeric
 
 __all__ = [
@@ -135,32 +135,28 @@ def asymptotic_H(
 
 
 def scenario_qcrb_covariance(
-    strategy: Strategy, pair: ParameterPair, kappa: float, sigma1: float, sigma2: float
+    strategy: Strategy, kappa: float, sigma1: float, sigma2: float
 ) -> np.ndarray:
     """Per-shot QCRB covariance of (t_plus, t_minus, omega_plus, omega_minus).
 
-    Two single photons are independent, so the bound with every other
-    parameter unknown is the sum/difference image of the per-photon bounds
-    Var(t_i) = 1/(4 sigma_i^2) and Var(omega_i) = sigma_i^2.  The entangled
-    entries are the reciprocals of the pair's diagonal QFI at the pair's
-    time and frequency columns, all other entries zero; they hold the
-    partner parameters known, which is the full bound only when
-    sigma1 == sigma2.
+    The returned biphoton's frequencies have covariance
+    B = [[sigma1^2, -kappa sigma1 sigma2], [-kappa sigma1 sigma2, sigma2^2]]
+    and its times (4B)^-1, so its QFI over (t1, t2) is 4B and over
+    (omega1, omega2) is B^-1, with no time-frequency cross terms.  The bound
+    with every other parameter unknown is the inverse of each full block:
+    the sum/difference image J C J^T, J = [[1, 1], [-1, 1]], of C = (4B)^-1
+    and C = B.  Two single photons are the same form at kappa = 0.
     """
-    cov = np.zeros((4, 4))
     if strategy is Strategy.TWO_SINGLE_PHOTONS:
-        for block, (a, b) in (
-            (slice(0, 2), (1.0 / (4.0 * sigma1**2), 1.0 / (4.0 * sigma2**2))),
-            (slice(2, 4), (sigma1**2, sigma2**2)),
-        ):
-            cov[block, block] = [[a + b, b - a], [b - a, a + b]]
-    elif strategy is Strategy.ENTANGLED_BIPHOTON:
-        H = qfi_entangled(sigma1, sigma2, kappa, pair).H
-        names = [f.name for f in fields(SumDiffParams)]
-        i, j = (names.index(name) for name in pair.param_names)
-        cov[i, i], cov[j, j] = 1.0 / H[0, 0], 1.0 / H[1, 1]
-    else:
+        kappa = 0.0
+    elif strategy is not Strategy.ENTANGLED_BIPHOTON:
         raise ValueError(f"no scenario QCRB for {strategy!r}")
+    s12 = kappa * sigma1 * sigma2
+    d = 4.0 * (1.0 - kappa**2) * sigma1**2 * sigma2**2
+    J = np.array([[1.0, 1.0], [-1.0, 1.0]])
+    cov = np.zeros((4, 4))
+    cov[:2, :2] = J @ (np.array([[sigma2**2, s12], [s12, sigma1**2]]) / d) @ J.T
+    cov[2:, 2:] = J @ np.array([[sigma1**2, -s12], [-s12, sigma2**2]]) @ J.T
     return cov
 
 

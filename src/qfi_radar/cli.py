@@ -267,8 +267,8 @@ def _compat_residual(strategy: Strategy, pair: ParameterPair, kappa: float, sigm
 
 
 def cmd_qfi(cfg: dict) -> int:
+    header = ["strategy", "pair", "kappa", "sigma", "H11", "H22", "bound", "residual"]
     rows = []
-    records = []
     for strategy in selected_strategies(cfg):
         for pair in selected_pairs(cfg):
             for kappa in kappa_grid(cfg):
@@ -279,29 +279,13 @@ def cmd_qfi(cfg: dict) -> int:
                 rows.append(
                     [strategy.value, pair.value, kappa, sigma, h11, h22, bound, residual]
                 )
-                records.append(
-                    {
-                        "strategy": strategy.value,
-                        "pair": pair.value,
-                        "kappa": kappa,
-                        "sigma": sigma,
-                        "H11": h11,
-                        "H22": h22,
-                        "bound": bound,
-                        "residual": residual,
-                    }
-                )
     out = _outdir(cfg)
     if cfg["format"] == "json":
         path = os.path.join(out, "qfi.jsonl")
-        write_jsonl(path, records)
+        write_jsonl(path, [dict(zip(header, row)) for row in rows])
     else:
         path = os.path.join(out, "qfi.csv")
-        write_csv(
-            path,
-            ["strategy", "pair", "kappa", "sigma", "H11", "H22", "bound", "residual"],
-            rows,
-        )
+        write_csv(path, header, rows)
     print(f"wrote {len(rows)} rows to {path}")
     return EXIT_OK
 

@@ -226,7 +226,8 @@ def run_scenario(
     the estimates and their standard errors come from the sample means and
     the block sample covariance, and the predicted standard errors from the
     per-shot QCRB covariance (``analytic.scenario_qcrb_covariance``) at the
-    true returned parameters, split the same way.
+    true returned bandwidths, split the same way.  That bound holds every
+    other parameter unknown, for both strategies and at any v1, v2.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -259,12 +260,10 @@ def run_scenario(
     values, grad = target_estimates(scenario, means, probe.omega0, consts)
 
     if scenario == "multibody":
-        pair = ParameterPair.TIME_SUM_FREQ_DIFF
         truth = ((targets[0].r + targets[1].r) / 2.0, targets[1].v - targets[0].v)
     else:
-        pair = ParameterPair.TIME_DIFF_FREQ_SUM
         truth = (targets[1].r - targets[0].r, targets[0].v)
-    qcrb = scenario_qcrb_covariance(probe.strategy, pair, probe.kappa, rp.sigma1, rp.sigma2)
+    qcrb = scenario_qcrb_covariance(probe.strategy, probe.kappa, rp.sigma1, rp.sigma2)
     qcrb[:2, :2] /= n_time
     qcrb[2:, 2:] /= n_freq
     _, grad_true = target_estimates(scenario, sum_diff(rp), probe.omega0, consts)

@@ -62,12 +62,11 @@ class SubspaceBasis:
 class ProjectedState:
     """Density matrix and its parameter derivatives in the subspace basis.
 
-    ``drho[i]`` and ``residuals[i]`` belong to the i-th projected parameter.
+    ``drho[i]`` belongs to the i-th projected parameter.
     """
 
     rho: np.ndarray
     drho: np.ndarray
-    residuals: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -75,16 +74,13 @@ class MixedModel:
     """A strategy instance: weighted branches plus their parameter dependence.
 
     ``derivs[param][i]`` is the analytic derivative of branch ``i``'s ket
-    with respect to the sum/difference parameter ``param``.  ``args`` holds
-    the keyword arguments ``model_for`` built the model from, so the
-    finite-difference reference can rebuild it with one parameter displaced.
+    with respect to the sum/difference parameter ``param``.
     """
 
     strategy: Strategy
     weights: tuple[float, ...]
     states: tuple
     derivs: dict[str, tuple[AffineState, ...]]
-    args: dict[str, float]
 
 
 @dataclass
@@ -96,7 +92,6 @@ class OracleResult:
     dim: int
     rho_eigenvalues: np.ndarray
     basis: SubspaceBasis
-    projection_residuals: tuple[float, ...]
     pure_H: np.ndarray | None = None
 
     @property
@@ -154,78 +149,23 @@ def build_subspace(generators: list) -> SubspaceBasis:
     return SubspaceBasis(list(generators), gram, transform, transform.shape[1])
 
 
-def _rho_matrix(basis: SubspaceBasis, weights, states) -> np.ndarray:
-    """sum_k w_k |k><k| in the subspace basis, from one stacked ``overlap``
-    call per generator base and branch ket."""
-    G = np.empty((len(basis.generators), len(states)), dtype=complex)
-    for stack, idx in stack_by_base(basis.generators):
-        for k, state in enumerate(states):
-            G[idx, k] = overlap(stack, state)
-    V = basis.transform.conj().T @ G
-    return (V * np.asarray(weights)) @ V.conj().T
-
-
-def project(
-    model: MixedModel,
-    basis: SubspaceBasis,
-    params: tuple[str, ...],
-    fd_step: float | None = None,
-) -> ProjectedState:
+def project(model: MixedModel, basis: SubspaceBasis, params: tuple[str, ...]) -> ProjectedState:
     """Project rho and its derivative along each of ``params`` onto the subspace.
 
-    Analytic derivatives: the coordinates of every branch ket and derivative
-    state are Gram columns, taken at once as T^H G[:, idx], and rho and every
-    d(rho) come from one batched product.  With ``fd_step`` set, derivatives
-    come from central differences of the model rebuilt by ``model_for`` at
-    each displaced parameter instead; the projection residual
-    ||(1-P) d(rho)||_HS is then reported exactly from pairwise Gaussian
-    overlaps.
+    The coordinates of every branch ket and derivative state are Gram
+    columns, taken at once as T^H G[:, idx], and rho and every d(rho) come
+    from one batched product.
     """
-    if fd_step is None:
-        index = basis.generators.index
-        K = len(model.states)
-        idx = [index(st) for st in (*model.states, *_derivs(model, params))]
-        # C[0] holds the branch coordinates, C[1 + i] their derivatives along params[i]
-        C = basis.transform.conj().T @ basis.gram.take(idx, 1)
-        C = C.reshape(basis.dim, 1 + len(params), K).transpose(1, 0, 2)
-        M = (C * model.weights) @ C[0].conj().T
-        # rho = V W V^H and d(rho) = dV W V^H + h.c., each exactly Hermitian
-        S = M + M.conj().swapaxes(1, 2)
-        return ProjectedState(S[0] / 2.0, S[1:], (0.0,) * len(params))
-
-    rho = _rho_matrix(basis, model.weights, model.states)
-    drhos = []
-    residuals = []
-    for param in params:
-        plus = _displaced(model, param, +fd_step)
-        minus = _displaced(model, param, -fd_step)
-        Rp = _rho_matrix(basis, plus.weights, plus.states)
-        Rm = _rho_matrix(basis, minus.weights, minus.states)
-        dR = (Rp - Rm) / (2.0 * fd_step)
-        drhos.append(dR)
-        residuals.append(_fd_projection_residual(plus, minus, fd_step, dR))
-    return ProjectedState(rho, np.array(drhos), tuple(residuals))
-
-
-def _fd_projection_residual(plus, minus, h, dR_projected) -> float:
-    """||(1-P) d(rho)_fd||_HS via exact overlaps of the shifted branch kets.
-
-    The estimate subtracts two nearly equal norms assembled from O(1/h)
-    coefficients, so it carries a cancellation noise floor of roughly
-    sqrt(machine epsilon)/h even when the true leakage is zero.
-    """
-    # X = sum_k c_k |k><k| over the shifted kets has Tr(X^2) =
-    # sum_kl c_k c_l |<k|l>|^2, so only the K(K+1)/2 overlaps k <= l are needed
-    kets = plus.states + minus.states
-    cs = np.array(plus.weights + tuple(-w for w in minus.weights)) / (2.0 * h)
-    K = len(kets)
-    O2 = np.empty((K, K))
-    for k in range(K):
-        for l in range(k, K):
-            O2[k, l] = O2[l, k] = abs(overlap(kets[k], kets[l])) ** 2
-    full_norm2 = float(cs @ O2 @ cs)
-    proj_norm2 = float(np.real(np.trace(dR_projected @ dR_projected)))
-    return float(np.sqrt(max(full_norm2 - proj_norm2, 0.0)))
+    index = basis.generators.index
+    K = len(model.states)
+    idx = [index(st) for st in (*model.states, *_derivs(model, params))]
+    # C[0] holds the branch coordinates, C[1 + i] their derivatives along params[i]
+    C = basis.transform.conj().T @ basis.gram.take(idx, 1)
+    C = C.reshape(basis.dim, 1 + len(params), K).transpose(1, 0, 2)
+    M = (C * model.weights) @ C[0].conj().T
+    # rho = V W V^H and d(rho) = dV W V^H + h.c., each exactly Hermitian
+    S = M + M.conj().swapaxes(1, 2)
+    return ProjectedState(S[0] / 2.0, S[1:])
 
 
 def sld_solve(projected: ProjectedState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,13 +205,10 @@ def qfi_numeric(
     model: MixedModel,
     pair: ParameterPair,
     *,
-    fd_step: float | None = None,
     reverse_generators: bool = False,
 ) -> OracleResult:
     """Full numerical QFI for a strategy instance and estimator pair.
 
-    ``fd_step`` set takes d(rho) from central differences of the rebuilt
-    model instead of the analytic derivative states (see ``project``).
     ``reverse_generators`` feeds the subspace builder the generator list in
     reverse; the result must be invariant, which makes it a cheap
     orthonormalization self-check.
@@ -282,7 +219,7 @@ def qfi_numeric(
         generators.reverse()
     basis = build_subspace(generators)
 
-    projected = project(model, basis, params, fd_step)
+    projected = project(model, basis, params)
     L, lam, _U = sld_solve(projected)
 
     # X_ab = Tr(rho L_a L_b), rho = diag(lam) in the SLDs' basis: H is its
@@ -292,7 +229,7 @@ def qfi_numeric(
     compat = float(abs(X[0, 1] - X[1, 0]))
 
     pure_H = None
-    if len(model.states) == 1 and fd_step is None:
+    if len(model.states) == 1:
         pure_H = _pure_fast_path(model, basis, params)
 
     return OracleResult(
@@ -301,7 +238,6 @@ def qfi_numeric(
         dim=basis.dim,
         rho_eigenvalues=lam,
         basis=basis,
-        projection_residuals=projected.residuals,
         pure_H=pure_H,
     )
 
@@ -309,11 +245,6 @@ def qfi_numeric(
 def _derivs(model: MixedModel, params: tuple[str, ...]) -> list:
     """Every branch's derivative state along each of ``params``, parameter-major."""
     return [d for p in params for d in model.derivs[p]]
-
-
-def _displaced(model: MixedModel, param: str, eps: float) -> MixedModel:
-    """The same model rebuilt with one sum/difference parameter moved by eps."""
-    return model_for(model.strategy, **{**model.args, param: model.args[param] + eps})
 
 
 def model_for(
@@ -343,8 +274,6 @@ def model_for(
     finds it in its generator list by identity.
     """
     s2 = sigma1 if sigma2 is None else sigma2
-    args = {"sigma1": sigma1, "sigma2": s2, "kappa": kappa, "t_plus": t_plus,
-            "t_minus": t_minus, "omega_plus": omega_plus, "omega_minus": omega_minus}
     t1, t2 = (t_plus - t_minus) / 2.0, (t_plus + t_minus) / 2.0
     w1, w2 = (omega_plus - omega_minus) / 2.0, (omega_plus + omega_minus) / 2.0
     # each branch's chain factors, one per photon of its ket, from the
@@ -368,4 +297,4 @@ def model_for(
     derivs = {p: tuple(_derivative(st, kind, fs) for st, fs in zip(states, branch_factors(f1, f2)))
               for p, (kind, f1, f2) in _PAIR_CHAIN.items()}
     w = trace / len(states)
-    return MixedModel(strategy, (w,) * len(states), states, derivs, args)
+    return MixedModel(strategy, (w,) * len(states), states, derivs)

@@ -18,12 +18,21 @@ from qfi_radar.analytic import (
     published_mixed_qfi,
     qfi_entangled,
 )
-from qfi_radar.kinematics import ParameterPair, Strategy
-from qfi_radar.oracle import model_for, qfi_numeric
+from qfi_radar.kinematics import ParameterPair, ProbeConfig, Strategy, Target, return_params
+from qfi_radar.oracle import build_subspace, model_for, project, qfi_numeric, sld_solve
 
 PAIR_A = ParameterPair.TIME_SUM_FREQ_DIFF
 PAIR_B = ParameterPair.TIME_DIFF_FREQ_SUM
 ROOT3_2 = math.sqrt(3.0) / 2.0
+SUM_DIFF = ("t_plus", "t_minus", "omega_plus", "omega_minus")
+
+
+def engine_H(model, params):
+    """The engine's information matrix over ``params``, from its public stages."""
+    basis = build_subspace([*model.states, *(d for p in params for d in model.derivs[p])])
+    L, lam, _U = sld_solve(project(model, basis, params))
+    X = np.einsum("i,aij,bji->ab", lam, L, L)
+    return np.real(X + X.T) / 2.0
 
 
 class TestEntangled:
@@ -103,19 +112,39 @@ class TestBounds:
 
     def test_scenario_qcrb_covariance(self):
         # single photons: sum/difference image of the per-photon bounds
-        cov = scenario_qcrb_covariance(Strategy.TWO_SINGLE_PHOTONS, PAIR_A, 0.0, 1.0, 2.0)
+        cov = scenario_qcrb_covariance(Strategy.TWO_SINGLE_PHOTONS, 0.0, 1.0, 2.0)
         a, b = 0.25, 1.0 / 16.0
         assert cov[:2, :2] == pytest.approx(np.array([[a + b, b - a], [b - a, a + b]]))
         assert cov[2:, 2:] == pytest.approx(np.array([[5.0, 3.0], [3.0, 5.0]]))
         assert not cov[:2, 2:].any() and not cov[2:, :2].any()
-        # entangled: reciprocal pair entries at the pair's columns, as asymptotic_H
+        # entangled at equal bandwidths: the time and frequency blocks are
+        # diagonal, reciprocal to asymptotic_H at each pair's entries
         for pair, cols in ((PAIR_A, [0, 3]), (PAIR_B, [1, 2])):
-            cov = scenario_qcrb_covariance(Strategy.ENTANGLED_BIPHOTON, pair, -0.9, 1.3, 1.3)
+            cov = scenario_qcrb_covariance(Strategy.ENTANGLED_BIPHOTON, -0.9, 1.3, 1.3)
             h = asymptotic_H(Strategy.ENTANGLED_BIPHOTON, pair, -0.9, 1.3)
-            assert np.diag(cov)[cols] == pytest.approx(1.0 / np.array(h), rel=1e-15)
-            assert np.count_nonzero(cov) == 2
+            assert np.diag(cov)[cols] == pytest.approx(1.0 / np.array(h), rel=1e-14)
+            assert np.count_nonzero(cov) == 4
         with pytest.raises(ValueError):
-            scenario_qcrb_covariance(Strategy.QUANTUM_ILLUMINATION, PAIR_A, 0.0, 1.0, 1.0)
+            scenario_qcrb_covariance(Strategy.QUANTUM_ILLUMINATION, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("strategy, kappa", [(Strategy.ENTANGLED_BIPHOTON, -0.9),
+                                                 (Strategy.ENTANGLED_BIPHOTON, 0.6),
+                                                 (Strategy.TWO_SINGLE_PHOTONS, 0.0)])
+    def test_scenario_qcrb_is_inverse_engine_qfi(self, strategy, kappa):
+        # unequal returned bandwidths, v = (0, 0.3c): the bound holds every
+        # other parameter unknown, so it is the inverse of the engine's
+        # four-parameter H (single photons far apart, where the photon-counted
+        # engine and the labelled photons agree)
+        probe = ProbeConfig(omega0=10.0, sigma0=1.0, kappa=kappa, strategy=strategy)
+        rp = return_params(Target(300.0, 0.0), Target(340.0, 0.3), probe)
+        assert rp.sigma2 < 0.6 * rp.sigma1
+        model = model_for(strategy, sigma1=rp.sigma1, sigma2=rp.sigma2, kappa=kappa,
+                          t_plus=rp.t1 + rp.t2, t_minus=rp.t2 - rp.t1,
+                          omega_plus=rp.omega1 + rp.omega2, omega_minus=rp.omega2 - rp.omega1)
+        want = np.linalg.inv(engine_H(model, SUM_DIFF))
+        cov = scenario_qcrb_covariance(strategy, kappa, rp.sigma1, rp.sigma2)
+        d = np.sqrt(np.diag(want))
+        assert np.max(np.abs(cov - want) / np.outer(d, d)) <= 1e-9
 
 
 class TestPublishedForms:

@@ -42,3 +42,26 @@ def test_engine_imports_no_closed_forms():
             else:
                 continue
             assert not any("analytic" in m.split(".") for m in modules), (name, ast.dump(node))
+
+
+def test_engine_overlaps_only_in_gram_matrix():
+    # one engine path: every overlap the engine evaluates is a Gram entry, so
+    # nothing recomputes overlaps outside the matrix build_subspace factors
+    tree = ast.parse((ROOT / "src" / "qfi_radar" / "oracle.py").read_text(encoding="utf-8"))
+    callers = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.alias) and node.name == "overlap":
+            assert node.asname is None, "overlap imported under another name"
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == "overlap" or getattr(func, "attr", None) == "overlap":
+                callers.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    assert callers, "oracle.py no longer calls overlap"
+    assert all(function == "build_subspace" for function, _ in callers), callers

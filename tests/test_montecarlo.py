@@ -258,18 +258,28 @@ class TestScenarios:
             pred = report["predicted_qcrb_std_errors"]["delta_v"]
             assert pred == pytest.approx(se, rel=0.05), f"v={v}"
 
-    def test_single_photon_predictions_unequal_bandwidths(self):
+    @staticmethod
+    def _assert_unequal_bandwidth_predictions(probe):
         # v2 = 0.3c returns photon 2 at a narrower bandwidth; the prediction
         # holds t_minus and omega_plus unknown, which the plain sums reach
-        probe = ProbeConfig(
-            omega0=10.0, sigma0=1.0, kappa=0.0, strategy=Strategy.TWO_SINGLE_PHOTONS
-        )
         report = run_scenario(
             "multibody", (Target(300.0, 0.0), Target(500.0, 0.3)), probe, 200_000, seed=4
         )
         for name, se in report["std_errors"].items():
             pred = report["predicted_qcrb_std_errors"][name]
             assert pred == pytest.approx(se, rel=0.05), name
+
+    def test_single_photon_predictions_unequal_bandwidths(self):
+        self._assert_unequal_bandwidth_predictions(ProbeConfig(
+            omega0=10.0, sigma0=1.0, kappa=0.0, strategy=Strategy.TWO_SINGLE_PHOTONS
+        ))
+
+    def test_entangled_predictions_unequal_bandwidths(self):
+        # the correlated pair's time and frequency blocks are not diagonal,
+        # so holding the partner parameters known would predict the
+        # midpoint error bar 0.55 times too small
+        self._assert_unequal_bandwidth_predictions(
+            ProbeConfig(omega0=10.0, sigma0=1.0, kappa=-0.9))
 
     def test_default_predictions_closed_form(self):
         omega0, kappa = 10.0, -0.9

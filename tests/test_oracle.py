@@ -7,6 +7,7 @@ the mixture becomes an orthogonal ensemble.
 """
 
 import collections
+import inspect
 import math
 
 import numpy as np
@@ -19,13 +20,20 @@ from qfi_radar import oracle
 from qfi_radar.analytic import asymptotic_bound, qfi_entangled
 from qfi_radar.kinematics import ParameterPair, Strategy
 from qfi_radar.oracle import (
+    ProjectedState,
     build_subspace,
     model_for,
     project,
     qfi_numeric,
     sld_solve,
 )
-from qfi_radar.states import GaussianBiphoton, GaussianSinglePhoton, derivative
+from qfi_radar.states import (
+    GaussianBiphoton,
+    GaussianSinglePhoton,
+    derivative,
+    overlap,
+    stack_by_base,
+)
 
 PAIR_A = ParameterPair.TIME_SUM_FREQ_DIFF
 PAIR_B = ParameterPair.TIME_DIFF_FREQ_SUM
@@ -41,9 +49,11 @@ STRATEGY_CASES = (
 
 
 # benign engine points: clear of generator drops and near-coincident branches
-# (t_minus in units of 1/sigma, omega_minus in units of sigma)
+# (t_minus in units of 1/sigma, omega_minus in units of sigma, where sigma is
+# photon 1's bandwidth and photon 2's is sigma times ratio)
 engine_points = st.fixed_dictionaries({
-    "sigma": st.floats(0.5, 2.0), "kappa": st.floats(-0.9, 0.9),
+    "sigma": st.floats(0.5, 2.0), "ratio": st.floats(0.5, 2.0),
+    "kappa": st.floats(-0.9, 0.9),
     "t_sigma": st.floats(0.05, 5.0), "w_over_sigma": st.floats(0.0, 2.0),
 })
 strategies = st.sampled_from(list(Strategy))
@@ -53,13 +63,65 @@ pairs = st.sampled_from(list(ParameterPair))
 PROPERTY_RTOL = 2e-8
 
 
-def point_model(strategy, point, scale=1.0):
-    """The model at ``point`` with every bandwidth and carrier times ``scale``
-    and every time divided by it."""
+def point_kwargs(point, scale=1.0):
+    """``model_for`` arguments at ``point`` with every bandwidth and carrier
+    times ``scale`` and every time divided by it; quantum illumination does
+    not read ``sigma2``."""
     s = point["sigma"] * scale
-    return model_for(strategy, sigma1=s, kappa=point["kappa"],
-                     t_minus=point["t_sigma"] / s, omega_minus=point["w_over_sigma"] * s,
-                     omega_plus=2.0 * scale)
+    return {"sigma1": s, "sigma2": s * point["ratio"], "kappa": point["kappa"],
+            "t_minus": point["t_sigma"] / s, "omega_minus": point["w_over_sigma"] * s,
+            "omega_plus": 2.0 * scale}
+
+
+def point_model(strategy, point, scale=1.0):
+    return model_for(strategy, **point_kwargs(point, scale))
+
+
+def fd_qfi(strategy, kwargs, pair, h):
+    """Finite-difference reference for the engine's H on ``pair``.
+
+    d(rho) is the central difference of rho over ``model_for`` rebuilt with
+    each parameter moved by +-h, every rho projected onto the subspace of
+    the undisplaced model from exact overlaps of its branch kets.  Returns
+    (H, residuals): residuals[i] is ||(1-P) d(rho)_fd||_HS for the i-th
+    parameter, computed exactly from pairwise Gaussian overlaps of the
+    displaced kets.  It subtracts two nearly equal O(1/h^2) norms, so it
+    carries a cancellation noise floor of roughly sqrt(machine epsilon)/h
+    even when the true leakage is zero.
+    """
+    model = model_for(strategy, **kwargs)
+    params = pair.param_names
+    basis = build_subspace([*model.states, *(d for p in params for d in model.derivs[p])])
+    stacks = stack_by_base(basis.generators)
+
+    def rho_matrix(m):
+        # sum_k w_k |k><k| in the subspace basis
+        G = np.empty((len(basis.generators), len(m.states)), dtype=complex)
+        for stack, idx in stacks:
+            for k, state in enumerate(m.states):
+                G[idx, k] = overlap(stack, state)
+        V = basis.transform.conj().T @ G
+        return (V * np.asarray(m.weights)) @ V.conj().T
+
+    defaults = inspect.signature(model_for).parameters
+    drhos, residuals = [], []
+    for param in params:
+        value = kwargs.get(param, defaults[param].default)
+        plus = model_for(strategy, **{**kwargs, param: value + h})
+        minus = model_for(strategy, **{**kwargs, param: value - h})
+        dR = (rho_matrix(plus) - rho_matrix(minus)) / (2.0 * h)
+        drhos.append(dR)
+        # X = sum_k c_k |k><k| over the displaced kets has Tr(X^2) =
+        # sum_kl c_k c_l |<k|l>|^2
+        kets = plus.states + minus.states
+        cs = np.array(plus.weights + tuple(-w for w in minus.weights)) / (2.0 * h)
+        O2 = np.array([[abs(overlap(a, b)) ** 2 for b in kets] for a in kets])
+        proj_norm2 = float(np.real(np.trace(dR @ dR)))
+        residuals.append(float(np.sqrt(max(float(cs @ O2 @ cs) - proj_norm2, 0.0))))
+
+    L, lam, _U = sld_solve(ProjectedState(rho_matrix(model), np.array(drhos)))
+    X = np.einsum("i,aij,bji->ab", lam, L, L)
+    return np.real(X + X.T) / 2.0, residuals
 
 
 def rel_error(H, want):
@@ -316,8 +378,17 @@ class TestEngineProperties:
 
     @PROPERTY
     @given(pairs, engine_points)
+    def test_entangled_matches_closed_form(self, pair, point):
+        kwargs = point_kwargs(point)
+        H = qfi_numeric(model_for(Strategy.ENTANGLED_BIPHOTON, **kwargs), pair).H
+        want = qfi_entangled(kwargs["sigma1"], kwargs["sigma2"], kwargs["kappa"], pair).H
+        assert rel_error(H, want) <= PROPERTY_RTOL
+
+    @PROPERTY
+    @given(pairs, engine_points)
     def test_uncorrelated_qi_is_half_single_photons(self, pair, point):
-        point = {**point, "kappa": 0.0}
+        # quantum illumination has one bandwidth
+        point = {**point, "kappa": 0.0, "ratio": 1.0}
         qi = qfi_numeric(point_model(Strategy.QUANTUM_ILLUMINATION, point), pair).H
         sp = qfi_numeric(point_model(Strategy.TWO_SINGLE_PHOTONS, point), pair).H
         assert rel_error(2.0 * qi, sp) <= PROPERTY_RTOL
@@ -329,9 +400,8 @@ class TestEngineProperties:
         # d(rho) is divided by rho's small eigenvalue, about (t_minus sigma)^2/4,
         # and peaks near 1.3e-7 on the omega_minus entry at t_minus sigma =
         # 0.05, omega_minus = 0; it grows as h shrinks below 1e-4
-        model = point_model(strategy, point)
-        an = qfi_numeric(model, pair).H
-        fd = qfi_numeric(model, pair, fd_step=1e-5).H
+        an = qfi_numeric(point_model(strategy, point), pair).H
+        fd, _ = fd_qfi(strategy, point_kwargs(point), pair, 1e-5)
         assert np.max(np.abs(np.diag(fd - an)) / np.abs(np.diag(an))) <= 1e-6
 
     @PROPERTY
@@ -339,7 +409,9 @@ class TestEngineProperties:
     def test_bound_product_above_floor(self, strategy, pair, point):
         # overlapping branches only lose information, so the product sits at
         # or above the orthogonal-branch floor; the entangled probe meets it
-        # at every separation, hence the round-off margin
+        # at every separation, hence the round-off margin; the floors are
+        # those of equal bandwidths
+        point = {**point, "ratio": 1.0}
         res = qfi_numeric(point_model(strategy, point), pair)
         floor = asymptotic_bound(strategy, pair, point["kappa"])
         assert res.bound_product >= floor * (1.0 - 1e-12)
@@ -359,12 +431,12 @@ class TestRobustness:
             model = model_for(strategy, **kwargs)
             for pair in (PAIR_A, PAIR_B):
                 an = qfi_numeric(model, pair)
-                fd = qfi_numeric(model, pair, fd_step=1e-5)
-                rel = np.max(np.abs(np.diag(fd.H - an.H)) / np.abs(np.diag(an.H)))
+                fd, residuals = fd_qfi(strategy, kwargs, pair, 1e-5)
+                rel = np.max(np.abs(np.diag(fd - an.H)) / np.abs(np.diag(an.H)))
                 assert rel <= 1e-6, (strategy, pair)
                 # the residual estimate subtracts two O(1/h^2) Hilbert-Schmidt
                 # norms, so its numerical floor is ~sqrt(eps)/h, not zero
-                assert max(fd.projection_residuals) <= 1e-2
+                assert max(residuals) <= 1e-2
 
     def test_high_correlation_conditioning(self):
         model = model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=1.0, kappa=0.99)
