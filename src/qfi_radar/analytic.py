@@ -25,6 +25,7 @@ __all__ = [
     "asymptotic_H",
     "scenario_qcrb_covariance",
     "asymptotic_bound",
+    "bound_product",
     "adjudicate",
 ]
 
@@ -39,8 +40,9 @@ class QfiResult:
     bound_product: float
 
 
-def _bound(H: np.ndarray) -> float:
-    return 1.0 / math.sqrt(float(H[0, 0]) * float(H[1, 1]))
+def bound_product(h11: float, h22: float) -> float:
+    """Uncertainty-product floor 1/sqrt(H11 H22) of a diagonal information pair."""
+    return 1.0 / math.sqrt(h11 * h22)
 
 
 def qfi_entangled(
@@ -61,7 +63,7 @@ def qfi_entangled(
     h11 = sigma1**2 - 2.0 * k * sigma1 * sigma2 + sigma2**2
     h22 = h11 / (4.0 * (1.0 - kappa**2) * sigma1**2 * sigma2**2)
     H = np.diag([h11, h22])
-    return QfiResult(H=H, bound_product=_bound(H))
+    return QfiResult(H=H, bound_product=bound_product(h11, h22))
 
 
 def published_mixed_qfi(
@@ -161,17 +163,14 @@ def scenario_qcrb_covariance(
 
 
 def asymptotic_bound(strategy: Strategy, pair: ParameterPair, kappa: float) -> float:
-    """Orthogonal-branch uncertainty-product floor Min[da db] at correlation kappa."""
+    """Orthogonal-branch uncertainty-product floor Min[da db] at correlation kappa.
+
+    The floor does not depend on the bandwidth; it is read off
+    ``asymptotic_H`` at sigma = 1.
+    """
     if not -1.0 < kappa < 1.0:
         raise ValueError(f"kappa must lie in (-1, 1), got {kappa}")
-    if strategy is Strategy.ENTANGLED_BIPHOTON:
-        k = kappa if pair is ParameterPair.TIME_SUM_FREQ_DIFF else -kappa
-        return math.sqrt((1.0 + k) / (1.0 - k))
-    if strategy is Strategy.TWO_SINGLE_PHOTONS:
-        return 1.0
-    if strategy is Strategy.QUANTUM_ILLUMINATION:
-        return 2.0 * math.sqrt(1.0 - kappa**2)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return bound_product(*asymptotic_H(strategy, pair, kappa, 1.0))
 
 
 def adjudicate(

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analytic import adjudicate, asymptotic_H, asymptotic_bound
+from .analytic import adjudicate, asymptotic_H, asymptotic_bound, bound_product
 from .kinematics import (
     NATURAL_UNITS,
     SCENARIOS,
@@ -173,6 +173,18 @@ def write_jsonl(path: str, records: list[dict]) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def write_table(cfg: dict, name: str, header: list[str], rows: list[list]) -> None:
+    """Write ``rows`` to <name>.jsonl under ``--format json``, else <name>.csv."""
+    out = _outdir(cfg)
+    if cfg["format"] == "json":
+        path = os.path.join(out, name + ".jsonl")
+        write_jsonl(path, [dict(zip(header, row)) for row in rows])
+    else:
+        path = os.path.join(out, name + ".csv")
+        write_csv(path, header, rows)
+    print(f"wrote {len(rows)} rows to {path}")
+
+
 # ---------------------------------------------------------------------------
 # minimal SVG emitter
 
@@ -274,19 +286,12 @@ def cmd_qfi(cfg: dict) -> int:
             for kappa in kappa_grid(cfg):
                 sigma = cfg["sigma"]
                 h11, h22 = asymptotic_H(strategy, pair, kappa, sigma)
-                bound = 1.0 / math.sqrt(h11 * h22)
+                bound = bound_product(h11, h22)
                 residual = _compat_residual(strategy, pair, kappa, sigma)
                 rows.append(
                     [strategy.value, pair.value, kappa, sigma, h11, h22, bound, residual]
                 )
-    out = _outdir(cfg)
-    if cfg["format"] == "json":
-        path = os.path.join(out, "qfi.jsonl")
-        write_jsonl(path, [dict(zip(header, row)) for row in rows])
-    else:
-        path = os.path.join(out, "qfi.csv")
-        write_csv(path, header, rows)
-    print(f"wrote {len(rows)} rows to {path}")
+    write_table(cfg, "qfi", header, rows)
     return EXIT_OK
 
 
@@ -410,14 +415,7 @@ def cmd_simulate(cfg: dict) -> int:
                             f"QCRB {fmt(rep.qcrb_variance)} outside {fmt(level)} interval "
                             f"[{fmt(lo)}, {fmt(hi)}]"
                         )
-    out = _outdir(cfg)
-    if cfg["format"] == "json":
-        path = os.path.join(out, "simulate.jsonl")
-        write_jsonl(path, [dict(zip(header, row)) for row in rows])
-    else:
-        path = os.path.join(out, "simulate.csv")
-        write_csv(path, header, rows)
-    print(f"wrote {len(rows)} rows to {path}")
+    write_table(cfg, "simulate", header, rows)
     if failures:
         for line in failures:
             print(f"saturation check failed: {line}", file=sys.stderr)

@@ -17,13 +17,12 @@ import numpy as np
 
 from .kinematics import ParameterPair, Strategy
 from .states import (
-    AffineState,
+    ROWS,
     GaussianBiphoton,
     GaussianSinglePhoton,
-    _PAIR_CHAIN,
-    _derivative,
+    Stack,
+    branch_stack,
     overlap,
-    stack_by_base,
 )
 
 __all__ = [
@@ -45,14 +44,15 @@ SUPPORT_TOL = 1e-12
 
 @dataclass
 class SubspaceBasis:
-    """Orthonormal basis spanning a list of generator states.
+    """Orthonormal basis spanning the generator states of one stack per branch.
 
-    ``transform`` has one column per retained basis vector; column k holds
-    the generator-expansion coefficients of |e_k>, so the transformed Gram
+    Generator r K + k is row r of stack k, K stacks in all.  ``transform``
+    has one column per retained basis vector; column k holds the
+    generator-expansion coefficients of |e_k>, so the transformed Gram
     matrix T^H G T is the identity.
     """
 
-    generators: list
+    generators: list[Stack]
     gram: np.ndarray
     transform: np.ndarray
     dim: int
@@ -73,14 +73,13 @@ class ProjectedState:
 class MixedModel:
     """A strategy instance: weighted branches plus their parameter dependence.
 
-    ``derivs[param][i]`` is the analytic derivative of branch ``i``'s ket
-    with respect to the sum/difference parameter ``param``.
+    ``stacks[i]`` holds branch ``i``'s ket and its analytic derivatives, one
+    row each, in the order of ``states.ROWS``.
     """
 
     strategy: Strategy
     weights: tuple[float, ...]
-    states: tuple
-    derivs: dict[str, tuple[AffineState, ...]]
+    stacks: tuple[Stack, ...]
 
 
 @dataclass
@@ -94,42 +93,32 @@ class OracleResult:
     basis: SubspaceBasis
     pure_H: np.ndarray | None = None
 
-    @property
-    def bound_product(self) -> float:
-        return 1.0 / np.sqrt(self.H[0, 0] * self.H[1, 1])
 
+def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
+    """Orthonormalize the rows of one stack per branch via the eigenbasis of
+    their Gram matrix.
 
-def build_subspace(generators: list) -> SubspaceBasis:
-    """Orthonormalize a generator list via the eigenbasis of its Gram matrix.
-
-    The Gram matrix takes one ``overlap`` call per pair of distinct base
-    Gaussians: the generators are stacked by base, each block and its
-    conjugate transpose land in contiguous slices, and one permutation
-    restores the caller's order.
+    Every stack has the same rows; generator r K + k is row r of stack k.
+    The Gram matrix takes one ``overlap`` call per pair of stacks, each
+    block landing with its conjugate transpose in the mirrored position.
 
     Deterministic for a fixed generator order: eigenpairs are sorted by
     descending eigenvalue and each eigenvector's phase is fixed so that its
     first significantly nonzero component is real and positive.
     """
-    if not generators:
+    if not stacks:
         raise ValueError("need at least one generator")
-    stacks = stack_by_base(generators)
-    spans, start = [], 0
-    for _, idx in stacks:
-        spans.append(slice(start, start + len(idx)))
-        start += len(idx)
-    blocks = np.empty((start, start), dtype=complex)
-    for p, (stack_p, _) in enumerate(stacks):
-        for q in range(p, len(stacks)):
-            block = overlap(stack_p, stacks[q][0])
-            blocks[spans[p], spans[q]] = block
-            blocks[spans[q], spans[p]] = block.conj().T
+    K, R = len(stacks), len(stacks[0].p)
+    blocks = np.empty((K, R, K, R), dtype=complex)
+    for k, stack in enumerate(stacks):
+        for l in range(k, K):
+            block = overlap(stack, stacks[l])
+            blocks[k, :, l] = block
+            blocks[l, :, k] = block.conj().T
+    gram = blocks.transpose(1, 0, 3, 2).reshape(R * K, R * K)
     # a diagonal block is Hermitian only to round-off; averaging it with its
     # conjugate transpose makes the whole matrix exactly Hermitian
-    blocks = (blocks + blocks.conj().T) / 2.0
-    grouped = [i for _, idx in stacks for i in idx]  # caller's index of each row
-    position = sorted(range(start), key=grouped.__getitem__)
-    gram = blocks.take(position, 0).take(position, 1)
+    gram = (gram + gram.conj().T) / 2.0
 
     # eigh returns ascending eigenvalues; reversed, they descend
     evals, evecs = np.linalg.eigh(gram)
@@ -146,21 +135,19 @@ def build_subspace(generators: list) -> SubspaceBasis:
     evecs = evecs / (first / np.abs(first))
 
     transform = evecs / np.sqrt(evals)
-    return SubspaceBasis(list(generators), gram, transform, transform.shape[1])
+    return SubspaceBasis(list(stacks), gram, transform, transform.shape[1])
 
 
 def project(model: MixedModel, basis: SubspaceBasis, params: tuple[str, ...]) -> ProjectedState:
     """Project rho and its derivative along each of ``params`` onto the subspace.
 
-    The coordinates of every branch ket and derivative state are Gram
-    columns, taken at once as T^H G[:, idx], and rho and every d(rho) come
-    from one batched product.
+    ``basis`` spans each branch's ket and its derivatives along ``params``,
+    in that row order.  The coordinates of every generator are the columns
+    of T^H G, and rho and every d(rho) come from one batched product.
     """
-    index = basis.generators.index
-    K = len(model.states)
-    idx = [index(st) for st in (*model.states, *_derivs(model, params))]
+    K = len(model.weights)
     # C[0] holds the branch coordinates, C[1 + i] their derivatives along params[i]
-    C = basis.transform.conj().T @ basis.gram.take(idx, 1)
+    C = basis.transform.conj().T @ basis.gram
     C = C.reshape(basis.dim, 1 + len(params), K).transpose(1, 0, 2)
     M = (C * model.weights) @ C[0].conj().T
     # rho = V W V^H and d(rho) = dV W V^H + h.c., each exactly Hermitian
@@ -188,17 +175,15 @@ def sld_solve(projected: ProjectedState) -> tuple[np.ndarray, np.ndarray, np.nda
     return M * factor, lam, U
 
 
-def _pure_fast_path(model: MixedModel, basis: SubspaceBasis, params: tuple[str, ...]) -> np.ndarray:
+def _pure_fast_path(model: MixedModel, basis: SubspaceBasis) -> np.ndarray:
     """H_ab = 4 Re(<da|db> - <da|psi><psi|db>) for a single pure branch.
 
-    Every overlap is an entry of the Gram matrix.
+    Every overlap is an entry of the Gram matrix: generator 0 is the ket,
+    the rest its derivatives.
     """
-    index = basis.generators.index
-    psi = index(model.states[0])
-    ds = [index(model.derivs[p][0]) for p in params]
     G = basis.gram
-    v = G[ds, psi]
-    return model.weights[0] * 4.0 * np.real(G[np.ix_(ds, ds)] - np.outer(v, v.conj()))
+    v = G[1:, 0]
+    return model.weights[0] * 4.0 * np.real(G[1:, 1:] - np.outer(v, v.conj()))
 
 
 def qfi_numeric(
@@ -209,15 +194,19 @@ def qfi_numeric(
 ) -> OracleResult:
     """Full numerical QFI for a strategy instance and estimator pair.
 
-    ``reverse_generators`` feeds the subspace builder the generator list in
-    reverse; the result must be invariant, which makes it a cheap
-    orthonormalization self-check.
+    ``reverse_generators`` feeds the subspace builder the stacks and their
+    rows in reverse, which reverses the whole generator order; the result
+    must be invariant, which makes it a cheap orthonormalization self-check.
     """
     params = pair.param_names
-    generators = [*model.states, *_derivs(model, params)]
+    rows = [0, *map(ROWS.index, params)]
+    stacks = [Stack(s.base, s.p[rows]) for s in model.stacks]
     if reverse_generators:
-        generators.reverse()
-    basis = build_subspace(generators)
+        rev = build_subspace([Stack(s.base, s.p[::-1]) for s in reversed(stacks)])
+        # the same basis vectors, read back in the forward generator order
+        basis = SubspaceBasis(stacks, rev.gram[::-1, ::-1], rev.transform[::-1], rev.dim)
+    else:
+        basis = build_subspace(stacks)
 
     projected = project(model, basis, params)
     L, lam, _U = sld_solve(projected)
@@ -228,23 +217,9 @@ def qfi_numeric(
     H = np.real(X + X.T) / 2.0
     compat = float(abs(X[0, 1] - X[1, 0]))
 
-    pure_H = None
-    if len(model.states) == 1:
-        pure_H = _pure_fast_path(model, basis, params)
-
-    return OracleResult(
-        H=H,
-        compat_residual=compat,
-        dim=basis.dim,
-        rho_eigenvalues=lam,
-        basis=basis,
-        pure_H=pure_H,
-    )
-
-
-def _derivs(model: MixedModel, params: tuple[str, ...]) -> list:
-    """Every branch's derivative state along each of ``params``, parameter-major."""
-    return [d for p in params for d in model.derivs[p]]
+    pure_H = _pure_fast_path(model, basis) if len(model.stacks) == 1 else None
+    return OracleResult(H=H, compat_residual=compat, dim=basis.dim, rho_eigenvalues=lam,
+                        basis=basis, pure_H=pure_H)
 
 
 def model_for(
@@ -270,31 +245,26 @@ def model_for(
     sigma1, so only the signal half responds to the estimated pair.
     ``sigma2`` defaults to ``sigma1``; quantum illumination does not read it.
 
-    Every derivative state is built here, once per model, so the engine
-    finds it in its generator list by identity.
+    Every branch's ket and derivative rows are built here, once per model.
     """
     s2 = sigma1 if sigma2 is None else sigma2
     t1, t2 = (t_plus - t_minus) / 2.0, (t_plus + t_minus) / 2.0
     w1, w2 = (omega_plus - omega_minus) / 2.0, (omega_plus + omega_minus) / 2.0
-    # each branch's chain factors, one per photon of its ket, from the
-    # parameter's factors f1 on photon 1 and f2 on photon 2
+    # each branch's ket, with the photon of the pair each of its coordinates carries
     if strategy is Strategy.ENTANGLED_BIPHOTON:
         trace = 1.0
-        states = (GaussianBiphoton(t1, t2, w1, w2, sigma1, s2, kappa),)
-        branch_factors = lambda f1, f2: ((f1, f2),)
+        branches = ((GaussianBiphoton(t1, t2, w1, w2, sigma1, s2, kappa), (1, 2)),)
     elif strategy is Strategy.TWO_SINGLE_PHOTONS:
         trace = 2.0
-        states = (GaussianSinglePhoton(t1, w1, sigma1), GaussianSinglePhoton(t2, w2, s2))
-        branch_factors = lambda f1, f2: ((f1,), (f2,))
+        branches = ((GaussianSinglePhoton(t1, w1, sigma1), (1,)),
+                    (GaussianSinglePhoton(t2, w2, s2), (2,)))
     elif strategy is Strategy.QUANTUM_ILLUMINATION:
         trace = 1.0
-        states = tuple(GaussianBiphoton(t, 0.0, w, 1.0, sigma1, sigma1, kappa)
-                       for t, w in ((t1, w1), (t2, w2)))
-        # branch i is photon i + 1 of the chain rule, on its signal only
-        branch_factors = lambda f1, f2: ((f1, 0.0), (f2, 0.0))
+        # branch i's signal is photon i of the pair; its idler does not move
+        branches = tuple((GaussianBiphoton(t, 0.0, w, 1.0, sigma1, sigma1, kappa), (i, 0))
+                         for i, (t, w) in enumerate(((t1, w1), (t2, w2)), 1))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    derivs = {p: tuple(_derivative(st, kind, fs) for st, fs in zip(states, branch_factors(f1, f2)))
-              for p, (kind, f1, f2) in _PAIR_CHAIN.items()}
-    w = trace / len(states)
-    return MixedModel(strategy, (w,) * len(states), states, derivs)
+    stacks = tuple(branch_stack(base, photons) for base, photons in branches)
+    w = trace / len(stacks)
+    return MixedModel(strategy, (w,) * len(stacks), stacks)

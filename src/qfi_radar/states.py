@@ -29,12 +29,12 @@ import numpy as np
 __all__ = [
     "GaussianSinglePhoton",
     "GaussianBiphoton",
-    "AffineState",
+    "Stack",
+    "ROWS",
+    "branch_stack",
     "single_amplitude",
     "biphoton_amplitude",
     "overlap",
-    "stack_by_base",
-    "derivative",
     "time_covariance",
     "frequency_covariance",
 ]
@@ -103,37 +103,22 @@ class GaussianBiphoton:
         return np.array([self.omega1_bar, self.omega2_bar])
 
 
-@dataclass(frozen=True)
-class AffineState:
-    """Affine prefactor times a Gaussian base state: (c0 + c . x) |base>.
+class Stack(NamedTuple):
+    """Affine prefactors on one base Gaussian: row i of ``p`` is (c0, c) of
+    the state (c0 + c . x) |base>; a one-dimensional ``p`` is a single state.
 
     x is t - t_bar for a single-photon base (``c`` has one entry) and
     (t1 - t1_bar, t2 - t2_bar) for a biphoton base (two entries).
-    Derivative states of the parametric families are instances of this type.
     """
-
-    base: GaussianSinglePhoton | GaussianBiphoton
-    c0: complex
-    c: tuple[complex, ...]
-
-
-class Stack(NamedTuple):
-    """k prefactors on one base Gaussian: row i of ``p`` is (c0, c) of one state."""
 
     base: GaussianSinglePhoton | GaussianBiphoton
     p: np.ndarray
 
 
 def _split(state) -> tuple:
-    """(base, p) of a state, p = (c0, c) its prefactor coefficients.
-
-    A plain Gaussian has p = (1, 0, ...); a stack has one row of p per
-    prefactor.
-    """
+    """(base, p) of a stack, or of a plain Gaussian with prefactor 1."""
     if isinstance(state, Stack):
         return state
-    if isinstance(state, AffineState):
-        return state.base, (state.c0, *state.c)
     if isinstance(state, GaussianSinglePhoton):
         return state, (1.0, 0.0)
     if isinstance(state, GaussianBiphoton):
@@ -177,9 +162,9 @@ def overlap(a, b) -> complex | np.ndarray:
 
     Q depends on the two base Gaussians only; it is evaluated in two
     dimensions (``_exponent``), and single photons read its leading 2x2
-    block.  Either side may be a ``Stack`` from ``stack_by_base``: Q is then
-    evaluated once and the call returns the whole block of overlaps, shape
-    (k_a, k_b), (k_a,) or (k_b,).  Two single states give a complex number.
+    block.  Either side may be a ``Stack`` of k rows: Q is then evaluated
+    once and the call returns the whole block of overlaps, shape (k_a, k_b),
+    (k_a,) or (k_b,).  Two single states give a complex number.
     """
     ga, pa = _split(a)
     gb, pb = _split(b)
@@ -243,62 +228,36 @@ def _moments(ea, eb) -> np.ndarray:
     ])
 
 
-def stack_by_base(states) -> list[tuple[Stack, list[int]]]:
-    """Group single states by base Gaussian: one ``Stack`` per base.
-
-    Each stack holds the prefactor rows of its states in list order (a
-    plain state has prefactor 1), paired with their positions in
-    ``states``.  Bases are listed in order of first appearance.
-    """
-    groups: dict = {}
-    for i, state in enumerate(states):
-        base, p = _split(state)
-        rows, idx = groups.setdefault(base, ([], []))
-        rows.append(p), idx.append(i)
-    return [(Stack(base, np.array(rows, dtype=complex)), idx)
-            for base, (rows, idx) in groups.items()]
-
-
 # ---------------------------------------------------------------------------
 # Parameter derivatives (analytic, affine x Gaussian)
 
-
-def _derivative(state, kind: str, factors: tuple[float, ...]) -> AffineState:
-    """d|state> along sum_i f_i d/d(x_i bar), x = t (kind "t") or omega.
-
-    ``factors`` holds one chain factor f_i per photon of ``state``: one for
-    a single photon (f2 = 0 in the exponent), two for a biphoton.
-    """
-    p, q, r, _, _, w1, w2, _ = _exponent(state)
-    f1, f2 = (*factors, 0.0)[:2]
-    if kind == "t":
-        c0 = 1j * (f1 * w1 + f2 * w2)
-        c = (2.0 * (f1 * p + f2 * r), 2.0 * (f1 * r + f2 * q))
-    else:
-        c0, c = 0.0, (-1j * f1, -1j * f2)
-    return AffineState(state, c0, c[:len(factors)])
+# the rows of a branch's stack: its ket, then its derivative along each
+# sum/difference parameter
+ROWS = ("ket", *_PAIR_CHAIN)
 
 
-def derivative(
-    state: GaussianSinglePhoton | GaussianBiphoton, param: str, photon: int | None = None
-) -> AffineState:
-    """d|state>/d(param) for param in t_plus/t_minus/omega_plus/omega_minus.
+def branch_stack(base: GaussianSinglePhoton | GaussianBiphoton,
+                 photons: tuple[int, ...]) -> Stack:
+    """|base> and its derivatives along t_plus, t_minus, omega_plus, omega_minus.
 
     The sum/difference parameters are chained through the photon centers
     and carriers: t1 = (t_plus - t_minus)/2, t2 = (t_plus + t_minus)/2, etc.
-    A biphoton carries both photons; a single photon names which photon of
-    the pair it is with ``photon`` (1 or 2), which fixes its chain factor.
+    ``photons`` names, for each coordinate of ``base``, the photon of the
+    pair (1 or 2) it carries, or 0 for a coordinate the pair does not move.
+    Row i of the stack is the state ``ROWS[i]``.
     """
-    if param not in _PAIR_CHAIN:
-        raise ValueError(f"unsupported parameter {param!r}")
-    kind, *factors = _PAIR_CHAIN[param]
-    if isinstance(state, GaussianSinglePhoton):
-        if photon not in (1, 2):
-            raise ValueError("a single photon needs photon=1 or photon=2")
-        factors = [factors[photon - 1]]
-    elif photon is not None:
-        raise ValueError("a biphoton carries both photons: leave photon unset")
-    return _derivative(state, kind, tuple(factors))
+    p, q, r, _, _, w1, w2, _ = _exponent(base)
+    rows = [(1.0, *(0.0 for _ in photons))]
+    for kind, *pair_factors in _PAIR_CHAIN.values():
+        factors = [pair_factors[i - 1] if i else 0.0 for i in photons]
+        f1, f2 = (*factors, 0.0)[:2]
+        if kind == "t":
+            c0 = 1j * (f1 * w1 + f2 * w2)
+            c = (2.0 * (f1 * p + f2 * r), 2.0 * (f1 * r + f2 * q))
+        else:
+            c0, c = 0.0, (-1j * f1, -1j * f2)
+        rows.append((c0, *c[:len(photons)]))
+    return Stack(base, np.array(rows, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

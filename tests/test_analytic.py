@@ -20,6 +20,7 @@ from qfi_radar.analytic import (
 )
 from qfi_radar.kinematics import ParameterPair, ProbeConfig, Strategy, Target, return_params
 from qfi_radar.oracle import build_subspace, model_for, project, qfi_numeric, sld_solve
+from qfi_radar.states import ROWS, Stack
 
 PAIR_A = ParameterPair.TIME_SUM_FREQ_DIFF
 PAIR_B = ParameterPair.TIME_DIFF_FREQ_SUM
@@ -29,7 +30,8 @@ SUM_DIFF = ("t_plus", "t_minus", "omega_plus", "omega_minus")
 
 def engine_H(model, params):
     """The engine's information matrix over ``params``, from its public stages."""
-    basis = build_subspace([*model.states, *(d for p in params for d in model.derivs[p])])
+    rows = [0, *map(ROWS.index, params)]
+    basis = build_subspace([Stack(s.base, s.p[rows]) for s in model.stacks])
     L, lam, _U = sld_solve(project(model, basis, params))
     X = np.einsum("i,aij,bji->ab", lam, L, L)
     return np.real(X + X.T) / 2.0

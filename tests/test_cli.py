@@ -143,6 +143,23 @@ class TestCurves:
         assert svg.count("<polyline") == 3
         assert "entangled_biphoton" in svg  # legend labels present
 
+    def test_floors_match_qfi_bounds(self, tmp_path):
+        # one closed form for the floor: every default qfi bound (sigma = 1)
+        # is the curves value of its strategy, pair and kappa, to the bit
+        assert main(["qfi", "--out", str(tmp_path)]) == 0
+        assert main(["curves", "--out", str(tmp_path)]) == 0
+        _, qfi_rows = csv_rows(tmp_path / "qfi.csv")
+        floors = {}
+        for pair in ("time_sum_freq_diff", "time_diff_freq_sum"):
+            header, rows = csv_rows(tmp_path / f"curves_{pair}.csv")
+            for row in rows:
+                for strategy in header[1:]:
+                    floors[strategy, pair, row["kappa"]] = row[strategy]
+        assert len(qfi_rows) == len(floors) == 234
+        mismatched = [r for r in qfi_rows
+                      if r["bound"] != floors[r["strategy"], r["pair"], r["kappa"]]]
+        assert not mismatched
+
     def test_deterministic_output(self, tmp_path):
         args = [
             "curves", "--kappa-min", "-0.5", "--kappa-max", "0.5", "--kappa-step", "0.25",

@@ -7,10 +7,14 @@ engine free of every closed-form information expression.
 """
 
 import ast
+import importlib.util
 import json
+import math
 import pathlib
 import subprocess
 import sys
+
+import qfi_radar
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # engine_map points failed per round today, all by the two known engine
@@ -29,6 +33,23 @@ def test_engine_map_round_correct():
     assert result["correct"] is True
     assert result["attempted"] == 180
     assert result["failed"] <= ENGINE_MAP_FAILED
+
+
+def test_traced_engine_layers(monkeypatch):
+    # the traced run times the engine stages by replacing oracle's module
+    # globals; an engine that skips them (a per-model memo of results, say)
+    # leaves those spans empty and the traced run crashes
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "bench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    metrics = layers.engine_layers(qfi_radar)
+    assert all(math.isfinite(value) for value, _unit in metrics.values()), metrics
+    for strategy, dim, per_eval in (("entangled_biphoton", 3, 1),
+                                    ("two_single_photons", 4, 3),
+                                    ("quantum_illumination", 6, 3)):
+        assert metrics[f"oracle.subspace_dim.{strategy}"][0] == dim
+        assert metrics[f"states.overlaps_per_eval.{strategy}"][0] == per_eval
 
 
 def test_engine_imports_no_closed_forms():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from test_states import PROPERTY
 
 from qfi_radar import oracle
-from qfi_radar.analytic import asymptotic_bound, qfi_entangled
+from qfi_radar.analytic import asymptotic_bound, bound_product, qfi_entangled
 from qfi_radar.kinematics import ParameterPair, Strategy
 from qfi_radar.oracle import (
     ProjectedState,
@@ -28,11 +28,12 @@ from qfi_radar.oracle import (
     sld_solve,
 )
 from qfi_radar.states import (
+    ROWS,
     GaussianBiphoton,
     GaussianSinglePhoton,
-    derivative,
+    Stack,
+    branch_stack,
     overlap,
-    stack_by_base,
 )
 
 PAIR_A = ParameterPair.TIME_SUM_FREQ_DIFF
@@ -77,6 +78,13 @@ def point_model(strategy, point, scale=1.0):
     return model_for(strategy, **point_kwargs(point, scale))
 
 
+def pair_stacks(model, params):
+    """Each branch's ket and derivative rows along ``params``: the generators
+    ``qfi_numeric`` builds its subspace from."""
+    rows = [0, *map(ROWS.index, params)]
+    return [Stack(s.base, s.p[rows]) for s in model.stacks]
+
+
 def fd_qfi(strategy, kwargs, pair, h):
     """Finite-difference reference for the engine's H on ``pair``.
 
@@ -91,15 +99,16 @@ def fd_qfi(strategy, kwargs, pair, h):
     """
     model = model_for(strategy, **kwargs)
     params = pair.param_names
-    basis = build_subspace([*model.states, *(d for p in params for d in model.derivs[p])])
-    stacks = stack_by_base(basis.generators)
+    basis = build_subspace(pair_stacks(model, params))
+    K = len(basis.generators)
 
     def rho_matrix(m):
-        # sum_k w_k |k><k| in the subspace basis
-        G = np.empty((len(basis.generators), len(m.states)), dtype=complex)
-        for stack, idx in stacks:
-            for k, state in enumerate(m.states):
-                G[idx, k] = overlap(stack, state)
+        # sum_k w_k |k><k| in the subspace basis; generator r K + k is row r
+        # of stack k
+        G = np.empty((basis.gram.shape[0], len(m.stacks)), dtype=complex)
+        for k, stack in enumerate(basis.generators):
+            for l, branch in enumerate(m.stacks):
+                G[k::K, l] = overlap(stack, branch.base)
         V = basis.transform.conj().T @ G
         return (V * np.asarray(m.weights)) @ V.conj().T
 
@@ -113,7 +122,7 @@ def fd_qfi(strategy, kwargs, pair, h):
         drhos.append(dR)
         # X = sum_k c_k |k><k| over the displaced kets has Tr(X^2) =
         # sum_kl c_k c_l |<k|l>|^2
-        kets = plus.states + minus.states
+        kets = [s.base for s in plus.stacks + minus.stacks]
         cs = np.array(plus.weights + tuple(-w for w in minus.weights)) / (2.0 * h)
         O2 = np.array([[abs(overlap(a, b)) ** 2 for b in kets] for a in kets])
         proj_norm2 = float(np.real(np.trace(dR @ dR)))
@@ -132,19 +141,20 @@ def rel_error(H, want):
 
 class TestSubspace:
     def test_single_pure_state_dimension(self):
-        basis = build_subspace([GaussianSinglePhoton(0.0, 1.0, 1.0)])
+        psi = GaussianSinglePhoton(0.0, 1.0, 1.0)
+        basis = build_subspace([Stack(psi, branch_stack(psi, (1,)).p[:1])])
         assert basis.dim == 1
 
     def test_entangled_with_derivatives_dimension(self):
         phi = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.5)
-        gens = [phi, derivative(phi, "t_plus"), derivative(phi, "omega_minus")]
-        basis = build_subspace(gens)
+        stack = branch_stack(phi, (1, 2))
+        basis = build_subspace([Stack(phi, stack.p[[0, 1, 4]])])  # t_plus, omega_minus
         assert basis.dim == 3
 
     def test_transformed_gram_is_identity(self):
         phi = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.5)
-        gens = [phi, derivative(phi, "t_minus"), derivative(phi, "omega_plus")]
-        basis = build_subspace(gens)
+        stack = branch_stack(phi, (1, 2))
+        basis = build_subspace([Stack(phi, stack.p[[0, 2, 3]])])  # t_minus, omega_plus
         G = basis.transform.conj().T @ basis.gram @ basis.transform
         assert np.max(np.abs(G - np.eye(basis.dim))) <= 1e-10
 
@@ -193,7 +203,7 @@ class TestSubspace:
             monkeypatch.setattr(oracle, name, counting(name))
         monkeypatch.setattr(oracle, "overlap", counted)
         model = model_for(strategy, **kwargs)
-        K = len(model.states)
+        K = len(model.stacks)
         for pair in (PAIR_A, PAIR_A, PAIR_B, PAIR_B):
             calls.clear()
             stages.clear()
@@ -271,7 +281,7 @@ class TestMixedStates:
                 want = np.diag([2.0 * sigma**2, 1.0 / (2.0 * sigma**2)])
                 rel = np.max(np.abs(np.diag(res.H - want)) / np.abs(np.diag(want)))
                 assert rel <= 1e-6
-                assert abs(res.bound_product - 1.0) <= 1e-4
+                assert abs(bound_product(res.H[0, 0], res.H[1, 1]) - 1.0) <= 1e-4
 
     @pytest.mark.parametrize("kappa", [0.3, 0.6, -0.5])
     def test_quantum_illumination_far_limit(self, kappa):
@@ -280,7 +290,7 @@ class TestMixedStates:
         for pair in (PAIR_A, PAIR_B):
             res = qfi_numeric(model, pair)
             want = 2.0 * math.sqrt(1.0 - kappa**2)
-            assert abs(res.bound_product - want) <= 1e-4
+            assert abs(bound_product(res.H[0, 0], res.H[1, 1]) - want) <= 1e-4
 
     def test_qi_uncorrelated_reduces_to_single_photon(self):
         # kappa = 0: the idler decouples; normalized-trace H is half the
@@ -313,8 +323,7 @@ class TestSldProperties:
         parameters, in rho's eigenbasis: the basis ``sld_solve`` returns."""
         for model, pair in self._models():
             params = pair.param_names
-            basis = build_subspace(
-                [*model.states, *(d for p in params for d in model.derivs[p])])
+            basis = build_subspace(pair_stacks(model, params))
             projected = project(model, basis, params)
             L, lam, U = sld_solve(projected)
             assert L.shape == projected.drho.shape == (len(params), basis.dim, basis.dim)
@@ -414,7 +423,7 @@ class TestEngineProperties:
         point = {**point, "ratio": 1.0}
         res = qfi_numeric(point_model(strategy, point), pair)
         floor = asymptotic_bound(strategy, pair, point["kappa"])
-        assert res.bound_product >= floor * (1.0 - 1e-12)
+        assert bound_product(res.H[0, 0], res.H[1, 1]) >= floor * (1.0 - 1e-12)
 
 
 class TestRobustness:
