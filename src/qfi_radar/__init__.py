@@ -17,19 +17,15 @@ from .analytic import (
     qfi_entangled,
 )
 from .kinematics import (
-    NATURAL_UNITS,
+    C,
     SCENARIOS,
     ParameterPair,
-    PhysicalConstants,
     ProbeConfig,
-    ReturnParams,
     Strategy,
     SumDiffParams,
     Target,
-    doppler_bandwidth,
     doppler_factor,
-    doppler_frequency,
-    return_params,
+    returned_state,
     sum_diff,
     target_estimates,
 )

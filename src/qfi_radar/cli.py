@@ -22,14 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analytic import adjudicate, asymptotic_H, asymptotic_bound, bound_product
-from .kinematics import (
-    NATURAL_UNITS,
-    SCENARIOS,
-    ParameterPair,
-    ProbeConfig,
-    Strategy,
-    Target,
-)
+from .kinematics import SCENARIOS, ParameterPair, ProbeConfig, Strategy, Target
 from .montecarlo import (
     MC_STRATEGIES,
     McConfig,
@@ -50,6 +43,9 @@ EXIT_IO = 3
 
 # chance that every simulate row's interval holds at once for a correct sampler
 SIMULATE_FAMILY_LEVEL = 0.99
+
+# the largest kappa grid a subcommand accepts
+MAX_KAPPA_POINTS = 100_000
 
 DEFAULTS = {
     "kappa_min": -0.95,
@@ -135,7 +131,11 @@ def kappa_grid(cfg: dict) -> list[float]:
         raise UsageError(f"--kappa-step must be positive, got {step}")
     if not (-1.0 < lo < 1.0 and -1.0 < hi < 1.0):
         raise UsageError("kappa grid must lie inside (-1, 1)")
-    count = math.floor((hi - lo + 1e-12) / step) + 1
+    steps = (hi - lo + 1e-12) / step
+    # counted before any point is built: a tiny step would otherwise run unbounded
+    if steps >= MAX_KAPPA_POINTS:
+        raise UsageError(f"--kappa-step {step} gives more than {MAX_KAPPA_POINTS} kappa points")
+    count = math.floor(steps) + 1
     if count < 1:
         raise UsageError(f"empty kappa grid: min {lo} > max {hi}")
     # each value is the decimal it names (-0.9, not -0.95 + 0.05 = -0.8999999999999999)
@@ -438,7 +438,6 @@ def cmd_scenario(cfg: dict) -> int:
         probe,
         cfg["n"],
         cfg["seed"],
-        NATURAL_UNITS,
     )
     out = _outdir(cfg)
     path = os.path.join(out, "scenario.json")
@@ -539,10 +538,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "selftest":
             return cmd_selftest(args.json)
         return COMMANDS[args.command][0](_resolve(args))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:

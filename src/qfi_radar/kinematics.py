@@ -1,9 +1,12 @@
-"""Emission -> reflection -> return transformations for radar photon probes.
+"""Emission -> reflection -> return: from two targets to the returned biphoton.
 
-All functions are pure and unit-agnostic: pass ``PhysicalConstants()`` (SI)
-for SI inputs, or ``NATURAL_UNITS`` (c = 1) for dimensionless work.
-Velocities are positive for receding targets, so a receding target
-redshifts the carrier by the exact two-way Doppler factor (c - v)/(c + v).
+One forward map runs targets -> ``returned_state`` (the returned biphoton)
+-> ``sum_diff`` (its sum/difference parameters), and ``target_estimates``
+inverts it.  Everything is in natural units, the speed of light ``C`` = 1:
+times are lengths (a round trip to range r at rest takes 2r) and
+velocities are fractions of c.  Velocities are positive for receding
+targets, so a receding target redshifts the carrier and the bandwidth by
+the exact two-way Doppler factor (c - v)/(c + v).
 """
 
 from __future__ import annotations
@@ -13,38 +16,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import GaussianBiphoton
+
 __all__ = [
-    "PhysicalConstants",
-    "NATURAL_UNITS",
+    "C",
     "Strategy",
     "ParameterPair",
     "Target",
     "ProbeConfig",
-    "ReturnParams",
     "SumDiffParams",
     "doppler_factor",
-    "doppler_frequency",
-    "doppler_bandwidth",
     "SCENARIOS",
-    "return_params",
+    "returned_state",
     "sum_diff",
     "target_estimates",
 ]
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Physical constants; only the speed of light is needed here."""
-
-    c: float = 299792458.0
-
-    def __post_init__(self) -> None:
-        if self.c <= 0:
-            raise ValueError("speed of light must be positive")
-
-
-NATURAL_UNITS = PhysicalConstants(c=1.0)
-
+# the speed of light in natural units
+C = 1.0
 
 # the two physical quantities each end-to-end scenario estimates
 SCENARIOS = {
@@ -87,10 +76,10 @@ class Target:
     r: float
     v: float
 
-    def validate(self, consts: PhysicalConstants) -> None:
+    def __post_init__(self) -> None:
         if self.r < 0:
             raise ValueError(f"target range must be non-negative, got {self.r}")
-        if abs(self.v) >= consts.c:
+        if abs(self.v) >= C:
             raise ValueError(f"|v| must be below c, got v={self.v}")
 
 
@@ -113,18 +102,6 @@ class ProbeConfig:
 
 
 @dataclass(frozen=True)
-class ReturnParams:
-    """Round-trip times, returned carriers and bandwidths of the two photons."""
-
-    t1: float
-    t2: float
-    omega1: float
-    omega2: float
-    sigma1: float
-    sigma2: float
-
-
-@dataclass(frozen=True)
 class SumDiffParams:
     """Sum/difference combinations of the returned times and frequencies.
 
@@ -138,70 +115,50 @@ class SumDiffParams:
     omega_minus: float
 
 
-def doppler_factor(v: float, consts: PhysicalConstants = NATURAL_UNITS) -> float:
+def doppler_factor(v: float) -> float:
     """Two-way Doppler scale factor (c - v)/(c + v) for a receding velocity v."""
-    if abs(v) >= consts.c:
+    if abs(v) >= C:
         raise ValueError(f"|v| must be below c, got v={v}")
-    return (consts.c - v) / (consts.c + v)
+    return (C - v) / (C + v)
 
 
-def doppler_frequency(
-    omega0: float, v: float, consts: PhysicalConstants = NATURAL_UNITS
-) -> float:
-    """Returned carrier frequency omega0 * (c - v)/(c + v)."""
-    if omega0 <= 0:
-        raise ValueError("carrier frequency must be positive")
-    return omega0 * doppler_factor(v, consts)
+def returned_state(target_a: Target, target_b: Target, probe: ProbeConfig) -> GaussianBiphoton:
+    """The biphoton returned by two targets, its photons emitted at t = 0.
 
-
-def doppler_bandwidth(
-    sigma0: float, v: float, consts: PhysicalConstants = NATURAL_UNITS
-) -> float:
-    """Returned bandwidth sigma0 * (c - v)/(c + v); same scaling as the carrier."""
-    if sigma0 <= 0:
-        raise ValueError("bandwidth must be positive")
-    return sigma0 * doppler_factor(v, consts)
-
-
-def return_params(
-    target_a: Target,
-    target_b: Target,
-    probe: ProbeConfig,
-    consts: PhysicalConstants = NATURAL_UNITS,
-) -> ReturnParams:
-    """Returned-photon parameters for photons emitted at t = 0 towards two targets."""
-    target_a.validate(consts)
-    target_b.validate(consts)
-    return ReturnParams(
-        t1=2.0 * target_a.r / (consts.c - target_a.v),
-        t2=2.0 * target_b.r / (consts.c - target_b.v),
-        omega1=doppler_frequency(probe.omega0, target_a.v, consts),
-        omega2=doppler_frequency(probe.omega0, target_b.v, consts),
-        sigma1=doppler_bandwidth(probe.sigma0, target_a.v, consts),
-        sigma2=doppler_bandwidth(probe.sigma0, target_b.v, consts),
+    Photon 1 returns from ``target_a`` after the round trip 2 r / (c - v),
+    its carrier and bandwidth scaled by that target's Doppler factor;
+    photon 2 likewise from ``target_b``.  The time correlation is the
+    probe's kappa.
+    """
+    d1, d2 = doppler_factor(target_a.v), doppler_factor(target_b.v)
+    return GaussianBiphoton(
+        t1_bar=2.0 * target_a.r / (C - target_a.v),
+        t2_bar=2.0 * target_b.r / (C - target_b.v),
+        omega1_bar=probe.omega0 * d1,
+        omega2_bar=probe.omega0 * d2,
+        sigma1=probe.sigma0 * d1,
+        sigma2=probe.sigma0 * d2,
+        kappa=probe.kappa,
     )
 
 
-def sum_diff(rp: ReturnParams) -> SumDiffParams:
-    """Sum/difference combinations of the returned times and frequencies."""
+def sum_diff(state: GaussianBiphoton) -> SumDiffParams:
+    """Sum/difference combinations of a returned state's centers and carriers."""
     return SumDiffParams(
-        t_plus=rp.t1 + rp.t2,
-        t_minus=rp.t2 - rp.t1,
-        omega_plus=rp.omega1 + rp.omega2,
-        omega_minus=rp.omega2 - rp.omega1,
+        t_plus=state.t1_bar + state.t2_bar,
+        t_minus=state.t2_bar - state.t1_bar,
+        omega_plus=state.omega1_bar + state.omega2_bar,
+        omega_minus=state.omega2_bar - state.omega1_bar,
     )
 
 
-def _doppler_inverse(omega: float, omega0: float, c: float) -> tuple[float, float]:
+def _doppler_inverse(omega: float, omega0: float) -> tuple[float, float]:
     """Exact receding velocity c (omega0 - omega)/(omega0 + omega) of a return, and dv/domega."""
-    return c * (omega0 - omega) / (omega0 + omega), -2.0 * c * omega0 / (omega0 + omega) ** 2
+    return C * (omega0 - omega) / (omega0 + omega), -2.0 * C * omega0 / (omega0 + omega) ** 2
 
 
 def target_estimates(
-    scenario: str,
-    sd: SumDiffParams,
-    omega0: float,
-    consts: PhysicalConstants = NATURAL_UNITS,
+    scenario: str, sd: SumDiffParams, omega0: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """A scenario's two physical quantities and their 2x4 gradient.
 
@@ -214,16 +171,15 @@ def target_estimates(
     object and its common velocity v, inverted at the mean returned carrier
     omega_plus/2.
     """
-    c = consts.c
     if scenario == "multibody":
-        v1, s1 = _doppler_inverse((sd.omega_plus - sd.omega_minus) / 2.0, omega0, c)
-        v2, s2 = _doppler_inverse((sd.omega_plus + sd.omega_minus) / 2.0, omega0, c)
-        values = [c * sd.t_plus / 4.0, v2 - v1]
-        grad = [[c / 4.0, 0.0, 0.0, 0.0], [0.0, 0.0, (s2 - s1) / 2.0, (s2 + s1) / 2.0]]
+        v1, s1 = _doppler_inverse((sd.omega_plus - sd.omega_minus) / 2.0, omega0)
+        v2, s2 = _doppler_inverse((sd.omega_plus + sd.omega_minus) / 2.0, omega0)
+        values = [C * sd.t_plus / 4.0, v2 - v1]
+        grad = [[C / 4.0, 0.0, 0.0, 0.0], [0.0, 0.0, (s2 - s1) / 2.0, (s2 + s1) / 2.0]]
     elif scenario == "moving_object":
-        v, s = _doppler_inverse(sd.omega_plus / 2.0, omega0, c)
-        values = [sd.t_minus * (c - v) / 2.0, v]
-        grad = [[0.0, (c - v) / 2.0, -sd.t_minus * s / 4.0, 0.0], [0.0, 0.0, s / 2.0, 0.0]]
+        v, s = _doppler_inverse(sd.omega_plus / 2.0, omega0)
+        values = [sd.t_minus * (C - v) / 2.0, v]
+        grad = [[0.0, (C - v) / 2.0, -sd.t_minus * s / 4.0, 0.0], [0.0, 0.0, s / 2.0, 0.0]]
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
     return np.array(values), np.array(grad)

@@ -22,15 +22,13 @@ import numpy as np
 
 from .analytic import scenario_qcrb_covariance
 from .kinematics import (
-    NATURAL_UNITS,
     SCENARIOS,
     ParameterPair,
-    PhysicalConstants,
     ProbeConfig,
     Strategy,
     SumDiffParams,
     Target,
-    return_params,
+    returned_state,
     sum_diff,
     target_estimates,
 )
@@ -213,10 +211,10 @@ def run_scenario(
     probe: ProbeConfig,
     n_shots: int,
     seed: int,
-    consts: PhysicalConstants = NATURAL_UNITS,
 ) -> dict:
     """End-to-end radar estimation of physical target properties.
 
+    The targets return the biphoton ``kinematics.returned_state`` gives.
     ``multibody`` estimates the midpoint c t_plus/4 of two scatterers and
     their relative velocity; ``moving_object`` estimates the radial size
     and common velocity of a rigid two-point object (see
@@ -236,16 +234,7 @@ def run_scenario(
     if n_shots < 4:
         raise ValueError("need at least 4 shots to split across domains")
 
-    rp = return_params(targets[0], targets[1], probe, consts)
-    state = GaussianBiphoton(
-        t1_bar=rp.t1,
-        t2_bar=rp.t2,
-        omega1_bar=rp.omega1,
-        omega2_bar=rp.omega2,
-        sigma1=rp.sigma1,
-        sigma2=rp.sigma2,
-        kappa=probe.kappa,
-    )
+    state = returned_state(targets[0], targets[1], probe)
     n_time = int(round(n_shots / 2))
     n_freq = n_shots - n_time
     times = sample_times(state, McConfig(n_time, seed, "time", probe.strategy))
@@ -257,16 +246,16 @@ def run_scenario(
     cov = np.zeros((4, 4))
     cov[:2, :2] = np.cov(t_cols) / n_time
     cov[2:, 2:] = np.cov(w_cols) / n_freq
-    values, grad = target_estimates(scenario, means, probe.omega0, consts)
+    values, grad = target_estimates(scenario, means, probe.omega0)
 
     if scenario == "multibody":
         truth = ((targets[0].r + targets[1].r) / 2.0, targets[1].v - targets[0].v)
     else:
         truth = (targets[1].r - targets[0].r, targets[0].v)
-    qcrb = scenario_qcrb_covariance(probe.strategy, probe.kappa, rp.sigma1, rp.sigma2)
+    qcrb = scenario_qcrb_covariance(probe.strategy, probe.kappa, state.sigma1, state.sigma2)
     qcrb[:2, :2] /= n_time
     qcrb[2:, 2:] /= n_freq
-    _, grad_true = target_estimates(scenario, sum_diff(rp), probe.omega0, consts)
+    _, grad_true = target_estimates(scenario, sum_diff(state), probe.omega0)
 
     def named(xs) -> dict:
         return dict(zip(SCENARIOS[scenario], map(float, xs)))

@@ -18,13 +18,13 @@ import numpy as np
 
 from .analytic import adjudicate, asymptotic_bound, bound_product, qfi_entangled
 from .kinematics import (
-    NATURAL_UNITS,
+    C,
     ParameterPair,
     ProbeConfig,
     Strategy,
     SumDiffParams,
     Target,
-    return_params,
+    returned_state,
     sum_diff,
     target_estimates,
 )
@@ -234,7 +234,7 @@ def criterion_8() -> tuple[bool, str]:
         if err > lim:
             issues.append(f"multibody {key} off by {err:.3g} > {lim:.3g}")
     probe2 = ProbeConfig(omega0=10.0, sigma0=1.0, kappa=-0.5)
-    c3 = NATURAL_UNITS.c / 3.0
+    c3 = C / 3.0
     report2 = run_scenario(
         "moving_object", (Target(100.0, c3), Target(101.0, c3)), probe2, 10_000, seed=42
     )
@@ -248,16 +248,15 @@ def criterion_8() -> tuple[bool, str]:
 
 def criterion_9() -> tuple[bool, str]:
     """Kinematics: target_estimates gradient vs central differences; inversion round trip."""
-    c = NATURAL_UNITS.c
     probe = ProbeConfig(omega0=10.0, sigma0=1.0, kappa=0.0)
     worst_grad = 0.0
     for scenario, v1, v2 in (
         ("multibody", 0.0, 0.0),
-        ("multibody", 0.1 * c, 0.3 * c),
+        ("multibody", 0.1 * C, 0.3 * C),
         ("moving_object", 0.0, 0.0),
-        ("moving_object", c / 3.0, c / 3.0),
+        ("moving_object", C / 3.0, C / 3.0),
     ):
-        sd = sum_diff(return_params(Target(300.0, v1), Target(500.0, v2), probe))
+        sd = sum_diff(returned_state(Target(300.0, v1), Target(500.0, v2), probe))
         x = np.array(astuple(sd))
         _, grad = target_estimates(scenario, sd, probe.omega0)
         scale = np.max(np.abs(grad), axis=1)
@@ -268,11 +267,11 @@ def criterion_9() -> tuple[bool, str]:
             fd = (up - down) / (2.0 * h)
             worst_grad = max(worst_grad, float(np.max(np.abs(grad[:, k] - fd) / scale)))
     worst_rt = 0.0
-    for v in np.linspace(-0.5 * c, 0.5 * c, 21):
+    for v in np.linspace(-0.5 * C, 0.5 * C, 21):
         targets = (Target(100.0, float(v)), Target(101.0, float(v)))
-        sd = sum_diff(return_params(*targets, probe))
+        sd = sum_diff(returned_state(*targets, probe))
         values, _ = target_estimates("moving_object", sd, probe.omega0)
-        worst_rt = max(worst_rt, float(abs(values[0] - 1.0)), float(abs(values[1] - v) / c))
+        worst_rt = max(worst_rt, float(abs(values[0] - 1.0)), float(abs(values[1] - v) / C))
     ok = worst_grad <= 1e-6 and worst_rt <= 1e-12
     return ok, f"gradient FD rel diff {worst_grad:.2e}; inversion round-trip {worst_rt:.2e}"
 

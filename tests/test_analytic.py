@@ -6,6 +6,7 @@ of those are refuted below, deliberately.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -18,7 +19,14 @@ from qfi_radar.analytic import (
     published_mixed_qfi,
     qfi_entangled,
 )
-from qfi_radar.kinematics import ParameterPair, ProbeConfig, Strategy, Target, return_params
+from qfi_radar.kinematics import (
+    ParameterPair,
+    ProbeConfig,
+    Strategy,
+    Target,
+    returned_state,
+    sum_diff,
+)
 from qfi_radar.oracle import build_subspace, model_for, project, qfi_numeric, sld_solve
 from qfi_radar.states import ROWS, Stack
 
@@ -138,13 +146,12 @@ class TestBounds:
         # four-parameter H (single photons far apart, where the photon-counted
         # engine and the labelled photons agree)
         probe = ProbeConfig(omega0=10.0, sigma0=1.0, kappa=kappa, strategy=strategy)
-        rp = return_params(Target(300.0, 0.0), Target(340.0, 0.3), probe)
-        assert rp.sigma2 < 0.6 * rp.sigma1
-        model = model_for(strategy, sigma1=rp.sigma1, sigma2=rp.sigma2, kappa=kappa,
-                          t_plus=rp.t1 + rp.t2, t_minus=rp.t2 - rp.t1,
-                          omega_plus=rp.omega1 + rp.omega2, omega_minus=rp.omega2 - rp.omega1)
+        state = returned_state(Target(300.0, 0.0), Target(340.0, 0.3), probe)
+        assert state.sigma2 < 0.6 * state.sigma1
+        model = model_for(strategy, sigma1=state.sigma1, sigma2=state.sigma2, kappa=kappa,
+                          **asdict(sum_diff(state)))
         want = np.linalg.inv(engine_H(model, SUM_DIFF))
-        cov = scenario_qcrb_covariance(strategy, kappa, rp.sigma1, rp.sigma2)
+        cov = scenario_qcrb_covariance(strategy, kappa, state.sigma1, state.sigma2)
         d = np.sqrt(np.diag(want))
         assert np.max(np.abs(cov - want) / np.outer(d, d)) <= 1e-9
 

@@ -93,6 +93,24 @@ class TestQfi:
         ])
         assert code == 2
 
+    def test_oversized_grid_usage_error(self):
+        # -0.95..0.95 at 1e-5 is 190 001 points; the limit is 100 000
+        with pytest.raises(cli.UsageError, match="more than 100000 kappa points"):
+            kappa_grid(dict(DEFAULTS, kappa_step=1e-5))
+        assert len(kappa_grid(dict(DEFAULTS, kappa_min=0.0, kappa_max=0.99999,
+                                   kappa_step=1e-5))) == cli.MAX_KAPPA_POINTS
+
+    def test_tiny_step_exits_2_without_building_the_grid(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(qfi_radar.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "qfi_radar.cli", "curves", "--kappa-step", "1e-300",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=10,
+        )
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ")
+        assert len(out.stderr.splitlines()) == 1
+
     def test_default_kappa_grid_holds_the_decimals_it_names(self):
         grid = kappa_grid(DEFAULTS)
         assert grid == [float(Fraction(i - 19, 20)) for i in range(39)]
@@ -320,6 +338,14 @@ class TestScenario:
             "--out", str(tmp_path),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--v1", "1.5", "error: |v| must be below c, got v=1.5\n"),
+        ("--r1", "-3", "error: target range must be non-negative, got -3.0\n"),
+    ])
+    def test_target_out_of_range(self, flag, value, message, tmp_path, capsys):
+        assert main(["scenario", flag, value, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == message
 
     def test_strategy_choice(self, tmp_path):
         # the default is the entangled probe; single photons write their own report

@@ -6,22 +6,17 @@ import numpy as np
 import pytest
 
 from qfi_radar.kinematics import (
-    NATURAL_UNITS,
+    C,
     ParameterPair,
-    PhysicalConstants,
     ProbeConfig,
     Strategy,
     SumDiffParams,
     Target,
-    doppler_bandwidth,
     doppler_factor,
-    doppler_frequency,
-    return_params,
+    returned_state,
     sum_diff,
     target_estimates,
 )
-
-C = NATURAL_UNITS.c
 
 
 class TestDoppler:
@@ -30,15 +25,14 @@ class TestDoppler:
 
     def test_receding_redshifts(self):
         assert doppler_factor(0.5) == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert doppler_frequency(3.0, 0.5) == pytest.approx(1.0, abs=1e-15)
-        assert doppler_bandwidth(3.0, 0.5) == pytest.approx(1.0, abs=1e-15)
+        # carrier and bandwidth both scale by the factor
+        probe = ProbeConfig(omega0=3.0, sigma0=3.0, kappa=0.0)
+        state = returned_state(Target(1.0, 0.5), Target(1.0, 0.0), probe)
+        assert state.omega1_bar == pytest.approx(1.0, abs=1e-15)
+        assert state.sigma1 == pytest.approx(1.0, abs=1e-15)
 
     def test_approaching_blueshifts(self):
         assert doppler_factor(-0.5) == pytest.approx(3.0, abs=1e-14)
-
-    def test_si_units(self):
-        si = PhysicalConstants()
-        assert doppler_factor(0.5 * si.c, si) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_superluminal_rejected(self):
         with pytest.raises(ValueError):
@@ -49,33 +43,37 @@ class TestDoppler:
     def test_exact_inversion_round_trip(self):
         # v -> returned carrier -> inverted v, exact to 1e-12 over |v| <= c/2
         omega0 = 7.0
+        probe = ProbeConfig(omega0=omega0, sigma0=1.0, kappa=0.0)
         for v in np.linspace(-0.5, 0.5, 41):
-            w = doppler_frequency(omega0, float(v))
+            w = returned_state(Target(1.0, float(v)), Target(1.0, 0.0), probe).omega1_bar
             v_back = C * (omega0 - w) / (omega0 + w)
             assert abs(v_back - v) <= 1e-12
 
 
 class TestReturnParams:
+    """The returned photons' parameters: the fields of ``returned_state``."""
+
     def test_static_pair(self):
         probe = ProbeConfig(omega0=5.0, sigma0=1.0, kappa=-0.5)
-        rp = return_params(Target(300.0, 0.0), Target(500.0, 0.0), probe)
-        assert rp.t1 == pytest.approx(600.0)
-        assert rp.t2 == pytest.approx(1000.0)
-        assert rp.omega1 == rp.omega2 == pytest.approx(5.0)
-        assert rp.sigma1 == rp.sigma2 == pytest.approx(1.0)
+        state = returned_state(Target(300.0, 0.0), Target(500.0, 0.0), probe)
+        assert state.t1_bar == pytest.approx(600.0)
+        assert state.t2_bar == pytest.approx(1000.0)
+        assert state.omega1_bar == state.omega2_bar == pytest.approx(5.0)
+        assert state.sigma1 == state.sigma2 == pytest.approx(1.0)
+        assert state.kappa == probe.kappa
 
     def test_moving_object(self):
         probe = ProbeConfig(omega0=6.0, sigma0=3.0, kappa=0.0)
         v = C / 3.0
-        rp = return_params(Target(100.0, v), Target(101.0, v), probe)
-        assert rp.omega1 == pytest.approx(3.0)
-        assert rp.sigma1 == pytest.approx(1.5)
-        assert rp.t2 - rp.t1 == pytest.approx(2.0 / (C - v))
+        state = returned_state(Target(100.0, v), Target(101.0, v), probe)
+        assert state.omega1_bar == pytest.approx(3.0)
+        assert state.sigma1 == pytest.approx(1.5)
+        assert state.t2_bar - state.t1_bar == pytest.approx(2.0 / (C - v))
 
     def test_sum_diff_round_trip(self):
         probe = ProbeConfig(omega0=5.0, sigma0=1.0, kappa=0.2)
-        rp = return_params(Target(10.0, 0.1), Target(20.0, 0.3), probe)
-        sd = sum_diff(rp)
+        state = returned_state(Target(10.0, 0.1), Target(20.0, 0.3), probe)
+        sd = sum_diff(state)
         # t1 = (t_plus - t_minus)/2, t2 = (t_plus + t_minus)/2, likewise for omega
         back = (
             (sd.t_plus - sd.t_minus) / 2.0,
@@ -83,14 +81,16 @@ class TestReturnParams:
             (sd.omega_plus - sd.omega_minus) / 2.0,
             (sd.omega_plus + sd.omega_minus) / 2.0,
         )
-        assert back == pytest.approx((rp.t1, rp.t2, rp.omega1, rp.omega2), rel=1e-15)
+        want = (state.t1_bar, state.t2_bar, state.omega1_bar, state.omega2_bar)
+        assert back == pytest.approx(want, rel=1e-15)
 
     def test_validation(self):
-        probe = ProbeConfig(omega0=5.0, sigma0=1.0, kappa=0.0)
+        with pytest.raises(ValueError, match="target range must be non-negative"):
+            Target(-1.0, 0.0)
+        with pytest.raises(ValueError, match=r"\|v\| must be below c"):
+            Target(1.0, 2.0)
         with pytest.raises(ValueError):
-            return_params(Target(-1.0, 0.0), Target(1.0, 0.0), probe)
-        with pytest.raises(ValueError):
-            return_params(Target(1.0, 2.0), Target(1.0, 0.0), probe)
+            Target(1.0, -C)
         with pytest.raises(ValueError):
             ProbeConfig(omega0=5.0, sigma0=1.0, kappa=1.0)
 
@@ -98,12 +98,12 @@ class TestReturnParams:
 def estimates(scenario, r, v):
     """target_estimates for two targets at ranges r and velocities v."""
     probe = ProbeConfig(omega0=10.0, sigma0=1.0, kappa=-0.5)
-    rp = return_params(Target(r[0], v[0]), Target(r[1], v[1]), probe)
-    return target_estimates(scenario, sum_diff(rp), probe.omega0)
+    state = returned_state(Target(r[0], v[0]), Target(r[1], v[1]), probe)
+    return target_estimates(scenario, sum_diff(state), probe.omega0)
 
 
 class TestRoundTrip:
-    """Targets -> return_params -> sum_diff -> target_estimates -> targets."""
+    """Targets -> returned_state -> sum_diff -> target_estimates -> targets."""
 
     def test_static_target(self):
         values, _ = estimates("multibody", (300.0, 500.0), (0.0, 0.0))
@@ -154,8 +154,8 @@ class TestJacobian:
             ("moving_object", (C / 3.0, C / 3.0)),
         ]
         for scenario, v in cases:
-            rp = return_params(Target(300.0, v[0]), Target(500.0, v[1]), probe)
-            x = np.array(astuple(sum_diff(rp)))
+            state = returned_state(Target(300.0, v[0]), Target(500.0, v[1]), probe)
+            x = np.array(astuple(sum_diff(state)))
             _, grad = target_estimates(scenario, SumDiffParams(*x), omega0)
             fd = np.empty((2, 4))
             for k in range(4):
@@ -171,8 +171,6 @@ class TestJacobian:
         sd = SumDiffParams(1.0, 0.0, 2.0, 0.0)
         with pytest.raises(ValueError):
             target_estimates("teleport", sd, 1.0)
-        with pytest.raises(ValueError):
-            PhysicalConstants(c=0.0)
 
 
 class TestEnums:

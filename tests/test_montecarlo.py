@@ -11,7 +11,7 @@ from scipy import stats
 
 import qfi_radar
 from qfi_radar.analytic import qfi_entangled
-from qfi_radar.kinematics import NATURAL_UNITS, ParameterPair, ProbeConfig, Strategy, Target
+from qfi_radar.kinematics import C, ParameterPair, ProbeConfig, Strategy, Target
 from qfi_radar.montecarlo import (
     CHUNK_SIZE,
     McConfig,
@@ -226,7 +226,7 @@ class TestScenarios:
         assert abs(est["delta_v"] - 0.0) <= 3.0 * pred["delta_v"]
 
     def test_moving_object(self):
-        v = NATURAL_UNITS.c / 3.0
+        v = C / 3.0
         probe = ProbeConfig(omega0=10.0, sigma0=1.0, kappa=-0.5)
         report = run_scenario(
             "moving_object", (Target(100.0, v), Target(101.0, v)), probe, 10_000, seed=42
@@ -290,10 +290,9 @@ class TestScenarios:
         H = qfi_entangled(1.0, 1.0, kappa, PAIR_A).H
         n_t, n_f = report["n_time_shots"], report["n_frequency_shots"]
         pred = report["predicted_qcrb_std_errors"]
-        c = NATURAL_UNITS.c
-        assert pred["midpoint"] == pytest.approx(c / 4.0 / math.sqrt(n_t * H[0, 0]), rel=1e-12)
+        assert pred["midpoint"] == pytest.approx(C / 4.0 / math.sqrt(n_t * H[0, 0]), rel=1e-12)
         assert pred["delta_v"] == pytest.approx(
-            c / (2.0 * omega0) / math.sqrt(n_f * H[1, 1]), rel=1e-12
+            C / (2.0 * omega0) / math.sqrt(n_f * H[1, 1]), rel=1e-12
         )
 
     def test_deterministic_reports(self):
