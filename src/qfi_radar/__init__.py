@@ -22,11 +22,9 @@ from .kinematics import (
     ParameterPair,
     ProbeConfig,
     Strategy,
-    SumDiffParams,
     Target,
     doppler_factor,
     returned_state,
-    sum_diff,
     target_estimates,
 )
 from .montecarlo import (

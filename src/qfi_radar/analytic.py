@@ -139,15 +139,15 @@ def asymptotic_H(
 def scenario_qcrb_covariance(
     strategy: Strategy, kappa: float, sigma1: float, sigma2: float
 ) -> np.ndarray:
-    """Per-shot QCRB covariance of (t_plus, t_minus, omega_plus, omega_minus).
+    """Per-shot QCRB covariance of the returned photons' (t1, t2, omega1, omega2).
 
     The returned biphoton's frequencies have covariance
     B = [[sigma1^2, -kappa sigma1 sigma2], [-kappa sigma1 sigma2, sigma2^2]]
     and its times (4B)^-1, so its QFI over (t1, t2) is 4B and over
     (omega1, omega2) is B^-1, with no time-frequency cross terms.  The bound
     with every other parameter unknown is the inverse of each full block:
-    the sum/difference image J C J^T, J = [[1, 1], [-1, 1]], of C = (4B)^-1
-    and C = B.  Two single photons are the same form at kappa = 0.
+    (4B)^-1 for the times and B for the frequencies.  Two single photons are
+    the same form at kappa = 0.
     """
     if strategy is Strategy.TWO_SINGLE_PHOTONS:
         kappa = 0.0
@@ -155,10 +155,9 @@ def scenario_qcrb_covariance(
         raise ValueError(f"no scenario QCRB for {strategy!r}")
     s12 = kappa * sigma1 * sigma2
     d = 4.0 * (1.0 - kappa**2) * sigma1**2 * sigma2**2
-    J = np.array([[1.0, 1.0], [-1.0, 1.0]])
     cov = np.zeros((4, 4))
-    cov[:2, :2] = J @ (np.array([[sigma2**2, s12], [s12, sigma1**2]]) / d) @ J.T
-    cov[2:, 2:] = J @ np.array([[sigma1**2, -s12], [-s12, sigma2**2]]) @ J.T
+    cov[:2, :2] = np.array([[sigma2**2, s12], [s12, sigma1**2]]) / d
+    cov[2:, 2:] = np.array([[sigma1**2, -s12], [-s12, sigma2**2]])
     return cov
 
 

@@ -281,10 +281,10 @@ def _compat_residual(strategy: Strategy, pair: ParameterPair, kappa: float, sigm
 def cmd_qfi(cfg: dict) -> int:
     header = ["strategy", "pair", "kappa", "sigma", "H11", "H22", "bound", "residual"]
     rows = []
+    kappas, sigma = kappa_grid(cfg), cfg["sigma"]
     for strategy in selected_strategies(cfg):
         for pair in selected_pairs(cfg):
-            for kappa in kappa_grid(cfg):
-                sigma = cfg["sigma"]
+            for kappa in kappas:
                 h11, h22 = asymptotic_H(strategy, pair, kappa, sigma)
                 bound = bound_product(h11, h22)
                 residual = _compat_residual(strategy, pair, kappa, sigma)
@@ -337,7 +337,8 @@ def cmd_curves(cfg: dict) -> int:
 def cmd_oracle_check(cfg: dict) -> int:
     records = []
     sigma, t_minus, omega_minus = cfg["sigma"], cfg["t_minus"], cfg["omega_minus"]
-    mixed = any(s is not Strategy.ENTANGLED_BIPHOTON for s in selected_strategies(cfg))
+    strategies = selected_strategies(cfg)
+    mixed = any(s is not Strategy.ENTANGLED_BIPHOTON for s in strategies)
     if mixed and t_minus == 0.0 and omega_minus == 0.0:
         raise UsageError(
             "--t-minus and --omega-minus are both 0: the two branches coincide, "
@@ -346,7 +347,7 @@ def cmd_oracle_check(cfg: dict) -> int:
     kappas = kappa_grid(cfg)
     for pair in selected_pairs(cfg):
         for kappa in kappas:
-            for strategy in selected_strategies(cfg):
+            for strategy in strategies:
                 if strategy is Strategy.TWO_SINGLE_PHOTONS and kappa != kappas[0]:
                     continue  # no correlation parameter; one row per pair suffices
                 records.extend(
@@ -424,17 +425,13 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_scenario(cfg: dict) -> int:
-    scenario = cfg["scenario"]
-    strategy = Strategy(cfg["strategy"])
-    v1, v2 = cfg["v1"], cfg["v2"]
-    if scenario == "moving_object" and v1 != v2:
-        raise UsageError("moving_object assumes a rigid body: --v1 must equal --v2")
     probe = ProbeConfig(
-        omega0=cfg["omega0"], sigma0=cfg["sigma"], kappa=cfg["kappa"], strategy=strategy,
+        omega0=cfg["omega0"], sigma0=cfg["sigma"], kappa=cfg["kappa"],
+        strategy=Strategy(cfg["strategy"]),
     )
     report = run_scenario(
-        scenario,
-        (Target(cfg["r1"], v1), Target(cfg["r2"], v2)),
+        cfg["scenario"],
+        (Target(cfg["r1"], cfg["v1"]), Target(cfg["r2"], cfg["v2"])),
         probe,
         cfg["n"],
         cfg["seed"],

@@ -1,9 +1,10 @@
 """Emission -> reflection -> return: from two targets to the returned biphoton.
 
-One forward map runs targets -> ``returned_state`` (the returned biphoton)
--> ``sum_diff`` (its sum/difference parameters), and ``target_estimates``
-inverts it.  Everything is in natural units, the speed of light ``C`` = 1:
-times are lengths (a round trip to range r at rest takes 2r) and
+One forward map runs targets -> ``returned_state`` (the returned biphoton),
+and ``target_estimates`` inverts it from the returned photons' own
+coordinates (t1, t2, omega1, omega2): ``state.centers()`` then
+``state.carriers()``.  Everything is in natural units, the speed of light
+``C`` = 1: times are lengths (a round trip to range r at rest takes 2r) and
 velocities are fractions of c.  Velocities are positive for receding
 targets, so a receding target redshifts the carrier and the bandwidth by
 the exact two-way Doppler factor (c - v)/(c + v).
@@ -24,11 +25,9 @@ __all__ = [
     "ParameterPair",
     "Target",
     "ProbeConfig",
-    "SumDiffParams",
     "doppler_factor",
     "SCENARIOS",
     "returned_state",
-    "sum_diff",
     "target_estimates",
 ]
 
@@ -63,7 +62,10 @@ class ParameterPair(enum.Enum):
 
     @property
     def param_names(self) -> tuple[str, str]:
-        """The pair's (time, frequency) parameters, as ``SumDiffParams`` fields."""
+        """The pair's (time, frequency) parameters.
+
+        Each name is a ``model_for`` argument and a ``states.ROWS`` entry.
+        """
         if self is ParameterPair.TIME_SUM_FREQ_DIFF:
             return ("t_plus", "omega_minus")
         return ("t_minus", "omega_plus")
@@ -101,20 +103,6 @@ class ProbeConfig:
             raise ValueError(f"kappa must lie in (-1, 1), got {self.kappa}")
 
 
-@dataclass(frozen=True)
-class SumDiffParams:
-    """Sum/difference combinations of the returned times and frequencies.
-
-    Reconstruction is exact: t1 = (t_plus - t_minus)/2, t2 = (t_plus + t_minus)/2,
-    and likewise for the frequencies.
-    """
-
-    t_plus: float
-    t_minus: float
-    omega_plus: float
-    omega_minus: float
-
-
 def doppler_factor(v: float) -> float:
     """Two-way Doppler scale factor (c - v)/(c + v) for a receding velocity v."""
     if abs(v) >= C:
@@ -142,44 +130,36 @@ def returned_state(target_a: Target, target_b: Target, probe: ProbeConfig) -> Ga
     )
 
 
-def sum_diff(state: GaussianBiphoton) -> SumDiffParams:
-    """Sum/difference combinations of a returned state's centers and carriers."""
-    return SumDiffParams(
-        t_plus=state.t1_bar + state.t2_bar,
-        t_minus=state.t2_bar - state.t1_bar,
-        omega_plus=state.omega1_bar + state.omega2_bar,
-        omega_minus=state.omega2_bar - state.omega1_bar,
-    )
-
-
 def _doppler_inverse(omega: float, omega0: float) -> tuple[float, float]:
     """Exact receding velocity c (omega0 - omega)/(omega0 + omega) of a return, and dv/domega."""
     return C * (omega0 - omega) / (omega0 + omega), -2.0 * C * omega0 / (omega0 + omega) ** 2
 
 
 def target_estimates(
-    scenario: str, sd: SumDiffParams, omega0: float
+    scenario: str, x: np.ndarray, omega0: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """A scenario's two physical quantities and their 2x4 gradient.
 
-    The gradient columns follow (t_plus, t_minus, omega_plus, omega_minus).
-    ``multibody`` gives the midpoint c t_plus/4, which is the range midpoint
-    (r1 + r2)/2 of a pair at rest (a receding pair reads its midpoint at
-    reflection: 444.4 against a truth of 400 at v = 0.1c), and the relative
-    velocity v2 - v1 from the exact per-photon Doppler inversions.
-    ``moving_object`` gives the radial size t_minus (c - v)/2 of a rigid
-    object and its common velocity v, inverted at the mean returned carrier
-    omega_plus/2.
+    ``x`` is (t1, t2, omega1, omega2), the returned photons' centers then
+    carriers, and the gradient columns follow it.  ``multibody`` gives the
+    midpoint c (t1 + t2)/4, which is the range midpoint (r1 + r2)/2 of a
+    pair at rest (a receding pair reads its midpoint at reflection: 444.4
+    against a truth of 400 at v = 0.1c), and the relative velocity v2 - v1
+    from the exact per-photon Doppler inversions.  ``moving_object`` gives
+    the radial size (t2 - t1)(c - v)/2 of a rigid object and its common
+    velocity v, inverted at the mean returned carrier (omega1 + omega2)/2.
     """
+    t1, t2, w1, w2 = x
     if scenario == "multibody":
-        v1, s1 = _doppler_inverse((sd.omega_plus - sd.omega_minus) / 2.0, omega0)
-        v2, s2 = _doppler_inverse((sd.omega_plus + sd.omega_minus) / 2.0, omega0)
-        values = [C * sd.t_plus / 4.0, v2 - v1]
-        grad = [[C / 4.0, 0.0, 0.0, 0.0], [0.0, 0.0, (s2 - s1) / 2.0, (s2 + s1) / 2.0]]
+        v1, s1 = _doppler_inverse(w1, omega0)
+        v2, s2 = _doppler_inverse(w2, omega0)
+        values = [C * (t1 + t2) / 4.0, v2 - v1]
+        grad = [[C / 4.0, C / 4.0, 0.0, 0.0], [0.0, 0.0, -s1, s2]]
     elif scenario == "moving_object":
-        v, s = _doppler_inverse(sd.omega_plus / 2.0, omega0)
-        values = [sd.t_minus * (C - v) / 2.0, v]
-        grad = [[0.0, (C - v) / 2.0, -sd.t_minus * s / 4.0, 0.0], [0.0, 0.0, s / 2.0, 0.0]]
+        v, s = _doppler_inverse((w1 + w2) / 2.0, omega0)
+        dsize = -(t2 - t1) * s / 4.0
+        values = [(t2 - t1) * (C - v) / 2.0, v]
+        grad = [[-(C - v) / 2.0, (C - v) / 2.0, dsize, dsize], [0.0, 0.0, s / 2.0, s / 2.0]]
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
     return np.array(values), np.array(grad)

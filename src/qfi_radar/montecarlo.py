@@ -26,10 +26,8 @@ from .kinematics import (
     ParameterPair,
     ProbeConfig,
     Strategy,
-    SumDiffParams,
     Target,
     returned_state,
-    sum_diff,
     target_estimates,
 )
 from .states import GaussianBiphoton, frequency_covariance, time_covariance
@@ -215,20 +213,26 @@ def run_scenario(
     """End-to-end radar estimation of physical target properties.
 
     The targets return the biphoton ``kinematics.returned_state`` gives.
-    ``multibody`` estimates the midpoint c t_plus/4 of two scatterers and
-    their relative velocity; ``moving_object`` estimates the radial size
-    and common velocity of a rigid two-point object (see
+    ``multibody`` estimates the midpoint c (t1 + t2)/4 of two scatterers
+    and their relative velocity; ``moving_object`` estimates the radial
+    size and common velocity of a rigid two-point object, so its targets
+    must share one velocity (a ``ValueError`` otherwise; see
     ``kinematics.target_estimates``).  Half the shots go to time-domain
     detection and the rest to frequency-domain detection, since one photon
-    cannot yield both precisely.  The draws become sum/difference columns;
-    the estimates and their standard errors come from the sample means and
-    the block sample covariance, and the predicted standard errors from the
-    per-shot QCRB covariance (``analytic.scenario_qcrb_covariance``) at the
-    true returned bandwidths, split the same way.  That bound holds every
-    other parameter unknown, for both strategies and at any v1, v2.
+    cannot yield both precisely.  The estimates and their standard errors
+    come from the sample means of the drawn (t1, t2, omega1, omega2) and
+    their block sample covariance, and the predicted standard errors from
+    the per-shot QCRB covariance (``analytic.scenario_qcrb_covariance``)
+    at the true returned bandwidths, split the same way.  That bound holds
+    every other parameter unknown, for both strategies and at any v1, v2.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
+    if scenario == "moving_object" and targets[0].v != targets[1].v:
+        raise ValueError(
+            f"moving_object assumes a rigid body: both targets need one velocity, "
+            f"got {targets[0].v} and {targets[1].v}"
+        )
     if probe.strategy not in MC_STRATEGIES:
         raise ValueError(f"scenario simulation supports {[s.value for s in MC_STRATEGIES]}")
     if n_shots < 4:
@@ -239,10 +243,9 @@ def run_scenario(
     n_freq = n_shots - n_time
     times = sample_times(state, McConfig(n_time, seed, "time", probe.strategy))
     freqs = sample_frequencies(state, McConfig(n_freq, seed + 1, "frequency", probe.strategy))
-    # rows t_plus, t_minus and omega_plus, omega_minus, in SumDiffParams order
-    t_cols = np.array([times[:, 0] + times[:, 1], times[:, 1] - times[:, 0]])
-    w_cols = np.array([freqs[:, 0] + freqs[:, 1], freqs[:, 1] - freqs[:, 0]])
-    means = SumDiffParams(*(float(np.mean(col)) for col in (*t_cols, *w_cols)))
+    # rows t1, t2 and omega1, omega2, contiguous so that each mean is a pairwise sum
+    t_cols, w_cols = np.ascontiguousarray(times.T), np.ascontiguousarray(freqs.T)
+    means = np.concatenate([t_cols.mean(axis=1), w_cols.mean(axis=1)])
     cov = np.zeros((4, 4))
     cov[:2, :2] = np.cov(t_cols) / n_time
     cov[2:, 2:] = np.cov(w_cols) / n_freq
@@ -255,7 +258,8 @@ def run_scenario(
     qcrb = scenario_qcrb_covariance(probe.strategy, probe.kappa, state.sigma1, state.sigma2)
     qcrb[:2, :2] /= n_time
     qcrb[2:, 2:] /= n_freq
-    _, grad_true = target_estimates(scenario, sum_diff(state), probe.omega0)
+    x_true = np.concatenate([state.centers(), state.carriers()])
+    _, grad_true = target_estimates(scenario, x_true, probe.omega0)
 
     def named(xs) -> dict:
         return dict(zip(SCENARIOS[scenario], map(float, xs)))

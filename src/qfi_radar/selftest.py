@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import astuple
 
 import numpy as np
 
@@ -22,10 +21,8 @@ from .kinematics import (
     ParameterPair,
     ProbeConfig,
     Strategy,
-    SumDiffParams,
     Target,
     returned_state,
-    sum_diff,
     target_estimates,
 )
 from .montecarlo import McConfig, estimate_pair, run_scenario, sample_frequencies, sample_times
@@ -256,21 +253,21 @@ def criterion_9() -> tuple[bool, str]:
         ("moving_object", 0.0, 0.0),
         ("moving_object", C / 3.0, C / 3.0),
     ):
-        sd = sum_diff(returned_state(Target(300.0, v1), Target(500.0, v2), probe))
-        x = np.array(astuple(sd))
-        _, grad = target_estimates(scenario, sd, probe.omega0)
+        state = returned_state(Target(300.0, v1), Target(500.0, v2), probe)
+        x = np.concatenate([state.centers(), state.carriers()])
+        _, grad = target_estimates(scenario, x, probe.omega0)
         scale = np.max(np.abs(grad), axis=1)
         for k, h in enumerate(1e-6 * np.maximum(1.0, np.abs(x))):
             step = np.eye(4)[k] * h
-            up, _ = target_estimates(scenario, SumDiffParams(*(x + step)), probe.omega0)
-            down, _ = target_estimates(scenario, SumDiffParams(*(x - step)), probe.omega0)
+            up, _ = target_estimates(scenario, x + step, probe.omega0)
+            down, _ = target_estimates(scenario, x - step, probe.omega0)
             fd = (up - down) / (2.0 * h)
             worst_grad = max(worst_grad, float(np.max(np.abs(grad[:, k] - fd) / scale)))
     worst_rt = 0.0
     for v in np.linspace(-0.5 * C, 0.5 * C, 21):
-        targets = (Target(100.0, float(v)), Target(101.0, float(v)))
-        sd = sum_diff(returned_state(*targets, probe))
-        values, _ = target_estimates("moving_object", sd, probe.omega0)
+        state = returned_state(Target(100.0, float(v)), Target(101.0, float(v)), probe)
+        x = np.concatenate([state.centers(), state.carriers()])
+        values, _ = target_estimates("moving_object", x, probe.omega0)
         worst_rt = max(worst_rt, float(abs(values[0] - 1.0)), float(abs(values[1] - v) / C))
     ok = worst_grad <= 1e-6 and worst_rt <= 1e-12
     return ok, f"gradient FD rel diff {worst_grad:.2e}; inversion round-trip {worst_rt:.2e}"

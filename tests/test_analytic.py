@@ -6,7 +6,6 @@ of those are refuted below, deliberately.
 """
 
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from qfi_radar.kinematics import (
     Strategy,
     Target,
     returned_state,
-    sum_diff,
 )
 from qfi_radar.oracle import build_subspace, model_for, project, qfi_numeric, sld_solve
 from qfi_radar.states import ROWS, Stack
@@ -34,6 +32,9 @@ PAIR_A = ParameterPair.TIME_SUM_FREQ_DIFF
 PAIR_B = ParameterPair.TIME_DIFF_FREQ_SUM
 ROOT3_2 = math.sqrt(3.0) / 2.0
 SUM_DIFF = ("t_plus", "t_minus", "omega_plus", "omega_minus")
+# the sum/difference image (t_plus, t_minus, omega_plus, omega_minus) of the
+# photons' (t1, t2, omega1, omega2)
+J = np.kron(np.eye(2), [[1.0, 1.0], [-1.0, 1.0]])
 
 
 def engine_H(model, params):
@@ -121,16 +122,19 @@ class TestBounds:
                 assert got == pytest.approx(want, rel=1e-9), (strategy, pair)
 
     def test_scenario_qcrb_covariance(self):
-        # single photons: sum/difference image of the per-photon bounds
-        cov = scenario_qcrb_covariance(Strategy.TWO_SINGLE_PHOTONS, 0.0, 1.0, 2.0)
+        # single photons: per photon, (4B)^-1 and B are diagonal at kappa = 0
+        per_photon = scenario_qcrb_covariance(Strategy.TWO_SINGLE_PHOTONS, 0.0, 1.0, 2.0)
+        assert np.array_equal(per_photon, np.diag([0.25, 1.0 / 16.0, 1.0, 4.0]))
+        # and their sum/difference image
+        cov = J @ per_photon @ J.T
         a, b = 0.25, 1.0 / 16.0
         assert cov[:2, :2] == pytest.approx(np.array([[a + b, b - a], [b - a, a + b]]))
         assert cov[2:, 2:] == pytest.approx(np.array([[5.0, 3.0], [3.0, 5.0]]))
         assert not cov[:2, 2:].any() and not cov[2:, :2].any()
-        # entangled at equal bandwidths: the time and frequency blocks are
-        # diagonal, reciprocal to asymptotic_H at each pair's entries
+        # entangled at equal bandwidths: the sum/difference time and frequency
+        # blocks are diagonal, reciprocal to asymptotic_H at each pair's entries
         for pair, cols in ((PAIR_A, [0, 3]), (PAIR_B, [1, 2])):
-            cov = scenario_qcrb_covariance(Strategy.ENTANGLED_BIPHOTON, -0.9, 1.3, 1.3)
+            cov = J @ scenario_qcrb_covariance(Strategy.ENTANGLED_BIPHOTON, -0.9, 1.3, 1.3) @ J.T
             h = asymptotic_H(Strategy.ENTANGLED_BIPHOTON, pair, -0.9, 1.3)
             assert np.diag(cov)[cols] == pytest.approx(1.0 / np.array(h), rel=1e-14)
             assert np.count_nonzero(cov) == 4
@@ -148,10 +152,12 @@ class TestBounds:
         probe = ProbeConfig(omega0=10.0, sigma0=1.0, kappa=kappa, strategy=strategy)
         state = returned_state(Target(300.0, 0.0), Target(340.0, 0.3), probe)
         assert state.sigma2 < 0.6 * state.sigma1
+        (t1, t2), (w1, w2) = state.centers(), state.carriers()
         model = model_for(strategy, sigma1=state.sigma1, sigma2=state.sigma2, kappa=kappa,
-                          **asdict(sum_diff(state)))
+                          t_plus=t1 + t2, t_minus=t2 - t1, omega_plus=w1 + w2,
+                          omega_minus=w2 - w1)
         want = np.linalg.inv(engine_H(model, SUM_DIFF))
-        cov = scenario_qcrb_covariance(strategy, kappa, state.sigma1, state.sigma2)
+        cov = J @ scenario_qcrb_covariance(strategy, kappa, state.sigma1, state.sigma2) @ J.T
         d = np.sqrt(np.diag(want))
         assert np.max(np.abs(cov - want) / np.outer(d, d)) <= 1e-9
 

@@ -116,6 +116,23 @@ class TestQfi:
         assert grid == [float(Fraction(i - 19, 20)) for i in range(39)]
         assert repr(grid[1]) == "-0.9"
 
+    def test_kappa_bound_outside_open_interval(self, tmp_path, capsys):
+        assert main(["qfi", "--kappa-min", "-1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: kappa grid must lie inside (-1, 1)\n"
+
+    def test_kappa_grid_built_once(self, tmp_path, monkeypatch):
+        # one grid serves every (strategy, pair); a 100 000-point grid takes
+        # about 0.4 s to build
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return kappa_grid(cfg)
+
+        monkeypatch.setattr(cli, "kappa_grid", counted)
+        assert main(["qfi", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
     def test_svg_rejected_for_tables(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["qfi", "--format", "svg", "--out", str(tmp_path)])
@@ -177,6 +194,19 @@ class TestCurves:
         mismatched = [r for r in qfi_rows
                       if r["bound"] != floors[r["strategy"], r["pair"], r["kappa"]]]
         assert not mismatched
+
+    def test_json_matches_csv(self, tmp_path):
+        assert main(["curves", "--out", str(tmp_path / "csv")]) == 0
+        assert main(["curves", "--format", "json", "--out", str(tmp_path / "json")]) == 0
+        for pair in ("time_sum_freq_diff", "time_diff_freq_sum"):
+            header, rows = csv_rows(tmp_path / "csv" / f"curves_{pair}.csv")
+            lines = read(tmp_path / "json" / f"curves_{pair}.jsonl").splitlines()
+            records = [json.loads(line) for line in lines]
+            assert len(records) == 3 * len(rows)
+            csv_bound = {(row["kappa"], s): float(row[s]) for row in rows for s in header[1:]}
+            json_bound = {(repr(r["kappa"]), r["strategy"]): r["bound"] for r in records}
+            assert {r["pair"] for r in records} == {pair}
+            assert json_bound == csv_bound
 
     def test_deterministic_output(self, tmp_path):
         args = [
@@ -332,16 +362,22 @@ class TestScenario:
         pred = report["predicted_qcrb_std_errors"]["midpoint"]
         assert abs(est - 400.0) <= 3.0 * pred
 
-    def test_moving_object_velocity_mismatch(self, tmp_path):
+    def test_moving_object_velocity_mismatch(self, tmp_path, capsys):
         code = main([
             "scenario", "--scenario", "moving_object", "--v1", "0.1", "--v2", "0.2",
             "--out", str(tmp_path),
         ])
         assert code == 2
+        assert capsys.readouterr().err == (
+            "error: moving_object assumes a rigid body: both targets need one velocity, "
+            "got 0.1 and 0.2\n"
+        )
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--v1", "1.5", "error: |v| must be below c, got v=1.5\n"),
         ("--r1", "-3", "error: target range must be non-negative, got -3.0\n"),
+        ("--omega0", "-1", "error: carrier frequency must be positive\n"),
+        ("--sigma", "0", "error: bandwidth must be positive\n"),
     ])
     def test_target_out_of_range(self, flag, value, message, tmp_path, capsys):
         assert main(["scenario", flag, value, "--out", str(tmp_path)]) == 2
@@ -472,6 +508,13 @@ class TestConfigFile:
         code = main(["qfi", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_non_object_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1]")
+        code = main(["qfi", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: config file must hold a flat JSON object\n"
+
     def test_unknown_key_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"sigmah": 2.0}))
@@ -558,3 +601,16 @@ class TestSelftestCommand:
         assert code == 1
         records = json.loads(capsys.readouterr().out)
         assert records[0]["passed"] is False
+
+    @pytest.mark.parametrize("mutate, status, code", [(None, "PASS", 0), ("1", "FAIL", 1)])
+    def test_text_mode(self, mutate, status, code, capsys, monkeypatch):
+        # one line per criterion; the mutation hook fails criterion 1 only
+        if mutate is None:
+            monkeypatch.delenv("QFI_RADAR_SELFTEST_MUTATE", raising=False)
+        else:
+            monkeypatch.setenv("QFI_RADAR_SELFTEST_MUTATE", mutate)
+        assert main(["selftest"]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 9
+        assert lines[0].startswith(f"criterion 1 [{status}] bound-product curves")
+        assert all(f"criterion {i} [PASS] " in line for i, line in enumerate(lines[1:], 2))

@@ -3,7 +3,8 @@
 The engine_map round is the benchmark's correctness gate: a change that
 fails more of its points, or fails one for a reason no known fault
 explains, is caught here first.  The import check keeps the numerical
-engine free of every closed-form information expression.
+engine free of every closed-form information expression, and the export
+check keeps every public name in use.
 """
 
 import ast
@@ -20,6 +21,10 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # engine_map points failed per round today, all by the two known engine
 # faults (bandwidth_drop, near_coincident); lower it as the engine improves
 ENGINE_MAP_FAILED = 93
+# exported names with no caller in src/, bench/ or demos/: the tests use
+# them as quadrature references, and the classical-Fisher-information item
+# of ROADMAP.md decides whether they gain a caller or go
+UNCALLED_EXPORTS = {"single_amplitude", "biphoton_amplitude"}
 
 
 def test_engine_map_round_correct():
@@ -86,3 +91,23 @@ def test_engine_overlaps_only_in_gram_matrix():
     visit(tree, None)
     assert callers, "oracle.py no longer calls overlap"
     assert all(function == "build_subspace" for function, _ in callers), callers
+
+
+def test_every_export_has_a_caller():
+    # a use is a name or attribute read in code; the definition, the
+    # __all__ strings and the import lines that re-export a name are not
+    used = set()
+    for folder in ("src", "bench", "demos"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    used.add(node.attr)
+    exported = set()
+    for path in (ROOT / "src" / "qfi_radar").glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported.update(ast.literal_eval(node.value))
+    assert exported - used == UNCALLED_EXPORTS

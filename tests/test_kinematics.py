@@ -1,7 +1,5 @@
 """Emission/return transformation and parameter-inversion tests."""
 
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 
@@ -10,11 +8,9 @@ from qfi_radar.kinematics import (
     ParameterPair,
     ProbeConfig,
     Strategy,
-    SumDiffParams,
     Target,
     doppler_factor,
     returned_state,
-    sum_diff,
     target_estimates,
 )
 
@@ -70,20 +66,6 @@ class TestReturnParams:
         assert state.sigma1 == pytest.approx(1.5)
         assert state.t2_bar - state.t1_bar == pytest.approx(2.0 / (C - v))
 
-    def test_sum_diff_round_trip(self):
-        probe = ProbeConfig(omega0=5.0, sigma0=1.0, kappa=0.2)
-        state = returned_state(Target(10.0, 0.1), Target(20.0, 0.3), probe)
-        sd = sum_diff(state)
-        # t1 = (t_plus - t_minus)/2, t2 = (t_plus + t_minus)/2, likewise for omega
-        back = (
-            (sd.t_plus - sd.t_minus) / 2.0,
-            (sd.t_plus + sd.t_minus) / 2.0,
-            (sd.omega_plus - sd.omega_minus) / 2.0,
-            (sd.omega_plus + sd.omega_minus) / 2.0,
-        )
-        want = (state.t1_bar, state.t2_bar, state.omega1_bar, state.omega2_bar)
-        assert back == pytest.approx(want, rel=1e-15)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="target range must be non-negative"):
             Target(-1.0, 0.0)
@@ -95,15 +77,20 @@ class TestReturnParams:
             ProbeConfig(omega0=5.0, sigma0=1.0, kappa=1.0)
 
 
+def photons(state):
+    """The returned photons' (t1, t2, omega1, omega2): target_estimates' input."""
+    return np.concatenate([state.centers(), state.carriers()])
+
+
 def estimates(scenario, r, v):
     """target_estimates for two targets at ranges r and velocities v."""
     probe = ProbeConfig(omega0=10.0, sigma0=1.0, kappa=-0.5)
     state = returned_state(Target(r[0], v[0]), Target(r[1], v[1]), probe)
-    return target_estimates(scenario, sum_diff(state), probe.omega0)
+    return target_estimates(scenario, photons(state), probe.omega0)
 
 
 class TestRoundTrip:
-    """Targets -> returned_state -> sum_diff -> target_estimates -> targets."""
+    """Targets -> returned_state -> target_estimates -> targets."""
 
     def test_static_target(self):
         values, _ = estimates("multibody", (300.0, 500.0), (0.0, 0.0))
@@ -115,7 +102,7 @@ class TestRoundTrip:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="c t_plus / 4 is the midpoint at reflection, (r1 + r2) / (2 (1 - v/c)) "
+        reason="c (t1 + t2)/4 is the midpoint at reflection, (r1 + r2) / (2 (1 - v/c)) "
         "for a common v; CHANGES.md FOUND: a receding multibody pair",
     )
     @pytest.mark.parametrize("v", [(0.1, 0.1), (0.1, 0.3)])
@@ -155,22 +142,22 @@ class TestJacobian:
         ]
         for scenario, v in cases:
             state = returned_state(Target(300.0, v[0]), Target(500.0, v[1]), probe)
-            x = np.array(astuple(sum_diff(state)))
-            _, grad = target_estimates(scenario, SumDiffParams(*x), omega0)
+            x = photons(state)
+            _, grad = target_estimates(scenario, x, omega0)
             fd = np.empty((2, 4))
             for k in range(4):
                 step = np.zeros(4)
                 step[k] = 1e-6 * max(1.0, abs(x[k]))
-                up, _ = target_estimates(scenario, SumDiffParams(*(x + step)), omega0)
-                down, _ = target_estimates(scenario, SumDiffParams(*(x - step)), omega0)
+                up, _ = target_estimates(scenario, x + step, omega0)
+                down, _ = target_estimates(scenario, x - step, omega0)
                 fd[:, k] = (up - down) / (2.0 * step[k])
             scale = np.max(np.abs(grad), axis=1, keepdims=True)
             assert np.max(np.abs(grad - fd) / scale) <= 1e-6, (scenario, v)
 
     def test_domain_errors(self):
-        sd = SumDiffParams(1.0, 0.0, 2.0, 0.0)
+        x = np.array([0.5, 0.5, 1.0, 1.0])
         with pytest.raises(ValueError):
-            target_estimates("teleport", sd, 1.0)
+            target_estimates("teleport", x, 1.0)
 
 
 class TestEnums:

@@ -324,6 +324,16 @@ class TestScenarios:
         with pytest.raises(ValueError):
             run_scenario("multibody", targets, qi_probe, 100, 0)
 
+    def test_moving_object_needs_rigid_body(self):
+        # one size and one velocity describe a rigid object only: targets
+        # moving apart would read a size of 26.79 against a truth of 1
+        probe = ProbeConfig(omega0=10.0, sigma0=1.0, kappa=-0.5)
+        targets = (Target(100.0, 0.1), Target(101.0, 0.3))
+        with pytest.raises(ValueError, match="moving_object assumes a rigid body"):
+            run_scenario("moving_object", targets, probe, 2000, 0)
+        # a multibody pair may move apart
+        assert run_scenario("multibody", targets, probe, 2000, 0)["truth"]["delta_v"] > 0
+
 
 # The first interval in a fresh interpreter loads scipy.special and equals
 # scipy.stats.chi2.ppf bit for bit; importing the package loads no scipy.
