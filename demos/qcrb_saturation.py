@@ -39,11 +39,11 @@ def main() -> None:
           f"{'dt+ dw-':>9}  {'floor':>8}")
     for kappa in (-0.9, -0.5, 0.0, 0.5):
         state = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, sigma, sigma, kappa)
-        H = qfi_entangled(sigma, sigma, kappa, PAIR_A).H
+        h_t, h_w = qfi_entangled(sigma, sigma, kappa, PAIR_A)
         times = sample_times(state, McConfig(args.n, args.seed, "time"))
         freqs = sample_frequencies(state, McConfig(args.n, args.seed + 1, "frequency"))
-        rep_t = estimate_pair(times, PAIR_A, "time", float(H[0, 0]))
-        rep_w = estimate_pair(freqs, PAIR_A, "frequency", float(H[1, 1]))
+        rep_t = estimate_pair(times, PAIR_A, "time", h_t)
+        rep_w = estimate_pair(freqs, PAIR_A, "frequency", h_w)
         product = math.sqrt(rep_t.variance * rep_w.variance)
         floor = asymptotic_bound(Strategy.ENTANGLED_BIPHOTON, PAIR_A, kappa)
         print(f"{kappa:7.2f}  {rep_t.ratio:10.4f}  {rep_w.ratio:10.4f}  "

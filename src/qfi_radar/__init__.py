@@ -9,10 +9,10 @@ saturation checks, and end-to-end radar scenarios.
 """
 
 from .analytic import (
-    QfiResult,
     adjudicate,
     asymptotic_H,
     asymptotic_bound,
+    bound_product,
     published_mixed_qfi,
     qfi_entangled,
 )

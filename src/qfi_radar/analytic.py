@@ -11,7 +11,6 @@ authoritative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .kinematics import ParameterPair, Strategy
 from .oracle import model_for, qfi_numeric
 
 __all__ = [
-    "QfiResult",
     "qfi_entangled",
     "published_mixed_qfi",
     "asymptotic_H",
@@ -32,14 +30,6 @@ __all__ = [
 VERDICT_RTOL = 1e-6
 
 
-@dataclass
-class QfiResult:
-    """2x2 information matrix for one strategy and estimator pair."""
-
-    H: np.ndarray
-    bound_product: float
-
-
 def bound_product(h11: float, h22: float) -> float:
     """Uncertainty-product floor 1/sqrt(H11 H22) of a diagonal information pair."""
     return 1.0 / math.sqrt(h11 * h22)
@@ -47,23 +37,23 @@ def bound_product(h11: float, h22: float) -> float:
 
 def qfi_entangled(
     sigma1: float, sigma2: float, kappa: float, pair: ParameterPair
-) -> QfiResult:
-    """Exact information matrix of the pure returned biphoton.
+) -> tuple[float, float]:
+    """Diagonal (H11, H22) of the pure returned biphoton's information matrix.
 
     For the (time-sum, frequency-difference) pair:
       H11 = sigma1^2 - 2 kappa sigma1 sigma2 + sigma2^2,
       H22 = H11 / (4 (1 - kappa^2) sigma1^2 sigma2^2);
     the (time-difference, frequency-sum) pair flips the sign of kappa in H11.
+    The off-diagonal entries are zero; the floor is ``bound_product(H11, H22)``.
     """
-    if sigma1 <= 0 or sigma2 <= 0:
+    if not (sigma1 > 0 and sigma2 > 0):
         raise ValueError("bandwidths must be positive")
     if not -1.0 < kappa < 1.0:
         raise ValueError(f"kappa must lie in (-1, 1), got {kappa}")
     k = kappa if pair is ParameterPair.TIME_SUM_FREQ_DIFF else -kappa
     h11 = sigma1**2 - 2.0 * k * sigma1 * sigma2 + sigma2**2
     h22 = h11 / (4.0 * (1.0 - kappa**2) * sigma1**2 * sigma2**2)
-    H = np.diag([h11, h22])
-    return QfiResult(H=H, bound_product=bound_product(h11, h22))
+    return h11, h22
 
 
 def published_mixed_qfi(
@@ -73,8 +63,8 @@ def published_mixed_qfi(
     t_minus: float,
     omega_minus: float,
     kappa: float = 0.0,
-) -> np.ndarray:
-    """Published closed forms for the mixed-state strategies, verbatim.
+) -> tuple[float, float]:
+    """Diagonal (H11, H22) of the published mixed-state closed forms, verbatim.
 
     These are transcribed as printed, typos included, so they can be
     adjudicated against the oracle.  Both quantum-illumination entries use
@@ -104,7 +94,7 @@ def published_mixed_qfi(
             e = (wm2 + 4.0 * tm2 * s2) / (4.0 * s2)
             h11 = 2.0 * s2 - (wm2 / 2.0) / exp(e, math.expm1)
             h22 = 1.0 / (2.0 * s2) - exp(-e) * wm2 / (2.0 * s2**2)
-        return np.diag([h11, h22])
+        return h11, h22
     if strategy is Strategy.QUANTUM_ILLUMINATION:
         e4 = (wm2 + 4.0 * tm2 * s2**2) / (4.0 * s2)
         ek = (wm2 + 4.0 * tm2 * s2**2) / (4.0 * (1.0 - kappa**2) * s2)
@@ -115,7 +105,7 @@ def published_mixed_qfi(
             h11 = 2.0 * s2 - 2.0 * exp(-e4) * wm2 / 2.0
             # growing exponential as printed; diverges with separation
             h22 = 1.0 / (2.0 * (1.0 - kappa**2) * s2) - exp(ek) * wm2 / (2.0 * s2**2)
-        return np.diag([h11, h22])
+        return h11, h22
     raise ValueError(f"no published mixed-state form for {strategy!r}")
 
 
@@ -129,8 +119,7 @@ def asymptotic_H(
     floors (1 and 2 sqrt(1 - kappa^2)) hold.
     """
     if strategy is Strategy.ENTANGLED_BIPHOTON:
-        H = qfi_entangled(sigma, sigma, kappa, pair).H
-        return float(H[0, 0]), float(H[1, 1])
+        return qfi_entangled(sigma, sigma, kappa, pair)
     if strategy is Strategy.TWO_SINGLE_PHOTONS:
         return 2.0 * sigma**2, 1.0 / (2.0 * sigma**2)
     return sigma**2, 1.0 / (4.0 * (1.0 - kappa**2) * sigma**2)
@@ -187,41 +176,31 @@ def adjudicate(
     {strategy, pair, params, paper_value, oracle_value, rel_diff, verdict}.
     For the entangled strategy the exact closed form plays the published role
     and additionally carries the pure-path/SLD-path internal-consistency gap.
+    Its engine model is built at zero separation whatever ``t_minus`` and
+    ``omega_minus`` say: the entangled QFI does not depend on them, and a large
+    carrier separation (omega_minus = 1000 at sigma = 1) drops the time
+    direction from the engine's subspace, which would refute an exact form.
     """
-    base_params = {
-        "sigma": sigma,
-        "kappa": kappa,
-        "t_minus": t_minus,
-        "omega_minus": omega_minus,
-    }
+    base_params = {"sigma": sigma, "kappa": kappa, "t_minus": t_minus, "omega_minus": omega_minus}
     if strategy is Strategy.ENTANGLED_BIPHOTON:
         model = model_for(strategy, sigma1=sigma, kappa=kappa)
-        oracle = qfi_numeric(model, pair)
-        published = qfi_entangled(sigma, sigma, kappa, pair).H
-        pure_diff = (
-            float(np.max(np.abs(oracle.pure_H - oracle.H)))
-            if oracle.pure_H is not None
-            else None
-        )
+        published = qfi_entangled(sigma, sigma, kappa, pair)
     else:
-        model = model_for(
-            strategy, sigma1=sigma, kappa=kappa, t_minus=t_minus, omega_minus=omega_minus
-        )
-        oracle = qfi_numeric(model, pair)
+        model = model_for(strategy, sigma1=sigma, kappa=kappa, t_minus=t_minus,
+                          omega_minus=omega_minus)
         published = published_mixed_qfi(strategy, pair, sigma, t_minus, omega_minus, kappa)
-        if strategy is Strategy.QUANTUM_ILLUMINATION:
-            # the engine's QI trace is 1; the published forms are photon-counted
-            published = published / 2.0
-        pure_diff = None
+    oracle = qfi_numeric(model, pair)
+    # the engine's QI trace is 1; the published QI forms are photon-counted
+    scale = 0.5 if strategy is Strategy.QUANTUM_ILLUMINATION else 1.0
 
     records = []
     for idx, name in enumerate(pair.param_names):
-        paper_value = float(published[idx, idx])
+        paper_value = scale * published[idx]
         oracle_value = float(oracle.H[idx, idx])
         rel = abs(paper_value - oracle_value) / abs(oracle_value)
         params = dict(base_params, entry=name)
-        if pure_diff is not None:
-            params["pure_path_diff"] = pure_diff
+        if oracle.pure_H is not None:
+            params["pure_path_diff"] = float(np.max(np.abs(oracle.pure_H - oracle.H)))
         records.append(
             {
                 "strategy": strategy.value,

@@ -79,9 +79,9 @@ class Target:
     v: float
 
     def __post_init__(self) -> None:
-        if self.r < 0:
+        if not self.r >= 0:
             raise ValueError(f"target range must be non-negative, got {self.r}")
-        if abs(self.v) >= C:
+        if not abs(self.v) < C:
             raise ValueError(f"|v| must be below c, got v={self.v}")
 
 
@@ -95,9 +95,9 @@ class ProbeConfig:
     strategy: Strategy = Strategy.ENTANGLED_BIPHOTON
 
     def __post_init__(self) -> None:
-        if self.omega0 <= 0:
+        if not self.omega0 > 0:
             raise ValueError("carrier frequency must be positive")
-        if self.sigma0 <= 0:
+        if not self.sigma0 > 0:
             raise ValueError("bandwidth must be positive")
         if not -1.0 < self.kappa < 1.0:
             raise ValueError(f"kappa must lie in (-1, 1), got {self.kappa}")
@@ -105,7 +105,7 @@ class ProbeConfig:
 
 def doppler_factor(v: float) -> float:
     """Two-way Doppler scale factor (c - v)/(c + v) for a receding velocity v."""
-    if abs(v) >= C:
+    if not abs(v) < C:
         raise ValueError(f"|v| must be below c, got v={v}")
     return (C - v) / (C + v)
 

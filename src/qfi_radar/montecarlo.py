@@ -56,9 +56,10 @@ class McConfig:
     strategy: Strategy = Strategy.ENTANGLED_BIPHOTON
 
     def __post_init__(self) -> None:
-        if self.n_samples < 2:
+        if not self.n_samples >= 2:
             raise ValueError("n_samples must be at least 2")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if (not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool)
+                or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.domain not in ("time", "frequency"):
             raise ValueError(f"domain must be 'time' or 'frequency', got {self.domain!r}")
@@ -166,7 +167,7 @@ def estimate_pair(
         raise ValueError("need an (n, 2) sample array with n >= 2")
     if domain not in ("time", "frequency"):
         raise ValueError(f"unknown domain {domain!r}")
-    if qfi_entry <= 0:
+    if not qfi_entry > 0:
         raise ValueError("QFI entry must be positive")
     values = _combine(samples, pair, domain)
     n = len(values)

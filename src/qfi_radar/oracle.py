@@ -27,7 +27,6 @@ from .states import (
 
 __all__ = [
     "SubspaceBasis",
-    "ProjectedState",
     "MixedModel",
     "OracleResult",
     "build_subspace",
@@ -58,26 +57,15 @@ class SubspaceBasis:
     dim: int
 
 
-@dataclass
-class ProjectedState:
-    """Density matrix and its parameter derivatives in the subspace basis.
-
-    ``drho[i]`` belongs to the i-th projected parameter.
-    """
-
-    rho: np.ndarray
-    drho: np.ndarray
-
-
 @dataclass(frozen=True)
 class MixedModel:
-    """A strategy instance: weighted branches plus their parameter dependence.
+    """A returned state: weighted branches plus their parameter dependence.
 
-    ``stacks[i]`` holds branch ``i``'s ket and its analytic derivatives, one
-    row each, in the order of ``states.ROWS``.
+    ``weights[i]`` is branch ``i``'s weight in rho = sum_i w_i |psi_i><psi_i|,
+    and ``stacks[i]`` holds its ket and analytic derivatives, one row each,
+    in the order of ``states.ROWS``.
     """
 
-    strategy: Strategy
     weights: tuple[float, ...]
     stacks: tuple[Stack, ...]
 
@@ -138,12 +126,16 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     return SubspaceBasis(list(stacks), gram, transform, transform.shape[1])
 
 
-def project(model: MixedModel, basis: SubspaceBasis, params: tuple[str, ...]) -> ProjectedState:
+def project(
+    model: MixedModel, basis: SubspaceBasis, params: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray]:
     """Project rho and its derivative along each of ``params`` onto the subspace.
 
     ``basis`` spans each branch's ket and its derivatives along ``params``,
     in that row order.  The coordinates of every generator are the columns
     of T^H G, and rho and every d(rho) come from one batched product.
+    Returns (rho, drho) in the subspace basis, ``drho[i]`` the derivative
+    along ``params[i]``: the arguments of ``sld_solve``.
     """
     K = len(model.weights)
     # C[0] holds the branch coordinates, C[1 + i] their derivatives along params[i]
@@ -152,11 +144,11 @@ def project(model: MixedModel, basis: SubspaceBasis, params: tuple[str, ...]) ->
     M = (C * model.weights) @ C[0].conj().T
     # rho = V W V^H and d(rho) = dV W V^H + h.c., each exactly Hermitian
     S = M + M.conj().swapaxes(1, 2)
-    return ProjectedState(S[0] / 2.0, S[1:])
+    return S[0] / 2.0, S[1:]
 
 
-def sld_solve(projected: ProjectedState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve d(rho) = (rho L + L rho)/2 for every projected parameter.
+def sld_solve(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve drho[i] = (rho L + L rho)/2 for (rho, drho) as ``project`` returns them.
 
     Returns (L, eigenvalues, eigenvectors) with ``L[i]``, the SLD of the i-th
     parameter, expressed in the eigenbasis of rho: L_jk = 2 M_jk /
@@ -166,12 +158,12 @@ def sld_solve(projected: ProjectedState) -> tuple[np.ndarray, np.ndarray, np.nda
     finite-support form of the SLD.
     """
     # eigh returns ascending eigenvalues; reversed, they descend
-    lam, U = np.linalg.eigh(projected.rho)
+    lam, U = np.linalg.eigh(rho)
     lam, U = lam[::-1], U[:, ::-1]
     denom = lam[:, None] + lam
     support = denom > SUPPORT_TOL * lam.sum()
     factor = np.divide(2.0, denom, out=np.zeros_like(denom), where=support)
-    M = U.conj().T @ projected.drho @ U
+    M = U.conj().T @ drho @ U
     return M * factor, lam, U
 
 
@@ -208,8 +200,7 @@ def qfi_numeric(
     else:
         basis = build_subspace(stacks)
 
-    projected = project(model, basis, params)
-    L, lam, _U = sld_solve(projected)
+    L, lam, _U = sld_solve(*project(model, basis, params))
 
     # X_ab = Tr(rho L_a L_b), rho = diag(lam) in the SLDs' basis: H is its
     # symmetric real part, |Tr(rho [L_a, L_b])| its antisymmetric part
@@ -267,4 +258,4 @@ def model_for(
         raise ValueError(f"unknown strategy {strategy!r}")
     stacks = tuple(branch_stack(base, photons) for base, photons in branches)
     w = trace / len(stacks)
-    return MixedModel(strategy, (w,) * len(stacks), stacks)
+    return MixedModel((w,) * len(stacks), stacks)

@@ -84,46 +84,40 @@ def criterion_2() -> tuple[bool, str]:
     return not issues, "; ".join(issues) or "crossovers confirmed on the grid"
 
 
+def _entangled_errors(cases) -> tuple[float, float]:
+    """Worst engine error against ``qfi_entangled`` over (sigma1, sigma2, kappa)
+    cases and both pairs: relative on the diagonal, and the pure-vs-SLD gap."""
+    worst_rel = worst_pure = 0.0
+    for s1, s2, k in cases:
+        model = model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=s1, sigma2=s2, kappa=k)
+        for pair in (PAIR_A, PAIR_B):
+            closed = np.array(qfi_entangled(s1, s2, k, pair))
+            res = qfi_numeric(model, pair)
+            _residuals.append(res.compat_residual)
+            rel = float(np.max(np.abs(np.diag(res.H) - closed) / np.abs(closed)))
+            worst_rel = max(worst_rel, rel)
+            worst_pure = max(worst_pure, float(np.max(np.abs(res.pure_H - res.H))))
+    return worst_rel, worst_pure
+
+
 def criterion_3() -> tuple[bool, str]:
     """Numerical engine reproduces the pure-state closed forms."""
-    worst_rel = 0.0
-    worst_pure = 0.0
-    for k in np.arange(-0.95, 0.9501, 0.05):
-        k = float(round(k, 10))
-        for sigma in (0.5, 1.0, 2.0):
-            model = model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=sigma, kappa=k)
-            for pair in (PAIR_A, PAIR_B):
-                closed = qfi_entangled(sigma, sigma, k, pair).H
-                res = qfi_numeric(model, pair)
-                _residuals.append(res.compat_residual)
-                rel = float(np.max(np.abs(np.diag(res.H - closed)) / np.abs(np.diag(closed))))
-                worst_rel = max(worst_rel, rel)
-                if res.pure_H is not None:
-                    worst_pure = max(worst_pure, float(np.max(np.abs(res.pure_H - res.H))))
+    kappas = (float(round(k, 10)) for k in np.arange(-0.95, 0.9501, 0.05))
+    worst_rel, worst_pure = _entangled_errors(
+        (sigma, sigma, k) for k in kappas for sigma in (0.5, 1.0, 2.0))
     ok = worst_rel <= 1e-8 and worst_pure <= 1e-9
     return ok, f"max rel error {worst_rel:.2e} (tol 1e-8); pure-vs-SLD gap {worst_pure:.2e}"
 
 
 def criterion_4() -> tuple[bool, str]:
     """Unequal-bandwidth closed form matches the engine; equal-sigma limit exact."""
-    worst_rel = 0.0
     sigmas = (0.5, 1.0, 2.0)
     kappas = (-0.8, -0.4, 0.0, 0.4, 0.8)
-    for s1 in sigmas:
-        for s2 in sigmas:
-            for k in kappas:
-                model = model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=s1, sigma2=s2, kappa=k)
-                for pair in (PAIR_A, PAIR_B):
-                    closed = qfi_entangled(s1, s2, k, pair).H
-                    res = qfi_numeric(model, pair)
-                    _residuals.append(res.compat_residual)
-                    rel = float(
-                        np.max(np.abs(np.diag(res.H - closed)) / np.abs(np.diag(closed)))
-                    )
-                    worst_rel = max(worst_rel, rel)
+    worst_rel, _ = _entangled_errors(
+        (s1, s2, k) for s1 in sigmas for s2 in sigmas for k in kappas)
     worst_limit = 0.0
     for k in kappas:
-        got = qfi_entangled(1.3, 1.3, k, PAIR_A).bound_product
+        got = bound_product(*qfi_entangled(1.3, 1.3, k, PAIR_A))
         worst_limit = max(worst_limit, abs(got - math.sqrt((1.0 + k) / (1.0 - k))))
     ok = worst_rel <= 1e-8 and worst_limit <= 1e-12
     return ok, (
@@ -200,11 +194,11 @@ def criterion_7() -> tuple[bool, str]:
     """Monte Carlo sampling saturates the pure-state QCRB."""
     sigma, kappa, n, seed = 1.0, -0.8, 100_000, 1234
     state = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, sigma, sigma, kappa)
-    H = qfi_entangled(sigma, sigma, kappa, PAIR_A).H
+    h_t, h_w = qfi_entangled(sigma, sigma, kappa, PAIR_A)
     times = sample_times(state, McConfig(n, seed, "time"))
     freqs = sample_frequencies(state, McConfig(n, seed + 1, "frequency"))
-    rep_t = estimate_pair(times, PAIR_A, "time", float(H[0, 0]))
-    rep_w = estimate_pair(freqs, PAIR_A, "frequency", float(H[1, 1]))
+    rep_t = estimate_pair(times, PAIR_A, "time", h_t)
+    rep_w = estimate_pair(freqs, PAIR_A, "frequency", h_w)
     product = math.sqrt(rep_t.variance * rep_w.variance)
     bound = asymptotic_bound(Strategy.ENTANGLED_BIPHOTON, PAIR_A, kappa)
     ok = (

@@ -59,7 +59,7 @@ class GaussianSinglePhoton:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError("sigma must be positive")
 
     @property
@@ -80,7 +80,7 @@ class GaussianBiphoton:
     kappa: float
 
     def __post_init__(self) -> None:
-        if self.sigma1 <= 0 or self.sigma2 <= 0:
+        if not (self.sigma1 > 0 and self.sigma2 > 0):
             raise ValueError("bandwidths must be positive")
         if not -1.0 < self.kappa < 1.0:
             raise ValueError(f"kappa must lie in (-1, 1), got {self.kappa}")

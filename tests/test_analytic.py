@@ -13,6 +13,7 @@ import pytest
 from qfi_radar.analytic import (
     adjudicate,
     asymptotic_H,
+    bound_product,
     scenario_qcrb_covariance,
     asymptotic_bound,
     published_mixed_qfi,
@@ -41,7 +42,7 @@ def engine_H(model, params):
     """The engine's information matrix over ``params``, from its public stages."""
     rows = [0, *map(ROWS.index, params)]
     basis = build_subspace([Stack(s.base, s.p[rows]) for s in model.stacks])
-    L, lam, _U = sld_solve(project(model, basis, params))
+    L, lam, _U = sld_solve(*project(model, basis, params))
     X = np.einsum("i,aij,bji->ab", lam, L, L)
     return np.real(X + X.T) / 2.0
 
@@ -49,24 +50,24 @@ def engine_H(model, params):
 class TestEntangled:
     def test_uncorrelated(self):
         res = qfi_entangled(1.0, 1.0, 0.0, PAIR_A)
-        assert np.allclose(res.H, np.diag([2.0, 0.5]))
-        assert res.bound_product == pytest.approx(1.0)
+        assert np.allclose(res, [2.0, 0.5])
+        assert bound_product(*res) == pytest.approx(1.0)
 
     def test_correlated_pair_b(self):
         res = qfi_entangled(1.0, 1.0, 0.5, PAIR_B)
-        assert np.allclose(res.H, np.diag([3.0, 1.0]))
+        assert np.allclose(res, [3.0, 1.0])
 
     @pytest.mark.parametrize("kappa", [-0.9, -0.4, 0.0, 0.4, 0.9])
     def test_equal_bandwidth_forms(self, kappa):
         sigma = 1.3
         resA = qfi_entangled(sigma, sigma, kappa, PAIR_A)
-        assert resA.H[0, 0] == pytest.approx(2.0 * (1.0 - kappa) * sigma**2)
-        assert resA.H[1, 1] == pytest.approx(1.0 / (2.0 * (1.0 + kappa) * sigma**2))
-        assert resA.bound_product == pytest.approx(
+        assert resA[0] == pytest.approx(2.0 * (1.0 - kappa) * sigma**2)
+        assert resA[1] == pytest.approx(1.0 / (2.0 * (1.0 + kappa) * sigma**2))
+        assert bound_product(*resA) == pytest.approx(
             math.sqrt((1.0 + kappa) / (1.0 - kappa)), abs=1e-12
         )
         resB = qfi_entangled(sigma, sigma, kappa, PAIR_B)
-        assert resB.bound_product == pytest.approx(
+        assert bound_product(*resB) == pytest.approx(
             math.sqrt((1.0 - kappa) / (1.0 + kappa)), abs=1e-12
         )
 
@@ -74,14 +75,17 @@ class TestEntangled:
         s1, s2, k = 1.0, 2.0, 0.5
         res = qfi_entangled(s1, s2, k, PAIR_A)
         h11 = s1**2 - 2 * k * s1 * s2 + s2**2
-        assert res.H[0, 0] == pytest.approx(h11)
-        assert res.H[1, 1] == pytest.approx(h11 / (4 * (1 - k**2) * s1**2 * s2**2))
+        assert res[0] == pytest.approx(h11)
+        assert res[1] == pytest.approx(h11 / (4 * (1 - k**2) * s1**2 * s2**2))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             qfi_entangled(0.0, 1.0, 0.0, PAIR_A)
         with pytest.raises(ValueError):
             qfi_entangled(1.0, 1.0, 1.0, PAIR_A)
+        for sigmas in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="bandwidths must be positive"):
+                qfi_entangled(*sigmas, 0.0, PAIR_A)
 
 
 class TestBounds:
@@ -166,7 +170,7 @@ class TestPublishedForms:
     def test_single_photon_pair_a_zero_frequency_offset(self):
         # transcribed form at sigma=1, t-=1, w-=0: H11 = 2 - 2 e^{-1}
         H = published_mixed_qfi(Strategy.TWO_SINGLE_PHOTONS, PAIR_A, 1.0, 1.0, 0.0)
-        assert H[0, 0] == pytest.approx(2.0 - 2.0 * math.exp(-1.0), abs=1e-12)
+        assert H[0] == pytest.approx(2.0 - 2.0 * math.exp(-1.0), abs=1e-12)
 
     def test_qi_pair_b_prints_negative_entry(self):
         # the transcribed frequency-sum entry has a growing exponential and
@@ -175,7 +179,7 @@ class TestPublishedForms:
         H = published_mixed_qfi(
             Strategy.QUANTUM_ILLUMINATION, PAIR_B, 1.0, 1.0, 0.8, kappa=0.6
         )
-        assert H[1, 1] < 0.0
+        assert H[1] < 0.0
 
     def test_near_coincident_limit_without_cancellation(self):
         # the printed 1/(2 sigma^2) - (t^2/2)/(e^x - 1), x = t^2 sigma^2, tends
@@ -210,6 +214,17 @@ class TestAdjudication:
                 assert rec["verdict"] == "confirmed"
                 assert rec["rel_diff"] <= 1e-8
                 assert rec["params"]["pure_path_diff"] <= 1e-9
+
+    def test_entangled_rows_confirmed_at_large_carrier_separation(self):
+        # the entangled QFI does not depend on the separations, so the engine
+        # model is taken at zero; at omega_minus = 1000 the engine would drop
+        # the time direction (test_oracle.py's strict xfail
+        # test_large_carrier_time_entry) and refute the exact form
+        recs = adjudicate(Strategy.ENTANGLED_BIPHOTON, PAIR_B, sigma=1.0, kappa=-0.9,
+                          t_minus=1.0, omega_minus=1000.0)
+        assert [r["verdict"] for r in recs] == ["confirmed", "confirmed"]
+        assert recs[0]["oracle_value"] == pytest.approx(0.2, rel=1e-9)
+        assert recs[0]["params"]["omega_minus"] == 1000.0
 
     def test_verdict_schema(self):
         recs = adjudicate(

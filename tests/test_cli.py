@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from qfi_radar.cli import DEFAULTS, kappa_grid, main
 from qfi_radar.kinematics import Strategy
 
 ROOT3_2 = math.sqrt(3.0) / 2.0
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def read(path):
@@ -178,6 +180,26 @@ class TestCurves:
         assert svg.count("<polyline") == 3
         assert "entangled_biphoton" in svg  # legend labels present
 
+    def test_svg_one_point_grid(self, tmp_path):
+        # a one-point kappa grid has a degenerate x axis; the plot still parses
+        code = main([
+            "curves", "--kappa-min", "0.5", "--kappa-max", "0.5", "--kappa-step", "1",
+            "--format", "svg", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        svg = read(tmp_path / "curves_time_sum_freq_diff.svg")
+        root = ET.fromstring(svg)
+        assert len(root.findall(SVG + "polyline")) == 3
+        assert "nan" not in svg
+
+    def test_svg_flat_series(self):
+        # a flat series has a degenerate y axis; the plot still parses
+        svg = cli.render_svg("t", "x", "y", [("flat", [-0.5, 0.0, 0.5], [1.0, 1.0, 1.0])])
+        (line,) = ET.fromstring(svg).findall(SVG + "polyline")
+        ys = {y for _, y in (p.split(",") for p in line.get("points").split())}
+        assert len(ys) == 1
+        assert "nan" not in svg
+
     def test_floors_match_qfi_bounds(self, tmp_path):
         # one closed form for the floor: every default qfi bound (sigma = 1)
         # is the curves value of its strategy, pair and kappa, to the bit
@@ -302,6 +324,11 @@ class TestSimulate:
             "--n", "10", "--seed", "1", "--out", str(tmp_path),
         ])
         assert code == 0
+
+    def test_n_below_two_usage_error(self, tmp_path, capsys):
+        assert main(["simulate", "--n", "1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: --n must be at least 2\n"
+        assert not any(tmp_path.iterdir())
 
     def test_fixed_seed_reproduces_csv(self, tmp_path):
         args = [

@@ -35,6 +35,8 @@ class TestDoppler:
             doppler_factor(1.0)
         with pytest.raises(ValueError):
             doppler_factor(-1.5)
+        with pytest.raises(ValueError, match=r"\|v\| must be below c"):
+            doppler_factor(float("nan"))
 
     def test_exact_inversion_round_trip(self):
         # v -> returned carrier -> inverted v, exact to 1e-12 over |v| <= c/2
@@ -75,6 +77,16 @@ class TestReturnParams:
             Target(1.0, -C)
         with pytest.raises(ValueError):
             ProbeConfig(omega0=5.0, sigma0=1.0, kappa=1.0)
+        # nan <= 0 is False: each check is a negated comparison so nan fails it
+        nan = float("nan")
+        with pytest.raises(ValueError, match="target range must be non-negative"):
+            Target(nan, 0.0)
+        with pytest.raises(ValueError, match=r"\|v\| must be below c"):
+            Target(1.0, nan)
+        with pytest.raises(ValueError, match="carrier frequency must be positive"):
+            ProbeConfig(nan, 1.0, 0.0)
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            ProbeConfig(1.0, nan, 0.0)
 
 
 def photons(state):

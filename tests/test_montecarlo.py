@@ -43,6 +43,10 @@ class TestConfig:
             McConfig(10, -1, "time")
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             McConfig(10, 1.5, "time")
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got True"):
+            McConfig(10, True)
+        with pytest.raises(ValueError, match="n_samples must be at least 2"):
+            McConfig(math.nan, 0)
 
     def test_domain_dispatch(self):
         state = biphoton(0.0)
@@ -145,19 +149,25 @@ class TestSampling:
 class TestEstimatePair:
     def test_saturation_ratio(self):
         kappa, n = -0.8, 100_000
-        H = qfi_entangled(1.0, 1.0, kappa, PAIR_A).H
+        h_t, _ = qfi_entangled(1.0, 1.0, kappa, PAIR_A)
         times = sample_times(biphoton(kappa), McConfig(n, 29, "time"))
-        rep = estimate_pair(times, PAIR_A, "time", float(H[0, 0]))
+        rep = estimate_pair(times, PAIR_A, "time", h_t)
         assert 0.97 <= rep.ratio <= 1.03
         lo, hi = rep.variance_interval_99
         assert lo <= rep.qcrb_variance <= hi
 
     def test_frequency_component(self):
         kappa, n = -0.8, 100_000
-        H = qfi_entangled(1.0, 1.0, kappa, PAIR_A).H
+        _, h_w = qfi_entangled(1.0, 1.0, kappa, PAIR_A)
         freqs = sample_frequencies(biphoton(kappa), McConfig(n, 31, "frequency"))
-        rep = estimate_pair(freqs, PAIR_A, "frequency", float(H[1, 1]))
+        rep = estimate_pair(freqs, PAIR_A, "frequency", h_w)
         assert 0.97 <= rep.ratio <= 1.03
+
+    @pytest.mark.parametrize("qfi_entry", [0.0, math.nan])
+    def test_qfi_entry_validation(self, qfi_entry):
+        samples = np.array([[0.0, 0.1], [0.3, -0.1]])
+        with pytest.raises(ValueError, match="QFI entry must be positive"):
+            estimate_pair(samples, PAIR_A, "time", qfi_entry)
 
     def test_pair_b_combination(self):
         samples = np.array([[1.0, 4.0], [2.0, 6.0]])
@@ -186,7 +196,7 @@ class TestEstimatePair:
         # independent rows a 10% interval misses it Binomial(2000, 0.1) times
         rows, n, alpha = 2000, 8, 0.1
         state = biphoton(-0.5)
-        qcrb = 1.0 / float(qfi_entangled(1.0, 1.0, -0.5, PAIR_A).H[0, 0])
+        qcrb = 1.0 / qfi_entangled(1.0, 1.0, -0.5, PAIR_A)[0]
         misses = 0
         for seed in range(rows):
             rep = estimate_pair(sample_times(state, McConfig(n, seed, "time")),
@@ -287,12 +297,12 @@ class TestScenarios:
         report = run_scenario(
             "multibody", (Target(300.0, 0.0), Target(500.0, 0.0)), probe, 100_000, seed=0
         )
-        H = qfi_entangled(1.0, 1.0, kappa, PAIR_A).H
+        h_t, h_w = qfi_entangled(1.0, 1.0, kappa, PAIR_A)
         n_t, n_f = report["n_time_shots"], report["n_frequency_shots"]
         pred = report["predicted_qcrb_std_errors"]
-        assert pred["midpoint"] == pytest.approx(C / 4.0 / math.sqrt(n_t * H[0, 0]), rel=1e-12)
+        assert pred["midpoint"] == pytest.approx(C / 4.0 / math.sqrt(n_t * h_t), rel=1e-12)
         assert pred["delta_v"] == pytest.approx(
-            C / (2.0 * omega0) / math.sqrt(n_f * H[1, 1]), rel=1e-12
+            C / (2.0 * omega0) / math.sqrt(n_f * h_w), rel=1e-12
         )
 
     def test_deterministic_reports(self):
@@ -323,6 +333,10 @@ class TestScenarios:
         )
         with pytest.raises(ValueError):
             run_scenario("multibody", targets, qi_probe, 100, 0)
+        # a nan range is rejected, not carried into a nan midpoint
+        with pytest.raises(ValueError, match="target range must be non-negative"):
+            run_scenario("multibody", (Target(math.nan, 0.0), Target(2.0, 0.0)),
+                         ProbeConfig(10.0, 1.0, -0.5), 100, 0)
 
     def test_moving_object_needs_rigid_body(self):
         # one size and one velocity describe a rigid object only: targets

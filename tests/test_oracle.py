@@ -20,7 +20,6 @@ from qfi_radar import oracle
 from qfi_radar.analytic import asymptotic_bound, bound_product, qfi_entangled
 from qfi_radar.kinematics import ParameterPair, Strategy
 from qfi_radar.oracle import (
-    ProjectedState,
     build_subspace,
     model_for,
     project,
@@ -128,7 +127,7 @@ def fd_qfi(strategy, kwargs, pair, h):
         proj_norm2 = float(np.real(np.trace(dR @ dR)))
         residuals.append(float(np.sqrt(max(float(cs @ O2 @ cs) - proj_norm2, 0.0))))
 
-    L, lam, _U = sld_solve(ProjectedState(rho_matrix(model), np.array(drhos)))
+    L, lam, _U = sld_solve(rho_matrix(model), np.array(drhos))
     X = np.einsum("i,aij,bji->ab", lam, L, L)
     return np.real(X + X.T) / 2.0, residuals
 
@@ -213,6 +212,11 @@ class TestSubspace:
             assert stages == dict.fromkeys(STAGES, 1)
 
 
+def test_model_for_unknown_strategy():
+    with pytest.raises(ValueError, match="unknown strategy"):
+        model_for("entangled_biphoton", sigma1=1.0)
+
+
 class TestPureStates:
     def test_uncorrelated_reference_point(self):
         model = model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=1.0, kappa=0.0)
@@ -229,7 +233,7 @@ class TestPureStates:
     def test_closed_form_grid(self, kappa, sigma):
         model = model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=sigma, kappa=kappa)
         for pair in (PAIR_A, PAIR_B):
-            closed = qfi_entangled(sigma, sigma, kappa, pair).H
+            closed = np.diag(qfi_entangled(sigma, sigma, kappa, pair))
             res = qfi_numeric(model, pair)
             rel = np.max(np.abs(np.diag(res.H - closed)) / np.abs(np.diag(closed)))
             assert rel <= 1e-8
@@ -324,11 +328,11 @@ class TestSldProperties:
         for model, pair in self._models():
             params = pair.param_names
             basis = build_subspace(pair_stacks(model, params))
-            projected = project(model, basis, params)
-            L, lam, U = sld_solve(projected)
-            assert L.shape == projected.drho.shape == (len(params), basis.dim, basis.dim)
-            assert np.max(np.abs(U @ np.diag(lam) @ U.conj().T - projected.rho)) <= 1e-12
-            yield np.diag(lam), U.conj().T @ projected.drho @ U, L
+            rho, drho = project(model, basis, params)
+            L, lam, U = sld_solve(rho, drho)
+            assert L.shape == drho.shape == (len(params), basis.dim, basis.dim)
+            assert np.max(np.abs(U @ np.diag(lam) @ U.conj().T - rho)) <= 1e-12
+            yield np.diag(lam), U.conj().T @ drho @ U, L
 
     def test_sld_hermitian(self):
         for _, _, Ls in self._solved():
@@ -390,7 +394,7 @@ class TestEngineProperties:
     def test_entangled_matches_closed_form(self, pair, point):
         kwargs = point_kwargs(point)
         H = qfi_numeric(model_for(Strategy.ENTANGLED_BIPHOTON, **kwargs), pair).H
-        want = qfi_entangled(kwargs["sigma1"], kwargs["sigma2"], kwargs["kappa"], pair).H
+        want = np.diag(qfi_entangled(kwargs["sigma1"], kwargs["sigma2"], kwargs["kappa"], pair))
         assert rel_error(H, want) <= PROPERTY_RTOL
 
     @PROPERTY
@@ -450,7 +454,7 @@ class TestRobustness:
     def test_high_correlation_conditioning(self):
         model = model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=1.0, kappa=0.99)
         res = qfi_numeric(model, PAIR_A)
-        closed = qfi_entangled(1.0, 1.0, 0.99, PAIR_A).H
+        closed = np.diag(qfi_entangled(1.0, 1.0, 0.99, PAIR_A))
         rel = np.max(np.abs(np.diag(res.H - closed)) / np.abs(np.diag(closed)))
         assert rel <= 1e-8
 

@@ -24,8 +24,8 @@ def test_quick_start_prints_its_commented_values():
         exec(compile(code, str(README), "exec"), ns)
     # each comment the block prints against, and the value it names
     checks = [
-        ("# diag(3.6, 2.5)", lambda: np.allclose(ns["res"].H, np.diag([3.6, 2.5]), atol=1e-12)),
-        ("# 1/3", lambda: abs(ns["res"].bound_product - 1.0 / 3.0) <= 1e-12),
+        ("# (H11, H22) = (3.6, 2.5)", lambda: np.allclose(ns["h"], [3.6, 2.5], atol=1e-12)),
+        ("# 1/3", lambda: abs(ns["bound_product"](*ns["h"]) - 1.0 / 3.0) <= 1e-12),
         ("# [1.8539, 0.4749]",
          lambda: np.round(ns["qfi_numeric"](ns["model"], ns["pair"]).H.diagonal(), 4).tolist()
          == [1.8539, 0.4749]),

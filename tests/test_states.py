@@ -170,9 +170,26 @@ class TestNormalization:
             GaussianSinglePhoton(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="bandwidths must be positive"):
+            GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0)
+        # nan <= 0 is False: each check is a negated comparison so nan fails it
+        with pytest.raises(ValueError, match="bandwidths must be positive"):
+            GaussianBiphoton(0.0, 0.0, 1.0, 1.0, math.nan, 1.0, 0.0)
+        with pytest.raises(ValueError, match="bandwidths must be positive"):
+            GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, math.nan, 0.0)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            GaussianSinglePhoton(0.0, 1.0, math.nan)
 
 
 class TestOverlapSingle:
+    def test_overlap_type_errors(self):
+        psi = GaussianSinglePhoton(0.0, 1.0, 1.0)
+        phi = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0)
+        with pytest.raises(TypeError, match="cannot overlap single-photon with biphoton"):
+            overlap(psi, phi)
+        with pytest.raises(TypeError, match="not a Gaussian state"):
+            overlap(psi, 1.0)
+
     def test_self_overlap(self):
         psi = GaussianSinglePhoton(0.7, 2.0, 1.3)
         assert overlap(psi, psi) == pytest.approx(1.0, abs=1e-12)
@@ -374,12 +391,12 @@ class TestCovariances:
         # the Gaussian time/frequency statistics saturate the pure-state
         # information matrix: Var(t_plus) * H_tplus = Var(w_minus) * H_wminus = 1
         phi = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, kappa)
-        H = qfi_entangled(1.0, 1.0, kappa, PAIR_A).H
+        h_t, h_w = qfi_entangled(1.0, 1.0, kappa, PAIR_A)
         tc, fc = time_covariance(phi), frequency_covariance(phi)
         var_tp = tc[0, 0] + tc[1, 1] + 2.0 * tc[0, 1]
         var_wm = fc[0, 0] + fc[1, 1] - 2.0 * fc[0, 1]
-        assert var_tp * H[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert var_wm * H[1, 1] == pytest.approx(1.0, abs=1e-12)
+        assert var_tp * h_t == pytest.approx(1.0, abs=1e-12)
+        assert var_wm * h_w == pytest.approx(1.0, abs=1e-12)
 
     def test_quadrature_time_marginals(self):
         # second moments of |phi|^2 on a grid match the covariance algebra
