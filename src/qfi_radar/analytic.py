@@ -30,6 +30,14 @@ __all__ = [
 VERDICT_RTOL = 1e-6
 
 
+def _check_range(kappa: float, *sigmas: float) -> None:
+    """Reject a bandwidth that is not positive or a kappa outside (-1, 1); NaN fails both."""
+    if not all(s > 0 for s in sigmas):
+        raise ValueError("bandwidths must be positive")
+    if not -1.0 < kappa < 1.0:
+        raise ValueError(f"kappa must lie in (-1, 1), got {kappa}")
+
+
 def bound_product(h11: float, h22: float) -> float:
     """Uncertainty-product floor 1/sqrt(H11 H22) of a diagonal information pair."""
     return 1.0 / math.sqrt(h11 * h22)
@@ -46,10 +54,7 @@ def qfi_entangled(
     the (time-difference, frequency-sum) pair flips the sign of kappa in H11.
     The off-diagonal entries are zero; the floor is ``bound_product(H11, H22)``.
     """
-    if not (sigma1 > 0 and sigma2 > 0):
-        raise ValueError("bandwidths must be positive")
-    if not -1.0 < kappa < 1.0:
-        raise ValueError(f"kappa must lie in (-1, 1), got {kappa}")
+    _check_range(kappa, sigma1, sigma2)
     k = kappa if pair is ParameterPair.TIME_SUM_FREQ_DIFF else -kappa
     h11 = sigma1**2 - 2.0 * k * sigma1 * sigma2 + sigma2**2
     h22 = h11 / (4.0 * (1.0 - kappa**2) * sigma1**2 * sigma2**2)
@@ -69,8 +74,17 @@ def published_mixed_qfi(
     These are transcribed as printed, typos included, so they can be
     adjudicated against the oracle.  Both quantum-illumination entries use
     the photon-counted normalization (asymptotes 2 sigma^2 and
-    1/(2 (1-kappa^2) sigma^2)).
+    1/(2 (1-kappa^2) sigma^2)).  Raises ``ValueError`` for sigma <= 0, for
+    |kappa| >= 1 under quantum illumination, and at t_minus = omega_minus = 0,
+    where the branches coincide and the printed entries divide by zero.
     """
+    if strategy not in (Strategy.TWO_SINGLE_PHOTONS, Strategy.QUANTUM_ILLUMINATION):
+        raise ValueError(f"no published mixed-state form for {strategy!r}")
+    qi = strategy is Strategy.QUANTUM_ILLUMINATION
+    _check_range(kappa if qi else 0.0, sigma)
+    if t_minus == 0.0 and omega_minus == 0.0:
+        raise ValueError("t_minus and omega_minus are both 0: the two branches coincide, "
+                         "so the mixed-state entries are undefined")
     s2 = sigma**2
     wm2 = omega_minus**2
     tm2 = t_minus**2
@@ -84,7 +98,7 @@ def published_mixed_qfi(
         except OverflowError:
             return math.inf
 
-    if strategy is Strategy.TWO_SINGLE_PHOTONS:
+    if not qi:
         if pair is ParameterPair.TIME_SUM_FREQ_DIFF:
             e = (wm2 + 4.0 * tm2 * s2**2) / (4.0 * s2)
             h11 = 2.0 * s2 - 2.0 * exp(-e) * tm2 * s2**2
@@ -95,18 +109,16 @@ def published_mixed_qfi(
             h11 = 2.0 * s2 - (wm2 / 2.0) / exp(e, math.expm1)
             h22 = 1.0 / (2.0 * s2) - exp(-e) * wm2 / (2.0 * s2**2)
         return h11, h22
-    if strategy is Strategy.QUANTUM_ILLUMINATION:
-        e4 = (wm2 + 4.0 * tm2 * s2**2) / (4.0 * s2)
-        ek = (wm2 + 4.0 * tm2 * s2**2) / (4.0 * (1.0 - kappa**2) * s2)
-        if pair is ParameterPair.TIME_SUM_FREQ_DIFF:
-            h11 = 2.0 * s2 - 2.0 * exp(-e4) * tm2 * s2**2
-            h22 = 1.0 / (2.0 * (1.0 - kappa**2) * s2) - (tm2 / 2.0) / exp(ek, math.expm1)
-        else:
-            h11 = 2.0 * s2 - 2.0 * exp(-e4) * wm2 / 2.0
-            # growing exponential as printed; diverges with separation
-            h22 = 1.0 / (2.0 * (1.0 - kappa**2) * s2) - exp(ek) * wm2 / (2.0 * s2**2)
-        return h11, h22
-    raise ValueError(f"no published mixed-state form for {strategy!r}")
+    e4 = (wm2 + 4.0 * tm2 * s2**2) / (4.0 * s2)
+    ek = (wm2 + 4.0 * tm2 * s2**2) / (4.0 * (1.0 - kappa**2) * s2)
+    if pair is ParameterPair.TIME_SUM_FREQ_DIFF:
+        h11 = 2.0 * s2 - 2.0 * exp(-e4) * tm2 * s2**2
+        h22 = 1.0 / (2.0 * (1.0 - kappa**2) * s2) - (tm2 / 2.0) / exp(ek, math.expm1)
+    else:
+        h11 = 2.0 * s2 - 2.0 * exp(-e4) * wm2 / 2.0
+        # growing exponential as printed; diverges with separation
+        h22 = 1.0 / (2.0 * (1.0 - kappa**2) * s2) - exp(ek) * wm2 / (2.0 * s2**2)
+    return h11, h22
 
 
 def asymptotic_H(
@@ -116,10 +128,12 @@ def asymptotic_H(
 
     The entangled value is exact at any separation; the mixed strategies
     use the orthogonal-branch limit, which is where the strategy-level
-    floors (1 and 2 sqrt(1 - kappa^2)) hold.
+    floors (1 and 2 sqrt(1 - kappa^2)) hold.  Every strategy raises
+    ``ValueError`` for sigma <= 0 or |kappa| >= 1, NaN included.
     """
     if strategy is Strategy.ENTANGLED_BIPHOTON:
         return qfi_entangled(sigma, sigma, kappa, pair)
+    _check_range(kappa, sigma)
     if strategy is Strategy.TWO_SINGLE_PHOTONS:
         return 2.0 * sigma**2, 1.0 / (2.0 * sigma**2)
     return sigma**2, 1.0 / (4.0 * (1.0 - kappa**2) * sigma**2)
@@ -136,12 +150,14 @@ def scenario_qcrb_covariance(
     (omega1, omega2) is B^-1, with no time-frequency cross terms.  The bound
     with every other parameter unknown is the inverse of each full block:
     (4B)^-1 for the times and B for the frequencies.  Two single photons are
-    the same form at kappa = 0.
+    the same form at kappa = 0.  A bandwidth <= 0, or |kappa| >= 1 for the
+    entangled probe, raises ``ValueError``.
     """
     if strategy is Strategy.TWO_SINGLE_PHOTONS:
         kappa = 0.0
     elif strategy is not Strategy.ENTANGLED_BIPHOTON:
         raise ValueError(f"no scenario QCRB for {strategy!r}")
+    _check_range(kappa, sigma1, sigma2)
     s12 = kappa * sigma1 * sigma2
     d = 4.0 * (1.0 - kappa**2) * sigma1**2 * sigma2**2
     cov = np.zeros((4, 4))
@@ -154,10 +170,8 @@ def asymptotic_bound(strategy: Strategy, pair: ParameterPair, kappa: float) -> f
     """Orthogonal-branch uncertainty-product floor Min[da db] at correlation kappa.
 
     The floor does not depend on the bandwidth; it is read off
-    ``asymptotic_H`` at sigma = 1.
+    ``asymptotic_H`` at sigma = 1, which raises ``ValueError`` for |kappa| >= 1.
     """
-    if not -1.0 < kappa < 1.0:
-        raise ValueError(f"kappa must lie in (-1, 1), got {kappa}")
     return bound_product(*asymptotic_H(strategy, pair, kappa, 1.0))
 
 
@@ -180,6 +194,7 @@ def adjudicate(
     ``omega_minus`` say: the entangled QFI does not depend on them, and a large
     carrier separation (omega_minus = 1000 at sigma = 1) drops the time
     direction from the engine's subspace, which would refute an exact form.
+    Inputs the closed forms reject, coincident branches included, raise ``ValueError``.
     """
     base_params = {"sigma": sigma, "kappa": kappa, "t_minus": t_minus, "omega_minus": omega_minus}
     if strategy is Strategy.ENTANGLED_BIPHOTON:

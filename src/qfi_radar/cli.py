@@ -338,12 +338,6 @@ def cmd_oracle_check(cfg: dict) -> int:
     records = []
     sigma, t_minus, omega_minus = cfg["sigma"], cfg["t_minus"], cfg["omega_minus"]
     strategies = selected_strategies(cfg)
-    mixed = any(s is not Strategy.ENTANGLED_BIPHOTON for s in strategies)
-    if mixed and t_minus == 0.0 and omega_minus == 0.0:
-        raise UsageError(
-            "--t-minus and --omega-minus are both 0: the two branches coincide, "
-            "so the mixed-state entries are undefined"
-        )
     kappas = kappa_grid(cfg)
     for pair in selected_pairs(cfg):
         for kappa in kappas:
@@ -375,7 +369,7 @@ def cmd_simulate(cfg: dict) -> int:
         raise UsageError("--n must be at least 2")
     strategies = [s for s in selected_strategies(cfg) if s in MC_STRATEGIES]
     if not strategies:
-        raise UsageError("simulate supports entangled_biphoton and two_single_photons only")
+        raise UsageError(f"simulate supports {' and '.join(s.value for s in MC_STRATEGIES)} only")
     pairs, kappas = selected_pairs(cfg), kappa_grid(cfg)
     # Sidak: each of the run's rows gets confidence level**(1/rows), so a
     # correct sampler fails the whole run with probability 1 - level

@@ -56,8 +56,9 @@ class McConfig:
     strategy: Strategy = Strategy.ENTANGLED_BIPHOTON
 
     def __post_init__(self) -> None:
-        if not self.n_samples >= 2:
-            raise ValueError("n_samples must be at least 2")
+        if (not isinstance(self.n_samples, (int, np.integer)) or isinstance(self.n_samples, bool)
+                or not self.n_samples >= 2):
+            raise ValueError(f"n_samples must be at least 2 and an integer, got {self.n_samples}")
         if (not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool)
                 or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
@@ -226,6 +227,8 @@ def run_scenario(
     the per-shot QCRB covariance (``analytic.scenario_qcrb_covariance``)
     at the true returned bandwidths, split the same way.  That bound holds
     every other parameter unknown, for both strategies and at any v1, v2.
+    A probe of a strategy Monte Carlo cannot sample (quantum illumination)
+    fails in the first ``McConfig``, before any draw.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -234,8 +237,6 @@ def run_scenario(
             f"moving_object assumes a rigid body: both targets need one velocity, "
             f"got {targets[0].v} and {targets[1].v}"
         )
-    if probe.strategy not in MC_STRATEGIES:
-        raise ValueError(f"scenario simulation supports {[s.value for s in MC_STRATEGIES]}")
     if n_shots < 4:
         raise ValueError("need at least 4 shots to split across domains")
 

@@ -91,11 +91,6 @@ class GaussianBiphoton:
             2.0 * math.sqrt(1.0 - self.kappa**2) * self.sigma1 * self.sigma2 / math.pi
         )
 
-    def quad_form(self) -> np.ndarray:
-        """Real SPD matrix B with amplitude exponent -x^T B x."""
-        p, q, r = _exponent(self)[:3]
-        return np.array([[p, r], [r, q]])
-
     def centers(self) -> np.ndarray:
         return np.array([self.t1_bar, self.t2_bar])
 
@@ -265,17 +260,17 @@ def branch_stack(base: GaussianSinglePhoton | GaussianBiphoton,
 
 
 def time_covariance(state: GaussianBiphoton) -> np.ndarray:
-    """Covariance of the arrival-time pair (t1, t2) under |phi|^2."""
-    B = state.quad_form()
-    # |phi|^2 ~ exp(-2 x^T B x)  =>  covariance = (4 B)^(-1)
-    return np.linalg.inv(4.0 * B)
+    """Covariance (4 B)^-1 of the arrival-time pair (t1, t2) under
+    |phi|^2 ~ exp(-2 x^T B x), B = ``frequency_covariance(state)``."""
+    return np.linalg.inv(4.0 * frequency_covariance(state))
 
 
 def frequency_covariance(state: GaussianBiphoton) -> np.ndarray:
     """Covariance of the frequency pair (w1, w2) under the spectral intensity.
 
     The joint spectral intensity is the squared Fourier transform of phi;
-    its covariance equals the amplitude quadratic form itself, so time
-    correlation kappa shows up as frequency anticorrelation -kappa.
+    its covariance is the amplitude's quadratic form B (phi ~ exp(-x^T B x)),
+    so time correlation kappa shows up as frequency anticorrelation -kappa.
     """
-    return state.quad_form()
+    p, q, r = _exponent(state)[:3]
+    return np.array([[p, r], [r, q]])

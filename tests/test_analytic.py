@@ -115,6 +115,21 @@ class TestBounds:
     def test_validation(self):
         with pytest.raises(ValueError):
             asymptotic_bound(Strategy.ENTANGLED_BIPHOTON, PAIR_A, 1.0)
+        # the floor's kappa range is checked once, in asymptotic_H, for every strategy
+        with pytest.raises(ValueError, match=r"kappa must lie in \(-1, 1\), got 1.0"):
+            asymptotic_bound(Strategy.TWO_SINGLE_PHOTONS, PAIR_A, 1.0)
+
+    @pytest.mark.parametrize("pair", [PAIR_A, PAIR_B])
+    def test_asymptotic_H_validation(self, pair):
+        # unchecked, QI at kappa = 2 gives H22 < 0 and sigma = -1 a finite pair
+        with pytest.raises(ValueError, match="kappa must lie in"):
+            asymptotic_H(Strategy.QUANTUM_ILLUMINATION, pair, 2.0, 1.0)
+        with pytest.raises(ValueError, match="kappa must lie in"):
+            asymptotic_H(Strategy.TWO_SINGLE_PHOTONS, pair, math.nan, 1.0)
+        for strategy in Strategy:
+            for sigma in (-1.0, 0.0, math.nan):
+                with pytest.raises(ValueError, match="bandwidths must be positive"):
+                    asymptotic_H(strategy, pair, 0.0, sigma)
 
     def test_asymptotic_H_is_engine_far_limit(self):
         model_sigma = 1.3
@@ -144,6 +159,20 @@ class TestBounds:
             assert np.count_nonzero(cov) == 4
         with pytest.raises(ValueError):
             scenario_qcrb_covariance(Strategy.QUANTUM_ILLUMINATION, 0.0, 1.0, 1.0)
+
+    def test_scenario_qcrb_covariance_validation(self):
+        # unchecked, kappa = 1 gives an infinite time block
+        for kappa in (1.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="kappa must lie in"):
+                scenario_qcrb_covariance(Strategy.ENTANGLED_BIPHOTON, kappa, 1.0, 1.0)
+        for strategy in (Strategy.ENTANGLED_BIPHOTON, Strategy.TWO_SINGLE_PHOTONS):
+            for sigmas in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0)):
+                with pytest.raises(ValueError, match="bandwidths must be positive"):
+                    scenario_qcrb_covariance(strategy, 0.0, *sigmas)
+        # two single photons carry no correlation: their kappa is not read
+        assert np.array_equal(
+            scenario_qcrb_covariance(Strategy.TWO_SINGLE_PHOTONS, 1.0, 1.0, 2.0),
+            scenario_qcrb_covariance(Strategy.TWO_SINGLE_PHOTONS, 0.0, 1.0, 2.0))
 
     @pytest.mark.parametrize("strategy, kappa", [(Strategy.ENTANGLED_BIPHOTON, -0.9),
                                                  (Strategy.ENTANGLED_BIPHOTON, 0.6),
@@ -190,8 +219,39 @@ class TestPublishedForms:
         assert recs[1]["paper_value"] == pytest.approx(t_minus**2 / 4.0, abs=2e-16)
 
     def test_unsupported_strategy(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no published mixed-state form"):
             published_mixed_qfi(Strategy.ENTANGLED_BIPHOTON, PAIR_A, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("strategy", [Strategy.TWO_SINGLE_PHOTONS,
+                                          Strategy.QUANTUM_ILLUMINATION])
+    @pytest.mark.parametrize("pair", [PAIR_A, PAIR_B])
+    def test_validation(self, strategy, pair):
+        # unchecked, sigma = -1 gives finite entries and sigma = 0 divides by zero
+        for sigma in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="bandwidths must be positive"):
+                published_mixed_qfi(strategy, pair, sigma, 1.0, 0.8)
+
+    @pytest.mark.parametrize("pair", [PAIR_A, PAIR_B])
+    def test_qi_kappa_validation(self, pair):
+        # unchecked, kappa = 1 divides by zero; two single photons do not read kappa
+        for kappa in (1.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="kappa must lie in"):
+                published_mixed_qfi(Strategy.QUANTUM_ILLUMINATION, pair, 1.0, 1.0, 0.8, kappa)
+        assert published_mixed_qfi(Strategy.TWO_SINGLE_PHOTONS, pair, 1.0, 1.0, 0.8, 1.0) == (
+            published_mixed_qfi(Strategy.TWO_SINGLE_PHOTONS, pair, 1.0, 1.0, 0.8))
+
+    @pytest.mark.parametrize("strategy", [Strategy.TWO_SINGLE_PHOTONS,
+                                          Strategy.QUANTUM_ILLUMINATION])
+    @pytest.mark.parametrize("pair", [PAIR_A, PAIR_B])
+    def test_coincident_branches(self, strategy, pair):
+        # the printed entries divide by e^0 - 1 there
+        with pytest.raises(ValueError, match="the two branches coincide"):
+            published_mixed_qfi(strategy, pair, 1.0, 0.0, 0.0, 0.5)
+        with pytest.raises(ValueError, match="the two branches coincide"):
+            adjudicate(strategy, pair, sigma=1.0, kappa=0.5)
+        # the entangled strategy has one branch; its verdicts do not read t_minus
+        recs = adjudicate(Strategy.ENTANGLED_BIPHOTON, pair, sigma=1.0, kappa=0.5)
+        assert [r["verdict"] for r in recs] == ["confirmed", "confirmed"]
 
 
 class TestDualEvaluation:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qfi_radar
-from qfi_radar import cli, montecarlo
+from qfi_radar import cli, montecarlo, selftest
 from qfi_radar.cli import DEFAULTS, kappa_grid, main
 from qfi_radar.kinematics import Strategy
 
@@ -294,13 +294,16 @@ class TestOracleCheck:
         assert all(math.isfinite(rec["paper_value"]) for rec in records)
 
     def test_coincident_branches_usage_error(self, tmp_path, capsys):
-        code = main([
-            "oracle-check", "--t-minus", "0", "--omega-minus", "0", "--out", str(tmp_path),
-        ])
-        assert code == 2
+        # published_mixed_qfi rejects the point; main maps its ValueError to exit 2
+        argv = ["oracle-check", "--t-minus", "0", "--omega-minus", "0", "--out", str(tmp_path)]
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "coincide" in err
-        assert len(err.splitlines()) == 1
+        assert err.startswith("error: t_minus and omega_minus are both 0: ")
+        assert "coincide" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "verdicts.jsonl").exists()
+        # one branch, nothing to coincide
+        assert main(argv + ["--strategy", "entangled_biphoton"]) == 0
+        assert (tmp_path / "verdicts.jsonl").exists()
 
 
 class TestSimulate:
@@ -369,11 +372,13 @@ class TestSimulate:
         assert lines and all(line.startswith("saturation check failed") for line in lines)
         assert not any("np.float64" in line for line in lines)
 
-    def test_qi_rejected(self, tmp_path):
+    def test_qi_rejected(self, tmp_path, capsys):
         code = main([
             "simulate", "--strategy", "quantum_illumination", "--out", str(tmp_path),
         ])
         assert code == 2
+        assert capsys.readouterr().err == (
+            "error: simulate supports entangled_biphoton and two_single_photons only\n")
 
 
 class TestScenario:
@@ -612,9 +617,15 @@ class TestSettingChecks:
         assert exc.value.code == 2
 
 
+def mutate_floors(monkeypatch, ppb):
+    """Scale every floor the selftest reads by 1 + ppb * 1e-9."""
+    real = selftest.asymptotic_bound
+    monkeypatch.setattr(selftest, "asymptotic_bound",
+                        lambda *args: (1.0 + ppb * 1e-9) * real(*args))
+
+
 class TestSelftestCommand:
-    def test_json_output_parses(self, capsys, monkeypatch):
-        monkeypatch.delenv("QFI_RADAR_SELFTEST_MUTATE", raising=False)
+    def test_json_output_parses(self, capsys):
         code = main(["selftest", "--json"])
         assert code == 0
         records = json.loads(capsys.readouterr().out)
@@ -623,21 +634,21 @@ class TestSelftestCommand:
         assert {"criterion", "name", "passed", "seconds", "detail"} <= set(records[0])
 
     def test_mutation_hook_fails(self, capsys, monkeypatch):
-        monkeypatch.setenv("QFI_RADAR_SELFTEST_MUTATE", "1")
+        # floors off by 1e-9: criteria 1 and 2 compare them to 1e-12, 7 to 3%
+        mutate_floors(monkeypatch, 1)
         code = main(["selftest", "--json"])
         assert code == 1
         records = json.loads(capsys.readouterr().out)
-        assert records[0]["passed"] is False
+        assert [r["passed"] for r in records] == [False, False] + [True] * 7
 
-    @pytest.mark.parametrize("mutate, status, code", [(None, "PASS", 0), ("1", "FAIL", 1)])
+    @pytest.mark.parametrize("mutate, status, code", [(None, "PASS", 0), (1, "FAIL", 1)])
     def test_text_mode(self, mutate, status, code, capsys, monkeypatch):
-        # one line per criterion; the mutation hook fails criterion 1 only
-        if mutate is None:
-            monkeypatch.delenv("QFI_RADAR_SELFTEST_MUTATE", raising=False)
-        else:
-            monkeypatch.setenv("QFI_RADAR_SELFTEST_MUTATE", mutate)
+        # one line per criterion; floors mutated by ``mutate`` ppb fail criteria 1 and 2 only
+        if mutate is not None:
+            mutate_floors(monkeypatch, mutate)
         assert main(["selftest"]) == code
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 9
         assert lines[0].startswith(f"criterion 1 [{status}] bound-product curves")
-        assert all(f"criterion {i} [PASS] " in line for i, line in enumerate(lines[1:], 2))
+        assert lines[1].startswith(f"criterion 2 [{status}] strategy crossovers")
+        assert all(f"criterion {i} [PASS] " in line for i, line in enumerate(lines[2:], 3))

@@ -47,6 +47,11 @@ class TestConfig:
             McConfig(10, True)
         with pytest.raises(ValueError, match="n_samples must be at least 2"):
             McConfig(math.nan, 0)
+        # a float count would otherwise fail later, inside numpy
+        for n in (2.5, 10.0, True):
+            with pytest.raises(ValueError, match=f"at least 2 and an integer, got {n}"):
+                McConfig(n, 0)
+        assert McConfig(np.int64(10), np.uint32(3)).n_samples == 10
 
     def test_domain_dispatch(self):
         state = biphoton(0.0)
@@ -331,7 +336,8 @@ class TestScenarios:
         qi_probe = ProbeConfig(
             omega0=10.0, sigma0=1.0, kappa=0.0, strategy=Strategy.QUANTUM_ILLUMINATION
         )
-        with pytest.raises(ValueError):
+        # McConfig alone decides which strategies Monte Carlo can sample
+        with pytest.raises(ValueError, match="Monte Carlo supports .*, got quantum_illumination"):
             run_scenario("multibody", targets, qi_probe, 100, 0)
         # a nan range is rejected, not carried into a nan midpoint
         with pytest.raises(ValueError, match="target range must be non-negative"):
