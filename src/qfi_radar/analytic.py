@@ -188,21 +188,15 @@ def adjudicate(
 
     One record per matrix entry, schema:
     {strategy, pair, params, paper_value, oracle_value, rel_diff, verdict}.
-    For the entangled strategy the exact closed form plays the published role
-    and additionally carries the pure-path/SLD-path internal-consistency gap.
-    Its engine model is built at zero separation whatever ``t_minus`` and
-    ``omega_minus`` say: the entangled QFI does not depend on them, and a large
-    carrier separation (omega_minus = 1000 at sigma = 1) drops the time
-    direction from the engine's subspace, which would refute an exact form.
+    For the entangled strategy the exact closed form plays the published role.
     Inputs the closed forms reject, coincident branches included, raise ``ValueError``.
     """
     base_params = {"sigma": sigma, "kappa": kappa, "t_minus": t_minus, "omega_minus": omega_minus}
+    model = model_for(strategy, sigma1=sigma, kappa=kappa, t_minus=t_minus,
+                      omega_minus=omega_minus)
     if strategy is Strategy.ENTANGLED_BIPHOTON:
-        model = model_for(strategy, sigma1=sigma, kappa=kappa)
         published = qfi_entangled(sigma, sigma, kappa, pair)
     else:
-        model = model_for(strategy, sigma1=sigma, kappa=kappa, t_minus=t_minus,
-                          omega_minus=omega_minus)
         published = published_mixed_qfi(strategy, pair, sigma, t_minus, omega_minus, kappa)
     oracle = qfi_numeric(model, pair)
     # the engine's QI trace is 1; the published QI forms are photon-counted
@@ -213,14 +207,11 @@ def adjudicate(
         paper_value = scale * published[idx]
         oracle_value = float(oracle.H[idx, idx])
         rel = abs(paper_value - oracle_value) / abs(oracle_value)
-        params = dict(base_params, entry=name)
-        if oracle.pure_H is not None:
-            params["pure_path_diff"] = float(np.max(np.abs(oracle.pure_H - oracle.H)))
         records.append(
             {
                 "strategy": strategy.value,
                 "pair": pair.value,
-                "params": params,
+                "params": dict(base_params, entry=name),
                 "paper_value": paper_value,
                 "oracle_value": oracle_value,
                 "rel_diff": rel,

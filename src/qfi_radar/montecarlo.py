@@ -237,8 +237,9 @@ def run_scenario(
             f"moving_object assumes a rigid body: both targets need one velocity, "
             f"got {targets[0].v} and {targets[1].v}"
         )
-    if n_shots < 4:
-        raise ValueError("need at least 4 shots to split across domains")
+    if not isinstance(n_shots, (int, np.integer)) or isinstance(n_shots, bool) or n_shots < 4:
+        raise ValueError(f"n_shots must be an integer of at least 4 to split across "
+                         f"domains, got {n_shots!r}")
 
     state = returned_state(targets[0], targets[1], probe)
     n_time = int(round(n_shots / 2))

@@ -1,16 +1,24 @@
 """Independent numerical Fisher-information engine.
 
-Builds an orthonormal subspace spanning the ensemble branches and their
-parameter derivatives from exact Gaussian overlaps, projects rho and
-d(rho) into it, solves the symmetric-logarithmic-derivative equation in
-the eigenbasis of rho, and assembles the information matrix as
-H_ab = Tr{rho (L_a L_b + L_b L_a)}/2.  No closed-form information
-expression enters anywhere, which is what makes this module a usable
-referee for the analytic formulas.
+The returned state is rho = w sum_k |psi_k><psi_k| over one or two equally
+weighted branches.  The engine writes rho's support frame in closed form
+from exact Gaussian overlaps, expresses each d(rho) in it, solves the
+symmetric-logarithmic-derivative (SLD) equation on the support, and adds
+the part of each SLD that maps the support into rho's kernel:
+
+    X_ab = sum_ij lam_i L^a_ij L^b_ji + 4 w sum_k <d_a psi_k| P_ker |d_b psi_k>,
+
+H = Re(X + X^T)/2 and the compatibility residual is |X_01 - X_10|
+(Genoni & Tufarelli, J. Phys. A 52, 434002 (2019); Fiderer, Tufarelli,
+Piano & Adesso, PRX Quantum 2, 020308 (2021)).  For one branch this is the
+pure-state formula.  Nothing is diagonalized, every quantity is a complex
+scalar, and no closed-form information expression enters anywhere, which
+is what makes this module a usable referee for the analytic formulas.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +31,7 @@ from .states import (
     Stack,
     branch_stack,
     overlap,
+    pair_terms,
 )
 
 __all__ = [
@@ -36,25 +45,26 @@ __all__ = [
     "model_for",
 ]
 
-# relative to the largest Gram eigenvalue: smaller eigenpairs leave the basis
-DEFAULT_DROP_TOL = 1e-12
-SUPPORT_TOL = 1e-12
-
 
 @dataclass
 class SubspaceBasis:
-    """Orthonormal basis spanning the generator states of one stack per branch.
+    """The support frame of sum_k |psi_k><psi_k|, one stack per branch psi_k.
 
-    Generator r K + k is row r of stack k, K stacks in all.  ``transform``
-    has one column per retained basis vector; column k holds the
-    generator-expansion coefficients of |e_k>, so the transformed Gram
-    matrix T^H G T is the identity.
+    ``eigenvalues[i]`` belongs to the frame vector e_i, ``kets[k][i]`` is
+    <e_i|psi_k> and ``rows[k][i][a]`` is <e_i|d_a psi_k> for the stacks'
+    derivative row 1 + a.  ``kernel[a][b]`` is sum_k <d_a psi_k|P_ker|d_b psi_k>
+    with P_ker the projector on the kernel.  ``dim`` is the rank.
     """
 
     generators: list[Stack]
-    gram: np.ndarray
-    transform: np.ndarray
-    dim: int
+    eigenvalues: list[float]
+    kets: list[list[float]]
+    rows: list[list[list[complex]]]
+    kernel: list[list[complex]]
+
+    @property
+    def dim(self) -> int:
+        return len(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -77,140 +87,176 @@ class OracleResult:
     H: np.ndarray
     compat_residual: float
     dim: int
-    rho_eigenvalues: np.ndarray
+    rho_eigenvalues: list[float]
     basis: SubspaceBasis
-    pure_H: np.ndarray | None = None
+
+
+def _h(u: float) -> float:
+    """1/u - 1/expm1(u), with no cancellation at small u and no overflow at large u."""
+    if u < 1e-3:
+        return 0.5 - u / 12.0 + u**3 / 720.0
+    return 1.0 / u + math.exp(-u) / math.expm1(-u)
+
+
+def _same_form(a, b) -> bool:
+    """Whether two base Gaussians share one quadratic form (bandwidths, correlation)."""
+    if isinstance(a, GaussianSinglePhoton):
+        return a.sigma == b.sigma
+    return (a.sigma1, a.sigma2, a.kappa) == (b.sigma1, b.sigma2, b.kappa)
 
 
 def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
-    """Orthonormalize the rows of one stack per branch via the eigenbasis of
-    their Gram matrix.
+    """The support frame of one or two branches, from their stacks.
 
-    Every stack has the same rows; generator r K + k is row r of stack k.
-    The Gram matrix takes one ``overlap`` call per pair of stacks, each
-    block landing with its conjugate transpose in the mirrored position.
+    Every stack has the same rows: the ket, then derivative rows c . x |base>
+    (``branch_stack``'s carrier gauge, so <psi_k|d psi_k> = 0).  One
+    ``overlap`` call per stack gives its own block, and ``pair_terms`` the
+    two bases' overlap g in difference form.  Branch 2 is taken with the
+    phase that makes g = e^l real, so the frame is
 
-    Deterministic for a fixed generator order: eigenpairs are sorted by
-    descending eigenvalue and each eigenvector's phase is fixed so that its
-    first significantly nonzero component is real and positive.
+        e_+- = (psi_1 +- psi_2)/n_+-,  n_+-^2 = 2 (1 +- e^l),
+        eigenvalues 1 + e^l and -expm1(l),
+        <e_+-|d psi_1> = +-e^l a21/n_+-,  <e_+-|d psi_2> = e^l a12/n_+-,
+
+    with a_kl = <psi_k|d psi_l>/<psi_k|psi_l> = c_l . (mu_kl - t_l).  Each
+    branch's kernel block is <d_a|d_b> - conj(a_a) a_b/expm1(u), u = -2l.
+    For equal quadratic forms, where the two terms cancel as the branches
+    meet, it is instead
+
+        conj(D(w, Sigma c_a)) D(w, Sigma c_b)/(det Sigma u) + conj(c_a . v)(c_b . v) h(u),
+
+    with v the branch's mean offset, w = conj(v), D(x, y) = x1 y2 - x2 y1,
+    and h(u) = 1/u - 1/expm1(u).  Coincident branches (l = 0) are one ket
+    of rank 1 whose derivative is the mean of the branches'.
     """
-    if not stacks:
-        raise ValueError("need at least one generator")
-    K, R = len(stacks), len(stacks[0].p)
-    blocks = np.empty((K, R, K, R), dtype=complex)
-    for k, stack in enumerate(stacks):
-        for l in range(k, K):
-            block = overlap(stack, stacks[l])
-            blocks[k, :, l] = block
-            blocks[l, :, k] = block.conj().T
-    gram = blocks.transpose(1, 0, 3, 2).reshape(R * K, R * K)
-    # a diagonal block is Hermitian only to round-off; averaging it with its
-    # conjugate transpose makes the whole matrix exactly Hermitian
-    gram = (gram + gram.conj().T) / 2.0
+    if not 1 <= len(stacks) <= 2:
+        raise ValueError(f"need one or two branch stacks, got {len(stacks)}")
+    blocks = [overlap(s, s).tolist() for s in stacks]
+    # each derivative row's c, padded to two coordinates
+    coeffs = [[(*row[1:], 0.0)[:2] for row in s.p[1:].tolist()] for s in stacks]
+    n_rows = len(coeffs[0])
+    if len(stacks) == 1:
+        block = blocks[0]
+        d = block[0][1:]
+        kernel = [[block[1 + a][1 + b] - d[a].conjugate() * d[b] for b in range(n_rows)]
+                  for a in range(n_rows)]
+        return SubspaceBasis(list(stacks), [1.0], [[1.0]], [[d]], kernel)
 
-    # eigh returns ascending eigenvalues; reversed, they descend
-    evals, evecs = np.linalg.eigh(gram)
-    evals, evecs = evals[::-1], evecs[:, ::-1]
-    if evals[0] <= 0:
-        raise ArithmeticError("Gram matrix is numerically non-positive")
-    if evals[-1] < -10.0 * DEFAULT_DROP_TOL * evals[0]:
-        raise ArithmeticError("Gram matrix conditioning failure: negative eigenvalue")
-    # descending, so the retained eigenpairs are a leading slice
-    keep = int(np.count_nonzero(evals > DEFAULT_DROP_TOL * evals[0]))
-    evals, evecs = evals[:keep], evecs[:, :keep]
+    log_g, ma, mb, (s11, s22, s12) = pair_terms(stacks[0].base, stacks[1].base)
+    # |<psi_1|psi_2>| <= 1: round-off must not push l above 0
+    ell = min(log_g.real, 0.0)
+    # a21 = c_1 . conj(mu - t_1) and a12 = c_2 . (mu - t_2): each branch's offset
+    offsets = ((ma[0].conjugate(), ma[1].conjugate()), mb)
+    alpha = [[c[0] * v[0] + c[1] * v[1] for c in cs] for cs, v in zip(coeffs, offsets)]
 
-    first = evecs[np.argmax(np.abs(evecs) > 1e-8, axis=0), np.arange(evecs.shape[1])]
-    evecs = evecs / (first / np.abs(first))
+    if ell == 0.0:
+        # identical bases, every offset 0: rho = 2 |psi_1><psi_1| is one ket,
+        # whose derivative is the branches' mean (c_1 + c_2)/2 . x |psi_1>
+        mean = [((c1[0] + c2[0]) / 2.0, (c1[1] + c2[1]) / 2.0) for c1, c2 in zip(*coeffs)]
+        kernel = [[2.0 * (x[0].conjugate() * (s11 * y[0] + s12 * y[1])
+                          + x[1].conjugate() * (s12 * y[0] + s22 * y[1]))
+                   for y in mean] for x in mean]
+        zeros = [[0j] * n_rows]
+        return SubspaceBasis(list(stacks), [2.0], [[1.0], [1.0]], [zeros, zeros], kernel)
 
-    transform = evecs / np.sqrt(evals)
-    return SubspaceBasis(list(stacks), gram, transform, transform.shape[1])
+    E = math.exp(ell)
+    eigenvalues = [1.0 + E, -math.expm1(ell)]
+    norms = [math.sqrt(2.0 * lam) for lam in eigenvalues]
+    kets = [[0.5 * norms[0], 0.5 * norms[1]], [0.5 * norms[0], -0.5 * norms[1]]]
+    rows = [[[E * a / norms[0] for a in alpha[0]], [-E * a / norms[1] for a in alpha[0]]],
+            [[E * a / norms[0] for a in alpha[1]], [E * a / norms[1] for a in alpha[1]]]]
+
+    u = -2.0 * ell
+    kernel = [[0j] * n_rows for _ in range(n_rows)]
+    if _same_form(stacks[0].base, stacks[1].base):
+        h, det_u = _h(u), (s11 * s22 - s12 * s12) * u
+        for cs, v, al in zip(coeffs, offsets, alpha):
+            # D(conj(v), Sigma c) for each row
+            D = [v[0].conjugate() * (s12 * c[0] + s22 * c[1])
+                 - v[1].conjugate() * (s11 * c[0] + s12 * c[1]) for c in cs]
+            for a in range(n_rows):
+                for b in range(n_rows):
+                    kernel[a][b] += (D[a].conjugate() * D[b] / det_u
+                                     + al[a].conjugate() * al[b] * h)
+    else:
+        # 1/expm1(u), written so that it cannot overflow
+        inv = -math.exp(-u) / math.expm1(-u)
+        for block, al in zip(blocks, alpha):
+            for a in range(n_rows):
+                for b in range(n_rows):
+                    kernel[a][b] += block[1 + a][1 + b] - al[a].conjugate() * al[b] * inv
+    return SubspaceBasis(list(stacks), eigenvalues, kets, rows, kernel)
 
 
-def project(
-    model: MixedModel, basis: SubspaceBasis, params: tuple[str, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project rho and its derivative along each of ``params`` onto the subspace.
+def project(model: MixedModel, basis: SubspaceBasis) -> tuple[list, list, list]:
+    """rho's eigenvalues, each d(rho) in its support frame, and the kernel block.
 
-    ``basis`` spans each branch's ket and its derivatives along ``params``,
-    in that row order.  The coordinates of every generator are the columns
-    of T^H G, and rho and every d(rho) come from one batched product.
-    Returns (rho, drho) in the subspace basis, ``drho[i]`` the derivative
-    along ``params[i]``: the arguments of ``sld_solve``.
+    With the branches' common weight w, lam_i = w ``eigenvalues[i]``,
+
+        r^a_ij = <e_i|d_a rho|e_j> = w sum_k (<e_i|d_a psi_k><psi_k|e_j> + h.c.),
+
+    and the kernel block is 4 w ``basis.kernel``, the part of X that the
+    kernel of rho carries.  Returns (lam, r, kernel): ``r[a]`` is the
+    Hermitian matrix of the derivative along the stacks' row 1 + a, as
+    nested lists.  The first two are ``sld_solve``'s arguments.
     """
-    K = len(model.weights)
-    # C[0] holds the branch coordinates, C[1 + i] their derivatives along params[i]
-    C = basis.transform.conj().T @ basis.gram
-    C = C.reshape(basis.dim, 1 + len(params), K).transpose(1, 0, 2)
-    M = (C * model.weights) @ C[0].conj().T
-    # rho = V W V^H and d(rho) = dV W V^H + h.c., each exactly Hermitian
-    S = M + M.conj().swapaxes(1, 2)
-    return S[0] / 2.0, S[1:]
+    w = model.weights[0]
+    if any(x != w for x in model.weights):
+        raise ValueError(f"the support frame needs equal branch weights, got {model.weights}")
+    lam = [w * x for x in basis.eigenvalues]
+    dim = len(lam)
+    r = []
+    for a in range(len(basis.kernel)):
+        # t[i][j] = sum_k <e_i|d_a psi_k><psi_k|e_j>, so r^a = w (t + t^H)
+        t = [[0j] * dim for _ in range(dim)]
+        for kets, rows in zip(basis.kets, basis.rows):
+            for i in range(dim):
+                d = rows[i][a]
+                for j in range(dim):
+                    t[i][j] += d * kets[j]
+        r.append([[w * (t[i][j] + t[j][i].conjugate()) for j in range(dim)]
+                  for i in range(dim)])
+    kernel = [[4.0 * w * x for x in line] for line in basis.kernel]
+    return lam, r, kernel
 
 
-def sld_solve(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve drho[i] = (rho L + L rho)/2 for (rho, drho) as ``project`` returns them.
+def sld_solve(lam: list[float], r: list) -> list:
+    """Solve d(rho) = (rho L + L rho)/2 on rho's support, rho = diag(``lam``).
 
-    Returns (L, eigenvalues, eigenvectors) with ``L[i]``, the SLD of the i-th
-    parameter, expressed in the eigenbasis of rho: L_jk = 2 M_jk /
-    (lam_j + lam_k) with M = U^H d(rho) U, eigenvalues descending, so
-    ``U @ L[i] @ U^H`` is the SLD in the subspace basis.  Eigenvalue pairs
-    below the support threshold are excluded, consistent with the
-    finite-support form of the SLD.
+    ``r[a]`` is the derivative along parameter a in rho's eigenbasis, as
+    ``project`` returns it; the SLD there is L^a_ij = 2 r^a_ij/(lam_i + lam_j).
+    Every lam_i is positive: the frame holds the support only.
     """
-    # eigh returns ascending eigenvalues; reversed, they descend
-    lam, U = np.linalg.eigh(rho)
-    lam, U = lam[::-1], U[:, ::-1]
-    denom = lam[:, None] + lam
-    support = denom > SUPPORT_TOL * lam.sum()
-    factor = np.divide(2.0, denom, out=np.zeros_like(denom), where=support)
-    M = U.conj().T @ drho @ U
-    return M * factor, lam, U
+    n = len(lam)
+    return [[[2.0 * ra[i][j] / (lam[i] + lam[j]) for j in range(n)] for i in range(n)]
+            for ra in r]
 
 
-def _pure_fast_path(model: MixedModel, basis: SubspaceBasis) -> np.ndarray:
-    """H_ab = 4 Re(<da|db> - <da|psi><psi|db>) for a single pure branch.
-
-    Every overlap is an entry of the Gram matrix: generator 0 is the ket,
-    the rest its derivatives.
-    """
-    G = basis.gram
-    v = G[1:, 0]
-    return model.weights[0] * 4.0 * np.real(G[1:, 1:] - np.outer(v, v.conj()))
-
-
-def qfi_numeric(
-    model: MixedModel,
-    pair: ParameterPair,
-    *,
-    reverse_generators: bool = False,
-) -> OracleResult:
+def qfi_numeric(model: MixedModel, pair: ParameterPair) -> OracleResult:
     """Full numerical QFI for a strategy instance and estimator pair.
 
-    ``reverse_generators`` feeds the subspace builder the stacks and their
-    rows in reverse, which reverses the whole generator order; the result
-    must be invariant, which makes it a cheap orthonormalization self-check.
+    X_ab = Tr(rho L_a L_b) is the support part sum_ij lam_i L^a_ij L^b_ji
+    plus ``project``'s kernel block; H is its symmetric real part and
+    |X_01 - X_10| = |Tr(rho [L_a, L_b])| the compatibility residual.
     """
-    params = pair.param_names
-    rows = [0, *map(ROWS.index, params)]
-    stacks = [Stack(s.base, s.p[rows]) for s in model.stacks]
-    if reverse_generators:
-        rev = build_subspace([Stack(s.base, s.p[::-1]) for s in reversed(stacks)])
-        # the same basis vectors, read back in the forward generator order
-        basis = SubspaceBasis(stacks, rev.gram[::-1, ::-1], rev.transform[::-1], rev.dim)
-    else:
-        basis = build_subspace(stacks)
-
-    L, lam, _U = sld_solve(*project(model, basis, params))
-
-    # X_ab = Tr(rho L_a L_b), rho = diag(lam) in the SLDs' basis: H is its
-    # symmetric real part, |Tr(rho [L_a, L_b])| its antisymmetric part
-    X = np.einsum("i,aij,bji->ab", lam, L, L)
-    H = np.real(X + X.T) / 2.0
-    compat = float(abs(X[0, 1] - X[1, 0]))
-
-    pure_H = _pure_fast_path(model, basis) if len(model.stacks) == 1 else None
+    rows = [0, *map(ROWS.index, pair.param_names)]
+    basis = build_subspace([Stack(s.base, s.p[rows]) for s in model.stacks])
+    lam, r, kernel = project(model, basis)
+    L = sld_solve(lam, r)
+    n, P = len(lam), len(L)
+    X = [[0j] * P for _ in range(P)]
+    for a in range(P):
+        for b in range(P):
+            x = kernel[a][b]
+            for i in range(n):
+                La, Lb = L[a][i], L[b]
+                for j in range(n):
+                    x += lam[i] * La[j] * Lb[j][i]
+            X[a][b] = x
+    H = np.array([[(X[a][b] + X[b][a]).real / 2.0 for b in range(P)] for a in range(P)])
+    compat = abs(X[0][1] - X[1][0])
     return OracleResult(H=H, compat_residual=compat, dim=basis.dim, rho_eigenvalues=lam,
-                        basis=basis, pure_H=pure_H)
+                        basis=basis)
 
 
 def model_for(

@@ -35,6 +35,7 @@ __all__ = [
     "single_amplitude",
     "biphoton_amplitude",
     "overlap",
+    "pair_terms",
     "time_covariance",
     "frequency_covariance",
 ]
@@ -144,28 +145,33 @@ def biphoton_amplitude(state: GaussianBiphoton, t1, t2) -> complex | np.ndarray:
 def overlap(a, b) -> complex | np.ndarray:
     """Closed-form inner product <a|b> of (affine x Gaussian) states.
 
-    For plain states conj(a) b = n_a n_b exp(-x^T A x + beta . x + gamma),
-    which integrates to pref = n_a n_b exp(gamma + beta^T A^-1 beta / 4)
-    sqrt(pi^d / det A) and, divided by pref, is a complex Gaussian with mean
-    mu = A^-1 beta / 2 and covariance Sigma = A^-1 / 2.  With prefactors
-    a0 + a . (x - t_a) and b0 + b . (x - t_b) the overlap is then
+    For plain normalized states conj(a) b integrates to g = <a|b> and,
+    divided by g, is a complex Gaussian with mean mu and covariance Sigma
+    (``pair_terms``).  With prefactors a0 + a . (x - t_a) and
+    b0 + b . (x - t_b) the overlap is then
 
-        pref * [(conj(a0) + conj(a) . (mu - t_a)) (b0 + b . (mu - t_b))
-                + conj(a)^T Sigma b]
+        g * [(conj(a0) + conj(a) . (mu - t_a)) (b0 + b . (mu - t_b))
+             + conj(a)^T Sigma b]
         = conj(p_a)^T Q p_b,   p = (c0, c),
-        Q = pref * [[1, (mu - t_b)^T], [mu - t_a, (mu - t_a)(mu - t_b)^T + Sigma]].
+        Q = g * [[1, (mu - t_b)^T], [mu - t_a, (mu - t_a)(mu - t_b)^T + Sigma]].
 
     Q depends on the two base Gaussians only; it is evaluated in two
-    dimensions (``_exponent``), and single photons read its leading 2x2
-    block.  Either side may be a ``Stack`` of k rows: Q is then evaluated
-    once and the call returns the whole block of overlaps, shape (k_a, k_b),
-    (k_a,) or (k_b,).  Two single states give a complex number.
+    dimensions, and single photons read its leading 2x2 block.  Either side
+    may be a ``Stack`` of k rows: Q is then evaluated once and the call
+    returns the whole block of overlaps, shape (k_a, k_b), (k_a,) or (k_b,).
+    Two single states give a complex number.
     """
     ga, pa = _split(a)
     gb, pb = _split(b)
     if type(ga) is not type(gb):
         raise TypeError("cannot overlap single-photon with biphoton states")
-    Q = _moments(_exponent(ga), _exponent(gb))
+    log_g, (ma1, ma2), (mb1, mb2), (s11, s22, s12) = pair_terms(ga, gb)
+    g = cmath.exp(log_g)
+    Q = np.array([
+        [g, g * mb1, g * mb2],
+        [g * ma1, g * (ma1 * mb1 + s11), g * (ma1 * mb2 + s12)],
+        [g * ma2, g * (ma2 * mb1 + s12), g * (ma2 * mb2 + s22)],
+    ])
     if isinstance(ga, GaussianSinglePhoton):
         Q = Q[:2, :2]
     block = np.conj(pa).dot(Q).dot(np.transpose(pb))
@@ -173,54 +179,75 @@ def overlap(a, b) -> complex | np.ndarray:
 
 
 def _exponent(g) -> tuple[float, ...]:
-    """(p, q, r, t1, t2, w1, w2, norm) of g's amplitude in two dimensions.
+    """(p, q, r, t1, t2, w1, w2) of g's normalized amplitude in two dimensions.
 
-    The amplitude is norm exp(-(x - t)^T [[p, r], [r, q]] (x - t)
+    The amplitude is proportional to exp(-(x - t)^T [[p, r], [r, q]] (x - t)
     - i w . (x - t)).  A single photon is photon 1 of a product with the
-    unit-bandwidth Gaussian (2/pi)^(1/4) exp(-x^2) at rest; that factor is
-    the same on both sides of an overlap, so it integrates to one.
+    normalized unit-bandwidth Gaussian exp(-x^2) at rest; that factor is the
+    same on both sides of an overlap, so it integrates to one.
     """
     if isinstance(g, GaussianSinglePhoton):
-        norm = g.norm * (2.0 / math.pi) ** 0.25
-        return g.sigma**2, 1.0, 0.0, g.t_bar, 0.0, g.omega_bar, 0.0, norm
+        return g.sigma**2, 1.0, 0.0, g.t_bar, 0.0, g.omega_bar, 0.0
     return (g.sigma1**2, g.sigma2**2, -g.kappa * g.sigma1 * g.sigma2,
-            g.t1_bar, g.t2_bar, g.omega1_bar, g.omega2_bar, g.norm)
+            g.t1_bar, g.t2_bar, g.omega1_bar, g.omega2_bar)
 
 
-def _moments(ea, eb) -> np.ndarray:
-    """``overlap``'s Q from the ``_exponent`` tuples of its two bases."""
-    pa, qa, ra, ta1, ta2, wa1, wa2, na = ea
-    pb, qb, rb, tb1, tb2, wb1, wb2, nb = eb
-    A11, A22, A12 = pa + pb, qa + qb, ra + rb
-    det = A11 * A22 - A12**2
-    if det <= 0:
+def pair_terms(a, b) -> tuple:
+    """(log<a|b>, mu - t_a, mu - t_b, Sigma) of two base Gaussians, in difference form.
+
+    With quadratic forms A_a, A_b, S = A_a + A_b, dt = t_a - t_b and
+    dw = w_a - w_b (``_exponent``):
+
+        log<a|b> = N - dt^T A_a S^-1 A_b dt - dw^T S^-1 dw / 4
+                   + i (dt^T A_a S^-1 dw - w_a . dt),
+        mu - t_b = S^-1 A_a dt + (i/2) S^-1 dw,   mu - t_a = (mu - t_b) - dt,
+        Sigma = S^-1 / 2,
+
+    and N = -1/2 sum_i log1p((1 - sqrt c_i)^2 / (2 sqrt c_i)) over the
+    eigenvalues c_i of A_a^-1 A_b, the normalization; N is exactly 0 for
+    equal forms.  Only differences enter, so equal bases give log<a|b> = 0
+    and mu - t = 0 exactly, whatever their centers and carriers.  The two
+    means are pairs of complex numbers and Sigma is (s11, s22, s12).
+    """
+    pa, qa, ra, ta1, ta2, wa1, wa2 = _exponent(a)
+    pb, qb, rb, tb1, tb2, wb1, wb2 = _exponent(b)
+    S11, S22, S12 = pa + pb, qa + qb, ra + rb
+    det = S11 * S22 - S12 * S12
+    if not det > 0:
         raise ArithmeticError("combined Gaussian quadratic form is not positive definite")
-    beta1 = (
-        2.0 * (pa * ta1 + ra * ta2) + 2.0 * (pb * tb1 + rb * tb2)
-        + 1j * (wa1 - wb1)
-    )
-    beta2 = (
-        2.0 * (ra * ta1 + qa * ta2) + 2.0 * (rb * tb1 + qb * tb2)
-        + 1j * (wa2 - wb2)
-    )
-    gamma = (
-        -(pa * ta1**2 + 2.0 * ra * ta1 * ta2 + qa * ta2**2)
-        - (pb * tb1**2 + 2.0 * rb * tb1 * tb2 + qb * tb2**2)
-        - 1j * (wa1 * ta1 + wa2 * ta2 - wb1 * tb1 - wb2 * tb2)
-    )
-    s11, s22, s12 = 0.5 * A22 / det, 0.5 * A11 / det, -0.5 * A12 / det
-    mu1 = s11 * beta1 + s12 * beta2
-    mu2 = s12 * beta1 + s22 * beta2
-    pref = (
-        na * nb * cmath.exp(gamma + 0.5 * (beta1 * mu1 + beta2 * mu2))
-        * math.pi / math.sqrt(det)
-    )
-    ma1, ma2, mb1, mb2 = mu1 - ta1, mu2 - ta2, mu1 - tb1, mu2 - tb2
-    return np.array([
-        [pref, pref * mb1, pref * mb2],
-        [pref * ma1, pref * (ma1 * mb1 + s11), pref * (ma1 * mb2 + s12)],
-        [pref * ma2, pref * (ma2 * mb1 + s12), pref * (ma2 * mb2 + s22)],
-    ])
+    i11, i22, i12 = S22 / det, S11 / det, -S12 / det
+    dt1, dt2 = ta1 - tb1, ta2 - tb2
+    dw1, dw2 = wa1 - wb1, wa2 - wb2
+    u1, u2 = pa * dt1 + ra * dt2, ra * dt1 + qa * dt2  # A_a dt
+    x1, x2 = i11 * u1 + i12 * u2, i12 * u1 + i22 * u2  # S^-1 A_a dt
+    y1, y2 = i11 * dw1 + i12 * dw2, i12 * dw1 + i22 * dw2  # S^-1 dw
+    quad_t = x1 * (pb * dt1 + rb * dt2) + x2 * (rb * dt1 + qb * dt2)
+    quad_w = dw1 * y1 + dw2 * y2
+    phase = y1 * u1 + y2 * u2 - (wa1 * dt1 + wa2 * dt2)
+    log_g = complex(_log_norm(pa, qa, ra, pb, qb, rb) - quad_t - 0.25 * quad_w, phase)
+    mb1, mb2 = complex(x1, 0.5 * y1), complex(x2, 0.5 * y2)
+    return log_g, (mb1 - dt1, mb2 - dt2), (mb1, mb2), (0.5 * i11, 0.5 * i22, 0.5 * i12)
+
+
+def _log_norm(pa, qa, ra, pb, qb, rb) -> float:
+    """N = log(n_a n_b pi / sqrt(det S)) of two normalized Gaussians' forms.
+
+    The eigenvalues of A_a^-1 A_b are 1 + d for the eigenvalues d of
+    M = A_a^-1 (A_b - A_a), taken from its trace and determinant with the
+    smaller root from their product, so 1 - sqrt(1 + d) keeps its digits.
+    """
+    d11, d22, d12 = pb - pa, qb - qa, rb - ra
+    if d11 == d22 == d12 == 0.0:
+        return 0.0
+    det_a = pa * qa - ra * ra
+    trace = (qa * d11 - 2.0 * ra * d12 + pa * d22) / det_a
+    det_m = (d11 * d22 - d12 * d12) / det_a
+    big = 0.5 * trace + math.copysign(math.sqrt(max(0.25 * trace * trace - det_m, 0.0)), trace)
+    total = 0.0
+    for d in (big, det_m / big if big else 0.0):
+        root = math.sqrt(1.0 + d)
+        total += math.log1p((d / (1.0 + root)) ** 2 / (2.0 * root))
+    return -0.5 * total
 
 
 # ---------------------------------------------------------------------------
@@ -240,18 +267,23 @@ def branch_stack(base: GaussianSinglePhoton | GaussianBiphoton,
     ``photons`` names, for each coordinate of ``base``, the photon of the
     pair (1 or 2) it carries, or 0 for a coordinate the pair does not move.
     Row i of the stack is the state ``ROWS[i]``.
+
+    The rows are taken in the carrier gauge: a time derivative of the
+    amplitude is (i (f1 w1 + f2 w2) + c . x) |base>, and its imaginary
+    constant only turns the branch's phase, which no density matrix sees,
+    so it is left out.  Every derivative row is then c . x |base>, and
+    <base|row> = 0.
     """
-    p, q, r, _, _, w1, w2, _ = _exponent(base)
+    p, q, r = _exponent(base)[:3]
     rows = [(1.0, *(0.0 for _ in photons))]
     for kind, *pair_factors in _PAIR_CHAIN.values():
         factors = [pair_factors[i - 1] if i else 0.0 for i in photons]
         f1, f2 = (*factors, 0.0)[:2]
         if kind == "t":
-            c0 = 1j * (f1 * w1 + f2 * w2)
             c = (2.0 * (f1 * p + f2 * r), 2.0 * (f1 * r + f2 * q))
         else:
-            c0, c = 0.0, (-1j * f1, -1j * f2)
-        rows.append((c0, *c[:len(photons)]))
+            c = (-1j * f1, -1j * f2)
+        rows.append((0.0, *c[:len(photons)]))
     return Stack(base, np.array(rows, dtype=complex))
 
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from qfi_radar import analytic
 from qfi_radar.analytic import (
     adjudicate,
     asymptotic_H,
@@ -42,8 +43,9 @@ def engine_H(model, params):
     """The engine's information matrix over ``params``, from its public stages."""
     rows = [0, *map(ROWS.index, params)]
     basis = build_subspace([Stack(s.base, s.p[rows]) for s in model.stacks])
-    L, lam, _U = sld_solve(*project(model, basis, params))
-    X = np.einsum("i,aij,bji->ab", lam, L, L)
+    lam, r, kernel = project(model, basis)
+    L = np.array(sld_solve(lam, r))
+    X = np.einsum("i,aij,bji->ab", lam, L, L) + np.array(kernel)
     return np.real(X + X.T) / 2.0
 
 
@@ -273,18 +275,32 @@ class TestAdjudication:
             for rec in adjudicate(Strategy.ENTANGLED_BIPHOTON, pair, sigma=1.0, kappa=0.5):
                 assert rec["verdict"] == "confirmed"
                 assert rec["rel_diff"] <= 1e-8
-                assert rec["params"]["pure_path_diff"] <= 1e-9
+                assert set(rec["params"]) == {"sigma", "kappa", "t_minus", "omega_minus", "entry"}
 
     def test_entangled_rows_confirmed_at_large_carrier_separation(self):
-        # the entangled QFI does not depend on the separations, so the engine
-        # model is taken at zero; at omega_minus = 1000 the engine would drop
-        # the time direction (test_oracle.py's strict xfail
-        # test_large_carrier_time_entry) and refute the exact form
+        # the engine model is built at the requested separation; the
+        # entangled QFI does not depend on it, and in the carrier gauge the
+        # engine keeps the time direction at omega_minus = 1000 too
         recs = adjudicate(Strategy.ENTANGLED_BIPHOTON, PAIR_B, sigma=1.0, kappa=-0.9,
                           t_minus=1.0, omega_minus=1000.0)
         assert [r["verdict"] for r in recs] == ["confirmed", "confirmed"]
         assert recs[0]["oracle_value"] == pytest.approx(0.2, rel=1e-9)
         assert recs[0]["params"]["omega_minus"] == 1000.0
+
+    @pytest.mark.parametrize("pair", [PAIR_A, PAIR_B])
+    def test_entangled_model_built_at_requested_separation(self, pair, monkeypatch):
+        built = []
+        real = analytic.model_for
+
+        def recording(strategy, **kwargs):
+            built.append(kwargs)
+            return real(strategy, **kwargs)
+
+        monkeypatch.setattr(analytic, "model_for", recording)
+        recs = adjudicate(Strategy.ENTANGLED_BIPHOTON, pair, sigma=1.0, kappa=-0.9,
+                          t_minus=1.0, omega_minus=1e3)
+        assert [r["verdict"] for r in recs] == ["confirmed", "confirmed"]
+        assert built == [{"sigma1": 1.0, "kappa": -0.9, "t_minus": 1.0, "omega_minus": 1e3}]
 
     def test_verdict_schema(self):
         recs = adjudicate(

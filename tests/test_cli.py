@@ -281,7 +281,7 @@ class TestOracleCheck:
         for rec in records:
             assert rec["verdict"] == "confirmed"
             assert rec["rel_diff"] <= 1e-8
-            assert rec["params"]["pure_path_diff"] <= 1e-9
+            assert set(rec["params"]) == {"sigma", "kappa", "t_minus", "omega_minus", "entry"}
 
     def test_near_coincident_branches_adjudicated(self, tmp_path):
         # the published forms divide by e^x - 1 with x ~ t_minus^2 sigma^2

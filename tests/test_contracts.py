@@ -18,13 +18,15 @@ import sys
 import qfi_radar
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-# engine_map points failed per round today, all by the two known engine
-# faults (bandwidth_drop, near_coincident); lower it as the engine improves
-ENGINE_MAP_FAILED = 93
+# engine_map points failed per round: none since the closed-form support
+# frame; any failure is a regression
+ENGINE_MAP_FAILED = 0
 # exported names with no caller in src/, bench/ or demos/: the tests use
 # them as quadrature references, and the classical-Fisher-information item
 # of ROADMAP.md decides whether they gain a caller or go
 UNCALLED_EXPORTS = {"single_amplitude", "biphoton_amplitude"}
+# the overlap kernel's two entry points
+KERNELS = {"overlap", "pair_terms"}
 
 
 def test_engine_map_round_correct():
@@ -50,9 +52,10 @@ def test_traced_engine_layers(monkeypatch):
     spec.loader.exec_module(layers)
     metrics = layers.engine_layers(qfi_radar)
     assert all(math.isfinite(value) for value, _unit in metrics.values()), metrics
-    for strategy, dim, per_eval in (("entangled_biphoton", 3, 1),
-                                    ("two_single_photons", 4, 3),
-                                    ("quantum_illumination", 6, 3)):
+    # the dimension is the rank of rho; each branch takes one overlap with itself
+    for strategy, dim, per_eval in (("entangled_biphoton", 1, 1),
+                                    ("two_single_photons", 2, 2),
+                                    ("quantum_illumination", 2, 2)):
         assert metrics[f"oracle.subspace_dim.{strategy}"][0] == dim
         assert metrics[f"states.overlaps_per_eval.{strategy}"][0] == per_eval
 
@@ -71,26 +74,28 @@ def test_engine_imports_no_closed_forms():
 
 
 def test_engine_overlaps_only_in_gram_matrix():
-    # one engine path: every overlap the engine evaluates is a Gram entry, so
-    # nothing recomputes overlaps outside the matrix build_subspace factors
+    # one engine path: every overlap the engine evaluates, a branch's own
+    # block or the two branches' pair terms, enters the frame build_subspace
+    # writes, so nothing recomputes overlaps outside it
     tree = ast.parse((ROOT / "src" / "qfi_radar" / "oracle.py").read_text(encoding="utf-8"))
     callers = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             function = getattr(node, "name", "<lambda>")
-        if isinstance(node, ast.alias) and node.name == "overlap":
-            assert node.asname is None, "overlap imported under another name"
+        if isinstance(node, ast.alias) and node.name in KERNELS:
+            assert node.asname is None, f"{node.name} imported under another name"
         if isinstance(node, ast.Call):
             func = node.func
-            if getattr(func, "id", None) == "overlap" or getattr(func, "attr", None) == "overlap":
-                callers.append((function, node.lineno))
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in KERNELS:
+                callers.append((name, function, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(tree, None)
-    assert callers, "oracle.py no longer calls overlap"
-    assert all(function == "build_subspace" for function, _ in callers), callers
+    assert {name for name, _, _ in callers} == KERNELS, callers
+    assert all(function == "build_subspace" for _, function, _ in callers), callers
 
 
 def test_every_export_has_a_caller():

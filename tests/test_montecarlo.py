@@ -344,6 +344,17 @@ class TestScenarios:
             run_scenario("multibody", (Target(math.nan, 0.0), Target(2.0, 0.0)),
                          ProbeConfig(10.0, 1.0, -0.5), 100, 0)
 
+    def test_n_shots_must_be_an_integer(self):
+        # a float count used to fail inside the second McConfig, in a message
+        # about n_samples, which the caller never passed
+        probe = ProbeConfig(10.0, 1.0, -0.9)
+        targets = (Target(300.0, 0.0), Target(500.0, 0.0))
+        for bad in (100.0, True, "100"):
+            with pytest.raises(ValueError, match=r"^n_shots must be an integer"):
+                run_scenario("multibody", targets, probe, bad, 5)
+        report = run_scenario("multibody", targets, probe, np.int64(100), 5)
+        assert report == run_scenario("multibody", targets, probe, 100, 5)
+
     def test_moving_object_needs_rigid_body(self):
         # one size and one velocity describe a rigid object only: targets
         # moving apart would read a size of 26.79 against a truth of 1

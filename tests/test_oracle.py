@@ -9,6 +9,7 @@ the mixture becomes an orthogonal ensemble.
 import collections
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,28 +88,33 @@ def pair_stacks(model, params):
 def fd_qfi(strategy, kwargs, pair, h):
     """Finite-difference reference for the engine's H on ``pair``.
 
+    The subspace is spanned by every branch's ket and derivative rows along
+    ``pair``, orthonormalized here through the eigenbasis of their exact-
+    overlap Gram matrix, so the reference shares no frame with the engine.
     d(rho) is the central difference of rho over ``model_for`` rebuilt with
-    each parameter moved by +-h, every rho projected onto the subspace of
-    the undisplaced model from exact overlaps of its branch kets.  Returns
-    (H, residuals): residuals[i] is ||(1-P) d(rho)_fd||_HS for the i-th
-    parameter, computed exactly from pairwise Gaussian overlaps of the
-    displaced kets.  It subtracts two nearly equal O(1/h^2) norms, so it
-    carries a cancellation noise floor of roughly sqrt(machine epsilon)/h
-    even when the true leakage is zero.
+    each parameter moved by +-h, every rho projected onto that subspace from
+    exact overlaps of its branch kets, and the SLD equation is solved in the
+    eigenbasis of the projected rho.  Returns (H, residuals): residuals[i] is
+    ||(1-P) d(rho)_fd||_HS for the i-th parameter, computed exactly from
+    pairwise Gaussian overlaps of the displaced kets.  It subtracts two
+    nearly equal O(1/h^2) norms, so it carries a cancellation noise floor of
+    roughly sqrt(machine epsilon)/h even when the true leakage is zero.
     """
     model = model_for(strategy, **kwargs)
     params = pair.param_names
-    basis = build_subspace(pair_stacks(model, params))
-    K = len(basis.generators)
+    stacks = pair_stacks(model, params)
+    gram = np.block([[overlap(a, b) for b in stacks] for a in stacks])
+    evals, evecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
+    keep = evals > 1e-12 * evals[-1]
+    # column j holds the generator coefficients of orthonormal basis vector j
+    T = evecs[:, keep] / np.sqrt(evals[keep])
 
     def rho_matrix(m):
-        # sum_k w_k |k><k| in the subspace basis; generator r K + k is row r
+        # sum_k w_k |k><k| in the orthonormal basis; generator r + R k is row r
         # of stack k
-        G = np.empty((basis.gram.shape[0], len(m.stacks)), dtype=complex)
-        for k, stack in enumerate(basis.generators):
-            for l, branch in enumerate(m.stacks):
-                G[k::K, l] = overlap(stack, branch.base)
-        V = basis.transform.conj().T @ G
+        G = np.concatenate([[overlap(stack, branch.base) for branch in m.stacks]
+                            for stack in stacks], axis=1).T
+        V = T.conj().T @ G
         return (V * np.asarray(m.weights)) @ V.conj().T
 
     defaults = inspect.signature(model_for).parameters
@@ -127,7 +133,10 @@ def fd_qfi(strategy, kwargs, pair, h):
         proj_norm2 = float(np.real(np.trace(dR @ dR)))
         residuals.append(float(np.sqrt(max(float(cs @ O2 @ cs) - proj_norm2, 0.0))))
 
-    L, lam, _U = sld_solve(rho_matrix(model), np.array(drhos))
+    lam, U = np.linalg.eigh(rho_matrix(model))
+    denom = lam[:, None] + lam
+    factor = np.divide(2.0, denom, out=np.zeros_like(denom), where=denom > 1e-12 * lam.sum())
+    L = factor * (U.conj().T @ np.array(drhos) @ U)
     X = np.einsum("i,aij,bji->ab", lam, L, L)
     return np.real(X + X.T) / 2.0, residuals
 
@@ -145,17 +154,26 @@ class TestSubspace:
         assert basis.dim == 1
 
     def test_entangled_with_derivatives_dimension(self):
+        # the dimension is the rank of rho: the derivatives live in its kernel,
+        # and in the carrier gauge <psi|d psi> = 0
         phi = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.5)
         stack = branch_stack(phi, (1, 2))
         basis = build_subspace([Stack(phi, stack.p[[0, 1, 4]])])  # t_plus, omega_minus
-        assert basis.dim == 3
+        assert basis.dim == 1
+        assert basis.rows == [[[0j, 0j]]]
+        assert len(basis.kernel) == 2
 
-    def test_transformed_gram_is_identity(self):
-        phi = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.5)
-        stack = branch_stack(phi, (1, 2))
-        basis = build_subspace([Stack(phi, stack.p[[0, 2, 3]])])  # t_minus, omega_plus
-        G = basis.transform.conj().T @ basis.gram @ basis.transform
-        assert np.max(np.abs(G - np.eye(basis.dim))) <= 1e-10
+    def test_frame_reproduces_branch_gram(self):
+        # the frame is orthonormal and diagonalizes sum_k |psi_k><psi_k|: the
+        # branch coordinates <e_i|psi_k> reproduce |<psi_1|psi_2>| (branch 2
+        # is rephased to make it real) and the eigenvalues
+        for strategy, kwargs in STRATEGY_CASES[1:]:
+            model = model_for(strategy, **kwargs)
+            basis = build_subspace(pair_stacks(model, PAIR_A.param_names))
+            V = np.array(basis.kets)
+            g = abs(overlap(model.stacks[0].base, model.stacks[1].base))
+            assert np.max(np.abs(V @ V.T - np.array([[1.0, g], [g, 1.0]]))) <= 1e-15
+            assert np.max(np.abs(V.T @ V - np.diag(basis.eigenvalues))) <= 1e-15
 
     def test_qi_ensemble_dimension(self):
         model = model_for(
@@ -163,20 +181,26 @@ class TestSubspace:
             t_minus=1.0, omega_minus=0.8,
         )
         res = qfi_numeric(model, PAIR_A)
-        assert res.dim <= 6
-        assert res.dim == 6
+        assert res.dim == 2
 
     def test_empty_generators_rejected(self):
         with pytest.raises(ValueError):
             build_subspace([])
+        # the frame is closed-form for one or two equally weighted branches
+        model = model_for(Strategy.TWO_SINGLE_PHOTONS, sigma1=1.0, t_minus=1.0)
+        with pytest.raises(ValueError, match="need one or two branch stacks, got 3"):
+            build_subspace([*model.stacks, model.stacks[0]])
+        unequal = oracle.MixedModel((1.0, 0.5), model.stacks)
+        with pytest.raises(ValueError, match="equal branch weights"):
+            qfi_numeric(unequal, PAIR_A)
 
     @pytest.mark.parametrize("strategy, kwargs", STRATEGY_CASES,
                              ids=[s.value for s, _ in STRATEGY_CASES])
     def test_each_distinct_overlap_evaluated_once(self, monkeypatch, strategy, kwargs):
         # every generator is a branch's base Gaussian times an affine
-        # prefactor, so K branches need one stacked overlap per base pair,
-        # K(K+1)/2 in all; projection, the SLD solve and the pure-state path
-        # read theirs from the Gram matrix
+        # prefactor, so each branch needs one stacked overlap with itself;
+        # the two branches' overlap comes from pair_terms, and projection and
+        # the SLD solve read the frame
         calls = []
         real_overlap = oracle.overlap
 
@@ -207,8 +231,9 @@ class TestSubspace:
             calls.clear()
             stages.clear()
             qfi_numeric(model, pair)
-            assert len(calls) == K * (K + 1) // 2
-            assert len({frozenset(bases) for bases in calls}) == len(calls)
+            assert len(calls) == K
+            assert all(a is b for a, b in calls)
+            assert len({a for a, _ in calls}) == K
             assert stages == dict.fromkeys(STAGES, 1)
 
 
@@ -238,18 +263,29 @@ class TestPureStates:
             rel = np.max(np.abs(np.diag(res.H - closed)) / np.abs(np.diag(closed)))
             assert rel <= 1e-8
 
-    def test_pure_fast_path_agrees(self):
-        model = model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=1.0, kappa=0.5)
-        res = qfi_numeric(model, PAIR_A)
-        assert res.pure_H is not None
-        assert np.max(np.abs(res.pure_H - res.H)) <= 1e-9
+    def test_pure_state_formula_agrees(self):
+        # for one branch the block formula is H_ab = 4 Re(<da|db> -
+        # <da|psi><psi|db>), here from the overlaps of the true derivatives
+        # (the carrier-gauge rows plus their i(f1 w1 + f2 w2) psi)
+        model = model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=1.0, kappa=0.5,
+                          t_minus=0.3, omega_minus=0.8)
+        for pair in (PAIR_A, PAIR_B):
+            (stack,) = pair_stacks(model, pair.param_names)
+            p = stack.p.copy()
+            w1, w2 = stack.base.omega1_bar, stack.base.omega2_bar
+            for row, name in enumerate(pair.param_names, 1):
+                if name.startswith("t"):
+                    f1, f2 = {"t_plus": (0.5, 0.5), "t_minus": (-0.5, 0.5)}[name]
+                    p[row, 0] = 1j * (f1 * w1 + f2 * w2)
+            G = overlap(Stack(stack.base, p), Stack(stack.base, p))
+            want = 4.0 * np.real(G[1:, 1:] - np.outer(G[1:, 0], G[1:, 0].conj()))
+            assert np.max(np.abs(qfi_numeric(model, pair).H - want)) <= 1e-12
 
     def test_pure_rho_is_rank_one(self):
         model = model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=1.0, kappa=0.3)
         res = qfi_numeric(model, PAIR_A)
-        lam = np.sort(res.rho_eigenvalues)[::-1]
-        assert lam[0] == pytest.approx(1.0, abs=1e-10)
-        assert np.max(np.abs(lam[1:])) <= 1e-10
+        assert res.dim == 1
+        assert res.rho_eigenvalues == [1.0]
 
 
 class TestMixedStates:
@@ -312,6 +348,35 @@ class TestMixedStates:
         assert np.max(np.abs(2.0 * qi.H - sp.H)) <= 1e-9
 
 
+class TestCoincidence:
+    @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("t_sigma", [1e-9, 1e-6, 1e-3, 1.0, 10.0])
+    def test_omega_minus_entry_of_near_coincident_photons(self, sigma, t_sigma):
+        # two single photons at omega_minus = 0: d psi_k/d omega_minus lies
+        # in span{psi_1, psi_2} up to O(t_minus sigma), and what is left over
+        # gives H(omega_minus, omega_minus) = (t_minus^2/4) 2 h(sigma^2 t_minus^2),
+        # h(u) = 1/u - 1/expm1(u) = 1/2 - u/12 + u^3/720 - ... (Bernoulli series)
+        t_minus, u = t_sigma / sigma, t_sigma**2
+        h = 0.5 - u / 12.0 + u**3 / 720.0 if u < 1e-4 else 1.0 / u - 1.0 / math.expm1(u)
+        model = model_for(Strategy.TWO_SINGLE_PHOTONS, sigma1=sigma, t_minus=t_minus)
+        H = qfi_numeric(model, PAIR_A).H
+        assert H[1, 1] == pytest.approx(t_minus**2 / 4.0 * 2.0 * h, rel=1e-12)
+
+    def test_exact_coincidence_is_rank_one(self):
+        # t_minus = omega_minus = 0: rho = 2 |psi><psi| has rank 1 and both
+        # photons move as one; t_plus and omega_plus keep 2 sigma^2 and
+        # 1/(2 sigma^2), while t_minus and omega_minus move the photons apart
+        # and leave rho unchanged to first order
+        model = model_for(Strategy.TWO_SINGLE_PHOTONS, sigma1=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res_a, res_b = qfi_numeric(model, PAIR_A), qfi_numeric(model, PAIR_B)
+        assert res_a.dim == res_b.dim == 1
+        assert res_a.rho_eigenvalues == [2.0]
+        assert np.array_equal(res_a.H, np.diag([2.0, 0.0]))
+        assert np.array_equal(res_b.H, np.diag([0.0, 0.5]))
+
+
 class TestSldProperties:
     def _models(self):
         return [
@@ -323,16 +388,16 @@ class TestSldProperties:
         ]
 
     def _solved(self):
-        """(rho, d(rho), SLDs) of each model, stacked over the pair's
-        parameters, in rho's eigenbasis: the basis ``sld_solve`` returns."""
+        """(rho, d(rho), SLDs) of each model on rho's support, stacked over
+        the pair's parameters, in the frame ``build_subspace`` writes them in."""
         for model, pair in self._models():
-            params = pair.param_names
-            basis = build_subspace(pair_stacks(model, params))
-            rho, drho = project(model, basis, params)
-            L, lam, U = sld_solve(rho, drho)
-            assert L.shape == drho.shape == (len(params), basis.dim, basis.dim)
-            assert np.max(np.abs(U @ np.diag(lam) @ U.conj().T - rho)) <= 1e-12
-            yield np.diag(lam), U.conj().T @ drho @ U, L
+            basis = build_subspace(pair_stacks(model, pair.param_names))
+            lam, r, _kernel = project(model, basis)
+            L, r = np.array(sld_solve(lam, r)), np.array(r)
+            assert L.shape == r.shape == (2, basis.dim, basis.dim)
+            assert min(lam) > 0.0
+            assert np.max(np.abs(r - r.conj().swapaxes(1, 2))) <= 1e-15
+            yield np.diag(lam), r, L
 
     def test_sld_hermitian(self):
         for _, _, Ls in self._solved():
@@ -373,11 +438,15 @@ class TestEngineProperties:
 
     @PROPERTY
     @given(strategies, pairs, engine_points)
-    def test_generator_order_invariance(self, strategy, pair, point):
-        model = point_model(strategy, point)
-        fwd = qfi_numeric(model, pair).H
-        rev = qfi_numeric(model, pair, reverse_generators=True).H
-        assert rel_error(rev, fwd) <= PROPERTY_RTOL
+    def test_branch_swap_invariance(self, strategy, pair, point):
+        # (t_minus, omega_minus) -> (-t_minus, -omega_minus) exchanges the
+        # photons' roles: only the signs of the t_minus and omega_minus rows
+        # and columns flip; the photons share one bandwidth here
+        point = {**point, "ratio": 1.0}
+        H = qfi_numeric(point_model(strategy, point), pair).H
+        swapped = {**point, "t_sigma": -point["t_sigma"], "w_over_sigma": -point["w_over_sigma"]}
+        S = np.diag([-1.0 if name.endswith("minus") else 1.0 for name in pair.param_names])
+        assert rel_error(qfi_numeric(point_model(strategy, swapped), pair).H, S @ H @ S) <= 1e-12
 
     @PROPERTY
     @given(strategies, pairs, engine_points, st.floats(0.5, 2.0))
@@ -431,13 +500,17 @@ class TestEngineProperties:
 
 
 class TestRobustness:
-    def test_generator_order_invariance(self):
+    def test_branch_swap_invariance(self):
         for strategy, kwargs in STRATEGY_CASES:
             model = model_for(strategy, **kwargs)
+            swapped = model_for(strategy, **{**kwargs, "t_minus": -kwargs.get("t_minus", 0.0),
+                                             "omega_minus": -kwargs.get("omega_minus", 0.0)})
             for pair in (PAIR_A, PAIR_B):
-                fwd = qfi_numeric(model, pair)
-                rev = qfi_numeric(model, pair, reverse_generators=True)
-                assert np.max(np.abs(fwd.H - rev.H)) <= 1e-9, (strategy, pair)
+                S = np.diag([-1.0 if name.endswith("minus") else 1.0
+                             for name in pair.param_names])
+                H = qfi_numeric(model, pair).H
+                assert np.max(np.abs(qfi_numeric(swapped, pair).H - S @ H @ S)) <= 1e-12, (
+                    strategy, pair)
 
     def test_finite_difference_mode(self):
         for strategy, kwargs in STRATEGY_CASES:
@@ -459,15 +532,9 @@ class TestRobustness:
         assert rel <= 1e-8
 
     # Carriers far above the bandwidth, the regime of a real radar (omega0/sigma
-    # well over 1e3).  A time derivative is i (f1 w1 + f2 w2) times its ket plus
-    # a bandwidth-sized rest, so its Gram norm grows with the carrier, and the
-    # eigenvalue that holds the time information falls below DEFAULT_DROP_TOL
-    # relative to it: the subspace loses that direction (dim 2 of 3 for the
-    # entangled probe, 4 of 6 for quantum illumination).
-    @pytest.mark.xfail(
-        strict=True,
-        reason="CHANGES.md FOUND: large carriers drop the time direction from the subspace",
-    )
+    # well over 1e3).  Without the carrier gauge a time derivative is
+    # i (f1 w1 + f2 w2) times its ket plus a bandwidth-sized rest, and an
+    # engine that orthonormalizes the rows loses the rest to round-off.
     @pytest.mark.parametrize("strategy, pair, kwargs, want", [
         (Strategy.ENTANGLED_BIPHOTON, PAIR_B, {"kappa": -0.9, "omega_minus": 1e3}, 0.2),
         (Strategy.ENTANGLED_BIPHOTON, PAIR_A, {"kappa": -0.9, "omega_plus": 3e3}, 3.8),

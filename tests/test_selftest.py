@@ -52,19 +52,22 @@ def test_criteria_3_and_4_closed_form(monkeypatch):
 def test_criterion_5_mixed_limits_and_adjudication(monkeypatch):
     real = selftest.qfi_numeric
 
-    def reversed_off(model, pair, *, reverse_generators=False):
-        res = real(model, pair, reverse_generators=reverse_generators)
-        if reverse_generators:
+    def late_first_branch_off(model, pair):
+        # models built at t_minus < 0, whose first branch arrives after
+        # t_plus = 0, read 1e-6 high: the branch swap no longer holds
+        res = real(model, pair)
+        base = model.stacks[0].base
+        if getattr(base, "t_bar", getattr(base, "t1_bar", 0.0)) > 0.0:
             res.H = res.H + 1e-6
         return res
 
-    monkeypatch.setattr(selftest, "qfi_numeric", reversed_off)
+    monkeypatch.setattr(selftest, "qfi_numeric", late_first_branch_off)
     monkeypatch.setattr(selftest, "bound_product", lambda h11, h22: 0.0)
     monkeypatch.setattr(selftest, "adjudicate", lambda *args, **kwargs: [{"verdict": "maybe"}])
     detail = failed(5)
     assert "single-photon limit bound 0.0 (time_sum_freq_diff)" in detail
     assert "QI limit bound 0.0 vs 1.6 (kappa=0.6, time_diff_freq_sum)" in detail
-    assert "generator-order gap 1.00e-06 exceeds 1e-9" in detail
+    assert "branch-swap gap 1.00e-06 exceeds 1e-9" in detail
     assert detail.count("bad verdict 'maybe'") == 4
     assert detail.endswith("expected 8 verdict records, got 4")
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from qfi_radar.analytic import qfi_entangled
 from qfi_radar.kinematics import ParameterPair
-from qfi_radar.oracle import build_subspace
 from qfi_radar.states import (
     ROWS,
     GaussianBiphoton,
@@ -44,6 +43,17 @@ def derivative(state, param, photon=None):
     """
     photons = (1, 2) if isinstance(state, GaussianBiphoton) else (photon,)
     return Stack(state, branch_stack(state, photons).p[ROWS.index(param)])
+
+
+def gauge_term(state, param, photon=None):
+    """i (f1 w1 + f2 w2): the multiple of the ket that ``branch_stack``'s
+    carrier gauge leaves out of a time-derivative row; 0 along a carrier."""
+    if not param.startswith("t"):
+        return 0.0
+    f1, f2 = CHAIN[param]
+    if isinstance(state, GaussianBiphoton):
+        return 1j * (f1 * state.omega1_bar + f2 * state.omega2_bar)
+    return 1j * (f1, f2)[photon - 1] * state.omega_bar
 
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -253,7 +263,8 @@ class TestDerivatives:
     @pytest.mark.parametrize("param", ["t_plus", "t_minus", "omega_plus", "omega_minus"])
     def test_biphoton_derivative_vs_finite_difference(self, param):
         # <phi | d phi / d lambda> compared with central differences of the
-        # exact overlap under a sum/difference parameter shift
+        # exact overlap under a sum/difference parameter shift; the gauged
+        # row lacks the ket's multiple i (f1 w1 + f2 w2)
         phi = GaussianBiphoton(0.1, 0.4, 1.0, 2.0, 1.0, 1.5, 0.5)
         d = derivative(phi, param)
         h = 1e-6
@@ -277,7 +288,7 @@ class TestDerivatives:
 
         got = overlap(phi, d)
         fd = (overlap(phi, shifted(h)) - overlap(phi, shifted(-h))) / (2.0 * h)
-        assert got == pytest.approx(fd, abs=1e-8)
+        assert got == pytest.approx(fd - gauge_term(phi, param), abs=1e-8)
 
     @pytest.mark.parametrize("var", ["t_bar", "omega_bar"])
     def test_single_own_derivative_vs_finite_difference(self, var):
@@ -294,14 +305,18 @@ class TestDerivatives:
 
         got = 2.0 * overlap(psi, d)
         fd = (overlap(psi, shifted(h)) - overlap(psi, shifted(-h))) / (2.0 * h)
-        assert got == pytest.approx(fd, abs=1e-8)
+        gauge = 2.0 * gauge_term(psi, {"t_bar": "t_plus", "omega_bar": "omega_plus"}[var], 2)
+        assert got == pytest.approx(fd - gauge, abs=1e-8)
 
     def test_chain_rule_signs(self):
         # photon 1 responds to t_minus with -1/2, photon 2 with +1/2
         psi = GaussianSinglePhoton(0.0, 1.0, 1.0)
+        bra = GaussianSinglePhoton(0.3, 1.4, 0.9)
         d1 = derivative(psi, "t_minus", photon=1)
         d2 = derivative(psi, "t_minus", photon=2)
-        assert overlap(psi, d1) == pytest.approx(-overlap(psi, d2), abs=1e-12)
+        assert abs(overlap(bra, d1)) > 0.1
+        assert overlap(bra, d1) == pytest.approx(-overlap(bra, d2), abs=1e-12)
+        assert gauge_term(psi, "t_minus", 1) == -gauge_term(psi, "t_minus", 2)
 
 
 class TestOverlapKernelProperties:
@@ -319,13 +334,13 @@ class TestOverlapKernelProperties:
         got = overlap(psi, derivative(other, param, photon_index))
         fd = (overlap(psi, shift_single(other, param, photon_index, h))
               - overlap(psi, shift_single(other, param, photon_index, -h))) / (2.0 * h)
-        assert abs(got - fd) <= 1e-7
+        assert abs(got - fd + gauge_term(other, param, photon_index) * overlap(psi, other)) <= 1e-7
 
     @PROPERTY
     @given(any_biphotons, biphotons, params)
     def test_biphoton_derivative_vs_finite_difference(self, phi, other, param):
         h = 1e-5
-        got = overlap(phi, derivative(other, param))
+        got = overlap(phi, derivative(other, param)) + gauge_term(other, param) * overlap(phi, other)
         fd = (overlap(phi, shift_biphoton(other, param, h))
               - overlap(phi, shift_biphoton(other, param, -h))) / (2.0 * h)
         assert abs(got - fd) <= 1e-7
@@ -351,20 +366,17 @@ class TestStackedOverlap:
 
     @PROPERTY
     @given(stack_pairs(), st.randoms(use_true_random=False))
-    def test_gram_exactly_hermitian_under_permutation(self, stacks, rng):
-        # reorder the stacks and each stack's rows; generator r K + k is row
-        # r of stack k, so perm[j] is the original index of generator j
-        K, R = len(stacks), len(stacks[0].p)
-        order = list(range(K))
-        rng.shuffle(order)
-        rows = [rng.sample(range(R), R) for _ in order]
-        perm = [rows[k][r] * K + order[k] for r in range(R) for k in range(K)]
-        gram = build_subspace(stacks).gram
-        permuted = build_subspace(
-            [Stack(stacks[o].base, stacks[o].p[rs]) for o, rs in zip(order, rows)]).gram
-        assert np.array_equal(permuted, permuted.conj().T)
-        scale = np.max(np.abs(gram))
-        assert np.max(np.abs(permuted - gram[np.ix_(perm, perm)])) <= 1e-14 * scale
+    def test_blocks_hermitian_under_permutation(self, stacks, rng):
+        # reorder each stack's rows and swap the two stacks: the block is the
+        # conjugate transpose of the original, read in the new row order
+        a, b = stacks
+        rows_a, rows_b = (rng.sample(range(len(s.p)), len(s.p)) for s in stacks)
+        block = overlap(a, b)
+        mirrored = overlap(Stack(b.base, b.p[rows_b]), Stack(a.base, a.p[rows_a]))
+        scale = math.sqrt(np.max(np.abs(overlap(a, a))) * np.max(np.abs(overlap(b, b))))
+        assert np.max(np.abs(mirrored.conj().T - block[np.ix_(rows_a, rows_b)])) <= 1e-14 * scale
+        own = overlap(a, a)
+        assert np.max(np.abs(own - own.conj().T)) <= 1e-14 * np.max(np.abs(own))
 
 
 class TestCovariances:
