@@ -5,8 +5,8 @@ on the true branch separations (t-, w-).  The transcribed closed forms for
 them contain suspected typos (a sigma-power slip in one exponent, a
 growing exponential in another), so this demo evaluates each entry both
 ways at a finite separation and prints a verdict per entry.  The engine —
-an orthonormal-subspace SLD solver fed only by exact Gaussian overlaps —
-is the referee; entangled-biphoton rows are included as a control and are
+the closed-form support frame of rho and the SLD block formula, fed only by
+exact Gaussian overlaps — is the referee; entangled-biphoton rows are included as a control and are
 always confirmed.
 
 Run:  python3 demos/adjudication.py
@@ -38,8 +38,9 @@ def main() -> None:
                 else:
                     refuted += 1
     print(f"\n{confirmed} confirmed, {refuted} refuted")
-    print("refutations are stable under the engine's cross-checks (generator "
-          "reordering, pure-state fast path, the test suite's finite differences)")
+    print("the engine is cross-checked without closed forms by the branch swap "
+          "of selftest criterion 5, tests/test_metamorphic.py and the finite-"
+          "difference reference fd_qfi")
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import numpy as np
 
 from .kinematics import ParameterPair, Strategy
 from .oracle import model_for, qfi_numeric
+from .states import _check_range
 
 __all__ = [
     "qfi_entangled",
@@ -30,12 +31,14 @@ __all__ = [
 VERDICT_RTOL = 1e-6
 
 
-def _check_range(kappa: float, *sigmas: float) -> None:
-    """Reject a bandwidth that is not positive or a kappa outside (-1, 1); NaN fails both."""
-    if not all(s > 0 for s in sigmas):
-        raise ValueError("bandwidths must be positive")
-    if not -1.0 < kappa < 1.0:
-        raise ValueError(f"kappa must lie in (-1, 1), got {kappa}")
+def _h(u: float) -> float:
+    """1/u - 1/expm1(u) >= 0: a series below u = 1e-3, overflow-free above it.
+
+    The engine has its own h; the forms it referees do not share one with it.
+    """
+    if u < 1e-3:
+        return 0.5 - u / 12.0 + u**3 / 720.0
+    return 1.0 / u + math.exp(-u) / math.expm1(-u)
 
 
 def bound_product(h11: float, h22: float) -> float:
@@ -69,11 +72,14 @@ def published_mixed_qfi(
     omega_minus: float,
     kappa: float = 0.0,
 ) -> tuple[float, float]:
-    """Diagonal (H11, H22) of the published mixed-state closed forms, verbatim.
+    """Diagonal (H11, H22) of the published mixed-state closed forms, as printed.
 
     These are transcribed as printed, typos included, so they can be
-    adjudicated against the oracle.  Both quantum-illumination entries use
-    the photon-counted normalization (asymptotes 2 sigma^2 and
+    adjudicated against the oracle.  An entry printed as its asymptote minus
+    a ratio over e^x - 1 is written, in the same algebra and with the same
+    exponent x, as a sum of non-negative terms through h(x) = 1/x - 1/expm1(x),
+    so it does not cancel to 0 as the branches meet.  Both quantum-illumination
+    entries use the photon-counted normalization (asymptotes 2 sigma^2 and
     1/(2 (1-kappa^2) sigma^2)).  Raises ``ValueError`` for sigma <= 0, for
     |kappa| >= 1 under quantum illumination, and at t_minus = omega_minus = 0,
     where the branches coincide and the printed entries divide by zero.
@@ -102,18 +108,23 @@ def published_mixed_qfi(
         if pair is ParameterPair.TIME_SUM_FREQ_DIFF:
             e = (wm2 + 4.0 * tm2 * s2**2) / (4.0 * s2)
             h11 = 2.0 * s2 - 2.0 * exp(-e) * tm2 * s2**2
-            h22 = 1.0 / (2.0 * s2) - (tm2 / 2.0) / exp(e, math.expm1)
+            # printed 1/(2 sigma^2) - (t_minus^2/2)/(e^x - 1)
+            h22 = (e * _h(e) + (wm2 / (4.0 * s2)) / exp(e, math.expm1)) / (2.0 * s2)
         else:
             # note sigma^2, not sigma^4, multiplying t_minus^2 as printed
             e = (wm2 + 4.0 * tm2 * s2) / (4.0 * s2)
-            h11 = 2.0 * s2 - (wm2 / 2.0) / exp(e, math.expm1)
+            # printed 2 sigma^2 - (omega_minus^2/2)/(e^x - 1)
+            h11 = 2.0 * s2 * (e * _h(e) + tm2 / exp(e, math.expm1))
             h22 = 1.0 / (2.0 * s2) - exp(-e) * wm2 / (2.0 * s2**2)
         return h11, h22
     e4 = (wm2 + 4.0 * tm2 * s2**2) / (4.0 * s2)
     ek = (wm2 + 4.0 * tm2 * s2**2) / (4.0 * (1.0 - kappa**2) * s2)
     if pair is ParameterPair.TIME_SUM_FREQ_DIFF:
         h11 = 2.0 * s2 - 2.0 * exp(-e4) * tm2 * s2**2
-        h22 = 1.0 / (2.0 * (1.0 - kappa**2) * s2) - (tm2 / 2.0) / exp(ek, math.expm1)
+        # printed 1/(2 (1-kappa^2) sigma^2) - (t_minus^2/2)/(e^x - 1)
+        k2 = kappa**2
+        h22 = ((k2 * (2.0 - k2) / (1.0 - k2) + (1.0 - k2) * ek * _h(ek)) / (2.0 * s2)
+               + wm2 / (8.0 * s2**2 * exp(ek, math.expm1)))
     else:
         h11 = 2.0 * s2 - 2.0 * exp(-e4) * wm2 / 2.0
         # growing exponential as printed; diverges with separation

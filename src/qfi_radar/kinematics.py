@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianBiphoton
+from .states import GaussianBiphoton, _check_range
 
 __all__ = [
     "C",
@@ -97,10 +97,7 @@ class ProbeConfig:
     def __post_init__(self) -> None:
         if not self.omega0 > 0:
             raise ValueError("carrier frequency must be positive")
-        if not self.sigma0 > 0:
-            raise ValueError("bandwidth must be positive")
-        if not -1.0 < self.kappa < 1.0:
-            raise ValueError(f"kappa must lie in (-1, 1), got {self.kappa}")
+        _check_range(self.kappa, self.sigma0)
 
 
 def doppler_factor(v: float) -> float:

@@ -2,11 +2,10 @@
 
 Arrival-time pairs and frequency pairs are drawn from the exact returned
 state densities, combined into the sum/difference estimators, and compared
-against the quantum Cramer-Rao floor 1/(N H).  Sampling is chunked: chunk k
-of a draw comes from an SFC64 generator seeded by
-SeedSequence(seed, spawn_key=(k,)), so it is the same for a fixed seed
-whatever the draw's length, results are bit-identical for a fixed seed, and
-a longer draw extends a shorter one.
+against the quantum Cramer-Rao floor 1/(N H).  A draw of n pairs is the
+first 2n standard normals of one SFC64 generator seeded by the draw's seed,
+so results are bit-identical for a fixed seed and a longer draw extends a
+shorter one.
 
 Variance intervals take their chi-square quantiles from ``scipy.special``,
 which ``variance_interval`` imports at its first call: scipy is needed only
@@ -88,21 +87,19 @@ class McReport:
 def _sample_bivariate(
     mean: np.ndarray, cov: np.ndarray, n: int, seed: int
 ) -> np.ndarray:
-    """Draw n correlated Gaussian pairs, chunked and reproducibly keyed.
+    """Draw n correlated Gaussian pairs: the first 2n normals of SFC64(seed).
 
-    Rows [k * CHUNK_SIZE, (k + 1) * CHUNK_SIZE) are filled row-major with
-    standard normals from SFC64(SeedSequence(seed, spawn_key=(k,))), so chunk
-    k depends on (seed, k) alone.  The lower-triangular Cholesky factor and
-    the mean are applied to each chunk in place right after it is drawn,
-    while it is still in cache.
+    One generator fills the rows row-major, CHUNK_SIZE rows at a time, and
+    the lower-triangular Cholesky factor and the mean are applied to each
+    block in place while it is still in cache; the block size shapes no byte.
     """
     (l00, _), (l10, l11) = np.linalg.cholesky(cov)
     m0, m1 = mean
     out = np.empty((n, 2))
-    for k, start in enumerate(range(0, n, CHUNK_SIZE)):
+    rng = np.random.Generator(np.random.SFC64(seed))
+    for start in range(0, n, CHUNK_SIZE):
         block = out[start : start + CHUNK_SIZE]
-        bitgen = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k,)))
-        np.random.Generator(bitgen).standard_normal(out=block)
+        rng.standard_normal(out=block)
         x, y = block[:, 0], block[:, 1]
         y *= l11
         y += l10 * x

@@ -33,8 +33,22 @@ PAIR_A = ParameterPair.TIME_SUM_FREQ_DIFF
 PAIR_B = ParameterPair.TIME_DIFF_FREQ_SUM
 ROOT3_2 = math.sqrt(3.0) / 2.0
 
-# compatibility residuals accumulated by criteria 3-5, consumed by criterion 6
-_residuals: list[float] = []
+# the engine cases of criteria 3-5; criterion 6 checks the same models
+KAPPA_GRID = tuple(float(round(k, 10)) for k in np.arange(-0.95, 0.9501, 0.05))
+# entangled (sigma1, sigma2, kappa): equal bandwidths, then unequal ones
+PURE_CASES = tuple((sigma, sigma, k) for k in KAPPA_GRID for sigma in (0.5, 1.0, 2.0))
+UNEQUAL_KAPPAS = (-0.8, -0.4, 0.0, 0.4, 0.8)
+UNEQUAL_CASES = tuple((s1, s2, k) for s1 in (0.5, 1.0, 2.0) for s2 in (0.5, 1.0, 2.0)
+                      for k in UNEQUAL_KAPPAS)
+# quantum illumination's kappas at the separated-branch limit t_minus = 50
+LIMIT_KAPPAS = (0.3, 0.6)
+# (strategy, model_for keyword arguments) of the branch swap at t_minus = 1,
+# omega_minus = 0.8
+SWAP_CASES = (
+    (Strategy.ENTANGLED_BIPHOTON, {"sigma1": 1.0, "kappa": 0.5}),
+    (Strategy.TWO_SINGLE_PHOTONS, {"sigma1": 1.0}),
+    (Strategy.QUANTUM_ILLUMINATION, {"sigma1": 1.0, "kappa": 0.6}),
+)
 
 
 def criterion_1() -> tuple[bool, str]:
@@ -65,8 +79,7 @@ def criterion_2() -> tuple[bool, str]:
         b = asymptotic_bound(Strategy.QUANTUM_ILLUMINATION, PAIR_A, k)
         if abs(b - 1.0) > 1e-12:
             issues.append(f"QI bound at kappa={k:+.4f} is {b!r}, not 1")
-    for k in np.arange(-0.95, 0.9501, 0.05):
-        k = float(round(k, 10))
+    for k in KAPPA_GRID:
         ent = asymptotic_bound(Strategy.ENTANGLED_BIPHOTON, PAIR_A, k)
         qi = asymptotic_bound(Strategy.QUANTUM_ILLUMINATION, PAIR_A, k)
         if (ent < 1.0) != (k < 0.0):
@@ -85,25 +98,21 @@ def _entangled_errors(cases) -> float:
         for pair in (PAIR_A, PAIR_B):
             closed = np.array(qfi_entangled(s1, s2, k, pair))
             res = qfi_numeric(model, pair)
-            _residuals.append(res.compat_residual)
             worst = max(worst, float(np.max(np.abs(np.diag(res.H) - closed) / np.abs(closed))))
     return worst
 
 
 def criterion_3() -> tuple[bool, str]:
     """Numerical engine reproduces the pure-state closed forms."""
-    kappas = (float(round(k, 10)) for k in np.arange(-0.95, 0.9501, 0.05))
-    worst_rel = _entangled_errors((sigma, sigma, k) for k in kappas for sigma in (0.5, 1.0, 2.0))
+    worst_rel = _entangled_errors(PURE_CASES)
     return worst_rel <= 1e-8, f"max rel error {worst_rel:.2e} (tol 1e-8)"
 
 
 def criterion_4() -> tuple[bool, str]:
     """Unequal-bandwidth closed form matches the engine; equal-sigma limit exact."""
-    sigmas = (0.5, 1.0, 2.0)
-    kappas = (-0.8, -0.4, 0.0, 0.4, 0.8)
-    worst_rel = _entangled_errors((s1, s2, k) for s1 in sigmas for s2 in sigmas for k in kappas)
+    worst_rel = _entangled_errors(UNEQUAL_CASES)
     worst_limit = 0.0
-    for k in kappas:
+    for k in UNEQUAL_KAPPAS:
         got = bound_product(*qfi_entangled(1.3, 1.3, k, PAIR_A))
         worst_limit = max(worst_limit, abs(got - math.sqrt((1.0 + k) / (1.0 - k))))
     ok = worst_rel <= 1e-8 and worst_limit <= 1e-12
@@ -120,16 +129,14 @@ def criterion_5() -> tuple[bool, str]:
     for pair in (PAIR_A, PAIR_B):
         model = model_for(Strategy.TWO_SINGLE_PHOTONS, sigma1=1.0, t_minus=50.0)
         res = qfi_numeric(model, pair)
-        _residuals.append(res.compat_residual)
         bound = bound_product(res.H[0, 0], res.H[1, 1])
         if abs(bound - 1.0) > 1e-4:
             issues.append(f"single-photon limit bound {bound!r} ({pair.value})")
-        for k in (0.3, 0.6):
+        for k in LIMIT_KAPPAS:
             model = model_for(
                 Strategy.QUANTUM_ILLUMINATION, sigma1=1.0, kappa=k, t_minus=50.0
             )
             res = qfi_numeric(model, pair)
-            _residuals.append(res.compat_residual)
             want = 2.0 * math.sqrt(1.0 - k * k)
             bound = bound_product(res.H[0, 0], res.H[1, 1])
             if abs(bound - want) > 1e-4:
@@ -138,16 +145,11 @@ def criterion_5() -> tuple[bool, str]:
     # the photons' roles, which flips only the sign of the t_minus and
     # omega_minus rows and columns of H
     swap_gap = 0.0
-    for strategy, kwargs in (
-        (Strategy.ENTANGLED_BIPHOTON, {"sigma1": 1.0, "kappa": 0.5}),
-        (Strategy.TWO_SINGLE_PHOTONS, {"sigma1": 1.0}),
-        (Strategy.QUANTUM_ILLUMINATION, {"sigma1": 1.0, "kappa": 0.6}),
-    ):
+    for strategy, kwargs in SWAP_CASES:
         model = model_for(strategy, t_minus=1.0, omega_minus=0.8, **kwargs)
         swapped = model_for(strategy, t_minus=-1.0, omega_minus=-0.8, **kwargs)
         for pair in (PAIR_A, PAIR_B):
             res = qfi_numeric(model, pair)
-            _residuals.append(res.compat_residual)
             signs = np.array([-1.0 if name.endswith("minus") else 1.0
                               for name in pair.param_names])
             want = res.H * np.outer(signs, signs)
@@ -174,11 +176,21 @@ def criterion_5() -> tuple[bool, str]:
 
 
 def criterion_6() -> tuple[bool, str]:
-    """SLD commutator residual vanishes everywhere (joint estimation compatible)."""
-    if not _residuals:
-        return False, "no residuals collected (criteria 3-5 must run first)"
-    worst = max(_residuals)
-    return worst <= 1e-8, f"max |Tr rho [L_a, L_b]| = {worst:.2e} over {len(_residuals)} runs"
+    """SLD commutator residual vanishes everywhere (joint estimation compatible).
+
+    The models are those criteria 3-5 hand the engine, each at both pairs.
+    """
+    models = [model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=s1, sigma2=s2, kappa=k)
+              for s1, s2, k in PURE_CASES + UNEQUAL_CASES]
+    models.append(model_for(Strategy.TWO_SINGLE_PHOTONS, sigma1=1.0, t_minus=50.0))
+    models += [model_for(Strategy.QUANTUM_ILLUMINATION, sigma1=1.0, kappa=k, t_minus=50.0)
+               for k in LIMIT_KAPPAS]
+    models += [model_for(strategy, t_minus=1.0, omega_minus=0.8, **kwargs)
+               for strategy, kwargs in SWAP_CASES]
+    residuals = [qfi_numeric(model, pair).compat_residual
+                 for model in models for pair in (PAIR_A, PAIR_B)]
+    worst = max(residuals)
+    return worst <= 1e-8, f"max |Tr rho [L_a, L_b]| = {worst:.2e} over {len(residuals)} runs"
 
 
 def criterion_7() -> tuple[bool, str]:
@@ -273,7 +285,6 @@ CRITERIA = [
 
 def run_selftest(emit=print) -> tuple[int, list[dict]]:
     """Run every criterion; returns (exit_code, per-criterion records)."""
-    _residuals.clear()
     records = []
     for number, (name, func) in enumerate(CRITERIA, start=1):
         start = time.perf_counter()

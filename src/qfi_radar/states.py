@@ -51,6 +51,14 @@ _PAIR_CHAIN = {
 }
 
 
+def _check_range(kappa: float, *sigmas: float) -> None:
+    """Reject a bandwidth that is not positive or a kappa outside (-1, 1); NaN fails both."""
+    if not all(s > 0 for s in sigmas):
+        raise ValueError("bandwidths must be positive")
+    if not -1.0 < kappa < 1.0:
+        raise ValueError(f"kappa must lie in (-1, 1), got {kappa}")
+
+
 @dataclass(frozen=True)
 class GaussianSinglePhoton:
     """Normalized single-photon Gaussian wavepacket."""
@@ -60,8 +68,7 @@ class GaussianSinglePhoton:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        _check_range(0.0, self.sigma)
 
     @property
     def norm(self) -> float:
@@ -81,10 +88,7 @@ class GaussianBiphoton:
     kappa: float
 
     def __post_init__(self) -> None:
-        if not (self.sigma1 > 0 and self.sigma2 > 0):
-            raise ValueError("bandwidths must be positive")
-        if not -1.0 < self.kappa < 1.0:
-            raise ValueError(f"kappa must lie in (-1, 1), got {self.kappa}")
+        _check_range(self.kappa, self.sigma1, self.sigma2)
 
     @property
     def norm(self) -> float:

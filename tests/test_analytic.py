@@ -214,11 +214,39 @@ class TestPublishedForms:
 
     def test_near_coincident_limit_without_cancellation(self):
         # the printed 1/(2 sigma^2) - (t^2/2)/(e^x - 1), x = t^2 sigma^2, tends
-        # to t^2/4 at sigma = 1; with e^x - 1 free of cancellation only the
-        # final subtraction's round-off, an ulp of 1/2, remains
+        # to t^2/4 at sigma = 1
         t_minus = 1e-7
         recs = adjudicate(Strategy.TWO_SINGLE_PHOTONS, PAIR_A, sigma=1.0, t_minus=t_minus)
         assert recs[1]["paper_value"] == pytest.approx(t_minus**2 / 4.0, abs=2e-16)
+
+    @pytest.mark.parametrize("pair, t_minus, omega_minus, idx", [
+        (PAIR_A, 1e-9, 0.0, 1),  # printed 1/(2 sigma^2) - (t^2/2)/(e^x - 1)
+        (PAIR_B, 0.0, 1e-9, 0),  # printed 2 sigma^2 - (omega^2/2)/(e^x - 1)
+    ])
+    def test_near_coincident_single_photon_entries_confirmed(self, pair, t_minus,
+                                                             omega_minus, idx):
+        # each printed entry is 1e-9^2/4 there, not its asymptote minus itself;
+        # the engine reads the pair-B entry as 2.5000004e-19, its carriers
+        # 1 -+ 5e-10 formed around omega_plus = 2
+        recs = adjudicate(Strategy.TWO_SINGLE_PHOTONS, pair, sigma=1.0, t_minus=t_minus,
+                          omega_minus=omega_minus)
+        assert recs[idx]["paper_value"] == pytest.approx(2.5e-19, rel=1e-12, abs=0.0)
+        assert [r["verdict"] for r in recs] == ["confirmed", "confirmed"]
+
+    def test_near_coincident_qi_entry_not_cancelled(self):
+        # at kappa = 0 the printed 1/(2 sigma^2) - (t^2/2)/(e^x - 1) is 1e-9^2/4
+        H = published_mixed_qfi(Strategy.QUANTUM_ILLUMINATION, PAIR_A, 1.0, 1e-9, 0.0, 0.0)
+        assert H[1] == pytest.approx(2.5e-19, rel=1e-12, abs=0.0)
+
+    def test_h_matches_mpmath(self):
+        # 1/u - 1/expm1(u) loses log10(1/u) digits to cancellation, so the
+        # reference carries 350 of them
+        mpmath = pytest.importorskip("mpmath")
+        for u in (1e-300, 1e-18, 1e-6, 9.99e-4, 1e-3, 1.01e-3, 0.1, 1.0, 30.0, 800.0, 1e6):
+            with mpmath.workdps(350):
+                x = mpmath.mpf(u)
+                want = float(1 / x - 1 / mpmath.expm1(x))
+            assert analytic._h(u) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_unsupported_strategy(self):
         with pytest.raises(ValueError, match="no published mixed-state form"):

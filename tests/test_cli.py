@@ -409,7 +409,7 @@ class TestScenario:
         ("--v1", "1.5", "error: |v| must be below c, got v=1.5\n"),
         ("--r1", "-3", "error: target range must be non-negative, got -3.0\n"),
         ("--omega0", "-1", "error: carrier frequency must be positive\n"),
-        ("--sigma", "0", "error: bandwidth must be positive\n"),
+        ("--sigma", "0", "error: bandwidths must be positive\n"),
     ])
     def test_target_out_of_range(self, flag, value, message, tmp_path, capsys):
         assert main(["scenario", flag, value, "--out", str(tmp_path)]) == 2

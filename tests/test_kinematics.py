@@ -85,7 +85,7 @@ class TestReturnParams:
             Target(1.0, nan)
         with pytest.raises(ValueError, match="carrier frequency must be positive"):
             ProbeConfig(nan, 1.0, 0.0)
-        with pytest.raises(ValueError, match="bandwidth must be positive"):
+        with pytest.raises(ValueError, match="bandwidths must be positive"):
             ProbeConfig(1.0, nan, 0.0)
 
 

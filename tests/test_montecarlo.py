@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 import qfi_radar
+from qfi_radar import montecarlo
 from qfi_radar.analytic import qfi_entangled
 from qfi_radar.kinematics import C, ParameterPair, ProbeConfig, Strategy, Target
 from qfi_radar.montecarlo import (
@@ -70,34 +71,34 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     def test_longer_draw_extends_shorter(self):
-        # chunk k is keyed by (seed, k) alone, whatever the draw's length
+        # one stream per draw: the first rows do not depend on the draw's length
         state = biphoton(-0.5)
         short = sample_times(state, McConfig(20_000, 7, "time"))
         long = sample_times(state, McConfig(50_000, 7, "time"))
         assert np.array_equal(short, long[:20_000])
 
-    def test_chunks_are_keyed_sfc64_streams_under_cholesky_map(self):
-        # chunk k holds SFC64(SeedSequence(seed, spawn_key=(k,))) normals,
-        # row-major, under y = l11 z1 + l10 z0 + m1, x = l00 z0 + m0
+    @pytest.mark.parametrize("chunk", [None, 3, CHUNK_SIZE + 100])
+    def test_draw_is_one_sfc64_stream_under_cholesky_map(self, chunk, monkeypatch):
+        # the draw holds the first 2n normals of SFC64(seed), row-major, under
+        # y = l11 z1 + l10 z0 + m1, x = l00 z0 + m0, whatever the block size
+        if chunk is not None:
+            monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
         state = GaussianBiphoton(0.3, -0.2, 1.0, 1.5, 1.3, 0.7, -0.6)
         n, seed = CHUNK_SIZE + 100, 21
         samples = sample_times(state, McConfig(n, seed, "time"))
         (l00, _), (l10, l11) = np.linalg.cholesky(time_covariance(state))
-        for k, rows in ((0, CHUNK_SIZE), (1, 100)):
-            bitgen = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k,)))
-            z = np.random.Generator(bitgen).standard_normal((rows, 2))
-            block = samples[k * CHUNK_SIZE : k * CHUNK_SIZE + rows]
-            assert np.array_equal(block[:, 0], l00 * z[:, 0] + 0.3)
-            assert np.array_equal(block[:, 1], l11 * z[:, 1] + l10 * z[:, 0] + -0.2)
+        z = np.random.Generator(np.random.SFC64(seed)).standard_normal((n, 2))
+        assert np.array_equal(samples[:, 0], l00 * z[:, 0] + 0.3)
+        assert np.array_equal(samples[:, 1], l11 * z[:, 1] + l10 * z[:, 0] + -0.2)
 
     def test_golden_values(self):
         # exact draws at a fixed seed: a numpy release that changes SFC64,
         # SeedSequence or the ziggurat changes these, and every output byte
         state = GaussianBiphoton(0.3, -0.2, 1.0, 1.5, 1.3, 0.7, -0.6)
-        samples = sample_times(state, McConfig(CHUNK_SIZE + 1, 2024, "time"))
-        got = samples[[0, CHUNK_SIZE]].ravel().tolist()
+        samples = sample_times(state, McConfig(8193, 2024, "time"))
+        got = samples[[0, 8192]].ravel().tolist()
         assert got == [
-            0.6450337515537706, -1.7508645887634786, 0.17622208191709343, 0.777800456154629,
+            0.07259517383157085, 0.7152792944384163, 0.2145520036000253, -0.21219739130908616,
         ]
 
     def test_uncorrelated_time_samples(self):

@@ -4,7 +4,13 @@ Each test corrupts one input a criterion reads and checks the criterion's
 [FAIL] line and the issues its detail names.
 """
 
+import os
+import subprocess
+import sys
+
+import qfi_radar
 from qfi_radar import selftest
+from qfi_radar.states import GaussianBiphoton
 
 
 def failed(number):
@@ -73,15 +79,29 @@ def test_criterion_5_mixed_limits_and_adjudication(monkeypatch):
 
 
 def test_criterion_6_compatibility(monkeypatch):
+    # only the quantum-illumination models, two biphoton branches, read
+    # incompatible: criterion 6 builds criterion 5's models itself
     real = selftest.qfi_numeric
 
-    def incompatible(*args, **kwargs):
-        res = real(*args, **kwargs)
-        res.compat_residual = 1e-6
+    def incompatible(model, pair):
+        res = real(model, pair)
+        if len(model.stacks) == 2 and isinstance(model.stacks[0].base, GaussianBiphoton):
+            res.compat_residual = 1e-6
         return res
 
     monkeypatch.setattr(selftest, "qfi_numeric", incompatible)
-    assert failed(6).startswith("max |Tr rho [L_a, L_b]| = 1.00e-06 over ")
+    assert failed(6) == "max |Tr rho [L_a, L_b]| = 1.00e-06 over 336 runs"
+
+
+def test_criterion_6_runs_alone():
+    # in a fresh interpreter, with no other criterion run first
+    code = "from qfi_radar import selftest; print(selftest.CRITERIA[5][1]())"
+    src = os.path.dirname(os.path.dirname(qfi_radar.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("(True, 'max |Tr rho [L_a, L_b]| = ")
+    assert proc.stdout.rstrip().endswith(" over 336 runs')")
 
 
 def test_criterion_7_saturation(monkeypatch):

@@ -187,7 +187,7 @@ class TestNormalization:
             GaussianBiphoton(0.0, 0.0, 1.0, 1.0, math.nan, 1.0, 0.0)
         with pytest.raises(ValueError, match="bandwidths must be positive"):
             GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, math.nan, 0.0)
-        with pytest.raises(ValueError, match="sigma must be positive"):
+        with pytest.raises(ValueError, match="bandwidths must be positive"):
             GaussianSinglePhoton(0.0, 1.0, math.nan)
 
 
