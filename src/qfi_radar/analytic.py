@@ -16,7 +16,7 @@ import numpy as np
 
 from .kinematics import ParameterPair, Strategy
 from .oracle import model_for, qfi_numeric
-from .states import _check_range
+from .states import GaussianBiphoton, _check_range, frequency_covariance, time_covariance
 
 __all__ = [
     "qfi_entangled",
@@ -155,25 +155,23 @@ def scenario_qcrb_covariance(
 ) -> np.ndarray:
     """Per-shot QCRB covariance of the returned photons' (t1, t2, omega1, omega2).
 
-    The returned biphoton's frequencies have covariance
-    B = [[sigma1^2, -kappa sigma1 sigma2], [-kappa sigma1 sigma2, sigma2^2]]
-    and its times (4B)^-1, so its QFI over (t1, t2) is 4B and over
+    The returned biphoton's frequencies have covariance B
+    (``states.frequency_covariance``) and its times (4B)^-1
+    (``states.time_covariance``), so its QFI over (t1, t2) is 4B and over
     (omega1, omega2) is B^-1, with no time-frequency cross terms.  The bound
     with every other parameter unknown is the inverse of each full block:
     (4B)^-1 for the times and B for the frequencies.  Two single photons are
     the same form at kappa = 0.  A bandwidth <= 0, or |kappa| >= 1 for the
-    entangled probe, raises ``ValueError``.
+    entangled probe, raises ``ValueError`` from ``GaussianBiphoton``.
     """
     if strategy is Strategy.TWO_SINGLE_PHOTONS:
         kappa = 0.0
     elif strategy is not Strategy.ENTANGLED_BIPHOTON:
         raise ValueError(f"no scenario QCRB for {strategy!r}")
-    _check_range(kappa, sigma1, sigma2)
-    s12 = kappa * sigma1 * sigma2
-    d = 4.0 * (1.0 - kappa**2) * sigma1**2 * sigma2**2
+    state = GaussianBiphoton(0.0, 0.0, 0.0, 0.0, sigma1, sigma2, kappa)
     cov = np.zeros((4, 4))
-    cov[:2, :2] = np.array([[sigma2**2, s12], [s12, sigma1**2]]) / d
-    cov[2:, 2:] = np.array([[sigma1**2, -s12], [-s12, sigma2**2]])
+    cov[:2, :2] = time_covariance(state)
+    cov[2:, 2:] = frequency_covariance(state)
     return cov
 
 

@@ -537,6 +537,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: input out of numerical range ({type(exc).__name__}: {exc})",
               file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        # a draw too large to allocate, e.g. scenario --n 100000000000
+        print(f"error: out of memory ({exc})", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -225,7 +225,8 @@ def run_scenario(
     at the true returned bandwidths, split the same way.  That bound holds
     every other parameter unknown, for both strategies and at any v1, v2.
     A probe of a strategy Monte Carlo cannot sample (quantum illumination)
-    fails in the first ``McConfig``, before any draw.
+    fails in the first ``McConfig``, before any draw; a report with a number
+    that is not finite raises ``ArithmeticError``.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -247,9 +248,11 @@ def run_scenario(
     t_cols, w_cols = np.ascontiguousarray(times.T), np.ascontiguousarray(freqs.T)
     means = np.concatenate([t_cols.mean(axis=1), w_cols.mean(axis=1)])
     cov = np.zeros((4, 4))
-    cov[:2, :2] = np.cov(t_cols) / n_time
-    cov[2:, 2:] = np.cov(w_cols) / n_freq
-    values, grad = target_estimates(scenario, means, probe.omega0)
+    with np.errstate(all="ignore"):  # an overflow is a non-finite report, raised below
+        cov[:2, :2] = np.cov(t_cols) / n_time
+        cov[2:, 2:] = np.cov(w_cols) / n_freq
+        values, grad = target_estimates(scenario, means, probe.omega0)
+        std_errors = np.sqrt(np.diag(grad @ cov @ grad.T))
 
     if scenario == "multibody":
         truth = ((targets[0].r + targets[1].r) / 2.0, targets[1].v - targets[0].v)
@@ -264,7 +267,7 @@ def run_scenario(
     def named(xs) -> dict:
         return dict(zip(SCENARIOS[scenario], map(float, xs)))
 
-    return {
+    report = {
         "scenario": scenario,
         "strategy": probe.strategy.value,
         "n_shots": n_shots,
@@ -272,7 +275,11 @@ def run_scenario(
         "n_frequency_shots": n_freq,
         "seed": seed,
         "estimates": named(values),
-        "std_errors": named(np.sqrt(np.diag(grad @ cov @ grad.T))),
+        "std_errors": named(std_errors),
         "predicted_qcrb_std_errors": named(np.sqrt(np.diag(grad_true @ qcrb @ grad_true.T))),
         "truth": named(truth),
     }
+    for key in ("estimates", "std_errors", "predicted_qcrb_std_errors", "truth"):
+        if not np.isfinite(list(report[key].values())).all():
+            raise ArithmeticError(f"scenario {key} are not finite: {report[key]}")
+    return report

@@ -29,6 +29,7 @@ from .states import (
     GaussianBiphoton,
     GaussianSinglePhoton,
     Stack,
+    _exponent,
     branch_stack,
     overlap,
     pair_terms,
@@ -69,14 +70,14 @@ class SubspaceBasis:
 
 @dataclass(frozen=True)
 class MixedModel:
-    """A returned state: weighted branches plus their parameter dependence.
+    """A returned state: equally weighted branches plus their parameter dependence.
 
-    ``weights[i]`` is branch ``i``'s weight in rho = sum_i w_i |psi_i><psi_i|,
-    and ``stacks[i]`` holds its ket and analytic derivatives, one row each,
-    in the order of ``states.ROWS``.
+    ``weight`` is every branch's weight w in rho = w sum_i |psi_i><psi_i|,
+    and ``stacks[i]`` holds branch i's ket and analytic derivatives, one row
+    each, in the order of ``states.ROWS``.
     """
 
-    weights: tuple[float, ...]
+    weight: float
     stacks: tuple[Stack, ...]
 
 
@@ -98,20 +99,14 @@ def _h(u: float) -> float:
     return 1.0 / u + math.exp(-u) / math.expm1(-u)
 
 
-def _same_form(a, b) -> bool:
-    """Whether two base Gaussians share one quadratic form (bandwidths, correlation)."""
-    if isinstance(a, GaussianSinglePhoton):
-        return a.sigma == b.sigma
-    return (a.sigma1, a.sigma2, a.kappa) == (b.sigma1, b.sigma2, b.kappa)
-
-
 def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     """The support frame of one or two branches, from their stacks.
 
     Every stack has the same rows: the ket, then derivative rows c . x |base>
-    (``branch_stack``'s carrier gauge, so <psi_k|d psi_k> = 0).  One
-    ``overlap`` call per stack gives its own block, and ``pair_terms`` the
-    two bases' overlap g in difference form.  Branch 2 is taken with the
+    (``branch_stack``'s carrier gauge, so <psi_k|d psi_k> = 0 and one branch's
+    kernel block is its own derivative block).  One ``overlap`` call per
+    stack gives its own block, and ``pair_terms`` the two bases' overlap g
+    in difference form.  Branch 2 is taken with the
     phase that makes g = e^l real, so the frame is
 
         e_+- = (psi_1 +- psi_2)/n_+-,  n_+-^2 = 2 (1 +- e^l),
@@ -132,15 +127,12 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     if not 1 <= len(stacks) <= 2:
         raise ValueError(f"need one or two branch stacks, got {len(stacks)}")
     blocks = [overlap(s, s).tolist() for s in stacks]
-    # each derivative row's c, padded to two coordinates
-    coeffs = [[(*row[1:], 0.0)[:2] for row in s.p[1:].tolist()] for s in stacks]
+    # each derivative row's c
+    coeffs = [[row[1:] for row in s.p[1:].tolist()] for s in stacks]
     n_rows = len(coeffs[0])
     if len(stacks) == 1:
-        block = blocks[0]
-        d = block[0][1:]
-        kernel = [[block[1 + a][1 + b] - d[a].conjugate() * d[b] for b in range(n_rows)]
-                  for a in range(n_rows)]
-        return SubspaceBasis(list(stacks), [1.0], [[1.0]], [[d]], kernel)
+        kernel = [line[1:] for line in blocks[0][1:]]
+        return SubspaceBasis(list(stacks), [1.0], [[1.0]], [[[0j] * n_rows]], kernel)
 
     log_g, ma, mb, (s11, s22, s12) = pair_terms(stacks[0].base, stacks[1].base)
     # |<psi_1|psi_2>| <= 1: round-off must not push l above 0
@@ -168,7 +160,8 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
 
     u = -2.0 * ell
     kernel = [[0j] * n_rows for _ in range(n_rows)]
-    if _same_form(stacks[0].base, stacks[1].base):
+    # equal quadratic forms (p, q, r), single photons lifted
+    if _exponent(stacks[0].base)[:3] == _exponent(stacks[1].base)[:3]:
         h, det_u = _h(u), (s11 * s22 - s12 * s12) * u
         for cs, v, al in zip(coeffs, offsets, alpha):
             # D(conj(v), Sigma c) for each row
@@ -200,9 +193,7 @@ def project(model: MixedModel, basis: SubspaceBasis) -> tuple[list, list, list]:
     Hermitian matrix of the derivative along the stacks' row 1 + a, as
     nested lists.  The first two are ``sld_solve``'s arguments.
     """
-    w = model.weights[0]
-    if any(x != w for x in model.weights):
-        raise ValueError(f"the support frame needs equal branch weights, got {model.weights}")
+    w = model.weight
     lam = [w * x for x in basis.eigenvalues]
     dim = len(lam)
     r = []
@@ -293,8 +284,8 @@ def model_for(
         branches = ((GaussianBiphoton(t1, t2, w1, w2, sigma1, s2, kappa), (1, 2)),)
     elif strategy is Strategy.TWO_SINGLE_PHOTONS:
         trace = 2.0
-        branches = ((GaussianSinglePhoton(t1, w1, sigma1), (1,)),
-                    (GaussianSinglePhoton(t2, w2, s2), (2,)))
+        branches = ((GaussianSinglePhoton(t1, w1, sigma1), (1, 0)),
+                    (GaussianSinglePhoton(t2, w2, s2), (2, 0)))
     elif strategy is Strategy.QUANTUM_ILLUMINATION:
         trace = 1.0
         # branch i's signal is photon i of the pair; its idler does not move
@@ -302,6 +293,5 @@ def model_for(
                          for i, (t, w) in enumerate(((t1, w1), (t2, w2)), 1))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    stacks = tuple(branch_stack(base, photons) for base, photons in branches)
-    w = trace / len(stacks)
-    return MixedModel((w,) * len(stacks), stacks)
+    return MixedModel(trace / len(branches),
+                      tuple(branch_stack(base, photons) for base, photons in branches))

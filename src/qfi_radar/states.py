@@ -104,11 +104,10 @@ class GaussianBiphoton:
 
 
 class Stack(NamedTuple):
-    """Affine prefactors on one base Gaussian: row i of ``p`` is (c0, c) of
-    the state (c0 + c . x) |base>; a one-dimensional ``p`` is a single state.
-
-    x is t - t_bar for a single-photon base (``c`` has one entry) and
-    (t1 - t1_bar, t2 - t2_bar) for a biphoton base (two entries).
+    """Affine prefactors on one base Gaussian: row i of ``p`` is (c0, c1, c2)
+    of the state (c0 + c1 x1 + c2 x2) |base>; a one-dimensional ``p`` is a
+    single state.  x = (t1 - t1_bar, t2 - t2_bar); a single photon is photon
+    1 of its lift (``_exponent``), and its own states have c2 = 0.
     """
 
     base: GaussianSinglePhoton | GaussianBiphoton
@@ -119,9 +118,7 @@ def _split(state) -> tuple:
     """(base, p) of a stack, or of a plain Gaussian with prefactor 1."""
     if isinstance(state, Stack):
         return state
-    if isinstance(state, GaussianSinglePhoton):
-        return state, (1.0, 0.0)
-    if isinstance(state, GaussianBiphoton):
+    if isinstance(state, (GaussianSinglePhoton, GaussianBiphoton)):
         return state, (1.0, 0.0, 0.0)
     raise TypeError(f"not a Gaussian state: {state!r}")
 
@@ -159,8 +156,8 @@ def overlap(a, b) -> complex | np.ndarray:
         = conj(p_a)^T Q p_b,   p = (c0, c),
         Q = g * [[1, (mu - t_b)^T], [mu - t_a, (mu - t_a)(mu - t_b)^T + Sigma]].
 
-    Q depends on the two base Gaussians only; it is evaluated in two
-    dimensions, and single photons read its leading 2x2 block.  Either side
+    Q depends on the two base Gaussians only and is evaluated in two
+    dimensions, single photons lifted (``_exponent``).  Either side
     may be a ``Stack`` of k rows: Q is then evaluated once and the call
     returns the whole block of overlaps, shape (k_a, k_b), (k_a,) or (k_b,).
     Two single states give a complex number.
@@ -176,8 +173,6 @@ def overlap(a, b) -> complex | np.ndarray:
         [g * ma1, g * (ma1 * mb1 + s11), g * (ma1 * mb2 + s12)],
         [g * ma2, g * (ma2 * mb1 + s12), g * (ma2 * mb2 + s22)],
     ])
-    if isinstance(ga, GaussianSinglePhoton):
-        Q = Q[:2, :2]
     block = np.conj(pa).dot(Q).dot(np.transpose(pb))
     return complex(block) if block.ndim == 0 else block
 
@@ -263,31 +258,29 @@ ROWS = ("ket", *_PAIR_CHAIN)
 
 
 def branch_stack(base: GaussianSinglePhoton | GaussianBiphoton,
-                 photons: tuple[int, ...]) -> Stack:
+                 photons: tuple[int, int]) -> Stack:
     """|base> and its derivatives along t_plus, t_minus, omega_plus, omega_minus.
 
     The sum/difference parameters are chained through the photon centers
     and carriers: t1 = (t_plus - t_minus)/2, t2 = (t_plus + t_minus)/2, etc.
-    ``photons`` names, for each coordinate of ``base``, the photon of the
-    pair (1 or 2) it carries, or 0 for a coordinate the pair does not move.
-    Row i of the stack is the state ``ROWS[i]``.
+    ``photons`` names, for each coordinate x1, x2 of ``base``, the photon of
+    the pair (1 or 2) it carries, or 0 for a coordinate the pair does not
+    move (a single photon's lift, an idler).  Row i is the state ``ROWS[i]``.
 
     The rows are taken in the carrier gauge: a time derivative of the
     amplitude is (i (f1 w1 + f2 w2) + c . x) |base>, and its imaginary
     constant only turns the branch's phase, which no density matrix sees,
-    so it is left out.  Every derivative row is then c . x |base>, and
-    <base|row> = 0.
+    so it is left out.  Every derivative row is then c . x |base>, with
+    c0 = 0 and <base|row> = 0.
     """
     p, q, r = _exponent(base)[:3]
-    rows = [(1.0, *(0.0 for _ in photons))]
+    rows = [(1.0, 0.0, 0.0)]
     for kind, *pair_factors in _PAIR_CHAIN.values():
-        factors = [pair_factors[i - 1] if i else 0.0 for i in photons]
-        f1, f2 = (*factors, 0.0)[:2]
+        f1, f2 = (pair_factors[i - 1] if i else 0.0 for i in photons)
         if kind == "t":
-            c = (2.0 * (f1 * p + f2 * r), 2.0 * (f1 * r + f2 * q))
+            rows.append((0.0, 2.0 * (f1 * p + f2 * r), 2.0 * (f1 * r + f2 * q)))
         else:
-            c = (-1j * f1, -1j * f2)
-        rows.append((0.0, *c[:len(photons)]))
+            rows.append((0.0, -1j * f1, -1j * f2))
     return Stack(base, np.array(rows, dtype=complex))
 
 
@@ -297,8 +290,10 @@ def branch_stack(base: GaussianSinglePhoton | GaussianBiphoton,
 
 def time_covariance(state: GaussianBiphoton) -> np.ndarray:
     """Covariance (4 B)^-1 of the arrival-time pair (t1, t2) under
-    |phi|^2 ~ exp(-2 x^T B x), B = ``frequency_covariance(state)``."""
-    return np.linalg.inv(4.0 * frequency_covariance(state))
+    |phi|^2 ~ exp(-2 x^T B x), B = ``frequency_covariance(state)``, inverted exactly."""
+    s1, s2, k = state.sigma1, state.sigma2, state.kappa
+    s12 = k * s1 * s2
+    return np.array([[s2**2, s12], [s12, s1**2]]) / (4.0 * (1.0 - k**2) * s1**2 * s2**2)
 
 
 def frequency_covariance(state: GaussianBiphoton) -> np.ndarray:

@@ -28,7 +28,7 @@ from qfi_radar.kinematics import (
     returned_state,
 )
 from qfi_radar.oracle import build_subspace, model_for, project, qfi_numeric, sld_solve
-from qfi_radar.states import ROWS, Stack
+from qfi_radar.states import ROWS, GaussianBiphoton, Stack, time_covariance
 
 PAIR_A = ParameterPair.TIME_SUM_FREQ_DIFF
 PAIR_B = ParameterPair.TIME_DIFF_FREQ_SUM
@@ -161,6 +161,12 @@ class TestBounds:
             assert np.count_nonzero(cov) == 4
         with pytest.raises(ValueError):
             scenario_qcrb_covariance(Strategy.QUANTUM_ILLUMINATION, 0.0, 1.0, 1.0)
+
+    def test_scenario_time_block_is_time_covariance(self):
+        # (4B)^-1 has one home: the time block is the state's own covariance
+        state = GaussianBiphoton(0.0, 0.0, 0.0, 0.0, 1.0, 0.55, 0.6)
+        cov = scenario_qcrb_covariance(Strategy.ENTANGLED_BIPHOTON, 0.6, 1.0, 0.55)
+        assert cov[:2, :2].tobytes() == time_covariance(state).tobytes()
 
     def test_scenario_qcrb_covariance_validation(self):
         # unchecked, kappa = 1 gives an infinite time block

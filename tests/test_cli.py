@@ -429,12 +429,28 @@ class TestScenario:
         assert text["default"] == text["entangled_biphoton"]
         assert json.loads(text["two_single_photons"])["strategy"] == "two_single_photons"
 
+    @pytest.mark.parametrize("command", ["scenario", "simulate"])
+    def test_out_of_memory_usage_error(self, command, tmp_path, capsys, monkeypatch):
+        # numpy raises MemoryError when a draw such as --n 100000000000 cannot
+        # be allocated; nothing that large is allocated here
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+        monkeypatch.setattr(montecarlo, "_sample_bivariate", fail)
+        assert main([command, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory (Unable to allocate 1.46 TiB for an array)\n"
+
 
 class TestArithmeticErrors:
     @pytest.mark.parametrize("argv", [
         ["qfi", "--sigma", "1e-200"],  # ZeroDivisionError
         ["oracle-check", "--sigma", "1e-200"],  # ArithmeticError from the engine
         ["scenario", "--sigma", "1e300"],  # OverflowError
+        # a NaN or infinite report, which json.dump would write as the bare
+        # tokens NaN and Infinity that strict JSON parsers reject
+        ["scenario", "--omega0", "1e20"],
+        ["scenario", "--r1", "1e200", "--r2", "1e200"],
     ])
     def test_usage_error_without_traceback(self, argv, tmp_path, capsys):
         code = main([*argv, "--out", str(tmp_path)])
@@ -443,6 +459,7 @@ class TestArithmeticErrors:
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+        assert not (tmp_path / "scenario.json").exists()
 
 
 class TestEngineExceptions:

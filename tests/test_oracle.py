@@ -7,8 +7,11 @@ the mixture becomes an orthogonal ensemble.
 """
 
 import collections
+import dataclasses
+import importlib
 import inspect
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -36,6 +39,7 @@ from qfi_radar.states import (
     overlap,
 )
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 PAIR_A = ParameterPair.TIME_SUM_FREQ_DIFF
 PAIR_B = ParameterPair.TIME_DIFF_FREQ_SUM
 STAGES = ("build_subspace", "project", "sld_solve")
@@ -110,12 +114,12 @@ def fd_qfi(strategy, kwargs, pair, h):
     T = evecs[:, keep] / np.sqrt(evals[keep])
 
     def rho_matrix(m):
-        # sum_k w_k |k><k| in the orthonormal basis; generator r + R k is row r
+        # w sum_k |k><k| in the orthonormal basis; generator r + R k is row r
         # of stack k
         G = np.concatenate([[overlap(stack, branch.base) for branch in m.stacks]
                             for stack in stacks], axis=1).T
         V = T.conj().T @ G
-        return (V * np.asarray(m.weights)) @ V.conj().T
+        return m.weight * V @ V.conj().T
 
     defaults = inspect.signature(model_for).parameters
     drhos, residuals = [], []
@@ -128,7 +132,7 @@ def fd_qfi(strategy, kwargs, pair, h):
         # X = sum_k c_k |k><k| over the displaced kets has Tr(X^2) =
         # sum_kl c_k c_l |<k|l>|^2
         kets = [s.base for s in plus.stacks + minus.stacks]
-        cs = np.array(plus.weights + tuple(-w for w in minus.weights)) / (2.0 * h)
+        cs = np.repeat([plus.weight, -minus.weight], len(model.stacks)) / (2.0 * h)
         O2 = np.array([[abs(overlap(a, b)) ** 2 for b in kets] for a in kets])
         proj_norm2 = float(np.real(np.trace(dR @ dR)))
         residuals.append(float(np.sqrt(max(float(cs @ O2 @ cs) - proj_norm2, 0.0))))
@@ -150,7 +154,7 @@ def rel_error(H, want):
 class TestSubspace:
     def test_single_pure_state_dimension(self):
         psi = GaussianSinglePhoton(0.0, 1.0, 1.0)
-        basis = build_subspace([Stack(psi, branch_stack(psi, (1,)).p[:1])])
+        basis = build_subspace([Stack(psi, branch_stack(psi, (1, 0)).p[:1])])
         assert basis.dim == 1
 
     def test_entangled_with_derivatives_dimension(self):
@@ -190,9 +194,6 @@ class TestSubspace:
         model = model_for(Strategy.TWO_SINGLE_PHOTONS, sigma1=1.0, t_minus=1.0)
         with pytest.raises(ValueError, match="need one or two branch stacks, got 3"):
             build_subspace([*model.stacks, model.stacks[0]])
-        unequal = oracle.MixedModel((1.0, 0.5), model.stacks)
-        with pytest.raises(ValueError, match="equal branch weights"):
-            qfi_numeric(unequal, PAIR_A)
 
     @pytest.mark.parametrize("strategy, kwargs", STRATEGY_CASES,
                              ids=[s.value for s, _ in STRATEGY_CASES])
@@ -346,6 +347,33 @@ class TestMixedStates:
             PAIR_A,
         )
         assert np.max(np.abs(2.0 * qi.H - sp.H)) <= 1e-9
+
+    def test_single_photon_is_lifted_biphoton(self, monkeypatch):
+        # a single photon is photon 1 of a product with the unit-bandwidth
+        # Gaussian at rest: built as that product, each branch gives the same
+        # H, bit for bit, at every engine_map point
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        workloads = importlib.import_module("workloads")
+        for point in workloads.engine_points():
+            model = model_for(Strategy.TWO_SINGLE_PHOTONS, sigma1=point["sigma"],
+                              t_minus=point["t_minus"], omega_minus=point["omega_minus"])
+            lifted = oracle.MixedModel(model.weight, tuple(
+                branch_stack(GaussianBiphoton(psi.t_bar, 0.0, psi.omega_bar, 0.0,
+                                              psi.sigma, 1.0, 0.0), (i, 0))
+                for i, psi in enumerate((s.base for s in model.stacks), 1)))
+            for pair in (PAIR_A, PAIR_B):
+                got, want = qfi_numeric(lifted, pair).H, qfi_numeric(model, pair).H
+                assert got.tobytes() == want.tobytes(), (point, pair)
+
+    def test_one_weight_per_model(self):
+        # the closed-form frame needs equally weighted branches, so a model
+        # holds one weight: its trace over the number of branches
+        assert [f.name for f in dataclasses.fields(oracle.MixedModel)] == ["weight", "stacks"]
+        for strategy, trace in ((Strategy.ENTANGLED_BIPHOTON, 1.0),
+                                (Strategy.TWO_SINGLE_PHOTONS, 2.0),
+                                (Strategy.QUANTUM_ILLUMINATION, 1.0)):
+            model = model_for(strategy, sigma1=1.0, t_minus=1.0)
+            assert model.weight * len(model.stacks) == trace
 
 
 class TestCoincidence:

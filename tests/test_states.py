@@ -41,7 +41,7 @@ def derivative(state, param, photon=None):
     A biphoton carries both photons of the pair; a single photon is the
     ``photon``-th (1 or 2).
     """
-    photons = (1, 2) if isinstance(state, GaussianBiphoton) else (photon,)
+    photons = (1, 2) if isinstance(state, GaussianBiphoton) else (photon, 0)
     return Stack(state, branch_stack(state, photons).p[ROWS.index(param)])
 
 
@@ -78,8 +78,9 @@ coefficients = st.builds(lambda r, phase: r * complex(math.cos(phase), math.sin(
 
 @st.composite
 def stack_pairs(draw):
-    """Two 1-D or two 2-D bases, each a stack of the same 1-3 rows, each row
-    a plain prefactor 1 or an affine one."""
+    """Two single-photon or two biphoton bases, each a stack of the same 1-3
+    rows (c0, c1, c2), each row a plain prefactor 1 or an affine one; a
+    single photon's rows leave its lift's coordinate x2 at c2 = 0."""
     dim = draw(st.sampled_from((1, 2)))
     bases = draw(st.lists(single_photons if dim == 1 else biphotons,
                           min_size=2, max_size=2))
@@ -89,9 +90,10 @@ def stack_pairs(draw):
         rows = []
         for _ in range(n_rows):
             if draw(st.booleans()):
-                rows.append((1.0, *(0.0,) * dim))
+                rows.append((1.0, 0.0, 0.0))
             else:
-                rows.append(tuple(draw(coefficients) for _ in range(dim + 1)))
+                c = [draw(coefficients) for _ in range(dim + 1)]
+                rows.append((*c, *(0.0,) * (2 - dim)))
         stacks.append(Stack(base, np.array(rows, dtype=complex)))
     return stacks
 
