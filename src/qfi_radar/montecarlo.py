@@ -74,8 +74,6 @@ class McConfig:
 class McReport:
     """Empirical estimator statistics against the per-shot QCRB variance."""
 
-    pair: ParameterPair
-    domain: str
     n_samples: int
     estimate: float
     variance: float
@@ -110,17 +108,17 @@ def _sample_bivariate(
 
 
 def _sampling_moments(
-    state: GaussianBiphoton, domain: str, strategy: Strategy
+    state: GaussianBiphoton, config: McConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance of the measured pair for a returned state.
+    """Mean vector and covariance of the pair ``config`` measures on a returned state.
 
     Two independent single photons carry no correlation, so they are sampled
     from the kappa = 0 state: variance 1/(4 sigma_i^2) in time and sigma_i^2
     in frequency, with zero cross-covariance.
     """
-    if strategy is Strategy.TWO_SINGLE_PHOTONS:
+    if config.strategy is Strategy.TWO_SINGLE_PHOTONS:
         state = replace(state, kappa=0.0)
-    if domain == "time":
+    if config.domain == "time":
         return state.centers(), time_covariance(state)
     return state.carriers(), frequency_covariance(state)
 
@@ -129,7 +127,7 @@ def sample_times(state: GaussianBiphoton, config: McConfig) -> np.ndarray:
     """Arrival-time pairs (t1, t2) drawn from |phi(t1, t2)|^2."""
     if config.domain != "time":
         raise ValueError("config.domain must be 'time' for sample_times")
-    mean, cov = _sampling_moments(state, "time", config.strategy)
+    mean, cov = _sampling_moments(state, config)
     return _sample_bivariate(mean, cov, config.n_samples, config.seed)
 
 
@@ -137,7 +135,7 @@ def sample_frequencies(state: GaussianBiphoton, config: McConfig) -> np.ndarray:
     """Frequency pairs (w1, w2) drawn from the joint spectral intensity."""
     if config.domain != "frequency":
         raise ValueError("config.domain must be 'frequency' for sample_frequencies")
-    mean, cov = _sampling_moments(state, "frequency", config.strategy)
+    mean, cov = _sampling_moments(state, config)
     return _sample_bivariate(mean, cov, config.n_samples, config.seed)
 
 
@@ -176,8 +174,6 @@ def estimate_pair(
     var = float(np.sum(values)) / (n - 1)
     qcrb = 1.0 / qfi_entry
     return McReport(
-        pair=pair,
-        domain=domain,
         n_samples=n,
         estimate=mean,
         variance=var,
@@ -239,30 +235,35 @@ def run_scenario(
         raise ValueError(f"n_shots must be an integer of at least 4 to split across "
                          f"domains, got {n_shots!r}")
 
-    state = returned_state(targets[0], targets[1], probe)
     n_time = int(round(n_shots / 2))
     n_freq = n_shots - n_time
-    times = sample_times(state, McConfig(n_time, seed, "time", probe.strategy))
-    freqs = sample_frequencies(state, McConfig(n_freq, seed + 1, "frequency", probe.strategy))
-    # rows t1, t2 and omega1, omega2, contiguous so that each mean is a pairwise sum
-    t_cols, w_cols = np.ascontiguousarray(times.T), np.ascontiguousarray(freqs.T)
-    means = np.concatenate([t_cols.mean(axis=1), w_cols.mean(axis=1)])
-    cov = np.zeros((4, 4))
-    with np.errstate(all="ignore"):  # an overflow is a non-finite report, raised below
-        cov[:2, :2] = np.cov(t_cols) / n_time
-        cov[2:, 2:] = np.cov(w_cols) / n_freq
-        values, grad = target_estimates(scenario, means, probe.omega0)
-        std_errors = np.sqrt(np.diag(grad @ cov @ grad.T))
+
+    def estimates(x, time_cov, freq_cov):
+        """The quantities at photon parameters x and their standard errors,
+        from each domain's per-shot covariance over its shot count."""
+        cov = np.zeros((4, 4))
+        cov[:2, :2] = time_cov / n_time
+        cov[2:, 2:] = freq_cov / n_freq
+        values, grad = target_estimates(scenario, x, probe.omega0)
+        return values, np.sqrt(np.diag(grad @ cov @ grad.T))
+
+    # an overflow or a division by zero is a non-finite report, raised below
+    with np.errstate(all="ignore"):
+        state = returned_state(targets[0], targets[1], probe)
+        times = sample_times(state, McConfig(n_time, seed, "time", probe.strategy))
+        freqs = sample_frequencies(state, McConfig(n_freq, seed + 1, "frequency", probe.strategy))
+        # rows t1, t2 and omega1, omega2, contiguous so that each mean is a pairwise sum
+        t_cols, w_cols = np.ascontiguousarray(times.T), np.ascontiguousarray(freqs.T)
+        means = np.concatenate([t_cols.mean(axis=1), w_cols.mean(axis=1)])
+        values, std_errors = estimates(means, np.cov(t_cols), np.cov(w_cols))
+        qcrb = scenario_qcrb_covariance(probe.strategy, probe.kappa, state.sigma1, state.sigma2)
+        _, predicted = estimates(np.concatenate([state.centers(), state.carriers()]),
+                                 qcrb[:2, :2], qcrb[2:, 2:])
 
     if scenario == "multibody":
         truth = ((targets[0].r + targets[1].r) / 2.0, targets[1].v - targets[0].v)
     else:
         truth = (targets[1].r - targets[0].r, targets[0].v)
-    qcrb = scenario_qcrb_covariance(probe.strategy, probe.kappa, state.sigma1, state.sigma2)
-    qcrb[:2, :2] /= n_time
-    qcrb[2:, 2:] /= n_freq
-    x_true = np.concatenate([state.centers(), state.carriers()])
-    _, grad_true = target_estimates(scenario, x_true, probe.omega0)
 
     def named(xs) -> dict:
         return dict(zip(SCENARIOS[scenario], map(float, xs)))
@@ -276,7 +277,7 @@ def run_scenario(
         "seed": seed,
         "estimates": named(values),
         "std_errors": named(std_errors),
-        "predicted_qcrb_std_errors": named(np.sqrt(np.diag(grad_true @ qcrb @ grad_true.T))),
+        "predicted_qcrb_std_errors": named(predicted),
         "truth": named(truth),
     }
     for key in ("estimates", "std_errors", "predicted_qcrb_std_errors", "truth"):

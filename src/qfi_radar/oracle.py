@@ -51,16 +51,16 @@ __all__ = [
 class SubspaceBasis:
     """The support frame of sum_k |psi_k><psi_k|, one stack per branch psi_k.
 
-    ``eigenvalues[i]`` belongs to the frame vector e_i, ``kets[k][i]`` is
-    <e_i|psi_k> and ``rows[k][i][a]`` is <e_i|d_a psi_k> for the stacks'
-    derivative row 1 + a.  ``kernel[a][b]`` is sum_k <d_a psi_k|P_ker|d_b psi_k>
-    with P_ker the projector on the kernel.  ``dim`` is the rank.
+    ``eigenvalues[i]`` belongs to the frame vector e_i, and
+    ``derivatives[a]`` is the frame matrix
+    t^a_ij = <e_i| sum_k |d_a psi_k><psi_k| |e_j> of the stacks' derivative
+    row 1 + a.  ``kernel[a][b]`` is sum_k <d_a psi_k|P_ker|d_b psi_k> with
+    P_ker the projector on the kernel.  ``dim`` is the rank.
     """
 
     generators: list[Stack]
     eigenvalues: list[float]
-    kets: list[list[float]]
-    rows: list[list[list[complex]]]
+    derivatives: list[list[list[complex]]]
     kernel: list[list[complex]]
 
     @property
@@ -107,14 +107,16 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     kernel block is its own derivative block).  One ``overlap`` call per
     stack gives its own block, and ``pair_terms`` the two bases' overlap g
     in difference form.  Branch 2 is taken with the
-    phase that makes g = e^l real, so the frame is
+    phase that makes g = e^l real, so the frame and each derivative row's
+    frame matrix t are
 
         e_+- = (psi_1 +- psi_2)/n_+-,  n_+-^2 = 2 (1 +- e^l),
         eigenvalues 1 + e^l and -expm1(l),
-        <e_+-|d psi_1> = +-e^l a21/n_+-,  <e_+-|d psi_2> = e^l a12/n_+-,
+        t = (e^l/2) [[s, d n_-/n_+], [-d n_+/n_-, -s]],
 
-    with a_kl = <psi_k|d psi_l>/<psi_k|psi_l> = c_l . (mu_kl - t_l).  Each
-    branch's kernel block is <d_a|d_b> - conj(a_a) a_b/expm1(u), u = -2l.
+    with s = a21 + a12, d = a21 - a12 and a_kl = <psi_k|d psi_l>/<psi_k|psi_l>
+    = c_l . (mu_kl - t_l).  Each branch's kernel block is
+    <d_a|d_b> - conj(a_a) a_b/expm1(u), u = -2l.
     For equal quadratic forms, where the two terms cancel as the branches
     meet, it is instead
 
@@ -122,7 +124,8 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
 
     with v the branch's mean offset, w = conj(v), D(x, y) = x1 y2 - x2 y1,
     and h(u) = 1/u - 1/expm1(u).  Coincident branches (l = 0) are one ket
-    of rank 1 whose derivative is the mean of the branches'.
+    of rank 1 whose derivative is the mean of the branches'.  At rank 1 every
+    t is [[0]]: the derivatives lie in the kernel.
     """
     if not 1 <= len(stacks) <= 2:
         raise ValueError(f"need one or two branch stacks, got {len(stacks)}")
@@ -132,7 +135,7 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     n_rows = len(coeffs[0])
     if len(stacks) == 1:
         kernel = [line[1:] for line in blocks[0][1:]]
-        return SubspaceBasis(list(stacks), [1.0], [[1.0]], [[[0j] * n_rows]], kernel)
+        return SubspaceBasis(list(stacks), [1.0], [[[0j]] for _ in range(n_rows)], kernel)
 
     log_g, ma, mb, (s11, s22, s12) = pair_terms(stacks[0].base, stacks[1].base)
     # |<psi_1|psi_2>| <= 1: round-off must not push l above 0
@@ -148,15 +151,15 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
         kernel = [[2.0 * (x[0].conjugate() * (s11 * y[0] + s12 * y[1])
                           + x[1].conjugate() * (s12 * y[0] + s22 * y[1]))
                    for y in mean] for x in mean]
-        zeros = [[0j] * n_rows]
-        return SubspaceBasis(list(stacks), [2.0], [[1.0], [1.0]], [zeros, zeros], kernel)
+        return SubspaceBasis(list(stacks), [2.0], [[[0j]] for _ in range(n_rows)], kernel)
 
     E = math.exp(ell)
     eigenvalues = [1.0 + E, -math.expm1(ell)]
-    norms = [math.sqrt(2.0 * lam) for lam in eigenvalues]
-    kets = [[0.5 * norms[0], 0.5 * norms[1]], [0.5 * norms[0], -0.5 * norms[1]]]
-    rows = [[[E * a / norms[0] for a in alpha[0]], [-E * a / norms[1] for a in alpha[0]]],
-            [[E * a / norms[0] for a in alpha[1]], [E * a / norms[1] for a in alpha[1]]]]
+    # n_-/n_+
+    ratio, half = math.sqrt(eigenvalues[1] / eigenvalues[0]), 0.5 * E
+    derivatives = [[[half * (a1 + a2), half * (a1 - a2) * ratio],
+                    [-half * (a1 - a2) / ratio, -half * (a1 + a2)]]
+                   for a1, a2 in zip(*alpha)]
 
     u = -2.0 * ell
     kernel = [[0j] * n_rows for _ in range(n_rows)]
@@ -178,7 +181,7 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
             for a in range(n_rows):
                 for b in range(n_rows):
                     kernel[a][b] += block[1 + a][1 + b] - al[a].conjugate() * al[b] * inv
-    return SubspaceBasis(list(stacks), eigenvalues, kets, rows, kernel)
+    return SubspaceBasis(list(stacks), eigenvalues, derivatives, kernel)
 
 
 def project(model: MixedModel, basis: SubspaceBasis) -> tuple[list, list, list]:
@@ -186,7 +189,7 @@ def project(model: MixedModel, basis: SubspaceBasis) -> tuple[list, list, list]:
 
     With the branches' common weight w, lam_i = w ``eigenvalues[i]``,
 
-        r^a_ij = <e_i|d_a rho|e_j> = w sum_k (<e_i|d_a psi_k><psi_k|e_j> + h.c.),
+        r^a_ij = <e_i|d_a rho|e_j> = w (t^a + t^a^H)_ij,  t^a = ``basis.derivatives[a]``,
 
     and the kernel block is 4 w ``basis.kernel``, the part of X that the
     kernel of rho carries.  Returns (lam, r, kernel): ``r[a]`` is the
@@ -196,17 +199,8 @@ def project(model: MixedModel, basis: SubspaceBasis) -> tuple[list, list, list]:
     w = model.weight
     lam = [w * x for x in basis.eigenvalues]
     dim = len(lam)
-    r = []
-    for a in range(len(basis.kernel)):
-        # t[i][j] = sum_k <e_i|d_a psi_k><psi_k|e_j>, so r^a = w (t + t^H)
-        t = [[0j] * dim for _ in range(dim)]
-        for kets, rows in zip(basis.kets, basis.rows):
-            for i in range(dim):
-                d = rows[i][a]
-                for j in range(dim):
-                    t[i][j] += d * kets[j]
-        r.append([[w * (t[i][j] + t[j][i].conjugate()) for j in range(dim)]
-                  for i in range(dim)])
+    r = [[[w * (t[i][j] + t[j][i].conjugate()) for j in range(dim)] for i in range(dim)]
+         for t in basis.derivatives]
     kernel = [[4.0 * w * x for x in line] for line in basis.kernel]
     return lam, r, kernel
 

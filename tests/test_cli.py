@@ -1,5 +1,6 @@
 """Command-line interface contract tests: formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -36,9 +37,9 @@ def broaden_single_photon_marginals(monkeypatch):
     from the biphoton's kappa-broadened marginals, not the kappa = 0 state."""
     real = montecarlo._sampling_moments
 
-    def broadened(state, domain, strategy):
-        mean, cov = real(state, domain, Strategy.ENTANGLED_BIPHOTON)
-        if strategy is Strategy.TWO_SINGLE_PHOTONS:
+    def broadened(state, config):
+        mean, cov = real(state, dataclasses.replace(config, strategy=Strategy.ENTANGLED_BIPHOTON))
+        if config.strategy is Strategy.TWO_SINGLE_PHOTONS:
             cov = np.diag(np.diag(cov))
         return mean, cov
 
@@ -328,6 +329,20 @@ class TestSimulate:
         ])
         assert code == 0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="draws are mean + L z in absolute coordinates, so at carrier 1 the float "
+        "spacing inflates a frequency variance of 1e-30 by about 2%; CHANGES.md FOUND: "
+        "simulate at sigma 1e-15",
+    )
+    def test_narrow_bandwidth_passes(self, tmp_path):
+        # the sampler's law is right at sigma = 1e-15, so no row may fail
+        code = main([
+            "simulate", "--sigma", "1e-15", "--kappa-min", "0", "--kappa-max", "0",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+
     def test_n_below_two_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--n", "1", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "error: --n must be at least 2\n"
@@ -451,6 +466,12 @@ class TestArithmeticErrors:
         # tokens NaN and Infinity that strict JSON parsers reject
         ["scenario", "--omega0", "1e20"],
         ["scenario", "--r1", "1e200", "--r2", "1e200"],
+        # numpy divisions and overflows in the draws, the estimates and the
+        # QCRB prediction, with no RuntimeWarning before the error line
+        ["scenario", "--sigma", "1e-100"],
+        ["scenario", "--omega0", "1e200"],
+        ["scenario", "--scenario", "moving_object", "--omega0", "1e-300"],
+        ["scenario", "--strategy", "two_single_photons", "--sigma", "1e-120"],
     ])
     def test_usage_error_without_traceback(self, argv, tmp_path, capsys):
         code = main([*argv, "--out", str(tmp_path)])

@@ -164,20 +164,51 @@ class TestSubspace:
         stack = branch_stack(phi, (1, 2))
         basis = build_subspace([Stack(phi, stack.p[[0, 1, 4]])])  # t_plus, omega_minus
         assert basis.dim == 1
-        assert basis.rows == [[[0j, 0j]]]
+        assert basis.derivatives == [[[0j]], [[0j]]]
         assert len(basis.kernel) == 2
 
     def test_frame_reproduces_branch_gram(self):
-        # the frame is orthonormal and diagonalizes sum_k |psi_k><psi_k|: the
-        # branch coordinates <e_i|psi_k> reproduce |<psi_1|psi_2>| (branch 2
-        # is rephased to make it real) and the eigenvalues
+        # the eigenvalues of sum_k |psi_k><psi_k| are those of the branch Gram
+        # [[1, g], [conj(g), 1]]: trace 2 and determinant 1 - |g|^2
         for strategy, kwargs in STRATEGY_CASES[1:]:
             model = model_for(strategy, **kwargs)
             basis = build_subspace(pair_stacks(model, PAIR_A.param_names))
-            V = np.array(basis.kets)
-            g = abs(overlap(model.stacks[0].base, model.stacks[1].base))
-            assert np.max(np.abs(V @ V.T - np.array([[1.0, g], [g, 1.0]]))) <= 1e-15
-            assert np.max(np.abs(V.T @ V - np.diag(basis.eigenvalues))) <= 1e-15
+            lam_plus, lam_minus = basis.eigenvalues
+            g = overlap(model.stacks[0].base, model.stacks[1].base)
+            assert abs(lam_plus + lam_minus - 2.0) <= 1e-15
+            assert abs(lam_plus * lam_minus - (1.0 - abs(g) ** 2)) <= 1e-15
+
+    @pytest.mark.parametrize("strategy", [Strategy.TWO_SINGLE_PHOTONS,
+                                          Strategy.QUANTUM_ILLUMINATION],
+                             ids=lambda s: s.value)
+    def test_frame_derivatives_give_purity_slope(self, strategy):
+        # sum_i lam_i r^a_ii = Tr(rho d_a rho) = d_a Tr(rho^2)/2, and with
+        # rho = w (|psi_1><psi_1| + |psi_2><psi_2|) that is w^2 d_a |<psi_1|psi_2>|^2,
+        # here a central difference of overlaps over model_for; unequal
+        # bandwidths included (quantum illumination does not read sigma2)
+        cases = (
+            {"sigma1": 1.0, "kappa": 0.5, "t_minus": 1.0, "omega_minus": 0.8},
+            {"sigma1": 0.7, "sigma2": 1.2, "kappa": -0.3, "t_minus": 0.5, "omega_minus": 0.3},
+            {"sigma1": 2.0, "sigma2": 3.4, "kappa": 0.0, "t_minus": 0.4, "omega_minus": 1.5,
+             "t_plus": 0.3},
+        )
+        defaults = inspect.signature(model_for).parameters
+        h = 1e-6
+
+        def g2(kwargs):
+            first, second = model_for(strategy, **kwargs).stacks
+            return abs(overlap(first.base, second.base)) ** 2
+
+        for kwargs in cases:
+            model = model_for(strategy, **kwargs)
+            lam, r, _ = project(model, build_subspace(list(model.stacks)))
+            want = []
+            for param in ROWS[1:]:
+                value = kwargs.get(param, defaults[param].default)
+                slope = (g2({**kwargs, param: value + h}) - g2({**kwargs, param: value - h}))
+                want.append(model.weight ** 2 * slope / (2.0 * h))
+            got = [sum(lam[i] * r[a][i][i] for i in range(len(lam))) for a in range(len(want))]
+            assert max(map(abs, np.subtract(got, want))) <= 1e-8 * max(map(abs, want))
 
     def test_qi_ensemble_dimension(self):
         model = model_for(
