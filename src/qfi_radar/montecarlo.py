@@ -6,15 +6,12 @@ against the quantum Cramer-Rao floor 1/(N H).  A draw of n pairs is the
 first 2n standard normals of one SFC64 generator seeded by the draw's seed,
 so results are bit-identical for a fixed seed and a longer draw extends a
 shorter one.
-
-Variance intervals take their chi-square quantiles from ``scipy.special``,
-which ``variance_interval`` imports at its first call: scipy is needed only
-for Monte Carlo intervals (``simulate`` and the selftest), and importing the
-package loads nothing beyond numpy.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,6 +88,8 @@ def _sample_bivariate(
     the lower-triangular Cholesky factor and the mean are applied to each
     block in place while it is still in cache; the block size shapes no byte.
     """
+    if not np.isfinite(cov).all():
+        raise ArithmeticError(f"sampling covariance is not finite: {cov.tolist()}")
     (l00, _), (l10, l11) = np.linalg.cholesky(cov)
     m0, m1 = mean
     out = np.empty((n, 2))
@@ -183,19 +182,97 @@ def estimate_pair(
     )
 
 
+def _log_gamma_front(a: float, x: float) -> float:
+    """log(x^a e^-x / Gamma(a)), without cancellation at large a.
+
+    From a = 20 the terms of size a log a are taken out analytically:
+    a (log(x/a) - x/a + 1) + log(a/2 pi)/2 minus Stirling's series for
+    lgamma through 1/(1680 a^7), whose next term is below 2e-15 there.
+    """
+    if a < 20.0:
+        return a * math.log(x) - x - math.lgamma(a)
+    t = x / a - 1.0
+    log_r = math.log1p(t) if abs(t) < 0.5 else math.log(x / a)
+    b = 1.0 / (a * a)
+    stirling = (1.0 / 12.0 - b * (1.0 / 360.0 - b * (1.0 / 1260.0 - b / 1680.0))) / a
+    return a * (log_r - t) + 0.5 * math.log(a / (2.0 * math.pi)) - stirling
+
+
+def _log_gamma_tail(a: float, x: float, lower: bool) -> tuple[float, float]:
+    """log P(a, x) if lower else log Q(a, x), and that tail over x^a e^-x / Gamma(a).
+
+    The power series for P below x = a + 1 and the modified Lentz continued
+    fraction for Q above it; the other tail is one minus it.
+    """
+    eps = 2.0**-52  # the double-precision machine epsilon
+    series = x < a + 1.0
+    if series:
+        term = scaled = 1.0 / a
+        k = a
+        while term > scaled * eps:
+            k += 1.0
+            term *= x / k
+            scaled += term
+    else:
+        b = x + 1.0 - a
+        c, d = math.inf, 1.0 / b
+        scaled, i = d, 0
+        while abs(c * d - 1.0) > eps:
+            i += 1
+            an = i * (a - i)
+            b += 2.0
+            d = 1.0 / (an * d + b)
+            c = b + an / c
+            scaled *= c * d
+    log_front = _log_gamma_front(a, x)
+    if series == lower:
+        return log_front + math.log(scaled), scaled
+    tail = -math.expm1(log_front + math.log(scaled))
+    return math.log(tail), tail * math.exp(-log_front)
+
+
+@functools.lru_cache
+def _chi2_quantile(df: int, p: float) -> float:
+    """The p quantile of the chi-square law with df degrees of freedom.
+
+    Newton steps in u = log x on the log of the smaller tail of the
+    regularized incomplete gamma function at a = df/2 (DiDonato & Morris,
+    ACM TOMS 12, 377 (1986)), from a Wilson-Hilferty start.  Both tails are
+    log-concave in u, so once a step is not clamped (to 5 in size) the
+    iteration approaches the root monotonically from one side.
+    """
+    a = df / 2.0
+    # the normal quantile to 4.5e-4 (Abramowitz & Stegun 26.2.23) starts it well enough
+    t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
+    c = 2.0 / (9.0 * df)
+    wh = 1.0 - c + math.copysign(z, p - 0.5) * math.sqrt(c)
+    # where the cube goes negative, the lower-tail limit P ~ x^a / Gamma(a + 1)
+    u = math.log(a * wh**3) if wh > 0.0 else (math.log(p) + math.lgamma(a + 1.0)) / a
+    lower = p < 0.5
+    log_target = math.log(p if lower else 1.0 - p)
+    for _ in range(100):
+        log_tail, ratio = _log_gamma_tail(a, math.exp(u), lower)
+        # d log(tail) / du is 1/ratio for P and -1/ratio for Q
+        step = (log_target - log_tail) * (ratio if lower else -ratio)
+        u += max(-5.0, min(5.0, step))
+        if abs(step) < 1e-10:
+            return 2.0 * math.exp(u)
+    raise ArithmeticError(f"chi-square quantile did not converge (df={df}, p={p})")
+
+
 def variance_interval(variance: float, n: int, alpha: float) -> tuple[float, float]:
     """Two-sided 1 - alpha interval for the variance of n Gaussian draws.
 
     The bounds divide (n - 1) times the sample variance by the chi-square
-    quantiles at 1 - alpha/2 and alpha/2 with n - 1 degrees of freedom,
-    computed as scipy.stats.chi2.ppf does; scipy loads at the first call.
+    quantiles at 1 - alpha/2 and alpha/2 with n - 1 degrees of freedom.
     """
-    from scipy.special import gammaincinv
-
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     df = n - 1
-    q = gammaincinv(df / 2.0, (1.0 - alpha / 2.0, alpha / 2.0))
-    lo, hi = (df * variance / (2.0 * q)).tolist()
-    return lo, hi
+    return tuple(float(df * variance / _chi2_quantile(df, p))
+                 for p in (1.0 - alpha / 2.0, alpha / 2.0))
 
 
 def run_scenario(

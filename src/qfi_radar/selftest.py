@@ -194,7 +194,14 @@ def criterion_6() -> tuple[bool, str]:
 
 
 def criterion_7() -> tuple[bool, str]:
-    """Monte Carlo sampling saturates the pure-state QCRB."""
+    """Monte Carlo sampling saturates the pure-state QCRB.
+
+    False-alarm rate 4.3e-11 over seeds: a sampler at the bound draws each
+    variance ratio as chi-square(n - 1)/(n - 1) at n = 1e5, which leaves
+    [0.97, 1.03] with probability 6.2e-12 + 1.5e-11 = 2.2e-11, and the two
+    domains draw independently.  The product window adds no failure: two
+    ratios in [0.97, 1.03] put the product in [0.97, 1.03] times the floor.
+    """
     sigma, kappa, n, seed = 1.0, -0.8, 100_000, 1234
     state = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, sigma, sigma, kappa)
     h_t, h_w = qfi_entangled(sigma, sigma, kappa, PAIR_A)
@@ -216,7 +223,13 @@ def criterion_7() -> tuple[bool, str]:
 
 
 def criterion_8() -> tuple[bool, str]:
-    """End-to-end scenarios recover the physical truth within predicted error bars."""
+    """End-to-end scenarios recover the physical truth within predicted error bars.
+
+    False-alarm rate at most 1.08% over seeds: by the normal law each of
+    the four estimates leaves 3 predicted standard errors with probability
+    2.70e-3, and the union bound gives 4 x 2.70e-3 (1.076% if the four were
+    independent; both scenarios draw from seed 42, so they need not be).
+    """
     issues = []
     probe = ProbeConfig(omega0=10.0, sigma0=1.0, kappa=-0.9)
     report = run_scenario(

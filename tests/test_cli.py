@@ -482,6 +482,19 @@ class TestArithmeticErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "scenario.json").exists()
 
+    @pytest.mark.parametrize("strategy", ["entangled_biphoton", "two_single_photons"])
+    def test_underflowing_covariance_names_its_range(self, strategy, tmp_path, capsys):
+        # the time covariance divides by 4 (1 - kappa^2) sigma1^2 sigma2^2,
+        # which underflows to 0 at sigma = 1e-200: the draw refuses the NaN
+        # covariance instead of handing it to the Cholesky factorization
+        code = main(["scenario", "--sigma", "1e-200", "--strategy", strategy,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: input out of numerical range (ArithmeticError: sampling covariance "
+            "is not finite: [[nan, nan], [nan, nan]])\n"
+        )
+
 
 class TestEngineExceptions:
     """Every exception the engine can raise maps to exit 2 and one error line."""
@@ -509,10 +522,10 @@ class TestEngineExceptions:
         assert "Traceback" not in err
 
 
-# Runs the four subcommands that need no Monte Carlo interval in a fresh
-# interpreter and prints the top-level modules they loaded beyond those
-# already loaded at interpreter start, leaving out the Cython runtime
-# modules that numpy.random's compiled extensions register.
+# Runs four subcommands in a fresh interpreter and prints the top-level
+# modules they loaded beyond those already loaded at interpreter start,
+# leaving out the Cython runtime modules that numpy.random's compiled
+# extensions register.  test_montecarlo.py checks the Monte Carlo intervals.
 IMPORT_GUARD = """
 import sys
 before = set(sys.modules)

@@ -3,7 +3,8 @@
 The engine_map round is the benchmark's correctness gate: a change that
 fails more of its points, or fails one for a reason no known fault
 explains, is caught here first.  The import check keeps the numerical
-engine free of every closed-form information expression, and the export
+engine free of every closed-form information expression, the dependency
+check keeps numpy the package's only third-party import, and the export
 check keeps every public name in use.
 """
 
@@ -71,6 +72,22 @@ def test_engine_imports_no_closed_forms():
             else:
                 continue
             assert not any("analytic" in m.split(".") for m in modules), (name, ast.dump(node))
+
+
+def test_src_imports_only_stdlib_and_numpy():
+    # numpy is the only dependency pyproject.toml declares; a lazy import
+    # inside a function counts as much as one at module level
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for path in sorted((ROOT / "src" / "qfi_radar").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [] if node.level else [node.module]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            for module in modules:
+                assert module.partition(".")[0] in allowed, (path.name, node.lineno, module)
 
 
 def test_engine_overlaps_only_in_gram_matrix():

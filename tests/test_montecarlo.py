@@ -7,7 +7,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import stats
 
 import qfi_radar
 from qfi_radar import montecarlo
@@ -26,6 +25,35 @@ from qfi_radar.states import GaussianBiphoton, time_covariance
 
 PAIR_A = ParameterPair.TIME_SUM_FREQ_DIFF
 PAIR_B = ParameterPair.TIME_DIFF_FREQ_SUM
+
+
+# chi-square quantiles against a 40-digit root: small df, where the start
+# and the plain gamma prefactor matter, both sides of the prefactor's
+# switch at df = 40, and large df up to the largest campaign; levels 99%,
+# 90% and simulate's per-row Sidak tail, both ends
+CHI2_DFS = [1, 2, 3, 4, 7, 9, 20, 39, 41, 1000, 8192, 99_999, 999_999, 1_999_999]
+CHI2_LEVELS = [p for q in (0.005, 0.05, 1.6e-5) for p in (q, 1.0 - q)]
+
+
+def assert_chi2_quantile_matches_mpmath(df, p):
+    """The quantile is within 1e-13 of the 40-digit root in u = log(x/2) of
+    log(tail) = log(level), the tail being P below p = 1/2 and Q above it
+    (1 - p is exact there)."""
+    mpmath = pytest.importorskip("mpmath")
+    got = montecarlo._chi2_quantile(df, p)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(df) / 2
+        if p < 0.5:
+            def gap(u, target=mpmath.log(p)):
+                return mpmath.log(mpmath.gammainc(a, 0, mpmath.exp(u), regularized=True)) - target
+        else:
+            def gap(u, target=mpmath.log(1.0 - p)):
+                return mpmath.log(mpmath.gammainc(a, mpmath.exp(u), mpmath.inf,
+                                                  regularized=True)) - target
+        # secant steps from two points 1e-12 apart, both beside the root
+        u = mpmath.log(mpmath.mpf(got) / 2)
+        want = 2 * mpmath.exp(mpmath.findroot(gap, (u, u + mpmath.mpf(1e-12))))
+        assert abs(got - want) <= 1e-13 * want, (df, p, got, float(want))
 
 
 def biphoton(kappa, sigma=1.0):
@@ -189,13 +217,25 @@ class TestEstimatePair:
 
     @pytest.mark.parametrize("n", [2, 3, 10, 1001, 8193, 100_000, 2_000_000])
     def test_interval_matches_scipy_chi2(self, n):
+        stats = pytest.importorskip("scipy.stats")
         samples = np.random.default_rng(n).standard_normal((n, 2))
         rep = estimate_pair(samples, PAIR_A, "time", 1.0)
         df = n - 1
         lo = df * rep.variance / stats.chi2.ppf(0.995, df)
         hi = df * rep.variance / stats.chi2.ppf(0.005, df)
-        assert rep.variance_interval_99 == (lo, hi)
+        assert rep.variance_interval_99 == pytest.approx((lo, hi), rel=1e-13, abs=0.0)
         assert all(type(x) is float for x in rep.variance_interval_99)
+
+    @pytest.mark.parametrize("df", CHI2_DFS)
+    def test_chi2_quantile_matches_mpmath(self, df):
+        for p in CHI2_LEVELS:
+            assert_chi2_quantile_matches_mpmath(df, p)
+
+    @pytest.mark.parametrize("df", [1, 9, 41, 1000])
+    def test_chi2_quantile_far_lower_tail(self, df):
+        # at a = df/2 >= 20 the root's x/a is far below 1, where x/a - 1 no
+        # longer carries x/a to full precision
+        assert_chi2_quantile_matches_mpmath(df, 1e-140)
 
     def test_interval_false_alarm_rate(self):
         # entangled time sums have exactly the QCRB variance, so over 2000
@@ -227,6 +267,12 @@ class TestEstimatePair:
             estimate_pair(np.zeros((5, 2)), PAIR_A, "space", 1.0)
         with pytest.raises(ValueError):
             estimate_pair(np.zeros((5, 2)), PAIR_A, "time", 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan])
+    def test_interval_level_validation(self, alpha):
+        # a NaN level would leave the quantile's Newton iteration nothing to converge to
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            variance_interval(1.0, 10, alpha)
 
 
 class TestScenarios:
@@ -367,27 +413,27 @@ class TestScenarios:
         assert run_scenario("multibody", targets, probe, 2000, 0)["truth"]["delta_v"] > 0
 
 
-# The first interval in a fresh interpreter loads scipy.special and equals
-# scipy.stats.chi2.ppf bit for bit; importing the package loads no scipy.
-FIRST_INTERVAL = """
+# Monte Carlo intervals in a fresh interpreter, from estimate_pair and
+# selftest criterion 7, load no scipy.
+INTERVALS_WITHOUT_SCIPY = """
 import sys
 import numpy as np
 from qfi_radar import ParameterPair, estimate_pair
-assert "scipy" not in sys.modules, "importing qfi_radar loaded scipy"
+from qfi_radar.selftest import criterion_7
 samples = np.random.default_rng(5).standard_normal((1001, 2))
 rep = estimate_pair(samples, ParameterPair.TIME_SUM_FREQ_DIFF, "time", 1.0)
-assert "scipy.special" in sys.modules
-from scipy import stats
-want = (1000 * rep.variance / stats.chi2.ppf(0.995, 1000),
-        1000 * rep.variance / stats.chi2.ppf(0.005, 1000))
-assert rep.variance_interval_99 == want, (rep.variance_interval_99, want)
+lo, hi = rep.variance_interval_99
+assert lo < rep.variance < hi, rep.variance_interval_99
+passed, detail = criterion_7()
+assert passed, detail
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 """
 
 
-def test_first_interval_loads_scipy():
+def test_intervals_load_no_scipy():
     src = os.path.dirname(os.path.dirname(qfi_radar.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", FIRST_INTERVAL], capture_output=True, text=True, env=env,
+        [sys.executable, "-c", INTERVALS_WITHOUT_SCIPY], capture_output=True, text=True, env=env,
     )
     assert out.returncode == 0, out.stderr
