@@ -70,10 +70,6 @@ DEFAULTS = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 def fmt(x) -> str:
     """Shortest round-trip decimal representation, locale-independent."""
     return repr(float(x))
@@ -99,12 +95,12 @@ def _resolve(args: argparse.Namespace) -> dict:
         try:
             loaded = json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise UsageError(f"config file is not valid JSON: {exc}") from exc
+            raise ValueError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
-            raise UsageError("config file must hold a flat JSON object")
+            raise ValueError("config file must hold a flat JSON object")
         for key, value in loaded.items():
             if key not in merged:
-                raise UsageError(f"unknown config key {key!r} for {args.command}")
+                raise ValueError(f"unknown config key {key!r} for {args.command}")
             merged[key] = value
     for key in settings:
         flag_value = getattr(args, key)
@@ -114,30 +110,30 @@ def _resolve(args: argparse.Namespace) -> dict:
         kind = type(DEFAULTS[key])
         allowed = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, allowed):
-            raise UsageError(f"{key} must be {kind.__name__}, got {value!r}")
+            raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
         if kind is float:
             value = merged[key] = float(value)
             if not math.isfinite(value):
-                raise UsageError(f"{key} must be finite, got {value!r}")
+                raise ValueError(f"{key} must be finite, got {value!r}")
         choices = _choices(args.command, key)
         if choices is not None and value not in choices:
-            raise UsageError(f"{key} must be one of {choices}, got {value!r}")
+            raise ValueError(f"{key} must be one of {choices}, got {value!r}")
     return merged
 
 
 def kappa_grid(cfg: dict) -> list[float]:
     lo, hi, step = cfg["kappa_min"], cfg["kappa_max"], cfg["kappa_step"]
     if step <= 0:
-        raise UsageError(f"--kappa-step must be positive, got {step}")
+        raise ValueError(f"--kappa-step must be positive, got {step}")
     if not (-1.0 < lo < 1.0 and -1.0 < hi < 1.0):
-        raise UsageError("kappa grid must lie inside (-1, 1)")
+        raise ValueError("kappa grid must lie inside (-1, 1)")
     steps = (hi - lo + 1e-12) / step
     # counted before any point is built: a tiny step would otherwise run unbounded
     if steps >= MAX_KAPPA_POINTS:
-        raise UsageError(f"--kappa-step {step} gives more than {MAX_KAPPA_POINTS} kappa points")
+        raise ValueError(f"--kappa-step {step} gives more than {MAX_KAPPA_POINTS} kappa points")
     count = math.floor(steps) + 1
     if count < 1:
-        raise UsageError(f"empty kappa grid: min {lo} > max {hi}")
+        raise ValueError(f"empty kappa grid: min {lo} > max {hi}")
     # each value is the decimal it names (-0.9, not -0.95 + 0.05 = -0.8999999999999999)
     lo_exact, step_exact = Fraction(repr(lo)), Fraction(repr(step))
     return [float(lo_exact + i * step_exact) for i in range(count)]
@@ -296,41 +292,20 @@ def cmd_qfi(cfg: dict) -> int:
 
 
 def cmd_curves(cfg: dict) -> int:
-    out = _outdir(cfg)
     kappas = kappa_grid(cfg)
-    written = []
+    header = ["kappa"] + [s.value for s in Strategy]
     for pair in selected_pairs(cfg):
-        columns = {
-            s.value: [asymptotic_bound(s, pair, k) for k in kappas] for s in Strategy
-        }
-        base = os.path.join(out, f"curves_{pair.value}")
-        if cfg["format"] == "json":
-            records = [
-                {"pair": pair.value, "kappa": k, "strategy": name, "bound": col[i]}
-                for name, col in columns.items()
-                for i, k in enumerate(kappas)
-            ]
-            write_jsonl(base + ".jsonl", records)
-            written.append(base + ".jsonl")
-            continue
-        header = ["kappa"] + [s.value for s in Strategy]
-        rows = [
-            [k] + [columns[s.value][i] for s in Strategy] for i, k in enumerate(kappas)
-        ]
-        write_csv(base + ".csv", header, rows)
-        written.append(base + ".csv")
+        columns = [[asymptotic_bound(s, pair, k) for k in kappas] for s in Strategy]
+        name = f"curves_{pair.value}"
+        write_table(cfg, name, header, list(zip(kappas, *columns)))
         if cfg["format"] == "svg":
-            series = [(s.value, kappas, columns[s.value]) for s in Strategy]
-            svg = render_svg(
-                f"uncertainty-product floor, {pair.value}",
-                "kappa",
-                "Min[da db]",
-                series,
-            )
-            with open(base + ".svg", "w", encoding="utf-8", newline="\n") as fh:
+            series = [(s.value, kappas, col) for s, col in zip(Strategy, columns)]
+            svg = render_svg(f"uncertainty-product floor, {pair.value}", "kappa",
+                             "Min[da db]", series)
+            path = os.path.join(cfg["out"], name + ".svg")
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(svg)
-            written.append(base + ".svg")
-    print("wrote " + ", ".join(written))
+            print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -365,11 +340,8 @@ def cmd_oracle_check(cfg: dict) -> int:
 
 def cmd_simulate(cfg: dict) -> int:
     sigma, n, seed = cfg["sigma"], cfg["n"], cfg["seed"]
-    if n < 2:
-        raise UsageError("--n must be at least 2")
-    strategies = [s for s in selected_strategies(cfg) if s in MC_STRATEGIES]
-    if not strategies:
-        raise UsageError(f"simulate supports {' and '.join(s.value for s in MC_STRATEGIES)} only")
+    # the first McConfig refuses an n below 2 or a strategy Monte Carlo cannot sample
+    strategies = MC_STRATEGIES if cfg["strategy"] == "all" else selected_strategies(cfg)
     pairs, kappas = selected_pairs(cfg), kappa_grid(cfg)
     # Sidak: each of the run's rows gets confidence level**(1/rows), so a
     # correct sampler fails the whole run with probability 1 - level
@@ -529,7 +501,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "selftest":
             return cmd_selftest(args.json)
         return COMMANDS[args.command][0](_resolve(args))
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:

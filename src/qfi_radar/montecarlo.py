@@ -297,9 +297,13 @@ def run_scenario(
     the per-shot QCRB covariance (``analytic.scenario_qcrb_covariance``)
     at the true returned bandwidths, split the same way.  That bound holds
     every other parameter unknown, for both strategies and at any v1, v2.
+    The draws are offsets from the returned photons' own centers and
+    carriers, which are added back to the sample means, so a large carrier
+    or range costs no bandwidth digits.
     A probe of a strategy Monte Carlo cannot sample (quantum illumination)
     fails in the first ``McConfig``, before any draw; a report with a number
-    that is not finite raises ``ArithmeticError``.
+    that is not finite, or a standard error that underflows to 0, raises
+    ``ArithmeticError``.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -327,15 +331,16 @@ def run_scenario(
     # an overflow or a division by zero is a non-finite report, raised below
     with np.errstate(all="ignore"):
         state = returned_state(targets[0], targets[1], probe)
-        times = sample_times(state, McConfig(n_time, seed, "time", probe.strategy))
-        freqs = sample_frequencies(state, McConfig(n_freq, seed + 1, "frequency", probe.strategy))
+        origin = replace(state, t1_bar=0.0, t2_bar=0.0, omega1_bar=0.0, omega2_bar=0.0)
+        times = sample_times(origin, McConfig(n_time, seed, "time", probe.strategy))
+        freqs = sample_frequencies(origin, McConfig(n_freq, seed + 1, "frequency", probe.strategy))
         # rows t1, t2 and omega1, omega2, contiguous so that each mean is a pairwise sum
         t_cols, w_cols = np.ascontiguousarray(times.T), np.ascontiguousarray(freqs.T)
-        means = np.concatenate([t_cols.mean(axis=1), w_cols.mean(axis=1)])
+        x = np.concatenate([state.centers(), state.carriers()])
+        means = x + np.concatenate([t_cols.mean(axis=1), w_cols.mean(axis=1)])
         values, std_errors = estimates(means, np.cov(t_cols), np.cov(w_cols))
         qcrb = scenario_qcrb_covariance(probe.strategy, probe.kappa, state.sigma1, state.sigma2)
-        _, predicted = estimates(np.concatenate([state.centers(), state.carriers()]),
-                                 qcrb[:2, :2], qcrb[2:, 2:])
+        _, predicted = estimates(x, qcrb[:2, :2], qcrb[2:, 2:])
 
     if scenario == "multibody":
         truth = ((targets[0].r + targets[1].r) / 2.0, targets[1].v - targets[0].v)
@@ -360,4 +365,7 @@ def run_scenario(
     for key in ("estimates", "std_errors", "predicted_qcrb_std_errors", "truth"):
         if not np.isfinite(list(report[key].values())).all():
             raise ArithmeticError(f"scenario {key} are not finite: {report[key]}")
+    # n >= 4 draws of a positive bandwidth have a spread; a zero one underflowed
+    if not all(se > 0.0 for se in report["std_errors"].values()):
+        raise ArithmeticError(f"scenario std_errors underflow to 0: {report['std_errors']}")
     return report

