@@ -13,17 +13,7 @@ Run:  python3 demos/qcrb_saturation.py [--n 100000] [--seed 7]
 import argparse
 import math
 
-from qfi_radar import (
-    GaussianBiphoton,
-    McConfig,
-    ParameterPair,
-    Strategy,
-    asymptotic_bound,
-    estimate_pair,
-    qfi_entangled,
-    sample_frequencies,
-    sample_times,
-)
+from qfi_radar import ParameterPair, Strategy, asymptotic_bound, measure_pair
 
 PAIR_A = ParameterPair.TIME_SUM_FREQ_DIFF
 
@@ -34,16 +24,11 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    sigma = 1.0
     print(f"{'kappa':>7}  {'Var(t+)*H':>10}  {'Var(w-)*H':>10}  "
           f"{'dt+ dw-':>9}  {'floor':>8}")
     for kappa in (-0.9, -0.5, 0.0, 0.5):
-        state = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, sigma, sigma, kappa)
-        h_t, h_w = qfi_entangled(sigma, sigma, kappa, PAIR_A)
-        times = sample_times(state, McConfig(args.n, args.seed, "time"))
-        freqs = sample_frequencies(state, McConfig(args.n, args.seed + 1, "frequency"))
-        rep_t = estimate_pair(times, PAIR_A, "time", h_t)
-        rep_w = estimate_pair(freqs, PAIR_A, "frequency", h_w)
+        rep_t, rep_w = measure_pair(Strategy.ENTANGLED_BIPHOTON, PAIR_A, kappa, 1.0,
+                                    args.n, args.seed)
         product = math.sqrt(rep_t.variance * rep_w.variance)
         floor = asymptotic_bound(Strategy.ENTANGLED_BIPHOTON, PAIR_A, kappa)
         print(f"{kappa:7.2f}  {rep_t.ratio:10.4f}  {rep_w.ratio:10.4f}  "

@@ -31,6 +31,7 @@ from .montecarlo import (
     McConfig,
     McReport,
     estimate_pair,
+    measure_pair,
     run_scenario,
     sample_frequencies,
     sample_times,

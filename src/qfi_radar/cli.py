@@ -23,18 +23,9 @@ import numpy as np
 
 from .analytic import adjudicate, asymptotic_H, asymptotic_bound, bound_product
 from .kinematics import SCENARIOS, ParameterPair, ProbeConfig, Strategy, Target
-from .montecarlo import (
-    MC_STRATEGIES,
-    McConfig,
-    estimate_pair,
-    run_scenario,
-    sample_frequencies,
-    sample_times,
-    variance_interval,
-)
+from .montecarlo import MC_STRATEGIES, measure_pair, run_scenario, variance_interval
 from .oracle import model_for, qfi_numeric
 from .selftest import run_selftest
-from .states import GaussianBiphoton
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -340,7 +331,8 @@ def cmd_oracle_check(cfg: dict) -> int:
 
 def cmd_simulate(cfg: dict) -> int:
     sigma, n, seed = cfg["sigma"], cfg["n"], cfg["seed"]
-    # the first McConfig refuses an n below 2 or a strategy Monte Carlo cannot sample
+    # measure_pair's first McConfig refuses an n below 2 or a strategy Monte
+    # Carlo cannot sample; row i draws time at seed + 2i and frequency at seed + 2i + 1
     strategies = MC_STRATEGIES if cfg["strategy"] == "all" else selected_strategies(cfg)
     pairs, kappas = selected_pairs(cfg), kappa_grid(cfg)
     # Sidak: each of the run's rows gets confidence level**(1/rows), so a
@@ -356,22 +348,14 @@ def cmd_simulate(cfg: dict) -> int:
     for strategy in strategies:
         for pair in pairs:
             for kappa in kappas:
-                state = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, sigma, sigma, kappa)
-                h11, h22 = asymptotic_H(strategy, pair, kappa, sigma)
-                for domain, entry in (("time", h11), ("frequency", h22)):
-                    config = McConfig(n, row_seed, domain, strategy)
-                    row_seed += 1
-                    if domain == "time":
-                        samples = sample_times(state, config)
-                    else:
-                        samples = sample_frequencies(state, config)
-                    rep = estimate_pair(samples, pair, domain, entry)
+                reports = measure_pair(strategy, pair, kappa, sigma, n, row_seed)
+                for domain, rep in zip(("time", "frequency"), reports):
                     lo, hi = variance_interval(rep.variance, n, 1.0 - level)
                     ok = lo <= rep.qcrb_variance <= hi
                     rows.append(
                         [
                             strategy.value, pair.value, domain, kappa, sigma,
-                            str(n), str(config.seed), rep.estimate, rep.variance,
+                            str(n), str(row_seed), rep.estimate, rep.variance,
                             rep.qcrb_variance, rep.ratio, lo, hi,
                             "true" if ok else "false",
                         ]
@@ -382,6 +366,7 @@ def cmd_simulate(cfg: dict) -> int:
                             f"QCRB {fmt(rep.qcrb_variance)} outside {fmt(level)} interval "
                             f"[{fmt(lo)}, {fmt(hi)}]"
                         )
+                    row_seed += 1
     write_table(cfg, "simulate", header, rows)
     if failures:
         for line in failures:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import scenario_qcrb_covariance
+from .analytic import asymptotic_H, scenario_qcrb_covariance
 from .kinematics import (
     SCENARIOS,
     ParameterPair,
@@ -34,6 +34,7 @@ __all__ = [
     "sample_times",
     "sample_frequencies",
     "estimate_pair",
+    "measure_pair",
     "variance_interval",
     "run_scenario",
 ]
@@ -138,6 +139,17 @@ def sample_frequencies(state: GaussianBiphoton, config: McConfig) -> np.ndarray:
     return _sample_bivariate(mean, cov, config.n_samples, config.seed)
 
 
+def _draw_offsets(
+    state: GaussianBiphoton, strategy: Strategy, n_time: int, n_freq: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Time pairs drawn at ``seed`` and frequency pairs at ``seed + 1``, as offsets
+    from the state's own centers and carriers, so no coordinate costs digits."""
+    time_config = McConfig(n_time, seed, "time", strategy)
+    freq_config = McConfig(n_freq, seed + 1, "frequency", strategy)
+    origin = replace(state, t1_bar=0.0, t2_bar=0.0, omega1_bar=0.0, omega2_bar=0.0)
+    return sample_times(origin, time_config), sample_frequencies(origin, freq_config)
+
+
 def _combine(samples: np.ndarray, pair: ParameterPair, domain: str) -> np.ndarray:
     """Per-shot estimator: t1+t2 / w2-w1 (pair A) or t2-t1 / w1+w2 (pair B)."""
     a, b = samples[:, 0], samples[:, 1]
@@ -180,6 +192,24 @@ def estimate_pair(
         ratio=var / qcrb,
         variance_interval_99=variance_interval(var, n, 0.01),
     )
+
+
+def measure_pair(
+    strategy: Strategy, pair: ParameterPair, kappa: float, sigma: float, n: int, seed: int
+) -> tuple[McReport, McReport]:
+    """Time and frequency reports of ``pair`` on the biphoton at centers 0,
+    carriers 1 and bandwidth sigma, against its ``asymptotic_H`` entries.
+    Each estimate is taken from offsets and shifted back to those coordinates."""
+    state = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, sigma, sigma, kappa)
+    entries = asymptotic_H(strategy, pair, kappa, sigma)
+    draws = _draw_offsets(state, strategy, n, n, seed)
+    reports = []
+    for domain, samples, entry, x in zip(("time", "frequency"), draws, entries,
+                                         (state.centers(), state.carriers())):
+        report = estimate_pair(samples, pair, domain, entry)
+        report.estimate = float(report.estimate + _combine(x[None], pair, domain)[0])
+        reports.append(report)
+    return tuple(reports)
 
 
 def _log_gamma_front(a: float, x: float) -> float:
@@ -297,9 +327,9 @@ def run_scenario(
     the per-shot QCRB covariance (``analytic.scenario_qcrb_covariance``)
     at the true returned bandwidths, split the same way.  That bound holds
     every other parameter unknown, for both strategies and at any v1, v2.
-    The draws are offsets from the returned photons' own centers and
-    carriers, which are added back to the sample means, so a large carrier
-    or range costs no bandwidth digits.
+    Times are drawn at ``seed`` and frequencies at ``seed + 1``, as in
+    ``measure_pair``: offsets from the photons' own coordinates, added back
+    to the sample means, so a large carrier or range costs no digits.
     A probe of a strategy Monte Carlo cannot sample (quantum illumination)
     fails in the first ``McConfig``, before any draw; a report with a number
     that is not finite, or a standard error that underflows to 0, raises
@@ -331,9 +361,7 @@ def run_scenario(
     # an overflow or a division by zero is a non-finite report, raised below
     with np.errstate(all="ignore"):
         state = returned_state(targets[0], targets[1], probe)
-        origin = replace(state, t1_bar=0.0, t2_bar=0.0, omega1_bar=0.0, omega2_bar=0.0)
-        times = sample_times(origin, McConfig(n_time, seed, "time", probe.strategy))
-        freqs = sample_frequencies(origin, McConfig(n_freq, seed + 1, "frequency", probe.strategy))
+        times, freqs = _draw_offsets(state, probe.strategy, n_time, n_freq, seed)
         # rows t1, t2 and omega1, omega2, contiguous so that each mean is a pairwise sum
         t_cols, w_cols = np.ascontiguousarray(times.T), np.ascontiguousarray(freqs.T)
         x = np.concatenate([state.centers(), state.carriers()])

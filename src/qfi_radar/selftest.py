@@ -23,9 +23,8 @@ from .kinematics import (
     returned_state,
     target_estimates,
 )
-from .montecarlo import McConfig, estimate_pair, run_scenario, sample_frequencies, sample_times
+from .montecarlo import measure_pair, run_scenario
 from .oracle import model_for, qfi_numeric
-from .states import GaussianBiphoton
 
 __all__ = ["run_selftest", "CRITERIA"]
 
@@ -202,13 +201,8 @@ def criterion_7() -> tuple[bool, str]:
     domains draw independently.  The product window adds no failure: two
     ratios in [0.97, 1.03] put the product in [0.97, 1.03] times the floor.
     """
-    sigma, kappa, n, seed = 1.0, -0.8, 100_000, 1234
-    state = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, sigma, sigma, kappa)
-    h_t, h_w = qfi_entangled(sigma, sigma, kappa, PAIR_A)
-    times = sample_times(state, McConfig(n, seed, "time"))
-    freqs = sample_frequencies(state, McConfig(n, seed + 1, "frequency"))
-    rep_t = estimate_pair(times, PAIR_A, "time", h_t)
-    rep_w = estimate_pair(freqs, PAIR_A, "frequency", h_w)
+    kappa = -0.8
+    rep_t, rep_w = measure_pair(Strategy.ENTANGLED_BIPHOTON, PAIR_A, kappa, 1.0, 100_000, 1234)
     product = math.sqrt(rep_t.variance * rep_w.variance)
     bound = asymptotic_bound(Strategy.ENTANGLED_BIPHOTON, PAIR_A, kappa)
     ok = (

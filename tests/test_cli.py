@@ -328,16 +328,13 @@ class TestSimulate:
         ])
         assert code == 0
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="draws are mean + L z in absolute coordinates, so at carrier 1 the float "
-        "spacing inflates a frequency variance of 1e-30 by about 2%; CHANGES.md FOUND: "
-        "simulate at sigma 1e-15",
-    )
-    def test_narrow_bandwidth_passes(self, tmp_path):
-        # the sampler's law is right at sigma = 1e-15, so no row may fail
+    @pytest.mark.parametrize("sigma", ["1e-16", "1e-15", "1e-14"])
+    def test_narrow_bandwidth_passes(self, tmp_path, sigma):
+        # the sampler's law is right at any bandwidth, so no row may fail: the
+        # frequencies are drawn as offsets from carrier 1, where the float
+        # spacing of 2.2e-16 would inflate a spread of sigma by percents
         code = main([
-            "simulate", "--sigma", "1e-15", "--kappa-min", "0", "--kappa-max", "0",
+            "simulate", "--sigma", sigma, "--kappa-min", "0", "--kappa-max", "0",
             "--out", str(tmp_path),
         ])
         assert code == 0

@@ -134,6 +134,18 @@ def test_cli_writes_tables_through_write_table():
     assert all(function in WRITERS[name] for name, function, _ in calls), calls
 
 
+def test_monte_carlo_measures_in_one_place():
+    # one seed rule and one offset convention: both domains are drawn only by
+    # the shared helper, and only measure_pair turns draws into reports
+    names = {"sample_times", "sample_frequencies", "estimate_pair"}
+    calls = []
+    for path in sorted((ROOT / "src" / "qfi_radar").glob("*.py")):
+        calls += calls_by_function(ast.parse(path.read_text(encoding="utf-8")), names)
+    assert {name for name, _, _ in calls} == names, calls
+    for name, function, _ in calls:
+        assert function == ("measure_pair" if name == "estimate_pair" else "_draw_offsets"), calls
+
+
 def test_every_export_has_a_caller():
     # a use is a name or attribute read in code; the definition, the
     # __all__ strings and the import lines that re-export a name are not

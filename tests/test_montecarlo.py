@@ -11,12 +11,14 @@ import pytest
 
 import qfi_radar
 from qfi_radar import montecarlo
-from qfi_radar.analytic import qfi_entangled
+from qfi_radar.analytic import asymptotic_H, qfi_entangled
 from qfi_radar.kinematics import C, ParameterPair, ProbeConfig, Strategy, Target
 from qfi_radar.montecarlo import (
     CHUNK_SIZE,
+    MC_STRATEGIES,
     McConfig,
     estimate_pair,
+    measure_pair,
     run_scenario,
     sample_frequencies,
     sample_times,
@@ -274,6 +276,31 @@ class TestEstimatePair:
         # a NaN level would leave the quantile's Newton iteration nothing to converge to
         with pytest.raises(ValueError, match="alpha must lie in"):
             variance_interval(1.0, 10, alpha)
+
+
+class TestMeasurePair:
+    @pytest.mark.parametrize("strategy", MC_STRATEGIES)
+    @pytest.mark.parametrize("pair", [PAIR_A, PAIR_B])
+    @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.9])
+    def test_matches_absolute_coordinate_draws(self, strategy, pair, kappa):
+        # time is drawn at the seed and frequency at the next one; at centers
+        # 0 an offset is the coordinate itself, so the time report keeps every
+        # bit, and at carriers 1 offsets move the frequency report by rounding
+        sigma, n, seed = 1.0, 10_000, 17
+        state = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, sigma, sigma, kappa)
+        h11, h22 = asymptotic_H(strategy, pair, kappa, sigma)
+        want_t = estimate_pair(sample_times(state, McConfig(n, seed, "time", strategy)),
+                               pair, "time", h11)
+        want_w = estimate_pair(
+            sample_frequencies(state, McConfig(n, seed + 1, "frequency", strategy)),
+            pair, "frequency", h22)
+        rep_t, rep_w = measure_pair(strategy, pair, kappa, sigma, n, seed)
+        assert rep_t == want_t
+        assert rep_w.n_samples == n
+        assert rep_w.qcrb_variance == want_w.qcrb_variance
+        assert rep_w.variance == pytest.approx(want_w.variance, rel=1e-15, abs=0.0)
+        assert rep_w.estimate == pytest.approx(want_w.estimate, rel=0.0, abs=1e-15)
+        assert type(rep_t.estimate) is float and type(rep_w.estimate) is float
 
 
 class TestScenarios:

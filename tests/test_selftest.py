@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import qfi_radar
-from qfi_radar import selftest
+from qfi_radar import montecarlo, selftest
 from qfi_radar.states import GaussianBiphoton
 
 
@@ -105,9 +105,10 @@ def test_criterion_6_runs_alone():
 
 
 def test_criterion_7_saturation(monkeypatch):
-    # arrival times 10% too spread: their variance ratio reads 1.21
-    real = selftest.sample_times
-    monkeypatch.setattr(selftest, "sample_times", lambda *args: 1.1 * real(*args))
+    # arrival times 10% too spread: their variance ratio reads 1.21; the
+    # draw is montecarlo's, which criterion 7 reaches through measure_pair
+    real = montecarlo.sample_times
+    monkeypatch.setattr(montecarlo, "sample_times", lambda *args: 1.1 * real(*args))
     assert failed(7).startswith("variance ratios 1.21")
 
 
