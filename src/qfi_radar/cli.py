@@ -38,27 +38,31 @@ SIMULATE_FAMILY_LEVEL = 0.99
 # the largest kappa grid a subcommand accepts
 MAX_KAPPA_POINTS = 100_000
 
-DEFAULTS = {
-    "kappa_min": -0.95,
-    "kappa_max": 0.95,
-    "kappa_step": 0.05,
-    "sigma": 1.0,
-    "strategy": "all",
-    "pair": "both",
-    "n": 100_000,
-    "seed": 0,
-    "out": ".",
-    "format": "csv",
-    "t_minus": 1.0,
-    "omega_minus": 0.8,
-    "omega0": 10.0,
-    "scenario": "multibody",
-    "kappa": -0.9,
-    "r1": 300.0,
-    "r2": 500.0,
-    "v1": 0.0,
-    "v2": 0.0,
+# setting -> (default, choices or None, help or None): each flag and config key
+# takes its type, choices and help from here, unless COMMANDS narrows its choices
+SETTINGS = {
+    "kappa_min": (-0.95, None, None),
+    "kappa_max": (0.95, None, None),
+    "kappa_step": (0.05, None, None),
+    "sigma": (1.0, None, None),
+    "strategy": ("all", [s.value for s in Strategy] + ["all"], None),
+    "pair": ("both", [p.value for p in ParameterPair] + ["both"], None),
+    "n": (100_000, None, None),
+    "seed": (0, None, None),
+    "out": (".", None, "output directory (default: current directory)"),
+    "format": ("csv", ["csv", "json"], None),
+    "t_minus": (1.0, None, "branch time separation for mixed-state verdicts"),
+    "omega_minus": (0.8, None, "branch frequency separation for mixed-state verdicts"),
+    "omega0": (10.0, None, None),
+    "scenario": ("multibody", list(SCENARIOS), None),
+    "kappa": (-0.9, None, "probe time correlation"),
+    "r1": (300.0, None, None),
+    "r2": (500.0, None, None),
+    "v1": (0.0, None, None),
+    "v2": (0.0, None, None),
 }
+
+DEFAULTS = {key: default for key, (default, _choices, _help) in SETTINGS.items()}
 
 
 def fmt(x) -> str:
@@ -73,10 +77,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     its default's type (an int counts as a float; a bool counts as neither),
     a float must be finite, and a value with choices must be one of them.
     """
-    settings = COMMANDS[args.command][2]
-    merged = {key: DEFAULTS[key] for key in settings}
-    if args.command == "scenario":
-        merged["strategy"] = SCENARIO_STRATEGIES[0]
+    settings = _settings(args.command)
+    merged = {key: default for key, (default, _choices, _help) in settings.items()}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -98,7 +100,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         if flag_value is not None:
             merged[key] = flag_value
     for key, value in merged.items():
-        kind = type(DEFAULTS[key])
+        default, choices, _help = settings[key]
+        kind = type(default)
         allowed = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
@@ -106,7 +109,6 @@ def _resolve(args: argparse.Namespace) -> dict:
             value = merged[key] = float(value)
             if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
-        choices = _choices(args.command, key)
         if choices is not None and value not in choices:
             raise ValueError(f"{key} must be one of {choices}, got {value!r}")
     return merged
@@ -417,48 +419,30 @@ def cmd_selftest(as_json: bool) -> int:
 
 _GRID = ("kappa_min", "kappa_max", "kappa_step")
 
-# subcommand -> (runner, help, the settings it reads): it registers a flag
-# and accepts a config key for these settings only
+# subcommand -> (runner, help, the settings it reads, the choices it narrows):
+# it registers a flag and accepts a config key for these settings only, and a
+# narrowed setting defaults to its first choice
 COMMANDS = {
     "qfi": (cmd_qfi, "information-matrix table over a kappa grid",
-            (*_GRID, "sigma", "strategy", "pair", "out", "format")),
+            (*_GRID, "sigma", "strategy", "pair", "out", "format"), {}),
     "curves": (cmd_curves, "uncertainty-product floors vs kappa",
-               (*_GRID, "pair", "out", "format")),
+               (*_GRID, "pair", "out", "format"), {"format": ["csv", "json", "svg"]}),
     "oracle-check": (cmd_oracle_check, "adjudicate closed forms against the engine",
-                     (*_GRID, "sigma", "strategy", "pair", "t_minus", "omega_minus", "out")),
+                     (*_GRID, "sigma", "strategy", "pair", "t_minus", "omega_minus", "out"), {}),
     "simulate": (cmd_simulate, "Monte Carlo QCRB saturation campaign",
-                 (*_GRID, "sigma", "strategy", "pair", "n", "seed", "out", "format")),
+                 (*_GRID, "sigma", "strategy", "pair", "n", "seed", "out", "format"), {}),
+    # scenario samples one probe: a strategy run_scenario runs
     "scenario": (cmd_scenario, "end-to-end radar estimation",
                  ("scenario", "r1", "r2", "v1", "v2", "omega0", "sigma", "kappa", "strategy",
-                  "n", "seed", "out")),
-}
-
-# the formats each subcommand writes
-FORMATS = {"qfi": ["csv", "json"], "curves": ["csv", "json", "svg"], "simulate": ["csv", "json"]}
-
-CHOICES = {
-    "strategy": [s.value for s in Strategy] + ["all"],
-    "pair": [p.value for p in ParameterPair] + ["both"],
-    "scenario": list(SCENARIOS),
-}
-
-# scenario samples one probe: a strategy run_scenario runs, the first by default
-SCENARIO_STRATEGIES = [s.value for s in MC_STRATEGIES]
-
-HELP = {
-    "out": "output directory (default: current directory)",
-    "t_minus": "branch time separation for mixed-state verdicts",
-    "omega_minus": "branch frequency separation for mixed-state verdicts",
-    "kappa": "probe time correlation",
+                  "n", "seed", "out"), {"strategy": [s.value for s in MC_STRATEGIES]}),
 }
 
 
-def _choices(command: str, key: str) -> list | None:
-    if key == "format":
-        return FORMATS[command]
-    if (command, key) == ("scenario", "strategy"):
-        return SCENARIO_STRATEGIES
-    return CHOICES.get(key)
+def _settings(command: str) -> dict:
+    """Each setting ``command`` reads -> its (default, choices, help), as narrowed."""
+    _run, _help, keys, narrowed = COMMANDS[command]
+    return {key: (narrowed[key][0], narrowed[key], SETTINGS[key][2]) if key in narrowed
+            else SETTINGS[key] for key in keys}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,12 +451,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum Fisher information toolkit for two-photon Doppler radar.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_run, help_text, settings) in COMMANDS.items():
+    for command, (_run, help_text, _keys, _narrowed) in COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
         sp.add_argument("--config", help="flat JSON config file; flags take precedence")
-        for key in settings:
-            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=type(DEFAULTS[key]),
-                            choices=_choices(command, key), help=HELP.get(key))
+        for key, (default, choices, setting_help) in _settings(command).items():
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                            choices=choices, help=setting_help)
 
     sp = sub.add_parser("selftest", help="run the built-in acceptance suite")
     sp.add_argument("--json", action="store_true", help="emit machine-readable results")

@@ -127,15 +127,17 @@ def returned_state(target_a: Target, target_b: Target, probe: ProbeConfig) -> Ga
     )
 
 
-def _doppler_inverse(omega: float, omega0: float) -> tuple[float, float]:
-    """Exact receding velocity c (omega0 - omega)/(omega0 + omega) of a return, and dv/domega."""
-    return C * (omega0 - omega) / (omega0 + omega), -2.0 * C * omega0 / (omega0 + omega) ** 2
+def _doppler_inverse(omega: float, omega0: float, e: float) -> tuple[float, float]:
+    """Exact receding velocity c ((omega0 - omega) - e)/(omega0 + omega + e)
+    of a return at carrier omega + e, and dv/domega."""
+    w = omega0 + omega + e
+    return C * ((omega0 - omega) - e) / w, -2.0 * C * omega0 / w**2
 
 
 def target_estimates(
-    scenario: str, x: np.ndarray, omega0: float
+    scenario: str, x: np.ndarray, omega0: float, dx=(0.0, 0.0, 0.0, 0.0)
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A scenario's two physical quantities and their 2x4 gradient.
+    """A scenario's two physical quantities and their 2x4 gradient at x + dx.
 
     ``x`` is (t1, t2, omega1, omega2), the returned photons' centers then
     carriers, and the gradient columns follow it.  ``multibody`` gives the
@@ -145,17 +147,21 @@ def target_estimates(
     from the exact per-photon Doppler inversions.  ``moving_object`` gives
     the radial size (t2 - t1)(c - v)/2 of a rigid object and its common
     velocity v, inverted at the mean returned carrier (omega1 + omega2)/2.
+    Each is evaluated at x + dx without forming x + dx, so a velocity keeps
+    an offset far below the float spacing of the carriers.
     """
     t1, t2, w1, w2 = x
+    d1, d2, e1, e2 = dx
     if scenario == "multibody":
-        v1, s1 = _doppler_inverse(w1, omega0)
-        v2, s2 = _doppler_inverse(w2, omega0)
-        values = [C * (t1 + t2) / 4.0, v2 - v1]
+        v1, s1 = _doppler_inverse(w1, omega0, e1)
+        v2, s2 = _doppler_inverse(w2, omega0, e2)
+        values = [C * ((t1 + t2) + (d1 + d2)) / 4.0, v2 - v1]
         grad = [[C / 4.0, C / 4.0, 0.0, 0.0], [0.0, 0.0, -s1, s2]]
     elif scenario == "moving_object":
-        v, s = _doppler_inverse((w1 + w2) / 2.0, omega0)
-        dsize = -(t2 - t1) * s / 4.0
-        values = [(t2 - t1) * (C - v) / 2.0, v]
+        v, s = _doppler_inverse((w1 + w2) / 2.0, omega0, (e1 + e2) / 2.0)
+        t_diff = (t2 - t1) + (d2 - d1)
+        dsize = -t_diff * s / 4.0
+        values = [t_diff * (C - v) / 2.0, v]
         grad = [[-(C - v) / 2.0, (C - v) / 2.0, dsize, dsize], [0.0, 0.0, s / 2.0, s / 2.0]]
     else:
         raise ValueError(f"unknown scenario {scenario!r}")

@@ -328,8 +328,10 @@ def run_scenario(
     at the true returned bandwidths, split the same way.  That bound holds
     every other parameter unknown, for both strategies and at any v1, v2.
     Times are drawn at ``seed`` and frequencies at ``seed + 1``, as in
-    ``measure_pair``: offsets from the photons' own coordinates, added back
-    to the sample means, so a large carrier or range costs no digits.
+    ``measure_pair``: offsets from the photons' own coordinates, whose
+    sample means ``target_estimates`` takes apart from those coordinates, so
+    a velocity keeps its digits at any carrier (a midpoint near 1e200
+    cannot: no float there holds the offset).
     A probe of a strategy Monte Carlo cannot sample (quantum illumination)
     fails in the first ``McConfig``, before any draw; a report with a number
     that is not finite, or a standard error that underflows to 0, raises
@@ -349,13 +351,14 @@ def run_scenario(
     n_time = int(round(n_shots / 2))
     n_freq = n_shots - n_time
 
-    def estimates(x, time_cov, freq_cov):
-        """The quantities at photon parameters x and their standard errors,
-        from each domain's per-shot covariance over its shot count."""
+    def estimates(dx, time_cov, freq_cov):
+        """The quantities at offset dx from the photons' own coordinates and
+        their standard errors, from each domain's per-shot covariance over
+        its shot count."""
         cov = np.zeros((4, 4))
         cov[:2, :2] = time_cov / n_time
         cov[2:, 2:] = freq_cov / n_freq
-        values, grad = target_estimates(scenario, x, probe.omega0)
+        values, grad = target_estimates(scenario, x, probe.omega0, dx)
         return values, np.sqrt(np.diag(grad @ cov @ grad.T))
 
     # an overflow or a division by zero is a non-finite report, raised below
@@ -365,10 +368,10 @@ def run_scenario(
         # rows t1, t2 and omega1, omega2, contiguous so that each mean is a pairwise sum
         t_cols, w_cols = np.ascontiguousarray(times.T), np.ascontiguousarray(freqs.T)
         x = np.concatenate([state.centers(), state.carriers()])
-        means = x + np.concatenate([t_cols.mean(axis=1), w_cols.mean(axis=1)])
+        means = np.concatenate([t_cols.mean(axis=1), w_cols.mean(axis=1)])
         values, std_errors = estimates(means, np.cov(t_cols), np.cov(w_cols))
         qcrb = scenario_qcrb_covariance(probe.strategy, probe.kappa, state.sigma1, state.sigma2)
-        _, predicted = estimates(x, qcrb[:2, :2], qcrb[2:, 2:])
+        _, predicted = estimates(np.zeros(4), qcrb[:2, :2], qcrb[2:, 2:])
 
     if scenario == "multibody":
         truth = ((targets[0].r + targets[1].r) / 2.0, targets[1].v - targets[0].v)

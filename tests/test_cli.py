@@ -1,9 +1,11 @@
 """Command-line interface contract tests: formats, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -450,6 +452,7 @@ class TestScenario:
         ["--omega0", "1e20"],
         ["--omega0", "1e150"],
         ["--r1", "1e200", "--r2", "1e200"],
+        ["--scenario", "moving_object", "--omega0", "1e16"],
     ])
     def test_large_coordinates_keep_error_bars(self, argv, tmp_path):
         # the draws are offsets from the photons' own centers and carriers,
@@ -459,6 +462,12 @@ class TestScenario:
         for key, se in report["std_errors"].items():
             predicted = report["predicted_qcrb_std_errors"][key]
             assert se > 0.0 and abs(se / predicted - 1.0) <= 0.05, (key, se, predicted)
+        if "--omega0" in argv:
+            # target_estimates takes the mean carrier offset apart from the
+            # carrier, so the velocity estimate moves by its own error bar
+            key = "velocity" if "moving_object" in argv else "delta_v"
+            est, se = report["estimates"][key], report["std_errors"][key]
+            assert est != 0.0 and abs(est - report["truth"][key]) <= 5.0 * se, (est, se)
 
     @pytest.mark.parametrize("command", ["scenario", "simulate"])
     def test_out_of_memory_usage_error(self, command, tmp_path, capsys, monkeypatch):
@@ -681,6 +690,71 @@ class TestSettingChecks:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def subparser(command):
+    """The parser ``build_parser`` registers for ``command``."""
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
+
+
+STRATEGIES = ["entangled_biphoton", "two_single_photons", "quantum_illumination"]
+
+
+class TestSettingsTable:
+    """What ``SETTINGS`` and the choices ``COMMANDS`` narrows decide, read
+    through the parser and ``_resolve``."""
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_defaults_when_no_flag_is_given(self, command):
+        cfg = cli._resolve(cli.build_parser().parse_args([command]))
+        expected = {key: cli.SETTINGS[key][0] for key in cli.COMMANDS[command][2]}
+        if command == "scenario":
+            # scenario samples one probe: the first strategy Monte Carlo runs
+            expected["strategy"] = "entangled_biphoton"
+        assert cfg == expected
+        assert [type(v) for v in cfg.values()] == [type(v) for v in expected.values()]
+
+    @pytest.mark.parametrize("command, dest, choices", [
+        ("curves", "format", ["csv", "json", "svg"]),
+        ("qfi", "format", ["csv", "json"]),
+        ("simulate", "format", ["csv", "json"]),
+        ("scenario", "strategy", ["entangled_biphoton", "two_single_photons"]),
+        ("qfi", "strategy", [*STRATEGIES, "all"]),
+        ("oracle-check", "strategy", [*STRATEGIES, "all"]),
+        ("simulate", "strategy", [*STRATEGIES, "all"]),
+        ("curves", "pair", ["time_sum_freq_diff", "time_diff_freq_sum", "both"]),
+        ("scenario", "scenario", ["multibody", "moving_object"]),
+    ])
+    def test_flag_choices(self, command, dest, choices, tmp_path):
+        action = next(a for a in subparser(command)._actions if a.dest == dest)
+        assert action.choices == choices
+        parser = cli.build_parser()
+        for choice in choices:
+            args = parser.parse_args([command, "--" + dest, choice])
+            assert cli._resolve(args)[dest] == choice
+        # a config value meets the same choices
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({dest: "nope"}))
+        args = parser.parse_args([command, "--config", str(cfg)])
+        message = f"{dest} must be one of {choices}, got 'nope'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cli._resolve(args)
+
+    def test_help_strings(self):
+        helps = {
+            (action.dest, action.help)
+            for command in cli.COMMANDS
+            for action in subparser(command)._actions
+            if action.dest in cli.SETTINGS and action.help is not None
+        }
+        assert helps == {
+            ("out", "output directory (default: current directory)"),
+            ("t_minus", "branch time separation for mixed-state verdicts"),
+            ("omega_minus", "branch frequency separation for mixed-state verdicts"),
+            ("kappa", "probe time correlation"),
+        }
 
 
 def mutate_floors(monkeypatch, ppb):

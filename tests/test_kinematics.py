@@ -172,6 +172,25 @@ class TestJacobian:
             target_estimates("teleport", x, 1.0)
 
 
+class TestOffsets:
+    @pytest.mark.parametrize("scenario", ["multibody", "moving_object"])
+    def test_offset_is_the_shifted_point(self, scenario):
+        # dyadic coordinates: x + dx is exact, so both forms agree to rounding
+        x = np.array([600.0, 1000.0, 9.5, 10.5])
+        dx = np.array([0.25, -0.5, 0.125, -0.0625])
+        values, grad = target_estimates(scenario, x, 10.0, dx)
+        shifted, shifted_grad = target_estimates(scenario, x + dx, 10.0)
+        np.testing.assert_allclose(values, shifted, rtol=1e-15)
+        np.testing.assert_allclose(grad, shifted_grad, rtol=1e-15)
+
+    def test_large_carrier_keeps_a_small_offset(self):
+        # 1e16 + 1 rounds to 1e16, so the shifted point would read v2 = 0
+        omega0 = 1e16
+        x = np.array([0.0, 0.0, omega0, omega0])
+        values, _ = target_estimates("multibody", x, omega0, np.array([0.0, 0.0, 0.0, 1.0]))
+        assert values[1] == pytest.approx(-C / (2.0 * omega0), rel=1e-15)
+
+
 class TestEnums:
     def test_strategy_values(self):
         assert {s.value for s in Strategy} == {
