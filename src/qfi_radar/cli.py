@@ -47,7 +47,7 @@ SETTINGS = {
     "sigma": (1.0, None, None),
     "strategy": ("all", [s.value for s in Strategy] + ["all"], None),
     "pair": ("both", [p.value for p in ParameterPair] + ["both"], None),
-    "n": (100_000, None, None),
+    "n": (100_000, None, "draws per domain (simulate) or shots over both domains (scenario)"),
     "seed": (0, None, None),
     "out": (".", None, "output directory (default: current directory)"),
     "format": ("csv", ["csv", "json"], None),
@@ -253,17 +253,6 @@ def render_svg(title: str, xlabel: str, ylabel: str, series: list[tuple]) -> str
 
 
 # ---------------------------------------------------------------------------
-# strategy-level asymptotic information tables
-
-
-def _compat_residual(strategy: Strategy, pair: ParameterPair, kappa: float, sigma: float) -> float:
-    kwargs = {"sigma1": sigma, "kappa": kappa}
-    if strategy is not Strategy.ENTANGLED_BIPHOTON:
-        kwargs["t_minus"] = 50.0 / sigma
-    return qfi_numeric(model_for(strategy, **kwargs), pair).compat_residual
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 
@@ -276,7 +265,10 @@ def cmd_qfi(cfg: dict) -> int:
             for kappa in kappas:
                 h11, h22 = asymptotic_H(strategy, pair, kappa, sigma)
                 bound = bound_product(h11, h22)
-                residual = _compat_residual(strategy, pair, kappa, sigma)
+                # at t_minus = 50/sigma two branches are orthogonal to float precision,
+                # and one branch does not depend on where its photons sit
+                model = model_for(strategy, sigma1=sigma, kappa=kappa, t_minus=50.0 / sigma)
+                residual = qfi_numeric(model, pair).compat_residual
                 rows.append(
                     [strategy.value, pair.value, kappa, sigma, h11, h22, bound, residual]
                 )
@@ -405,11 +397,14 @@ def cmd_scenario(cfg: dict) -> int:
 
 
 def cmd_selftest(as_json: bool) -> int:
+    code, records = run_selftest()
     if as_json:
-        code, records = run_selftest(emit=None)
         print(json.dumps(records, indent=2))
         return code
-    code, _records = run_selftest()
+    for rec in records:
+        status = "PASS" if rec["passed"] else "FAIL"
+        print(f"criterion {rec['criterion']} [{status}] {rec['name']} "
+              f"({rec['seconds']:.2f}s): {rec['detail']}")
     return code
 
 

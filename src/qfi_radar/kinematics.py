@@ -81,8 +81,7 @@ class Target:
     def __post_init__(self) -> None:
         if not self.r >= 0:
             raise ValueError(f"target range must be non-negative, got {self.r}")
-        if not abs(self.v) < C:
-            raise ValueError(f"|v| must be below c, got v={self.v}")
+        doppler_factor(self.v)  # raises unless |v| < c
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,8 @@ class McConfig:
     def __post_init__(self) -> None:
         if (not isinstance(self.n_samples, (int, np.integer)) or isinstance(self.n_samples, bool)
                 or not self.n_samples >= 2):
-            raise ValueError(f"n_samples must be at least 2 and an integer, got {self.n_samples}")
+            raise ValueError(f"n_samples, the draws per domain, must be at least 2 and an "
+                             f"integer, got {self.n_samples}")
         if (not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool)
                 or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
@@ -345,8 +346,8 @@ def run_scenario(
             f"got {targets[0].v} and {targets[1].v}"
         )
     if not isinstance(n_shots, (int, np.integer)) or isinstance(n_shots, bool) or n_shots < 4:
-        raise ValueError(f"n_shots must be an integer of at least 4 to split across "
-                         f"domains, got {n_shots!r}")
+        raise ValueError(f"n_shots, the shots over both domains, must be an integer of at "
+                         f"least 4 (2 per domain), got {n_shots!r}")
 
     n_time = int(round(n_shots / 2))
     n_freq = n_shots - n_time

@@ -1,7 +1,7 @@
 """Built-in acceptance suite: one check per shipped guarantee.
 
 Each criterion is a standalone function returning (passed, detail); the
-runner prints one pass/fail line per criterion and aggregates an exit code.
+runner returns one record per criterion and an aggregate exit code.
 ``tests/test_selftest.py`` shows that each criterion can fail: it corrupts
 an input the criterion reads and checks the failure the runner reports.
 """
@@ -290,8 +290,8 @@ CRITERIA = [
 ]
 
 
-def run_selftest(emit=print) -> tuple[int, list[dict]]:
-    """Run every criterion; returns (exit_code, per-criterion records)."""
+def run_selftest() -> tuple[int, list[dict]]:
+    """Run every criterion; returns (exit_code, per-criterion records), printing nothing."""
     records = []
     for number, (name, func) in enumerate(CRITERIA, start=1):
         start = time.perf_counter()
@@ -299,18 +299,14 @@ def run_selftest(emit=print) -> tuple[int, list[dict]]:
             passed, detail = func()
         except Exception as exc:  # a crashed criterion is a failed criterion
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter() - start
         records.append(
             {
                 "criterion": number,
                 "name": name,
                 "passed": bool(passed),
-                "seconds": round(elapsed, 3),
+                "seconds": round(time.perf_counter() - start, 3),
                 "detail": detail,
             }
         )
-        if emit is not None:
-            status = "PASS" if passed else "FAIL"
-            emit(f"criterion {number} [{status}] {name} ({elapsed:.2f}s): {detail}")
     exit_code = 0 if all(r["passed"] for r in records) else 1
     return exit_code, records

@@ -25,7 +25,7 @@ BUDGETS = {1: 1.0, 2: 1.0, 3: 10.0, 5: 30.0, 7: 10.0, 8: 10.0}
 @pytest.fixture(scope="module")
 def suite():
     start = time.perf_counter()
-    exit_code, records = run_selftest(emit=None)
+    exit_code, records = run_selftest()
     total = time.perf_counter() - start
     return exit_code, records, total
 

@@ -17,7 +17,8 @@ import pytest
 import qfi_radar
 from qfi_radar import cli, montecarlo, selftest
 from qfi_radar.cli import DEFAULTS, kappa_grid, main
-from qfi_radar.kinematics import Strategy
+from qfi_radar.kinematics import ParameterPair, Strategy
+from qfi_radar.oracle import model_for, qfi_numeric
 
 ROOT3_2 = math.sqrt(3.0) / 2.0
 SVG = "{http://www.w3.org/2000/svg}"
@@ -64,6 +65,34 @@ class TestQfi:
         assert float(row["H22"]) == 0.5
         assert float(row["bound"]) == 1.0
         assert float(row["residual"]) <= 1e-8
+
+    def test_residual_is_the_engine_at_separated_branches(self, tmp_path):
+        # every strategy's residual comes from one model: t_minus = 50/sigma
+        sigma, kappa = 0.5, -0.6
+        code = main([
+            "qfi", "--sigma", str(sigma), "--kappa-min", str(kappa), "--kappa-max", str(kappa),
+            "--kappa-step", "1", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        _, rows = csv_rows(tmp_path / "qfi.csv")
+        assert len(rows) == 6
+        for row in rows:
+            model = model_for(Strategy(row["strategy"]), sigma1=sigma, kappa=kappa,
+                              t_minus=50.0 / sigma)
+            res = qfi_numeric(model, ParameterPair(row["pair"]))
+            assert row["residual"] == repr(res.compat_residual)
+
+    @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("kappa", [-0.95, 0.0, 0.6])
+    def test_entangled_engine_ignores_the_separation(self, sigma, kappa):
+        # one branch: where its photons sit changes neither H nor the residual
+        for pair in ParameterPair:
+            at_zero = qfi_numeric(model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=sigma,
+                                            kappa=kappa), pair)
+            apart = qfi_numeric(model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=sigma,
+                                          kappa=kappa, t_minus=50.0 / sigma), pair)
+            assert np.array_equal(at_zero.H, apart.H)
+            assert at_zero.compat_residual == apart.compat_residual
 
     def test_json_format(self, tmp_path):
         code = main([
@@ -345,7 +374,8 @@ class TestSimulate:
         # McConfig refuses the count before any draw or write
         assert main(["simulate", "--n", "1", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
-            "error: n_samples must be at least 2 and an integer, got 1\n")
+            "error: n_samples, the draws per domain, must be at least 2 and an integer, "
+            "got 1\n")
         assert not any(tmp_path.iterdir())
 
     def test_fixed_seed_reproduces_csv(self, tmp_path):
@@ -431,6 +461,14 @@ class TestScenario:
     def test_target_out_of_range(self, flag, value, message, tmp_path, capsys):
         assert main(["scenario", flag, value, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == message
+
+    def test_n_below_four_usage_error(self, tmp_path, capsys):
+        # run_scenario refuses the count before any draw or write
+        assert main(["scenario", "--n", "3", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: n_shots, the shots over both domains, must be an integer of at least 4 "
+            "(2 per domain), got 3\n")
+        assert not any(tmp_path.iterdir())
 
     def test_strategy_choice(self, tmp_path):
         # the default is the entangled probe; single photons write their own report
@@ -754,6 +792,7 @@ class TestSettingsTable:
             ("t_minus", "branch time separation for mixed-state verdicts"),
             ("omega_minus", "branch frequency separation for mixed-state verdicts"),
             ("kappa", "probe time correlation"),
+            ("n", "draws per domain (simulate) or shots over both domains (scenario)"),
         }
 
 

@@ -4,8 +4,9 @@ The engine_map round is the benchmark's correctness gate: a change that
 fails more of its points, or fails one for a reason no known fault
 explains, is caught here first.  The import check keeps the numerical
 engine free of every closed-form information expression, the dependency
-check keeps numpy the package's only third-party import, and the export
-check keeps every public name in use.
+check keeps numpy the package's only third-party import, the print check
+keeps output in the CLI, and the export check keeps every public name in
+use.
 """
 
 import ast
@@ -144,6 +145,23 @@ def test_monte_carlo_measures_in_one_place():
     assert {name for name, _, _ in calls} == names, calls
     for name, function, _ in calls:
         assert function == ("measure_pair" if name == "estimate_pair" else "_draw_offsets"), calls
+
+
+def test_only_the_cli_prints():
+    # the library returns what it finds; cli.py alone renders it, so
+    # run_selftest hands back records and prints no line of its own
+    users = [(path.name, node.lineno)
+             for path in sorted((ROOT / "src" / "qfi_radar").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Name) and node.id == "print"]
+    assert users and {name for name, _ in users} == {"cli.py"}, users
+
+
+def test_speed_of_light_rule_in_one_place():
+    # doppler_factor refuses |v| >= c; Target checks its velocity through it
+    sources = [path.read_text(encoding="utf-8")
+               for path in (ROOT / "src" / "qfi_radar").glob("*.py")]
+    assert sum(text.count("must be below c") for text in sources) == 1
 
 
 def test_every_export_has_a_caller():

@@ -77,7 +77,7 @@ class TestConfig:
             McConfig(10, 1.5, "time")
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got True"):
             McConfig(10, True)
-        with pytest.raises(ValueError, match="n_samples must be at least 2"):
+        with pytest.raises(ValueError, match="n_samples, the draws per domain, must be at least 2"):
             McConfig(math.nan, 0)
         # a float count would otherwise fail later, inside numpy
         for n in (2.5, 10.0, True):
@@ -425,7 +425,8 @@ class TestScenarios:
         probe = ProbeConfig(10.0, 1.0, -0.9)
         targets = (Target(300.0, 0.0), Target(500.0, 0.0))
         for bad in (100.0, True, "100"):
-            with pytest.raises(ValueError, match=r"^n_shots must be an integer"):
+            with pytest.raises(ValueError, match=r"^n_shots, the shots over both domains, "
+                                                 r"must be an integer of at least 4"):
                 run_scenario("multibody", targets, probe, bad, 5)
         report = run_scenario("multibody", targets, probe, np.int64(100), 5)
         assert report == run_scenario("multibody", targets, probe, 100, 5)

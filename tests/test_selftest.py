@@ -8,24 +8,59 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import qfi_radar
-from qfi_radar import montecarlo, selftest
+from qfi_radar import cli, montecarlo, selftest
 from qfi_radar.states import GaussianBiphoton
 
 
-def failed(number):
-    """The record and printed line of criterion ``number`` in a full run."""
-    lines = []
-    code, records = selftest.run_selftest(emit=lines.append)
+@pytest.fixture
+def failed(capsys, monkeypatch):
+    """A function of ``number``: the detail of criterion ``number`` in one full
+    ``qfi-radar selftest`` run, checked against the line the run prints for it."""
+
+    def run(number):
+        runs = []
+
+        def recorded():
+            runs.append(selftest.run_selftest())
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_selftest", recorded)
+        assert cli.main(["selftest"]) == 1
+        [(_code, records)] = runs
+        record = records[number - 1]
+        assert record["passed"] is False
+        line = capsys.readouterr().out.splitlines()[number - 1]
+        assert line.startswith(f"criterion {number} [FAIL] {record['name']}")
+        assert line.endswith(record["detail"])
+        return record["detail"]
+
+    return run
+
+
+def test_run_selftest_prints_nothing(capsys, monkeypatch):
+    # a passing, a failing and a crashing criterion: only the CLI renders them
+    def crash():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(selftest, "CRITERIA", [
+        ("passes", lambda: (True, "fine")),
+        ("fails", lambda: (False, "off")),
+        ("crashes", crash),
+    ])
+    code, records = selftest.run_selftest()
+    assert capsys.readouterr().out == ""
     assert code == 1
-    record = records[number - 1]
-    assert record["passed"] is False
-    assert lines[number - 1].startswith(f"criterion {number} [FAIL] {record['name']}")
-    assert lines[number - 1].endswith(record["detail"])
-    return record["detail"]
+    assert [(r["name"], r["passed"], r["detail"]) for r in records] == [
+        ("passes", True, "fine"),
+        ("fails", False, "off"),
+        ("crashes", False, "raised RuntimeError: boom"),
+    ]
 
 
-def test_criterion_1_curves(monkeypatch):
+def test_criterion_1_curves(monkeypatch, failed):
     # every floor 1e-9 relative too high: far outside the 1e-12 tolerance
     real = selftest.asymptotic_bound
     monkeypatch.setattr(selftest, "asymptotic_bound", lambda *args: (1.0 + 1e-9) * real(*args))
@@ -33,7 +68,7 @@ def test_criterion_1_curves(monkeypatch):
     assert detail.startswith("max abs curve error ") and detail.endswith(" (tol 1e-12)")
 
 
-def test_criterion_2_crossovers(monkeypatch):
+def test_criterion_2_crossovers(monkeypatch, failed):
     # every floor 1.5 times too high moves both crossovers
     real = selftest.asymptotic_bound
     monkeypatch.setattr(selftest, "asymptotic_bound", lambda *args: 1.5 * real(*args))
@@ -44,7 +79,7 @@ def test_criterion_2_crossovers(monkeypatch):
     assert "QI-beats-single mismatch at kappa=0.9" in detail
 
 
-def test_criteria_3_and_4_closed_form(monkeypatch):
+def test_criteria_3_and_4_closed_form(monkeypatch, failed):
     # the entangled closed form 1% high: the engine and the sigma limit disagree
     real = selftest.qfi_entangled
     monkeypatch.setattr(selftest, "qfi_entangled",
@@ -55,7 +90,7 @@ def test_criteria_3_and_4_closed_form(monkeypatch):
     assert "equal-bandwidth limit error 2.97e-02 (tol 1e-12)" in detail
 
 
-def test_criterion_5_mixed_limits_and_adjudication(monkeypatch):
+def test_criterion_5_mixed_limits_and_adjudication(monkeypatch, failed):
     real = selftest.qfi_numeric
 
     def late_first_branch_off(model, pair):
@@ -78,7 +113,7 @@ def test_criterion_5_mixed_limits_and_adjudication(monkeypatch):
     assert detail.endswith("expected 8 verdict records, got 4")
 
 
-def test_criterion_6_compatibility(monkeypatch):
+def test_criterion_6_compatibility(monkeypatch, failed):
     # only the quantum-illumination models, two biphoton branches, read
     # incompatible: criterion 6 builds criterion 5's models itself
     real = selftest.qfi_numeric
@@ -104,7 +139,7 @@ def test_criterion_6_runs_alone():
     assert proc.stdout.rstrip().endswith(" over 336 runs')")
 
 
-def test_criterion_7_saturation(monkeypatch):
+def test_criterion_7_saturation(monkeypatch, failed):
     # arrival times 10% too spread: their variance ratio reads 1.21; the
     # draw is montecarlo's, which criterion 7 reaches through measure_pair
     real = montecarlo.sample_times
@@ -112,7 +147,7 @@ def test_criterion_7_saturation(monkeypatch):
     assert failed(7).startswith("variance ratios 1.21")
 
 
-def test_criterion_8_scenarios(monkeypatch):
+def test_criterion_8_scenarios(monkeypatch, failed):
     # every estimate moved 10 predicted standard errors off the truth
     real = selftest.run_scenario
 
@@ -129,7 +164,7 @@ def test_criterion_8_scenarios(monkeypatch):
         assert f"{name} off by " in detail
 
 
-def test_criterion_9_kinematics(monkeypatch):
+def test_criterion_9_kinematics(monkeypatch, failed):
     # a gradient 0.1% off its central differences
     real = selftest.target_estimates
 
