@@ -46,10 +46,8 @@ from .selftest import run_selftest
 from .states import (
     GaussianBiphoton,
     GaussianSinglePhoton,
-    biphoton_amplitude,
     frequency_covariance,
     overlap,
-    single_amplitude,
     time_covariance,
 )
 

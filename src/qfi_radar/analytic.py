@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .kinematics import ParameterPair, Strategy
 from .oracle import model_for, qfi_numeric
 from .states import GaussianBiphoton, _check_range, frequency_covariance, time_covariance
@@ -152,8 +150,9 @@ def asymptotic_H(
 
 def scenario_qcrb_covariance(
     strategy: Strategy, kappa: float, sigma1: float, sigma2: float
-) -> np.ndarray:
-    """Per-shot QCRB covariance of the returned photons' (t1, t2, omega1, omega2).
+) -> tuple:
+    """Per-shot QCRB covariance of the returned photons' (t1, t2, omega1, omega2),
+    a 4x4 tuple of row tuples.
 
     The returned biphoton's frequencies have covariance B
     (``states.frequency_covariance``) and its times (4B)^-1
@@ -169,10 +168,8 @@ def scenario_qcrb_covariance(
     elif strategy is not Strategy.ENTANGLED_BIPHOTON:
         raise ValueError(f"no scenario QCRB for {strategy!r}")
     state = GaussianBiphoton(0.0, 0.0, 0.0, 0.0, sigma1, sigma2, kappa)
-    cov = np.zeros((4, 4))
-    cov[:2, :2] = time_covariance(state)
-    cov[2:, 2:] = frequency_covariance(state)
-    return cov
+    return (tuple(row + (0.0, 0.0) for row in time_covariance(state))
+            + tuple((0.0, 0.0) + row for row in frequency_covariance(state)))
 
 
 def asymptotic_bound(strategy: Strategy, pair: ParameterPair, kappa: float) -> float:
@@ -214,7 +211,7 @@ def adjudicate(
     records = []
     for idx, name in enumerate(pair.param_names):
         paper_value = scale * published[idx]
-        oracle_value = float(oracle.H[idx, idx])
+        oracle_value = oracle.H[idx][idx]
         rel = abs(paper_value - oracle_value) / abs(oracle_value)
         records.append(
             {

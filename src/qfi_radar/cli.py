@@ -19,8 +19,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .analytic import adjudicate, asymptotic_H, asymptotic_bound, bound_product
 from .kinematics import SCENARIOS, ParameterPair, ProbeConfig, Strategy, Target
 from .montecarlo import MC_STRATEGIES, measure_pair, run_scenario, variance_interval
@@ -182,10 +180,10 @@ def render_svg(title: str, xlabel: str, ylabel: str, series: list[tuple]) -> str
     """Render labeled polyline curves as a standalone SVG 1.1 document."""
     width, height = 640, 480
     ml, mr, mt, mb = 70, 160, 40, 55
-    xs_all = np.concatenate([np.asarray(xs, dtype=float) for _, xs, _ in series])
-    ys_all = np.concatenate([np.asarray(ys, dtype=float) for _, _, ys in series])
-    xmin, xmax = float(xs_all.min()), float(xs_all.max())
-    ymin, ymax = float(ys_all.min()), float(ys_all.max())
+    xs_all = [float(x) for _, xs, _ in series for x in xs]
+    ys_all = [float(y) for _, _, ys in series for y in ys]
+    xmin, xmax = min(xs_all), max(xs_all)
+    ymin, ymax = min(ys_all), max(ys_all)
     if xmax == xmin:
         xmax = xmin + 1.0
     if ymax == ymin:
@@ -198,6 +196,10 @@ def render_svg(title: str, xlabel: str, ylabel: str, series: list[tuple]) -> str
 
     def sy(y: float) -> float:
         return height - mb - (y - ymin) / (ymax - ymin) * (height - mt - mb)
+
+    def ticks(lo: float, hi: float) -> list[float]:
+        # five evenly spaced ticks, the last exactly hi
+        return [lo + i * ((hi - lo) / 4) for i in range(4)] + [hi]
 
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
     parts = [
@@ -215,8 +217,8 @@ def render_svg(title: str, xlabel: str, ylabel: str, series: list[tuple]) -> str
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 18 {(mt + height - mb) / 2:.1f})">{ylabel}</text>',
     ]
-    for xt in np.linspace(xmin, xmax, 5):
-        px = sx(float(xt))
+    for xt in ticks(xmin, xmax):
+        px = sx(xt)
         parts.append(
             f'<line x1="{px:.2f}" y1="{height - mb}" x2="{px:.2f}" '
             f'y2="{height - mb + 5}" stroke="black"/>'
@@ -225,8 +227,8 @@ def render_svg(title: str, xlabel: str, ylabel: str, series: list[tuple]) -> str
             f'<text x="{px:.2f}" y="{height - mb + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{xt:.3g}</text>'
         )
-    for yt in np.linspace(ymin, ymax, 5):
-        py = sy(float(yt))
+    for yt in ticks(ymin, ymax):
+        py = sy(yt)
         parts.append(f'<line x1="{ml - 5}" y1="{py:.2f}" x2="{ml}" y2="{py:.2f}" stroke="black"/>')
         parts.append(
             f'<text x="{ml - 9}" y="{py + 4:.2f}" text-anchor="end" '

@@ -15,8 +15,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from .states import GaussianBiphoton, _check_range
 
 __all__ = [
@@ -134,9 +132,10 @@ def _doppler_inverse(omega: float, omega0: float, e: float) -> tuple[float, floa
 
 
 def target_estimates(
-    scenario: str, x: np.ndarray, omega0: float, dx=(0.0, 0.0, 0.0, 0.0)
-) -> tuple[np.ndarray, np.ndarray]:
-    """A scenario's two physical quantities and their 2x4 gradient at x + dx.
+    scenario: str, x, omega0: float, dx=(0.0, 0.0, 0.0, 0.0)
+) -> tuple[tuple, tuple]:
+    """A scenario's two physical quantities and their 2x4 gradient at x + dx,
+    as a pair and a tuple of two row tuples.
 
     ``x`` is (t1, t2, omega1, omega2), the returned photons' centers then
     carriers, and the gradient columns follow it.  ``multibody`` gives the
@@ -154,14 +153,14 @@ def target_estimates(
     if scenario == "multibody":
         v1, s1 = _doppler_inverse(w1, omega0, e1)
         v2, s2 = _doppler_inverse(w2, omega0, e2)
-        values = [C * ((t1 + t2) + (d1 + d2)) / 4.0, v2 - v1]
-        grad = [[C / 4.0, C / 4.0, 0.0, 0.0], [0.0, 0.0, -s1, s2]]
+        values = (C * ((t1 + t2) + (d1 + d2)) / 4.0, v2 - v1)
+        grad = ((C / 4.0, C / 4.0, 0.0, 0.0), (0.0, 0.0, -s1, s2))
     elif scenario == "moving_object":
         v, s = _doppler_inverse((w1 + w2) / 2.0, omega0, (e1 + e2) / 2.0)
         t_diff = (t2 - t1) + (d2 - d1)
         dsize = -t_diff * s / 4.0
-        values = [t_diff * (C - v) / 2.0, v]
-        grad = [[-(C - v) / 2.0, (C - v) / 2.0, dsize, dsize], [0.0, 0.0, s / 2.0, s / 2.0]]
+        values = (t_diff * (C - v) / 2.0, v)
+        grad = ((-(C - v) / 2.0, (C - v) / 2.0, dsize, dsize), (0.0, 0.0, s / 2.0, s / 2.0))
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
-    return np.array(values), np.array(grad)
+    return values, grad

@@ -5,16 +5,16 @@ state densities, combined into the sum/difference estimators, and compared
 against the quantum Cramer-Rao floor 1/(N H).  A draw of n pairs is the
 first 2n standard normals of one SFC64 generator seeded by the draw's seed,
 so results are bit-identical for a fixed seed and a longer draw extends a
-shorter one.
+shorter one.  This is the one module that needs numpy, and only the
+functions that draw or reduce samples import it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .analytic import asymptotic_H, scenario_qcrb_covariance
 from .kinematics import (
@@ -43,6 +43,11 @@ CHUNK_SIZE = 8192
 MC_STRATEGIES = (Strategy.ENTANGLED_BIPHOTON, Strategy.TWO_SINGLE_PHOTONS)
 
 
+def _is_integer(x) -> bool:
+    """Whether x is an integer (numpy's included) and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Sampling campaign settings for one measurement domain."""
@@ -53,12 +58,10 @@ class McConfig:
     strategy: Strategy = Strategy.ENTANGLED_BIPHOTON
 
     def __post_init__(self) -> None:
-        if (not isinstance(self.n_samples, (int, np.integer)) or isinstance(self.n_samples, bool)
-                or not self.n_samples >= 2):
+        if not _is_integer(self.n_samples) or not self.n_samples >= 2:
             raise ValueError(f"n_samples, the draws per domain, must be at least 2 and an "
                              f"integer, got {self.n_samples}")
-        if (not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool)
-                or self.seed < 0):
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.domain not in ("time", "frequency"):
             raise ValueError(f"domain must be 'time' or 'frequency', got {self.domain!r}")
@@ -81,15 +84,17 @@ class McReport:
     variance_interval_99: tuple[float, float]
 
 
-def _sample_bivariate(
-    mean: np.ndarray, cov: np.ndarray, n: int, seed: int
-) -> np.ndarray:
-    """Draw n correlated Gaussian pairs: the first 2n normals of SFC64(seed).
+def _sample_bivariate(mean, cov, n: int, seed: int):
+    """Draw n correlated Gaussian pairs, an (n, 2) array: the first 2n normals
+    of SFC64(seed).
 
     One generator fills the rows row-major, CHUNK_SIZE rows at a time, and
     the lower-triangular Cholesky factor and the mean are applied to each
     block in place while it is still in cache; the block size shapes no byte.
     """
+    import numpy as np
+
+    cov = np.asarray(cov)
     if not np.isfinite(cov).all():
         raise ArithmeticError(f"sampling covariance is not finite: {cov.tolist()}")
     (l00, _), (l10, l11) = np.linalg.cholesky(cov)
@@ -108,10 +113,8 @@ def _sample_bivariate(
     return out
 
 
-def _sampling_moments(
-    state: GaussianBiphoton, config: McConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance of the pair ``config`` measures on a returned state.
+def _sampling_moments(state: GaussianBiphoton, config: McConfig) -> tuple:
+    """Mean pair and 2x2 covariance of the pair ``config`` measures on a returned state.
 
     Two independent single photons carry no correlation, so they are sampled
     from the kappa = 0 state: variance 1/(4 sigma_i^2) in time and sigma_i^2
@@ -124,16 +127,16 @@ def _sampling_moments(
     return state.carriers(), frequency_covariance(state)
 
 
-def sample_times(state: GaussianBiphoton, config: McConfig) -> np.ndarray:
-    """Arrival-time pairs (t1, t2) drawn from |phi(t1, t2)|^2."""
+def sample_times(state: GaussianBiphoton, config: McConfig):
+    """Arrival-time pairs (t1, t2) drawn from |phi(t1, t2)|^2, an (n, 2) array."""
     if config.domain != "time":
         raise ValueError("config.domain must be 'time' for sample_times")
     mean, cov = _sampling_moments(state, config)
     return _sample_bivariate(mean, cov, config.n_samples, config.seed)
 
 
-def sample_frequencies(state: GaussianBiphoton, config: McConfig) -> np.ndarray:
-    """Frequency pairs (w1, w2) drawn from the joint spectral intensity."""
+def sample_frequencies(state: GaussianBiphoton, config: McConfig):
+    """Frequency pairs (w1, w2) drawn from the joint spectral intensity, an (n, 2) array."""
     if config.domain != "frequency":
         raise ValueError("config.domain must be 'frequency' for sample_frequencies")
     mean, cov = _sampling_moments(state, config)
@@ -142,7 +145,7 @@ def sample_frequencies(state: GaussianBiphoton, config: McConfig) -> np.ndarray:
 
 def _draw_offsets(
     state: GaussianBiphoton, strategy: Strategy, n_time: int, n_freq: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple:
     """Time pairs drawn at ``seed`` and frequency pairs at ``seed + 1``, as offsets
     from the state's own centers and carriers, so no coordinate costs digits."""
     time_config = McConfig(n_time, seed, "time", strategy)
@@ -151,16 +154,16 @@ def _draw_offsets(
     return sample_times(origin, time_config), sample_frequencies(origin, freq_config)
 
 
-def _combine(samples: np.ndarray, pair: ParameterPair, domain: str) -> np.ndarray:
-    """Per-shot estimator: t1+t2 / w2-w1 (pair A) or t2-t1 / w1+w2 (pair B)."""
-    a, b = samples[:, 0], samples[:, 1]
+def _combine(a, b, pair: ParameterPair, domain: str):
+    """Per-shot estimator from a pair's two columns or values a, b:
+    t1+t2 / w2-w1 (pair A) or t2-t1 / w1+w2 (pair B)."""
     if pair is ParameterPair.TIME_SUM_FREQ_DIFF:
         return a + b if domain == "time" else b - a
     return b - a if domain == "time" else a + b
 
 
 def estimate_pair(
-    samples: np.ndarray,
+    samples,
     pair: ParameterPair,
     domain: str,
     qfi_entry: float,
@@ -169,7 +172,10 @@ def estimate_pair(
 
     ``qfi_entry`` is the information-matrix diagonal entry for the component
     this domain measures; the QCRB per-shot variance is its reciprocal.
+    ``samples`` is an (n, 2) array of draws.
     """
+    import numpy as np
+
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] < 2:
         raise ValueError("need an (n, 2) sample array with n >= 2")
@@ -177,7 +183,7 @@ def estimate_pair(
         raise ValueError(f"unknown domain {domain!r}")
     if not qfi_entry > 0:
         raise ValueError("QFI entry must be positive")
-    values = _combine(samples, pair, domain)
+    values = _combine(samples[:, 0], samples[:, 1], pair, domain)
     n = len(values)
     # np.mean and np.var(ddof=1), step for step, on the fresh combination
     mean = float(np.mean(values))
@@ -208,7 +214,7 @@ def measure_pair(
     for domain, samples, entry, x in zip(("time", "frequency"), draws, entries,
                                          (state.centers(), state.carriers())):
         report = estimate_pair(samples, pair, domain, entry)
-        report.estimate = float(report.estimate + _combine(x[None], pair, domain)[0])
+        report.estimate = float(report.estimate + _combine(*x, pair, domain))
         reports.append(report)
     return tuple(reports)
 
@@ -345,11 +351,13 @@ def run_scenario(
             f"moving_object assumes a rigid body: both targets need one velocity, "
             f"got {targets[0].v} and {targets[1].v}"
         )
-    if not isinstance(n_shots, (int, np.integer)) or isinstance(n_shots, bool) or n_shots < 4:
+    if not _is_integer(n_shots) or n_shots < 4:
         raise ValueError(f"n_shots, the shots over both domains, must be an integer of at "
                          f"least 4 (2 per domain), got {n_shots!r}")
 
-    n_time = int(round(n_shots / 2))
+    import numpy as np
+
+    n_time = n_shots // 2
     n_freq = n_shots - n_time
 
     def estimates(dx, time_cov, freq_cov):
@@ -360,6 +368,7 @@ def run_scenario(
         cov[:2, :2] = time_cov / n_time
         cov[2:, 2:] = freq_cov / n_freq
         values, grad = target_estimates(scenario, x, probe.omega0, dx)
+        grad = np.array(grad)
         return values, np.sqrt(np.diag(grad @ cov @ grad.T))
 
     # an overflow or a division by zero is a non-finite report, raised below
@@ -368,10 +377,11 @@ def run_scenario(
         times, freqs = _draw_offsets(state, probe.strategy, n_time, n_freq, seed)
         # rows t1, t2 and omega1, omega2, contiguous so that each mean is a pairwise sum
         t_cols, w_cols = np.ascontiguousarray(times.T), np.ascontiguousarray(freqs.T)
-        x = np.concatenate([state.centers(), state.carriers()])
+        x = (*state.centers(), *state.carriers())
         means = np.concatenate([t_cols.mean(axis=1), w_cols.mean(axis=1)])
         values, std_errors = estimates(means, np.cov(t_cols), np.cov(w_cols))
-        qcrb = scenario_qcrb_covariance(probe.strategy, probe.kappa, state.sigma1, state.sigma2)
+        qcrb = np.array(
+            scenario_qcrb_covariance(probe.strategy, probe.kappa, state.sigma1, state.sigma2))
         _, predicted = estimates(np.zeros(4), qcrb[:2, :2], qcrb[2:, 2:])
 
     if scenario == "multibody":

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kinematics import ParameterPair, Strategy
 from .states import (
     ROWS,
@@ -83,9 +81,9 @@ class MixedModel:
 
 @dataclass
 class OracleResult:
-    """Numerical QFI output for one configuration."""
+    """Numerical QFI output for one configuration; ``H`` is a 2x2 tuple of row tuples."""
 
-    H: np.ndarray
+    H: tuple[tuple[float, float], tuple[float, float]]
     compat_residual: float
     dim: int
     rho_eigenvalues: list[float]
@@ -129,9 +127,9 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     """
     if not 1 <= len(stacks) <= 2:
         raise ValueError(f"need one or two branch stacks, got {len(stacks)}")
-    blocks = [overlap(s, s).tolist() for s in stacks]
+    blocks = [overlap(s, s) for s in stacks]
     # each derivative row's c
-    coeffs = [[row[1:] for row in s.p[1:].tolist()] for s in stacks]
+    coeffs = [[row[1:] for row in s.p[1:]] for s in stacks]
     n_rows = len(coeffs[0])
     if len(stacks) == 1:
         kernel = [line[1:] for line in blocks[0][1:]]
@@ -225,7 +223,7 @@ def qfi_numeric(model: MixedModel, pair: ParameterPair) -> OracleResult:
     |X_01 - X_10| = |Tr(rho [L_a, L_b])| the compatibility residual.
     """
     rows = [0, *map(ROWS.index, pair.param_names)]
-    basis = build_subspace([Stack(s.base, s.p[rows]) for s in model.stacks])
+    basis = build_subspace([Stack(s.base, tuple(s.p[i] for i in rows)) for s in model.stacks])
     lam, r, kernel = project(model, basis)
     L = sld_solve(lam, r)
     n, P = len(lam), len(L)
@@ -238,7 +236,7 @@ def qfi_numeric(model: MixedModel, pair: ParameterPair) -> OracleResult:
                 for j in range(n):
                     x += lam[i] * La[j] * Lb[j][i]
             X[a][b] = x
-    H = np.array([[(X[a][b] + X[b][a]).real / 2.0 for b in range(P)] for a in range(P)])
+    H = tuple(tuple((X[a][b] + X[b][a]).real / 2.0 for b in range(P)) for a in range(P))
     compat = abs(X[0][1] - X[1][0])
     return OracleResult(H=H, compat_residual=compat, dim=basis.dim, rho_eigenvalues=lam,
                         basis=basis)

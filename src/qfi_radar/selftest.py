@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 import time
 
-import numpy as np
-
 from .analytic import adjudicate, asymptotic_bound, bound_product, qfi_entangled
 from .kinematics import (
     C,
@@ -33,7 +31,7 @@ PAIR_B = ParameterPair.TIME_DIFF_FREQ_SUM
 ROOT3_2 = math.sqrt(3.0) / 2.0
 
 # the engine cases of criteria 3-5; criterion 6 checks the same models
-KAPPA_GRID = tuple(float(round(k, 10)) for k in np.arange(-0.95, 0.9501, 0.05))
+KAPPA_GRID = tuple(round(-0.95 + 0.05 * i, 10) for i in range(39))
 # entangled (sigma1, sigma2, kappa): equal bandwidths, then unequal ones
 PURE_CASES = tuple((sigma, sigma, k) for k in KAPPA_GRID for sigma in (0.5, 1.0, 2.0))
 UNEQUAL_KAPPAS = (-0.8, -0.4, 0.0, 0.4, 0.8)
@@ -95,9 +93,9 @@ def _entangled_errors(cases) -> float:
     for s1, s2, k in cases:
         model = model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=s1, sigma2=s2, kappa=k)
         for pair in (PAIR_A, PAIR_B):
-            closed = np.array(qfi_entangled(s1, s2, k, pair))
-            res = qfi_numeric(model, pair)
-            worst = max(worst, float(np.max(np.abs(np.diag(res.H) - closed) / np.abs(closed))))
+            closed = qfi_entangled(s1, s2, k, pair)
+            H = qfi_numeric(model, pair).H
+            worst = max(worst, *(abs(H[i][i] - closed[i]) / abs(closed[i]) for i in range(2)))
     return worst
 
 
@@ -128,7 +126,7 @@ def criterion_5() -> tuple[bool, str]:
     for pair in (PAIR_A, PAIR_B):
         model = model_for(Strategy.TWO_SINGLE_PHOTONS, sigma1=1.0, t_minus=50.0)
         res = qfi_numeric(model, pair)
-        bound = bound_product(res.H[0, 0], res.H[1, 1])
+        bound = bound_product(res.H[0][0], res.H[1][1])
         if abs(bound - 1.0) > 1e-4:
             issues.append(f"single-photon limit bound {bound!r} ({pair.value})")
         for k in LIMIT_KAPPAS:
@@ -137,7 +135,7 @@ def criterion_5() -> tuple[bool, str]:
             )
             res = qfi_numeric(model, pair)
             want = 2.0 * math.sqrt(1.0 - k * k)
-            bound = bound_product(res.H[0, 0], res.H[1, 1])
+            bound = bound_product(res.H[0][0], res.H[1][1])
             if abs(bound - want) > 1e-4:
                 issues.append(f"QI limit bound {bound!r} vs {want} (kappa={k}, {pair.value})")
     # branch swap: (t_minus, omega_minus) -> (-t_minus, -omega_minus) exchanges
@@ -148,11 +146,10 @@ def criterion_5() -> tuple[bool, str]:
         model = model_for(strategy, t_minus=1.0, omega_minus=0.8, **kwargs)
         swapped = model_for(strategy, t_minus=-1.0, omega_minus=-0.8, **kwargs)
         for pair in (PAIR_A, PAIR_B):
-            res = qfi_numeric(model, pair)
-            signs = np.array([-1.0 if name.endswith("minus") else 1.0
-                              for name in pair.param_names])
-            want = res.H * np.outer(signs, signs)
-            swap_gap = max(swap_gap, float(np.max(np.abs(qfi_numeric(swapped, pair).H - want))))
+            H, got = qfi_numeric(model, pair).H, qfi_numeric(swapped, pair).H
+            signs = [-1.0 if name.endswith("minus") else 1.0 for name in pair.param_names]
+            swap_gap = max(swap_gap, *(abs(got[i][j] - H[i][j] * (signs[i] * signs[j]))
+                                       for i in range(2) for j in range(2)))
     if swap_gap > 1e-9:
         issues.append(f"branch-swap gap {swap_gap:.2e} exceeds 1e-9")
     # finite-separation adjudication must produce complete verdict records
@@ -258,21 +255,23 @@ def criterion_9() -> tuple[bool, str]:
         ("moving_object", C / 3.0, C / 3.0),
     ):
         state = returned_state(Target(300.0, v1), Target(500.0, v2), probe)
-        x = np.concatenate([state.centers(), state.carriers()])
+        x = (*state.centers(), *state.carriers())
         _, grad = target_estimates(scenario, x, probe.omega0)
-        scale = np.max(np.abs(grad), axis=1)
-        for k, h in enumerate(1e-6 * np.maximum(1.0, np.abs(x))):
-            step = np.eye(4)[k] * h
-            up, _ = target_estimates(scenario, x + step, probe.omega0)
-            down, _ = target_estimates(scenario, x - step, probe.omega0)
-            fd = (up - down) / (2.0 * h)
-            worst_grad = max(worst_grad, float(np.max(np.abs(grad[:, k] - fd) / scale)))
+        scale = [max(map(abs, row)) for row in grad]
+        for k in range(4):
+            h = 1e-6 * max(1.0, abs(x[k]))
+            step = [h if i == k else 0.0 for i in range(4)]
+            up, _ = target_estimates(scenario, [a + b for a, b in zip(x, step)], probe.omega0)
+            down, _ = target_estimates(scenario, [a - b for a, b in zip(x, step)], probe.omega0)
+            worst_grad = max(worst_grad, *(abs(row[k] - (u - d) / (2.0 * h)) / sc
+                                           for row, u, d, sc in zip(grad, up, down, scale)))
     worst_rt = 0.0
-    for v in np.linspace(-0.5 * C, 0.5 * C, 21):
-        state = returned_state(Target(100.0, float(v)), Target(101.0, float(v)), probe)
-        x = np.concatenate([state.centers(), state.carriers()])
-        values, _ = target_estimates("moving_object", x, probe.omega0)
-        worst_rt = max(worst_rt, float(abs(values[0] - 1.0)), float(abs(values[1] - v) / C))
+    for i in range(21):
+        v = i * (C / 20.0) - 0.5 * C
+        state = returned_state(Target(100.0, v), Target(101.0, v), probe)
+        values, _ = target_estimates("moving_object", (*state.centers(), *state.carriers()),
+                                     probe.omega0)
+        worst_rt = max(worst_rt, abs(values[0] - 1.0), abs(values[1] - v) / C)
     ok = worst_grad <= 1e-6 and worst_rt <= 1e-12
     return ok, f"gradient FD rel diff {worst_grad:.2e}; inversion round-trip {worst_rt:.2e}"
 

@@ -1,4 +1,4 @@
-"""Parametric Gaussian photon states: amplitudes, overlaps, derivatives, moments.
+"""Parametric Gaussian photon states: overlaps, derivatives, moments.
 
 States are stored as a handful of real numbers; every integral used by the
 Fisher-information machinery is an (affine x Gaussian) integral with a
@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 __all__ = [
     "GaussianSinglePhoton",
@@ -32,8 +31,6 @@ __all__ = [
     "Stack",
     "ROWS",
     "branch_stack",
-    "single_amplitude",
-    "biphoton_amplitude",
     "overlap",
     "pair_terms",
     "time_covariance",
@@ -96,22 +93,22 @@ class GaussianBiphoton:
             2.0 * math.sqrt(1.0 - self.kappa**2) * self.sigma1 * self.sigma2 / math.pi
         )
 
-    def centers(self) -> np.ndarray:
-        return np.array([self.t1_bar, self.t2_bar])
+    def centers(self) -> tuple[float, float]:
+        return self.t1_bar, self.t2_bar
 
-    def carriers(self) -> np.ndarray:
-        return np.array([self.omega1_bar, self.omega2_bar])
+    def carriers(self) -> tuple[float, float]:
+        return self.omega1_bar, self.omega2_bar
 
 
 class Stack(NamedTuple):
     """Affine prefactors on one base Gaussian: row i of ``p`` is (c0, c1, c2)
-    of the state (c0 + c1 x1 + c2 x2) |base>; a one-dimensional ``p`` is a
+    of the state (c0 + c1 x1 + c2 x2) |base>; a ``p`` that is one row is a
     single state.  x = (t1 - t1_bar, t2 - t2_bar); a single photon is photon
     1 of its lift (``_exponent``), and its own states have c2 = 0.
     """
 
     base: GaussianSinglePhoton | GaussianBiphoton
-    p: np.ndarray
+    p: tuple
 
 
 def _split(state) -> tuple:
@@ -123,27 +120,11 @@ def _split(state) -> tuple:
     raise TypeError(f"not a Gaussian state: {state!r}")
 
 
-def single_amplitude(state: GaussianSinglePhoton, t) -> complex | np.ndarray:
-    """Time-domain amplitude psi(t)."""
-    x = np.asarray(t) - state.t_bar
-    return state.norm * np.exp(-state.sigma**2 * x**2 - 1j * state.omega_bar * x)
-
-
-def biphoton_amplitude(state: GaussianBiphoton, t1, t2) -> complex | np.ndarray:
-    """Joint time-domain amplitude phi(t1, t2)."""
-    x1 = np.asarray(t1) - state.t1_bar
-    x2 = np.asarray(t2) - state.t2_bar
-    s1, s2, k = state.sigma1, state.sigma2, state.kappa
-    quad = s1**2 * x1**2 + s2**2 * x2**2 - 2.0 * k * s1 * s2 * x1 * x2
-    phase = state.omega1_bar * x1 + state.omega2_bar * x2
-    return state.norm * np.exp(-quad - 1j * phase)
-
-
 # ---------------------------------------------------------------------------
 # Overlaps
 
 
-def overlap(a, b) -> complex | np.ndarray:
+def overlap(a, b) -> complex | tuple:
     """Closed-form inner product <a|b> of (affine x Gaussian) states.
 
     For plain normalized states conj(a) b integrates to g = <a|b> and,
@@ -159,8 +140,8 @@ def overlap(a, b) -> complex | np.ndarray:
     Q depends on the two base Gaussians only and is evaluated in two
     dimensions, single photons lifted (``_exponent``).  Either side
     may be a ``Stack`` of k rows: Q is then evaluated once and the call
-    returns the whole block of overlaps, shape (k_a, k_b), (k_a,) or (k_b,).
-    Two single states give a complex number.
+    returns the whole block of overlaps, nested tuples of shape (k_a, k_b),
+    (k_a,) or (k_b,).  Two single states give a complex number.
     """
     ga, pa = _split(a)
     gb, pb = _split(b)
@@ -168,13 +149,21 @@ def overlap(a, b) -> complex | np.ndarray:
         raise TypeError("cannot overlap single-photon with biphoton states")
     log_g, (ma1, ma2), (mb1, mb2), (s11, s22, s12) = pair_terms(ga, gb)
     g = cmath.exp(log_g)
-    Q = np.array([
-        [g, g * mb1, g * mb2],
-        [g * ma1, g * (ma1 * mb1 + s11), g * (ma1 * mb2 + s12)],
-        [g * ma2, g * (ma2 * mb1 + s12), g * (ma2 * mb2 + s22)],
-    ])
-    block = np.conj(pa).dot(Q).dot(np.transpose(pb))
-    return complex(block) if block.ndim == 0 else block
+    # the columns of Q
+    Q = ((g, g * ma1, g * ma2),
+         (g * mb1, g * (ma1 * mb1 + s11), g * (ma2 * mb1 + s12)),
+         (g * mb2, g * (ma1 * mb2 + s12), g * (ma2 * mb2 + s22)))
+    # a side whose p is one row (c0, c1, c2) is a single state
+    single_a, single_b = (isinstance(p[0], numbers.Number) for p in (pa, pb))
+    rows_b = (pb,) if single_b else pb
+    block = []
+    for row in (pa,) if single_a else pa:
+        # conj(row)^T Q, then its product with each row of b
+        c0, c1, c2 = (c.conjugate() for c in row)
+        q0, q1, q2 = (c0 * x0 + c1 * x1 + c2 * x2 for x0, x1, x2 in Q)
+        line = tuple(q0 * b0 + q1 * b1 + q2 * b2 for b0, b1, b2 in rows_b)
+        block.append(line[0] if single_b else line)
+    return block[0] if single_a else tuple(block)
 
 
 def _exponent(g) -> tuple[float, ...]:
@@ -281,27 +270,30 @@ def branch_stack(base: GaussianSinglePhoton | GaussianBiphoton,
             rows.append((0.0, 2.0 * (f1 * p + f2 * r), 2.0 * (f1 * r + f2 * q)))
         else:
             rows.append((0.0, -1j * f1, -1j * f2))
-    return Stack(base, np.array(rows, dtype=complex))
+    return Stack(base, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
 # Second moments of the exact densities
 
 
-def time_covariance(state: GaussianBiphoton) -> np.ndarray:
+def time_covariance(state: GaussianBiphoton) -> tuple:
     """Covariance (4 B)^-1 of the arrival-time pair (t1, t2) under
-    |phi|^2 ~ exp(-2 x^T B x), B = ``frequency_covariance(state)``, inverted exactly."""
+    |phi|^2 ~ exp(-2 x^T B x), B = ``frequency_covariance(state)``, inverted
+    exactly; a 2x2 tuple of row tuples."""
     s1, s2, k = state.sigma1, state.sigma2, state.kappa
     s12 = k * s1 * s2
-    return np.array([[s2**2, s12], [s12, s1**2]]) / (4.0 * (1.0 - k**2) * s1**2 * s2**2)
+    det4 = 4.0 * (1.0 - k**2) * s1**2 * s2**2  # 4 det B
+    return (s2**2 / det4, s12 / det4), (s12 / det4, s1**2 / det4)
 
 
-def frequency_covariance(state: GaussianBiphoton) -> np.ndarray:
+def frequency_covariance(state: GaussianBiphoton) -> tuple:
     """Covariance of the frequency pair (w1, w2) under the spectral intensity.
 
     The joint spectral intensity is the squared Fourier transform of phi;
     its covariance is the amplitude's quadratic form B (phi ~ exp(-x^T B x)),
     so time correlation kappa shows up as frequency anticorrelation -kappa.
+    A 2x2 tuple of row tuples.
     """
     p, q, r = _exponent(state)[:3]
-    return np.array([[p, r], [r, q]])
+    return (p, r), (r, q)

@@ -42,7 +42,7 @@ J = np.kron(np.eye(2), [[1.0, 1.0], [-1.0, 1.0]])
 def engine_H(model, params):
     """The engine's information matrix over ``params``, from its public stages."""
     rows = [0, *map(ROWS.index, params)]
-    basis = build_subspace([Stack(s.base, s.p[rows]) for s in model.stacks])
+    basis = build_subspace([Stack(s.base, tuple(s.p[i] for i in rows)) for s in model.stacks])
     lam, r, kernel = project(model, basis)
     L = np.array(sld_solve(lam, r))
     X = np.einsum("i,aij,bji->ab", lam, L, L) + np.array(kernel)
@@ -166,7 +166,7 @@ class TestBounds:
         # (4B)^-1 has one home: the time block is the state's own covariance
         state = GaussianBiphoton(0.0, 0.0, 0.0, 0.0, 1.0, 0.55, 0.6)
         cov = scenario_qcrb_covariance(Strategy.ENTANGLED_BIPHOTON, 0.6, 1.0, 0.55)
-        assert cov[:2, :2].tobytes() == time_covariance(state).tobytes()
+        assert np.array(cov)[:2, :2].tobytes() == np.array(time_covariance(state)).tobytes()
 
     def test_scenario_qcrb_covariance_validation(self):
         # unchecked, kappa = 1 gives an infinite time block

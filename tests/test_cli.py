@@ -547,14 +547,13 @@ class TestArithmeticErrors:
     @pytest.mark.parametrize("strategy", ["entangled_biphoton", "two_single_photons"])
     def test_underflowing_covariance_names_its_range(self, strategy, tmp_path, capsys):
         # the time covariance divides by 4 (1 - kappa^2) sigma1^2 sigma2^2,
-        # which underflows to 0 at sigma = 1e-200: the draw refuses the NaN
-        # covariance instead of handing it to the Cholesky factorization
+        # which underflows to 0 at sigma = 1e-200: the float division refuses
+        # it before any draw, so no NaN covariance reaches the Cholesky factorization
         code = main(["scenario", "--sigma", "1e-200", "--strategy", strategy,
                      "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: input out of numerical range (ArithmeticError: sampling covariance "
-            "is not finite: [[nan, nan], [nan, nan]])\n"
+            "error: input out of numerical range (ZeroDivisionError: float division by zero)\n"
         )
 
 

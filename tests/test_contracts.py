@@ -4,29 +4,33 @@ The engine_map round is the benchmark's correctness gate: a change that
 fails more of its points, or fails one for a reason no known fault
 explains, is caught here first.  The import check keeps the numerical
 engine free of every closed-form information expression, the dependency
-check keeps numpy the package's only third-party import, the print check
-keeps output in the CLI, and the export check keeps every public name in
-use.
+check keeps numpy the package's only third-party import, and the numpy
+checks keep it inside the functions of montecarlo.py that draw or reduce
+samples, so ``import qfi_radar`` and the qfi, curves and oracle-check
+subcommands run on the standard library alone.  The print check keeps
+output in the CLI, and the export check keeps every public name in use.
 """
 
 import ast
 import importlib.util
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
 
 import qfi_radar
+from qfi_radar import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # engine_map points failed per round: none since the closed-form support
 # frame; any failure is a regression
 ENGINE_MAP_FAILED = 0
-# exported names with no caller in src/, bench/ or demos/: the tests use
-# them as quadrature references, and the classical-Fisher-information item
-# of ROADMAP.md decides whether they gain a caller or go
-UNCALLED_EXPORTS = {"single_amplitude", "biphoton_amplitude"}
+# the functions of montecarlo.py that import numpy, and the subcommands that
+# run without it
+NUMPY_FUNCTIONS = {"_sample_bivariate", "estimate_pair", "run_scenario"}
+NUMPY_FREE_COMMANDS = (["qfi"], ["curves", "--format", "svg"], ["oracle-check"])
 # the overlap kernel's two entry points
 KERNELS = {"overlap", "pair_terms"}
 # cli.py's file writers and the functions allowed to call them: every
@@ -92,6 +96,63 @@ def test_src_imports_only_stdlib_and_numpy():
                 continue
             for module in modules:
                 assert module.partition(".")[0] in allowed, (path.name, node.lineno, module)
+
+
+def test_numpy_imported_only_inside_montecarlo_functions():
+    found = []
+
+    def visit(node, name, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ImportFrom):
+            modules = [] if node.level else [node.module]
+        elif isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        else:
+            modules = []
+        if any(module.partition(".")[0] == "numpy" for module in modules):
+            found.append((name, function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, function)
+
+    for path in sorted((ROOT / "src" / "qfi_radar").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+    assert {name for name, _, _ in found} == {"montecarlo.py"}, found
+    assert {function for _, function, _ in found} == NUMPY_FUNCTIONS, found
+
+
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter that imports the package under test."""
+    src = os.path.dirname(os.path.dirname(qfi_radar.__file__))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+
+
+def test_import_loads_no_numpy():
+    proc = fresh_python("import sys, qfi_radar, qfi_radar.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_cli_runs_without_numpy(tmp_path, capsys):
+    # with numpy unimportable, each subcommand exits 0 and writes the bytes
+    # of an ordinary run
+    blocked = [[*argv, "--out", str(tmp_path / "blocked" / argv[0])]
+               for argv in NUMPY_FREE_COMMANDS]
+    proc = fresh_python(
+        "import json, sys\nsys.modules['numpy'] = None\nfrom qfi_radar.cli import main\n"
+        "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))", json.dumps(blocked))
+    assert proc.returncode == 0, proc.stderr
+    for argv in NUMPY_FREE_COMMANDS:
+        assert cli.main([*argv, "--out", str(tmp_path / "open" / argv[0])]) == 0
+    capsys.readouterr()
+    files = sorted(p.relative_to(tmp_path / "open")
+                   for p in (tmp_path / "open").rglob("*") if p.is_file())
+    assert len(files) == 6, files
+    assert files == sorted(p.relative_to(tmp_path / "blocked")
+                           for p in (tmp_path / "blocked").rglob("*") if p.is_file())
+    for rel in files:
+        assert (tmp_path / "blocked" / rel).read_bytes() == (tmp_path / "open" / rel).read_bytes()
 
 
 def calls_by_function(tree, names):
@@ -181,4 +242,4 @@ def test_every_export_has_a_caller():
             if isinstance(node, ast.Assign) and any(
                     getattr(t, "id", None) == "__all__" for t in node.targets):
                 exported.update(ast.literal_eval(node.value))
-    assert exported - used == UNCALLED_EXPORTS
+    assert not exported - used, exported - used

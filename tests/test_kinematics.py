@@ -162,7 +162,7 @@ class TestJacobian:
                 step[k] = 1e-6 * max(1.0, abs(x[k]))
                 up, _ = target_estimates(scenario, x + step, omega0)
                 down, _ = target_estimates(scenario, x - step, omega0)
-                fd[:, k] = (up - down) / (2.0 * step[k])
+                fd[:, k] = np.subtract(up, down) / (2.0 * step[k])
             scale = np.max(np.abs(grad), axis=1, keepdims=True)
             assert np.max(np.abs(grad - fd) / scale) <= 1e-6, (scenario, v)
 

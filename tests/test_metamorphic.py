@@ -44,7 +44,7 @@ def case_id(case):
 
 
 def engine_H(strategy, pair, sigma, kappa, **kwargs):
-    return qfi_numeric(model_for(strategy, sigma1=sigma, kappa=kappa, **kwargs), pair).H
+    return np.array(qfi_numeric(model_for(strategy, sigma1=sigma, kappa=kappa, **kwargs), pair).H)
 
 
 def at_case(case, **changes):

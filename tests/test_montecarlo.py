@@ -85,6 +85,15 @@ class TestConfig:
                 McConfig(n, 0)
         assert McConfig(np.int64(10), np.uint32(3)).n_samples == 10
 
+    def test_one_integer_rule(self):
+        # n_samples, seed and run_scenario's n_shots share one rule, which
+        # accepts numpy's integers as integers
+        config = McConfig(np.int64(10), np.int64(10))
+        assert (config.n_samples, config.seed) == (10, 10)
+        report = run_scenario("multibody", (Target(300.0, 0.0), Target(500.0, 0.0)),
+                              ProbeConfig(10.0, 1.0, -0.9), np.int64(10), 5)
+        assert report["n_shots"] == 10
+
     def test_domain_dispatch(self):
         state = biphoton(0.0)
         with pytest.raises(ValueError):
@@ -121,6 +130,13 @@ class TestSampling:
         z = np.random.Generator(np.random.SFC64(seed)).standard_normal((n, 2))
         assert np.array_equal(samples[:, 0], l00 * z[:, 0] + 0.3)
         assert np.array_equal(samples[:, 1], l11 * z[:, 1] + l10 * z[:, 0] + -0.2)
+
+    def test_infinite_covariance_refused(self):
+        # photon 1's time variance 1/(4 sigma1^2) overflows at sigma1 = 1e-155
+        state = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1e-155, 1.0, 0.0)
+        with pytest.raises(ArithmeticError, match=r"^sampling covariance is not finite: "
+                                                  r"\[\[inf, 0\.0\], \[0\.0, 0\.25\]\]$"):
+            sample_times(state, McConfig(10, 0))
 
     def test_golden_values(self):
         # exact draws at a fixed seed: a numpy release that changes SFC64,
@@ -430,6 +446,13 @@ class TestScenarios:
                 run_scenario("multibody", targets, probe, bad, 5)
         report = run_scenario("multibody", targets, probe, np.int64(100), 5)
         assert report == run_scenario("multibody", targets, probe, 100, 5)
+
+    @pytest.mark.parametrize("n, n_time", [(5, 2), (6, 3), (7, 3)])
+    def test_time_takes_the_lower_half_of_the_shots(self, n, n_time):
+        # half the shots, rounded down, go to time and the rest to frequency
+        report = run_scenario("multibody", (Target(300.0, 0.0), Target(500.0, 0.0)),
+                              ProbeConfig(10.0, 1.0, -0.9), n, 5)
+        assert (report["n_time_shots"], report["n_frequency_shots"]) == (n_time, n - n_time)
 
     def test_seed_to_seed_gate(self):
         """Over m = 400 seeds each quantity's estimates spread as its reported

@@ -26,9 +26,8 @@ def test_quick_start_prints_its_commented_values():
     checks = [
         ("# (H11, H22) = (3.6, 2.5)", lambda: np.allclose(ns["h"], [3.6, 2.5], atol=1e-12)),
         ("# 1/3", lambda: abs(ns["bound_product"](*ns["h"]) - 1.0 / 3.0) <= 1e-12),
-        ("# [1.8539, 0.4749]",
-         lambda: np.round(ns["qfi_numeric"](ns["model"], ns["pair"]).H.diagonal(), 4).tolist()
-         == [1.8539, 0.4749]),
+        ("# 1.8539..., 0.4749...",
+         lambda: [round(ns["H"][0][0], 4), round(ns["H"][1][1], 4)] == [1.8539, 0.4749]),
         ("# t_minus confirmed, omega_plus refuted",
          lambda: out.getvalue().splitlines()[-2:] == ["t_minus confirmed", "omega_plus refuted"]),
     ]

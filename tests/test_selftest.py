@@ -99,7 +99,7 @@ def test_criterion_5_mixed_limits_and_adjudication(monkeypatch, failed):
         res = real(model, pair)
         base = model.stacks[0].base
         if getattr(base, "t_bar", getattr(base, "t1_bar", 0.0)) > 0.0:
-            res.H = res.H + 1e-6
+            res.H = tuple(tuple(h + 1e-6 for h in row) for row in res.H)
         return res
 
     monkeypatch.setattr(selftest, "qfi_numeric", late_first_branch_off)
@@ -170,7 +170,7 @@ def test_criterion_9_kinematics(monkeypatch, failed):
 
     def skewed(*args):
         values, grad = real(*args)
-        return values, 1.001 * grad
+        return values, tuple(tuple(1.001 * g for g in row) for row in grad)
 
     monkeypatch.setattr(selftest, "target_estimates", skewed)
     assert failed(9).startswith("gradient FD rel diff 9.99e-04")
