@@ -6,8 +6,12 @@ Subcommands: ``qfi`` (information-matrix tables), ``curves``
 ``simulate`` (Monte Carlo QCRB saturation), ``scenario`` (end-to-end radar
 estimation), and ``selftest`` (the built-in acceptance suite).
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 check failure, 2 usage error (a sampling
+subcommand run without numpy is one), 3 I/O error.
 Config precedence: flags > ``--config`` JSON file > defaults.
+
+``simulate`` and ``scenario`` import ``montecarlo`` and ``selftest`` imports
+``selftest`` when they run, so the other subcommands never load either.
 """
 
 from __future__ import annotations
@@ -20,10 +24,8 @@ import sys
 from fractions import Fraction
 
 from .analytic import adjudicate, asymptotic_H, asymptotic_bound, bound_product
-from .kinematics import SCENARIOS, ParameterPair, ProbeConfig, Strategy, Target
-from .montecarlo import MC_STRATEGIES, measure_pair, run_scenario, variance_interval
+from .kinematics import MC_STRATEGIES, SCENARIOS, ParameterPair, ProbeConfig, Strategy, Target
 from .oracle import model_for, qfi_numeric
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -326,6 +328,8 @@ def cmd_oracle_check(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
+    from .montecarlo import measure_pair, variance_interval
+
     sigma, n, seed = cfg["sigma"], cfg["n"], cfg["seed"]
     # measure_pair's first McConfig refuses an n below 2 or a strategy Monte
     # Carlo cannot sample; row i draws time at seed + 2i and frequency at seed + 2i + 1
@@ -372,6 +376,8 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_scenario(cfg: dict) -> int:
+    from .montecarlo import run_scenario
+
     probe = ProbeConfig(
         omega0=cfg["omega0"], sigma0=cfg["sigma"], kappa=cfg["kappa"],
         strategy=Strategy(cfg["strategy"]),
@@ -399,6 +405,8 @@ def cmd_scenario(cfg: dict) -> int:
 
 
 def cmd_selftest(as_json: bool) -> int:
+    from .selftest import run_selftest
+
     code, records = run_selftest()
     if as_json:
         print(json.dumps(records, indent=2))
@@ -474,6 +482,12 @@ def main(argv: list[str] | None = None) -> int:
         # an input so extreme that a formula under- or overflows, e.g. --sigma 1e-200
         print(f"error: input out of numerical range ({type(exc).__name__}: {exc})",
               file=sys.stderr)
+        return EXIT_USAGE
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        # simulate, scenario and selftest sample; the other subcommands need no numpy
+        print(f"error: {args.command} needs numpy, which is not installed", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:
         # a draw too large to allocate, e.g. scenario --n 100000000000

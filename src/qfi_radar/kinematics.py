@@ -8,18 +8,22 @@ coordinates (t1, t2, omega1, omega2): ``state.centers()`` then
 velocities are fractions of c.  Velocities are positive for receding
 targets, so a receding target redshifts the carrier and the bandwidth by
 the exact two-way Doppler factor (c - v)/(c + v).
+
+``Strategy`` names the three probes and ``MC_STRATEGIES`` the two that
+``montecarlo`` samples; that tuple lives here, so the CLI builds its parser
+without importing ``montecarlo``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .states import GaussianBiphoton, _check_range
+from .states import GaussianBiphoton, _check_range, _Frozen
 
 __all__ = [
     "C",
     "Strategy",
+    "MC_STRATEGIES",
     "ParameterPair",
     "Target",
     "ProbeConfig",
@@ -47,6 +51,10 @@ class Strategy(enum.Enum):
     QUANTUM_ILLUMINATION = "quantum_illumination"
 
 
+# the strategies Monte Carlo samples, and so the ones simulate and scenario accept
+MC_STRATEGIES = (Strategy.ENTANGLED_BIPHOTON, Strategy.TWO_SINGLE_PHOTONS)
+
+
 class ParameterPair(enum.Enum):
     """Which (time, frequency) estimator pair is being targeted.
 
@@ -69,32 +77,29 @@ class ParameterPair(enum.Enum):
         return ("t_minus", "omega_plus")
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(_Frozen):
     """A point scatterer at range ``r`` receding with radial velocity ``v``."""
 
-    r: float
-    v: float
+    __slots__ = ("r", "v")
 
-    def __post_init__(self) -> None:
-        if not self.r >= 0:
-            raise ValueError(f"target range must be non-negative, got {self.r}")
-        doppler_factor(self.v)  # raises unless |v| < c
+    def __init__(self, r: float, v: float) -> None:
+        if not r >= 0:
+            raise ValueError(f"target range must be non-negative, got {r}")
+        doppler_factor(v)  # raises unless |v| < c
+        self._fill(r, v)
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
+class ProbeConfig(_Frozen):
     """Emitted probe: carrier ``omega0``, bandwidth ``sigma0``, time correlation ``kappa``."""
 
-    omega0: float
-    sigma0: float
-    kappa: float
-    strategy: Strategy = Strategy.ENTANGLED_BIPHOTON
+    __slots__ = ("omega0", "sigma0", "kappa", "strategy")
 
-    def __post_init__(self) -> None:
-        if not self.omega0 > 0:
+    def __init__(self, omega0: float, sigma0: float, kappa: float,
+                 strategy: Strategy = Strategy.ENTANGLED_BIPHOTON) -> None:
+        if not omega0 > 0:
             raise ValueError("carrier frequency must be positive")
-        _check_range(self.kappa, self.sigma0)
+        _check_range(kappa, sigma0)
+        self._fill(omega0, sigma0, kappa, strategy)
 
 
 def doppler_factor(v: float) -> float:

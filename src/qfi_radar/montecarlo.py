@@ -6,7 +6,10 @@ against the quantum Cramer-Rao floor 1/(N H).  A draw of n pairs is the
 first 2n standard normals of one SFC64 generator seeded by the draw's seed,
 so results are bit-identical for a fixed seed and a longer draw extends a
 shorter one.  This is the one module that needs numpy, and only the
-functions that draw or reduce samples import it.
+functions that draw or reduce samples import it.  The strategies it samples,
+``MC_STRATEGIES``, live in ``kinematics`` beside ``Strategy``, so the CLI
+builds its parser without importing this module; ``import qfi_radar`` loads
+it on first use of one of its names.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .analytic import asymptotic_H, scenario_qcrb_covariance
 from .kinematics import (
+    MC_STRATEGIES,
     SCENARIOS,
     ParameterPair,
     ProbeConfig,
@@ -40,7 +44,6 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 8192
-MC_STRATEGIES = (Strategy.ENTANGLED_BIPHOTON, Strategy.TWO_SINGLE_PHOTONS)
 
 
 def _is_integer(x) -> bool:
@@ -121,7 +124,8 @@ def _sampling_moments(state: GaussianBiphoton, config: McConfig) -> tuple:
     in frequency, with zero cross-covariance.
     """
     if config.strategy is Strategy.TWO_SINGLE_PHOTONS:
-        state = replace(state, kappa=0.0)
+        state = GaussianBiphoton(*state.centers(), *state.carriers(),
+                                 state.sigma1, state.sigma2, 0.0)
     if config.domain == "time":
         return state.centers(), time_covariance(state)
     return state.carriers(), frequency_covariance(state)
@@ -150,7 +154,7 @@ def _draw_offsets(
     from the state's own centers and carriers, so no coordinate costs digits."""
     time_config = McConfig(n_time, seed, "time", strategy)
     freq_config = McConfig(n_freq, seed + 1, "frequency", strategy)
-    origin = replace(state, t1_bar=0.0, t2_bar=0.0, omega1_bar=0.0, omega2_bar=0.0)
+    origin = GaussianBiphoton(0.0, 0.0, 0.0, 0.0, state.sigma1, state.sigma2, state.kappa)
     return sample_times(origin, time_config), sample_frequencies(origin, freq_config)
 
 

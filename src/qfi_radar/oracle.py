@@ -19,7 +19,7 @@ is what makes this module a usable referee for the analytic formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kinematics import ParameterPair, Strategy
 from .states import (
@@ -45,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class SubspaceBasis:
+class SubspaceBasis(NamedTuple):
     """The support frame of sum_k |psi_k><psi_k|, one stack per branch psi_k.
 
     ``eigenvalues[i]`` belongs to the frame vector e_i, and
@@ -66,8 +65,7 @@ class SubspaceBasis:
         return len(self.eigenvalues)
 
 
-@dataclass(frozen=True)
-class MixedModel:
+class MixedModel(NamedTuple):
     """A returned state: equally weighted branches plus their parameter dependence.
 
     ``weight`` is every branch's weight w in rho = w sum_i |psi_i><psi_i|,
@@ -79,8 +77,7 @@ class MixedModel:
     stacks: tuple[Stack, ...]
 
 
-@dataclass
-class OracleResult:
+class OracleResult(NamedTuple):
     """Numerical QFI output for one configuration; ``H`` is a 2x2 tuple of row tuples."""
 
     H: tuple[tuple[float, float], tuple[float, float]]

@@ -290,12 +290,18 @@ CRITERIA = [
 
 
 def run_selftest() -> tuple[int, list[dict]]:
-    """Run every criterion; returns (exit_code, per-criterion records), printing nothing."""
+    """Run every criterion; returns (exit_code, per-criterion records), printing nothing.
+
+    A criterion that raises has failed, unless a module it needs is missing:
+    that ends the run, and the CLI reports it as a usage error.
+    """
     records = []
     for number, (name, func) in enumerate(CRITERIA, start=1):
         start = time.perf_counter()
         try:
             passed, detail = func()
+        except ModuleNotFoundError:
+            raise  # a missing dependency fails the run, not one criterion
         except Exception as exc:  # a crashed criterion is a failed criterion
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         records.append(

@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
@@ -56,36 +55,67 @@ def _check_range(kappa: float, *sigmas: float) -> None:
         raise ValueError(f"kappa must lie in (-1, 1), got {kappa}")
 
 
-@dataclass(frozen=True)
-class GaussianSinglePhoton:
+# ``_Frozen.__setattr__`` refuses every assignment, so ``_fill`` stores through object's
+_set_field = object.__setattr__
+
+
+class _Frozen:
+    """An immutable record compared, hashed and shown by its fields, in
+    ``__slots__`` order, as a frozen dataclass is.  A subclass's ``__init__``
+    validates its arguments, then stores them with ``_fill``.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _set_field(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GaussianSinglePhoton(_Frozen):
     """Normalized single-photon Gaussian wavepacket."""
 
-    t_bar: float
-    omega_bar: float
-    sigma: float
+    __slots__ = ("t_bar", "omega_bar", "sigma")
 
-    def __post_init__(self) -> None:
-        _check_range(0.0, self.sigma)
+    def __init__(self, t_bar: float, omega_bar: float, sigma: float) -> None:
+        _check_range(0.0, sigma)
+        self._fill(t_bar, omega_bar, sigma)
 
     @property
     def norm(self) -> float:
         return (2.0 * self.sigma**2 / math.pi) ** 0.25
 
 
-@dataclass(frozen=True)
-class GaussianBiphoton:
+class GaussianBiphoton(_Frozen):
     """Normalized two-photon Gaussian wavepacket with time correlation kappa."""
 
-    t1_bar: float
-    t2_bar: float
-    omega1_bar: float
-    omega2_bar: float
-    sigma1: float
-    sigma2: float
-    kappa: float
+    __slots__ = ("t1_bar", "t2_bar", "omega1_bar", "omega2_bar", "sigma1", "sigma2", "kappa")
 
-    def __post_init__(self) -> None:
-        _check_range(self.kappa, self.sigma1, self.sigma2)
+    def __init__(self, t1_bar: float, t2_bar: float, omega1_bar: float, omega2_bar: float,
+                 sigma1: float, sigma2: float, kappa: float) -> None:
+        _check_range(kappa, sigma1, sigma2)
+        self._fill(t1_bar, t2_bar, omega1_bar, omega2_bar, sigma1, sigma2, kappa)
 
     @property
     def norm(self) -> float:

@@ -7,8 +7,10 @@ engine free of every closed-form information expression, the dependency
 check keeps numpy the package's only third-party import, and the numpy
 checks keep it inside the functions of montecarlo.py that draw or reduce
 samples, so ``import qfi_radar`` and the qfi, curves and oracle-check
-subcommands run on the standard library alone.  The print check keeps
-output in the CLI, and the export check keeps every public name in use.
+subcommands run on the standard library alone.  The cold-import check keeps
+the sampling modules, the selftest and ``dataclasses`` off ``import
+qfi_radar.cli``.  The print check keeps output in the CLI, and the export
+check keeps every public name in use.
 """
 
 import ast
@@ -19,6 +21,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import qfi_radar
 from qfi_radar import cli
@@ -31,6 +35,19 @@ ENGINE_MAP_FAILED = 0
 # run without it
 NUMPY_FUNCTIONS = {"_sample_bivariate", "estimate_pair", "run_scenario"}
 NUMPY_FREE_COMMANDS = (["qfi"], ["curves", "--format", "svg"], ["oracle-check"])
+# the subcommands that sample, each with the smallest run that reaches numpy
+NUMPY_COMMANDS = (["simulate", "--n", "2", "--kappa-min", "0", "--kappa-max", "0"],
+                  ["scenario"], ["selftest"])
+# the package's modules a cold `import qfi_radar.cli` loads, and modules it must not
+COLD_IMPORT = ["qfi_radar", "qfi_radar.analytic", "qfi_radar.cli", "qfi_radar.kinematics",
+               "qfi_radar.oracle", "qfi_radar.states"]
+NOT_IMPORTED = ["qfi_radar.montecarlo", "qfi_radar.selftest", "dataclasses", "inspect", "numpy"]
+# the package-level names that load their module on first access
+LAZY_NAMES = {
+    "qfi_radar.montecarlo": ["McConfig", "McReport", "estimate_pair", "measure_pair",
+                             "run_scenario", "sample_times", "sample_frequencies"],
+    "qfi_radar.selftest": ["run_selftest"],
+}
 # the overlap kernel's two entry points
 KERNELS = {"overlap", "pair_terms"}
 # cli.py's file writers and the functions allowed to call them: every
@@ -128,10 +145,31 @@ def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
                           env=dict(os.environ, PYTHONPATH=src), timeout=300)
 
 
-def test_import_loads_no_numpy():
-    proc = fresh_python("import sys, qfi_radar, qfi_radar.cli; print('numpy' in sys.modules)")
+def test_cold_import_loads_only_the_closed_form_path():
+    # qfi, curves and oracle-check pay this import on every call; each lazy
+    # name is listed by dir() and, once read, is its module's own object
+    proc = fresh_python(
+        "import json, sys, qfi_radar, qfi_radar.cli\n"
+        "lazy = json.loads(sys.argv[2])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qfi_radar'))))\n"
+        "print(json.dumps([m for m in json.loads(sys.argv[1]) if m in sys.modules]))\n"
+        "print(json.dumps([n for names in lazy.values() for n in names\n"
+        "                  if n not in dir(qfi_radar)]))\n"
+        "values = {n: getattr(qfi_radar, n) for names in lazy.values() for n in names}\n"
+        "print(json.dumps([n for module, names in lazy.items() for n in names\n"
+        "                  if values[n] is not getattr(sys.modules[module], n)]))\n"
+        "try:\n"
+        "    qfi_radar.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)",
+        json.dumps(NOT_IMPORTED), json.dumps(LAZY_NAMES))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    package, loaded, undir, foreign, missing = proc.stdout.splitlines()
+    assert json.loads(package) == COLD_IMPORT
+    assert json.loads(loaded) == []
+    assert json.loads(undir) == []
+    assert json.loads(foreign) == []
+    assert missing == "module 'qfi_radar' has no attribute 'no_such_name'"
 
 
 def test_cli_runs_without_numpy(tmp_path, capsys):
@@ -153,6 +191,18 @@ def test_cli_runs_without_numpy(tmp_path, capsys):
                            for p in (tmp_path / "blocked").rglob("*") if p.is_file())
     for rel in files:
         assert (tmp_path / "blocked" / rel).read_bytes() == (tmp_path / "open" / rel).read_bytes()
+
+
+@pytest.mark.parametrize("argv", NUMPY_COMMANDS, ids=lambda argv: argv[0])
+def test_sampling_commands_without_numpy_exit_2(tmp_path, argv):
+    # a missing numpy is a usage error with one line, not a traceback
+    full = argv if argv[0] == "selftest" else [*argv, "--out", str(tmp_path)]
+    proc = fresh_python(
+        "import sys\nsys.modules['numpy'] = None\nfrom qfi_radar.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))", *full)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {argv[0]} needs numpy, which is not installed\n"
 
 
 def calls_by_function(tree, names):

@@ -12,10 +12,9 @@ import pytest
 import qfi_radar
 from qfi_radar import montecarlo
 from qfi_radar.analytic import asymptotic_H, qfi_entangled
-from qfi_radar.kinematics import C, ParameterPair, ProbeConfig, Strategy, Target
+from qfi_radar.kinematics import C, MC_STRATEGIES, ParameterPair, ProbeConfig, Strategy, Target
 from qfi_radar.montecarlo import (
     CHUNK_SIZE,
-    MC_STRATEGIES,
     McConfig,
     estimate_pair,
     measure_pair,

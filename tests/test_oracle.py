@@ -7,7 +7,6 @@ the mixture becomes an orthogonal ensemble.
 """
 
 import collections
-import dataclasses
 import importlib
 import inspect
 import math
@@ -401,7 +400,7 @@ class TestMixedStates:
     def test_one_weight_per_model(self):
         # the closed-form frame needs equally weighted branches, so a model
         # holds one weight: its trace over the number of branches
-        assert [f.name for f in dataclasses.fields(oracle.MixedModel)] == ["weight", "stacks"]
+        assert oracle.MixedModel._fields == ("weight", "stacks")
         for strategy, trace in ((Strategy.ENTANGLED_BIPHOTON, 1.0),
                                 (Strategy.TWO_SINGLE_PHOTONS, 2.0),
                                 (Strategy.QUANTUM_ILLUMINATION, 1.0)):

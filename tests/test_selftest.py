@@ -22,12 +22,13 @@ def failed(capsys, monkeypatch):
 
     def run(number):
         runs = []
+        run_selftest = selftest.run_selftest
 
         def recorded():
-            runs.append(selftest.run_selftest())
+            runs.append(run_selftest())
             return runs[-1]
 
-        monkeypatch.setattr(cli, "run_selftest", recorded)
+        monkeypatch.setattr(selftest, "run_selftest", recorded)
         assert cli.main(["selftest"]) == 1
         [(_code, records)] = runs
         record = records[number - 1]
@@ -99,7 +100,7 @@ def test_criterion_5_mixed_limits_and_adjudication(monkeypatch, failed):
         res = real(model, pair)
         base = model.stacks[0].base
         if getattr(base, "t_bar", getattr(base, "t1_bar", 0.0)) > 0.0:
-            res.H = tuple(tuple(h + 1e-6 for h in row) for row in res.H)
+            res = res._replace(H=tuple(tuple(h + 1e-6 for h in row) for row in res.H))
         return res
 
     monkeypatch.setattr(selftest, "qfi_numeric", late_first_branch_off)
@@ -121,7 +122,7 @@ def test_criterion_6_compatibility(monkeypatch, failed):
     def incompatible(model, pair):
         res = real(model, pair)
         if len(model.stacks) == 2 and isinstance(model.stacks[0].base, GaussianBiphoton):
-            res.compat_residual = 1e-6
+            res = res._replace(compat_residual=1e-6)
         return res
 
     monkeypatch.setattr(selftest, "qfi_numeric", incompatible)

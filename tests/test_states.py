@@ -5,7 +5,6 @@ the amplitudes (see the quadrature helpers below), not from any closed-form
 information expression.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfi_radar.analytic import qfi_entangled
-from qfi_radar.kinematics import ParameterPair
+from qfi_radar.kinematics import ParameterPair, ProbeConfig, Strategy, Target
 from qfi_radar.states import (
     ROWS,
     GaussianBiphoton,
@@ -116,18 +115,19 @@ def shift_single(psi, param, photon_index, eps):
     """psi with one sum/difference parameter displaced by eps."""
     fac = CHAIN[param][photon_index - 1] * eps
     if param.startswith("t"):
-        return dataclasses.replace(psi, t_bar=psi.t_bar + fac)
-    return dataclasses.replace(psi, omega_bar=psi.omega_bar + fac)
+        return GaussianSinglePhoton(psi.t_bar + fac, psi.omega_bar, psi.sigma)
+    return GaussianSinglePhoton(psi.t_bar, psi.omega_bar + fac, psi.sigma)
 
 
 def shift_biphoton(phi, param, eps):
     """phi with one sum/difference parameter displaced by eps."""
     f1, f2 = CHAIN[param]
+    t1, t2, w1, w2 = *phi.centers(), *phi.carriers()
     if param.startswith("t"):
-        return dataclasses.replace(phi, t1_bar=phi.t1_bar + f1 * eps,
-                                   t2_bar=phi.t2_bar + f2 * eps)
-    return dataclasses.replace(phi, omega1_bar=phi.omega1_bar + f1 * eps,
-                               omega2_bar=phi.omega2_bar + f2 * eps)
+        t1, t2 = t1 + f1 * eps, t2 + f2 * eps
+    else:
+        w1, w2 = w1 + f1 * eps, w2 + f2 * eps
+    return GaussianBiphoton(t1, t2, w1, w2, phi.sigma1, phi.sigma2, phi.kappa)
 
 
 def quad_norm_error(state, points=512, half_width_sigmas=8.0):
@@ -205,6 +205,43 @@ class TestNormalization:
             GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, math.nan, 0.0)
         with pytest.raises(ValueError, match="bandwidths must be positive"):
             GaussianSinglePhoton(0.0, 1.0, math.nan)
+
+
+# each validated record, by position and by keyword, and its repr
+RECORDS = [
+    (GaussianSinglePhoton(0.5, 3.0, 1.0),
+     GaussianSinglePhoton(t_bar=0.5, omega_bar=3.0, sigma=1.0),
+     "GaussianSinglePhoton(t_bar=0.5, omega_bar=3.0, sigma=1.0)"),
+    (GaussianBiphoton(0.0, 1.0, 2.0, 3.0, 1.0, 2.0, -0.5),
+     GaussianBiphoton(t1_bar=0.0, t2_bar=1.0, omega1_bar=2.0, omega2_bar=3.0, sigma1=1.0,
+                      sigma2=2.0, kappa=-0.5),
+     "GaussianBiphoton(t1_bar=0.0, t2_bar=1.0, omega1_bar=2.0, omega2_bar=3.0, sigma1=1.0, "
+     "sigma2=2.0, kappa=-0.5)"),
+    (Target(300.0, 0.1), Target(r=300.0, v=0.1), "Target(r=300.0, v=0.1)"),
+    (ProbeConfig(10.0, 1.0, -0.9),
+     ProbeConfig(omega0=10.0, sigma0=1.0, kappa=-0.9, strategy=Strategy.ENTANGLED_BIPHOTON),
+     "ProbeConfig(omega0=10.0, sigma0=1.0, kappa=-0.9, "
+     "strategy=<Strategy.ENTANGLED_BIPHOTON: 'entangled_biphoton'>)"),
+]
+
+
+@pytest.mark.parametrize("record, twin, text", RECORDS,
+                         ids=[type(r).__name__ for r, _, _ in RECORDS])
+def test_records_are_frozen_values(record, twin, text):
+    # compared, hashed, shown and frozen as the frozen dataclasses they replace
+    assert record == twin and hash(record) == hash(twin)
+    assert repr(record) == text
+    name = text[text.index("(") + 1:text.index("=")]
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(record, name, 1.0)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(record, name)
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+        record.extra = 1.0
+    assert record == twin
+    others = [r for r, _, _ in RECORDS if r is not record]
+    assert all(record != other for other in others)
+    assert not isinstance(record, tuple)
 
 
 class TestOverlapSingle:
