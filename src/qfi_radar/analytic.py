@@ -30,12 +30,15 @@ VERDICT_RTOL = 1e-6
 
 
 def _h(u: float) -> float:
-    """1/u - 1/expm1(u) >= 0: a series below u = 1e-3, overflow-free above it.
+    """1/u - 1/expm1(u) >= 0: the Bernoulli series through u^11 below
+    u = 0.25, the overflow-free closed form above it.
 
     The engine has its own h; the forms it referees do not share one with it.
     """
-    if u < 1e-3:
-        return 0.5 - u / 12.0 + u**3 / 720.0
+    if u < 0.25:
+        v = u * u
+        return 0.5 - u * (1.0 / 12.0 - v * (1.0 / 720.0 - v * (1.0 / 30240.0 - v * (
+            1.0 / 1209600.0 - v * (1.0 / 47900160.0 - v * (691.0 / 1307674368000.0))))))
     return 1.0 / u + math.exp(-u) / math.expm1(-u)
 
 

@@ -88,9 +88,16 @@ class OracleResult(NamedTuple):
 
 
 def _h(u: float) -> float:
-    """1/u - 1/expm1(u), with no cancellation at small u and no overflow at large u."""
-    if u < 1e-3:
-        return 0.5 - u / 12.0 + u**3 / 720.0
+    """1/u - 1/expm1(u), with no cancellation at small u and no overflow at large u.
+
+    Below u = 0.25 it is the Bernoulli series 1/2 - sum_k B_2k u^(2k-1)/(2k)!
+    through u^11, whose next term is under 1e-18 there; above, the closed
+    form loses at most a few bits to cancellation.
+    """
+    if u < 0.25:
+        v = u * u
+        return 0.5 - u * (1.0 / 12.0 - v * (1.0 / 720.0 - v * (1.0 / 30240.0 - v * (
+            1.0 / 1209600.0 - v * (1.0 / 47900160.0 - v * (691.0 / 1307674368000.0))))))
     return 1.0 / u + math.exp(-u) / math.expm1(-u)
 
 
@@ -100,8 +107,10 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     Every stack has the same rows: the ket, then derivative rows c . x |base>
     (``branch_stack``'s carrier gauge, so <psi_k|d psi_k> = 0 and one branch's
     kernel block is its own derivative block).  One ``overlap`` call per
-    stack gives its own block, and ``pair_terms`` the two bases' overlap g
-    in difference form.  Branch 2 is taken with the
+    stack, on its derivative rows only, gives their block: the ket's row and
+    column of a branch's own block are (1, 0, ..., 0) in that gauge, so no
+    call asks for them.  ``pair_terms`` gives the two bases' overlap g in
+    difference form.  Branch 2 is taken with the
     phase that makes g = e^l real, so the frame and each derivative row's
     frame matrix t are
 
@@ -120,24 +129,30 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     with v the branch's mean offset, w = conj(v), D(x, y) = x1 y2 - x2 y1,
     and h(u) = 1/u - 1/expm1(u).  Coincident branches (l = 0) are one ket
     of rank 1 whose derivative is the mean of the branches'.  At rank 1 every
-    t is [[0]]: the derivatives lie in the kernel.
+    t is [[0]]: the derivatives lie in the kernel.  A stack of the ket alone
+    has no derivative rows; its call gets an empty block.
+
+    Where the equal-form kernel term leaves the float range (u overflows),
+    raises ``ArithmeticError`` naming the branches' separation.
     """
     if not 1 <= len(stacks) <= 2:
         raise ValueError(f"need one or two branch stacks, got {len(stacks)}")
-    blocks = [overlap(s, s) for s in stacks]
+    # each branch's derivative rows, the only rows of its own block read
+    derivs = [Stack(s.base, s.p[1:]) for s in stacks]
+    blocks = [overlap(d, d) for d in derivs]
     # each derivative row's c
-    coeffs = [[row[1:] for row in s.p[1:]] for s in stacks]
+    coeffs = [[(c1, c2) for _, c1, c2 in d.p] for d in derivs]
     n_rows = len(coeffs[0])
     if len(stacks) == 1:
-        kernel = [line[1:] for line in blocks[0][1:]]
-        return SubspaceBasis(list(stacks), [1.0], [[[0j]] for _ in range(n_rows)], kernel)
+        return SubspaceBasis(list(stacks), [1.0], [[[0j]] for _ in range(n_rows)],
+                             list(blocks[0]))
 
     log_g, ma, mb, (s11, s22, s12) = pair_terms(stacks[0].base, stacks[1].base)
     # |<psi_1|psi_2>| <= 1: round-off must not push l above 0
     ell = min(log_g.real, 0.0)
     # a21 = c_1 . conj(mu - t_1) and a12 = c_2 . (mu - t_2): each branch's offset
     offsets = ((ma[0].conjugate(), ma[1].conjugate()), mb)
-    alpha = [[c[0] * v[0] + c[1] * v[1] for c in cs] for cs, v in zip(coeffs, offsets)]
+    alpha = [[c1 * v1 + c2 * v2 for c1, c2 in cs] for cs, (v1, v2) in zip(coeffs, offsets)]
 
     if ell == 0.0:
         # identical bases, every offset 0: rho = 2 |psi_1><psi_1| is one ket,
@@ -157,26 +172,43 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
                    for a1, a2 in zip(*alpha)]
 
     u = -2.0 * ell
-    kernel = [[0j] * n_rows for _ in range(n_rows)]
+    rows = range(n_rows)
+    kernel = [[0j] * n_rows for _ in rows]
     # equal quadratic forms (p, q, r), single photons lifted
     if _exponent(stacks[0].base)[:3] == _exponent(stacks[1].base)[:3]:
+        if u == math.inf:
+            # D(w, Sigma c) grows as the separation and u as its square: past
+            # float range the kernel term would read 0 where it tends to a finite value
+            raise _out_of_range(stacks)
         h, det_u = _h(u), (s11 * s22 - s12 * s12) * u
-        for cs, v, al in zip(coeffs, offsets, alpha):
+        for cs, (v1, v2), al in zip(coeffs, offsets, alpha):
+            w1, w2 = v1.conjugate(), v2.conjugate()
             # D(conj(v), Sigma c) for each row
-            D = [v[0].conjugate() * (s12 * c[0] + s22 * c[1])
-                 - v[1].conjugate() * (s11 * c[0] + s12 * c[1]) for c in cs]
-            for a in range(n_rows):
-                for b in range(n_rows):
-                    kernel[a][b] += (D[a].conjugate() * D[b] / det_u
-                                     + al[a].conjugate() * al[b] * h)
+            D = [w1 * (s12 * c1 + s22 * c2) - w2 * (s11 * c1 + s12 * c2) for c1, c2 in cs]
+            for line, Da, aa in zip(kernel, D, al):
+                Da, aa = Da.conjugate(), aa.conjugate()
+                for b in rows:
+                    line[b] += Da * D[b] / det_u + aa * al[b] * h
     else:
         # 1/expm1(u), written so that it cannot overflow
         inv = -math.exp(-u) / math.expm1(-u)
         for block, al in zip(blocks, alpha):
-            for a in range(n_rows):
-                for b in range(n_rows):
-                    kernel[a][b] += block[1 + a][1 + b] - al[a].conjugate() * al[b] * inv
+            for line, bline, aa in zip(kernel, block, al):
+                aa = aa.conjugate()
+                for b in rows:
+                    line[b] += bline[b] - aa * al[b] * inv
     return SubspaceBasis(list(stacks), eigenvalues, derivatives, kernel)
+
+
+def _out_of_range(stacks: list[Stack]) -> ArithmeticError:
+    """The error for a model whose information leaves the float range, naming
+    the branches' separation: their center and carrier offsets."""
+    where = ""
+    if len(stacks) == 2:
+        a, b = (_exponent(s.base) for s in stacks)
+        where = (f" at branch center offset ({a[3] - b[3]!r}, {a[4] - b[4]!r})"
+                 f" and carrier offset ({a[5] - b[5]!r}, {a[6] - b[6]!r})")
+    return ArithmeticError(f"quantum Fisher information is out of float range{where}")
 
 
 def project(model: MixedModel, basis: SubspaceBasis) -> tuple[list, list, list]:
@@ -193,10 +225,15 @@ def project(model: MixedModel, basis: SubspaceBasis) -> tuple[list, list, list]:
     """
     w = model.weight
     lam = [w * x for x in basis.eigenvalues]
-    dim = len(lam)
-    r = [[[w * (t[i][j] + t[j][i].conjugate()) for j in range(dim)] for i in range(dim)]
-         for t in basis.derivatives]
-    kernel = [[4.0 * w * x for x in line] for line in basis.kernel]
+    # the frame has rank 1 or 2
+    if len(lam) == 1:
+        r = [[[w * (t00 + t00.conjugate())]] for ((t00,),) in basis.derivatives]
+    else:
+        r = [[[w * (t00 + t00.conjugate()), w * (t01 + t10.conjugate())],
+              [w * (t10 + t01.conjugate()), w * (t11 + t11.conjugate())]]
+             for (t00, t01), (t10, t11) in basis.derivatives]
+    w4 = 4.0 * w
+    kernel = [[w4 * x for x in line] for line in basis.kernel]
     return lam, r, kernel
 
 
@@ -207,9 +244,14 @@ def sld_solve(lam: list[float], r: list) -> list:
     ``project`` returns it; the SLD there is L^a_ij = 2 r^a_ij/(lam_i + lam_j).
     Every lam_i is positive: the frame holds the support only.
     """
-    n = len(lam)
-    return [[[2.0 * ra[i][j] / (lam[i] + lam[j]) for j in range(n)] for i in range(n)]
-            for ra in r]
+    # the frame has rank 1 or 2
+    if len(lam) == 1:
+        s00 = lam[0] + lam[0]
+        return [[[2.0 * x / s00]] for ((x,),) in r]
+    l0, l1 = lam
+    s00, s01, s11 = l0 + l0, l0 + l1, l1 + l1
+    return [[[2.0 * x00 / s00, 2.0 * x01 / s01], [2.0 * x10 / s01, 2.0 * x11 / s11]]
+            for (x00, x01), (x10, x11) in r]
 
 
 def qfi_numeric(model: MixedModel, pair: ParameterPair) -> OracleResult:
@@ -218,25 +260,36 @@ def qfi_numeric(model: MixedModel, pair: ParameterPair) -> OracleResult:
     X_ab = Tr(rho L_a L_b) is the support part sum_ij lam_i L^a_ij L^b_ji
     plus ``project``'s kernel block; H is its symmetric real part and
     |X_01 - X_10| = |Tr(rho [L_a, L_b])| the compatibility residual.
+    Raises ``ArithmeticError`` where either leaves the float range.
     """
-    rows = [0, *map(ROWS.index, pair.param_names)]
-    basis = build_subspace([Stack(s.base, tuple(s.p[i] for i in rows)) for s in model.stacks])
-    lam, r, kernel = project(model, basis)
-    L = sld_solve(lam, r)
-    n, P = len(lam), len(L)
-    X = [[0j] * P for _ in range(P)]
-    for a in range(P):
-        for b in range(P):
-            x = kernel[a][b]
-            for i in range(n):
-                La, Lb = L[a][i], L[b]
-                for j in range(n):
-                    x += lam[i] * La[j] * Lb[j][i]
-            X[a][b] = x
-    H = tuple(tuple((X[a][b] + X[b][a]).real / 2.0 for b in range(P)) for a in range(P))
-    compat = abs(X[0][1] - X[1][0])
-    return OracleResult(H=H, compat_residual=compat, dim=basis.dim, rho_eigenvalues=lam,
-                        basis=basis)
+    ia, ib = map(ROWS.index, pair.param_names)
+    stacks = [Stack(s.base, (s.p[0], s.p[ia], s.p[ib])) for s in model.stacks]
+    basis = build_subspace(stacks)
+    lam, r, (kernel_a, kernel_b) = project(model, basis)
+    La, Lb = sld_solve(lam, r)
+    # X_ab = kernel_ab + sum_ij lam_i La_ij Lb_ji, summed in (i, j) order
+    if len(lam) == 1:
+        (l0,), ((a00,),), ((b00,),) = lam, La, Lb
+        la00, lb00 = l0 * a00, l0 * b00
+        x_aa = kernel_a[0] + la00 * a00
+        x_ab = kernel_a[1] + la00 * b00
+        x_ba = kernel_b[0] + lb00 * a00
+        x_bb = kernel_b[1] + lb00 * b00
+    else:
+        (l0, l1), ((a00, a01), (a10, a11)), ((b00, b01), (b10, b11)) = lam, La, Lb
+        la00, la01, la10, la11 = l0 * a00, l0 * a01, l1 * a10, l1 * a11
+        lb00, lb01, lb10, lb11 = l0 * b00, l0 * b01, l1 * b10, l1 * b11
+        x_aa = kernel_a[0] + la00 * a00 + la01 * a10 + la10 * a01 + la11 * a11
+        x_ab = kernel_a[1] + la00 * b00 + la01 * b10 + la10 * b01 + la11 * b11
+        x_ba = kernel_b[0] + lb00 * a00 + lb01 * a10 + lb10 * a01 + lb11 * a11
+        x_bb = kernel_b[1] + lb00 * b00 + lb01 * b10 + lb10 * b01 + lb11 * b11
+    h_aa, h_bb = (x_aa + x_aa).real / 2.0, (x_bb + x_bb).real / 2.0
+    h_ab = (x_ab + x_ba).real / 2.0
+    compat = abs(x_ab - x_ba)
+    if not all(map(math.isfinite, (h_aa, h_ab, h_bb, compat))):
+        raise _out_of_range(stacks)
+    return OracleResult(H=((h_aa, h_ab), (h_ab, h_bb)), compat_residual=compat,
+                        dim=basis.dim, rho_eigenvalues=lam, basis=basis)
 
 
 def model_for(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
+import sys
 from typing import NamedTuple
 
 __all__ = [
@@ -36,14 +36,15 @@ __all__ = [
     "frequency_covariance",
 ]
 
-# sum/difference parameter -> (kind, factor on photon 1, factor on photon 2),
-# from t1 = (t_plus - t_minus)/2, t2 = (t_plus + t_minus)/2 and likewise for
-# the carriers
+# sum/difference parameter -> (kind, factors): factors[i] is the factor on
+# photon i, from t1 = (t_plus - t_minus)/2, t2 = (t_plus + t_minus)/2 and
+# likewise for the carriers, and factors[0] = 0 that on a coordinate no photon
+# of the pair carries
 _PAIR_CHAIN = {
-    "t_plus": ("t", 0.5, 0.5),
-    "t_minus": ("t", -0.5, 0.5),
-    "omega_plus": ("omega", 0.5, 0.5),
-    "omega_minus": ("omega", -0.5, 0.5),
+    "t_plus": ("t", (0.0, 0.5, 0.5)),
+    "t_minus": ("t", (0.0, -0.5, 0.5)),
+    "omega_plus": ("omega", (0.0, 0.5, 0.5)),
+    "omega_minus": ("omega", (0.0, -0.5, 0.5)),
 }
 
 
@@ -132,9 +133,10 @@ class GaussianBiphoton(_Frozen):
 
 class Stack(NamedTuple):
     """Affine prefactors on one base Gaussian: row i of ``p`` is (c0, c1, c2)
-    of the state (c0 + c1 x1 + c2 x2) |base>; a ``p`` that is one row is a
-    single state.  x = (t1 - t1_bar, t2 - t2_bar); a single photon is photon
-    1 of its lift (``_exponent``), and its own states have c2 = 0.
+    of the state (c0 + c1 x1 + c2 x2) |base>; a ``p`` that is one row, a tuple
+    of numbers rather than of rows, is a single state, and ``p = ()`` a stack
+    of no rows.  x = (t1 - t1_bar, t2 - t2_bar); a single photon is photon 1
+    of its lift (``_exponent``), and its own states have c2 = 0.
     """
 
     base: GaussianSinglePhoton | GaussianBiphoton
@@ -171,7 +173,8 @@ def overlap(a, b) -> complex | tuple:
     dimensions, single photons lifted (``_exponent``).  Either side
     may be a ``Stack`` of k rows: Q is then evaluated once and the call
     returns the whole block of overlaps, nested tuples of shape (k_a, k_b),
-    (k_a,) or (k_b,).  Two single states give a complex number.
+    (k_a,) or (k_b,); a stack of no rows gives an empty block.  Two single
+    states give a complex number.
     """
     ga, pa = _split(a)
     gb, pb = _split(b)
@@ -179,20 +182,25 @@ def overlap(a, b) -> complex | tuple:
         raise TypeError("cannot overlap single-photon with biphoton states")
     log_g, (ma1, ma2), (mb1, mb2), (s11, s22, s12) = pair_terms(ga, gb)
     g = cmath.exp(log_g)
-    # the columns of Q
-    Q = ((g, g * ma1, g * ma2),
-         (g * mb1, g * (ma1 * mb1 + s11), g * (ma2 * mb1 + s12)),
-         (g * mb2, g * (ma1 * mb2 + s12), g * (ma2 * mb2 + s22)))
-    # a side whose p is one row (c0, c1, c2) is a single state
-    single_a, single_b = (isinstance(p[0], numbers.Number) for p in (pa, pb))
+    # Q, entry q_ij multiplying conj(a_i) b_j
+    q00, q10, q20 = g, g * ma1, g * ma2
+    q01, q11, q21 = g * mb1, g * (ma1 * mb1 + s11), g * (ma2 * mb1 + s12)
+    q02, q12, q22 = g * mb2, g * (ma1 * mb2 + s12), g * (ma2 * mb2 + s22)
+    # a side whose p is one row (c0, c1, c2), not a stack of rows, is a single state
+    single_a = bool(pa) and not isinstance(pa[0], tuple)
+    single_b = bool(pb) and not isinstance(pb[0], tuple)
     rows_b = (pb,) if single_b else pb
     block = []
-    for row in (pa,) if single_a else pa:
+    for a0, a1, a2 in (pa,) if single_a else pa:
         # conj(row)^T Q, then its product with each row of b
-        c0, c1, c2 = (c.conjugate() for c in row)
-        q0, q1, q2 = (c0 * x0 + c1 * x1 + c2 * x2 for x0, x1, x2 in Q)
-        line = tuple(q0 * b0 + q1 * b1 + q2 * b2 for b0, b1, b2 in rows_b)
-        block.append(line[0] if single_b else line)
+        c0, c1, c2 = a0.conjugate(), a1.conjugate(), a2.conjugate()
+        q0 = c0 * q00 + c1 * q10 + c2 * q20
+        q1 = c0 * q01 + c1 * q11 + c2 * q21
+        q2 = c0 * q02 + c1 * q12 + c2 * q22
+        line = []
+        for b0, b1, b2 in rows_b:
+            line.append(q0 * b0 + q1 * b1 + q2 * b2)
+        block.append(line[0] if single_b else tuple(line))
     return block[0] if single_a else tuple(block)
 
 
@@ -293,9 +301,10 @@ def branch_stack(base: GaussianSinglePhoton | GaussianBiphoton,
     c0 = 0 and <base|row> = 0.
     """
     p, q, r = _exponent(base)[:3]
+    i1, i2 = photons
     rows = [(1.0, 0.0, 0.0)]
-    for kind, *pair_factors in _PAIR_CHAIN.values():
-        f1, f2 = (pair_factors[i - 1] if i else 0.0 for i in photons)
+    for kind, factors in _PAIR_CHAIN.values():
+        f1, f2 = factors[i1], factors[i2]
         if kind == "t":
             rows.append((0.0, 2.0 * (f1 * p + f2 * r), 2.0 * (f1 * r + f2 * q)))
         else:
@@ -310,11 +319,24 @@ def branch_stack(base: GaussianSinglePhoton | GaussianBiphoton,
 def time_covariance(state: GaussianBiphoton) -> tuple:
     """Covariance (4 B)^-1 of the arrival-time pair (t1, t2) under
     |phi|^2 ~ exp(-2 x^T B x), B = ``frequency_covariance(state)``, inverted
-    exactly; a 2x2 tuple of row tuples."""
+    exactly; a 2x2 tuple of row tuples.
+
+    Each entry is divided by its own product, 1/(4 (1 - kappa^2) sigma_i^2)
+    and kappa/(4 (1 - kappa^2) sigma1 sigma2), not by 4 det B, whose fourth
+    power of the bandwidths leaves the float range near sigma = 1e-77.
+    Where a product itself leaves it (a bandwidth below about 1e-154 or
+    above 1e154), raises ``ArithmeticError`` naming the bandwidths.
+    """
     s1, s2, k = state.sigma1, state.sigma2, state.kappa
-    s12 = k * s1 * s2
-    det4 = 4.0 * (1.0 - k**2) * s1**2 * s2**2  # 4 det B
-    return (s2**2 / det4, s12 / det4), (s12 / det4, s1**2 / det4)
+    c = 4.0 * (1.0 - k**2)
+    d1, d2, d12 = c * s1 * s1, c * s2 * s2, c * s1 * s2
+    # a product, and its reciprocal, must be a normal float to keep its digits
+    tiny = sys.float_info.min
+    if not tiny <= min(d1, d2, d12) <= max(d1, d2, d12) <= 1.0 / tiny:
+        raise ArithmeticError(
+            f"arrival-time covariance is out of float range at bandwidths "
+            f"sigma1 = {s1!r}, sigma2 = {s2!r} (kappa = {k!r})")
+    return (1.0 / d1, k / d12), (k / d12, 1.0 / d2)
 
 
 def frequency_covariance(state: GaussianBiphoton) -> tuple:

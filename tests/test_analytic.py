@@ -246,13 +246,15 @@ class TestPublishedForms:
 
     def test_h_matches_mpmath(self):
         # 1/u - 1/expm1(u) loses log10(1/u) digits to cancellation, so the
-        # reference carries 350 of them
+        # reference carries 350 of them; at u = 1.17e-3 the closed form alone
+        # is 3.6e-13 off, and the series must take over there
         mpmath = pytest.importorskip("mpmath")
-        for u in (1e-300, 1e-18, 1e-6, 9.99e-4, 1e-3, 1.01e-3, 0.1, 1.0, 30.0, 800.0, 1e6):
+        for u in (1e-300, 1e-18, 1e-6, 9.99e-4, 1e-3, 1.01e-3, 1.17e-3, 0.1, 0.2499, 0.25,
+                  0.2501, 1.0, 30.0, 800.0, 1e6):
             with mpmath.workdps(350):
                 x = mpmath.mpf(u)
                 want = float(1 / x - 1 / mpmath.expm1(x))
-            assert analytic._h(u) == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert analytic._h(u) == pytest.approx(want, rel=4e-15, abs=0.0), u
 
     def test_unsupported_strategy(self):
         with pytest.raises(ValueError, match="no published mixed-state form"):

@@ -529,11 +529,11 @@ class TestArithmeticErrors:
         # QCRB prediction, with no RuntimeWarning before the error line; a
         # NaN or infinite report, which json.dump would write as the bare
         # tokens NaN and Infinity that strict JSON parsers reject
-        ["scenario", "--sigma", "1e-100"],
+        ["scenario", "--sigma", "1e-153"],
         # a delta_v standard error that underflows to 0
         ["scenario", "--omega0", "1e200"],
         ["scenario", "--scenario", "moving_object", "--omega0", "1e-300"],
-        ["scenario", "--strategy", "two_single_photons", "--sigma", "1e-120"],
+        ["scenario", "--strategy", "two_single_photons", "--sigma", "1e-153"],
     ])
     def test_usage_error_without_traceback(self, argv, tmp_path, capsys):
         code = main([*argv, "--out", str(tmp_path)])
@@ -546,14 +546,18 @@ class TestArithmeticErrors:
 
     @pytest.mark.parametrize("strategy", ["entangled_biphoton", "two_single_photons"])
     def test_underflowing_covariance_names_its_range(self, strategy, tmp_path, capsys):
-        # the time covariance divides by 4 (1 - kappa^2) sigma1^2 sigma2^2,
-        # which underflows to 0 at sigma = 1e-200: the float division refuses
-        # it before any draw, so no NaN covariance reaches the Cholesky factorization
+        # each entry of the time covariance divides by 4 (1 - kappa^2) times
+        # a product of two bandwidths, which underflows at sigma = 1e-200: the
+        # covariance refuses it before any draw, naming itself and the
+        # bandwidths, so no NaN covariance reaches the Cholesky factorization
         code = main(["scenario", "--sigma", "1e-200", "--strategy", strategy,
                      "--out", str(tmp_path)])
+        kappa = -0.9 if strategy == "entangled_biphoton" else 0.0
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: input out of numerical range (ZeroDivisionError: float division by zero)\n"
+            "error: input out of numerical range (ArithmeticError: arrival-time covariance is"
+            " out of float range at bandwidths sigma1 = 1e-200, sigma2 = 1e-200"
+            f" (kappa = {kappa}))\n"
         )
 
 

@@ -606,3 +606,134 @@ class TestRobustness:
         # separated-branch value for quantum illumination
         res = qfi_numeric(model_for(strategy, sigma1=1.0, **kwargs), pair)
         assert res.H[0][0] == pytest.approx(want, rel=1e-6)
+
+
+# H and the compatibility residual for both pairs at fixed points, frozen from
+# the engine as repr floats: (id, strategy, model_for arguments, (H, residual)
+# for PAIR_A, (H, residual) for PAIR_B).  The points cover coincident,
+# near-coincident, overlapping and separated branches and unequal forms.
+PINNED = (
+    ("entangled", Strategy.ENTANGLED_BIPHOTON,
+     {"sigma1": 1.0, "kappa": -0.5, "t_minus": 1.0, "omega_minus": 0.8},
+     (((3.0, 0.0), (0.0, 1.0)), 0.0),
+     (((1.0, 0.0), (0.0, 0.3333333333333333)), 0.0)),
+    ("entangled-unequal", Strategy.ENTANGLED_BIPHOTON,
+     {"sigma1": 1.0, "sigma2": 1.7, "kappa": -0.9, "t_plus": 0.3},
+     (((6.95, 0.0), (0.0, 3.1642688034966326)), 0.0),
+     (((0.8299999999999994, 0.0), (0.0, 0.3778910945183027)), 0.0)),
+    ("entangled-high-kappa", Strategy.ENTANGLED_BIPHOTON,
+     {"sigma1": 1000.0, "kappa": 0.999, "t_minus": 0.001},
+     (((1999.9999999999998, 0.0), (0.0, 2.501250625312735e-07)), 0.0),
+     (((3998000.0, 0.0), (0.0, 0.0005)), 0.0)),
+    ("tsp-coincident", Strategy.TWO_SINGLE_PHOTONS,
+     {"sigma1": 1.0},
+     (((2.0, 0.0), (0.0, 0.0)), 0.0),
+     (((0.0, 0.0), (0.0, 0.5)), 0.0)),
+    ("tsp-near-coincident", Strategy.TWO_SINGLE_PHOTONS,
+     {"sigma1": 1.0, "t_minus": 0.0001},
+     (((1.9999999800000003, 0.0), (0.0, 2.4999999958333333e-09)), 0.0),
+     (((2.0000000000000004, 0.0), (0.0, 0.5)), 0.0)),
+    ("tsp-overlapping", Strategy.TWO_SINGLE_PHOTONS,
+     {"sigma1": 1.0, "t_minus": 1.0, "omega_minus": 0.8, "t_plus": 0.5},
+     (((1.3730276382347897, 0.0), (0.0, 0.2716825414485948)), 0.0),
+     (((1.8538768265271006, 0.0), (0.0, 0.4749211055293916)), 0.0)),
+    ("tsp-separated", Strategy.TWO_SINGLE_PHOTONS,
+     {"sigma1": 0.001, "t_minus": 10000.0, "omega_minus": 0.0008},
+     (((2.0000000000000003e-06, 0.0), (0.0, 500000.0)), 0.0),
+     (((2.0000000000000003e-06, 0.0), (0.0, 500000.0)), 0.0)),
+    ("tsp-unequal", Strategy.TWO_SINGLE_PHOTONS,
+     {"sigma1": 1.0, "sigma2": 1.7, "t_minus": 0.7, "omega_minus": 0.3, "t_plus": -0.4},
+     (((2.979807312211374, 0.03651434052757047),
+       (0.03651434052757047, 0.16114619691358018)), 0.2870916190184567),
+     (((3.8577912052942733, -0.036514340527570466),
+       (-0.036514340527570466, 0.2938691861717323)), 0.5016928993958151)),
+    ("qi-coincident", Strategy.QUANTUM_ILLUMINATION,
+     {"sigma1": 1.0, "kappa": 0.9},
+     (((1.0, 0.0), (0.0, 0.0)), 0.0),
+     (((0.0, 0.0), (0.0, 1.3157894736842108)), 0.0)),
+    ("qi-near-coincident", Strategy.QUANTUM_ILLUMINATION,
+     {"sigma1": 1.0, "kappa": 0.3, "t_minus": 0.001, "omega_minus": 0.001},
+     (((0.9999990000012745, 3.469446951953614e-18),
+       (3.469446951953614e-18, 0.07860471007006642)), 1.2758063191103475e-17),
+     (((0.8038794353448347, 3.469446951953614e-18),
+       (3.469446951953614e-18, 0.2747251992513943)), 1.2758063191103475e-17)),
+    ("qi-near-coincident-narrow", Strategy.QUANTUM_ILLUMINATION,
+     {"sigma1": 1000.0, "kappa": 0.5, "t_minus": 2e-07, "omega_minus": 1.0},
+     (((999999.9600000145, 0.0), (0.0, 3.065476240476188e-07)), 0.0),
+     (((330357.26785713504, 0.0), (0.0, 3.3333322222226364e-07)), 0.0)),
+    ("qi-overlapping", Strategy.QUANTUM_ILLUMINATION,
+     {"sigma1": 1.0, "kappa": -0.5, "t_minus": 1.0, "omega_minus": 0.8},
+     (((0.7027950566891843, 0.0), (0.0, 0.22761085404081866)), 0.0),
+     (((0.9323376132527906, 0.0), (0.0, 0.31219875958678645)), 0.0)),
+    ("qi-separated", Strategy.QUANTUM_ILLUMINATION,
+     {"sigma1": 1.0, "kappa": 0.5, "t_minus": 30.0, "omega_plus": 3.0},
+     (((1.0, 0.0), (0.0, 0.3333333333333333)), 0.0),
+     (((1.0, 0.0), (0.0, 0.3333333333333333)), 0.0)),
+)
+
+
+def ulps(x: float, scale: float) -> float:
+    """|x| in units in the last place of ``scale``."""
+    return abs(x) / math.ulp(abs(scale))
+
+
+class TestPinnedNumbers:
+    """The engine's numbers, to 4 ulp: a diagonal entry of its own value, an
+    off-diagonal entry and the residual of sqrt(H00 H11), their natural scale.
+    Any change to the engine's arithmetic shows here, while a libm that rounds
+    exp or expm1 differently by an ulp still passes."""
+
+    @pytest.mark.parametrize("label, strategy, kwargs, want_a, want_b", PINNED,
+                             ids=[row[0] for row in PINNED])
+    def test_pinned(self, label, strategy, kwargs, want_a, want_b):
+        model = model_for(strategy, **kwargs)
+        for pair, (want_H, want_compat) in ((PAIR_A, want_a), (PAIR_B, want_b)):
+            res = qfi_numeric(model, pair)
+            (h00, h01), (h10, h11) = want_H
+            scale = math.sqrt(h00 * h11)
+            assert ulps(res.H[0][0] - h00, h00) <= 4, (pair, res.H)
+            assert ulps(res.H[1][1] - h11, h11) <= 4, (pair, res.H)
+            assert ulps(res.H[0][1] - h01, scale) <= 4, (pair, res.H)
+            assert ulps(res.H[1][0] - h10, scale) <= 4, (pair, res.H)
+            assert ulps(res.compat_residual - want_compat, scale) <= 4, (pair, res)
+
+    def test_h_matches_mpmath(self):
+        # 1/u - 1/expm1(u) loses log10(1/u) digits to cancellation, so the
+        # reference carries 350 of them; at u = 1.17e-3 the closed form alone
+        # is 3.6e-13 off, and the series must take over there
+        mpmath = pytest.importorskip("mpmath")
+        for u in (1e-300, 1e-18, 1e-6, 9.99e-4, 1e-3, 1.01e-3, 1.17e-3, 0.1, 0.2499, 0.25,
+                  0.2501, 1.0, 30.0, 800.0, 1e6):
+            with mpmath.workdps(350):
+                x = mpmath.mpf(u)
+                want = float(1 / x - 1 / mpmath.expm1(x))
+            assert oracle._h(u) == pytest.approx(want, rel=4e-15, abs=0.0), u
+
+
+class TestFloatRange:
+    """Past the float range the engine raises ``ArithmeticError`` naming the
+    branches' separation, rather than return NaN, or 0 for an information
+    that tends to a finite value."""
+
+    @pytest.mark.parametrize("strategy", [Strategy.TWO_SINGLE_PHOTONS,
+                                          Strategy.QUANTUM_ILLUMINATION])
+    @pytest.mark.parametrize("kwargs, offset", [
+        ({"sigma1": 1.0, "t_minus": 1e155}, "center offset (-1e+155, 0.0)"),
+        ({"sigma1": 1.0, "omega_minus": 1e300}, "carrier offset (-1e+300, 0.0)"),
+        # u overflows before the kernel's D(w, Sigma c)^2 does, which would read H = 0
+        ({"sigma1": 0.316, "t_minus": 5e154}, "center offset (-5e+154, 0.0)"),
+        ({"sigma1": 1.0, "sigma2": 1.5, "t_minus": 1e160}, "center offset (-1e+160, 0.0)"),
+    ], ids=["t_minus", "omega_minus", "u-overflow", "unequal-forms"])
+    def test_huge_separation_raises(self, strategy, kwargs, offset):
+        model = model_for(strategy, **kwargs)
+        for pair in (PAIR_A, PAIR_B):
+            with pytest.raises(ArithmeticError, match="out of float range") as info:
+                qfi_numeric(model, pair)
+            assert offset in str(info.value)
+
+    @pytest.mark.parametrize("strategy, want", [(Strategy.TWO_SINGLE_PHOTONS, 2.0),
+                                                (Strategy.QUANTUM_ILLUMINATION, 1.0)])
+    def test_separation_inside_the_range(self, strategy, want):
+        # the separated-branch asymptote, 2 sigma^2 or sigma^2, at sigma = 1
+        res = qfi_numeric(model_for(strategy, sigma1=1.0, t_minus=1e154), PAIR_B)
+        assert res.H[0][0] == pytest.approx(want, rel=1e-15)

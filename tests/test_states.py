@@ -6,6 +6,7 @@ information expression.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -432,8 +433,47 @@ class TestStackedOverlap:
         own = np.array(overlap(a, a))
         assert np.max(np.abs(own - own.conj().T)) <= 1e-14 * np.max(np.abs(own))
 
+    def test_stack_of_no_rows_gives_an_empty_block(self):
+        # a branch with no derivative rows, as one ket-only stack leaves
+        phi = GaussianBiphoton(0.0, 0.3, 1.0, 1.2, 1.0, 1.5, 0.4)
+        none, two = Stack(phi, ()), branch_stack(phi, (1, 2))
+        assert overlap(none, none) == ()
+        assert overlap(none, two) == ()
+        assert overlap(two, none) == ((),) * len(two.p)
+        assert overlap(phi, none) == ()
+
 
 class TestCovariances:
+    @pytest.mark.parametrize("kappa", [k / 20.0 for k in range(-19, 20)] + [-0.999, 0.999])
+    def test_unit_bandwidth_bits_unchanged(self, kappa):
+        # at sigma = 1 each entry over its own product is the entry over the
+        # shared determinant 4 det B, bit for bit, so simulate and scenario
+        # outputs at the default bandwidth keep their bytes
+        phi = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, kappa)
+        det4 = 4.0 * (1.0 - kappa**2) * 1.0**2 * 1.0**2
+        s12 = kappa * 1.0 * 1.0
+        assert time_covariance(phi) == ((1.0 / det4, s12 / det4), (s12 / det4, 1.0 / det4))
+
+    @pytest.mark.parametrize("sigma", [1e-80, 1e-150, 1e150])
+    def test_extreme_bandwidths_keep_their_digits(self, sigma):
+        # 4 det B = 4 (1 - kappa^2) sigma^4 leaves the float range near
+        # sigma = 1e-77; each entry's own product, near 1e-154
+        kappa = -0.9
+        (t11, t12), (_, t22) = time_covariance(
+            GaussianBiphoton(0.0, 0.0, 1.0, 1.0, sigma, sigma, kappa))
+        want = 1.0 / (4.0 * (1.0 - kappa**2)) / sigma**2
+        assert t11 == pytest.approx(want, rel=4e-16)
+        assert t22 == pytest.approx(want, rel=4e-16)
+        assert t12 == pytest.approx(kappa * want, rel=4e-16)
+
+    @pytest.mark.parametrize("s1, s2", [(1e-155, 1e-155), (1.0, 1e-160), (1e155, 1.0)])
+    def test_out_of_range_bandwidths_raise(self, s1, s2):
+        phi = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, s1, s2, 0.5)
+        with pytest.raises(ArithmeticError, match=re.escape(
+                f"arrival-time covariance is out of float range at bandwidths "
+                f"sigma1 = {s1!r}, sigma2 = {s2!r} (kappa = 0.5)")):
+            time_covariance(phi)
+
     def test_time_covariance_independent(self):
         phi = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0)
         assert np.allclose(time_covariance(phi), 0.25 * np.eye(2))
