@@ -120,15 +120,15 @@ def kappa_grid(cfg: dict) -> list[float]:
         raise ValueError(f"--kappa-step must be positive, got {step}")
     if not (-1.0 < lo < 1.0 and -1.0 < hi < 1.0):
         raise ValueError("kappa grid must lie inside (-1, 1)")
-    steps = (hi - lo + 1e-12) / step
-    # counted before any point is built: a tiny step would otherwise run unbounded
-    if steps >= MAX_KAPPA_POINTS:
-        raise ValueError(f"--kappa-step {step} gives more than {MAX_KAPPA_POINTS} kappa points")
-    count = math.floor(steps) + 1
-    if count < 1:
+    if lo > hi:
         raise ValueError(f"empty kappa grid: min {lo} > max {hi}")
-    # each value is the decimal it names (-0.9, not -0.95 + 0.05 = -0.8999999999999999)
+    # each value is the decimal it names (-0.9, not -0.95 + 0.05 = -0.8999999999999999),
+    # and the grid holds every such value from min up to max, none past it
     lo_exact, step_exact = Fraction(repr(lo)), Fraction(repr(step))
+    count = (Fraction(repr(hi)) - lo_exact) // step_exact + 1
+    # counted before any point is built: a tiny step would otherwise run unbounded
+    if count > MAX_KAPPA_POINTS:
+        raise ValueError(f"--kappa-step {step} gives more than {MAX_KAPPA_POINTS} kappa points")
     return [float(lo_exact + i * step_exact) for i in range(count)]
 
 

@@ -50,8 +50,8 @@ class SubspaceBasis(NamedTuple):
 
     ``eigenvalues[i]`` belongs to the frame vector e_i, and
     ``derivatives[a]`` is the frame matrix
-    t^a_ij = <e_i| sum_k |d_a psi_k><psi_k| |e_j> of the stacks' derivative
-    row 1 + a.  ``kernel[a][b]`` is sum_k <d_a psi_k|P_ker|d_b psi_k> with
+    t^a_ij = <e_i| sum_k |d_a psi_k><psi_k| |e_j> of the stacks' row a.
+    ``kernel[a][b]`` is sum_k <d_a psi_k|P_ker|d_b psi_k> with
     P_ker the projector on the kernel.  ``dim`` is the rank.
     """
 
@@ -69,8 +69,8 @@ class MixedModel(NamedTuple):
     """A returned state: equally weighted branches plus their parameter dependence.
 
     ``weight`` is every branch's weight w in rho = w sum_i |psi_i><psi_i|,
-    and ``stacks[i]`` holds branch i's ket and analytic derivatives, one row
-    each, in the order of ``states.ROWS``.
+    and ``stacks[i]`` holds branch i's analytic derivatives, one row each,
+    in the order of ``states.ROWS``; its ket is the stack's base.
     """
 
     weight: float
@@ -104,13 +104,11 @@ def _h(u: float) -> float:
 def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     """The support frame of one or two branches, from their stacks.
 
-    Every stack has the same rows: the ket, then derivative rows c . x |base>
-    (``branch_stack``'s carrier gauge, so <psi_k|d psi_k> = 0 and one branch's
-    kernel block is its own derivative block).  One ``overlap`` call per
-    stack, on its derivative rows only, gives their block: the ket's row and
-    column of a branch's own block are (1, 0, ..., 0) in that gauge, so no
-    call asks for them.  ``pair_terms`` gives the two bases' overlap g in
-    difference form.  Branch 2 is taken with the
+    Every stack has the same rows, each a derivative c . x |psi_k> of its
+    branch's ket, the stack's base (``branch_stack``'s carrier gauge, so
+    <psi_k|d psi_k> = 0 and one branch's kernel block is its own block).  One
+    ``overlap`` call per stack gives that block, and ``pair_terms`` gives the
+    two bases' overlap g in difference form.  Branch 2 is taken with the
     phase that makes g = e^l real, so the frame and each derivative row's
     frame matrix t are
 
@@ -129,19 +127,17 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     with v the branch's mean offset, w = conj(v), D(x, y) = x1 y2 - x2 y1,
     and h(u) = 1/u - 1/expm1(u).  Coincident branches (l = 0) are one ket
     of rank 1 whose derivative is the mean of the branches'.  At rank 1 every
-    t is [[0]]: the derivatives lie in the kernel.  A stack of the ket alone
-    has no derivative rows; its call gets an empty block.
+    t is [[0]]: the derivatives lie in the kernel.  A stack of no rows gets
+    an empty block.
 
     Where the equal-form kernel term leaves the float range (u overflows),
     raises ``ArithmeticError`` naming the branches' separation.
     """
     if not 1 <= len(stacks) <= 2:
         raise ValueError(f"need one or two branch stacks, got {len(stacks)}")
-    # each branch's derivative rows, the only rows of its own block read
-    derivs = [Stack(s.base, s.p[1:]) for s in stacks]
-    blocks = [overlap(d, d) for d in derivs]
-    # each derivative row's c
-    coeffs = [[(c1, c2) for _, c1, c2 in d.p] for d in derivs]
+    blocks = [overlap(s, s) for s in stacks]
+    # each row's c
+    coeffs = [[(c1, c2) for _, c1, c2 in s.p] for s in stacks]
     n_rows = len(coeffs[0])
     if len(stacks) == 1:
         return SubspaceBasis(list(stacks), [1.0], [[[0j]] for _ in range(n_rows)],
@@ -220,7 +216,7 @@ def project(model: MixedModel, basis: SubspaceBasis) -> tuple[list, list, list]:
 
     and the kernel block is 4 w ``basis.kernel``, the part of X that the
     kernel of rho carries.  Returns (lam, r, kernel): ``r[a]`` is the
-    Hermitian matrix of the derivative along the stacks' row 1 + a, as
+    Hermitian matrix of the derivative along the stacks' row a, as
     nested lists.  The first two are ``sld_solve``'s arguments.
     """
     w = model.weight
@@ -263,18 +259,14 @@ def qfi_numeric(model: MixedModel, pair: ParameterPair) -> OracleResult:
     Raises ``ArithmeticError`` where either leaves the float range.
     """
     ia, ib = map(ROWS.index, pair.param_names)
-    stacks = [Stack(s.base, (s.p[0], s.p[ia], s.p[ib])) for s in model.stacks]
+    stacks = [Stack(s.base, (s.p[ia], s.p[ib])) for s in model.stacks]
     basis = build_subspace(stacks)
     lam, r, (kernel_a, kernel_b) = project(model, basis)
     La, Lb = sld_solve(lam, r)
-    # X_ab = kernel_ab + sum_ij lam_i La_ij Lb_ji, summed in (i, j) order
+    # X_ab = kernel_ab + sum_ij lam_i La_ij Lb_ji, summed in (i, j) order; at
+    # rank 1 every t^a is [[0]], so X is the kernel block
     if len(lam) == 1:
-        (l0,), ((a00,),), ((b00,),) = lam, La, Lb
-        la00, lb00 = l0 * a00, l0 * b00
-        x_aa = kernel_a[0] + la00 * a00
-        x_ab = kernel_a[1] + la00 * b00
-        x_ba = kernel_b[0] + lb00 * a00
-        x_bb = kernel_b[1] + lb00 * b00
+        (x_aa, x_ab), (x_ba, x_bb) = kernel_a, kernel_b
     else:
         (l0, l1), ((a00, a01), (a10, a11)), ((b00, b01), (b10, b11)) = lam, La, Lb
         la00, la01, la10, la11 = l0 * a00, l0 * a01, l1 * a10, l1 * a11
@@ -315,7 +307,7 @@ def model_for(
     sigma1, so only the signal half responds to the estimated pair.
     ``sigma2`` defaults to ``sigma1``; quantum illumination does not read it.
 
-    Every branch's ket and derivative rows are built here, once per model.
+    Every branch's derivative rows are built here, once per model.
     """
     s2 = sigma1 if sigma2 is None else sigma2
     t1, t2 = (t_plus - t_minus) / 2.0, (t_plus + t_minus) / 2.0

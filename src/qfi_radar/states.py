@@ -133,31 +133,22 @@ class GaussianBiphoton(_Frozen):
 
 class Stack(NamedTuple):
     """Affine prefactors on one base Gaussian: row i of ``p`` is (c0, c1, c2)
-    of the state (c0 + c1 x1 + c2 x2) |base>; a ``p`` that is one row, a tuple
-    of numbers rather than of rows, is a single state, and ``p = ()`` a stack
-    of no rows.  x = (t1 - t1_bar, t2 - t2_bar); a single photon is photon 1
-    of its lift (``_exponent``), and its own states have c2 = 0.
+    of the state (c0 + c1 x1 + c2 x2) |base>, and ``p = ()`` a stack of no
+    rows.  x = (t1 - t1_bar, t2 - t2_bar); a single photon is photon 1 of its
+    lift (``_exponent``), and its own states have c2 = 0.  The plain state is
+    the row (1, 0, 0).
     """
 
     base: GaussianSinglePhoton | GaussianBiphoton
     p: tuple
 
 
-def _split(state) -> tuple:
-    """(base, p) of a stack, or of a plain Gaussian with prefactor 1."""
-    if isinstance(state, Stack):
-        return state
-    if isinstance(state, (GaussianSinglePhoton, GaussianBiphoton)):
-        return state, (1.0, 0.0, 0.0)
-    raise TypeError(f"not a Gaussian state: {state!r}")
-
-
 # ---------------------------------------------------------------------------
 # Overlaps
 
 
-def overlap(a, b) -> complex | tuple:
-    """Closed-form inner product <a|b> of (affine x Gaussian) states.
+def overlap(a: Stack, b: Stack) -> tuple:
+    """Closed-form inner products <a_i|b_j> of the rows of two stacks.
 
     For plain normalized states conj(a) b integrates to g = <a|b> and,
     divided by g, is a complex Gaussian with mean mu and covariance Sigma
@@ -169,15 +160,13 @@ def overlap(a, b) -> complex | tuple:
         = conj(p_a)^T Q p_b,   p = (c0, c),
         Q = g * [[1, (mu - t_b)^T], [mu - t_a, (mu - t_a)(mu - t_b)^T + Sigma]].
 
-    Q depends on the two base Gaussians only and is evaluated in two
-    dimensions, single photons lifted (``_exponent``).  Either side
-    may be a ``Stack`` of k rows: Q is then evaluated once and the call
-    returns the whole block of overlaps, nested tuples of shape (k_a, k_b),
-    (k_a,) or (k_b,); a stack of no rows gives an empty block.  Two single
-    states give a complex number.
+    Q depends on the two base Gaussians only and is evaluated once, in two
+    dimensions, single photons lifted (``_exponent``).  Returns the block of
+    overlaps, nested tuples of shape (k_a, k_b) for stacks of k_a and k_b
+    rows; a stack of no rows gives an empty block.
     """
-    ga, pa = _split(a)
-    gb, pb = _split(b)
+    ga, pa = a
+    gb, pb = b
     if type(ga) is not type(gb):
         raise TypeError("cannot overlap single-photon with biphoton states")
     log_g, (ma1, ma2), (mb1, mb2), (s11, s22, s12) = pair_terms(ga, gb)
@@ -186,22 +175,15 @@ def overlap(a, b) -> complex | tuple:
     q00, q10, q20 = g, g * ma1, g * ma2
     q01, q11, q21 = g * mb1, g * (ma1 * mb1 + s11), g * (ma2 * mb1 + s12)
     q02, q12, q22 = g * mb2, g * (ma1 * mb2 + s12), g * (ma2 * mb2 + s22)
-    # a side whose p is one row (c0, c1, c2), not a stack of rows, is a single state
-    single_a = bool(pa) and not isinstance(pa[0], tuple)
-    single_b = bool(pb) and not isinstance(pb[0], tuple)
-    rows_b = (pb,) if single_b else pb
     block = []
-    for a0, a1, a2 in (pa,) if single_a else pa:
+    for a0, a1, a2 in pa:
         # conj(row)^T Q, then its product with each row of b
         c0, c1, c2 = a0.conjugate(), a1.conjugate(), a2.conjugate()
         q0 = c0 * q00 + c1 * q10 + c2 * q20
         q1 = c0 * q01 + c1 * q11 + c2 * q21
         q2 = c0 * q02 + c1 * q12 + c2 * q22
-        line = []
-        for b0, b1, b2 in rows_b:
-            line.append(q0 * b0 + q1 * b1 + q2 * b2)
-        block.append(line[0] if single_b else tuple(line))
-    return block[0] if single_a else tuple(block)
+        block.append(tuple([q0 * b0 + q1 * b1 + q2 * b2 for b0, b1, b2 in pb]))
+    return tuple(block)
 
 
 def _exponent(g) -> tuple[float, ...]:
@@ -279,14 +261,13 @@ def _log_norm(pa, qa, ra, pb, qb, rb) -> float:
 # ---------------------------------------------------------------------------
 # Parameter derivatives (analytic, affine x Gaussian)
 
-# the rows of a branch's stack: its ket, then its derivative along each
-# sum/difference parameter
-ROWS = ("ket", *_PAIR_CHAIN)
+# the rows of a branch's stack: its derivative along each sum/difference parameter
+ROWS = tuple(_PAIR_CHAIN)
 
 
 def branch_stack(base: GaussianSinglePhoton | GaussianBiphoton,
                  photons: tuple[int, int]) -> Stack:
-    """|base> and its derivatives along t_plus, t_minus, omega_plus, omega_minus.
+    """The derivatives of |base> along t_plus, t_minus, omega_plus, omega_minus.
 
     The sum/difference parameters are chained through the photon centers
     and carriers: t1 = (t_plus - t_minus)/2, t2 = (t_plus + t_minus)/2, etc.
@@ -297,12 +278,12 @@ def branch_stack(base: GaussianSinglePhoton | GaussianBiphoton,
     The rows are taken in the carrier gauge: a time derivative of the
     amplitude is (i (f1 w1 + f2 w2) + c . x) |base>, and its imaginary
     constant only turns the branch's phase, which no density matrix sees,
-    so it is left out.  Every derivative row is then c . x |base>, with
-    c0 = 0 and <base|row> = 0.
+    so it is left out.  Every row is then c . x |base>, with c0 = 0 and
+    <base|row> = 0.
     """
     p, q, r = _exponent(base)[:3]
     i1, i2 = photons
-    rows = [(1.0, 0.0, 0.0)]
+    rows = []
     for kind, factors in _PAIR_CHAIN.values():
         f1, f2 = factors[i1], factors[i2]
         if kind == "t":

@@ -41,7 +41,7 @@ J = np.kron(np.eye(2), [[1.0, 1.0], [-1.0, 1.0]])
 
 def engine_H(model, params):
     """The engine's information matrix over ``params``, from its public stages."""
-    rows = [0, *map(ROWS.index, params)]
+    rows = [ROWS.index(param) for param in params]
     basis = build_subspace([Stack(s.base, tuple(s.p[i] for i in rows)) for s in model.stacks])
     lam, r, kernel = project(model, basis)
     L = np.array(sld_solve(lam, r))

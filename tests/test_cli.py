@@ -112,6 +112,24 @@ class TestQfi:
         ])
         assert code == 2
 
+    def test_min_just_above_max_usage_error(self, tmp_path, capsys):
+        # no point of the grid may pass max, however small the excess
+        code = main([
+            "qfi", "--kappa-min", "0.5000000000001", "--kappa-max", "0.5",
+            "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: empty kappa grid: min 0.5000000000001 > max 0.5\n")
+        assert not (tmp_path / "qfi.csv").exists()
+
+    def test_grid_stops_at_max(self):
+        # 0.3 lies past a max of 0.2999999999999, so the grid ends at 0.2
+        assert kappa_grid(dict(DEFAULTS, kappa_min=0.0, kappa_max=0.2999999999999,
+                               kappa_step=0.1)) == [0.0, 0.1, 0.2]
+        assert kappa_grid(dict(DEFAULTS, kappa_min=0.0, kappa_max=0.3,
+                               kappa_step=0.1)) == [0.0, 0.1, 0.2, 0.3]
+
     def test_bad_step_usage_error(self, tmp_path):
         code = main([
             "qfi", "--kappa-min", "0", "--kappa-max", "0.5", "--kappa-step", "-0.1",

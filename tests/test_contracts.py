@@ -2,12 +2,14 @@
 
 The engine_map round is the benchmark's correctness gate: a change that
 fails more of its points, or fails one for a reason no known fault
-explains, is caught here first.  The import check keeps the numerical
-engine free of every closed-form information expression, the dependency
-check keeps numpy the package's only third-party import, and the numpy
-checks keep it inside the functions of montecarlo.py that draw or reduce
-samples, so ``import qfi_radar`` and the qfi, curves and oracle-check
-subcommands run on the standard library alone.  The cold-import check keeps
+explains, is caught here first.  The layout checks keep every branch stack
+to its four derivative rows in the carrier gauge, which ``build_subspace``
+reads without a ket row, and ``overlap`` to one return shape.  The import
+check keeps the numerical engine free of every closed-form information
+expression, the dependency check keeps numpy the package's only third-party
+import, and the numpy checks keep it inside the functions of montecarlo.py
+that draw or reduce samples, so ``import qfi_radar`` and the qfi, curves and
+oracle-check subcommands run on the standard library alone.  The cold-import check keeps
 the sampling modules, the selftest and ``dataclasses`` off ``import
 qfi_radar.cli``.  The print check keeps output in the CLI, and the export
 check keeps every public name in use.
@@ -26,6 +28,9 @@ import pytest
 
 import qfi_radar
 from qfi_radar import cli
+from qfi_radar.kinematics import Strategy
+from qfi_radar.oracle import model_for
+from qfi_radar.states import ROWS, GaussianBiphoton, GaussianSinglePhoton, Stack, overlap
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # engine_map points failed per round: none since the closed-form support
@@ -84,6 +89,37 @@ def test_traced_engine_layers(monkeypatch):
                                     ("quantum_illumination", 2, 2)):
         assert metrics[f"oracle.subspace_dim.{strategy}"][0] == dim
         assert metrics[f"states.overlaps_per_eval.{strategy}"][0] == per_eval
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+@pytest.mark.parametrize("kwargs", [
+    {"sigma1": 1.0},
+    {"sigma1": 0.7, "sigma2": 1.3, "kappa": -0.5, "t_minus": 1.0, "omega_minus": 0.8,
+     "t_plus": 0.3},
+], ids=["coincident", "separated"])
+def test_stacks_hold_only_derivative_rows(strategy, kwargs):
+    # build_subspace reads every row of a stack as a derivative c . x |base>,
+    # c0 = 0, and qfi_numeric picks a pair's two rows by their ROWS index
+    assert ROWS == ("t_plus", "t_minus", "omega_plus", "omega_minus")
+    for stack in model_for(strategy, **kwargs).stacks:
+        assert len(stack.p) == len(ROWS) == 4
+        assert all(len(row) == 3 and row[0] == 0 for row in stack.p), stack.p
+        # the carrier gauge: every row is orthogonal to its branch's ket
+        assert overlap(Stack(stack.base, ((1.0, 0.0, 0.0),)), stack) == ((0j,) * 4,)
+
+
+@pytest.mark.parametrize("k_a", range(4))
+@pytest.mark.parametrize("k_b", range(4))
+def test_overlap_returns_one_block_shape(k_a, k_b):
+    # a (k_a, k_b) block of nested tuples for every pair of row counts, empty included
+    rows = ((1.0, 0.0, 0.0), (0.0, 0.5, 0.0), (0.3j, 1.0, 0.0))
+    for a, b in ((GaussianSinglePhoton(0.1, 1.0, 1.0), GaussianSinglePhoton(-0.2, 1.5, 0.8)),
+                 (GaussianBiphoton(0.0, 0.3, 1.0, 1.2, 1.0, 1.5, 0.4),
+                  GaussianBiphoton(0.2, -0.1, 0.8, 1.0, 1.1, 0.9, -0.3))):
+        block = overlap(Stack(a, rows[:k_a]), Stack(b, rows[:k_b]))
+        assert type(block) is tuple and len(block) == k_a
+        assert all(type(line) is tuple and len(line) == k_b for line in block)
+        assert all(type(x) is complex for line in block for x in line)
 
 
 def test_engine_imports_no_closed_forms():

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_states import PROPERTY
+from test_states import KET, PROPERTY, braket, ket
 
 from qfi_radar import oracle
 from qfi_radar.analytic import asymptotic_bound, bound_product, qfi_entangled
@@ -81,11 +81,17 @@ def point_model(strategy, point, scale=1.0):
     return model_for(strategy, **point_kwargs(point, scale))
 
 
-def pair_stacks(model, params):
-    """Each branch's ket and derivative rows along ``params``: the generators
+def pair_rows(model, params):
+    """Each branch's derivative rows along ``params``: the stacks
     ``qfi_numeric`` builds its subspace from."""
-    rows = [0, *map(ROWS.index, params)]
+    rows = [ROWS.index(param) for param in params]
     return [Stack(s.base, tuple(s.p[i] for i in rows)) for s in model.stacks]
+
+
+def pair_stacks(model, params):
+    """Each branch's ket, then its derivative rows along ``params``: the
+    generators the reference spans."""
+    return [Stack(s.base, (KET, *s.p)) for s in pair_rows(model, params)]
 
 
 def fd_qfi(strategy, kwargs, pair, h):
@@ -115,8 +121,8 @@ def fd_qfi(strategy, kwargs, pair, h):
     def rho_matrix(m):
         # w sum_k |k><k| in the orthonormal basis; generator r + R k is row r
         # of stack k
-        G = np.concatenate([[overlap(stack, branch.base) for branch in m.stacks]
-                            for stack in stacks], axis=1).T
+        G = np.block([[np.array(overlap(stack, ket(branch.base))) for branch in m.stacks]
+                      for stack in stacks])
         V = T.conj().T @ G
         return m.weight * V @ V.conj().T
 
@@ -132,7 +138,7 @@ def fd_qfi(strategy, kwargs, pair, h):
         # sum_kl c_k c_l |<k|l>|^2
         kets = [s.base for s in plus.stacks + minus.stacks]
         cs = np.repeat([plus.weight, -minus.weight], len(model.stacks)) / (2.0 * h)
-        O2 = np.array([[abs(overlap(a, b)) ** 2 for b in kets] for a in kets])
+        O2 = np.array([[abs(braket(ket(a), ket(b))) ** 2 for b in kets] for a in kets])
         proj_norm2 = float(np.real(np.trace(dR @ dR)))
         residuals.append(float(np.sqrt(max(float(cs @ O2 @ cs) - proj_norm2, 0.0))))
 
@@ -153,7 +159,8 @@ def rel_error(H, want):
 class TestSubspace:
     def test_single_pure_state_dimension(self):
         psi = GaussianSinglePhoton(0.0, 1.0, 1.0)
-        basis = build_subspace([Stack(psi, branch_stack(psi, (1, 0)).p[:1])])
+        # the ket alone: a stack of no derivative rows
+        basis = build_subspace([Stack(psi, ())])
         assert basis.dim == 1
 
     def test_entangled_with_derivatives_dimension(self):
@@ -161,8 +168,8 @@ class TestSubspace:
         # and in the carrier gauge <psi|d psi> = 0
         phi = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.5)
         stack = branch_stack(phi, (1, 2))
-        # rows ket, t_plus and omega_minus
-        basis = build_subspace([Stack(phi, tuple(stack.p[i] for i in (0, 1, 4)))])
+        # rows t_plus and omega_minus
+        basis = build_subspace([Stack(phi, tuple(stack.p[i] for i in (0, 3)))])
         assert basis.dim == 1
         assert basis.derivatives == [[[0j]], [[0j]]]
         assert len(basis.kernel) == 2
@@ -172,9 +179,9 @@ class TestSubspace:
         # [[1, g], [conj(g), 1]]: trace 2 and determinant 1 - |g|^2
         for strategy, kwargs in STRATEGY_CASES[1:]:
             model = model_for(strategy, **kwargs)
-            basis = build_subspace(pair_stacks(model, PAIR_A.param_names))
+            basis = build_subspace(pair_rows(model, PAIR_A.param_names))
             lam_plus, lam_minus = basis.eigenvalues
-            g = overlap(model.stacks[0].base, model.stacks[1].base)
+            g = braket(ket(model.stacks[0].base), ket(model.stacks[1].base))
             assert abs(lam_plus + lam_minus - 2.0) <= 1e-15
             assert abs(lam_plus * lam_minus - (1.0 - abs(g) ** 2)) <= 1e-15
 
@@ -197,13 +204,13 @@ class TestSubspace:
 
         def g2(kwargs):
             first, second = model_for(strategy, **kwargs).stacks
-            return abs(overlap(first.base, second.base)) ** 2
+            return abs(braket(ket(first.base), ket(second.base))) ** 2
 
         for kwargs in cases:
             model = model_for(strategy, **kwargs)
             lam, r, _ = project(model, build_subspace(list(model.stacks)))
             want = []
-            for param in ROWS[1:]:
+            for param in ROWS:
                 value = kwargs.get(param, defaults[param].default)
                 slope = (g2({**kwargs, param: value + h}) - g2({**kwargs, param: value - h}))
                 want.append(model.weight ** 2 * slope / (2.0 * h))
@@ -451,7 +458,7 @@ class TestSldProperties:
         """(rho, d(rho), SLDs) of each model on rho's support, stacked over
         the pair's parameters, in the frame ``build_subspace`` writes them in."""
         for model, pair in self._models():
-            basis = build_subspace(pair_stacks(model, pair.param_names))
+            basis = build_subspace(pair_rows(model, pair.param_names))
             lam, r, _kernel = project(model, basis)
             L, r = np.array(sld_solve(lam, r)), np.array(r)
             assert L.shape == r.shape == (2, basis.dim, basis.dim)

@@ -49,14 +49,29 @@ def biphoton_amplitude(state: GaussianBiphoton, t1, t2):
     return state.norm * np.exp(-quad - 1j * phase)
 
 
+# the row of a plain state: prefactor 1
+KET = (1.0, 0.0, 0.0)
+
+
+def ket(state):
+    """``state`` as a stack of one row, its plain ket."""
+    return Stack(state, (KET,))
+
+
+def braket(a, b):
+    """<a|b> of two one-row stacks: the one entry of their overlap block."""
+    ((value,),) = overlap(a, b)
+    return value
+
+
 def derivative(state, param, photon=None):
-    """d|state>/d(param): one row of ``branch_stack``, as a single state.
+    """d|state>/d(param): one row of ``branch_stack``, as a one-row stack.
 
     A biphoton carries both photons of the pair; a single photon is the
     ``photon``-th (1 or 2).
     """
     photons = (1, 2) if isinstance(state, GaussianBiphoton) else (photon, 0)
-    return Stack(state, branch_stack(state, photons).p[ROWS.index(param)])
+    return Stack(state, (branch_stack(state, photons).p[ROWS.index(param)],))
 
 
 def gauge_term(state, param, photon=None):
@@ -79,10 +94,10 @@ biphotons = st.builds(GaussianBiphoton, centers, centers, carriers, carriers,
                       sigmas, sigmas, st.floats(-0.99, 0.99))
 params = st.sampled_from(PARAMS)
 photon_indices = st.sampled_from((1, 2))
-# plain states and their derivative states
+# plain states and their derivative states, each a one-row stack
 any_singles = st.one_of(
-    single_photons, st.builds(derivative, single_photons, params, photon_indices))
-any_biphotons = st.one_of(biphotons, st.builds(derivative, biphotons, params))
+    st.builds(ket, single_photons), st.builds(derivative, single_photons, params, photon_indices))
+any_biphotons = st.one_of(st.builds(ket, biphotons), st.builds(derivative, biphotons, params))
 state_pairs = st.one_of(st.tuples(any_singles, any_singles),
                         st.tuples(any_biphotons, any_biphotons))
 # nonzero prefactor coefficients: magnitude 0.5 to 2, any phase
@@ -250,49 +265,52 @@ class TestOverlapSingle:
         psi = GaussianSinglePhoton(0.0, 1.0, 1.0)
         phi = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0)
         with pytest.raises(TypeError, match="cannot overlap single-photon with biphoton"):
-            overlap(psi, phi)
-        with pytest.raises(TypeError, match="not a Gaussian state"):
-            overlap(psi, 1.0)
+            overlap(ket(psi), ket(phi))
+        # a plain Gaussian or a number is not a stack
+        with pytest.raises(TypeError, match="non-iterable"):
+            overlap(psi, ket(psi))
+        with pytest.raises(TypeError, match="non-iterable"):
+            overlap(ket(psi), 1.0)
 
     def test_self_overlap(self):
-        psi = GaussianSinglePhoton(0.7, 2.0, 1.3)
-        assert overlap(psi, psi) == pytest.approx(1.0, abs=1e-12)
+        psi = ket(GaussianSinglePhoton(0.7, 2.0, 1.3))
+        assert braket(psi, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_carrier_shift(self):
         # equal sigma = 1, carrier separation 2: modulus e^{-0.5}
         a = GaussianSinglePhoton(0.0, 1.0, 1.0)
         b = GaussianSinglePhoton(0.0, 3.0, 1.0)
-        assert abs(overlap(a, b)) == pytest.approx(math.exp(-0.5), abs=1e-12)
+        assert abs(braket(ket(a), ket(b))) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_bandwidth_mismatch_prefactor(self):
         a = GaussianSinglePhoton(0.0, 1.0, 1.0)
         b = GaussianSinglePhoton(0.0, 1.0, 3.0)
-        assert abs(overlap(a, b)) == pytest.approx(math.sqrt(0.6), abs=1e-12)
+        assert abs(braket(ket(a), ket(b))) == pytest.approx(math.sqrt(0.6), abs=1e-12)
 
     def test_time_shift(self):
         a = GaussianSinglePhoton(0.0, 1.0, 1.0)
         b = GaussianSinglePhoton(1.0, 1.0, 1.0)
-        assert abs(overlap(a, b)) == pytest.approx(math.exp(-0.5), abs=1e-12)
+        assert abs(braket(ket(a), ket(b))) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_general_vs_quadrature(self):
         a = GaussianSinglePhoton(0.2, 1.5, 0.8)
         b = GaussianSinglePhoton(-0.4, 2.5, 1.4)
-        assert overlap(a, b) == pytest.approx(quad_overlap_1d(a, b), abs=1e-9)
+        assert braket(ket(a), ket(b)) == pytest.approx(quad_overlap_1d(a, b), abs=1e-9)
 
 
 class TestOverlapBiphoton:
     def test_self_overlap(self):
-        phi = GaussianBiphoton(0.1, 0.2, 1.0, 2.0, 1.0, 2.0, 0.4)
-        assert overlap(phi, phi) == pytest.approx(1.0, abs=1e-12)
+        phi = ket(GaussianBiphoton(0.1, 0.2, 1.0, 2.0, 1.0, 2.0, 0.4))
+        assert braket(phi, phi) == pytest.approx(1.0, abs=1e-12)
 
     def test_separable_factorizes(self):
         a = GaussianBiphoton(0.0, 0.0, 1.0, 2.0, 1.0, 1.5, 0.0)
         b = GaussianBiphoton(0.5, -0.3, 1.5, 2.5, 1.0, 1.5, 0.0)
-        lhs = overlap(a, b)
-        rhs = overlap(
-            GaussianSinglePhoton(0.0, 1.0, 1.0), GaussianSinglePhoton(0.5, 1.5, 1.0)
-        ) * overlap(
-            GaussianSinglePhoton(0.0, 2.0, 1.5), GaussianSinglePhoton(-0.3, 2.5, 1.5)
+        lhs = braket(ket(a), ket(b))
+        rhs = braket(
+            ket(GaussianSinglePhoton(0.0, 1.0, 1.0)), ket(GaussianSinglePhoton(0.5, 1.5, 1.0))
+        ) * braket(
+            ket(GaussianSinglePhoton(0.0, 2.0, 1.5)), ket(GaussianSinglePhoton(-0.3, 2.5, 1.5))
         )
         assert lhs == pytest.approx(rhs, abs=1e-14)
 
@@ -303,14 +321,14 @@ class TestOverlapBiphoton:
         for kappa in (0.0, 0.5, -0.7):
             a = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, kappa)
             b = GaussianBiphoton(1.0, 0.0, 1.0, 1.0, 1.0, 1.0, kappa)
-            got = abs(overlap(a, b))
+            got = abs(braket(ket(a), ket(b)))
             assert got == pytest.approx(math.exp(-0.5), abs=1e-12), f"kappa={kappa}"
             assert got == pytest.approx(abs(quad_overlap_2d(a, b)), abs=1e-8)
 
     def test_general_vs_quadrature(self):
         a = GaussianBiphoton(0.0, 0.3, 1.0, 2.0, 1.0, 1.5, 0.5)
         b = GaussianBiphoton(0.4, -0.2, 1.5, 2.2, 1.2, 1.3, 0.3)
-        assert overlap(a, b) == pytest.approx(quad_overlap_2d(a, b), abs=1e-8)
+        assert braket(ket(a), ket(b)) == pytest.approx(quad_overlap_2d(a, b), abs=1e-8)
 
 
 class TestDerivatives:
@@ -340,8 +358,8 @@ class TestDerivatives:
                 kw["omega2_bar"] += sign_w[param][1] * eps
             return GaussianBiphoton(sigma1=1.0, sigma2=1.5, kappa=0.5, **kw)
 
-        got = overlap(phi, d)
-        fd = (overlap(phi, shifted(h)) - overlap(phi, shifted(-h))) / (2.0 * h)
+        got = braket(ket(phi), d)
+        fd = (braket(ket(phi), ket(shifted(h))) - braket(ket(phi), ket(shifted(-h)))) / (2.0 * h)
         assert got == pytest.approx(fd - gauge_term(phi, param), abs=1e-8)
 
     @pytest.mark.parametrize("var", ["t_bar", "omega_bar"])
@@ -357,19 +375,19 @@ class TestDerivatives:
             kw[var] += eps
             return GaussianSinglePhoton(**kw)
 
-        got = 2.0 * overlap(psi, d)
-        fd = (overlap(psi, shifted(h)) - overlap(psi, shifted(-h))) / (2.0 * h)
+        got = 2.0 * braket(ket(psi), d)
+        fd = (braket(ket(psi), ket(shifted(h))) - braket(ket(psi), ket(shifted(-h)))) / (2.0 * h)
         gauge = 2.0 * gauge_term(psi, {"t_bar": "t_plus", "omega_bar": "omega_plus"}[var], 2)
         assert got == pytest.approx(fd - gauge, abs=1e-8)
 
     def test_chain_rule_signs(self):
         # photon 1 responds to t_minus with -1/2, photon 2 with +1/2
         psi = GaussianSinglePhoton(0.0, 1.0, 1.0)
-        bra = GaussianSinglePhoton(0.3, 1.4, 0.9)
+        bra = ket(GaussianSinglePhoton(0.3, 1.4, 0.9))
         d1 = derivative(psi, "t_minus", photon=1)
         d2 = derivative(psi, "t_minus", photon=2)
-        assert abs(overlap(bra, d1)) > 0.1
-        assert overlap(bra, d1) == pytest.approx(-overlap(bra, d2), abs=1e-12)
+        assert abs(braket(bra, d1)) > 0.1
+        assert braket(bra, d1) == pytest.approx(-braket(bra, d2), abs=1e-12)
         assert gauge_term(psi, "t_minus", 1) == -gauge_term(psi, "t_minus", 2)
 
 
@@ -378,25 +396,27 @@ class TestOverlapKernelProperties:
     @given(state_pairs)
     def test_hermitian_symmetry(self, pair):
         a, b = pair
-        scale = math.sqrt(abs(overlap(a, a)) * abs(overlap(b, b)))
-        assert abs(overlap(a, b) - overlap(b, a).conjugate()) <= 1e-12 * scale
+        scale = math.sqrt(abs(braket(a, a)) * abs(braket(b, b)))
+        assert abs(braket(a, b) - braket(b, a).conjugate()) <= 1e-12 * scale
 
     @PROPERTY
     @given(any_singles, single_photons, params, photon_indices)
     def test_single_derivative_vs_finite_difference(self, psi, other, param, photon_index):
         h = 1e-5
-        got = overlap(psi, derivative(other, param, photon_index))
-        fd = (overlap(psi, shift_single(other, param, photon_index, h))
-              - overlap(psi, shift_single(other, param, photon_index, -h))) / (2.0 * h)
-        assert abs(got - fd + gauge_term(other, param, photon_index) * overlap(psi, other)) <= 1e-7
+        got = braket(psi, derivative(other, param, photon_index))
+        fd = (braket(psi, ket(shift_single(other, param, photon_index, h)))
+              - braket(psi, ket(shift_single(other, param, photon_index, -h)))) / (2.0 * h)
+        gauge = gauge_term(other, param, photon_index) * braket(psi, ket(other))
+        assert abs(got - fd + gauge) <= 1e-7
 
     @PROPERTY
     @given(any_biphotons, biphotons, params)
     def test_biphoton_derivative_vs_finite_difference(self, phi, other, param):
         h = 1e-5
-        got = overlap(phi, derivative(other, param)) + gauge_term(other, param) * overlap(phi, other)
-        fd = (overlap(phi, shift_biphoton(other, param, h))
-              - overlap(phi, shift_biphoton(other, param, -h))) / (2.0 * h)
+        got = (braket(phi, derivative(other, param))
+               + gauge_term(other, param) * braket(phi, ket(other)))
+        fd = (braket(phi, ket(shift_biphoton(other, param, h)))
+              - braket(phi, ket(shift_biphoton(other, param, -h)))) / (2.0 * h)
         assert abs(got - fd) <= 1e-7
 
 
@@ -405,16 +425,16 @@ class TestStackedOverlap:
     @given(stack_pairs())
     def test_block_matches_scalar_overlaps(self, stacks):
         stack_a, stack_b = stacks
-        rows_a = [Stack(stack_a.base, p) for p in stack_a.p]
-        rows_b = [Stack(stack_b.base, p) for p in stack_b.p]
+        rows_a = [Stack(stack_a.base, (p,)) for p in stack_a.p]
+        rows_b = [Stack(stack_b.base, (p,)) for p in stack_b.p]
         block = overlap(stack_a, stack_b)
         assert [len(line) for line in block] == [len(rows_b)] * len(rows_a)
         for i, a in enumerate(rows_a):
-            row = overlap(a, stack_b)  # a single state against a stack
-            norm_a = math.sqrt(overlap(a, a).real)
+            (row,) = overlap(a, stack_b)  # one row against a stack
+            norm_a = math.sqrt(braket(a, a).real)
             for j, b in enumerate(rows_b):
-                scale = norm_a * math.sqrt(overlap(b, b).real)
-                want = overlap(a, b)
+                scale = norm_a * math.sqrt(braket(b, b).real)
+                want = braket(a, b)
                 assert abs(block[i][j] - want) <= 1e-14 * scale
                 assert abs(row[j] - want) <= 1e-14 * scale
 
@@ -434,13 +454,13 @@ class TestStackedOverlap:
         assert np.max(np.abs(own - own.conj().T)) <= 1e-14 * np.max(np.abs(own))
 
     def test_stack_of_no_rows_gives_an_empty_block(self):
-        # a branch with no derivative rows, as one ket-only stack leaves
+        # a branch with no derivative rows
         phi = GaussianBiphoton(0.0, 0.3, 1.0, 1.2, 1.0, 1.5, 0.4)
         none, two = Stack(phi, ()), branch_stack(phi, (1, 2))
         assert overlap(none, none) == ()
         assert overlap(none, two) == ()
         assert overlap(two, none) == ((),) * len(two.p)
-        assert overlap(phi, none) == ()
+        assert overlap(ket(phi), none) == ((),)
 
 
 class TestCovariances:
