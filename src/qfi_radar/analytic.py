@@ -14,7 +14,7 @@ import math
 
 from .kinematics import ParameterPair, Strategy
 from .oracle import model_for, qfi_numeric
-from .states import GaussianBiphoton, _check_range, frequency_covariance, time_covariance
+from .states import GaussianBiphoton, _check_bandwidths, frequency_covariance, time_covariance
 
 __all__ = [
     "qfi_entangled",
@@ -54,14 +54,16 @@ def qfi_entangled(
 
     For the (time-sum, frequency-difference) pair:
       H11 = sigma1^2 - 2 kappa sigma1 sigma2 + sigma2^2,
-      H22 = H11 / (4 (1 - kappa^2) sigma1^2 sigma2^2);
-    the (time-difference, frequency-sum) pair flips the sign of kappa in H11.
+      H22 = H11 / (4 (1 - kappa^2) sigma1^2 sigma2^2), written term by term;
+    the (time-difference, frequency-sum) pair flips the sign of kappa in both.
     The off-diagonal entries are zero; the floor is ``bound_product(H11, H22)``.
+    Bandwidths past the float range raise ``ArithmeticError`` (``_check_bandwidths``).
     """
-    _check_range(kappa, sigma1, sigma2)
+    _check_bandwidths(kappa, sigma1, sigma2)
     k = kappa if pair is ParameterPair.TIME_SUM_FREQ_DIFF else -kappa
     h11 = sigma1**2 - 2.0 * k * sigma1 * sigma2 + sigma2**2
-    h22 = h11 / (4.0 * (1.0 - kappa**2) * sigma1**2 * sigma2**2)
+    h22 = (1.0 / sigma2**2 - 2.0 * k / (sigma1 * sigma2) + 1.0 / sigma1**2) / (
+        4.0 * (1.0 - kappa**2))
     return h11, h22
 
 
@@ -83,12 +85,13 @@ def published_mixed_qfi(
     entries use the photon-counted normalization (asymptotes 2 sigma^2 and
     1/(2 (1-kappa^2) sigma^2)).  Raises ``ValueError`` for sigma <= 0, for
     |kappa| >= 1 under quantum illumination, and at t_minus = omega_minus = 0,
-    where the branches coincide and the printed entries divide by zero.
+    where the branches coincide and the printed entries divide by zero, and
+    ``ArithmeticError`` where sigma^2 leaves the normal floats.
     """
     if strategy not in (Strategy.TWO_SINGLE_PHOTONS, Strategy.QUANTUM_ILLUMINATION):
         raise ValueError(f"no published mixed-state form for {strategy!r}")
     qi = strategy is Strategy.QUANTUM_ILLUMINATION
-    _check_range(kappa if qi else 0.0, sigma)
+    _check_bandwidths(kappa if qi else 0.0, sigma, sigma)
     if t_minus == 0.0 and omega_minus == 0.0:
         raise ValueError("t_minus and omega_minus are both 0: the two branches coincide, "
                          "so the mixed-state entries are undefined")
@@ -141,11 +144,12 @@ def asymptotic_H(
     The entangled value is exact at any separation; the mixed strategies
     use the orthogonal-branch limit, which is where the strategy-level
     floors (1 and 2 sqrt(1 - kappa^2)) hold.  Every strategy raises
-    ``ValueError`` for sigma <= 0 or |kappa| >= 1, NaN included.
+    ``ValueError`` for sigma <= 0 or |kappa| >= 1, NaN included, and
+    ``ArithmeticError`` where sigma^2 leaves the normal floats.
     """
     if strategy is Strategy.ENTANGLED_BIPHOTON:
         return qfi_entangled(sigma, sigma, kappa, pair)
-    _check_range(kappa, sigma)
+    _check_bandwidths(kappa, sigma, sigma)
     if strategy is Strategy.TWO_SINGLE_PHOTONS:
         return 2.0 * sigma**2, 1.0 / (2.0 * sigma**2)
     return sigma**2, 1.0 / (4.0 * (1.0 - kappa**2) * sigma**2)
@@ -201,12 +205,13 @@ def adjudicate(
     Inputs the closed forms reject, coincident branches included, raise ``ValueError``.
     """
     base_params = {"sigma": sigma, "kappa": kappa, "t_minus": t_minus, "omega_minus": omega_minus}
-    model = model_for(strategy, sigma1=sigma, kappa=kappa, t_minus=t_minus,
-                      omega_minus=omega_minus)
+    # the closed forms first: their range errors name the input
     if strategy is Strategy.ENTANGLED_BIPHOTON:
         published = qfi_entangled(sigma, sigma, kappa, pair)
     else:
         published = published_mixed_qfi(strategy, pair, sigma, t_minus, omega_minus, kappa)
+    model = model_for(strategy, sigma1=sigma, kappa=kappa, t_minus=t_minus,
+                      omega_minus=omega_minus)
     oracle = qfi_numeric(model, pair)
     # the engine's QI trace is 1; the published QI forms are photon-counted
     scale = 0.5 if strategy is Strategy.QUANTUM_ILLUMINATION else 1.0

@@ -62,8 +62,6 @@ SETTINGS = {
     "v2": (0.0, None, None),
 }
 
-DEFAULTS = {key: default for key, (default, _choices, _help) in SETTINGS.items()}
-
 
 def fmt(x) -> str:
     """Shortest round-trip decimal representation, locale-independent."""

@@ -27,6 +27,7 @@ from .states import (
     GaussianBiphoton,
     GaussianSinglePhoton,
     Stack,
+    _bandwidths,
     _exponent,
     branch_stack,
     overlap,
@@ -104,9 +105,10 @@ def _h(u: float) -> float:
 def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     """The support frame of one or two branches, from their stacks.
 
-    Every stack has the same rows, each a derivative c . x |psi_k> of its
-    branch's ket, the stack's base (``branch_stack``'s carrier gauge, so
-    <psi_k|d psi_k> = 0 and one branch's kernel block is its own block).  One
+    Every stack has the same rows, each the coefficients c = (c1, c2) of a
+    derivative c . x |psi_k> of its branch's ket, the stack's base, read as
+    they are: a row holds no multiple of the ket, so <psi_k|d psi_k> = 0 and
+    one branch's kernel block is its own block.  One
     ``overlap`` call per stack gives that block, and ``pair_terms`` gives the
     two bases' overlap g in difference form.  Branch 2 is taken with the
     phase that makes g = e^l real, so the frame and each derivative row's
@@ -130,15 +132,15 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     t is [[0]]: the derivatives lie in the kernel.  A stack of no rows gets
     an empty block.
 
-    Where the equal-form kernel term leaves the float range (u overflows),
-    raises ``ArithmeticError`` naming the branches' separation.
+    Where the equal-form kernel term leaves the float range (u overflows,
+    or at an extreme bandwidth a product of two D's underflows by more than
+    an ulp of its entry), raises ``ArithmeticError`` naming the bandwidths
+    and the branches' separation.
     """
     if not 1 <= len(stacks) <= 2:
         raise ValueError(f"need one or two branch stacks, got {len(stacks)}")
     blocks = [overlap(s, s) for s in stacks]
-    # each row's c
-    coeffs = [[(c1, c2) for _, c1, c2 in s.p] for s in stacks]
-    n_rows = len(coeffs[0])
+    n_rows = len(stacks[0].p)
     if len(stacks) == 1:
         return SubspaceBasis(list(stacks), [1.0], [[[0j]] for _ in range(n_rows)],
                              list(blocks[0]))
@@ -148,12 +150,13 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     ell = min(log_g.real, 0.0)
     # a21 = c_1 . conj(mu - t_1) and a12 = c_2 . (mu - t_2): each branch's offset
     offsets = ((ma[0].conjugate(), ma[1].conjugate()), mb)
-    alpha = [[c1 * v1 + c2 * v2 for c1, c2 in cs] for cs, (v1, v2) in zip(coeffs, offsets)]
+    alpha = [[c1 * v1 + c2 * v2 for c1, c2 in s.p] for s, (v1, v2) in zip(stacks, offsets)]
 
     if ell == 0.0:
         # identical bases, every offset 0: rho = 2 |psi_1><psi_1| is one ket,
         # whose derivative is the branches' mean (c_1 + c_2)/2 . x |psi_1>
-        mean = [((c1[0] + c2[0]) / 2.0, (c1[1] + c2[1]) / 2.0) for c1, c2 in zip(*coeffs)]
+        mean = [((c1[0] + c2[0]) / 2.0, (c1[1] + c2[1]) / 2.0)
+                for c1, c2 in zip(stacks[0].p, stacks[1].p)]
         kernel = [[2.0 * (x[0].conjugate() * (s11 * y[0] + s12 * y[1])
                           + x[1].conjugate() * (s12 * y[0] + s22 * y[1]))
                    for y in mean] for x in mean]
@@ -177,14 +180,20 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
             # float range the kernel term would read 0 where it tends to a finite value
             raise _out_of_range(stacks)
         h, det_u = _h(u), (s11 * s22 - s12 * s12) * u
-        for cs, (v1, v2), al in zip(coeffs, offsets, alpha):
+        carried = False  # whether some D is nonzero
+        for s, (v1, v2), al in zip(stacks, offsets, alpha):
             w1, w2 = v1.conjugate(), v2.conjugate()
             # D(conj(v), Sigma c) for each row
-            D = [w1 * (s12 * c1 + s22 * c2) - w2 * (s11 * c1 + s12 * c2) for c1, c2 in cs]
+            D = [w1 * (s12 * c1 + s22 * c2) - w2 * (s11 * c1 + s12 * c2) for c1, c2 in s.p]
+            carried = carried or any(D)
             for line, Da, aa in zip(kernel, D, al):
                 Da, aa = Da.conjugate(), aa.conjugate()
                 for b in rows:
                     line[b] += Da * D[b] / det_u + aa * al[b] * h
+        # a product of two D's below the normal floats is off by up to 2^-1074:
+        # at extreme bandwidths that is more than an ulp of the entries it enters
+        if carried and any(5e-324 / det_u > 2.0**-52 * abs(kernel[a][a]) for a in rows):
+            raise _out_of_range(stacks)
     else:
         # 1/expm1(u), written so that it cannot overflow
         inv = -math.exp(-u) / math.expm1(-u)
@@ -198,13 +207,14 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
 
 def _out_of_range(stacks: list[Stack]) -> ArithmeticError:
     """The error for a model whose information leaves the float range, naming
-    the branches' separation: their center and carrier offsets."""
-    where = ""
+    its bandwidths and the branches' separation: their center and carrier offsets."""
+    where = " and ".join(dict.fromkeys(_bandwidths(s.base) for s in stacks))
     if len(stacks) == 2:
         a, b = (_exponent(s.base) for s in stacks)
-        where = (f" at branch center offset ({a[3] - b[3]!r}, {a[4] - b[4]!r})"
-                 f" and carrier offset ({a[5] - b[5]!r}, {a[6] - b[6]!r})")
-    return ArithmeticError(f"quantum Fisher information is out of float range{where}")
+        where += (f", branch center offset ({a[3] - b[3]!r}, {a[4] - b[4]!r})"
+                  f" and carrier offset ({a[5] - b[5]!r}, {a[6] - b[6]!r})")
+    return ArithmeticError(
+        f"quantum Fisher information is out of float range at bandwidths {where}")
 
 
 def project(model: MixedModel, basis: SubspaceBasis) -> tuple[list, list, list]:

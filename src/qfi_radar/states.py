@@ -48,12 +48,26 @@ _PAIR_CHAIN = {
 }
 
 
+# the normal floats: a product outside them, or its reciprocal, has lost digits
+_TINY = sys.float_info.min
+_HUGE = 1.0 / _TINY
+
+
 def _check_range(kappa: float, *sigmas: float) -> None:
     """Reject a bandwidth that is not positive or a kappa outside (-1, 1); NaN fails both."""
     if not all(s > 0 for s in sigmas):
         raise ValueError("bandwidths must be positive")
     if not -1.0 < kappa < 1.0:
         raise ValueError(f"kappa must lie in (-1, 1), got {kappa}")
+
+
+def _check_bandwidths(kappa: float, sigma1: float, sigma2: float) -> None:
+    """``_check_range``, and an ``ArithmeticError`` naming the bandwidths where a
+    square, which every closed-form information entry scales as, is not a normal float."""
+    _check_range(kappa, sigma1, sigma2)
+    if not (_TINY <= sigma1 * sigma1 <= _HUGE and _TINY <= sigma2 * sigma2 <= _HUGE):
+        raise ArithmeticError(f"closed-form information is out of float range at bandwidths "
+                              f"sigma1 = {sigma1!r}, sigma2 = {sigma2!r}")
 
 
 # ``_Frozen.__setattr__`` refuses every assignment, so ``_fill`` stores through object's
@@ -103,10 +117,6 @@ class GaussianSinglePhoton(_Frozen):
         _check_range(0.0, sigma)
         self._fill(t_bar, omega_bar, sigma)
 
-    @property
-    def norm(self) -> float:
-        return (2.0 * self.sigma**2 / math.pi) ** 0.25
-
 
 class GaussianBiphoton(_Frozen):
     """Normalized two-photon Gaussian wavepacket with time correlation kappa."""
@@ -118,12 +128,6 @@ class GaussianBiphoton(_Frozen):
         _check_range(kappa, sigma1, sigma2)
         self._fill(t1_bar, t2_bar, omega1_bar, omega2_bar, sigma1, sigma2, kappa)
 
-    @property
-    def norm(self) -> float:
-        return math.sqrt(
-            2.0 * math.sqrt(1.0 - self.kappa**2) * self.sigma1 * self.sigma2 / math.pi
-        )
-
     def centers(self) -> tuple[float, float]:
         return self.t1_bar, self.t2_bar
 
@@ -132,11 +136,12 @@ class GaussianBiphoton(_Frozen):
 
 
 class Stack(NamedTuple):
-    """Affine prefactors on one base Gaussian: row i of ``p`` is (c0, c1, c2)
-    of the state (c0 + c1 x1 + c2 x2) |base>, and ``p = ()`` a stack of no
-    rows.  x = (t1 - t1_bar, t2 - t2_bar); a single photon is photon 1 of its
-    lift (``_exponent``), and its own states have c2 = 0.  The plain state is
-    the row (1, 0, 0).
+    """Derivative rows on one base Gaussian: row i of ``p`` is the coefficient
+    pair (c1, c2) of the state c . x |base> = (c1 x1 + c2 x2) |base>, and
+    ``p = ()`` a stack of no rows.  x = (t1 - t1_bar, t2 - t2_bar); a single
+    photon is photon 1 of its lift (``_exponent``), and its own rows have
+    c2 = 0.  Every row has two entries: no row holds a multiple of the plain
+    state, so each is orthogonal to its own base.
     """
 
     base: GaussianSinglePhoton | GaussianBiphoton
@@ -152,18 +157,16 @@ def overlap(a: Stack, b: Stack) -> tuple:
 
     For plain normalized states conj(a) b integrates to g = <a|b> and,
     divided by g, is a complex Gaussian with mean mu and covariance Sigma
-    (``pair_terms``).  With prefactors a0 + a . (x - t_a) and
-    b0 + b . (x - t_b) the overlap is then
+    (``pair_terms``).  With rows a . (x - t_a) and b . (x - t_b) the overlap
+    is then
 
-        g * [(conj(a0) + conj(a) . (mu - t_a)) (b0 + b . (mu - t_b))
-             + conj(a)^T Sigma b]
-        = conj(p_a)^T Q p_b,   p = (c0, c),
-        Q = g * [[1, (mu - t_b)^T], [mu - t_a, (mu - t_a)(mu - t_b)^T + Sigma]].
+        g * [(conj(a) . (mu - t_a)) (b . (mu - t_b)) + conj(a)^T Sigma b]
+        = conj(a)^T Q b,   Q = g * [(mu - t_a)(mu - t_b)^T + Sigma].
 
-    Q depends on the two base Gaussians only and is evaluated once, in two
-    dimensions, single photons lifted (``_exponent``).  Returns the block of
-    overlaps, nested tuples of shape (k_a, k_b) for stacks of k_a and k_b
-    rows; a stack of no rows gives an empty block.
+    The 2x2 Q depends on the two base Gaussians only and is evaluated once,
+    single photons lifted (``_exponent``).  Returns the block of overlaps,
+    nested tuples of shape (k_a, k_b) for stacks of k_a and k_b rows; a stack
+    of no rows gives an empty block.
     """
     ga, pa = a
     gb, pb = b
@@ -172,17 +175,14 @@ def overlap(a: Stack, b: Stack) -> tuple:
     log_g, (ma1, ma2), (mb1, mb2), (s11, s22, s12) = pair_terms(ga, gb)
     g = cmath.exp(log_g)
     # Q, entry q_ij multiplying conj(a_i) b_j
-    q00, q10, q20 = g, g * ma1, g * ma2
-    q01, q11, q21 = g * mb1, g * (ma1 * mb1 + s11), g * (ma2 * mb1 + s12)
-    q02, q12, q22 = g * mb2, g * (ma1 * mb2 + s12), g * (ma2 * mb2 + s22)
+    q11, q21 = g * (ma1 * mb1 + s11), g * (ma2 * mb1 + s12)
+    q12, q22 = g * (ma1 * mb2 + s12), g * (ma2 * mb2 + s22)
     block = []
-    for a0, a1, a2 in pa:
+    for a1, a2 in pa:
         # conj(row)^T Q, then its product with each row of b
-        c0, c1, c2 = a0.conjugate(), a1.conjugate(), a2.conjugate()
-        q0 = c0 * q00 + c1 * q10 + c2 * q20
-        q1 = c0 * q01 + c1 * q11 + c2 * q21
-        q2 = c0 * q02 + c1 * q12 + c2 * q22
-        block.append(tuple([q0 * b0 + q1 * b1 + q2 * b2 for b0, b1, b2 in pb]))
+        c1, c2 = a1.conjugate(), a2.conjugate()
+        q1, q2 = c1 * q11 + c2 * q21, c1 * q12 + c2 * q22
+        block.append(tuple([q1 * b1 + q2 * b2 for b1, b2 in pb]))
     return tuple(block)
 
 
@@ -221,8 +221,10 @@ def pair_terms(a, b) -> tuple:
     pb, qb, rb, tb1, tb2, wb1, wb2 = _exponent(b)
     S11, S22, S12 = pa + pb, qa + qb, ra + rb
     det = S11 * S22 - S12 * S12
-    if not det > 0:
-        raise ArithmeticError("combined Gaussian quadratic form is not positive definite")
+    # det, and Sigma's determinant 1/(4 det), must be normal floats to keep their digits
+    if not _TINY <= det <= 0.25 * _HUGE:
+        where = " and ".join(dict.fromkeys((_bandwidths(a), _bandwidths(b))))
+        raise ArithmeticError(f"Gaussian overlap is out of float range at bandwidths {where}")
     i11, i22, i12 = S22 / det, S11 / det, -S12 / det
     dt1, dt2 = ta1 - tb1, ta2 - tb2
     dw1, dw2 = wa1 - wb1, wa2 - wb2
@@ -235,6 +237,13 @@ def pair_terms(a, b) -> tuple:
     log_g = complex(_log_norm(pa, qa, ra, pb, qb, rb) - quad_t - 0.25 * quad_w, phase)
     mb1, mb2 = complex(x1, 0.5 * y1), complex(x2, 0.5 * y2)
     return log_g, (mb1 - dt1, mb2 - dt2), (mb1, mb2), (0.5 * i11, 0.5 * i22, 0.5 * i12)
+
+
+def _bandwidths(g) -> str:
+    """g's bandwidths, and its correlation, as an error message names them."""
+    if isinstance(g, GaussianSinglePhoton):
+        return f"sigma = {g.sigma!r}"
+    return f"sigma1 = {g.sigma1!r}, sigma2 = {g.sigma2!r} (kappa = {g.kappa!r})"
 
 
 def _log_norm(pa, qa, ra, pb, qb, rb) -> float:
@@ -278,8 +287,8 @@ def branch_stack(base: GaussianSinglePhoton | GaussianBiphoton,
     The rows are taken in the carrier gauge: a time derivative of the
     amplitude is (i (f1 w1 + f2 w2) + c . x) |base>, and its imaginary
     constant only turns the branch's phase, which no density matrix sees,
-    so it is left out.  Every row is then c . x |base>, with c0 = 0 and
-    <base|row> = 0.
+    so it is left out.  Every row is then c . x |base>, the pair (c1, c2),
+    and <base|row> = 0.
     """
     p, q, r = _exponent(base)[:3]
     i1, i2 = photons
@@ -287,9 +296,9 @@ def branch_stack(base: GaussianSinglePhoton | GaussianBiphoton,
     for kind, factors in _PAIR_CHAIN.values():
         f1, f2 = factors[i1], factors[i2]
         if kind == "t":
-            rows.append((0.0, 2.0 * (f1 * p + f2 * r), 2.0 * (f1 * r + f2 * q)))
+            rows.append((2.0 * (f1 * p + f2 * r), 2.0 * (f1 * r + f2 * q)))
         else:
-            rows.append((0.0, -1j * f1, -1j * f2))
+            rows.append((-1j * f1, -1j * f2))
     return Stack(base, tuple(rows))
 
 
@@ -312,11 +321,9 @@ def time_covariance(state: GaussianBiphoton) -> tuple:
     c = 4.0 * (1.0 - k**2)
     d1, d2, d12 = c * s1 * s1, c * s2 * s2, c * s1 * s2
     # a product, and its reciprocal, must be a normal float to keep its digits
-    tiny = sys.float_info.min
-    if not tiny <= min(d1, d2, d12) <= max(d1, d2, d12) <= 1.0 / tiny:
+    if not _TINY <= min(d1, d2, d12) <= max(d1, d2, d12) <= _HUGE:
         raise ArithmeticError(
-            f"arrival-time covariance is out of float range at bandwidths "
-            f"sigma1 = {s1!r}, sigma2 = {s2!r} (kappa = {k!r})")
+            f"arrival-time covariance is out of float range at bandwidths {_bandwidths(state)}")
     return (1.0 / d1, k / d12), (k / d12, 1.0 / d2)
 
 

@@ -6,6 +6,8 @@ of those are refuted below, deliberately.
 """
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,6 +81,53 @@ class TestEntangled:
         h11 = s1**2 - 2 * k * s1 * s2 + s2**2
         assert res[0] == pytest.approx(h11)
         assert res[1] == pytest.approx(h11 / (4 * (1 - k**2) * s1**2 * s2**2))
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_unit_bandwidth_bits_unchanged(self, sigma):
+        # at power-of-two bandwidths H22 written term by term is H11 over
+        # 4 (1 - kappa^2) sigma1^2 sigma2^2 bit for bit, so the qfi, curves
+        # and oracle-check outputs at the default bandwidth keep their bytes
+        for kappa in [k / 20.0 for k in range(-19, 20)] + [-0.999, 0.999]:
+            for pair in ParameterPair:
+                h11, h22 = qfi_entangled(sigma, sigma, kappa, pair)
+                assert h22 == h11 / (4.0 * (1.0 - kappa**2) * sigma**2 * sigma**2)
+
+    @pytest.mark.parametrize("sigma", [1e-150, 1e-100, 1e-80, 1.0, 1e78, 1e100, 1e150])
+    def test_extreme_bandwidths_keep_their_digits(self, sigma):
+        # H11 over 4 (1 - kappa^2) sigma1^2 sigma2^2 formed the fourth power
+        # of the bandwidths, which leaves the normal floats near sigma = 1e-77
+        # and 1e77: at 1e-80 H22 read 0.49% off and from 1e78 it read 0.0.
+        # Exact rational arithmetic on the same floats is the reference; the
+        # worst case seen over 41 kappa to +-0.99 and sigma from 1e-150 to
+        # 1e150 was 2.3e-15, as at sigma = 1
+        s1, s2 = sigma, 1.7 * sigma
+        for kappa in (-0.9, -0.5, 0.0, 0.3, 0.9):
+            for pair in ParameterPair:
+                f1, f2, fk = Fraction(s1), Fraction(s2), Fraction(kappa)
+                k = fk if pair is PAIR_A else -fk
+                h11 = f1 * f1 - 2 * k * f1 * f2 + f2 * f2
+                h22 = h11 / (4 * (1 - fk * fk) * f1 * f1 * f2 * f2)
+                got = qfi_entangled(s1, s2, kappa, pair)
+                assert got[0] == pytest.approx(float(h11), rel=4e-15, abs=0.0)
+                assert got[1] == pytest.approx(float(h22), rel=4e-15, abs=0.0)
+
+    @pytest.mark.parametrize("s1, s2", [(1e-155, 1e-155), (1e155, 1e155), (1.0, 1e-160),
+                                        (1e160, 1.0)])
+    def test_out_of_range_bandwidths_raise(self, s1, s2):
+        # a square outside the normal floats would lose its digits or raise
+        # a bare OverflowError from sigma**2
+        message = re.escape(f"closed-form information is out of float range at bandwidths "
+                            f"sigma1 = {s1!r}, sigma2 = {s2!r}")
+        for pair in ParameterPair:
+            with pytest.raises(ArithmeticError, match=message):
+                qfi_entangled(s1, s2, 0.5, pair)
+            if s1 == s2:
+                for strategy in Strategy:
+                    with pytest.raises(ArithmeticError, match=message):
+                        asymptotic_H(strategy, pair, 0.5, s1)
+                    if strategy is not Strategy.ENTANGLED_BIPHOTON:
+                        with pytest.raises(ArithmeticError, match=message):
+                            published_mixed_qfi(strategy, pair, s1, 1.0, 0.8, 0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):

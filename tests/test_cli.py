@@ -16,12 +16,14 @@ import pytest
 
 import qfi_radar
 from qfi_radar import cli, montecarlo, selftest
-from qfi_radar.cli import DEFAULTS, kappa_grid, main
+from qfi_radar.cli import kappa_grid, main
 from qfi_radar.kinematics import ParameterPair, Strategy
 from qfi_radar.oracle import model_for, qfi_numeric
 
 ROOT3_2 = math.sqrt(3.0) / 2.0
 SVG = "{http://www.w3.org/2000/svg}"
+# every setting's default
+DEFAULTS = {key: default for key, (default, _choices, _help) in cli.SETTINGS.items()}
 
 
 def read(path):
@@ -540,7 +542,7 @@ class TestScenario:
 
 class TestArithmeticErrors:
     @pytest.mark.parametrize("argv", [
-        ["qfi", "--sigma", "1e-200"],  # ZeroDivisionError
+        ["qfi", "--sigma", "1e-200"],  # ArithmeticError from the closed form
         ["oracle-check", "--sigma", "1e-200"],  # ArithmeticError from the engine
         ["scenario", "--sigma", "1e300"],  # OverflowError
         # numpy divisions and overflows in the draws, the estimates and the
@@ -577,6 +579,49 @@ class TestArithmeticErrors:
             " out of float range at bandwidths sigma1 = 1e-200, sigma2 = 1e-200"
             f" (kappa = {kappa}))\n"
         )
+
+
+    @pytest.mark.parametrize("argv", [
+        ["qfi", "--sigma", "1e160"],
+        ["oracle-check", "--sigma", "1e160"],
+        ["qfi", "--strategy", "two_single_photons", "--sigma", "1e160"],
+        ["oracle-check", "--strategy", "quantum_illumination", "--sigma", "1e160"],
+    ])
+    def test_out_of_range_bandwidth_names_itself(self, argv, tmp_path, capsys):
+        # sigma**2 in the closed forms and in the engine's exponents raised a
+        # bare OverflowError (34, 'Numerical result out of range')
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: input out of numerical range (ArithmeticError: closed-form information is"
+            " out of float range at bandwidths sigma1 = 1e+160, sigma2 = 1e+160)\n")
+
+    @pytest.mark.parametrize("sigma", ["1e-100", "1e-80", "1e-78", "1e77", "1e78", "1e100"])
+    @pytest.mark.parametrize("command", ["qfi", "oracle-check"])
+    def test_extreme_bandwidths_write_no_wrong_number(self, command, sigma, tmp_path, capsys):
+        # the engine's overlap determinant leaves the normal floats past
+        # sigma = 1e-77 and 1e77: at 1e-80 qfi wrote a bound of 0.99999443
+        # where the floor is exactly 1, at 1e78 an entangled H22 of 0.0, and
+        # oracle-check refereed the closed form with an equally wrong engine
+        assert main([command, "--sigma", sigma, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input out of numerical range (ArithmeticError: Gaussian"
+                              " overlap is out of float range at bandwidths sigma1 = ")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_narrow_bandwidth_qcrb_keeps_its_digits(self, tmp_path):
+        # the entangled pair-A QCRBs are 1/(3 sigma^2) and sigma^2 at kappa = -0.5; H22
+        # over sigma1^2 sigma2^2 made it 9.99988867e-161 at sigma = 1e-80
+        code = main([
+            "simulate", "--strategy", "entangled_biphoton", "--pair", "time_sum_freq_diff",
+            "--kappa-min", "-0.5", "--kappa-max", "-0.5", "--sigma", "1e-80",
+            "--n", "1000", "--seed", "0", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        _, rows = csv_rows(tmp_path / "simulate.csv")
+        qcrb = {row["domain"]: float(row["qcrb"]) for row in rows}
+        assert qcrb["frequency"] == pytest.approx(1e-160, rel=4e-16, abs=0.0)
+        assert qcrb["time"] == pytest.approx(1e160 / 3.0, rel=4e-16, abs=0.0)
 
 
 class TestEngineExceptions:

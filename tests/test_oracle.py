@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_states import KET, PROPERTY, braket, ket
+from test_states import PROPERTY, braket
 
 from qfi_radar import oracle
-from qfi_radar.analytic import asymptotic_bound, bound_product, qfi_entangled
+from qfi_radar.analytic import asymptotic_bound, asymptotic_H, bound_product, qfi_entangled
 from qfi_radar.kinematics import ParameterPair, Strategy
 from qfi_radar.oracle import (
     build_subspace,
@@ -35,7 +35,6 @@ from qfi_radar.states import (
     GaussianSinglePhoton,
     Stack,
     branch_stack,
-    overlap,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -88,10 +87,11 @@ def pair_rows(model, params):
     return [Stack(s.base, tuple(s.p[i] for i in rows)) for s in model.stacks]
 
 
-def pair_stacks(model, params):
-    """Each branch's ket, then its derivative rows along ``params``: the
-    generators the reference spans."""
-    return [Stack(s.base, (KET, *s.p)) for s in pair_rows(model, params)]
+def pair_generators(model, params):
+    """Each branch's ket, then its derivative rows along ``params`` as
+    one-row stacks: the generators the reference spans."""
+    return [g for s in pair_rows(model, params)
+            for g in (s.base, *(Stack(s.base, (row,)) for row in s.p))]
 
 
 def fd_qfi(strategy, kwargs, pair, h):
@@ -99,7 +99,8 @@ def fd_qfi(strategy, kwargs, pair, h):
 
     The subspace is spanned by every branch's ket and derivative rows along
     ``pair``, orthonormalized here through the eigenbasis of their exact-
-    overlap Gram matrix, so the reference shares no frame with the engine.
+    overlap Gram matrix, so the reference shares no frame with the engine;
+    its entries with a ket come from ``pair_terms`` (``braket``).
     d(rho) is the central difference of rho over ``model_for`` rebuilt with
     each parameter moved by +-h, every rho projected onto that subspace from
     exact overlaps of its branch kets, and the SLD equation is solved in the
@@ -111,18 +112,16 @@ def fd_qfi(strategy, kwargs, pair, h):
     """
     model = model_for(strategy, **kwargs)
     params = pair.param_names
-    stacks = pair_stacks(model, params)
-    gram = np.block([[np.array(overlap(a, b)) for b in stacks] for a in stacks])
+    generators = pair_generators(model, params)
+    gram = np.array([[braket(a, b) for b in generators] for a in generators])
     evals, evecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     keep = evals > 1e-12 * evals[-1]
     # column j holds the generator coefficients of orthonormal basis vector j
     T = evecs[:, keep] / np.sqrt(evals[keep])
 
     def rho_matrix(m):
-        # w sum_k |k><k| in the orthonormal basis; generator r + R k is row r
-        # of stack k
-        G = np.block([[np.array(overlap(stack, ket(branch.base))) for branch in m.stacks]
-                      for stack in stacks])
+        # w sum_k |k><k| in the orthonormal basis
+        G = np.array([[braket(g, branch.base) for branch in m.stacks] for g in generators])
         V = T.conj().T @ G
         return m.weight * V @ V.conj().T
 
@@ -138,7 +137,7 @@ def fd_qfi(strategy, kwargs, pair, h):
         # sum_kl c_k c_l |<k|l>|^2
         kets = [s.base for s in plus.stacks + minus.stacks]
         cs = np.repeat([plus.weight, -minus.weight], len(model.stacks)) / (2.0 * h)
-        O2 = np.array([[abs(braket(ket(a), ket(b))) ** 2 for b in kets] for a in kets])
+        O2 = np.array([[abs(braket(a, b)) ** 2 for b in kets] for a in kets])
         proj_norm2 = float(np.real(np.trace(dR @ dR)))
         residuals.append(float(np.sqrt(max(float(cs @ O2 @ cs) - proj_norm2, 0.0))))
 
@@ -181,7 +180,7 @@ class TestSubspace:
             model = model_for(strategy, **kwargs)
             basis = build_subspace(pair_rows(model, PAIR_A.param_names))
             lam_plus, lam_minus = basis.eigenvalues
-            g = braket(ket(model.stacks[0].base), ket(model.stacks[1].base))
+            g = braket(model.stacks[0].base, model.stacks[1].base)
             assert abs(lam_plus + lam_minus - 2.0) <= 1e-15
             assert abs(lam_plus * lam_minus - (1.0 - abs(g) ** 2)) <= 1e-15
 
@@ -204,7 +203,7 @@ class TestSubspace:
 
         def g2(kwargs):
             first, second = model_for(strategy, **kwargs).stacks
-            return abs(braket(ket(first.base), ket(second.base))) ** 2
+            return abs(braket(first.base, second.base)) ** 2
 
         for kwargs in cases:
             model = model_for(strategy, **kwargs)
@@ -309,15 +308,17 @@ class TestPureStates:
         model = model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=1.0, kappa=0.5,
                           t_minus=0.3, omega_minus=0.8)
         for pair in (PAIR_A, PAIR_B):
-            (stack,) = pair_stacks(model, pair.param_names)
-            p = [list(row) for row in stack.p]
-            w1, w2 = stack.base.omega1_bar, stack.base.omega2_bar
+            generators = pair_generators(model, pair.param_names)
+            psi = generators[0]
+            # column j: generator coefficients of the ket (j = 0) or of a true
+            # derivative, its row plus i (f1 w1 + f2 w2) times the ket
+            C = np.eye(3, dtype=complex)
             for row, name in enumerate(pair.param_names, 1):
                 if name.startswith("t"):
                     f1, f2 = {"t_plus": (0.5, 0.5), "t_minus": (-0.5, 0.5)}[name]
-                    p[row][0] = 1j * (f1 * w1 + f2 * w2)
-            p = tuple(map(tuple, p))
-            G = np.array(overlap(Stack(stack.base, p), Stack(stack.base, p)))
+                    C[0, row] = 1j * (f1 * psi.omega1_bar + f2 * psi.omega2_bar)
+            G = C.conj().T @ np.array([[braket(a, b) for b in generators]
+                                       for a in generators]) @ C
             want = 4.0 * np.real(G[1:, 1:] - np.outer(G[1:, 0], G[1:, 0].conj()))
             assert np.max(np.abs(qfi_numeric(model, pair).H - want)) <= 1e-12
 
@@ -737,6 +738,52 @@ class TestFloatRange:
             with pytest.raises(ArithmeticError, match="out of float range") as info:
                 qfi_numeric(model, pair)
             assert offset in str(info.value)
+
+    # bandwidths past the float range, and some inside it near its edges
+    @pytest.mark.parametrize("sigma", [1e-100, 1e-80, 1e-78, 1e-76, 1e51, 1e60, 1e76, 1e77,
+                                       1e78, 1e100])
+    @pytest.mark.parametrize("kappa", [0.0, -0.5])
+    def test_extreme_bandwidths_exact_or_raise(self, sigma, kappa):
+        # pair_terms' determinant scales as sigma^4 for a biphoton: at 1e-80 it
+        # was subnormal and the entangled H22 read 1.1e-5 off, at 1e77 it
+        # overflowed and H read 0, and at 1e100, kappa = -0.5, it raised "not
+        # positive definite".  Quantum illumination's equal-form kernel squared
+        # D(w, Sigma c), which underflowed past sigma = 1e52 at kappa != 0 and
+        # read H22 25% off at 1e60.  Each probe matches its bandwidth scaling
+        # or raises; two single photons (a determinant of sigma^2) always answer
+        for pair in (PAIR_A, PAIR_B):
+            d = np.array([sigma if name.startswith("t") else 1.0 / sigma
+                          for name in pair.param_names])
+            unit = qfi_numeric(model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=1.0, sigma2=1.7,
+                                         kappa=kappa), pair).H
+            cases = [
+                (Strategy.ENTANGLED_BIPHOTON, {"sigma2": 1.7 * sigma},
+                 np.outer(d, d) * np.array(unit)),
+                (Strategy.QUANTUM_ILLUMINATION, {"t_minus": 50.0 / sigma},
+                 np.diag(asymptotic_H(Strategy.QUANTUM_ILLUMINATION, pair, kappa, sigma))),
+            ]
+            for strategy, kwargs, want in cases:
+                try:
+                    H = qfi_numeric(model_for(strategy, sigma1=sigma, kappa=kappa, **kwargs),
+                                    pair).H
+                except ArithmeticError as exc:
+                    assert "out of float range at bandwidths sigma1 = " in str(exc)
+                else:
+                    assert rel_error(np.array(H), want) <= 1e-12, (strategy, pair, H)
+            H = qfi_numeric(model_for(Strategy.TWO_SINGLE_PHOTONS, sigma1=sigma,
+                                      t_minus=50.0 / sigma), pair).H
+            want = np.diag(asymptotic_H(Strategy.TWO_SINGLE_PHOTONS, pair, kappa, sigma))
+            assert rel_error(np.array(H), want) <= 1e-12
+
+    @pytest.mark.parametrize("sigma", [1e-76, 1e-50, 1e50, 1e76])
+    def test_bandwidths_inside_the_range_answer(self, sigma):
+        # where pair_terms' determinant and its reciprocal are normal floats
+        # the engine answers, and a kappa = 0 probe keeps every digit
+        for strategy in Strategy:
+            model = model_for(strategy, sigma1=sigma, t_minus=50.0 / sigma)
+            for pair in (PAIR_A, PAIR_B):
+                want = np.diag(asymptotic_H(strategy, pair, 0.0, sigma))
+                assert rel_error(np.array(qfi_numeric(model, pair).H), want) <= 1e-15
 
     @pytest.mark.parametrize("strategy, want", [(Strategy.TWO_SINGLE_PHOTONS, 2.0),
                                                 (Strategy.QUANTUM_ILLUMINATION, 1.0)])

@@ -5,6 +5,7 @@ the amplitudes (see the quadrature helpers below), not from any closed-form
 information expression.
 """
 
+import cmath
 import math
 import re
 
@@ -23,6 +24,7 @@ from qfi_radar.states import (
     branch_stack,
     frequency_covariance,
     overlap,
+    pair_terms,
     time_covariance,
 )
 
@@ -34,34 +36,45 @@ CHAIN = {"t_plus": (0.5, 0.5), "t_minus": (-0.5, 0.5),
 
 
 def single_amplitude(state: GaussianSinglePhoton, t):
-    """Time-domain amplitude psi(t), on a grid: the quadrature reference."""
+    """Time-domain amplitude psi(t), on a grid: the quadrature reference,
+    normalized by (2 sigma^2/pi)^(1/4)."""
     x = np.asarray(t) - state.t_bar
-    return state.norm * np.exp(-state.sigma**2 * x**2 - 1j * state.omega_bar * x)
+    norm = (2.0 * state.sigma**2 / math.pi) ** 0.25
+    return norm * np.exp(-state.sigma**2 * x**2 - 1j * state.omega_bar * x)
 
 
 def biphoton_amplitude(state: GaussianBiphoton, t1, t2):
-    """Joint time-domain amplitude phi(t1, t2), on a grid: the quadrature reference."""
+    """Joint time-domain amplitude phi(t1, t2), on a grid: the quadrature
+    reference, normalized by sqrt(2 sqrt(1 - kappa^2) sigma1 sigma2/pi)."""
     x1 = np.asarray(t1) - state.t1_bar
     x2 = np.asarray(t2) - state.t2_bar
     s1, s2, k = state.sigma1, state.sigma2, state.kappa
+    norm = math.sqrt(2.0 * math.sqrt(1.0 - k**2) * s1 * s2 / math.pi)
     quad = s1**2 * x1**2 + s2**2 * x2**2 - 2.0 * k * s1 * s2 * x1 * x2
     phase = state.omega1_bar * x1 + state.omega2_bar * x2
-    return state.norm * np.exp(-quad - 1j * phase)
-
-
-# the row of a plain state: prefactor 1
-KET = (1.0, 0.0, 0.0)
-
-
-def ket(state):
-    """``state`` as a stack of one row, its plain ket."""
-    return Stack(state, (KET,))
+    return norm * np.exp(-quad - 1j * phase)
 
 
 def braket(a, b):
-    """<a|b> of two one-row stacks: the one entry of their overlap block."""
-    ((value,),) = overlap(a, b)
-    return value
+    """<a|b> of two states, each a plain Gaussian or a one-row stack.
+
+    Two rows give the one entry of their ``overlap`` block.  A plain state's
+    overlaps are read from ``pair_terms``, as ``build_subspace`` reads them:
+    <a|b> = g = exp(log g), <a|c . (x - t_b) b> = g c . (mu - t_b) and
+    <c . (x - t_a) a|b> = g conj(c) . (mu - t_a).
+    """
+    if isinstance(a, Stack) and isinstance(b, Stack):
+        ((value,),) = overlap(a, b)
+        return value
+    log_g, ma, mb, _ = pair_terms(*(s.base if isinstance(s, Stack) else s for s in (a, b)))
+    g = cmath.exp(log_g)
+    if isinstance(b, Stack):
+        ((c1, c2),) = b.p
+        return g * (c1 * mb[0] + c2 * mb[1])
+    if isinstance(a, Stack):
+        ((c1, c2),) = a.p
+        return g * (c1.conjugate() * ma[0] + c2.conjugate() * ma[1])
+    return g
 
 
 def derivative(state, param, photon=None):
@@ -94,10 +107,10 @@ biphotons = st.builds(GaussianBiphoton, centers, centers, carriers, carriers,
                       sigmas, sigmas, st.floats(-0.99, 0.99))
 params = st.sampled_from(PARAMS)
 photon_indices = st.sampled_from((1, 2))
-# plain states and their derivative states, each a one-row stack
+# plain states, and their derivative states as one-row stacks
 any_singles = st.one_of(
-    st.builds(ket, single_photons), st.builds(derivative, single_photons, params, photon_indices))
-any_biphotons = st.one_of(st.builds(ket, biphotons), st.builds(derivative, biphotons, params))
+    single_photons, st.builds(derivative, single_photons, params, photon_indices))
+any_biphotons = st.one_of(biphotons, st.builds(derivative, biphotons, params))
 state_pairs = st.one_of(st.tuples(any_singles, any_singles),
                         st.tuples(any_biphotons, any_biphotons))
 # nonzero prefactor coefficients: magnitude 0.5 to 2, any phase
@@ -108,20 +121,21 @@ coefficients = st.builds(lambda r, phase: r * complex(math.cos(phase), math.sin(
 @st.composite
 def stack_pairs(draw):
     """Two single-photon or two biphoton bases, each a stack of the same 1-3
-    rows (c0, c1, c2), each row a plain prefactor 1 or an affine one; a
-    single photon's rows leave its lift's coordinate x2 at c2 = 0."""
+    rows (c1, c2), each row one of the base's ``branch_stack`` rows or a
+    random one; a single photon's rows leave its lift's coordinate x2 at c2 = 0."""
     dim = draw(st.sampled_from((1, 2)))
     bases = draw(st.lists(single_photons if dim == 1 else biphotons,
                           min_size=2, max_size=2))
     n_rows = draw(st.integers(1, 3))
     stacks = []
     for base in bases:
+        photons = (1, 2) if dim == 2 else (draw(photon_indices), 0)
         rows = []
         for _ in range(n_rows):
             if draw(st.booleans()):
-                rows.append((1.0, 0.0, 0.0))
+                rows.append(draw(st.sampled_from(branch_stack(base, photons).p)))
             else:
-                c = [draw(coefficients) for _ in range(dim + 1)]
+                c = [draw(coefficients) for _ in range(dim)]
                 rows.append((*c, *(0.0,) * (2 - dim)))
         stacks.append(Stack(base, tuple(rows)))
     return stacks
@@ -265,52 +279,52 @@ class TestOverlapSingle:
         psi = GaussianSinglePhoton(0.0, 1.0, 1.0)
         phi = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0)
         with pytest.raises(TypeError, match="cannot overlap single-photon with biphoton"):
-            overlap(ket(psi), ket(phi))
+            overlap(derivative(psi, "t_plus", 1), derivative(phi, "t_plus"))
         # a plain Gaussian or a number is not a stack
         with pytest.raises(TypeError, match="non-iterable"):
-            overlap(psi, ket(psi))
+            overlap(psi, derivative(psi, "t_plus", 1))
         with pytest.raises(TypeError, match="non-iterable"):
-            overlap(ket(psi), 1.0)
+            overlap(derivative(psi, "t_plus", 1), 1.0)
 
     def test_self_overlap(self):
-        psi = ket(GaussianSinglePhoton(0.7, 2.0, 1.3))
+        psi = GaussianSinglePhoton(0.7, 2.0, 1.3)
         assert braket(psi, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_carrier_shift(self):
         # equal sigma = 1, carrier separation 2: modulus e^{-0.5}
         a = GaussianSinglePhoton(0.0, 1.0, 1.0)
         b = GaussianSinglePhoton(0.0, 3.0, 1.0)
-        assert abs(braket(ket(a), ket(b))) == pytest.approx(math.exp(-0.5), abs=1e-12)
+        assert abs(braket(a, b)) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_bandwidth_mismatch_prefactor(self):
         a = GaussianSinglePhoton(0.0, 1.0, 1.0)
         b = GaussianSinglePhoton(0.0, 1.0, 3.0)
-        assert abs(braket(ket(a), ket(b))) == pytest.approx(math.sqrt(0.6), abs=1e-12)
+        assert abs(braket(a, b)) == pytest.approx(math.sqrt(0.6), abs=1e-12)
 
     def test_time_shift(self):
         a = GaussianSinglePhoton(0.0, 1.0, 1.0)
         b = GaussianSinglePhoton(1.0, 1.0, 1.0)
-        assert abs(braket(ket(a), ket(b))) == pytest.approx(math.exp(-0.5), abs=1e-12)
+        assert abs(braket(a, b)) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_general_vs_quadrature(self):
         a = GaussianSinglePhoton(0.2, 1.5, 0.8)
         b = GaussianSinglePhoton(-0.4, 2.5, 1.4)
-        assert braket(ket(a), ket(b)) == pytest.approx(quad_overlap_1d(a, b), abs=1e-9)
+        assert braket(a, b) == pytest.approx(quad_overlap_1d(a, b), abs=1e-9)
 
 
 class TestOverlapBiphoton:
     def test_self_overlap(self):
-        phi = ket(GaussianBiphoton(0.1, 0.2, 1.0, 2.0, 1.0, 2.0, 0.4))
+        phi = GaussianBiphoton(0.1, 0.2, 1.0, 2.0, 1.0, 2.0, 0.4)
         assert braket(phi, phi) == pytest.approx(1.0, abs=1e-12)
 
     def test_separable_factorizes(self):
         a = GaussianBiphoton(0.0, 0.0, 1.0, 2.0, 1.0, 1.5, 0.0)
         b = GaussianBiphoton(0.5, -0.3, 1.5, 2.5, 1.0, 1.5, 0.0)
-        lhs = braket(ket(a), ket(b))
+        lhs = braket(a, b)
         rhs = braket(
-            ket(GaussianSinglePhoton(0.0, 1.0, 1.0)), ket(GaussianSinglePhoton(0.5, 1.5, 1.0))
+            GaussianSinglePhoton(0.0, 1.0, 1.0), GaussianSinglePhoton(0.5, 1.5, 1.0)
         ) * braket(
-            ket(GaussianSinglePhoton(0.0, 2.0, 1.5)), ket(GaussianSinglePhoton(-0.3, 2.5, 1.5))
+            GaussianSinglePhoton(0.0, 2.0, 1.5), GaussianSinglePhoton(-0.3, 2.5, 1.5)
         )
         assert lhs == pytest.approx(rhs, abs=1e-14)
 
@@ -321,14 +335,37 @@ class TestOverlapBiphoton:
         for kappa in (0.0, 0.5, -0.7):
             a = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, kappa)
             b = GaussianBiphoton(1.0, 0.0, 1.0, 1.0, 1.0, 1.0, kappa)
-            got = abs(braket(ket(a), ket(b)))
+            got = abs(braket(a, b))
             assert got == pytest.approx(math.exp(-0.5), abs=1e-12), f"kappa={kappa}"
             assert got == pytest.approx(abs(quad_overlap_2d(a, b)), abs=1e-8)
 
     def test_general_vs_quadrature(self):
         a = GaussianBiphoton(0.0, 0.3, 1.0, 2.0, 1.0, 1.5, 0.5)
         b = GaussianBiphoton(0.4, -0.2, 1.5, 2.2, 1.2, 1.3, 0.3)
-        assert braket(ket(a), ket(b)) == pytest.approx(quad_overlap_2d(a, b), abs=1e-8)
+        assert braket(a, b) == pytest.approx(quad_overlap_2d(a, b), abs=1e-8)
+
+
+class TestOverlapFloatRange:
+    @pytest.mark.parametrize("sigma", [1e-100, 1e-80, 1e-78, 1e77, 1e100])
+    def test_out_of_range_determinant_names_the_bandwidths(self, sigma):
+        # the combined form's determinant scales as sigma^4: at 1e-80 it was
+        # subnormal and the overlaps lost digits, at 1e77 it overflowed and
+        # they read 0, and at 1e100 it raised "not positive definite"
+        phi = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, sigma, 1.7 * sigma, -0.5)
+        psi = GaussianBiphoton(0.1 / sigma, 0.0, 1.0, 1.0, sigma, sigma, 0.0)
+        both = (f"sigma1 = {sigma!r}, sigma2 = {1.7 * sigma!r} (kappa = -0.5) and "
+                f"sigma1 = {sigma!r}, sigma2 = {sigma!r} (kappa = 0.0)")
+        for a, b, where in ((phi, phi, both.partition(" and ")[0]), (phi, psi, both)):
+            with pytest.raises(ArithmeticError, match=re.escape(
+                    f"Gaussian overlap is out of float range at bandwidths {where}")):
+                overlap(branch_stack(a, (1, 2)), branch_stack(b, (1, 2)))
+
+    @pytest.mark.parametrize("sigma", [1e-76, 1e76])
+    def test_determinant_inside_the_range(self, sigma):
+        # |<phi|psi>| = exp(-1/2) for a unit shift of photon 1 in units of 1/sigma
+        phi = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, sigma, sigma, -0.5)
+        psi = GaussianBiphoton(1.0 / sigma, 0.0, 1.0, 1.0, sigma, sigma, -0.5)
+        assert abs(braket(phi, psi)) == pytest.approx(math.exp(-0.5), rel=1e-15)
 
 
 class TestDerivatives:
@@ -358,8 +395,8 @@ class TestDerivatives:
                 kw["omega2_bar"] += sign_w[param][1] * eps
             return GaussianBiphoton(sigma1=1.0, sigma2=1.5, kappa=0.5, **kw)
 
-        got = braket(ket(phi), d)
-        fd = (braket(ket(phi), ket(shifted(h))) - braket(ket(phi), ket(shifted(-h)))) / (2.0 * h)
+        got = braket(phi, d)
+        fd = (braket(phi, shifted(h)) - braket(phi, shifted(-h))) / (2.0 * h)
         assert got == pytest.approx(fd - gauge_term(phi, param), abs=1e-8)
 
     @pytest.mark.parametrize("var", ["t_bar", "omega_bar"])
@@ -375,15 +412,15 @@ class TestDerivatives:
             kw[var] += eps
             return GaussianSinglePhoton(**kw)
 
-        got = 2.0 * braket(ket(psi), d)
-        fd = (braket(ket(psi), ket(shifted(h))) - braket(ket(psi), ket(shifted(-h)))) / (2.0 * h)
+        got = 2.0 * braket(psi, d)
+        fd = (braket(psi, shifted(h)) - braket(psi, shifted(-h))) / (2.0 * h)
         gauge = 2.0 * gauge_term(psi, {"t_bar": "t_plus", "omega_bar": "omega_plus"}[var], 2)
         assert got == pytest.approx(fd - gauge, abs=1e-8)
 
     def test_chain_rule_signs(self):
         # photon 1 responds to t_minus with -1/2, photon 2 with +1/2
         psi = GaussianSinglePhoton(0.0, 1.0, 1.0)
-        bra = ket(GaussianSinglePhoton(0.3, 1.4, 0.9))
+        bra = GaussianSinglePhoton(0.3, 1.4, 0.9)
         d1 = derivative(psi, "t_minus", photon=1)
         d2 = derivative(psi, "t_minus", photon=2)
         assert abs(braket(bra, d1)) > 0.1
@@ -404,9 +441,9 @@ class TestOverlapKernelProperties:
     def test_single_derivative_vs_finite_difference(self, psi, other, param, photon_index):
         h = 1e-5
         got = braket(psi, derivative(other, param, photon_index))
-        fd = (braket(psi, ket(shift_single(other, param, photon_index, h)))
-              - braket(psi, ket(shift_single(other, param, photon_index, -h)))) / (2.0 * h)
-        gauge = gauge_term(other, param, photon_index) * braket(psi, ket(other))
+        fd = (braket(psi, shift_single(other, param, photon_index, h))
+              - braket(psi, shift_single(other, param, photon_index, -h))) / (2.0 * h)
+        gauge = gauge_term(other, param, photon_index) * braket(psi, other)
         assert abs(got - fd + gauge) <= 1e-7
 
     @PROPERTY
@@ -414,9 +451,9 @@ class TestOverlapKernelProperties:
     def test_biphoton_derivative_vs_finite_difference(self, phi, other, param):
         h = 1e-5
         got = (braket(phi, derivative(other, param))
-               + gauge_term(other, param) * braket(phi, ket(other)))
-        fd = (braket(phi, ket(shift_biphoton(other, param, h)))
-              - braket(phi, ket(shift_biphoton(other, param, -h)))) / (2.0 * h)
+               + gauge_term(other, param) * braket(phi, other))
+        fd = (braket(phi, shift_biphoton(other, param, h))
+              - braket(phi, shift_biphoton(other, param, -h))) / (2.0 * h)
         assert abs(got - fd) <= 1e-7
 
 
@@ -460,7 +497,7 @@ class TestStackedOverlap:
         assert overlap(none, none) == ()
         assert overlap(none, two) == ()
         assert overlap(two, none) == ((),) * len(two.p)
-        assert overlap(ket(phi), none) == ((),)
+        assert overlap(derivative(phi, "t_plus"), none) == ((),)
 
 
 class TestCovariances:
