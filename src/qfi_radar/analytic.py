@@ -86,7 +86,10 @@ def published_mixed_qfi(
     1/(2 (1-kappa^2) sigma^2)).  Raises ``ValueError`` for sigma <= 0, for
     |kappa| >= 1 under quantum illumination, and at t_minus = omega_minus = 0,
     where the branches coincide and the printed entries divide by zero, and
-    ``ArithmeticError`` where sigma^2 leaves the normal floats.
+    ``ArithmeticError`` naming the input where sigma^2 leaves the normal
+    floats or x is 0 or not finite.  Each entry is sigma^2 or 1/sigma^2 times
+    a function of t_minus sigma and omega_minus/sigma, so no product of the
+    bandwidths with each other or with a separation leaves the float range.
     """
     if strategy not in (Strategy.TWO_SINGLE_PHOTONS, Strategy.QUANTUM_ILLUMINATION):
         raise ValueError(f"no published mixed-state form for {strategy!r}")
@@ -95,14 +98,19 @@ def published_mixed_qfi(
     if t_minus == 0.0 and omega_minus == 0.0:
         raise ValueError("t_minus and omega_minus are both 0: the two branches coincide, "
                          "so the mixed-state entries are undefined")
-    s2 = sigma**2
-    wm2 = omega_minus**2
-    tm2 = t_minus**2
+    s2, k2 = sigma**2, kappa**2 if qi else 0.0
+    x2, y2 = (t_minus * sigma) * (t_minus * sigma), (omega_minus / sigma) * (omega_minus / sigma)
+    # the exponent x; as printed, sigma^2, not sigma^4, multiplies t_minus^2 in one form
+    e4 = x2 + y2 / 4.0
+    misprint = not qi and pair is ParameterPair.TIME_DIFF_FREQ_SUM
+    e = y2 / 4.0 + t_minus * t_minus if misprint else e4 / (1.0 - k2)
+    # every product below stays finite while x does, and none divides by 0
+    if not 0.0 < e < math.inf:
+        raise ArithmeticError(f"published mixed-state form is out of float range at sigma = "
+                              f"{sigma!r}, t_minus = {t_minus!r}, omega_minus = {omega_minus!r}")
 
     def exp(x: float, fn=math.exp) -> float:
-        # saturate to inf instead of raising, so the separated-branch limit
-        # evaluates (1/(e^x - 1) -> 0 and e^{-x} -> 0 for large x); e^x - 1
-        # is exp(x, math.expm1), which does not cancel as x -> 0
+        # saturates to inf, so 1/(e^x - 1) -> 0 for large x; expm1 does not cancel as x -> 0
         try:
             return fn(x)
         except OverflowError:
@@ -110,29 +118,22 @@ def published_mixed_qfi(
 
     if not qi:
         if pair is ParameterPair.TIME_SUM_FREQ_DIFF:
-            e = (wm2 + 4.0 * tm2 * s2**2) / (4.0 * s2)
-            h11 = 2.0 * s2 - 2.0 * exp(-e) * tm2 * s2**2
+            h11 = s2 * (2.0 - 2.0 * math.exp(-e) * x2)
             # printed 1/(2 sigma^2) - (t_minus^2/2)/(e^x - 1)
-            h22 = (e * _h(e) + (wm2 / (4.0 * s2)) / exp(e, math.expm1)) / (2.0 * s2)
+            h22 = (e * _h(e) + (y2 / 4.0) / exp(e, math.expm1)) / (2.0 * s2)
         else:
-            # note sigma^2, not sigma^4, multiplying t_minus^2 as printed
-            e = (wm2 + 4.0 * tm2 * s2) / (4.0 * s2)
             # printed 2 sigma^2 - (omega_minus^2/2)/(e^x - 1)
-            h11 = 2.0 * s2 * (e * _h(e) + tm2 / exp(e, math.expm1))
-            h22 = 1.0 / (2.0 * s2) - exp(-e) * wm2 / (2.0 * s2**2)
-        return h11, h22
-    e4 = (wm2 + 4.0 * tm2 * s2**2) / (4.0 * s2)
-    ek = (wm2 + 4.0 * tm2 * s2**2) / (4.0 * (1.0 - kappa**2) * s2)
-    if pair is ParameterPair.TIME_SUM_FREQ_DIFF:
-        h11 = 2.0 * s2 - 2.0 * exp(-e4) * tm2 * s2**2
+            h11 = 2.0 * s2 * (e * _h(e) + t_minus * t_minus / exp(e, math.expm1))
+            h22 = (0.5 - math.exp(-e) * y2 / 2.0) / s2
+    elif pair is ParameterPair.TIME_SUM_FREQ_DIFF:
+        h11 = s2 * (2.0 - 2.0 * math.exp(-e4) * x2)
         # printed 1/(2 (1-kappa^2) sigma^2) - (t_minus^2/2)/(e^x - 1)
-        k2 = kappa**2
-        h22 = ((k2 * (2.0 - k2) / (1.0 - k2) + (1.0 - k2) * ek * _h(ek)) / (2.0 * s2)
-               + wm2 / (8.0 * s2**2 * exp(ek, math.expm1)))
+        h22 = (k2 * (2.0 - k2) / (1.0 - k2) + (1.0 - k2) * e * _h(e)
+               + y2 / (4.0 * exp(e, math.expm1))) / (2.0 * s2)
     else:
-        h11 = 2.0 * s2 - 2.0 * exp(-e4) * wm2 / 2.0
-        # growing exponential as printed; diverges with separation
-        h22 = 1.0 / (2.0 * (1.0 - kappa**2) * s2) - exp(ek) * wm2 / (2.0 * s2**2)
+        h11 = s2 * (2.0 - math.exp(-e4) * y2)
+        # growing exponential as printed; diverges with separation (and is 0 at y = 0)
+        h22 = (1.0 / (2.0 * (1.0 - k2)) - (exp(e) * y2 if y2 else 0.0) / 2.0) / s2
     return h11, h22
 
 

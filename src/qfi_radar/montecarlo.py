@@ -97,9 +97,6 @@ def _sample_bivariate(mean, cov, n: int, seed: int):
     """
     import numpy as np
 
-    cov = np.asarray(cov)
-    if not np.isfinite(cov).all():
-        raise ArithmeticError(f"sampling covariance is not finite: {cov.tolist()}")
     (l00, _), (l10, l11) = np.linalg.cholesky(cov)
     m0, m1 = mean
     out = np.empty((n, 2))

@@ -23,11 +23,13 @@ from typing import NamedTuple
 
 from .kinematics import ParameterPair, Strategy
 from .states import (
+    _TINY,
     ROWS,
     GaussianBiphoton,
     GaussianSinglePhoton,
     Stack,
     _bandwidths,
+    _check_range,
     _exponent,
     branch_stack,
     overlap,
@@ -71,11 +73,13 @@ class MixedModel(NamedTuple):
 
     ``weight`` is every branch's weight w in rho = w sum_i |psi_i><psi_i|,
     and ``stacks[i]`` holds branch i's analytic derivatives, one row each,
-    in the order of ``states.ROWS``; its ket is the stack's base.
+    in the order of ``states.ROWS``; its ket is the stack's base, at unit
+    bandwidth: ``sigma1`` is the caller's photon-1 bandwidth (``model_for``).
     """
 
     weight: float
     stacks: tuple[Stack, ...]
+    sigma1: float
 
 
 class OracleResult(NamedTuple):
@@ -124,18 +128,18 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     For equal quadratic forms, where the two terms cancel as the branches
     meet, it is instead
 
-        conj(D(w, Sigma c_a)) D(w, Sigma c_b)/(det Sigma u) + conj(c_a . v)(c_b . v) h(u),
+        D_a^* D_b + conj(c_a . v)(c_b . v) h(u),  D = D(w, Sigma c)/sqrt(det Sigma u),
 
     with v the branch's mean offset, w = conj(v), D(x, y) = x1 y2 - x2 y1,
-    and h(u) = 1/u - 1/expm1(u).  Coincident branches (l = 0) are one ket
-    of rank 1 whose derivative is the mean of the branches'.  At rank 1 every
-    t is [[0]]: the derivatives lie in the kernel.  A stack of no rows gets
-    an empty block.
+    and h(u) = 1/u - 1/expm1(u).  Identical bases are one ket of rank 1
+    whose derivative is the mean of the branches'.  At rank 1 every t is
+    [[0]]: the derivatives lie in the kernel.  A stack of no rows gets an
+    empty block.
 
-    Where the equal-form kernel term leaves the float range (u overflows,
-    or at an extreme bandwidth a product of two D's underflows by more than
-    an ulp of its entry), raises ``ArithmeticError`` naming the bandwidths
-    and the branches' separation.
+    Distinct bases whose l is not a normal float (below it l has lost its
+    digits, and the eigenvalue -expm1(l) with it) and equal forms whose u
+    overflows raise ``ArithmeticError`` naming the bandwidths and the
+    branches' separation.
     """
     if not 1 <= len(stacks) <= 2:
         raise ValueError(f"need one or two branch stacks, got {len(stacks)}")
@@ -148,11 +152,9 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     log_g, ma, mb, (s11, s22, s12) = pair_terms(stacks[0].base, stacks[1].base)
     # |<psi_1|psi_2>| <= 1: round-off must not push l above 0
     ell = min(log_g.real, 0.0)
-    # a21 = c_1 . conj(mu - t_1) and a12 = c_2 . (mu - t_2): each branch's offset
-    offsets = ((ma[0].conjugate(), ma[1].conjugate()), mb)
-    alpha = [[c1 * v1 + c2 * v2 for c1, c2 in s.p] for s, (v1, v2) in zip(stacks, offsets)]
-
-    if ell == 0.0:
+    if ell > -_TINY:
+        if stacks[0].base != stacks[1].base:
+            raise _out_of_range(stacks)
         # identical bases, every offset 0: rho = 2 |psi_1><psi_1| is one ket,
         # whose derivative is the branches' mean (c_1 + c_2)/2 . x |psi_1>
         mean = [((c1[0] + c2[0]) / 2.0, (c1[1] + c2[1]) / 2.0)
@@ -161,6 +163,9 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
                           + x[1].conjugate() * (s12 * y[0] + s22 * y[1]))
                    for y in mean] for x in mean]
         return SubspaceBasis(list(stacks), [2.0], [[[0j]] for _ in range(n_rows)], kernel)
+    # a21 = c_1 . conj(mu - t_1) and a12 = c_2 . (mu - t_2): each branch's offset
+    offsets = ((ma[0].conjugate(), ma[1].conjugate()), mb)
+    alpha = [[c1 * v1 + c2 * v2 for c1, c2 in s.p] for s, (v1, v2) in zip(stacks, offsets)]
 
     E = math.exp(ell)
     eigenvalues = [1.0 + E, -math.expm1(ell)]
@@ -175,25 +180,19 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     kernel = [[0j] * n_rows for _ in rows]
     # equal quadratic forms (p, q, r), single photons lifted
     if _exponent(stacks[0].base)[:3] == _exponent(stacks[1].base)[:3]:
+        # D(w, Sigma c) and sqrt(u) grow as the separation: their quotient is finite while u is
         if u == math.inf:
-            # D(w, Sigma c) grows as the separation and u as its square: past
-            # float range the kernel term would read 0 where it tends to a finite value
             raise _out_of_range(stacks)
-        h, det_u = _h(u), (s11 * s22 - s12 * s12) * u
-        carried = False  # whether some D is nonzero
+        h, norm = _h(u), math.sqrt(s11 * s22 - s12 * s12) * math.sqrt(u)
         for s, (v1, v2), al in zip(stacks, offsets, alpha):
             w1, w2 = v1.conjugate(), v2.conjugate()
-            # D(conj(v), Sigma c) for each row
-            D = [w1 * (s12 * c1 + s22 * c2) - w2 * (s11 * c1 + s12 * c2) for c1, c2 in s.p]
-            carried = carried or any(D)
+            # D(conj(v), Sigma c)/sqrt(det Sigma u) for each row
+            D = [(w1 * (s12 * c1 + s22 * c2) - w2 * (s11 * c1 + s12 * c2)) / norm
+                 for c1, c2 in s.p]
             for line, Da, aa in zip(kernel, D, al):
                 Da, aa = Da.conjugate(), aa.conjugate()
                 for b in rows:
-                    line[b] += Da * D[b] / det_u + aa * al[b] * h
-        # a product of two D's below the normal floats is off by up to 2^-1074:
-        # at extreme bandwidths that is more than an ulp of the entries it enters
-        if carried and any(5e-324 / det_u > 2.0**-52 * abs(kernel[a][a]) for a in rows):
-            raise _out_of_range(stacks)
+                    line[b] += Da * D[b] + aa * al[b] * h
     else:
         # 1/expm1(u), written so that it cannot overflow
         inv = -math.exp(-u) / math.expm1(-u)
@@ -205,14 +204,14 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     return SubspaceBasis(list(stacks), eigenvalues, derivatives, kernel)
 
 
-def _out_of_range(stacks: list[Stack]) -> ArithmeticError:
-    """The error for a model whose information leaves the float range, naming
-    its bandwidths and the branches' separation: their center and carrier offsets."""
-    where = " and ".join(dict.fromkeys(_bandwidths(s.base) for s in stacks))
+def _out_of_range(stacks: list[Stack], sigma1: float = 1.0) -> ArithmeticError:
+    """The error for a model whose information leaves the float range, naming its
+    bandwidths and its branches' center and carrier offsets, scaled by ``sigma1``."""
+    where = " and ".join(dict.fromkeys(_bandwidths(s.base, sigma1) for s in stacks))
     if len(stacks) == 2:
-        a, b = (_exponent(s.base) for s in stacks)
-        where += (f", branch center offset ({a[3] - b[3]!r}, {a[4] - b[4]!r})"
-                  f" and carrier offset ({a[5] - b[5]!r}, {a[6] - b[6]!r})")
+        (*_, t1, t2, w1, w2), (*_, u1, u2, v1, v2) = (_exponent(s.base) for s in stacks)
+        where += (f", branch center offset ({(t1 - u1) / sigma1!r}, {(t2 - u2) / sigma1!r})"
+                  f" and carrier offset ({(w1 - v1) * sigma1!r}, {(w2 - v2) * sigma1!r})")
     return ArithmeticError(
         f"quantum Fisher information is out of float range at bandwidths {where}")
 
@@ -265,12 +264,17 @@ def qfi_numeric(model: MixedModel, pair: ParameterPair) -> OracleResult:
 
     X_ab = Tr(rho L_a L_b) is the support part sum_ij lam_i L^a_ij L^b_ji
     plus ``project``'s kernel block; H is its symmetric real part and
-    |X_01 - X_10| = |Tr(rho [L_a, L_b])| the compatibility residual.
-    Raises ``ArithmeticError`` where either leaves the float range.
+    |X_01 - X_10| = |Tr(rho [L_a, L_b])| the compatibility residual, taken
+    from unit bandwidth to sigma1 by X -> D X D, D = sigma1 on a time row and
+    1/sigma1 on a frequency row.  A nonzero diagonal entry that leaves the
+    normal floats raises ``ArithmeticError`` naming the caller's inputs.
     """
     ia, ib = map(ROWS.index, pair.param_names)
     stacks = [Stack(s.base, (s.p[ia], s.p[ib])) for s in model.stacks]
-    basis = build_subspace(stacks)
+    try:
+        basis = build_subspace(stacks)
+    except ArithmeticError as exc:
+        raise _out_of_range(stacks, model.sigma1) from exc
     lam, r, (kernel_a, kernel_b) = project(model, basis)
     La, Lb = sld_solve(lam, r)
     # X_ab = kernel_ab + sum_ij lam_i La_ij Lb_ji, summed in (i, j) order; at
@@ -285,12 +289,13 @@ def qfi_numeric(model: MixedModel, pair: ParameterPair) -> OracleResult:
         x_ab = kernel_a[1] + la00 * b00 + la01 * b10 + la10 * b01 + la11 * b11
         x_ba = kernel_b[0] + lb00 * a00 + lb01 * a10 + lb10 * a01 + lb11 * a11
         x_bb = kernel_b[1] + lb00 * b00 + lb01 * b10 + lb10 * b01 + lb11 * b11
-    h_aa, h_bb = (x_aa + x_aa).real / 2.0, (x_bb + x_bb).real / 2.0
-    h_ab = (x_ab + x_ba).real / 2.0
-    compat = abs(x_ab - x_ba)
-    if not all(map(math.isfinite, (h_aa, h_ab, h_bb, compat))):
-        raise _out_of_range(stacks)
-    return OracleResult(H=((h_aa, h_ab), (h_ab, h_bb)), compat_residual=compat,
+    # a pair is (time, frequency): D = (sigma1, 1/sigma1) leaves X_ab as it is
+    s, u_aa, u_bb = model.sigma1, (x_aa + x_aa).real / 2.0, (x_bb + x_bb).real / 2.0
+    h_aa, h_bb, h_ab = u_aa * s * s, u_bb / s / s, (x_ab + x_ba).real / 2.0
+    if not ((_TINY <= abs(h_aa) < math.inf or u_aa == 0.0)
+            and (_TINY <= abs(h_bb) < math.inf or u_bb == 0.0)):
+        raise _out_of_range(stacks, s)
+    return OracleResult(H=((h_aa, h_ab), (h_ab, h_bb)), compat_residual=abs(x_ab - x_ba),
                         dim=basis.dim, rho_eigenvalues=lam, basis=basis)
 
 
@@ -317,25 +322,33 @@ def model_for(
     sigma1, so only the signal half responds to the estimated pair.
     ``sigma2`` defaults to ``sigma1``; quantum illumination does not read it.
 
-    Every branch's derivative rows are built here, once per model.
+    Every branch's derivative rows are built here, once per model, at unit
+    bandwidth: times times sigma1 and carriers over it (the idler's carrier, a
+    common phase, stays 1).  A separation that rounds away raises
+    ``ArithmeticError``: the two branches would read as one.
     """
     s2 = sigma1 if sigma2 is None else sigma2
-    t1, t2 = (t_plus - t_minus) / 2.0, (t_plus + t_minus) / 2.0
-    w1, w2 = (omega_plus - omega_minus) / 2.0, (omega_plus + omega_minus) / 2.0
+    _check_range(kappa, sigma1, s2)
+    t1, t2 = (t_plus - t_minus) / 2.0 * sigma1, (t_plus + t_minus) / 2.0 * sigma1
+    w1, w2 = (omega_plus - omega_minus) / 2.0 / sigma1, (omega_plus + omega_minus) / 2.0 / sigma1
     # each branch's ket, with the photon of the pair each of its coordinates carries
     if strategy is Strategy.ENTANGLED_BIPHOTON:
         trace = 1.0
-        branches = ((GaussianBiphoton(t1, t2, w1, w2, sigma1, s2, kappa), (1, 2)),)
+        branches = ((GaussianBiphoton(t1, t2, w1, w2, 1.0, s2 / sigma1, kappa), (1, 2)),)
     elif strategy is Strategy.TWO_SINGLE_PHOTONS:
         trace = 2.0
-        branches = ((GaussianSinglePhoton(t1, w1, sigma1), (1, 0)),
-                    (GaussianSinglePhoton(t2, w2, s2), (2, 0)))
+        branches = ((GaussianSinglePhoton(t1, w1, 1.0), (1, 0)),
+                    (GaussianSinglePhoton(t2, w2, s2 / sigma1), (2, 0)))
     elif strategy is Strategy.QUANTUM_ILLUMINATION:
         trace = 1.0
         # branch i's signal is photon i of the pair; its idler does not move
-        branches = tuple((GaussianBiphoton(t, 0.0, w, 1.0, sigma1, sigma1, kappa), (i, 0))
+        branches = tuple((GaussianBiphoton(t, 0.0, w, 1.0, 1.0, 1.0, kappa), (i, 0))
                          for i, (t, w) in enumerate(((t1, w1), (t2, w2)), 1))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
+    lost = (t_minus or omega_minus) and (t1, w1) == (t2, w2)
+    if lost and len(branches) == 2 and branches[0][0] == branches[1][0]:
+        raise ArithmeticError(f"branch separation t_minus = {t_minus!r}, omega_minus = "
+                              f"{omega_minus!r} rounds away at sigma1 = {sigma1!r}")
     return MixedModel(trace / len(branches),
-                      tuple(branch_stack(base, photons) for base, photons in branches))
+                      tuple(branch_stack(base, photons) for base, photons in branches), sigma1)

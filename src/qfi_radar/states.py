@@ -239,11 +239,11 @@ def pair_terms(a, b) -> tuple:
     return log_g, (mb1 - dt1, mb2 - dt2), (mb1, mb2), (0.5 * i11, 0.5 * i22, 0.5 * i12)
 
 
-def _bandwidths(g) -> str:
-    """g's bandwidths, and its correlation, as an error message names them."""
+def _bandwidths(g, scale: float = 1.0) -> str:
+    """g's bandwidths times ``scale``, and its correlation, as an error message names them."""
     if isinstance(g, GaussianSinglePhoton):
-        return f"sigma = {g.sigma!r}"
-    return f"sigma1 = {g.sigma1!r}, sigma2 = {g.sigma2!r} (kappa = {g.kappa!r})"
+        return f"sigma = {g.sigma * scale!r}"
+    return f"sigma1 = {g.sigma1 * scale!r}, sigma2 = {g.sigma2 * scale!r} (kappa = {g.kappa!r})"
 
 
 def _log_norm(pa, qa, ra, pb, qb, rb) -> float:

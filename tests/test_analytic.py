@@ -42,13 +42,15 @@ J = np.kron(np.eye(2), [[1.0, 1.0], [-1.0, 1.0]])
 
 
 def engine_H(model, params):
-    """The engine's information matrix over ``params``, from its public stages."""
+    """The engine's information matrix over ``params``, from its public stages,
+    scaled from the model's unit bandwidth to the caller's as ``qfi_numeric`` does."""
     rows = [ROWS.index(param) for param in params]
     basis = build_subspace([Stack(s.base, tuple(s.p[i] for i in rows)) for s in model.stacks])
     lam, r, kernel = project(model, basis)
     L = np.array(sld_solve(lam, r))
     X = np.einsum("i,aij,bji->ab", lam, L, L) + np.array(kernel)
-    return np.real(X + X.T) / 2.0
+    d = np.array([model.sigma1 if param[0] == "t" else 1.0 / model.sigma1 for param in params])
+    return np.outer(d, d) * np.real(X + X.T) / 2.0
 
 
 class TestEntangled:
@@ -339,6 +341,75 @@ class TestPublishedForms:
         # the entangled strategy has one branch; its verdicts do not read t_minus
         recs = adjudicate(Strategy.ENTANGLED_BIPHOTON, pair, sigma=1.0, kappa=0.5)
         assert [r["verdict"] for r in recs] == ["confirmed", "confirmed"]
+
+
+def printed_mixed_qfi(strategy, pair, sigma, t_minus, omega_minus, kappa):
+    """The published mixed-state entries as printed (asymptote minus a ratio
+    over e^x - 1, typos kept), in 60-digit mpmath from the float inputs."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        s, t, w, k = (mpmath.mpf(x) for x in (sigma, t_minus, omega_minus, kappa))
+        e4 = (w**2 + 4 * t**2 * s**4) / (4 * s**2)
+        if strategy is Strategy.TWO_SINGLE_PHOTONS:
+            if pair is PAIR_A:
+                h = (2 * s**2 - 2 * mpmath.exp(-e4) * t**2 * s**4,
+                     1 / (2 * s**2) - (t**2 / 2) / mpmath.expm1(e4))
+            else:
+                e = (w**2 + 4 * t**2 * s**2) / (4 * s**2)
+                h = (2 * s**2 - (w**2 / 2) / mpmath.expm1(e),
+                     1 / (2 * s**2) - mpmath.exp(-e) * w**2 / (2 * s**4))
+        else:
+            ek = e4 / (1 - k**2)
+            if pair is PAIR_A:
+                h = (2 * s**2 - 2 * mpmath.exp(-e4) * t**2 * s**4,
+                     1 / (2 * (1 - k**2) * s**2) - (t**2 / 2) / mpmath.expm1(ek))
+            else:
+                h = (2 * s**2 - mpmath.exp(-e4) * w**2,
+                     1 / (2 * (1 - k**2) * s**2) - mpmath.exp(ek) * w**2 / (2 * s**4))
+        return tuple(float(x) for x in h)
+
+
+class TestPublishedFormRange:
+    """Each printed entry is sigma^2 or 1/sigma^2 times a function of the
+    dimensionless separations, so it answers wherever its bandwidth's square
+    and its exponent are in range, and names its input elsewhere."""
+
+    @pytest.mark.parametrize("sigma", [1e-150, 1e-100, 1e-3, 1.0, 1e3, 1e100, 1e148])
+    @pytest.mark.parametrize("strategy", [Strategy.TWO_SINGLE_PHOTONS,
+                                          Strategy.QUANTUM_ILLUMINATION])
+    def test_entries_match_the_printed_forms(self, strategy, sigma):
+        # sigma^4 formed as (sigma^2)^2 ended in a bare OverflowError at sigma
+        # = 1e100 and in ZeroDivisionError at 1e-100
+        for pair in (PAIR_A, PAIR_B):
+            for t_sigma, w_over_sigma in ((1.0, 0.8), (0.3, 0.0), (0.0, 2.0), (3.0, 1.5)):
+                for kappa in (0.0, -0.5, 0.9):
+                    args = (strategy, pair, sigma, t_sigma / sigma, w_over_sigma * sigma, kappa)
+                    got, want = published_mixed_qfi(*args), printed_mixed_qfi(*args)
+                    # the printed growing exponential makes the quantum-illumination
+                    # frequency-sum entry a difference of large terms, or -inf
+                    scale = (2.0 * sigma**2, 1.0 / ((1.0 - kappa**2) * sigma**2))
+                    for g, x, c in zip(got, want, scale):
+                        assert g == x or abs(g - x) <= 1e-13 * max(abs(x), c), (args, got, want)
+
+    @pytest.mark.parametrize("sigma, t_minus, omega_minus", [
+        (1.0, 1e155, 0.8),  # t_minus^2 overflowed: a bare OverflowError
+        (1.0, 1.0, 1e300),
+        (1e-150, 1e-200, 0.0),  # the exponent underflows to 0: ZeroDivisionError
+        (1e100, 1e300, 0.0),
+    ])
+    def test_out_of_range_separation_names_its_input(self, sigma, t_minus, omega_minus):
+        message = re.escape(f"published mixed-state form is out of float range at sigma = "
+                            f"{sigma!r}, t_minus = {t_minus!r}, omega_minus = {omega_minus!r}")
+        for strategy in (Strategy.TWO_SINGLE_PHOTONS, Strategy.QUANTUM_ILLUMINATION):
+            for pair in (PAIR_A, PAIR_B):
+                with pytest.raises(ArithmeticError, match=message):
+                    published_mixed_qfi(strategy, pair, sigma, t_minus, omega_minus, 0.5)
+
+    def test_qi_frequency_sum_entry_at_zero_omega_minus(self):
+        # the printed e^x omega_minus^2 term is 0 at omega_minus = 0; once e^x
+        # saturated to inf it read inf * 0 = NaN
+        h = published_mixed_qfi(Strategy.QUANTUM_ILLUMINATION, PAIR_B, 1.0, 30.0, 0.0, 0.5)
+        assert h[1] == 1.0 / (2.0 * (1.0 - 0.25))
 
 
 class TestDualEvaluation:

@@ -16,6 +16,7 @@ import pytest
 
 import qfi_radar
 from qfi_radar import cli, montecarlo, selftest
+from qfi_radar.analytic import asymptotic_H
 from qfi_radar.cli import kappa_grid, main
 from qfi_radar.kinematics import ParameterPair, Strategy
 from qfi_radar.oracle import model_for, qfi_numeric
@@ -543,7 +544,7 @@ class TestScenario:
 class TestArithmeticErrors:
     @pytest.mark.parametrize("argv", [
         ["qfi", "--sigma", "1e-200"],  # ArithmeticError from the closed form
-        ["oracle-check", "--sigma", "1e-200"],  # ArithmeticError from the engine
+        ["oracle-check", "--sigma", "1e-200"],  # ArithmeticError from the closed forms
         ["scenario", "--sigma", "1e300"],  # OverflowError
         # numpy divisions and overflows in the draws, the estimates and the
         # QCRB prediction, with no RuntimeWarning before the error line; a
@@ -597,17 +598,64 @@ class TestArithmeticErrors:
 
     @pytest.mark.parametrize("sigma", ["1e-100", "1e-80", "1e-78", "1e77", "1e78", "1e100"])
     @pytest.mark.parametrize("command", ["qfi", "oracle-check"])
-    def test_extreme_bandwidths_write_no_wrong_number(self, command, sigma, tmp_path, capsys):
-        # the engine's overlap determinant leaves the normal floats past
-        # sigma = 1e-77 and 1e77: at 1e-80 qfi wrote a bound of 0.99999443
-        # where the floor is exactly 1, at 1e78 an entangled H22 of 0.0, and
-        # oracle-check refereed the closed form with an equally wrong engine
-        assert main([command, "--sigma", sigma, "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: input out of numerical range (ArithmeticError: Gaussian"
-                              " overlap is out of float range at bandwidths sigma1 = ")
-        assert len(err.splitlines()) == 1
-        assert list(tmp_path.iterdir()) == []
+    def test_extreme_bandwidths_write_no_wrong_number(self, command, sigma, tmp_path):
+        # at 1e-80 qfi once wrote a bound of 0.99999443 where the floor is
+        # exactly 1, and at 1e78 an entangled H22 of 0.0; later these runs
+        # refused the bandwidth.  The engine now works at unit bandwidth, so
+        # they answer: qfi's rows are the sigma = 1 rows scaled by sigma^2
+        # and 1/sigma^2, with the same bound and residual, and oracle-check's
+        # engine values are the closed forms (the default t_minus = 1,
+        # omega_minus = 0.8 separate the branches at these bandwidths)
+        s = float(sigma)
+        assert main([command, "--sigma", sigma, "--out", str(tmp_path / "s")]) == 0
+        if command == "qfi":
+            assert main(["qfi", "--out", str(tmp_path / "unit")]) == 0
+            _, rows = csv_rows(tmp_path / "s" / "qfi.csv")
+            _, unit = csv_rows(tmp_path / "unit" / "qfi.csv")
+            for row, one in zip(rows, unit, strict=True):
+                assert float(row["H11"]) == pytest.approx(float(one["H11"]) * s * s, rel=4e-15)
+                assert float(row["H22"]) == pytest.approx(float(one["H22"]) / s / s, rel=4e-15)
+                assert float(row["bound"]) == pytest.approx(float(one["bound"]), rel=4e-15)
+                assert float(row["residual"]) <= 1e-14
+            return
+        lines = read(tmp_path / "s" / "verdicts.jsonl").splitlines()
+        records = [json.loads(line) for line in lines]
+        assert len(records) == 316
+        for rec in records:
+            params = rec["params"]
+            pair = ParameterPair(rec["pair"])
+            entry = pair.param_names.index(params["entry"])
+            want = asymptotic_H(Strategy(rec["strategy"]), pair, params["kappa"], s)[entry]
+            assert rec["oracle_value"] == pytest.approx(want, rel=1e-12, abs=0.0), rec
+
+    @pytest.mark.parametrize("argv, message", [
+        # t_minus^2 in the printed forms raised a bare OverflowError
+        (["--t-minus", "1e155"], "published mixed-state form is out of float range at sigma ="
+                                 " 1.0, t_minus = 1e+155, omega_minus = 0.8"),
+        # omega_minus rounds away beside the carrier: the engine read the
+        # coincident model, and adjudicate divided by its zero entry
+        (["--omega-minus", "1e-20", "--t-minus", "0"],
+         "branch separation t_minus = 0.0, omega_minus = 1e-20 rounds away at sigma1 = 1.0"),
+    ])
+    def test_out_of_range_separation_names_itself(self, argv, message, tmp_path, capsys):
+        assert main(["oracle-check", *argv, "--strategy", "two_single_photons",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: input out of numerical range (ArithmeticError: {message})\n")
+
+    def test_no_bare_arithmetic_error(self, tmp_path, capsys):
+        # every finite input either answers or names the range it leaves
+        grid = [("1e-300", "0", "1e-300"), ("1e-150", "0", "1e-300"), ("1e-150", "1e-300", "0"),
+                ("1e100", "1e-162", "0"), ("1e148", "1e-300", "0"), ("1e148", "1", "1e-300"),
+                ("1", "1e-162", "0"), ("1", "1e300", "1e300"), ("1e155", "1", "0.8"),
+                ("0.316", "1e-160", "0"), ("1e-154", "1", "0.8")]
+        for sigma, t_minus, omega_minus in grid:
+            code = main(["oracle-check", "--sigma", sigma, "--t-minus", t_minus,
+                         "--omega-minus", omega_minus, "--kappa-min", "-0.5", "--kappa-max",
+                         "0.5", "--kappa-step", "0.5", "--out", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert code == 0 or err.startswith("error: input out of numerical range "
+                                               "(ArithmeticError: "), (sigma, t_minus, err)
 
     def test_narrow_bandwidth_qcrb_keeps_its_digits(self, tmp_path):
         # the entangled pair-A QCRBs are 1/(3 sigma^2) and sigma^2 at kappa = -0.5; H22

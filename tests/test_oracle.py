@@ -12,6 +12,7 @@ import inspect
 import math
 import pathlib
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from qfi_radar.states import (
     GaussianBiphoton,
     GaussianSinglePhoton,
     Stack,
+    _exponent,
     branch_stack,
 )
 
@@ -213,7 +215,10 @@ class TestSubspace:
                 value = kwargs.get(param, defaults[param].default)
                 slope = (g2({**kwargs, param: value + h}) - g2({**kwargs, param: value - h}))
                 want.append(model.weight ** 2 * slope / (2.0 * h))
-            got = [sum(lam[i] * r[a][i][i] for i in range(len(lam))) for a in range(len(want))]
+            # the frame is at unit bandwidth: a time row moves sigma1 times as fast
+            d = [model.sigma1 if param[0] == "t" else 1.0 / model.sigma1 for param in ROWS]
+            got = [d[a] * sum(lam[i] * r[a][i][i] for i in range(len(lam)))
+                   for a in range(len(want))]
             assert max(map(abs, np.subtract(got, want))) <= 1e-8 * max(map(abs, want))
 
     def test_qi_ensemble_dimension(self):
@@ -400,20 +405,23 @@ class TestMixedStates:
             lifted = oracle.MixedModel(model.weight, tuple(
                 branch_stack(GaussianBiphoton(psi.t_bar, 0.0, psi.omega_bar, 0.0,
                                               psi.sigma, 1.0, 0.0), (i, 0))
-                for i, psi in enumerate((s.base for s in model.stacks), 1)))
+                for i, psi in enumerate((s.base for s in model.stacks), 1)), model.sigma1)
             for pair in (PAIR_A, PAIR_B):
                 got, want = qfi_numeric(lifted, pair).H, qfi_numeric(model, pair).H
                 assert np.array(got).tobytes() == np.array(want).tobytes(), (point, pair)
 
     def test_one_weight_per_model(self):
         # the closed-form frame needs equally weighted branches, so a model
-        # holds one weight: its trace over the number of branches
-        assert oracle.MixedModel._fields == ("weight", "stacks")
+        # holds one weight: its trace over the number of branches; its
+        # branches are at unit bandwidth, and it holds the caller's sigma1
+        assert oracle.MixedModel._fields == ("weight", "stacks", "sigma1")
         for strategy, trace in ((Strategy.ENTANGLED_BIPHOTON, 1.0),
                                 (Strategy.TWO_SINGLE_PHOTONS, 2.0),
                                 (Strategy.QUANTUM_ILLUMINATION, 1.0)):
-            model = model_for(strategy, sigma1=1.0, t_minus=1.0)
+            model = model_for(strategy, sigma1=0.25, t_minus=1.0)
             assert model.weight * len(model.stacks) == trace
+            assert model.sigma1 == 0.25
+            assert [_exponent(s.base)[0] for s in model.stacks] == [1.0] * len(model.stacks)
 
 
 class TestCoincidence:
@@ -631,8 +639,8 @@ PINNED = (
      (((0.8299999999999994, 0.0), (0.0, 0.3778910945183027)), 0.0)),
     ("entangled-high-kappa", Strategy.ENTANGLED_BIPHOTON,
      {"sigma1": 1000.0, "kappa": 0.999, "t_minus": 0.001},
-     (((1999.9999999999998, 0.0), (0.0, 2.501250625312735e-07)), 0.0),
-     (((3998000.0, 0.0), (0.0, 0.0005)), 0.0)),
+     (((2000.0000000000302, 0.0), (0.0, 2.501250625312821e-07)), 0.0),
+     (((3998000.0, 0.0), (0.0, 0.0005000000000000067)), 0.0)),
     ("tsp-coincident", Strategy.TWO_SINGLE_PHOTONS,
      {"sigma1": 1.0},
      (((2.0, 0.0), (0.0, 0.0)), 0.0),
@@ -719,9 +727,11 @@ class TestPinnedNumbers:
 
 
 class TestFloatRange:
-    """Past the float range the engine raises ``ArithmeticError`` naming the
-    branches' separation, rather than return NaN, or 0 for an information
-    that tends to a finite value."""
+    """The engine works at unit bandwidth and scales H back, so one rule
+    decides its range: a diagonal entry of D H D must be a normal float.
+    Past the range it raises ``ArithmeticError`` naming the caller's
+    bandwidths and the branches' separation, rather than return NaN, or 0
+    for an information that tends to a finite value."""
 
     @pytest.mark.parametrize("strategy", [Strategy.TWO_SINGLE_PHOTONS,
                                           Strategy.QUANTUM_ILLUMINATION])
@@ -738,47 +748,60 @@ class TestFloatRange:
             with pytest.raises(ArithmeticError, match="out of float range") as info:
                 qfi_numeric(model, pair)
             assert offset in str(info.value)
+            # the caller's bandwidth, not the unit one the engine works at
+            assert f"sigma1 = {kwargs['sigma1']!r}" in str(info.value) or (
+                f"sigma = {kwargs['sigma1']!r}" in str(info.value))
 
-    # bandwidths past the float range, and some inside it near its edges
-    @pytest.mark.parametrize("sigma", [1e-100, 1e-80, 1e-78, 1e-76, 1e51, 1e60, 1e76, 1e77,
-                                       1e78, 1e100])
-    @pytest.mark.parametrize("kappa", [0.0, -0.5])
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-150, 1e-3, 1e3, 1e148, 1e155])
+    @pytest.mark.parametrize("kappa", [0.0, -0.5, 0.9])
     def test_extreme_bandwidths_exact_or_raise(self, sigma, kappa):
-        # pair_terms' determinant scales as sigma^4 for a biphoton: at 1e-80 it
-        # was subnormal and the entangled H22 read 1.1e-5 off, at 1e77 it
-        # overflowed and H read 0, and at 1e100, kappa = -0.5, it raised "not
-        # positive definite".  Quantum illumination's equal-form kernel squared
-        # D(w, Sigma c), which underflowed past sigma = 1e52 at kappa != 0 and
-        # read H22 25% off at 1e60.  Each probe matches its bandwidth scaling
-        # or raises; two single photons (a determinant of sigma^2) always answer
+        # at t_minus = 50/sigma against exact rational arithmetic: the entangled
+        # H (unequal bandwidths too) and both mixtures' separated-branch H.
+        # pair_terms' determinant once scaled as sigma^4 and quantum
+        # illumination's kernel squared D(w, Sigma c), so the entangled probe
+        # answered only to about 1e+-76 and quantum illumination at kappa != 0
+        # to 1e+-51; now every strategy answers from 1e-150 to 1e148, and past
+        # that D H D leaves the normal floats and the error names sigma
+        for strategy, ratio in ((Strategy.ENTANGLED_BIPHOTON, 1.0),
+                                (Strategy.ENTANGLED_BIPHOTON, 1.7),
+                                (Strategy.TWO_SINGLE_PHOTONS, 1.0),
+                                (Strategy.QUANTUM_ILLUMINATION, 1.0)):
+            model = model_for(strategy, sigma1=sigma, sigma2=ratio * sigma, kappa=kappa,
+                              t_minus=50.0 / sigma)
+            for pair in (PAIR_A, PAIR_B):
+                if sigma in (1e-160, 1e155):
+                    with pytest.raises(ArithmeticError, match="out of float range") as info:
+                        qfi_numeric(model, pair)
+                    assert repr(sigma) in str(info.value) and "= 1.0" not in str(info.value)
+                    continue
+                want = exact_H(strategy, pair, sigma, ratio * sigma, kappa)
+                got = np.array(qfi_numeric(model, pair).H)
+                assert rel_error(got, want) <= 1e-13, (strategy, ratio, pair, got, want)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_every_bandwidth_of_the_range_answers(self, strategy):
+        # one bandwidth per decade from 1e-150 to 1e148, t_minus = 50/sigma
+        for e in range(-150, 149):
+            sigma = float(f"1e{e}")
+            model = model_for(strategy, sigma1=sigma, kappa=-0.5, t_minus=50.0 / sigma)
+            for pair in (PAIR_A, PAIR_B):
+                want = exact_H(strategy, pair, sigma, sigma, -0.5)
+                assert rel_error(np.array(qfi_numeric(model, pair).H), want) <= 1e-13, sigma
+
+    @pytest.mark.parametrize("sigma1", [1.0, 1e-3])
+    def test_extreme_bandwidth_ratio_raises(self, sigma1):
+        # the unit model's second bandwidth is sigma2/sigma1, and pair_terms'
+        # determinant check is what refuses it; the error names the caller's sigma1
+        model = model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=sigma1, sigma2=1e-160 * sigma1)
         for pair in (PAIR_A, PAIR_B):
-            d = np.array([sigma if name.startswith("t") else 1.0 / sigma
-                          for name in pair.param_names])
-            unit = qfi_numeric(model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=1.0, sigma2=1.7,
-                                         kappa=kappa), pair).H
-            cases = [
-                (Strategy.ENTANGLED_BIPHOTON, {"sigma2": 1.7 * sigma},
-                 np.outer(d, d) * np.array(unit)),
-                (Strategy.QUANTUM_ILLUMINATION, {"t_minus": 50.0 / sigma},
-                 np.diag(asymptotic_H(Strategy.QUANTUM_ILLUMINATION, pair, kappa, sigma))),
-            ]
-            for strategy, kwargs, want in cases:
-                try:
-                    H = qfi_numeric(model_for(strategy, sigma1=sigma, kappa=kappa, **kwargs),
-                                    pair).H
-                except ArithmeticError as exc:
-                    assert "out of float range at bandwidths sigma1 = " in str(exc)
-                else:
-                    assert rel_error(np.array(H), want) <= 1e-12, (strategy, pair, H)
-            H = qfi_numeric(model_for(Strategy.TWO_SINGLE_PHOTONS, sigma1=sigma,
-                                      t_minus=50.0 / sigma), pair).H
-            want = np.diag(asymptotic_H(Strategy.TWO_SINGLE_PHOTONS, pair, kappa, sigma))
-            assert rel_error(np.array(H), want) <= 1e-12
+            with pytest.raises(ArithmeticError, match="out of float range") as info:
+                qfi_numeric(model, pair)
+            assert f"bandwidths sigma1 = {sigma1!r}, sigma2 = " in str(info.value)
+            assert info.value.__cause__ is not None
 
     @pytest.mark.parametrize("sigma", [1e-76, 1e-50, 1e50, 1e76])
     def test_bandwidths_inside_the_range_answer(self, sigma):
-        # where pair_terms' determinant and its reciprocal are normal floats
-        # the engine answers, and a kappa = 0 probe keeps every digit
+        # a kappa = 0 probe keeps every digit
         for strategy in Strategy:
             model = model_for(strategy, sigma1=sigma, t_minus=50.0 / sigma)
             for pair in (PAIR_A, PAIR_B):
@@ -791,3 +814,69 @@ class TestFloatRange:
         # the separated-branch asymptote, 2 sigma^2 or sigma^2, at sigma = 1
         res = qfi_numeric(model_for(strategy, sigma1=1.0, t_minus=1e154), PAIR_B)
         assert res.H[0][0] == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("strategy", [Strategy.TWO_SINGLE_PHOTONS,
+                                          Strategy.QUANTUM_ILLUMINATION])
+    @pytest.mark.parametrize("sigma", [1.0, 0.316])
+    @pytest.mark.parametrize("t_sigma", [1e-155, 1e-160, 1e-162])
+    def test_branches_below_the_float_range_raise(self, strategy, sigma, t_sigma):
+        # log|<psi_1|psi_2>| = -(t_minus sigma)^2/2 is subnormal from t_minus
+        # sigma near 1e-154 and 0 from 1e-162; the engine read H(t_minus) =
+        # 2.0000223 for 2 sigma^2 at 1e-160 and took the coincident rank-1
+        # model at 1e-162, where the branches are still distinct
+        model = model_for(strategy, sigma1=sigma, kappa=0.5, t_minus=t_sigma / sigma)
+        for pair in (PAIR_A, PAIR_B):
+            with pytest.raises(ArithmeticError, match="out of float range") as info:
+                qfi_numeric(model, pair)
+            assert "branch center offset (" in str(info.value)
+            assert f"sigma = {sigma!r}" in str(info.value) or (
+                f"sigma1 = {sigma!r}" in str(info.value))
+
+    @pytest.mark.parametrize("strategy, kappa", [(Strategy.TWO_SINGLE_PHOTONS, 0.0),
+                                                 (Strategy.QUANTUM_ILLUMINATION, 0.0),
+                                                 (Strategy.QUANTUM_ILLUMINATION, 0.5)])
+    def test_near_coincident_limit_at_the_range_edge(self, strategy, kappa):
+        # at t_minus sigma = 1e-150, l = -5e-301 is a normal float and each
+        # entry with a finite near-coincident limit reads as at 1e-8 (two
+        # single photons: 2 sigma^2 and 1/(2 sigma^2), Tsang, Nair & Lu, PRX
+        # 6, 031033 (2016)); quantum illumination at kappa = 0.5 raised here
+        for pair in (PAIR_A, PAIR_B):
+            edge, near = (qfi_numeric(model_for(strategy, sigma1=1.0, kappa=kappa,
+                                                t_minus=t), pair).H for t in (1e-150, 1e-8))
+            if pair is PAIR_B:
+                assert rel_error(np.array(edge), np.array(near)) <= 1e-12, (edge, near)
+            else:
+                # the omega_minus entry vanishes as t_minus^2
+                assert edge[0][0] == pytest.approx(near[0][0], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("strategy", [Strategy.TWO_SINGLE_PHOTONS,
+                                          Strategy.QUANTUM_ILLUMINATION])
+    @pytest.mark.parametrize("kwargs", [
+        {"sigma1": 1.0, "t_plus": 1.0, "t_minus": 1e-20},
+        {"sigma1": 1.0, "omega_minus": 1e-300},
+        {"sigma1": 1e-100, "t_minus": 1e-300},
+    ], ids=["beside-t_plus", "beside-omega_plus", "underflow"])
+    def test_separation_lost_to_rounding_raises(self, strategy, kwargs):
+        # the photons' times or carriers round to one value, so both branches
+        # would be one ket and H(t_minus) would read 0 where it is 2 sigma^2
+        with pytest.raises(ArithmeticError, match="^branch separation .* rounds away at"):
+            model_for(strategy, **kwargs)
+        # the entangled probe is one branch at any separation
+        model_for(Strategy.ENTANGLED_BIPHOTON, **kwargs)
+
+
+def exact_H(strategy, pair, sigma1, sigma2, kappa):
+    """H at t_minus = 50/sigma1 in exact rational arithmetic of the float
+    inputs, rounded once: the entangled H at any separation, and the
+    mixtures' separated-branch H (at equal bandwidths), whose branches
+    overlap by e^-1250 there.  A diagonal 2x2 array."""
+    s1, s2, k = Fraction(sigma1), Fraction(sigma2), Fraction(kappa)
+    if strategy is Strategy.ENTANGLED_BIPHOTON:
+        c = k if pair is PAIR_A else -k
+        h11 = s1 * s1 - 2 * c * s1 * s2 + s2 * s2
+        h22 = (1 / (s2 * s2) - 2 * c / (s1 * s2) + 1 / (s1 * s1)) / (4 * (1 - k * k))
+    elif strategy is Strategy.TWO_SINGLE_PHOTONS:
+        h11, h22 = 2 * s1 * s1, 1 / (2 * s1 * s1)
+    else:
+        h11, h22 = s1 * s1, 1 / (4 * (1 - k * k) * s1 * s1)
+    return np.diag([float(h11), float(h22)])
