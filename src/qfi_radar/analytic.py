@@ -203,6 +203,9 @@ def adjudicate(
     One record per matrix entry, schema:
     {strategy, pair, params, paper_value, oracle_value, rel_diff, verdict}.
     For the entangled strategy the exact closed form plays the published role.
+    A published entry that is not finite (its printed form overflows) is
+    refuted with ``paper_value`` and ``rel_diff`` None, and
+    ``params["printed_form_overflowed"]`` True.
     Inputs the closed forms reject, coincident branches included, raise ``ValueError``.
     """
     base_params = {"sigma": sigma, "kappa": kappa, "t_minus": t_minus, "omega_minus": omega_minus}
@@ -221,16 +224,22 @@ def adjudicate(
     for idx, name in enumerate(pair.param_names):
         paper_value = scale * published[idx]
         oracle_value = oracle.H[idx][idx]
-        rel = abs(paper_value - oracle_value) / abs(oracle_value)
+        params = dict(base_params, entry=name)
+        if math.isfinite(paper_value):
+            rel = abs(paper_value - oracle_value) / abs(oracle_value)
+        else:
+            # JSON has no infinity: a printed form that overflows is refuted with no value
+            paper_value = rel = None
+            params["printed_form_overflowed"] = True
         records.append(
             {
                 "strategy": strategy.value,
                 "pair": pair.value,
-                "params": dict(base_params, entry=name),
+                "params": params,
                 "paper_value": paper_value,
                 "oracle_value": oracle_value,
                 "rel_diff": rel,
-                "verdict": "confirmed" if rel <= VERDICT_RTOL else "refuted",
+                "verdict": "confirmed" if rel is not None and rel <= VERDICT_RTOL else "refuted",
             }
         )
     return records

@@ -157,7 +157,7 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 def write_jsonl(path: str, records: list[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_table(cfg: dict, name: str, header: list[str], rows: list[list]) -> None:
@@ -390,7 +390,7 @@ def cmd_scenario(cfg: dict) -> int:
     out = _outdir(cfg)
     path = os.path.join(out, "scenario.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     for key, value in report["estimates"].items():
         print(
@@ -407,7 +407,7 @@ def cmd_selftest(as_json: bool) -> int:
 
     code, records = run_selftest()
     if as_json:
-        print(json.dumps(records, indent=2))
+        print(json.dumps(records, indent=2, allow_nan=False))
         return code
     for rec in records:
         status = "PASS" if rec["passed"] else "FAIL"

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 from .kinematics import ParameterPair, Strategy
 from .states import (
+    _HUGE,
     _TINY,
     ROWS,
     GaussianBiphoton,
@@ -163,44 +164,51 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
                           + x[1].conjugate() * (s12 * y[0] + s22 * y[1]))
                    for y in mean] for x in mean]
         return SubspaceBasis(list(stacks), [2.0], [[[0j]] for _ in range(n_rows)], kernel)
-    # a21 = c_1 . conj(mu - t_1) and a12 = c_2 . (mu - t_2): each branch's offset
-    offsets = ((ma[0].conjugate(), ma[1].conjugate()), mb)
-    alpha = [[c1 * v1 + c2 * v2 for c1, c2 in s.p] for s, (v1, v2) in zip(stacks, offsets)]
-
     E = math.exp(ell)
     eigenvalues = [1.0 + E, -math.expm1(ell)]
     # n_-/n_+
     ratio, half = math.sqrt(eigenvalues[1] / eigenvalues[0]), 0.5 * E
-    derivatives = [[[half * (a1 + a2), half * (a1 - a2) * ratio],
-                    [-half * (a1 - a2) / ratio, -half * (a1 + a2)]]
-                   for a1, a2 in zip(*alpha)]
-
     u = -2.0 * ell
-    rows = range(n_rows)
-    kernel = [[0j] * n_rows for _ in rows]
     # equal quadratic forms (p, q, r), single photons lifted
-    if _exponent(stacks[0].base)[:3] == _exponent(stacks[1].base)[:3]:
+    equal = _exponent(stacks[0].base)[:3] == _exponent(stacks[1].base)[:3]
+    if equal:
         # D(w, Sigma c) and sqrt(u) grow as the separation: their quotient is finite while u is
         if u == math.inf:
             raise _out_of_range(stacks)
         h, norm = _h(u), math.sqrt(s11 * s22 - s12 * s12) * math.sqrt(u)
-        for s, (v1, v2), al in zip(stacks, offsets, alpha):
-            w1, w2 = v1.conjugate(), v2.conjugate()
-            # D(conj(v), Sigma c)/sqrt(det Sigma u) for each row
-            D = [(w1 * (s12 * c1 + s22 * c2) - w2 * (s11 * c1 + s12 * c2)) / norm
-                 for c1, c2 in s.p]
-            for line, Da, aa in zip(kernel, D, al):
-                Da, aa = Da.conjugate(), aa.conjugate()
-                for b in rows:
-                    line[b] += Da * D[b] + aa * al[b] * h
     else:
         # 1/expm1(u), written so that it cannot overflow
         inv = -math.exp(-u) / math.expm1(-u)
-        for block, al in zip(blocks, alpha):
-            for line, bline, aa in zip(kernel, block, al):
-                aa = aa.conjugate()
-                for b in rows:
-                    line[b] += bline[b] - aa * al[b] * inv
+    # the branches' offsets v, conj(mu - t_1) and mu - t_2, so that a21 = c_1 . v
+    # and a12 = c_2 . v, and their conjugates w, which D reads
+    (v1, v2), (w1, w2) = (ma[0].conjugate(), ma[1].conjugate()), ma
+    (y1, y2), (z1, z2) = mb, (mb[0].conjugate(), mb[1].conjugate())
+    # one pass over the rows: each row's frame matrix and, per branch, the
+    # factors its kernel entries take as the right one and, conjugated, the left
+    derivatives, right, left = [], [], []
+    for (c1, c2), (d1, d2) in zip(stacks[0].p, stacks[1].p):
+        a1, a2 = c1 * v1 + c2 * v2, d1 * y1 + d2 * y2
+        total, diff = a1 + a2, a1 - a2
+        derivatives.append([[half * total, half * diff * ratio],
+                            [-half * diff / ratio, -half * total]])
+        if equal:
+            # D(conj(v), Sigma c)/sqrt(det Sigma u) for each branch
+            D1 = (w1 * (s12 * c1 + s22 * c2) - w2 * (s11 * c1 + s12 * c2)) / norm
+            D2 = (z1 * (s12 * d1 + s22 * d2) - z2 * (s11 * d1 + s12 * d2)) / norm
+            right.append((D1, a1, D2, a2))
+            left.append((D1.conjugate(), a1.conjugate(), D2.conjugate(), a2.conjugate()))
+        else:
+            right.append((a1, a2))
+            left.append((a1.conjugate(), a2.conjugate()))
+    # each entry is 0j + branch 1's term + branch 2's: from 0j, an entry
+    # whose two terms are -0 reads +0
+    if equal:
+        kernel = [[0j + (E1 * D1 + b1 * a1 * h) + (E2 * D2 + b2 * a2 * h)
+                   for D1, a1, D2, a2 in right] for E1, b1, E2, b2 in left]
+    else:
+        kernel = [[0j + (k1 - b1 * a1 * inv) + (k2 - b2 * a2 * inv)
+                   for k1, k2, (a1, a2) in zip(line1, line2, right)]
+                  for line1, line2, (b1, b2) in zip(*blocks, left)]
     return SubspaceBasis(list(stacks), eigenvalues, derivatives, kernel)
 
 
@@ -325,20 +333,26 @@ def model_for(
     Every branch's derivative rows are built here, once per model, at unit
     bandwidth: times times sigma1 and carriers over it (the idler's carrier, a
     common phase, stays 1).  A separation that rounds away raises
-    ``ArithmeticError``: the two branches would read as one.
+    ``ArithmeticError``: the two branches would read as one.  So does a
+    sigma2/sigma1 whose square is not a normal float, naming the bandwidths.
     """
     s2 = sigma1 if sigma2 is None else sigma2
     _check_range(kappa, sigma1, s2)
+    # the unit model's second bandwidth: its square, as _exponent forms it, must be normal
+    ratio = s2 / sigma1
+    if strategy is not Strategy.QUANTUM_ILLUMINATION and not _TINY <= ratio * ratio <= _HUGE:
+        raise ArithmeticError(f"quantum Fisher information is out of float range at "
+                              f"bandwidths sigma1 = {sigma1!r}, sigma2 = {s2!r}")
     t1, t2 = (t_plus - t_minus) / 2.0 * sigma1, (t_plus + t_minus) / 2.0 * sigma1
     w1, w2 = (omega_plus - omega_minus) / 2.0 / sigma1, (omega_plus + omega_minus) / 2.0 / sigma1
     # each branch's ket, with the photon of the pair each of its coordinates carries
     if strategy is Strategy.ENTANGLED_BIPHOTON:
         trace = 1.0
-        branches = ((GaussianBiphoton(t1, t2, w1, w2, 1.0, s2 / sigma1, kappa), (1, 2)),)
+        branches = ((GaussianBiphoton(t1, t2, w1, w2, 1.0, ratio, kappa), (1, 2)),)
     elif strategy is Strategy.TWO_SINGLE_PHOTONS:
         trace = 2.0
         branches = ((GaussianSinglePhoton(t1, w1, 1.0), (1, 0)),
-                    (GaussianSinglePhoton(t2, w2, s2 / sigma1), (2, 0)))
+                    (GaussianSinglePhoton(t2, w2, ratio), (2, 0)))
     elif strategy is Strategy.QUANTUM_ILLUMINATION:
         trace = 1.0
         # branch i's signal is photon i of the pair; its idler does not move

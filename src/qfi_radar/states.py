@@ -164,19 +164,28 @@ def overlap(a: Stack, b: Stack) -> tuple:
         = conj(a)^T Q b,   Q = g * [(mu - t_a)(mu - t_b)^T + Sigma].
 
     The 2x2 Q depends on the two base Gaussians only and is evaluated once,
-    single photons lifted (``_exponent``).  Returns the block of overlaps,
+    single photons lifted (``_exponent``).  Two stacks on one base object
+    give its own block, read straight from Q = Sigma = (4 A)^-1, the value
+    ``pair_terms`` returns for equal bases.  Returns the block of overlaps,
     nested tuples of shape (k_a, k_b) for stacks of k_a and k_b rows; a stack
     of no rows gives an empty block.
     """
     ga, pa = a
     gb, pb = b
-    if type(ga) is not type(gb):
-        raise TypeError("cannot overlap single-photon with biphoton states")
-    log_g, (ma1, ma2), (mb1, mb2), (s11, s22, s12) = pair_terms(ga, gb)
-    g = cmath.exp(log_g)
     # Q, entry q_ij multiplying conj(a_i) b_j
-    q11, q21 = g * (ma1 * mb1 + s11), g * (ma2 * mb1 + s12)
-    q12, q22 = g * (ma1 * mb2 + s12), g * (ma2 * mb2 + s22)
+    if ga is gb:
+        # one base: g = 1 and mu = t, so Q = Sigma = (4 A)^-1, from S = A + A
+        p, q, r = _exponent(ga)[:3]
+        i11, i22, i12 = _inverse(p + p, q + q, r + r, ga, gb)
+        q11, q22 = 0.5 * i11, 0.5 * i22
+        q12 = q21 = 0.5 * i12
+    else:
+        if type(ga) is not type(gb):
+            raise TypeError("cannot overlap single-photon with biphoton states")
+        log_g, (ma1, ma2), (mb1, mb2), (s11, s22, s12) = pair_terms(ga, gb)
+        g = cmath.exp(log_g)
+        q11, q21 = g * (ma1 * mb1 + s11), g * (ma2 * mb1 + s12)
+        q12, q22 = g * (ma1 * mb2 + s12), g * (ma2 * mb2 + s22)
     block = []
     for a1, a2 in pa:
         # conj(row)^T Q, then its product with each row of b
@@ -219,13 +228,7 @@ def pair_terms(a, b) -> tuple:
     """
     pa, qa, ra, ta1, ta2, wa1, wa2 = _exponent(a)
     pb, qb, rb, tb1, tb2, wb1, wb2 = _exponent(b)
-    S11, S22, S12 = pa + pb, qa + qb, ra + rb
-    det = S11 * S22 - S12 * S12
-    # det, and Sigma's determinant 1/(4 det), must be normal floats to keep their digits
-    if not _TINY <= det <= 0.25 * _HUGE:
-        where = " and ".join(dict.fromkeys((_bandwidths(a), _bandwidths(b))))
-        raise ArithmeticError(f"Gaussian overlap is out of float range at bandwidths {where}")
-    i11, i22, i12 = S22 / det, S11 / det, -S12 / det
+    i11, i22, i12 = _inverse(pa + pb, qa + qb, ra + rb, a, b)
     dt1, dt2 = ta1 - tb1, ta2 - tb2
     dw1, dw2 = wa1 - wb1, wa2 - wb2
     u1, u2 = pa * dt1 + ra * dt2, ra * dt1 + qa * dt2  # A_a dt
@@ -237,6 +240,19 @@ def pair_terms(a, b) -> tuple:
     log_g = complex(_log_norm(pa, qa, ra, pb, qb, rb) - quad_t - 0.25 * quad_w, phase)
     mb1, mb2 = complex(x1, 0.5 * y1), complex(x2, 0.5 * y2)
     return log_g, (mb1 - dt1, mb2 - dt2), (mb1, mb2), (0.5 * i11, 0.5 * i22, 0.5 * i12)
+
+
+def _inverse(S11: float, S22: float, S12: float, a, b) -> tuple[float, float, float]:
+    """(S^-1_11, S^-1_22, S^-1_12) of the combined form S = A_a + A_b of bases a and b.
+
+    det S, and Sigma's determinant 1/(4 det S), must be normal floats to keep
+    their digits; else raises ``ArithmeticError`` naming the bandwidths.
+    """
+    det = S11 * S22 - S12 * S12
+    if not _TINY <= det <= 0.25 * _HUGE:
+        where = " and ".join(dict.fromkeys((_bandwidths(a), _bandwidths(b))))
+        raise ArithmeticError(f"Gaussian overlap is out of float range at bandwidths {where}")
+    return S22 / det, S11 / det, -S12 / det
 
 
 def _bandwidths(g, scale: float = 1.0) -> str:

@@ -345,6 +345,30 @@ class TestOracleCheck:
         assert records
         assert all(math.isfinite(rec["paper_value"]) for rec in records)
 
+    def test_overflowed_printed_form_is_strict_json(self, tmp_path):
+        # at t_minus = 30 the printed quantum-illumination frequency-sum entry's
+        # growing exponential overflows: strict JSON has no Infinity, so that
+        # record reads null and is refuted, and says why under params
+        assert main(["oracle-check", "--t-minus", "30", "--out", str(tmp_path)]) == 0
+
+        def no_constant(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        records = [json.loads(line, parse_constant=no_constant)
+                   for line in read(tmp_path / "verdicts.jsonl").splitlines()]
+        overflowed = [rec for rec in records if rec["paper_value"] is None]
+        assert len(records) == 316 and len(overflowed) == 39
+        for rec in records:
+            assert len(rec) == 7
+            assert rec["params"].get("printed_form_overflowed", False) is (rec in overflowed)
+        for rec in overflowed:
+            assert rec["rel_diff"] is None and rec["verdict"] == "refuted"
+            assert math.isfinite(rec["oracle_value"])
+
+    def test_non_finite_output_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.write_jsonl(str(tmp_path / "x.jsonl"), [{"x": math.inf}])
+
     def test_coincident_branches_usage_error(self, tmp_path, capsys):
         # published_mixed_qfi rejects the point; main maps its ValueError to exit 2
         argv = ["oracle-check", "--t-minus", "0", "--omega-minus", "0", "--out", str(tmp_path)]

@@ -11,6 +11,7 @@ import importlib
 import inspect
 import math
 import pathlib
+import re
 import warnings
 from fractions import Fraction
 
@@ -726,6 +727,72 @@ class TestPinnedNumbers:
             assert oracle._h(u) == pytest.approx(want, rel=4e-15, abs=0.0), u
 
 
+def grid_point(sigma, kappa, t_sigma, w_over_sigma):
+    """``model_for`` arguments at an ``engine_map`` grid point, formed as the
+    benchmark forms them: t_minus in units of 1/sigma, omega_minus in units of sigma."""
+    return {"sigma1": sigma, "kappa": kappa, "t_minus": t_sigma / sigma,
+            "omega_minus": w_over_sigma * sigma}
+
+
+# repr of (H, compat_residual, dim) for PAIR_A and PAIR_B, frozen from the
+# engine: every strategy, rank 1 and 2, u = -2l on both sides of _h's series
+# switch at 0.25, |kappa| = 0.999, the grid's three bandwidths, and one point
+# with unequal forms off the grid
+BITS = (
+    ("entangled-kappa-minus", Strategy.ENTANGLED_BIPHOTON, grid_point(1.0, -0.999, 1.0, 0.8),
+     (((3.998, 0.0), (0.0, 500.0000000000067)), 0.0, 1),
+     (((0.0020000000000000304, 0.0), (0.0, 0.2501250625312821)), 0.0, 1)),
+    ("entangled-kappa-plus", Strategy.ENTANGLED_BIPHOTON, grid_point(1e3, 0.999, 1e-8, 0.0),
+     (((2000.0000000000302, 0.0), (0.0, 2.501250625312821e-07)), 0.0, 1),
+     (((3998000.0, 0.0), (0.0, 0.0005000000000000066)), 0.0, 1)),
+    ("entangled-narrow", Strategy.ENTANGLED_BIPHOTON, grid_point(1e-3, 0.0, 1e2, 0.8),
+     (((2e-06, 0.0), (0.0, 500000.0)), 0.0, 1),
+     (((2e-06, 0.0), (0.0, 500000.0)), 0.0, 1)),
+    ("tsp-series", Strategy.TWO_SINGLE_PHOTONS, grid_point(1.0, 0.0, 1e-2, 0.8),
+     (((1.9998295882842307, 0.0), (0.0, 0.4997120283919768)), 0.0, 2),
+     (((0.15698170865219116, 0.0), (0.0, 0.43183531369216877)), 0.0, 2)),
+    ("tsp-closed-form", Strategy.TWO_SINGLE_PHOTONS, grid_point(1.0, 0.9, 1.0, 0.8),
+     (((1.3730276382347897, 0.0), (0.0, 0.2716825414485948)), 0.0, 2),
+     (((1.8538768265271006, 0.0), (0.0, 0.4749211055293916)), 0.0, 2)),
+    ("tsp-near-coincident", Strategy.TWO_SINGLE_PHOTONS, grid_point(1e3, -0.999, 1e-8, 0.0),
+     (((2000000.0, 0.0), (0.0, 2.5e-23)), 0.0, 2),
+     (((2000000.0, 0.0), (0.0, 5e-07)), 0.0, 2)),
+    ("tsp-separated", Strategy.TWO_SINGLE_PHOTONS, grid_point(1e-3, 0.999, 1e2, 0.0),
+     (((2e-06, 0.0), (0.0, 500000.0)), 0.0, 2),
+     (((2e-06, 0.0), (0.0, 500000.0)), 0.0, 2)),
+    ("qi-series", Strategy.QUANTUM_ILLUMINATION, grid_point(1.0, 0.999, 1e-2, 0.0),
+     (((0.9999000099993435, 0.0), (0.0, 124.81254376540005)), 1.5621082815321156e-13, 2),
+     (((0.9999999999998436, 0.0), (0.0, 125.06253126560834)), 2.4484190208043884e-13, 2)),
+    ("qi-closed-form", Strategy.QUANTUM_ILLUMINATION, grid_point(1e-3, -0.999, 1.0, 0.8),
+     (((1.0000000000000595e-06, 3.6207193676766817e-47),
+       (3.6207193676766817e-47, 125062531.26563433)), 1.4432899320127035e-15, 2),
+     (((1.0000000000000595e-06, 0.0), (0.0, 125062531.26563433)), 1.4432899320127035e-15, 2)),
+    ("qi-near-coincident", Strategy.QUANTUM_ILLUMINATION, grid_point(1e3, -0.9, 1e-6, 0.0),
+     (((999999.999999001, 0.0), (0.0, 1.0657894736843368e-06)), 9.740878893427844e-16, 2),
+     (((1000000.0000000009, 0.0), (0.0, 1.3157894736842123e-06)), 1.821120836595815e-15, 2)),
+    ("qi-separated", Strategy.QUANTUM_ILLUMINATION, grid_point(1.0, 0.9, 1e2, 0.8),
+     (((1.0, 0.0), (0.0, 1.3157894736842115)), 1.1102230246251565e-16, 2),
+     (((1.0, 0.0), (0.0, 1.3157894736842115)), 1.1102230246251565e-16, 2)),
+    ("tsp-unequal", Strategy.TWO_SINGLE_PHOTONS,
+     {"sigma1": 1.0, "sigma2": 1.7, "t_minus": 0.7, "omega_minus": 0.3, "t_plus": 0.3},
+     (((2.979807312211374, 0.03651434052757047),
+       (0.03651434052757047, 0.16114619691358018)), 0.2870916190184567, 2),
+     (((3.8577912052942733, -0.036514340527570466),
+       (-0.036514340527570466, 0.2938691861717323)), 0.5016928993958151, 2)),
+)
+
+
+@pytest.mark.parametrize("label, strategy, kwargs, want_a, want_b", BITS,
+                         ids=[row[0] for row in BITS])
+def test_engine_bits(label, strategy, kwargs, want_a, want_b):
+    # to the last bit, a zero's sign included: a rewrite of the engine that
+    # keeps its arithmetic keeps these strings
+    model = model_for(strategy, **kwargs)
+    for pair, want in ((PAIR_A, want_a), (PAIR_B, want_b)):
+        res = qfi_numeric(model, pair)
+        assert repr((res.H, res.compat_residual, res.dim)) == repr(want), pair
+
+
 class TestFloatRange:
     """The engine works at unit bandwidth and scales H back, so one rule
     decides its range: a diagonal entry of D H D must be a normal float.
@@ -788,16 +855,22 @@ class TestFloatRange:
                 want = exact_H(strategy, pair, sigma, sigma, -0.5)
                 assert rel_error(np.array(qfi_numeric(model, pair).H), want) <= 1e-13, sigma
 
+    @pytest.mark.parametrize("strategy", [Strategy.ENTANGLED_BIPHOTON, Strategy.TWO_SINGLE_PHOTONS])
     @pytest.mark.parametrize("sigma1", [1.0, 1e-3])
-    def test_extreme_bandwidth_ratio_raises(self, sigma1):
-        # the unit model's second bandwidth is sigma2/sigma1, and pair_terms'
-        # determinant check is what refuses it; the error names the caller's sigma1
-        model = model_for(Strategy.ENTANGLED_BIPHOTON, sigma1=sigma1, sigma2=1e-160 * sigma1)
-        for pair in (PAIR_A, PAIR_B):
-            with pytest.raises(ArithmeticError, match="out of float range") as info:
-                qfi_numeric(model, pair)
-            assert f"bandwidths sigma1 = {sigma1!r}, sigma2 = " in str(info.value)
-            assert info.value.__cause__ is not None
+    @pytest.mark.parametrize("ratio", [1e-160, 1e160])
+    def test_extreme_bandwidth_ratio_raises(self, strategy, sigma1, ratio):
+        # the unit model's second bandwidth is sigma2/sigma1: model_for refuses
+        # it where its square leaves the normal floats, naming the caller's
+        # bandwidths, before _exponent's square can overflow at 1e160
+        sigma2 = ratio * sigma1
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "quantum Fisher information is out of float range at bandwidths "
+                f"sigma1 = {sigma1!r}, sigma2 = {sigma2!r}")):
+            model_for(strategy, sigma1=sigma1, sigma2=sigma2, t_minus=1.0)
+
+    def test_bandwidth_ratio_is_not_read_by_quantum_illumination(self):
+        model = model_for(Strategy.QUANTUM_ILLUMINATION, sigma1=1.0, sigma2=1e160, t_minus=1.0)
+        assert model == model_for(Strategy.QUANTUM_ILLUMINATION, sigma1=1.0, t_minus=1.0)
 
     @pytest.mark.parametrize("sigma", [1e-76, 1e-50, 1e50, 1e76])
     def test_bandwidths_inside_the_range_answer(self, sigma):

@@ -490,6 +490,18 @@ class TestStackedOverlap:
         own = np.array(overlap(a, a))
         assert np.max(np.abs(own - own.conj().T)) <= 1e-14 * np.max(np.abs(own))
 
+    @PROPERTY
+    @given(st.one_of(st.tuples(single_photons, photon_indices), st.tuples(biphotons, st.none())))
+    def test_own_block_matches_the_general_path(self, based):
+        # overlap(s, s) reads Q = (4A)^-1 from the exponent; a twin base, equal
+        # but another object, takes pair_terms' general path.  The blocks
+        # agree to the bit: == on floats ignores only the sign of an exact zero
+        base, photon = based
+        s = branch_stack(base, (1, 2) if photon is None else (photon, 0))
+        twin = Stack(type(base)(*base._values()), s.p)
+        assert twin.base == base and twin.base is not base
+        assert overlap(s, s) == overlap(s, twin)
+
     def test_stack_of_no_rows_gives_an_empty_block(self):
         # a branch with no derivative rows
         phi = GaussianBiphoton(0.0, 0.3, 1.0, 1.2, 1.0, 1.5, 0.4)
