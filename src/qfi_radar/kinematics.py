@@ -133,7 +133,10 @@ def _doppler_inverse(omega: float, omega0: float, e: float) -> tuple[float, floa
     """Exact receding velocity c ((omega0 - omega) - e)/(omega0 + omega + e)
     of a return at carrier omega + e, and dv/domega."""
     w = omega0 + omega + e
-    return C * ((omega0 - omega) - e) / w, -2.0 * C * omega0 / w**2
+    if w * w == 0.0:
+        raise ArithmeticError(f"Doppler inversion is out of float range at carrier omega0 = "
+                              f"{omega0}: omega0 + omega = {w} squares to 0")
+    return C * ((omega0 - omega) - e) / w, -2.0 * C * omega0 / (w * w)
 
 
 def target_estimates(

@@ -1,15 +1,13 @@
 """Monte Carlo measurement simulation and end-to-end radar scenarios.
 
-Arrival-time pairs and frequency pairs are drawn from the exact returned
-state densities, combined into the sum/difference estimators, and compared
-against the quantum Cramer-Rao floor 1/(N H).  A draw of n pairs is the
-first 2n standard normals of one SFC64 generator seeded by the draw's seed,
-so results are bit-identical for a fixed seed and a longer draw extends a
-shorter one.  This is the one module that needs numpy, and only the
-functions that draw or reduce samples import it.  The strategies it samples,
-``MC_STRATEGIES``, live in ``kinematics`` beside ``Strategy``, so the CLI
-builds its parser without importing this module; ``import qfi_radar`` loads
-it on first use of one of its names.
+n photon pairs measured on the exact returned state densities, combined
+into the sum/difference estimators and compared against the quantum
+Cramer-Rao floor 1/(N H).  ``measure_pair`` and ``run_scenario`` read the
+pairs only through their sample mean and (co)variance, which they draw from
+its exact law with the standard library.  Only the sample-level functions,
+which draw the pairs as the first 2n normals of SFC64(seed), import numpy.
+``MC_STRATEGIES`` lives in ``kinematics``, so the CLI builds its parser
+without this module; ``import qfi_radar`` loads it on first use of a name.
 """
 
 from __future__ import annotations
@@ -61,9 +59,10 @@ class McConfig:
     strategy: Strategy = Strategy.ENTANGLED_BIPHOTON
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.n_samples) or not self.n_samples >= 2:
-            raise ValueError(f"n_samples, the draws per domain, must be at least 2 and an "
-                             f"integer, got {self.n_samples}")
+        # a chi-square quantile's cost grows as the root of n: 16 ms at 1e9
+        if not _is_integer(self.n_samples) or not 2 <= self.n_samples <= 10**9:
+            raise ValueError(f"n_samples, the draws per domain, must be an integer from 2 to "
+                             f"10**9, got {self.n_samples}")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.domain not in ("time", "frequency"):
@@ -144,17 +143,6 @@ def sample_frequencies(state: GaussianBiphoton, config: McConfig):
     return _sample_bivariate(mean, cov, config.n_samples, config.seed)
 
 
-def _draw_offsets(
-    state: GaussianBiphoton, strategy: Strategy, n_time: int, n_freq: int, seed: int
-) -> tuple:
-    """Time pairs drawn at ``seed`` and frequency pairs at ``seed + 1``, as offsets
-    from the state's own centers and carriers, so no coordinate costs digits."""
-    time_config = McConfig(n_time, seed, "time", strategy)
-    freq_config = McConfig(n_freq, seed + 1, "frequency", strategy)
-    origin = GaussianBiphoton(0.0, 0.0, 0.0, 0.0, state.sigma1, state.sigma2, state.kappa)
-    return sample_times(origin, time_config), sample_frequencies(origin, freq_config)
-
-
 def _combine(a, b, pair: ParameterPair, domain: str):
     """Per-shot estimator from a pair's two columns or values a, b:
     t1+t2 / w2-w1 (pair A) or t2-t1 / w1+w2 (pair B)."""
@@ -202,21 +190,41 @@ def estimate_pair(
     )
 
 
+def _draw_statistics(config: McConfig, normals: int, dfs: tuple) -> tuple:
+    """``normals`` standard normals, then a chi-square variate per degrees of
+    freedom in ``dfs`` (0 gives 0), from ``random.Random("<seed>/<domain>")``
+    (seeded by SHA-512): inverse CDFs of uniforms (k + 1/2)/2^52, inside (0, 1)
+    with 1 - u exact, from the one sequence Python keeps across versions."""
+    import random
+    import statistics
+
+    rng = random.Random(f"{config.seed}/{config.domain}")
+    u = [(math.floor(rng.random() * 2**52) + 0.5) / 2**52 for _ in range(normals + len(dfs))]
+    # the chi-square quantile uncached: random levels would evict the intervals' quantiles
+    return ([statistics.NormalDist().inv_cdf(p) for p in u[:normals]],
+            [_chi2_quantile.__wrapped__(df, p) if df else 0.0 for df, p in zip(dfs, u[normals:])])
+
+
 def measure_pair(
     strategy: Strategy, pair: ParameterPair, kappa: float, sigma: float, n: int, seed: int
 ) -> tuple[McReport, McReport]:
     """Time and frequency reports of ``pair`` on the biphoton at centers 0,
-    carriers 1 and bandwidth sigma, against its ``asymptotic_H`` entries.
-    Each estimate is taken from offsets and shifted back to those coordinates."""
+    carriers 1 and bandwidth sigma, against its ``asymptotic_H`` entries,
+    drawn at ``seed`` and ``seed + 1``: the mean and sample variance of n
+    pairs' combination a^T x are independent, N(a^T mu, v/n) and
+    v chi2(n - 1)/(n - 1) with v = a^T Sigma a (Cochran's theorem)."""
     state = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, sigma, sigma, kappa)
-    entries = asymptotic_H(strategy, pair, kappa, sigma)
-    draws = _draw_offsets(state, strategy, n, n, seed)
+    configs = (McConfig(n, seed, "time", strategy), McConfig(n, seed + 1, "frequency", strategy))
     reports = []
-    for domain, samples, entry, x in zip(("time", "frequency"), draws, entries,
-                                         (state.centers(), state.carriers())):
-        report = estimate_pair(samples, pair, domain, entry)
-        report.estimate = float(report.estimate + _combine(*x, pair, domain))
-        reports.append(report)
+    for config, entry in zip(configs, asymptotic_H(strategy, pair, kappa, sigma)):
+        mean, ((s11, s12), (_, s22)) = _sampling_moments(state, config)
+        a1, a2 = (_combine(*e, pair, config.domain) for e in ((1.0, 0.0), (0.0, 1.0)))
+        v = s11 + s22 + 2.0 * a1 * a2 * s12
+        (z,), (chi2,) = _draw_statistics(config, 1, (n - 1,))
+        var = v * chi2 / (n - 1)
+        qcrb = 1.0 / entry
+        reports.append(McReport(n, _combine(*mean, pair, config.domain) + math.sqrt(v / n) * z,
+                                var, qcrb, var / qcrb, variance_interval(var, n, 0.01)))
     return tuple(reports)
 
 
@@ -313,6 +321,23 @@ def variance_interval(variance: float, n: int, alpha: float) -> tuple[float, flo
                  for p in (1.0 - alpha / 2.0, alpha / 2.0))
 
 
+def _cholesky(cov, n: int) -> tuple:
+    """Lower-triangular L, a 2x2 tuple of rows, with L L^T = cov / n."""
+    (s11, s12), (_, s22) = cov
+    l11 = math.sqrt(s11 / n)
+    l21 = s12 / n / l11
+    return (l11, 0.0), (l21, math.sqrt(s22 / n - l21 * l21))
+
+
+def _std_errors(grad, factors) -> list:
+    """|F^T g| over the time and frequency blocks of each gradient row g, F
+    being each domain's lower-triangular factor of its mean's covariance."""
+    return [math.sqrt(sum(t * t for ((f11, _), (f21, f22)), (g1, g2)
+                          in zip(factors, (row[:2], row[2:]))
+                          for t in (f11 * g1 + f21 * g2, f22 * g2)))
+            for row in grad]
+
+
 def run_scenario(
     scenario: str,
     targets: tuple[Target, Target],
@@ -324,26 +349,23 @@ def run_scenario(
 
     The targets return the biphoton ``kinematics.returned_state`` gives.
     ``multibody`` estimates the midpoint c (t1 + t2)/4 of two scatterers
-    and their relative velocity; ``moving_object`` estimates the radial
-    size and common velocity of a rigid two-point object, so its targets
-    must share one velocity (a ``ValueError`` otherwise; see
-    ``kinematics.target_estimates``).  Half the shots go to time-domain
-    detection and the rest to frequency-domain detection, since one photon
-    cannot yield both precisely.  The estimates and their standard errors
-    come from the sample means of the drawn (t1, t2, omega1, omega2) and
-    their block sample covariance, and the predicted standard errors from
-    the per-shot QCRB covariance (``analytic.scenario_qcrb_covariance``)
-    at the true returned bandwidths, split the same way.  That bound holds
-    every other parameter unknown, for both strategies and at any v1, v2.
-    Times are drawn at ``seed`` and frequencies at ``seed + 1``, as in
-    ``measure_pair``: offsets from the photons' own coordinates, whose
-    sample means ``target_estimates`` takes apart from those coordinates, so
-    a velocity keeps its digits at any carrier (a midpoint near 1e200
-    cannot: no float there holds the offset).
-    A probe of a strategy Monte Carlo cannot sample (quantum illumination)
-    fails in the first ``McConfig``, before any draw; a report with a number
-    that is not finite, or a standard error that underflows to 0, raises
-    ``ArithmeticError``.
+    and their relative velocity; ``moving_object`` the radial size and
+    common velocity of a rigid two-point object, whose targets must share
+    one velocity (``ValueError`` otherwise; see ``target_estimates``).
+    Half the shots go to time-domain detection and the rest to frequency-
+    domain detection, since one photon cannot yield both precisely.  Each
+    domain's sample mean and covariance are drawn from their exact law,
+    times at ``seed`` and frequencies at ``seed + 1`` as in ``measure_pair``;
+    the means are offsets from the photons' own coordinates, which
+    ``target_estimates`` takes apart, so a velocity keeps its digits at any
+    carrier (a midpoint near 1e200 cannot: no float there holds the offset).
+    The predicted standard errors come from the per-shot QCRB covariance
+    (``analytic.scenario_qcrb_covariance``) at the true returned bandwidths,
+    split the same way, which holds every other parameter unknown, for both
+    strategies and at any v1, v2.  A strategy Monte Carlo cannot sample
+    (quantum illumination) fails in the first ``McConfig``, before any draw;
+    a report with a number that is not finite, or a standard error that is 0
+    or more than 1e6 times off its predicted one, raises ``ArithmeticError``.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -356,34 +378,26 @@ def run_scenario(
         raise ValueError(f"n_shots, the shots over both domains, must be an integer of at "
                          f"least 4 (2 per domain), got {n_shots!r}")
 
-    import numpy as np
-
     n_time = n_shots // 2
-    n_freq = n_shots - n_time
-
-    def estimates(dx, time_cov, freq_cov):
-        """The quantities at offset dx from the photons' own coordinates and
-        their standard errors, from each domain's per-shot covariance over
-        its shot count."""
-        cov = np.zeros((4, 4))
-        cov[:2, :2] = time_cov / n_time
-        cov[2:, 2:] = freq_cov / n_freq
-        values, grad = target_estimates(scenario, x, probe.omega0, dx)
-        grad = np.array(grad)
-        return values, np.sqrt(np.diag(grad @ cov @ grad.T))
-
-    # an overflow or a division by zero is a non-finite report, raised below
-    with np.errstate(all="ignore"):
-        state = returned_state(targets[0], targets[1], probe)
-        times, freqs = _draw_offsets(state, probe.strategy, n_time, n_freq, seed)
-        # rows t1, t2 and omega1, omega2, contiguous so that each mean is a pairwise sum
-        t_cols, w_cols = np.ascontiguousarray(times.T), np.ascontiguousarray(freqs.T)
-        x = (*state.centers(), *state.carriers())
-        means = np.concatenate([t_cols.mean(axis=1), w_cols.mean(axis=1)])
-        values, std_errors = estimates(means, np.cov(t_cols), np.cov(w_cols))
-        qcrb = np.array(
-            scenario_qcrb_covariance(probe.strategy, probe.kappa, state.sigma1, state.sigma2))
-        _, predicted = estimates(np.zeros(4), qcrb[:2, :2], qcrb[2:, 2:])
+    state = returned_state(targets[0], targets[1], probe)
+    configs = (McConfig(n_time, seed, "time", probe.strategy),
+               McConfig(n_shots - n_time, seed + 1, "frequency", probe.strategy))
+    qcrb = scenario_qcrb_covariance(probe.strategy, probe.kappa, state.sigma1, state.sigma2)
+    dx, sampled, predicted = [], [], []
+    for config, cols in zip(configs, (slice(0, 2), slice(2, 4))):
+        n = config.n_samples
+        (l11, _), (l21, l22) = _cholesky(_sampling_moments(state, config)[1], n)
+        (z1, z2, z3), (c1, c2) = _draw_statistics(config, 3, (n - 1, n - 2))
+        dx += [l11 * z1, l21 * z1 + l22 * z2]
+        # the mean's sample covariance is (L B)(L B)^T / (n - 1), with Bartlett's
+        # B = [[sqrt c1, 0], [z3, sqrt c2]] (Smith & Hocking, Appl. Stat. 21, 341)
+        b1, b2, root = math.sqrt(c1), math.sqrt(c2), math.sqrt(n - 1)
+        sampled.append(((l11 * b1 / root, 0.0), ((l21 * b1 + l22 * z3) / root, l22 * b2 / root)))
+        predicted.append(_cholesky(tuple(row[cols] for row in qcrb[cols]), n))
+    x = (*state.centers(), *state.carriers())
+    values, grad = target_estimates(scenario, x, probe.omega0, dx)
+    # the bound is linearized at the true coordinates
+    _, true_grad = target_estimates(scenario, x, probe.omega0)
 
     if scenario == "multibody":
         truth = ((targets[0].r + targets[1].r) / 2.0, targets[1].v - targets[0].v)
@@ -398,17 +412,21 @@ def run_scenario(
         "strategy": probe.strategy.value,
         "n_shots": n_shots,
         "n_time_shots": n_time,
-        "n_frequency_shots": n_freq,
+        "n_frequency_shots": configs[1].n_samples,
         "seed": seed,
         "estimates": named(values),
-        "std_errors": named(std_errors),
-        "predicted_qcrb_std_errors": named(predicted),
+        "std_errors": named(_std_errors(grad, sampled)),
+        "predicted_qcrb_std_errors": named(_std_errors(true_grad, predicted)),
         "truth": named(truth),
     }
     for key in ("estimates", "std_errors", "predicted_qcrb_std_errors", "truth"):
-        if not np.isfinite(list(report[key].values())).all():
+        if not all(map(math.isfinite, report[key].values())):
             raise ArithmeticError(f"scenario {key} are not finite: {report[key]}")
-    # n >= 4 draws of a positive bandwidth have a spread; a zero one underflowed
-    if not all(se > 0.0 for se in report["std_errors"].values()):
-        raise ArithmeticError(f"scenario std_errors underflow to 0: {report['std_errors']}")
+    # sampling puts an error bar 1e6 times below the bound's in about 2 runs of 1e6
+    # with two time shots (n = 4, 5), and never one above; a wider gap, or a 0, is an
+    # underflow or the linearized estimator failing between the estimate and the truth
+    se, predicted = report["std_errors"], report["predicted_qcrb_std_errors"]
+    if not all(p * 1e-6 < se[key] < p * 1e6 for key, p in predicted.items()):
+        raise ArithmeticError(f"scenario std_errors are 0 or more than 1e6 times off the "
+                              f"predicted QCRB std_errors: {se} against {predicted}")
     return report

@@ -419,7 +419,7 @@ class TestSimulate:
         # McConfig refuses the count before any draw or write
         assert main(["simulate", "--n", "1", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
-            "error: n_samples, the draws per domain, must be at least 2 and an integer, "
+            "error: n_samples, the draws per domain, must be an integer from 2 to 10**9, "
             "got 1\n")
         assert not any(tmp_path.iterdir())
 
@@ -552,33 +552,41 @@ class TestScenario:
             est, se = report["estimates"][key], report["std_errors"][key]
             assert est != 0.0 and abs(est - report["truth"][key]) <= 5.0 * se, (est, se)
 
-    @pytest.mark.parametrize("command", ["scenario", "simulate"])
-    def test_out_of_memory_usage_error(self, command, tmp_path, capsys, monkeypatch):
-        # numpy raises MemoryError when a draw such as --n 100000000000 cannot
-        # be allocated; nothing that large is allocated here
-        def fail(*args, **kwargs):
-            raise MemoryError("Unable to allocate 1.46 TiB for an array")
+    @pytest.mark.parametrize("argv", [["simulate", "--n", "10000000000"],
+                                      ["scenario", "--n", "3000000000"]])
+    def test_count_above_bound_usage_error(self, argv, tmp_path, capsys, monkeypatch):
+        # McConfig refuses more than 10**9 draws per domain before any draw or
+        # write: a chi-square quantile's cost grows as the root of the count
+        monkeypatch.setattr(montecarlo, "_draw_statistics", None)
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        per_domain = int(argv[2]) // (2 if argv[0] == "scenario" else 1)
+        assert capsys.readouterr().err == (
+            f"error: n_samples, the draws per domain, must be an integer from 2 to 10**9, "
+            f"got {per_domain}\n")
+        assert not any(tmp_path.iterdir())
 
-        monkeypatch.setattr(montecarlo, "_sample_bivariate", fail)
-        assert main([command, "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: out of memory (Unable to allocate 1.46 TiB for an array)\n"
+    @pytest.mark.parametrize("n", ["4", "5"])
+    def test_smallest_counts_run(self, n, tmp_path):
+        # at n = 4 the time domain has 2 shots, and its chi-square(n - 2) draw is exactly 0
+        assert main(["scenario", "--n", n, "--out", str(tmp_path)]) == 0
+        report = json.loads(read(tmp_path / "scenario.json"))
+        assert report["n_time_shots"] == 2
+        assert all(se > 0.0 for se in report["std_errors"].values())
 
 
 class TestArithmeticErrors:
     @pytest.mark.parametrize("argv", [
         ["qfi", "--sigma", "1e-200"],  # ArithmeticError from the closed form
         ["oracle-check", "--sigma", "1e-200"],  # ArithmeticError from the closed forms
-        ["scenario", "--sigma", "1e300"],  # OverflowError
-        # numpy divisions and overflows in the draws, the estimates and the
-        # QCRB prediction, with no RuntimeWarning before the error line; a
-        # NaN or infinite report, which json.dump would write as the bare
-        # tokens NaN and Infinity that strict JSON parsers reject
-        ["scenario", "--sigma", "1e-153"],
-        # a delta_v standard error that underflows to 0
+        ["scenario", "--sigma", "1e300"],  # ArithmeticError from the time covariance
+        # error bars 1e296 times below the bound's: the linearization fails
+        ["scenario", "--sigma", "1e153"],
+        # the Doppler slope's square overflows and a delta_v standard error
+        # underflows to 0
         ["scenario", "--omega0", "1e200"],
+        # the Doppler slope's square underflows to 0
         ["scenario", "--scenario", "moving_object", "--omega0", "1e-300"],
-        ["scenario", "--strategy", "two_single_photons", "--sigma", "1e-153"],
+        ["scenario", "--strategy", "two_single_photons", "--sigma", "1e153"],
     ])
     def test_usage_error_without_traceback(self, argv, tmp_path, capsys):
         code = main([*argv, "--out", str(tmp_path)])
@@ -588,6 +596,44 @@ class TestArithmeticErrors:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert not (tmp_path / "scenario.json").exists()
+
+    @pytest.mark.parametrize("omega0, message", [
+        # the Doppler slope's square overflows to inf and the slope to 0,
+        # which the report's own check refuses
+        ("1e200", "scenario std_errors are 0 or more than 1e6 times off the predicted "
+                  "QCRB std_errors: "),
+        # the square underflows to 0, which the inversion names with its carrier
+        ("1e-300", "Doppler inversion is out of float range at carrier omega0 = 1e-300: "
+                   "omega0 + omega = 2e-300 squares to 0)\n"),
+    ], ids=["overflow", "underflow"])
+    def test_doppler_slope_range_names_itself(self, omega0, message, tmp_path, capsys):
+        argv = ["scenario", "--scenario", "moving_object", "--omega0", omega0]
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert f"ArithmeticError: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy", ["entangled_biphoton", "two_single_photons"])
+    def test_linearization_gap_names_itself(self, strategy, tmp_path, capsys):
+        # at sigma = 1e153 the frequency spread dwarfs the carrier 10: the
+        # Doppler slope at the estimate is some 1e296 times below the slope at
+        # the truth, and so are the error bars against the bound's
+        assert main(["scenario", "--sigma", "1e153", "--strategy", strategy,
+                     "--out", str(tmp_path)]) == 2
+        assert ("ArithmeticError: scenario std_errors are 0 or more than 1e6 times off the "
+                "predicted QCRB std_errors: " in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("strategy", ["entangled_biphoton", "two_single_photons"])
+    def test_narrowest_bandwidth_answers(self, strategy, tmp_path):
+        # at sigma = 1e-153 the time covariance is still in float range; the
+        # sample-level path overflowed summing squared arrival times near
+        # 1e153 and exited 2, while the exact law draws each statistic
+        # directly and the error bars match the bound's
+        assert main(["scenario", "--sigma", "1e-153", "--strategy", strategy,
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads(read(tmp_path / "scenario.json"))
+        for key, se in report["std_errors"].items():
+            predicted = report["predicted_qcrb_std_errors"][key]
+            assert abs(se / predicted - 1.0) <= 0.05, (key, se, predicted)
+            assert abs(report["estimates"][key] - report["truth"][key]) <= 5.0 * se, key
 
     @pytest.mark.parametrize("strategy", ["entangled_biphoton", "two_single_photons"])
     def test_underflowing_covariance_names_its_range(self, strategy, tmp_path, capsys):
@@ -722,24 +768,24 @@ class TestEngineExceptions:
         assert "Traceback" not in err
 
 
-# Runs four subcommands in a fresh interpreter and prints the top-level
-# modules they loaded beyond those already loaded at interpreter start,
-# leaving out the Cython runtime modules that numpy.random's compiled
-# extensions register.  test_montecarlo.py checks the Monte Carlo intervals.
+# Runs every subcommand at its defaults in a fresh interpreter and prints the
+# top-level modules they loaded beyond those already loaded at interpreter
+# start.  test_montecarlo.py checks the Monte Carlo intervals.
 IMPORT_GUARD = """
 import sys
 before = set(sys.modules)
 from qfi_radar.cli import main
-for command in ("qfi", "curves", "oracle-check", "scenario"):
-    if main([command, "--out", sys.argv[1]]) != 0:
-        sys.exit(f"{command} failed")
+for argv in (["qfi"], ["curves"], ["oracle-check"], ["simulate"], ["scenario"]):
+    if main([*argv, "--out", sys.argv[1]]) != 0:
+        sys.exit(f"{argv[0]} failed")
+if main(["selftest"]) != 0:
+    sys.exit("selftest failed")
 loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
-allowed = set(sys.stdlib_module_names) | {"numpy", "qfi_radar", "cython_runtime"}
-print(sorted(name for name in loaded - allowed if not name.startswith("_cython_")))
+print(sorted(loaded - set(sys.stdlib_module_names) - {"qfi_radar"}))
 """
 
 
-def test_cli_loads_only_stdlib_numpy_and_package(tmp_path):
+def test_cli_loads_only_stdlib_and_package(tmp_path):
     src = os.path.dirname(os.path.dirname(qfi_radar.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(

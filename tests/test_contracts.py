@@ -7,9 +7,9 @@ to its four derivative rows, each a coefficient pair (c1, c2) that
 ``build_subspace`` reads as it is, and ``overlap`` to one return shape.  The import
 check keeps the numerical engine free of every closed-form information
 expression, the dependency check keeps numpy the package's only third-party
-import, and the numpy checks keep it inside the functions of montecarlo.py
-that draw or reduce samples, so ``import qfi_radar`` and the qfi, curves and
-oracle-check subcommands run on the standard library alone.  The cold-import check keeps
+import, and the numpy checks keep it inside the sample-level functions of
+montecarlo.py, so ``import qfi_radar`` and every subcommand run on the
+standard library alone.  The cold-import check keeps
 the sampling modules, the selftest and ``dataclasses`` off ``import
 qfi_radar.cli``.  The print check keeps output in the CLI, and the export
 check keeps every public name, method and property in use outside the tests.
@@ -36,13 +36,11 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # engine_map points failed per round: none since the closed-form support
 # frame; any failure is a regression
 ENGINE_MAP_FAILED = 0
-# the functions of montecarlo.py that import numpy, and the subcommands that
-# run without it
-NUMPY_FUNCTIONS = {"_sample_bivariate", "estimate_pair", "run_scenario"}
-NUMPY_FREE_COMMANDS = (["qfi"], ["curves", "--format", "svg"], ["oracle-check"])
-# the subcommands that sample, each with the smallest run that reaches numpy
-NUMPY_COMMANDS = (["simulate", "--n", "2", "--kappa-min", "0", "--kappa-max", "0"],
-                  ["scenario"], ["selftest"])
+# the functions of montecarlo.py that import numpy, the sample-level path the
+# benchmark times; every subcommand runs without it, each scenario once
+NUMPY_FUNCTIONS = {"_sample_bivariate", "estimate_pair"}
+NUMPY_FREE_COMMANDS = (["qfi"], ["curves", "--format", "svg"], ["oracle-check"], ["simulate"],
+                       ["scenario"], ["scenario", "--scenario", "moving_object"], ["selftest"])
 # the package's modules a cold `import qfi_radar.cli` loads, and modules it must not
 COLD_IMPORT = ["qfi_radar", "qfi_radar.analytic", "qfi_radar.cli", "qfi_radar.kinematics",
                "qfi_radar.oracle", "qfi_radar.states"]
@@ -207,50 +205,43 @@ def test_cold_import_loads_only_the_closed_form_path():
 
 
 def test_cli_runs_without_numpy(tmp_path, capsys):
-    # with numpy unimportable, each subcommand exits 0 and writes the bytes
-    # of an ordinary run
-    blocked = [[*argv, "--out", str(tmp_path / "blocked" / argv[0])]
-               for argv in NUMPY_FREE_COMMANDS]
+    # with numpy unimportable, each subcommand exits 0 at its defaults and
+    # writes the bytes of an ordinary run
+    def out(root, argv):
+        return [] if argv[0] == "selftest" else ["--out", str(root / "-".join(argv))]
+
+    blocked = [[*argv, *out(tmp_path / "blocked", argv)] for argv in NUMPY_FREE_COMMANDS]
     proc = fresh_python(
         "import json, sys\nsys.modules['numpy'] = None\nfrom qfi_radar.cli import main\n"
         "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))", json.dumps(blocked))
     assert proc.returncode == 0, proc.stderr
     for argv in NUMPY_FREE_COMMANDS:
-        assert cli.main([*argv, "--out", str(tmp_path / "open" / argv[0])]) == 0
+        assert cli.main([*argv, *out(tmp_path / "open", argv)]) == 0
     capsys.readouterr()
     files = sorted(p.relative_to(tmp_path / "open")
                    for p in (tmp_path / "open").rglob("*") if p.is_file())
-    assert len(files) == 6, files
+    assert len(files) == 9, files
     assert files == sorted(p.relative_to(tmp_path / "blocked")
                            for p in (tmp_path / "blocked").rglob("*") if p.is_file())
     for rel in files:
         assert (tmp_path / "blocked" / rel).read_bytes() == (tmp_path / "open" / rel).read_bytes()
 
 
-@pytest.mark.parametrize("argv", NUMPY_COMMANDS, ids=lambda argv: argv[0])
-def test_sampling_commands_without_numpy_exit_2(tmp_path, argv):
-    # a missing numpy is a usage error with one line, not a traceback
-    full = argv if argv[0] == "selftest" else [*argv, "--out", str(tmp_path)]
-    proc = fresh_python(
-        "import sys\nsys.modules['numpy'] = None\nfrom qfi_radar.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))", *full)
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr == f"error: {argv[0]} needs numpy, which is not installed\n"
-
-
-def calls_by_function(tree, names):
-    """(name, enclosing function, line) for every call of one of ``names``."""
+def calls_by_function(tree, names, reads=False):
+    """(name, enclosing function, line) for every call of one of ``names``,
+    or with ``reads`` every read of one, as a name or as an attribute."""
     calls = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             function = getattr(node, "name", "<lambda>")
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if name in names:
-                calls.append((name, function, node.lineno))
+        if reads:
+            target = node if isinstance(getattr(node, "ctx", None), ast.Load) else None
+        else:
+            target = node.func if isinstance(node, ast.Call) else None
+        name = getattr(target, "id", None) or getattr(target, "attr", None)
+        if name in names:
+            calls.append((name, function, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -281,15 +272,22 @@ def test_cli_writes_tables_through_write_table():
 
 
 def test_monte_carlo_measures_in_one_place():
-    # one seed rule and one offset convention: both domains are drawn only by
-    # the shared helper, and only measure_pair turns draws into reports
-    names = {"sample_times", "sample_frequencies", "estimate_pair"}
-    calls = []
+    # one stream rule: every exact-law draw (the keyed generator, the normal
+    # quantile and the uncached chi-square quantile) is made by one helper,
+    # which only measure_pair and run_scenario call; the sample-level
+    # functions serve the benchmark and the tests, and nothing in src/ calls them
+    draws = {"Random", "inv_cdf", "__wrapped__"}
+    sample_level = {"sample_times", "sample_frequencies", "estimate_pair"}
+    refs = []
     for path in sorted((ROOT / "src" / "qfi_radar").glob("*.py")):
-        calls += calls_by_function(ast.parse(path.read_text(encoding="utf-8")), names)
-    assert {name for name, _, _ in calls} == names, calls
-    for name, function, _ in calls:
-        assert function == ("measure_pair" if name == "estimate_pair" else "_draw_offsets"), calls
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        refs += calls_by_function(tree, draws | {"_draw_statistics"}, reads=True)
+        assert not calls_by_function(tree, sample_level), path.name
+    assert {name for name, _, _ in refs} == draws | {"_draw_statistics"}, refs
+    for name, function, _ in refs:
+        want = ("measure_pair", "run_scenario") if name == "_draw_statistics" else (
+            "_draw_statistics",)
+        assert function in want, refs
 
 
 def test_only_the_cli_prints():

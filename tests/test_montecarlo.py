@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -12,7 +13,15 @@ import pytest
 import qfi_radar
 from qfi_radar import montecarlo
 from qfi_radar.analytic import asymptotic_H, qfi_entangled
-from qfi_radar.kinematics import C, MC_STRATEGIES, ParameterPair, ProbeConfig, Strategy, Target
+from qfi_radar.kinematics import (
+    C,
+    ParameterPair,
+    ProbeConfig,
+    Strategy,
+    Target,
+    returned_state,
+    target_estimates,
+)
 from qfi_radar.montecarlo import (
     CHUNK_SIZE,
     McConfig,
@@ -58,6 +67,89 @@ def assert_chi2_quantile_matches_mpmath(df, p):
         assert abs(got - want) <= 1e-13 * want, (df, p, got, float(want))
 
 
+# measure_pair(strategy, pair, kappa -0.8, sigma 1, n 1000, seed 7): the time
+# report, then the frequency report
+GOLDEN_REPORTS = {
+    (Strategy.ENTANGLED_BIPHOTON, PAIR_A): (
+        "McReport(n_samples=1000, estimate=0.0003773304158515499, variance=0.2610691895525879, "
+        "qcrb_variance=0.2777777777777778, ratio=0.9398490823893164, "
+        "variance_interval_99=(0.23330382662996907, 0.29382819991000125))",
+        "McReport(n_samples=1000, estimate=-0.0069724891252634855, variance=0.3916602673502497, "
+        "qcrb_variance=0.39999999999999986, ratio=0.9791506683756247, "
+        "variance_interval_99=(0.35000621585537156, 0.44080587038637375))",
+    ),
+    (Strategy.ENTANGLED_BIPHOTON, PAIR_B): (
+        "McReport(n_samples=1000, estimate=0.0011319912475546501, variance=2.3496227059732924, "
+        "qcrb_variance=2.5000000000000004, ratio=0.9398490823893167, "
+        "variance_interval_99=(2.099734439669723, 2.6444537991900128))",
+        "McReport(n_samples=1000, estimate=1.9790825326242096, variance=3.524942406152248, "
+        "qcrb_variance=3.5999999999999996, ratio=0.9791506683756246, "
+        "variance_interval_99=(3.150055942698345, 3.967252833477365))",
+    ),
+    (Strategy.TWO_SINGLE_PHOTONS, PAIR_A): (
+        "McReport(n_samples=1000, estimate=0.000506241875893398, variance=0.4699245411946584, "
+        "qcrb_variance=0.5, ratio=0.9398490823893167, "
+        "variance_interval_99=(0.41994688793394447, 0.5288907598380024))",
+        "McReport(n_samples=1000, estimate=-0.015590959656467203, variance=1.958301336751249, "
+        "qcrb_variance=2.0, ratio=0.9791506683756245, "
+        "variance_interval_99=(1.7500310792768583, 2.204029351931869))",
+    ),
+    (Strategy.TWO_SINGLE_PHOTONS, PAIR_B): (
+        "McReport(n_samples=1000, estimate=0.000506241875893398, variance=0.4699245411946584, "
+        "qcrb_variance=0.5, ratio=0.9398490823893167, "
+        "variance_interval_99=(0.41994688793394447, 0.5288907598380024))",
+        "McReport(n_samples=1000, estimate=1.9844090403435328, variance=1.958301336751249, "
+        "qcrb_variance=2.0, ratio=0.9791506683756245, "
+        "variance_interval_99=(1.7500310792768583, 2.204029351931869))",
+    ),
+}
+# run_scenario's moving object at v = c/3 (kappa -0.9, 1000 shots, seed 7)
+GOLDEN_SCENARIO = {
+    "estimates": {"size": 199.7216325543151, "velocity": 0.3341889695621107},
+    "std_errors": {"size": 0.5912955105965311, "velocity": 0.0019601191188719533},
+    "predicted_qcrb_std_errors": {"size": 0.5849976258261416, "velocity": 0.0019372884193514111},
+}
+
+# The equal-law comparisons: each compares the mean of one per-seed feature
+# of the exact-law reports with that of the sample-level path, over M seeds a
+# side, by a two-sample z statistic, at the Sidak level that gives the family
+# of EQUAL_LAW_TESTS comparisons a false-alarm rate of EQUAL_LAW_RATE (up to
+# the normal approximation of a mean of M draws).
+EQUAL_LAW_SEEDS = 1000
+EQUAL_LAW_TESTS = 32
+EQUAL_LAW_RATE = 1e-3
+EQUAL_LAW_Z = statistics.NormalDist().inv_cdf(
+    1.0 - (1.0 - (1.0 - EQUAL_LAW_RATE) ** (1.0 / EQUAL_LAW_TESTS)) / 2.0)
+
+
+def two_sample_z(a, b) -> float:
+    """The difference of the means of a and b over its standard error."""
+    return (statistics.fmean(a) - statistics.fmean(b)) / math.sqrt(
+        statistics.variance(a) / len(a) + statistics.variance(b) / len(b))
+
+
+def sample_scenario(scenario, targets, probe, n_shots, seed):
+    """run_scenario's estimates and standard errors from n_shots drawn
+    samples: half the shots, rounded down, are time pairs drawn at seed and
+    the rest frequency pairs at seed + 1, as offsets from the returned
+    photons' coordinates; their sample means and block sample covariance go
+    through target_estimates' gradient."""
+    state = returned_state(*targets, probe)
+    origin = GaussianBiphoton(0.0, 0.0, 0.0, 0.0, state.sigma1, state.sigma2, state.kappa)
+    n_t = n_shots // 2
+    n_f = n_shots - n_t
+    times = sample_times(origin, McConfig(n_t, seed, "time", probe.strategy))
+    freqs = sample_frequencies(origin, McConfig(n_f, seed + 1, "frequency", probe.strategy))
+    cov = np.zeros((4, 4))
+    cov[:2, :2] = np.cov(times.T) / n_t
+    cov[2:, 2:] = np.cov(freqs.T) / n_f
+    dx = (*times.mean(axis=0).tolist(), *freqs.mean(axis=0).tolist())
+    values, grad = target_estimates(scenario, (*state.centers(), *state.carriers()),
+                                    probe.omega0, dx)
+    grad = np.array(grad)
+    return values, np.sqrt(np.diag(grad @ cov @ grad.T)).tolist()
+
+
 def biphoton(kappa, sigma=1.0):
     return GaussianBiphoton(0.0, 0.0, 1.0, 1.0, sigma, sigma, kappa)
 
@@ -76,11 +168,12 @@ class TestConfig:
             McConfig(10, 1.5, "time")
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got True"):
             McConfig(10, True)
-        with pytest.raises(ValueError, match="n_samples, the draws per domain, must be at least 2"):
+        with pytest.raises(ValueError, match="n_samples, the draws per domain, must be an "):
             McConfig(math.nan, 0)
-        # a float count would otherwise fail later, inside numpy
-        for n in (2.5, 10.0, True):
-            with pytest.raises(ValueError, match=f"at least 2 and an integer, got {n}"):
+        # a float count would otherwise fail later, and above 10**9 one
+        # chi-square quantile takes more than 16 ms
+        for n in (2.5, 10.0, True, 10**9 + 1):
+            with pytest.raises(ValueError, match=f"from 2 to 10\\*\\*9, got {n}"):
                 McConfig(n, 0)
         assert McConfig(np.int64(10), np.uint32(3)).n_samples == 10
 
@@ -295,28 +388,31 @@ class TestEstimatePair:
 
 
 class TestMeasurePair:
-    @pytest.mark.parametrize("strategy", MC_STRATEGIES)
-    @pytest.mark.parametrize("pair", [PAIR_A, PAIR_B])
-    @pytest.mark.parametrize("kappa", [-0.9, 0.0, 0.9])
-    def test_matches_absolute_coordinate_draws(self, strategy, pair, kappa):
-        # time is drawn at the seed and frequency at the next one; at centers
-        # 0 an offset is the coordinate itself, so the time report keeps every
-        # bit, and at carriers 1 offsets move the frequency report by rounding
-        sigma, n, seed = 1.0, 10_000, 17
-        state = GaussianBiphoton(0.0, 0.0, 1.0, 1.0, sigma, sigma, kappa)
-        h11, h22 = asymptotic_H(strategy, pair, kappa, sigma)
-        want_t = estimate_pair(sample_times(state, McConfig(n, seed, "time", strategy)),
-                               pair, "time", h11)
-        want_w = estimate_pair(
-            sample_frequencies(state, McConfig(n, seed + 1, "frequency", strategy)),
-            pair, "frequency", h22)
-        rep_t, rep_w = measure_pair(strategy, pair, kappa, sigma, n, seed)
-        assert rep_t == want_t
-        assert rep_w.n_samples == n
-        assert rep_w.qcrb_variance == want_w.qcrb_variance
-        assert rep_w.variance == pytest.approx(want_w.variance, rel=1e-15, abs=0.0)
-        assert rep_w.estimate == pytest.approx(want_w.estimate, rel=0.0, abs=1e-15)
-        assert type(rep_t.estimate) is float and type(rep_w.estimate) is float
+    def test_adjacent_seeds_share_no_draw(self):
+        # at kappa = 0 and sigma = 1, pair A's time sum and pair B's frequency
+        # sum are one sum of two standard normals, scaled by 1/2 and by 1: drawn
+        # from one stream, as time at seed 1 and frequency at seed 0 + 1 once
+        # were, their variance ratios are equal
+        rep_t, _ = measure_pair(Strategy.ENTANGLED_BIPHOTON, PAIR_A, 0.0, 1.0, 1000, 1)
+        _, rep_w = measure_pair(Strategy.ENTANGLED_BIPHOTON, PAIR_B, 0.0, 1.0, 1000, 0)
+        assert rep_t.ratio != rep_w.ratio
+
+    @pytest.mark.parametrize("strategy, pair", GOLDEN_REPORTS)
+    def test_golden_values(self, strategy, pair):
+        # the uniforms come from random.Random's guaranteed random() sequence,
+        # but the variates also pass through libm and NormalDist.inv_cdf: these
+        # bytes are pinned on the Python versions CI runs
+        reports = measure_pair(strategy, pair, -0.8, 1.0, 1000, 7)
+        assert tuple(map(repr, reports)) == GOLDEN_REPORTS[strategy, pair]
+
+    @pytest.mark.parametrize("r", [0.0, 1.0 - 2.0**-53])
+    def test_uniforms_stay_inside_the_unit_interval(self, r, monkeypatch):
+        # random() spans [0, 1 - 2^-53]; at either end the uniform lies 2^-53
+        # inside (0, 1), so both quantiles are finite, and 1 - u is exact
+        monkeypatch.setattr(random.Random, "random", lambda self: r)
+        (z,), (chi2,) = montecarlo._draw_statistics(McConfig(2, 0), 1, (1,))
+        assert 8.0 < abs(z) < 8.3 and (z > 0.0) == (r > 0.5)
+        assert 0.0 < chi2 < math.inf
 
 
 class TestScenarios:
@@ -463,8 +559,8 @@ class TestScenarios:
         The 8 tests (4 quantities x 2) each run at the Sidak level
         alpha = 1 - 0.99^(1/8), so a correct run_scenario fails this gate
         with probability 1% (at most 8 alpha = 1.0045% by the union bound,
-        whatever the tests' dependence).  run_scenario draws from seed and
-        seed + 1, so even seeds share no draw.
+        whatever the tests' dependence).  Each draw is keyed by its seed and
+        its domain, so no two reports share one.
         """
         m, n_shots = 400, 10_000
         alpha = 1.0 - 0.99 ** (1.0 / 8.0)
@@ -497,6 +593,81 @@ class TestScenarios:
             run_scenario("moving_object", targets, probe, 2000, 0)
         # a multibody pair may move apart
         assert run_scenario("multibody", targets, probe, 2000, 0)["truth"]["delta_v"] > 0
+
+
+class TestEqualLaw:
+    """The exact-law draws of measure_pair and run_scenario against the
+    sample-level path they replace, over EQUAL_LAW_SEEDS seeds at small n.
+
+    Per report, four features: the estimate (its mean), its squared error
+    (its variance), the variance or squared standard error (its mean), and
+    whether that falls below a chi-square quantile.  measure_pair gives 16
+    comparisons (two cases, two domains) and run_scenario 16 (two
+    scenarios, two quantities): EQUAL_LAW_TESTS in all, so a correct pair of
+    paths fails this class with probability EQUAL_LAW_RATE.
+    """
+
+    M = EQUAL_LAW_SEEDS
+
+    @staticmethod
+    def assert_equal_laws(exact, sampled, where):
+        for name in exact:
+            z = two_sample_z(exact[name], sampled[name])
+            assert abs(z) <= EQUAL_LAW_Z, (where, name, z)
+
+    @pytest.mark.parametrize("strategy, pair, kappa", [
+        (Strategy.ENTANGLED_BIPHOTON, PAIR_A, -0.5),
+        (Strategy.TWO_SINGLE_PHOTONS, PAIR_B, 0.5),
+    ])
+    def test_measure_pair(self, strategy, pair, kappa):
+        n = 4
+        state = biphoton(kappa)
+        entries = asymptotic_H(strategy, pair, kappa, 1.0)
+        # the chi-square(3) 90% quantile
+        q90 = montecarlo._chi2_quantile(n - 1, 0.9)
+        exact = [measure_pair(strategy, pair, kappa, 1.0, n, seed) for seed in range(self.M)]
+        for i, (domain, draw) in enumerate((("time", sample_times),
+                                            ("frequency", sample_frequencies))):
+            mean = 0.0 if pair is PAIR_A or domain == "time" else 2.0
+            sampled = [estimate_pair(draw(state, McConfig(n, 2 * seed + i, domain, strategy)),
+                                     pair, domain, entries[i]) for seed in range(self.M)]
+            features = {}
+            for path, reports in (("exact", [r[i] for r in exact]), ("sampled", sampled)):
+                features[path] = {
+                    "mean": [r.estimate for r in reports],
+                    "variance of the mean": [(r.estimate - mean) ** 2 for r in reports],
+                    "variance": [r.ratio for r in reports],
+                    "chi-square quantile": [float(r.ratio * (n - 1) <= q90) for r in reports],
+                }
+            self.assert_equal_laws(features["exact"], features["sampled"], domain)
+
+    @pytest.mark.parametrize("scenario, v", [("multibody", 0.0), ("moving_object", C / 3.0)])
+    def test_run_scenario(self, scenario, v):
+        n_shots = 10
+        probe = ProbeConfig(omega0=10.0, sigma0=1.0, kappa=-0.9)
+        targets = (Target(300.0, v), Target(500.0, v))
+        exact = [run_scenario(scenario, targets, probe, n_shots, seed) for seed in range(self.M)]
+        truth, predicted = exact[0]["truth"], exact[0]["predicted_qcrb_std_errors"]
+        sampled = [sample_scenario(scenario, targets, probe, n_shots, 2 * seed)
+                   for seed in range(self.M)]
+        for i, key in enumerate(truth):
+            features = {}
+            for path, pairs in (
+                    ("exact", [(r["estimates"][key], r["std_errors"][key]) for r in exact]),
+                    ("sampled", [(values[i], se[i]) for values, se in sampled])):
+                features[path] = {
+                    "mean": [est for est, _ in pairs],
+                    "variance of the mean": [(est - truth[key]) ** 2 for est, _ in pairs],
+                    "variance": [se * se for _, se in pairs],
+                    # the squared error bar over the bound's is about chi-square(4)/4
+                    "chi-square quantile": [float(se <= predicted[key]) for _, se in pairs],
+                }
+            self.assert_equal_laws(features["exact"], features["sampled"], key)
+
+    def test_run_scenario_golden_values(self):
+        report = run_scenario("moving_object", (Target(300.0, C / 3.0), Target(500.0, C / 3.0)),
+                              ProbeConfig(10.0, 1.0, -0.9), 1000, 7)
+        assert {key: report[key] for key in GOLDEN_SCENARIO} == GOLDEN_SCENARIO
 
 
 # Monte Carlo intervals in a fresh interpreter, from estimate_pair and

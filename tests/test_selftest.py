@@ -141,11 +141,19 @@ def test_criterion_6_runs_alone():
 
 
 def test_criterion_7_saturation(monkeypatch, failed):
-    # arrival times 10% too spread: their variance ratio reads 1.21; the
-    # draw is montecarlo's, which criterion 7 reaches through measure_pair
-    real = montecarlo.sample_times
-    monkeypatch.setattr(montecarlo, "sample_times", lambda *args: 1.1 * real(*args))
-    assert failed(7).startswith("variance ratios 1.21")
+    # arrival times 10% too spread: their variance ratio reads 1.21 times
+    # the 0.9897 the correct law draws at criterion 7's seed; the law is
+    # montecarlo's, which criterion 7 reaches through measure_pair
+    real = montecarlo._sampling_moments
+
+    def spread(state, config):
+        mean, cov = real(state, config)
+        if config.domain == "time":
+            cov = tuple(tuple(1.21 * c for c in row) for row in cov)
+        return mean, cov
+
+    monkeypatch.setattr(montecarlo, "_sampling_moments", spread)
+    assert failed(7).startswith("variance ratios 1.1976/1.0054")
 
 
 def test_criterion_8_scenarios(monkeypatch, failed):
