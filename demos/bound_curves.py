@@ -18,8 +18,6 @@ Run:  python3 demos/bound_curves.py [--svg out.svg]
 import argparse
 import math
 
-import numpy as np
-
 from qfi_radar import ParameterPair, Strategy, asymptotic_bound
 from qfi_radar.cli import render_svg
 
@@ -29,12 +27,13 @@ def main() -> None:
     parser.add_argument("--svg", help="write an SVG plot of the first pair's panel")
     args = parser.parse_args()
 
-    kappas = np.linspace(-0.99, 0.99, 23)
+    # 23 evenly spaced points, the last exactly 0.99, as numpy's linspace places them
+    kappas = [i * (1.98 / 22) - 0.99 for i in range(22)] + [0.99]
     for pair in ParameterPair:
         print(f"\n=== {pair.value} ===")
         print(f"{'kappa':>8}  {'entangled':>10}  {'single':>8}  {'QI':>8}")
         for k in kappas:
-            row = [asymptotic_bound(s, pair, float(k)) for s in Strategy]
+            row = [asymptotic_bound(s, pair, k) for s in Strategy]
             print(f"{k:8.3f}  {row[0]:10.4f}  {row[1]:8.4f}  {row[2]:8.4f}")
 
     crossover = math.sqrt(3.0) / 2.0
@@ -45,7 +44,7 @@ def main() -> None:
     if args.svg:
         pair = ParameterPair.TIME_SUM_FREQ_DIFF
         series = [
-            (s.value, kappas, [asymptotic_bound(s, pair, float(k)) for k in kappas])
+            (s.value, kappas, [asymptotic_bound(s, pair, k) for k in kappas])
             for s in Strategy
         ]
         with open(args.svg, "w", encoding="utf-8") as fh:

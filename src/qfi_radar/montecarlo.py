@@ -179,15 +179,14 @@ def estimate_pair(
     values -= mean
     np.square(values, out=values)
     var = float(np.sum(values)) / (n - 1)
+    return _report(n, mean, var, qfi_entry)
+
+
+def _report(n: int, estimate: float, var: float, qfi_entry: float) -> McReport:
+    """The report of n shots' mean ``estimate`` and variance ``var`` against the
+    QCRB per-shot variance 1/``qfi_entry``, with var's 99% interval."""
     qcrb = 1.0 / qfi_entry
-    return McReport(
-        n_samples=n,
-        estimate=mean,
-        variance=var,
-        qcrb_variance=qcrb,
-        ratio=var / qcrb,
-        variance_interval_99=variance_interval(var, n, 0.01),
-    )
+    return McReport(n, estimate, var, qcrb, var / qcrb, variance_interval(var, n, 0.01))
 
 
 def _draw_statistics(config: McConfig, normals: int, dfs: tuple) -> tuple:
@@ -221,10 +220,8 @@ def measure_pair(
         a1, a2 = (_combine(*e, pair, config.domain) for e in ((1.0, 0.0), (0.0, 1.0)))
         v = s11 + s22 + 2.0 * a1 * a2 * s12
         (z,), (chi2,) = _draw_statistics(config, 1, (n - 1,))
-        var = v * chi2 / (n - 1)
-        qcrb = 1.0 / entry
-        reports.append(McReport(n, _combine(*mean, pair, config.domain) + math.sqrt(v / n) * z,
-                                var, qcrb, var / qcrb, variance_interval(var, n, 0.01)))
+        estimate = _combine(*mean, pair, config.domain) + math.sqrt(v / n) * z
+        reports.append(_report(n, estimate, v * chi2 / (n - 1), entry))
     return tuple(reports)
 
 

@@ -76,6 +76,7 @@ class MixedModel(NamedTuple):
     and ``stacks[i]`` holds branch i's analytic derivatives, one row each,
     in the order of ``states.ROWS``; its ket is the stack's base, at unit
     bandwidth: ``sigma1`` is the caller's photon-1 bandwidth (``model_for``).
+    Two stacks have distinct kets: coincident branches are one stack.
     """
 
     weight: float
@@ -108,7 +109,7 @@ def _h(u: float) -> float:
 
 
 def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
-    """The support frame of one or two branches, from their stacks.
+    """The support frame of one branch or two distinct ones, from their stacks.
 
     Every stack has the same rows, each the coefficients c = (c1, c2) of a
     derivative c . x |psi_k> of its branch's ket, the stack's base, read as
@@ -132,38 +133,26 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
         D_a^* D_b + conj(c_a . v)(c_b . v) h(u),  D = D(w, Sigma c)/sqrt(det Sigma u),
 
     with v the branch's mean offset, w = conj(v), D(x, y) = x1 y2 - x2 y1,
-    and h(u) = 1/u - 1/expm1(u).  Identical bases are one ket of rank 1
-    whose derivative is the mean of the branches'.  At rank 1 every t is
-    [[0]]: the derivatives lie in the kernel.  A stack of no rows gets an
-    empty block.
+    and h(u) = 1/u - 1/expm1(u).  One branch has rank 1 and its own block
+    as kernel block; every t is [[0]]: the derivatives lie in the kernel.
+    A stack of no rows gets an empty block.
 
-    Distinct bases whose l is not a normal float (below it l has lost its
-    digits, and the eigenvalue -expm1(l) with it) and equal forms whose u
-    overflows raise ``ArithmeticError`` naming the bandwidths and the
-    branches' separation.
+    Two branches whose l is not a normal float (below it l has lost its
+    digits, and the eigenvalue -expm1(l) with it; equal bases give l = 0)
+    and equal forms whose u overflows raise ``ArithmeticError`` naming the
+    quantity; ``qfi_numeric`` names the caller's inputs.
     """
     if not 1 <= len(stacks) <= 2:
         raise ValueError(f"need one or two branch stacks, got {len(stacks)}")
     blocks = [overlap(s, s) for s in stacks]
-    n_rows = len(stacks[0].p)
     if len(stacks) == 1:
-        return SubspaceBasis(list(stacks), [1.0], [[[0j]] for _ in range(n_rows)],
-                             list(blocks[0]))
+        return SubspaceBasis(list(stacks), [1.0], [[[0j]] for _ in stacks[0].p], list(blocks[0]))
 
     log_g, ma, mb, (s11, s22, s12) = pair_terms(stacks[0].base, stacks[1].base)
     # |<psi_1|psi_2>| <= 1: round-off must not push l above 0
     ell = min(log_g.real, 0.0)
     if ell > -_TINY:
-        if stacks[0].base != stacks[1].base:
-            raise _out_of_range(stacks)
-        # identical bases, every offset 0: rho = 2 |psi_1><psi_1| is one ket,
-        # whose derivative is the branches' mean (c_1 + c_2)/2 . x |psi_1>
-        mean = [((c1[0] + c2[0]) / 2.0, (c1[1] + c2[1]) / 2.0)
-                for c1, c2 in zip(stacks[0].p, stacks[1].p)]
-        kernel = [[2.0 * (x[0].conjugate() * (s11 * y[0] + s12 * y[1])
-                          + x[1].conjugate() * (s12 * y[0] + s22 * y[1]))
-                   for y in mean] for x in mean]
-        return SubspaceBasis(list(stacks), [2.0], [[[0j]] for _ in range(n_rows)], kernel)
+        raise ArithmeticError(f"branch overlap exponent l = {ell!r} is not a normal float")
     E = math.exp(ell)
     eigenvalues = [1.0 + E, -math.expm1(ell)]
     # n_-/n_+
@@ -174,7 +163,7 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     if equal:
         # D(w, Sigma c) and sqrt(u) grow as the separation: their quotient is finite while u is
         if u == math.inf:
-            raise _out_of_range(stacks)
+            raise ArithmeticError(f"branch exponent u = -2l overflows at l = {ell!r}")
         h, norm = _h(u), math.sqrt(s11 * s22 - s12 * s12) * math.sqrt(u)
     else:
         # 1/expm1(u), written so that it cannot overflow
@@ -212,7 +201,7 @@ def build_subspace(stacks: list[Stack]) -> SubspaceBasis:
     return SubspaceBasis(list(stacks), eigenvalues, derivatives, kernel)
 
 
-def _out_of_range(stacks: list[Stack], sigma1: float = 1.0) -> ArithmeticError:
+def _out_of_range(stacks: list[Stack], sigma1: float) -> ArithmeticError:
     """The error for a model whose information leaves the float range, naming its
     bandwidths and its branches' center and carrier offsets, scaled by ``sigma1``."""
     where = " and ".join(dict.fromkeys(_bandwidths(s.base, sigma1) for s in stacks))
@@ -332,9 +321,12 @@ def model_for(
 
     Every branch's derivative rows are built here, once per model, at unit
     bandwidth: times times sigma1 and carriers over it (the idler's carrier, a
-    common phase, stays 1).  A separation that rounds away raises
-    ``ArithmeticError``: the two branches would read as one.  So does a
-    sigma2/sigma1 whose square is not a normal float, naming the bandwidths.
+    common phase, stays 1).  Two equal branch kets are one: at t_minus =
+    omega_minus = 0 the model is that ket alone, with weight the trace and
+    the branches' mean derivative rows, so rho = trace |psi><psi| is pure;
+    a nonzero separation that rounds away raises ``ArithmeticError``.  So
+    does a sigma2/sigma1 whose square is not a normal float, naming the
+    bandwidths.
     """
     s2 = sigma1 if sigma2 is None else sigma2
     _check_range(kappa, sigma1, s2)
@@ -360,9 +352,13 @@ def model_for(
                          for i, (t, w) in enumerate(((t1, w1), (t2, w2)), 1))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    lost = (t_minus or omega_minus) and (t1, w1) == (t2, w2)
-    if lost and len(branches) == 2 and branches[0][0] == branches[1][0]:
-        raise ArithmeticError(f"branch separation t_minus = {t_minus!r}, omega_minus = "
-                              f"{omega_minus!r} rounds away at sigma1 = {sigma1!r}")
-    return MixedModel(trace / len(branches),
-                      tuple(branch_stack(base, photons) for base, photons in branches), sigma1)
+    stacks = tuple(branch_stack(base, photons) for base, photons in branches)
+    if len(stacks) == 2 and (t1, w1) == (t2, w2) and stacks[0].base == stacks[1].base:
+        if t_minus or omega_minus:
+            raise ArithmeticError(f"branch separation t_minus = {t_minus!r}, omega_minus = "
+                                  f"{omega_minus!r} rounds away at sigma1 = {sigma1!r}")
+        # one ket: rho = trace |psi><psi|, whose derivative rows are the branches' mean
+        (base, p1), (_, p2) = stacks
+        stacks = (Stack(base, tuple(((c1[0] + c2[0]) / 2.0, (c1[1] + c2[1]) / 2.0)
+                                    for c1, c2 in zip(p1, p2))),)
+    return MixedModel(trace / len(stacks), stacks, sigma1)

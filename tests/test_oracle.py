@@ -437,21 +437,65 @@ class TestCoincidence:
         h = 0.5 - u / 12.0 + u**3 / 720.0 if u < 1e-4 else 1.0 / u - 1.0 / math.expm1(u)
         model = model_for(Strategy.TWO_SINGLE_PHOTONS, sigma1=sigma, t_minus=t_minus)
         H = qfi_numeric(model, PAIR_A).H
-        assert H[1][1] == pytest.approx(t_minus**2 / 4.0 * 2.0 * h, rel=1e-12)
+        assert H[1][1] == pytest.approx(t_minus**2 / 4.0 * 2.0 * h, rel=1e-12, abs=0.0)
 
-    def test_exact_coincidence_is_rank_one(self):
-        # t_minus = omega_minus = 0: rho = 2 |psi><psi| has rank 1 and both
-        # photons move as one; t_plus and omega_plus keep 2 sigma^2 and
-        # 1/(2 sigma^2), while t_minus and omega_minus move the photons apart
-        # and leave rho unchanged to first order
-        model = model_for(Strategy.TWO_SINGLE_PHOTONS, sigma1=1.0)
+    @pytest.mark.parametrize("label, trace", [("tsp-coincident", 2.0), ("qi-coincident", 1.0)])
+    def test_exact_coincidence_is_rank_one(self, label, trace):
+        # t_minus = omega_minus = 0: rho = trace |psi><psi| has rank 1 and both
+        # photons move as one; t_plus and omega_plus keep their information,
+        # while t_minus and omega_minus move the photons apart and leave rho
+        # unchanged to first order
+        _, strategy, kwargs, (want_a, _), (want_b, _) = next(
+            row for row in PINNED if row[0] == label)
+        model = model_for(strategy, **kwargs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res_a, res_b = qfi_numeric(model, PAIR_A), qfi_numeric(model, PAIR_B)
         assert res_a.dim == res_b.dim == 1
-        assert res_a.rho_eigenvalues == [2.0]
-        assert np.array_equal(res_a.H, np.diag([2.0, 0.0]))
-        assert np.array_equal(res_b.H, np.diag([0.0, 0.5]))
+        assert res_a.rho_eigenvalues == [trace]
+        assert res_a.H == want_a and res_b.H == want_b
+
+    @pytest.mark.parametrize("strategy, trace", [(Strategy.TWO_SINGLE_PHOTONS, 2.0),
+                                                 (Strategy.QUANTUM_ILLUMINATION, 1.0)],
+                             ids=lambda x: getattr(x, "value", x))
+    def test_coincident_branches_are_one_ket(self, strategy, trace):
+        # equal branch kets are one: the model is that ket, of weight the
+        # trace, whose rows are the mean of the two branches' rows (which do
+        # not depend on the separation)
+        model = model_for(strategy, sigma1=0.37, kappa=0.5, t_plus=0.3)
+        assert len(model.stacks) == 1 and model.weight == trace
+        rows = [s.p for s in model_for(strategy, sigma1=0.37, kappa=0.5, t_minus=1.0).stacks]
+        assert model.stacks[0].p == tuple(((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+                                          for a, b in zip(*rows))
+
+    def test_unequal_bandwidths_stay_two_kets(self):
+        # coincident centers and carriers, but distinct kets: rank 2
+        model = model_for(Strategy.TWO_SINGLE_PHOTONS, sigma1=1.0, sigma2=1.7)
+        assert len(model.stacks) == 2 and model.weight == 1.0
+        assert qfi_numeric(model, PAIR_A).dim == qfi_numeric(model, PAIR_B).dim == 2
+
+    def test_equal_bases_are_refused(self):
+        # two stacks are two distinct kets: equal ones have l = 0, which no
+        # frame of rank 2 can be built from
+        psi = GaussianSinglePhoton(0.0, 1.0, 1.0)
+        twin = GaussianSinglePhoton(0.0, 1.0, 1.0)
+        stacks = [branch_stack(psi, (1, 0)), branch_stack(twin, (2, 0))]
+        with pytest.raises(ArithmeticError, match=r"^branch overlap exponent l = 0\.0 is not a "
+                                                  r"normal float$"):
+            build_subspace(stacks)
+
+    # two single photons at sigma1 = 1, t_minus = 1e-6, omega_minus = 0 and
+    # sigma2 just above sigma1: H(omega_minus, omega_minus) on pair A, from
+    # closed-form Gaussian moments in 80-digit arithmetic over
+    # span{psi1, psi2, x psi1, x psi2}, which holds rho and d(rho); at
+    # sigma2 = sigma1 the same reference gives t_minus^2/2 h(u) to 20 digits
+    @pytest.mark.xfail(strict=True, reason="the unequal-form kernel <d|d> - |a|^2/expm1(u) "
+                       "cancels as u -> 0; only equal forms take the h(u) path")
+    @pytest.mark.parametrize("sigma2, want", [(1.000000000000001, 2.5000030814874941e-13),
+                                              (1.000000000001, 5.0004445226608198e-13)])
+    def test_omega_minus_entry_of_nearly_equal_bandwidths(self, sigma2, want):
+        model = model_for(Strategy.TWO_SINGLE_PHOTONS, sigma1=1.0, sigma2=sigma2, t_minus=1e-6)
+        assert qfi_numeric(model, PAIR_A).H[1][1] == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 class TestSldProperties:
